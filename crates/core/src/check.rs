@@ -5,8 +5,8 @@
 //! element's specification, unconnected ports, and push/pull violations
 //! (a push output or pull input must have exactly one connection).
 
-use crate::config::split_args;
-use crate::graph::{ElementId, RouterGraph};
+use crate::config::{arg_slices, split_args};
+use crate::graph::{Connection, RouterGraph};
 use crate::pushpull::{resolve, PortAssignment};
 use crate::registry::Library;
 use crate::spec::PortKind;
@@ -180,23 +180,17 @@ pub fn check(graph: &RouterGraph, library: &Library) -> CheckReport {
 
     // Port-gap check: if port 3 is used, ports 0..3 must be too.
     for (id, decl) in graph.elements() {
-        for p in 0..graph.ninputs(id) {
-            if graph.connections_to(id, p).is_empty() {
+        let sides = [
+            ("input", per_port(graph.inputs_of(id), |c| c.to.port)),
+            ("output", per_port(graph.outputs_of(id), |c| c.from.port)),
+        ];
+        for (side, counts) in sides {
+            for (p, _) in counts.iter().enumerate().filter(|(_, &n)| n == 0) {
                 diag(
                     &mut ds,
                     Severity::Error,
                     Some(decl.name()),
-                    format!("input port {p} unconnected but a higher port is in use"),
-                );
-            }
-        }
-        for p in 0..graph.noutputs(id) {
-            if graph.connections_from(id, p).is_empty() {
-                diag(
-                    &mut ds,
-                    Severity::Error,
-                    Some(decl.name()),
-                    format!("output port {p} unconnected but a higher port is in use"),
+                    format!("{side} port {p} unconnected but a higher port is in use"),
                 );
             }
         }
@@ -224,16 +218,29 @@ pub fn check(graph: &RouterGraph, library: &Library) -> CheckReport {
     }
 }
 
+/// Connections per port number, for one side of one element.
+fn per_port(conns: &[Connection], port: impl Fn(&Connection) -> usize) -> Vec<usize> {
+    let mut counts = Vec::new();
+    for p in conns.iter().map(port) {
+        if counts.len() <= p {
+            counts.resize(p + 1, 0);
+        }
+        counts[p] += 1;
+    }
+    counts
+}
+
 /// Parses one `ADDR[/PLEN] [GW] PORT` route entry; `None` for anything the
 /// element itself would reject (the install-time error already covers it).
 fn parse_route(entry: &str) -> Option<(u32, u32, usize)> {
-    let words: Vec<&str> = entry.split_whitespace().collect();
-    if !(2..=3).contains(&words.len()) {
+    let mut words = entry.split_whitespace();
+    let (dst, second, third) = (words.next()?, words.next()?, words.next());
+    if words.next().is_some() {
         return None;
     }
-    let (addr_str, plen) = match words[0].split_once('/') {
+    let (addr_str, plen) = match dst.split_once('/') {
         Some((a, p)) => (a, p.parse::<u32>().ok().filter(|&p| p <= 32)?),
-        None => (words[0], 32),
+        None => (dst, 32),
     };
     let mut addr = 0u32;
     let mut octets = 0;
@@ -249,7 +256,7 @@ fn parse_route(entry: &str) -> Option<(u32, u32, usize)> {
     } else {
         u32::MAX << (32 - plen)
     };
-    let port = words[words.len() - 1].parse::<usize>().ok()?;
+    let port = third.unwrap_or(second).parse::<usize>().ok()?;
     Some((addr & mask, plen, port))
 }
 
@@ -262,36 +269,25 @@ fn check_route_tables(graph: &RouterGraph, ds: &mut Vec<Diagnostic>) {
         if !matches!(decl.class(), "StaticIPLookup" | "LookupIPRoute") {
             continue;
         }
-        let mut seen: HashMap<(u32, u32), usize> = HashMap::new();
-        for entry in split_args(decl.config()) {
-            let Some((addr, plen, port)) = parse_route(&entry) else {
+        let entries = arg_slices(decl.config());
+        let mut seen: HashMap<(u32, u32), usize> = HashMap::with_capacity(entries.len());
+        for entry in entries {
+            let Some((addr, plen, port)) = parse_route(entry) else {
                 continue;
             };
-            let ip = format!(
-                "{}.{}.{}.{}",
-                addr >> 24,
-                (addr >> 16) & 0xFF,
-                (addr >> 8) & 0xFF,
-                addr & 0xFF
-            );
-            match seen.insert((addr, plen), port) {
-                Some(prev) if prev != port => diag(
-                    ds,
-                    Severity::Warning,
-                    Some(decl.name()),
-                    format!(
-                        "route {ip}/{plen} -> output {prev} is shadowed by a \
-                         later duplicate -> output {port}"
-                    ),
-                ),
-                Some(_) => diag(
-                    ds,
-                    Severity::Warning,
-                    Some(decl.name()),
-                    format!("duplicate route {ip}/{plen} -> output {port}"),
-                ),
-                None => {}
-            }
+            let Some(prev) = seen.insert((addr, plen), port) else {
+                continue;
+            };
+            let [a, b, c, d] = addr.to_be_bytes();
+            let message = if prev != port {
+                format!(
+                    "route {a}.{b}.{c}.{d}/{plen} -> output {prev} is shadowed by a \
+                     later duplicate -> output {port}"
+                )
+            } else {
+                format!("duplicate route {a}.{b}.{c}.{d}/{plen} -> output {port}")
+            };
+            diag(ds, Severity::Warning, Some(decl.name()), message);
         }
     }
 }
@@ -393,39 +389,23 @@ fn check_devices(graph: &RouterGraph, ds: &mut Vec<Diagnostic>) {
 }
 
 fn check_connection_counts(graph: &RouterGraph, pa: &PortAssignment, ds: &mut Vec<Diagnostic>) {
-    for id in graph.element_ids() {
-        let name = graph.element(id).name().to_owned();
-        check_element_counts(graph, pa, id, &name, ds);
-    }
-}
-
-fn check_element_counts(
-    graph: &RouterGraph,
-    pa: &PortAssignment,
-    id: ElementId,
-    name: &str,
-    ds: &mut Vec<Diagnostic>,
-) {
-    for p in 0..graph.noutputs(id) {
-        let n = graph.connections_from(id, p).len();
-        if pa.output(id, p) == PortKind::Push && n > 1 {
-            diag(
-                ds,
-                Severity::Error,
-                Some(name),
-                format!("push output port {p} has {n} connections (must have exactly 1)"),
-            );
+    for (id, decl) in graph.elements() {
+        let name = Some(decl.name());
+        let outs = per_port(graph.outputs_of(id), |c| c.from.port);
+        for (p, &n) in outs.iter().enumerate() {
+            if pa.output(id, p) == PortKind::Push && n > 1 {
+                let message =
+                    format!("push output port {p} has {n} connections (must have exactly 1)");
+                diag(ds, Severity::Error, name, message);
+            }
         }
-    }
-    for p in 0..graph.ninputs(id) {
-        let n = graph.connections_to(id, p).len();
-        if pa.input(id, p) == PortKind::Pull && n > 1 {
-            diag(
-                ds,
-                Severity::Error,
-                Some(name),
-                format!("pull input port {p} has {n} connections (must have exactly 1)"),
-            );
+        let ins = per_port(graph.inputs_of(id), |c| c.to.port);
+        for (p, &n) in ins.iter().enumerate() {
+            if pa.input(id, p) == PortKind::Pull && n > 1 {
+                let message =
+                    format!("pull input port {p} has {n} connections (must have exactly 1)");
+                diag(ds, Severity::Error, name, message);
+            }
         }
     }
 }

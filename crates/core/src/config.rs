@@ -22,6 +22,11 @@
 /// assert!(split_args("   ").is_empty());
 /// ```
 pub fn split_args(config: &str) -> Vec<String> {
+    arg_slices(config).into_iter().map(str::to_owned).collect()
+}
+
+/// [`split_args`] without the copies: the arguments as slices of `config`.
+pub fn arg_slices(config: &str) -> Vec<&str> {
     let mut args = Vec::new();
     let mut depth = 0usize;
     let mut in_quote = false;
@@ -42,7 +47,7 @@ pub fn split_args(config: &str) -> Vec<String> {
                 b'(' | b'[' | b'{' => depth += 1,
                 b')' | b']' | b'}' => depth = depth.saturating_sub(1),
                 b',' if depth == 0 => {
-                    args.push(config[start..i].trim().to_owned());
+                    args.push(config[start..i].trim());
                     start = i + 1;
                 }
                 _ => {}
@@ -52,7 +57,7 @@ pub fn split_args(config: &str) -> Vec<String> {
     }
     let last = config[start..].trim();
     if !last.is_empty() || !args.is_empty() {
-        args.push(last.to_owned());
+        args.push(last);
     }
     // Trailing comma produces an empty final argument; Click ignores it.
     if args.last().is_some_and(|a| a.is_empty()) {
@@ -87,49 +92,31 @@ pub fn join_args<S: AsRef<str>>(args: &[S]) -> String {
 /// ```
 pub fn substitute(config: &str, bindings: &[(String, String)]) -> String {
     let mut out = String::with_capacity(config.len());
-    let mut chars = config.char_indices().peekable();
-    while let Some((i, c)) = chars.next() {
-        if c != '$' {
-            out.push(c);
-            continue;
-        }
-        // ${name}
-        if let Some(&(_, '{')) = chars.peek() {
-            if let Some(end) = config[i + 2..].find('}') {
-                let name = &config[i + 2..i + 2 + end];
-                if let Some((_, v)) = bindings.iter().find(|(k, _)| k == name) {
-                    out.push_str(v);
-                    // Consume "{name}".
-                    for _ in 0..name.len() + 2 {
-                        chars.next();
-                    }
-                    continue;
-                }
+    let mut rest = config;
+    while let Some(dollar) = rest.find('$') {
+        out.push_str(&rest[..dollar]);
+        rest = &rest[dollar + 1..];
+        // The referenced name and the length of the reference after `$`.
+        let (name, len) = match rest.strip_prefix('{') {
+            Some(braced) => match braced.find('}') {
+                Some(end) => (&braced[..end], end + 2),
+                None => ("", 0),
+            },
+            None => {
+                let word = |c: char| c.is_alphanumeric() || c == '_';
+                let end = rest.find(|c| !word(c)).unwrap_or(rest.len());
+                (&rest[..end], end)
             }
-            out.push(c);
-            continue;
-        }
-        // $name
-        let rest = &config[i + 1..];
-        let end = rest
-            .char_indices()
-            .find(|(_, c)| !c.is_alphanumeric() && *c != '_')
-            .map(|(j, _)| j)
-            .unwrap_or(rest.len());
-        let name = &rest[..end];
-        if name.is_empty() {
-            out.push(c);
-            continue;
-        }
-        if let Some((_, v)) = bindings.iter().find(|(k, _)| k == name) {
-            out.push_str(v);
-            for _ in 0..name.len() {
-                chars.next();
+        };
+        match bindings.iter().find(|(k, _)| k == name && !name.is_empty()) {
+            Some((_, value)) => {
+                out.push_str(value);
+                rest = &rest[len..];
             }
-        } else {
-            out.push(c);
+            None => out.push('$'),
         }
     }
+    out.push_str(rest);
     out
 }
 

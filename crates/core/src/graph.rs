@@ -98,10 +98,20 @@ impl ElementDecl {
 /// assert_eq!(g.noutputs(src), 1);
 /// # Ok::<(), click_core::Error>(())
 /// ```
+///
+/// Besides the global connection list, the graph keeps each element's
+/// outgoing and incoming connections, so port queries cost the element's
+/// degree rather than the size of the configuration. Invariant:
+/// `outputs_of(e)` is exactly [`connections`](RouterGraph::connections)
+/// filtered by `from.element == e`, in the same (insertion) order, and
+/// likewise `inputs_of(e)` by `to.element == e`.
 #[derive(Debug, Clone, Default)]
 pub struct RouterGraph {
     elements: Vec<ElementDecl>,
     connections: Vec<Connection>,
+    /// Indexed by element id; empty for removed elements.
+    out_edges: Vec<Vec<Connection>>,
+    in_edges: Vec<Vec<Connection>>,
     by_name: HashMap<String, ElementId>,
     requirements: Vec<String>,
     archive: Archive,
@@ -139,6 +149,8 @@ impl RouterGraph {
             config: config.into(),
             alive: true,
         });
+        self.out_edges.push(Vec::new());
+        self.in_edges.push(Vec::new());
         Ok(id)
     }
 
@@ -163,14 +175,19 @@ impl RouterGraph {
 
     /// Removes an element and every connection touching it.
     pub fn remove_element(&mut self, id: ElementId) {
-        if let Some(e) = self.elements.get_mut(id.index()) {
-            if e.alive {
-                e.alive = false;
-                self.by_name.remove(&e.name);
-                self.connections
-                    .retain(|c| c.from.element != id && c.to.element != id);
-            }
+        let Some(e) = self.elements.get_mut(id.index()).filter(|e| e.alive) else {
+            return;
+        };
+        e.alive = false;
+        self.by_name.remove(&e.name);
+        for c in std::mem::take(&mut self.out_edges[id.index()]) {
+            self.in_edges[c.to.element.index()].retain(|x| x.from.element != id);
         }
+        for c in std::mem::take(&mut self.in_edges[id.index()]) {
+            self.out_edges[c.from.element.index()].retain(|x| x.to.element != id);
+        }
+        self.connections
+            .retain(|c| c.from.element != id && c.to.element != id);
     }
 
     /// Looks up an element by name.
@@ -257,7 +274,10 @@ impl RouterGraph {
             ));
         }
         let conn = Connection { from, to };
-        if self.connections.contains(&conn) {
+        let outs = &self.out_edges[from.element.index()];
+        let ins = &self.in_edges[to.element.index()];
+        let shorter = if outs.len() <= ins.len() { outs } else { ins };
+        if shorter.contains(&conn) {
             return Err(Error::graph(format!(
                 "duplicate connection {} [{}] -> [{}] {}",
                 self.element(from.element).name(),
@@ -267,14 +287,22 @@ impl RouterGraph {
             )));
         }
         self.connections.push(conn);
+        self.out_edges[from.element.index()].push(conn);
+        self.in_edges[to.element.index()].push(conn);
         Ok(())
     }
 
     /// Removes a connection if present; returns whether one was removed.
     pub fn disconnect(&mut self, from: PortRef, to: PortRef) -> bool {
-        let before = self.connections.len();
-        self.connections.retain(|c| !(c.from == from && c.to == to));
-        self.connections.len() != before
+        let conn = Connection { from, to };
+        let remove = |list: &mut Vec<Connection>| {
+            let at = list.iter().position(|c| *c == conn);
+            at.map(|i| list.remove(i)).is_some()
+        };
+        let outs = self.out_edges.get_mut(from.element.index());
+        outs.is_some_and(remove)
+            && remove(&mut self.in_edges[to.element.index()])
+            && remove(&mut self.connections)
     }
 
     /// All connections, in insertion order.
@@ -282,62 +310,48 @@ impl RouterGraph {
         &self.connections
     }
 
-    /// Connections leaving output port `port` of `id`.
-    pub fn connections_from(&self, id: ElementId, port: usize) -> Vec<Connection> {
-        self.connections
-            .iter()
-            .filter(|c| c.from.element == id && c.from.port == port)
-            .copied()
-            .collect()
+    /// Connections leaving output port `port` of `id`, in insertion order.
+    pub fn connections_from(
+        &self,
+        id: ElementId,
+        port: usize,
+    ) -> impl Iterator<Item = Connection> + Clone + '_ {
+        let outs = self.outputs_of(id).iter();
+        outs.filter(move |c| c.from.port == port).copied()
     }
 
-    /// Connections arriving at input port `port` of `id`.
-    pub fn connections_to(&self, id: ElementId, port: usize) -> Vec<Connection> {
-        self.connections
-            .iter()
-            .filter(|c| c.to.element == id && c.to.port == port)
-            .copied()
-            .collect()
+    /// Connections arriving at input port `port` of `id`, in insertion order.
+    pub fn connections_to(
+        &self,
+        id: ElementId,
+        port: usize,
+    ) -> impl Iterator<Item = Connection> + Clone + '_ {
+        let ins = self.inputs_of(id).iter();
+        ins.filter(move |c| c.to.port == port).copied()
     }
 
-    /// All connections leaving any output of `id`.
-    pub fn outputs_of(&self, id: ElementId) -> Vec<Connection> {
-        self.connections
-            .iter()
-            .filter(|c| c.from.element == id)
-            .copied()
-            .collect()
+    /// All connections leaving any output of `id`, in insertion order.
+    pub fn outputs_of(&self, id: ElementId) -> &[Connection] {
+        self.out_edges.get(id.index()).map_or(&[], Vec::as_slice)
     }
 
-    /// All connections arriving at any input of `id`.
-    pub fn inputs_of(&self, id: ElementId) -> Vec<Connection> {
-        self.connections
-            .iter()
-            .filter(|c| c.to.element == id)
-            .copied()
-            .collect()
+    /// All connections arriving at any input of `id`, in insertion order.
+    pub fn inputs_of(&self, id: ElementId) -> &[Connection] {
+        self.in_edges.get(id.index()).map_or(&[], Vec::as_slice)
     }
 
     /// Number of input ports in use: one more than the highest connected
     /// input port, or zero.
     pub fn ninputs(&self, id: ElementId) -> usize {
-        self.connections
-            .iter()
-            .filter(|c| c.to.element == id)
-            .map(|c| c.to.port + 1)
-            .max()
-            .unwrap_or(0)
+        let ports = self.inputs_of(id).iter().map(|c| c.to.port + 1);
+        ports.max().unwrap_or(0)
     }
 
     /// Number of output ports in use: one more than the highest connected
     /// output port, or zero.
     pub fn noutputs(&self, id: ElementId) -> usize {
-        self.connections
-            .iter()
-            .filter(|c| c.from.element == id)
-            .map(|c| c.from.port + 1)
-            .max()
-            .unwrap_or(0)
+        let ports = self.outputs_of(id).iter().map(|c| c.from.port + 1);
+        ports.max().unwrap_or(0)
     }
 
     /// Removes a single-input, single-output element, reconnecting each of
@@ -369,7 +383,7 @@ impl RouterGraph {
     /// Inserts `mid` between `from` and its current target(s) on the given
     /// output port: `from[port] -> mid[in 0]`, `mid[out 0] -> old targets`.
     pub fn insert_after(&mut self, from: PortRef, mid: ElementId) -> Result<()> {
-        let old = self.connections_from(from.element, from.port);
+        let old: Vec<Connection> = self.connections_from(from.element, from.port).collect();
         for c in &old {
             self.disconnect(c.from, c.to);
         }
@@ -425,6 +439,8 @@ impl RouterGraph {
             }
         }
         self.elements = new_elements;
+        self.out_edges = vec![Vec::new(); self.elements.len()];
+        self.in_edges = vec![Vec::new(); self.elements.len()];
         self.by_name = self
             .elements
             .iter()
@@ -434,6 +450,8 @@ impl RouterGraph {
         for c in &mut self.connections {
             c.from.element = remap[&c.from.element];
             c.to.element = remap[&c.to.element];
+            self.out_edges[c.from.element.index()].push(*c);
+            self.in_edges[c.to.element.index()].push(*c);
         }
     }
 
@@ -563,13 +581,16 @@ mod tests {
         let mid = g.add_element("mid", "Counter", "").unwrap();
         g.insert_after(PortRef::new(a, 0), mid).unwrap();
         assert_eq!(
-            g.connections_from(a, 0),
+            g.connections_from(a, 0).collect::<Vec<_>>(),
             vec![Connection {
                 from: PortRef::new(a, 0),
                 to: PortRef::new(mid, 0)
             }]
         );
-        assert_eq!(g.connections_from(mid, 0)[0].to, PortRef::new(b, 0));
+        assert_eq!(
+            g.connections_from(mid, 0).next().unwrap().to,
+            PortRef::new(b, 0)
+        );
     }
 
     #[test]
@@ -604,6 +625,97 @@ mod tests {
             .collect();
         assert_eq!(before, after);
         let _ = (b, c);
+    }
+
+    /// Every indexed query against a linear scan of `connections()`.
+    fn assert_index_matches_scan(g: &RouterGraph) {
+        let all = g.connections();
+        let slots = g.elements.len() as u32 + 1; // one id past the end, too
+        for id in (0..slots).map(ElementId) {
+            let outs: Vec<Connection> = all
+                .iter()
+                .filter(|c| c.from.element == id)
+                .copied()
+                .collect();
+            let ins: Vec<Connection> = all.iter().filter(|c| c.to.element == id).copied().collect();
+            assert_eq!(g.outputs_of(id), outs, "outputs_of {id}");
+            assert_eq!(g.inputs_of(id), ins, "inputs_of {id}");
+            assert_eq!(
+                g.noutputs(id),
+                outs.iter().map(|c| c.from.port + 1).max().unwrap_or(0)
+            );
+            assert_eq!(
+                g.ninputs(id),
+                ins.iter().map(|c| c.to.port + 1).max().unwrap_or(0)
+            );
+            for port in 0..4 {
+                let from: Vec<Connection> = outs
+                    .iter()
+                    .filter(|c| c.from.port == port)
+                    .copied()
+                    .collect();
+                let to: Vec<Connection> =
+                    ins.iter().filter(|c| c.to.port == port).copied().collect();
+                assert_eq!(g.connections_from(id, port).collect::<Vec<_>>(), from);
+                assert_eq!(g.connections_to(id, port).collect::<Vec<_>>(), to);
+            }
+            if !g.is_live(id) {
+                assert!(outs.is_empty() && ins.is_empty(), "edge at removed {id}");
+            }
+        }
+    }
+
+    #[test]
+    fn indexed_queries_equal_a_linear_scan_under_random_mutation() {
+        for seed in 1..=8u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut rand = move |n: usize| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((state >> 33) as usize) % n
+            };
+            let mut g = RouterGraph::new();
+            for step in 0..600 {
+                let live: Vec<ElementId> = g.element_ids().collect();
+                let pick = |r: &mut dyn FnMut(usize) -> usize| live[r(live.len())];
+                match rand(if live.len() < 2 { 1 } else { 16 }) {
+                    0 | 1 => {
+                        g.add_element(format!("e{step}"), "X", "").unwrap();
+                    }
+                    2..=8 => {
+                        // Ports 0..3, self-loops and duplicates included.
+                        let from = PortRef::new(pick(&mut rand), rand(3));
+                        let to = PortRef::new(pick(&mut rand), rand(3));
+                        let fresh = !g.connections().contains(&Connection { from, to });
+                        assert_eq!(g.connect(from, to).is_ok(), fresh);
+                    }
+                    9 | 10 => {
+                        let from = PortRef::new(pick(&mut rand), rand(3));
+                        let to = match g.connections_from(from.element, from.port).next() {
+                            Some(c) if rand(4) > 0 => c.to,
+                            _ => PortRef::new(pick(&mut rand), rand(3)),
+                        };
+                        let present = g.connections().contains(&Connection { from, to });
+                        assert_eq!(g.disconnect(from, to), present);
+                    }
+                    11 => g.remove_element(pick(&mut rand)),
+                    12 => {
+                        let _ = g.splice_out(pick(&mut rand));
+                    }
+                    13 | 14 => {
+                        let mid = g.add_element(format!("m{step}"), "M", "").unwrap();
+                        let from = PortRef::new(pick(&mut rand), rand(3));
+                        // Fails (duplicate) only when `from` already feeds `mid`,
+                        // which a fresh `mid` rules out.
+                        g.insert_after(from, mid).unwrap();
+                    }
+                    _ => g.compact(),
+                }
+                assert_index_matches_scan(&g);
+            }
+            assert!(g.connections().len() > 10, "seed {seed} exercised nothing");
+        }
     }
 
     #[test]

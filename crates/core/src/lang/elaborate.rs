@@ -268,27 +268,29 @@ impl Elaborator {
     }
 
     fn splice_pseudo_except(&mut self, keep: &[ElementId]) -> Result<()> {
-        loop {
-            let Some(id) = self.graph.element_ids().find(|&id| {
-                let c = self.graph.element(id).class();
-                (c == PSEUDO_INPUT_CLASS || c == PSEUDO_OUTPUT_CLASS) && !keep.contains(&id)
-            }) else {
-                return Ok(());
-            };
-            let nports = self.graph.ninputs(id).max(self.graph.noutputs(id));
+        let pseudo: Vec<ElementId> = self
+            .graph
+            .elements()
+            .filter(|(id, e)| {
+                matches!(e.class(), PSEUDO_INPUT_CLASS | PSEUDO_OUTPUT_CLASS) && !keep.contains(id)
+            })
+            .map(|(id, _)| id)
+            .collect();
+        for id in pseudo {
             let mut new_edges = Vec::new();
-            for p in 0..nports {
-                for pred in self.graph.connections_to(id, p) {
-                    for succ in self.graph.connections_from(id, p) {
-                        new_edges.push((pred.from, succ.to));
-                    }
+            for pred in self.graph.inputs_of(id) {
+                for succ in self.graph.connections_from(id, pred.to.port) {
+                    new_edges.push((pred.to.port, pred.from, succ.to));
                 }
             }
+            // Port by port, as the predecessors and successors were declared.
+            new_edges.sort_by_key(|&(port, ..)| port);
             self.graph.remove_element(id);
-            for (from, to) in new_edges {
+            for (_, from, to) in new_edges {
                 self.connect_dedup(from, to)?;
             }
         }
+        Ok(())
     }
 }
 

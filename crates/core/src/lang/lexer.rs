@@ -237,6 +237,13 @@ impl<'a> Lexer<'a> {
                 }
                 Some(_) => {
                     self.bump();
+                    // Step over the bytes that follow up to the next one
+                    // that nests, quotes or ends a line, at once.
+                    let rest = &self.bytes[self.i..];
+                    let special = |b: &u8| matches!(b, b'"' | b'(' | b')' | b'\n');
+                    let run = rest.iter().position(special).unwrap_or(rest.len());
+                    self.i += run;
+                    self.col += run as u32;
                 }
             }
         }

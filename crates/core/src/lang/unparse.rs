@@ -8,7 +8,7 @@
 
 use crate::archive::{Archive, CONFIG_ENTRY};
 use crate::graph::{Connection, RouterGraph};
-use std::collections::HashSet;
+use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Renders a router graph as Click source text.
@@ -61,7 +61,9 @@ pub fn unparse(graph: &RouterGraph) -> String {
     // Chain compression: follow runs where the next hop is the unique
     // connection out of a port and into a port.
     let conns = graph.connections();
-    let mut emitted: HashSet<usize> = HashSet::new();
+    let position: HashMap<Connection, usize> =
+        conns.iter().enumerate().map(|(i, c)| (*c, i)).collect();
+    let mut emitted = vec![false; conns.len()];
     // A connection can start a chain if no emitted chain can absorb it as a
     // continuation; simplest correct approach: first pass, mark connections
     // that are "continuations" (their from-endpoint is the unique output of
@@ -75,7 +77,7 @@ pub fn unparse(graph: &RouterGraph) -> String {
         graph.inputs_of(elem).len() == 1 && graph.outputs_of(elem).len() == 1
     };
     for (i, c) in conns.iter().enumerate() {
-        if emitted.contains(&i) || is_continuation(c) {
+        if emitted[i] || is_continuation(c) {
             continue;
         }
         let mut line = String::new();
@@ -83,7 +85,7 @@ pub fn unparse(graph: &RouterGraph) -> String {
         let mut cur_idx = i;
         let _ = write!(line, "{}", graph.element(cur.from.element).name());
         loop {
-            emitted.insert(cur_idx);
+            emitted[cur_idx] = true;
             if cur.from.port != 0 {
                 let _ = write!(line, " [{}]", cur.from.port);
             }
@@ -98,11 +100,8 @@ pub fn unparse(graph: &RouterGraph) -> String {
             if outs.len() != 1 || graph.inputs_of(next_elem).len() != 1 {
                 break;
             }
-            let next_idx = conns
-                .iter()
-                .position(|x| x == &outs[0])
-                .expect("connection exists");
-            if emitted.contains(&next_idx) {
+            let next_idx = position[&outs[0]];
+            if emitted[next_idx] {
                 break;
             }
             cur = outs[0];
@@ -111,10 +110,7 @@ pub fn unparse(graph: &RouterGraph) -> String {
         let _ = writeln!(out, "{line};");
     }
     // Any connection not yet emitted (cycles of continuation-only elements).
-    for (i, c) in conns.iter().enumerate() {
-        if emitted.contains(&i) {
-            continue;
-        }
+    for (_, c) in conns.iter().enumerate().filter(|&(i, _)| !emitted[i]) {
         let mut line = String::new();
         let _ = write!(line, "{}", graph.element(c.from.element).name());
         if c.from.port != 0 {

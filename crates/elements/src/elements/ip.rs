@@ -10,6 +10,7 @@ use crate::headers::{ipv4, parse_ip};
 use crate::packet::Packet;
 use crate::routing::MultibitTrie;
 use crate::swap::ElementState;
+use click_core::config::arg_slices;
 use click_core::error::Result;
 use std::cell::OnceCell;
 
@@ -662,17 +663,19 @@ impl StaticIPLookup {
     }
 
     fn with_class(config: &str, class: &'static str) -> Result<StaticIPLookup> {
-        let a = args(config);
+        let a = arg_slices(config);
         if a.is_empty() {
             return Err(config_err(class, "expects at least one route"));
         }
         let mut routes = Vec::with_capacity(a.len());
-        for route in &a {
-            let words: Vec<&str> = route.split_whitespace().collect();
-            if !(2..=3).contains(&words.len()) {
+        for route in a {
+            let mut words = route.split_whitespace();
+            let (Some(dst), Some(second), third, None) =
+                (words.next(), words.next(), words.next(), words.next())
+            else {
                 return Err(config_err(class, format!("bad route {route:?}")));
-            }
-            let (addr_s, plen): (&str, u8) = match words[0].split_once('/') {
+            };
+            let (addr_s, plen): (&str, u8) = match dst.split_once('/') {
                 Some((a, l)) => (
                     a,
                     l.parse()
@@ -680,16 +683,17 @@ impl StaticIPLookup {
                         .filter(|&l| l <= 32)
                         .ok_or_else(|| config_err(class, format!("bad prefix in {route:?}")))?,
                 ),
-                None => (words[0], 32),
+                None => (dst, 32),
             };
             let addr = parse_ip(addr_s)
                 .ok_or_else(|| config_err(class, format!("bad address in {route:?}")))?;
-            let (gw, port_s) = if words.len() == 3 {
-                let gw = parse_ip(words[1])
-                    .ok_or_else(|| config_err(class, format!("bad gateway in {route:?}")))?;
-                (Some(gw), words[2])
-            } else {
-                (None, words[1])
+            let (gw, port_s) = match third {
+                Some(port_s) => {
+                    let gw = parse_ip(second)
+                        .ok_or_else(|| config_err(class, format!("bad gateway in {route:?}")))?;
+                    (Some(gw), port_s)
+                }
+                None => (None, second),
             };
             let port: usize = port_s
                 .parse()

@@ -134,12 +134,14 @@ pub mod ipv4 {
     /// 1624), the same trick `DecIPTTL` uses to avoid a full recompute.
     pub fn dec_ttl(h: &mut [u8]) {
         h[8] -= 1;
-        // The TTL lives in the high byte of the 16-bit word at offset 8;
-        // decrementing it subtracts 0x0100 from that word, so add 0x0100
-        // to the checksum (ones-complement arithmetic).
-        let mut sum = u32::from(u16::from_be_bytes([h[10], h[11]])) + 0x0100;
-        sum = (sum & 0xFFFF) + (sum >> 16);
-        h[10..12].copy_from_slice(&(sum as u16).to_be_bytes());
+        // RFC 1624 eqn. 3: HC' = ~(~HC + ~m + m'). The TTL is the high
+        // byte of the word m at offset 8, so m' = m - 0x0100 and
+        // ~m + m' = 0xFEFF whatever m is. (RFC 1141's HC + 0x0100 stores
+        // 0xFFFF where recomputation gives 0x0000, and `checksum_ok`
+        // compares the two.)
+        let sum = u32::from(!checksum(h)) + 0xFEFF;
+        let folded = (sum & 0xFFFF) + (sum >> 16);
+        h[10..12].copy_from_slice(&(!(folded as u16)).to_be_bytes());
     }
 
     /// Sets the source address and recomputes the checksum.
@@ -384,15 +386,22 @@ mod tests {
 
     #[test]
     fn dec_ttl_matches_full_recompute() {
-        for ttl in [2u8, 3, 64, 255] {
+        for ttl in [1u8, 2, 64, 255] {
             let mut p = build_udp_packet([1; 6], [2; 6], 0x01020304, 0x05060708, 1, 2, 18, ttl);
-            let ip = &mut p.data_mut()[14..];
-            ipv4::dec_ttl(ip);
-            assert_eq!(ipv4::ttl(ip), ttl - 1);
-            assert!(
-                ipv4::checksum_ok(ip),
-                "incremental checksum wrong for ttl {ttl}"
-            );
+            let ip = &mut p.data_mut()[14..34];
+            // Sweeping the ID field takes the checksum through every value
+            // it can have, the one where the update wraps included.
+            for id in 0..=u16::MAX {
+                ip[4..6].copy_from_slice(&id.to_be_bytes());
+                ip[8] = ttl;
+                ipv4::set_checksum(ip);
+                ipv4::dec_ttl(ip);
+                assert_eq!(ipv4::ttl(ip), ttl - 1);
+                let stored = ipv4::checksum(ip);
+                ipv4::set_checksum(ip);
+                assert_eq!(stored, ipv4::checksum(ip), "ttl {ttl}, id {id:#06x}");
+                assert!(ipv4::checksum_ok(ip));
+            }
         }
     }
 

@@ -299,7 +299,7 @@ pub fn align(graph: &mut RouterGraph) -> Result<AlignReport> {
         // Insert one Align in front of every incoming connection target
         // port of `id`.
         let a = graph.add_anon_element("Align", format!("{}, {}", req.modulus, req.offset));
-        let incoming = graph.inputs_of(id);
+        let incoming = graph.inputs_of(id).to_vec();
         let mark = report.inserted.len();
         for c in &incoming {
             graph.disconnect(c.from, c.to);

@@ -408,7 +408,6 @@ pub fn eliminate_arp(graph: &mut RouterGraph) -> Result<ArpEliminationReport> {
         };
         let Some(ar2) = graph
             .connections_from(c2, 0)
-            .iter()
             .map(|c| c.to.element)
             .find(|&e| base(graph, e) == "ARPResponder")
         else {
@@ -432,10 +431,9 @@ pub fn eliminate_arp(graph: &mut RouterGraph) -> Result<ArpEliminationReport> {
         // reply input (port 1) is now dead and drains to a Discard.
         let aq_name = graph.element(aq).name().to_owned();
         let encap_config = format!("0x0800, {our_mac}, {peer_mac}");
-        let reply_feeds: Vec<PortRef> =
-            graph.connections_to(aq, 1).iter().map(|c| c.from).collect();
-        for c in graph.connections_to(aq, 1) {
-            graph.disconnect(c.from, c.to);
+        let reply_feeds: Vec<PortRef> = graph.connections_to(aq, 1).map(|c| c.from).collect();
+        for &from in &reply_feeds {
+            graph.disconnect(from, PortRef::new(aq, 1));
         }
         if !reply_feeds.is_empty() {
             let d = graph.add_anon_element("Discard", "");

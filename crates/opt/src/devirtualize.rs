@@ -19,7 +19,7 @@
 
 use click_core::error::Result;
 use click_core::graph::{ElementId, RouterGraph};
-use click_core::pushpull::resolve;
+use click_core::pushpull::{resolve, PortAssignment};
 use click_core::registry::{Library, DEVIRT_MARKER};
 use click_core::spec::PortKind;
 use std::collections::{HashMap, HashSet};
@@ -34,6 +34,64 @@ pub struct DevirtualizeReport {
     pub excluded: Vec<String>,
 }
 
+/// Rules 1–3: elements are equivalent if they agree on class, port counts
+/// and every port's push/pull kind. Returns the partition and its number
+/// of classes.
+fn initial_partition(
+    graph: &RouterGraph,
+    ports: &PortAssignment,
+) -> (HashMap<ElementId, usize>, usize) {
+    let mut key_ids: HashMap<(&str, Vec<bool>, Vec<bool>), usize> = HashMap::new();
+    let mut part: HashMap<ElementId, usize> = HashMap::new();
+    for (id, decl) in graph.elements() {
+        let pulls = |n: usize, kind: &dyn Fn(usize) -> PortKind| -> Vec<bool> {
+            (0..n).map(|p| kind(p) == PortKind::Pull).collect()
+        };
+        let key = (
+            decl.class(),
+            pulls(graph.ninputs(id), &|p| ports.input(id, p)),
+            pulls(graph.noutputs(id), &|p| ports.output(id, p)),
+        );
+        let next = key_ids.len();
+        part.insert(id, *key_ids.entry(key).or_insert(next));
+    }
+    (part, key_ids.len())
+}
+
+/// One round of rule 4: an element's signature is its class so far plus,
+/// for each *push output* and *pull input* port (the ports whose transfers
+/// are compiled to direct calls), the class of the peer and the peer port
+/// number. Returns the refined partition and its number of classes.
+fn refine(
+    graph: &RouterGraph,
+    ports: &PortAssignment,
+    part: &HashMap<ElementId, usize>,
+) -> (HashMap<ElementId, usize>, usize) {
+    let mut sig_ids: HashMap<Vec<usize>, usize> = HashMap::new();
+    let mut next_part: HashMap<ElementId, usize> = HashMap::with_capacity(part.len());
+    for id in graph.element_ids() {
+        // Per side: (own port, peer class, peer port), port by port, a
+        // port's connections in the order they were made.
+        let outs = graph.outputs_of(id).iter();
+        let pushes = outs
+            .filter(|c| ports.output(id, c.from.port) == PortKind::Push)
+            .map(|c| [c.from.port, part[&c.to.element], c.to.port]);
+        let ins = graph.inputs_of(id).iter();
+        let pulls = ins
+            .filter(|c| ports.input(id, c.to.port) == PortKind::Pull)
+            .map(|c| [c.to.port, part[&c.from.element], c.from.port]);
+        let mut sig: Vec<usize> = vec![part[&id]];
+        for mut calls in [pushes.collect::<Vec<_>>(), pulls.collect()] {
+            calls.sort_by_key(|call| call[0]);
+            sig.push(calls.len());
+            sig.extend(calls.iter().flatten());
+        }
+        let next = sig_ids.len();
+        next_part.insert(id, *sig_ids.entry(sig).or_insert(next));
+    }
+    (next_part, sig_ids.len())
+}
+
 /// Computes the code-sharing partition. Returns, for each element, a
 /// partition id; elements with equal ids may share a devirtualized class.
 ///
@@ -45,74 +103,14 @@ pub fn sharing_partition(
     library: &Library,
 ) -> Result<HashMap<ElementId, usize>> {
     let ports = resolve(graph, library)?;
-    let ids: Vec<ElementId> = graph.element_ids().collect();
-
-    // Initial partition: class + port counts + per-port push/pull kinds
-    // (rules 1–3).
-    let mut key_ids: HashMap<Vec<u64>, usize> = HashMap::new();
-    let mut part: HashMap<ElementId, usize> = HashMap::new();
-    for &id in &ids {
-        let decl = graph.element(id);
-        let nin = graph.ninputs(id);
-        let nout = graph.noutputs(id);
-        let mut key: Vec<u64> = Vec::new();
-        let hash_str = |s: &str, key: &mut Vec<u64>| {
-            let mut h: u64 = 0xcbf29ce484222325;
-            for b in s.bytes() {
-                h ^= u64::from(b);
-                h = h.wrapping_mul(0x100000001b3);
-            }
-            key.push(h);
-        };
-        hash_str(decl.class(), &mut key);
-        key.push(nin as u64);
-        key.push(nout as u64);
-        for p in 0..nin {
-            key.push(matches!(ports.input(id, p), PortKind::Pull) as u64);
-        }
-        for p in 0..nout {
-            key.push(matches!(ports.output(id, p), PortKind::Pull) as u64);
-        }
-        let next = key_ids.len();
-        let pid = *key_ids.entry(key).or_insert(next);
-        part.insert(id, pid);
-    }
-
-    // Refinement: the signature of an element adds, for each *push output*
-    // and *pull input* port (the ports whose transfers are compiled to
-    // direct calls), the partition of the peer and the peer port number.
+    let (mut part, mut classes) = initial_partition(graph, &ports);
     loop {
-        let mut sig_ids: HashMap<Vec<i64>, usize> = HashMap::new();
-        let mut next_part: HashMap<ElementId, usize> = HashMap::new();
-        for &id in &ids {
-            let mut sig: Vec<i64> = vec![part[&id] as i64];
-            for p in 0..graph.noutputs(id) {
-                if ports.output(id, p) == PortKind::Push {
-                    for c in graph.connections_from(id, p) {
-                        sig.push(part[&c.to.element] as i64);
-                        sig.push(c.to.port as i64);
-                    }
-                    sig.push(-1);
-                }
-            }
-            for p in 0..graph.ninputs(id) {
-                if ports.input(id, p) == PortKind::Pull {
-                    for c in graph.connections_to(id, p) {
-                        sig.push(part[&c.from.element] as i64);
-                        sig.push(c.from.port as i64);
-                    }
-                    sig.push(-2);
-                }
-            }
-            let next = sig_ids.len();
-            let pid = *sig_ids.entry(sig).or_insert(next);
-            next_part.insert(id, pid);
-        }
-        let stable = ids.iter().all(|id| {
-            ids.iter()
-                .all(|other| (part[id] == part[other]) == (next_part[id] == next_part[other]))
-        });
-        part = next_part;
+        // A signature starts with the element's current class, so a round
+        // only ever splits classes: the partition is stable exactly when
+        // the number of classes did not grow.
+        let (next_part, next_classes) = refine(graph, &ports, &part);
+        let stable = next_classes == classes;
+        (part, classes) = (next_part, next_classes);
         if stable {
             return Ok(part);
         }
@@ -244,12 +242,64 @@ mod tests {
         Library::standard()
     }
 
+    const DIFFERENT_CLASSES: &str =
+        "Idle -> a :: Counter -> d :: Discard; Idle -> b :: Null -> d2 :: Discard;";
+    const SAME_SUCCESSOR_CLASS: &str =
+        "Idle -> a :: Counter -> d1 :: Discard; Idle -> b :: Counter -> d2 :: Discard;";
+    const DIFFERENT_SUCCESSORS: &str = "Idle -> a :: Counter -> Discard; \
+         Idle -> b :: Counter -> Queue -> ToDevice(x);";
+    const DIFFERENT_TARGET_PORTS: &str =
+        "Idle -> a :: Counter -> [0] s1 :: Queue; s1 -> ToDevice(x); \
+         Idle -> b :: Counter -> q0 :: Queue; q0 -> [1] rr :: RoundRobinSched; \
+         Idle -> q1 :: Queue; q1 -> [0] rr; rr -> ToDevice(y);";
+    const PULL_SIDE: &str = "FromDevice(a) -> q1 :: Queue; q1 -> n1 :: Null -> ToDevice(a2); \
+         FromDevice(b) -> q2 :: Queue; q2 -> n2 :: Null -> ToDevice(b2); \
+         FromDevice(c) -> q3 :: Queue; FromDevice(d) -> q4 :: Queue; \
+         q3 -> [0] rr :: RoundRobinSched; q4 -> [1] rr; \
+         rr -> n3 :: Null -> ToDevice(c2);";
+
+    /// The stability test as first written: a round changed nothing if
+    /// every pair of elements is together or apart as before.
+    fn partition_by_all_pairs(graph: &RouterGraph) -> HashMap<ElementId, usize> {
+        let ports = resolve(graph, &lib()).unwrap();
+        let ids: Vec<ElementId> = graph.element_ids().collect();
+        let (mut part, _) = initial_partition(graph, &ports);
+        loop {
+            let (next, _) = refine(graph, &ports, &part);
+            let stable = ids.iter().all(|a| {
+                ids.iter()
+                    .all(|b| (part[a] == part[b]) == (next[a] == next[b]))
+            });
+            part = next;
+            if stable {
+                return part;
+            }
+        }
+    }
+
+    #[test]
+    fn class_count_stability_gives_the_all_pairs_partition() {
+        let mut configs: Vec<String> = [
+            DIFFERENT_CLASSES,
+            SAME_SUCCESSOR_CLASS,
+            DIFFERENT_SUCCESSORS,
+            DIFFERENT_TARGET_PORTS,
+            PULL_SIDE,
+        ]
+        .map(str::to_owned)
+        .into();
+        configs.extend([2, 4, 16].map(|n| IpRouterSpec::standard(n).config()));
+        for config in configs {
+            let g = read_config(&config).unwrap();
+            let part = sharing_partition(&g, &lib()).unwrap();
+            assert_eq!(part, partition_by_all_pairs(&g), "{config}");
+            assert!(part.values().max() > Some(&0), "one class only: {config}");
+        }
+    }
+
     #[test]
     fn different_classes_never_share() {
-        let g = read_config(
-            "Idle -> a :: Counter -> d :: Discard; Idle -> b :: Null -> d2 :: Discard;",
-        )
-        .unwrap();
+        let g = read_config(DIFFERENT_CLASSES).unwrap();
         let part = sharing_by_name(&g, &lib()).unwrap();
         assert_ne!(part["a"], part["b"]);
     }
@@ -258,10 +308,7 @@ mod tests {
     fn same_class_same_successor_class_shares() {
         // Two Counters, each feeding a Discard: the Discards share, so the
         // Counters share (the paper's §6.1 example).
-        let g = read_config(
-            "Idle -> a :: Counter -> d1 :: Discard; Idle -> b :: Counter -> d2 :: Discard;",
-        )
-        .unwrap();
+        let g = read_config(SAME_SUCCESSOR_CLASS).unwrap();
         let part = sharing_by_name(&g, &lib()).unwrap();
         assert_eq!(part["d1"], part["d2"]);
         assert_eq!(part["a"], part["b"]);
@@ -270,23 +317,14 @@ mod tests {
     #[test]
     fn different_successors_prevent_sharing() {
         // The paper's Figure 2 situation: same class, different targets.
-        let g = read_config(
-            "Idle -> a :: Counter -> Discard; \
-             Idle -> b :: Counter -> Queue -> ToDevice(x);",
-        )
-        .unwrap();
+        let g = read_config(DIFFERENT_SUCCESSORS).unwrap();
         let part = sharing_by_name(&g, &lib()).unwrap();
         assert_ne!(part["a"], part["b"]);
     }
 
     #[test]
     fn different_target_port_numbers_prevent_sharing() {
-        let g = read_config(
-            "Idle -> a :: Counter -> [0] s1 :: Queue; s1 -> ToDevice(x); \
-             Idle -> b :: Counter -> q0 :: Queue; q0 -> [1] rr :: RoundRobinSched; \
-             Idle -> q1 :: Queue; q1 -> [0] rr; rr -> ToDevice(y);",
-        )
-        .unwrap();
+        let g = read_config(DIFFERENT_TARGET_PORTS).unwrap();
         // a pushes into a Queue at port 0; b also pushes into a Queue at
         // port 0, but the Queues differ: s1 drains to ToDevice directly,
         // q0 via a scheduler at different port — the queues still share
@@ -300,14 +338,7 @@ mod tests {
     fn pull_side_refinement() {
         // Two Null elements in pull context, pulling from queues that
         // share; they share. A third pulls from a RoundRobinSched: no.
-        let g = read_config(
-            "FromDevice(a) -> q1 :: Queue; q1 -> n1 :: Null -> ToDevice(a2); \
-             FromDevice(b) -> q2 :: Queue; q2 -> n2 :: Null -> ToDevice(b2); \
-             FromDevice(c) -> q3 :: Queue; FromDevice(d) -> q4 :: Queue; \
-             q3 -> [0] rr :: RoundRobinSched; q4 -> [1] rr; \
-             rr -> n3 :: Null -> ToDevice(c2);",
-        )
-        .unwrap();
+        let g = read_config(PULL_SIDE).unwrap();
         let part = sharing_by_name(&g, &lib()).unwrap();
         assert_eq!(part["n1"], part["n2"]);
         assert_ne!(part["n1"], part["n3"]);

@@ -22,7 +22,7 @@ use click_classifier::{
     Step,
 };
 use click_core::error::Result;
-use click_core::graph::{ElementId, PortRef, RouterGraph};
+use click_core::graph::{Connection, ElementId, PortRef, RouterGraph};
 use click_core::Error;
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -69,7 +69,6 @@ pub fn is_classifier_class(class: &str) -> bool {
 /// on `port` are instead classified by `b`. Output numbering: `a`'s other
 /// outputs keep their order (renumbered densely), then `b`'s outputs.
 pub fn merge_trees(a: &DecisionTree, port: usize, b: &DecisionTree) -> DecisionTree {
-    let a_outs_before = port;
     // a's outputs: 0..port keep, port+1.. shift down by one; b's outputs
     // append after a's remaining outputs.
     let remap_a = |s: Step, b_start: Step| -> Step {
@@ -128,7 +127,6 @@ pub fn merge_trees(a: &DecisionTree, port: usize, b: &DecisionTree) -> DecisionT
         noutputs: a_remaining + b.noutputs,
     };
     debug_assert!(merged.validate().is_ok(), "merged tree invalid");
-    let _ = a_outs_before;
     merged
 }
 
@@ -308,88 +306,71 @@ pub fn fastclassifier(graph: &mut RouterGraph) -> Result<FastClassifierReport> {
     Ok(report)
 }
 
+/// The first output of `Classifier` `id` that is the whole input of another
+/// `Classifier`, with that classifier.
+fn mergeable_output(graph: &RouterGraph, id: ElementId) -> Option<(usize, ElementId)> {
+    if !graph.is_live(id) || graph.element(id).class() != "Classifier" {
+        return None;
+    }
+    (0..graph.noutputs(id)).find_map(|port| {
+        let mut conns = graph.connections_from(id, port);
+        let (Some(c), None) = (conns.next(), conns.next()) else {
+            return None;
+        };
+        let target = c.to.element;
+        // The downstream classifier must receive packets only from this port.
+        let sole_feed = target != id
+            && c.to.port == 0
+            && graph.element(target).class() == "Classifier"
+            && graph.inputs_of(target).len() == 1;
+        sole_feed.then_some((port, target))
+    })
+}
+
 /// Combines `Classifier` pairs where one output feeds the whole input of
 /// another `Classifier`.
 fn combine_adjacent(graph: &mut RouterGraph, report: &mut FastClassifierReport) -> Result<()> {
-    loop {
-        let mut candidate = None;
-        'outer: for (id, decl) in graph.elements() {
-            if decl.class() != "Classifier" {
-                continue;
-            }
-            for port in 0..graph.noutputs(id) {
-                let conns = graph.connections_from(id, port);
-                if conns.len() != 1 {
-                    continue;
-                }
-                let target = conns[0].to.element;
-                if target == id || conns[0].to.port != 0 {
-                    continue;
-                }
-                let tdecl = graph.element(target);
-                if tdecl.class() != "Classifier" {
-                    continue;
-                }
-                // The downstream classifier must receive packets only from
-                // this port.
-                if graph.inputs_of(target).len() != 1 {
-                    continue;
-                }
-                candidate = Some((id, port, target));
-                break 'outer;
-            }
-        }
-        let Some((a, port, b)) = candidate else {
-            return Ok(());
-        };
-        let a_decl = graph.element(a);
-        let b_decl = graph.element(b);
-        let tree_a = tree_for("Classifier", a_decl.config())?;
-        let tree_b = tree_for("Classifier", b_decl.config())?;
-        let a_name = a_decl.name().to_owned();
-        let b_name = b_decl.name().to_owned();
-        let merged = merge_trees(&tree_a, port, &tree_b);
+    let ids: Vec<ElementId> = graph.element_ids().collect();
+    for a in ids {
+        // A merge changes no element's connections but `a`'s own, so the
+        // elements before `a` stay unmergeable and the scan resumes at `a`.
+        // (An element merged into an earlier one is gone by now.)
+        while let Some((port, b)) = mergeable_output(graph, a) {
+            let a_decl = graph.element(a);
+            let b_decl = graph.element(b);
+            let tree_a = tree_for("Classifier", a_decl.config())?;
+            let tree_b = tree_for("Classifier", b_decl.config())?;
+            let names = (a_decl.name().to_owned(), b_decl.name().to_owned());
+            let merged = merge_trees(&tree_a, port, &tree_b);
 
-        // Rewire: a's outputs (except `port`) renumber densely; b's
-        // outputs append.
-        let a_outs = graph.noutputs(a);
-        let b_outs = graph.noutputs(b);
-        let mut rewires: Vec<(PortRef, PortRef)> = Vec::new();
-        for p in 0..a_outs {
-            for c in graph.connections_from(a, p) {
-                if p == port {
-                    continue; // the edge into b disappears
-                }
-                let new_port = if p < port { p } else { p - 1 };
-                rewires.push((PortRef::new(a, new_port), c.to));
-            }
-        }
-        for p in 0..b_outs {
-            for c in graph.connections_from(b, p) {
-                rewires.push((PortRef::new(a, a_outs - 1 + p), c.to));
-            }
-        }
-        // Clear a's old outgoing edges and remove b.
-        for p in 0..a_outs {
-            for c in graph.connections_from(a, p) {
+            // Rewire: a's outputs (except `port`, whose edge into b
+            // disappears) renumber densely; b's outputs append.
+            let by_port = |mut edges: Vec<Connection>| {
+                edges.sort_by_key(|c| c.from.port);
+                edges
+            };
+            let a_edges = by_port(graph.outputs_of(a).to_vec());
+            let b_edges = by_port(graph.outputs_of(b).to_vec());
+            let a_outs = graph.noutputs(a);
+            for c in &a_edges {
                 graph.disconnect(c.from, c.to);
             }
+            graph.remove_element(b);
+            for c in a_edges.iter().filter(|c| c.from.port != port) {
+                let new_port = c.from.port - usize::from(c.from.port > port);
+                let _ = graph.connect(PortRef::new(a, new_port), c.to);
+            }
+            for c in &b_edges {
+                let _ = graph.connect(PortRef::new(a, a_outs - 1 + c.from.port), c.to);
+            }
+            // The merged tree has no pattern list; it rides in the
+            // element's configuration as a `@tree` marker until
+            // specialization (see `merged_config_marker`).
+            graph.set_config(a, merged_config_marker(&merged));
+            report.combined.push(names);
         }
-        graph.remove_element(b);
-        for (from, to) in rewires {
-            let _ = graph.connect(from, to);
-        }
-        // Store the merged tree as the element's new (still generic)
-        // configuration via the serialized-program trick: replace the
-        // element with an equivalent single Classifier expressed as a
-        // fast-classifier ready tree. We keep it a Classifier by encoding
-        // the merged tree in a synthetic pattern-free marker handled at
-        // specialization time: simplest correct route is to specialize it
-        // immediately below, so here we just stash the merged tree.
-        graph.set_class(a, "Classifier");
-        graph.set_config(a, merged_config_marker(&merged));
-        report.combined.push((a_name, b_name));
     }
+    Ok(())
 }
 
 /// Adjacent-classifier merges produce a tree, not a pattern list; encode
@@ -520,7 +501,7 @@ mod tests {
         // Port mapping: old a[1] → new 0 (d1), b[0] → 1 (d2), b[1] → 2 (d3).
         let to_names: Vec<(usize, String)> = (0..3)
             .map(|p| {
-                let c = g.connections_from(a, p)[0];
+                let c = g.connections_from(a, p).next().unwrap();
                 (p, g.element(c.to.element).name().to_owned())
             })
             .collect();

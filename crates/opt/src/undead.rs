@@ -52,7 +52,7 @@ fn fold_switches(graph: &mut RouterGraph, report: &mut UndeadReport) {
         let name = graph.element(id).name().to_owned();
         let preds: Vec<PortRef> = graph.inputs_of(id).iter().map(|c| c.from).collect();
         let succs: Vec<PortRef> = match target {
-            Some(k) => graph.connections_from(id, k).iter().map(|c| c.to).collect(),
+            Some(k) => graph.connections_from(id, k).map(|c| c.to).collect(),
             None => Vec::new(), // negative switch: all packets dropped
         };
         graph.remove_element(id);
@@ -162,7 +162,11 @@ pub fn undead(graph: &mut RouterGraph, library: &Library) -> Result<UndeadReport
     orphaned.sort();
     orphaned.dedup();
     for port in orphaned {
-        if graph.connections_to(port.element, port.port).is_empty() {
+        if graph
+            .connections_to(port.element, port.port)
+            .next()
+            .is_none()
+        {
             let idle = graph.add_anon_element("Idle", "");
             let _ = graph.connect(PortRef::new(idle, 0), port);
             report.idles_inserted += 1;

@@ -18,7 +18,7 @@ use click_core::error::{Error, Result};
 use click_core::graph::{ElementId, PortRef, RouterGraph};
 use click_core::lang::ast::Item;
 use click_core::lang::{elaborate_fragment, parse, Fragment};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 pub use ullman::{Match, Matcher};
 
@@ -107,22 +107,19 @@ enum PortalTarget {
     Passthrough(usize),
 }
 
-/// Applies one match of `pair` to `graph`.
-fn apply_match(graph: &mut RouterGraph, pair: &PatternPair, m: &Match) -> Result<()> {
+/// Applies one match of `pair` to `graph`. Returns the surviving elements
+/// whose connections changed: the replacement's, and the matched set's
+/// former neighbours.
+fn apply_match(graph: &mut RouterGraph, pair: &PatternPair, m: &Match) -> Result<Vec<ElementId>> {
     let rep = &pair.replacement;
 
     // 1. Instantiate replacement elements with substituted configs.
     let mut new_ids: HashMap<ElementId, ElementId> = HashMap::new();
-    let rep_elems: Vec<(ElementId, String, String)> = rep
-        .graph
-        .elements()
-        .filter(|(rid, _)| *rid != rep.input && *rid != rep.output)
-        .map(|(rid, decl)| (rid, decl.class().to_owned(), decl.config().to_owned()))
-        .collect();
-    for (rid, class, config) in rep_elems {
-        let config = substitute(&config, &m.bindings);
-        let id = graph.add_anon_element(class, config);
-        new_ids.insert(rid, id);
+    for (rid, decl) in rep.graph.elements() {
+        if rid != rep.input && rid != rep.output {
+            let config = substitute(decl.config(), &m.bindings);
+            new_ids.insert(rid, graph.add_anon_element(decl.class(), config));
+        }
     }
     // 2. Internal replacement connections.
     for c in rep.graph.connections() {
@@ -181,10 +178,12 @@ fn apply_match(graph: &mut RouterGraph, pair: &PatternPair, m: &Match) -> Result
         pat_out.insert((m.mapping[&c.from.element], c.from.port), c.to.port);
     }
 
-    // 5. Record external edges by portal.
-    let matched: Vec<ElementId> = m.mapping.values().copied().collect();
-    let mut external_out_by_portal: HashMap<usize, Vec<PortRef>> = HashMap::new();
-    let mut external_in_by_portal: HashMap<usize, Vec<PortRef>> = HashMap::new();
+    // 5. Record external edges by portal. Portals and matched elements are
+    // walked in ascending order, so the connections made below — and the
+    // text the tools emit — do not depend on hashing.
+    let matched: BTreeSet<ElementId> = m.mapping.values().copied().collect();
+    let mut external_out_by_portal: BTreeMap<usize, Vec<PortRef>> = BTreeMap::new();
+    let mut external_in_by_portal: BTreeMap<usize, Vec<PortRef>> = BTreeMap::new();
     for &cn in &matched {
         for c in graph.outputs_of(cn) {
             if !matched.contains(&c.to.element) {
@@ -217,12 +216,9 @@ fn apply_match(graph: &mut RouterGraph, pair: &PatternPair, m: &Match) -> Result
                 }
             }
             Some(PortalTarget::Passthrough(out_portal)) => {
-                let sinks = external_out_by_portal
-                    .get(out_portal)
-                    .cloned()
-                    .unwrap_or_default();
+                let sinks = external_out_by_portal.get(out_portal);
                 for src in sources {
-                    for sink in &sinks {
+                    for sink in sinks.into_iter().flatten() {
                         let _ = graph.connect(*src, *sink);
                     }
                 }
@@ -243,7 +239,12 @@ fn apply_match(graph: &mut RouterGraph, pair: &PatternPair, m: &Match) -> Result
             let _ = graph.connect(PortRef::new(se, sp), *sink);
         }
     }
-    Ok(())
+    let neighbours = external_in_by_portal
+        .into_values()
+        .chain(external_out_by_portal.into_values())
+        .flatten()
+        .map(|port| port.element);
+    Ok(new_ids.into_values().chain(neighbours).collect())
 }
 
 /// Applies a pattern set to fixpoint. Returns the number of replacements
@@ -276,26 +277,40 @@ pub fn apply_patterns(graph: &mut RouterGraph, patterns: &PatternSet) -> Result<
         .iter()
         .map(|p| Matcher::new(&p.pattern))
         .collect();
+    // Per pattern, the elements that may still start a match.
+    let mut pending: Vec<BTreeSet<ElementId>> = {
+        let by_class = ullman::class_index(graph);
+        let of_class = |m: &Matcher<'_>| by_class.get(m.root_class()?).cloned();
+        matchers
+            .iter()
+            .map(|m| of_class(m).unwrap_or_default())
+            .collect()
+    };
     let mut applied = 0usize;
     let budget = 1000 + graph.element_count() * 4;
     loop {
-        let mut any = false;
-        for (pair, matcher) in patterns.pairs.iter().zip(&matchers) {
-            if let Some(m) = matcher.find(graph) {
-                apply_match(graph, pair, &m)?;
-                applied += 1;
-                any = true;
-                if applied > budget {
-                    return Err(Error::graph(
-                        "click-xform did not converge (replacement re-matches its own output?)"
-                            .to_string(),
-                    ));
-                }
-                break; // restart from the first pattern
-            }
-        }
-        if !any {
+        // The first pattern that matches, at its lowest element: generated
+        // `Class@N` names follow from this order.
+        let found = patterns
+            .pairs
+            .iter()
+            .zip(&matchers)
+            .zip(&mut pending)
+            .find_map(|((pair, matcher), pending)| {
+                Some((pair, matcher.find_from(graph, pending)?))
+            });
+        let Some((pair, m)) = found else {
             return Ok(applied);
+        };
+        let touched = apply_match(graph, pair, &m)?;
+        applied += 1;
+        if applied > budget {
+            return Err(Error::graph(
+                "click-xform did not converge (replacement re-matches its own output?)".to_string(),
+            ));
+        }
+        for (matcher, pending) in matchers.iter().zip(&mut pending) {
+            matcher.requeue(graph, &touched, pending);
         }
     }
 }
@@ -510,12 +525,83 @@ mod tests {
             let mut cur = g.find("head").unwrap();
             let mut hops = 0;
             while g.element(cur).name() != "tail" {
-                let outs = g.connections_from(cur, 0);
+                let outs: Vec<_> = g.connections_from(cur, 0).collect();
                 assert_eq!(outs.len(), 1, "chain broke in:\n{src}");
                 cur = outs[0].to.element;
                 hops += 1;
                 assert!(hops <= len + 2, "cycle created in:\n{src}");
             }
+        }
+    }
+
+    /// `apply_patterns` with every search started from scratch on the whole
+    /// configuration: the rewrite order the incremental search must keep.
+    fn apply_from_scratch(graph: &mut RouterGraph, patterns: &PatternSet) -> usize {
+        let mut applied = 0;
+        loop {
+            let found = patterns.pairs.iter().find_map(|pair| {
+                let m = Matcher::new(&pair.pattern).find(graph)?;
+                Some((pair, m))
+            });
+            let Some((pair, m)) = found else {
+                return applied;
+            };
+            apply_match(graph, pair, &m).unwrap();
+            applied += 1;
+        }
+    }
+
+    #[test]
+    fn incremental_search_rewrites_in_the_from_scratch_order() {
+        // Text equality covers the generated `Class@N` names, which follow
+        // the order of the rewrites, and the order of the connections.
+        let collapse = PatternSet::parse(
+            "elementclass N_pattern { input -> Null -> output; } \
+             elementclass N_replacement { input -> output; } \
+             elementclass C_pattern { input -> Counter -> Counter -> output; } \
+             elementclass C_replacement { input -> Counter -> output; }",
+        )
+        .unwrap();
+        // Two unconnected pattern elements: a rewrite anywhere (here, the
+        // second pattern making an `Unstrip`) can complete a match whose
+        // first element, a `Strip` found partnerless before, is anywhere else.
+        let disconnected = PatternSet::parse(
+            "elementclass D_pattern { input -> Strip(14) -> output; \
+                                      input [1] -> Unstrip(14) -> [1] output; } \
+             elementclass D_replacement { input -> Null -> output; \
+                                          input [1] -> Paint(1) -> [1] output; } \
+             elementclass U_pattern { input -> Paint(9) -> output; } \
+             elementclass U_replacement { input -> Unstrip(14) -> output; }",
+        )
+        .unwrap();
+        let chains = "Idle -> Counter -> Null -> Counter -> Counter -> Null -> Null -> Counter \
+                      -> Paint(1) -> Counter -> Counter -> Counter -> Discard; \
+                      Idle -> Null -> Counter -> Discard; \
+                      Idle -> Strip(14) -> Discard; Idle -> Unstrip(14) -> Discard; \
+                      Idle -> Unstrip(14) -> Strip(14) -> Strip(14) -> Discard;";
+        let cases = [
+            (
+                ip_combo_patterns().unwrap(),
+                IpRouterSpec::standard(8).config(),
+                16,
+            ),
+            (collapse, chains.to_owned(), 9),
+            (
+                disconnected,
+                format!("{chains} Idle -> Paint(9) -> Discard;"),
+                4,
+            ),
+        ];
+        for (patterns, src, rewrites) in cases {
+            let mut incremental = read_config(&src).unwrap();
+            let mut scratch = incremental.clone();
+            assert_eq!(
+                apply_patterns(&mut incremental, &patterns).unwrap(),
+                rewrites
+            );
+            assert_eq!(apply_from_scratch(&mut scratch, &patterns), rewrites);
+            let text = click_core::lang::write_config(&incremental);
+            assert!(text == click_core::lang::write_config(&scratch), "{src}");
         }
     }
 

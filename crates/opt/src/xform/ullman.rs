@@ -16,17 +16,32 @@
 //!   or sits at a port where the pattern connects to its `input`/`output`
 //!   pseudo-elements ("connections into or out of the subset must occur
 //!   only in places allowed by the pattern").
+//!
+//! Ullman's candidate sets are kept implicit. The candidates for the
+//! pattern's first element are the configuration elements of its class
+//! (`class_index`); the candidates for every later element are the
+//! actual neighbours, across one pattern connection, of an element
+//! already assigned — so a search costs the pattern's size times the
+//! degrees it walks, not the size of the configuration. Candidates are
+//! tried in ascending element id, which makes the match found the same one
+//! an exhaustive search in that order finds first.
+//!
+//! Between rewrites a caller keeps, per pattern, the set of first-element
+//! candidates not yet ruled out (`Matcher::find_from` consumes it) and
+//! puts back only those a rewrite can have affected
+//! (`Matcher::requeue`): a match that did not exist before the rewrite
+//! contains an element whose connections the rewrite changed.
 
 use click_core::config::{is_variable, split_args};
-use click_core::graph::{ElementId, RouterGraph};
+use click_core::graph::{ElementId, PortRef, RouterGraph};
 use click_core::lang::Fragment;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 /// A successful pattern match.
 #[derive(Debug, Clone)]
 pub struct Match {
     /// Pattern element → configuration element.
-    pub mapping: HashMap<ElementId, ElementId>,
+    pub mapping: BTreeMap<ElementId, ElementId>,
     /// Wildcard bindings collected from configuration strings.
     pub bindings: Vec<(String, String)>,
 }
@@ -63,292 +78,277 @@ fn unify_config(pattern: &str, concrete: &str, bindings: &mut Vec<(String, Strin
     true
 }
 
+/// A pattern connection between two non-pseudo pattern elements, by their
+/// positions in [`Matcher::nodes`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct PatternEdge {
+    from: usize,
+    from_port: usize,
+    to: usize,
+    to_port: usize,
+}
+
+impl PatternEdge {
+    /// True if the edge joins node `i` to a node before it.
+    fn ties_back(&self, i: usize) -> bool {
+        (self.from == i && self.to < i) || (self.to == i && self.from < i)
+    }
+}
+
+/// Live elements by class, for seeding [`Matcher::find_from`].
+pub(crate) fn class_index(config: &RouterGraph) -> HashMap<&str, BTreeSet<ElementId>> {
+    let mut index: HashMap<&str, BTreeSet<ElementId>> = HashMap::new();
+    for (id, decl) in config.elements() {
+        index.entry(decl.class()).or_default().insert(id);
+    }
+    index
+}
+
 /// The matcher, holding indexed views of the pattern fragment.
 pub struct Matcher<'a> {
     pattern: &'a Fragment,
-    /// Non-pseudo pattern elements in a DFS-friendly order.
+    /// Non-pseudo pattern elements, each (after the first) adjacent to an
+    /// earlier one where the pattern allows.
     nodes: Vec<ElementId>,
-    /// For each pattern element and port side: whether the pattern allows
-    /// external connections there (it connects to input/output pseudo).
-    ext_in: HashSet<(ElementId, usize)>,
-    ext_out: HashSet<(ElementId, usize)>,
+    /// The pattern's internal connections.
+    edges: Vec<PatternEdge>,
+    /// `(node, port)` where the pattern allows external connections (it
+    /// connects to the input/output pseudo-element there).
+    ext_in: HashSet<(usize, usize)>,
+    ext_out: HashSet<(usize, usize)>,
+    /// Every node after the first has a connection to an earlier one.
+    connected: bool,
 }
 
 impl<'a> Matcher<'a> {
     /// Prepares a matcher for a pattern fragment.
     pub fn new(pattern: &'a Fragment) -> Matcher<'a> {
-        let mut nodes: Vec<ElementId> = pattern
-            .graph
+        let pg = &pattern.graph;
+        let mut rest: Vec<ElementId> = pg
             .element_ids()
             .filter(|&id| id != pattern.input && id != pattern.output)
             .collect();
-        // Order nodes so each (after the first) is adjacent to an earlier
-        // one where possible — keeps the DFS pruned.
-        let mut ordered: Vec<ElementId> = Vec::new();
-        while !nodes.is_empty() {
-            let pick = nodes
-                .iter()
-                .position(|&n| {
-                    ordered.iter().any(|&o| {
-                        pattern.graph.connections().iter().any(|c| {
-                            (c.from.element == n && c.to.element == o)
-                                || (c.from.element == o && c.to.element == n)
-                        })
-                    })
-                })
-                .unwrap_or(0);
-            ordered.push(nodes.remove(pick));
+        let mut nodes: Vec<ElementId> = Vec::with_capacity(rest.len());
+        while !rest.is_empty() {
+            let adjacent = |&n: &ElementId| {
+                pg.outputs_of(n)
+                    .iter()
+                    .any(|c| nodes.contains(&c.to.element))
+                    || pg
+                        .inputs_of(n)
+                        .iter()
+                        .any(|c| nodes.contains(&c.from.element))
+            };
+            let pick = rest.iter().position(adjacent).unwrap_or(0);
+            nodes.push(rest.remove(pick));
         }
+        let position = |id: ElementId| nodes.iter().position(|&n| n == id);
+        let mut edges = Vec::new();
         let mut ext_in = HashSet::new();
         let mut ext_out = HashSet::new();
-        for c in pattern.graph.connections() {
-            if c.from.element == pattern.input {
-                ext_in.insert((c.to.element, c.to.port));
-            }
-            if c.to.element == pattern.output {
-                ext_out.insert((c.from.element, c.from.port));
+        for c in pg.connections() {
+            match (position(c.from.element), position(c.to.element)) {
+                (Some(from), Some(to)) => edges.push(PatternEdge {
+                    from,
+                    from_port: c.from.port,
+                    to,
+                    to_port: c.to.port,
+                }),
+                (None, Some(to)) if c.from.element == pattern.input => {
+                    ext_in.insert((to, c.to.port));
+                }
+                (Some(from), None) if c.to.element == pattern.output => {
+                    ext_out.insert((from, c.from.port));
+                }
+                _ => {}
             }
         }
+        let connected = (1..nodes.len()).all(|i| edges.iter().any(|e| e.ties_back(i)));
         Matcher {
             pattern,
-            nodes: ordered,
+            nodes,
+            edges,
             ext_in,
             ext_out,
+            connected,
         }
     }
 
-    /// The non-pseudo pattern elements.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
+    /// The class a configuration element needs to stand for the pattern's
+    /// first element; `None` for a pattern without elements.
+    pub(crate) fn root_class(&self) -> Option<&str> {
+        let first = self.nodes.first()?;
+        Some(self.pattern.graph.element(*first).class())
     }
 
     /// Finds the first match in `config`, if any.
     pub fn find(&self, config: &RouterGraph) -> Option<Match> {
-        if self.nodes.is_empty() {
-            return None;
-        }
-        // Ullman candidate matrix: pattern node → feasible config nodes.
-        let config_ids: Vec<ElementId> = config.element_ids().collect();
-        let mut candidates: Vec<Vec<ElementId>> = Vec::with_capacity(self.nodes.len());
-        for &pn in &self.nodes {
-            let pdecl = self.pattern.graph.element(pn);
-            let pin = self.pattern_internal_in_degree(pn);
-            let pout = self.pattern_internal_out_degree(pn);
-            let feasible: Vec<ElementId> = config_ids
-                .iter()
-                .copied()
-                .filter(|&cn| {
-                    let cdecl = config.element(cn);
-                    cdecl.class() == pdecl.class()
-                        && config.inputs_of(cn).len() >= pin
-                        && config.outputs_of(cn).len() >= pout
-                        && unify_config(pdecl.config(), cdecl.config(), &mut Vec::new())
-                })
-                .collect();
-            if feasible.is_empty() {
-                return None;
+        let mut pending = class_index(config).remove(self.root_class()?)?;
+        self.find_from(config, &mut pending)
+    }
+
+    /// Finds the match whose first element is the lowest in `pending`,
+    /// removing from `pending` that element and every lower one (which
+    /// are thereby known to start no match in `config` as it stands).
+    pub(crate) fn find_from(
+        &self,
+        config: &RouterGraph,
+        pending: &mut BTreeSet<ElementId>,
+    ) -> Option<Match> {
+        while let Some(anchor) = pending.pop_first() {
+            let mut assigned = Vec::with_capacity(self.nodes.len());
+            let mut bindings = Vec::new();
+            if config.is_live(anchor) && self.assign(config, anchor, &mut assigned, &mut bindings) {
+                let mapping = self.nodes.iter().copied().zip(assigned).collect();
+                return Some(Match { mapping, bindings });
             }
-            candidates.push(feasible);
         }
-        // Ullman refinement: a candidate survives only if every pattern
-        // neighbor has a surviving candidate adjacent in the config.
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for i in 0..self.nodes.len() {
-                let pi = self.nodes[i];
-                let survivors: Vec<ElementId> = candidates[i]
-                    .iter()
-                    .copied()
-                    .filter(|&ci| {
-                        (0..self.nodes.len()).all(|j| {
-                            if i == j {
-                                return true;
-                            }
-                            let pj = self.nodes[j];
-                            let forward = self.pattern_edges(pi, pj);
-                            let backward = self.pattern_edges(pj, pi);
-                            if forward.is_empty() && backward.is_empty() {
-                                return true;
-                            }
-                            candidates[j].iter().any(|&cj| {
-                                forward.iter().all(|&(fp, tp)| {
-                                    config
-                                        .connections_from(ci, fp)
-                                        .iter()
-                                        .any(|c| c.to.element == cj && c.to.port == tp)
-                                }) && backward.iter().all(|&(fp, tp)| {
-                                    config
-                                        .connections_from(cj, fp)
-                                        .iter()
-                                        .any(|c| c.to.element == ci && c.to.port == tp)
-                                })
-                            })
-                        })
-                    })
-                    .collect();
-                if survivors.len() != candidates[i].len() {
-                    candidates[i] = survivors;
-                    changed = true;
-                    if candidates[i].is_empty() {
-                        return None;
+        None
+    }
+
+    /// After a rewrite that changed the connections of `touched` (or
+    /// created them), puts back into `pending` every element that could
+    /// start a match containing one of them.
+    pub(crate) fn requeue(
+        &self,
+        config: &RouterGraph,
+        touched: &[ElementId],
+        pending: &mut BTreeSet<ElementId>,
+    ) {
+        let Some(root_class) = self.root_class() else {
+            return;
+        };
+        let is_root = |id: ElementId| config.element(id).class() == root_class;
+        if !self.connected {
+            // Nothing ties the first element to the touched one.
+            pending.extend(config.element_ids().filter(|&id| is_root(id)));
+            return;
+        }
+        // A match is connected through matched elements only, so the walk
+        // from a touched element to the match's first element stays within
+        // the pattern's classes and takes fewer steps than it has nodes.
+        let pg = &self.pattern.graph;
+        let in_pattern = |id: ElementId| {
+            let class = config.element(id).class();
+            self.nodes.iter().any(|&n| pg.element(n).class() == class)
+        };
+        let mut frontier: Vec<ElementId> = touched
+            .iter()
+            .copied()
+            .filter(|&t| config.is_live(t) && in_pattern(t))
+            .collect();
+        let mut seen: HashSet<ElementId> = frontier.iter().copied().collect();
+        for _ in 0..self.nodes.len() {
+            let mut next = Vec::new();
+            for &e in &frontier {
+                if is_root(e) {
+                    pending.insert(e);
+                }
+                let outs = config.outputs_of(e).iter().map(|c| c.to.element);
+                let ins = config.inputs_of(e).iter().map(|c| c.from.element);
+                for n in outs.chain(ins) {
+                    if in_pattern(n) && seen.insert(n) {
+                        next.push(n);
+                    }
+                }
+            }
+            frontier = next;
+        }
+    }
+
+    /// Configuration elements that could stand for node `assigned.len()`:
+    /// the neighbours of an assigned element across one pattern
+    /// connection, or every element if the pattern ties the node to none.
+    fn candidates(&self, config: &RouterGraph, assigned: &[ElementId]) -> Vec<ElementId> {
+        let i = assigned.len();
+        let mut found: Vec<ElementId> = match self.edges.iter().find(|e| e.ties_back(i)) {
+            Some(e) if e.to == i => config
+                .connections_from(assigned[e.from], e.from_port)
+                .filter(|c| c.to.port == e.to_port)
+                .map(|c| c.to.element)
+                .collect(),
+            Some(e) => config
+                .connections_to(assigned[e.to], e.to_port)
+                .filter(|c| c.from.port == e.from_port)
+                .map(|c| c.from.element)
+                .collect(),
+            None => config.element_ids().collect(),
+        };
+        found.sort_unstable();
+        found.dedup();
+        found
+    }
+
+    /// Tries `cn` as node `assigned.len()`, then the remaining nodes
+    /// depth-first. On success `assigned` holds the whole match.
+    fn assign(
+        &self,
+        config: &RouterGraph,
+        cn: ElementId,
+        assigned: &mut Vec<ElementId>,
+        bindings: &mut Vec<(String, String)>,
+    ) -> bool {
+        let i = assigned.len();
+        let pdecl = self.pattern.graph.element(self.nodes[i]);
+        let cdecl = config.element(cn);
+        if assigned.contains(&cn) || cdecl.class() != pdecl.class() {
+            return false;
+        }
+        let saved_len = bindings.len();
+        assigned.push(cn);
+        // Pattern connections between this node and those before it.
+        let wired = self
+            .edges
+            .iter()
+            .filter(|e| e.from.max(e.to) == i)
+            .all(|e| {
+                let to = PortRef::new(assigned[e.to], e.to_port);
+                config
+                    .connections_from(assigned[e.from], e.from_port)
+                    .any(|c| c.to == to)
+            });
+        if wired && unify_config(pdecl.config(), cdecl.config(), bindings) {
+            if assigned.len() == self.nodes.len() {
+                if self.check_boundary(config, assigned) {
+                    return true;
+                }
+            } else {
+                for next in self.candidates(config, assigned) {
+                    if self.assign(config, next, assigned, bindings) {
+                        return true;
                     }
                 }
             }
         }
-        // DFS assignment.
-        let mut mapping: HashMap<ElementId, ElementId> = HashMap::new();
-        let mut used: HashSet<ElementId> = HashSet::new();
-        let mut bindings: Vec<(String, String)> = Vec::new();
-        if self.assign(
-            0,
-            config,
-            &candidates,
-            &mut mapping,
-            &mut used,
-            &mut bindings,
-        ) {
-            Some(Match { mapping, bindings })
-        } else {
-            None
-        }
-    }
-
-    fn pattern_edges(&self, from: ElementId, to: ElementId) -> Vec<(usize, usize)> {
-        self.pattern
-            .graph
-            .connections()
-            .iter()
-            .filter(|c| c.from.element == from && c.to.element == to)
-            .map(|c| (c.from.port, c.to.port))
-            .collect()
-    }
-
-    fn pattern_internal_in_degree(&self, n: ElementId) -> usize {
-        self.pattern
-            .graph
-            .inputs_of(n)
-            .iter()
-            .filter(|c| c.from.element != self.pattern.input)
-            .count()
-    }
-
-    fn pattern_internal_out_degree(&self, n: ElementId) -> usize {
-        self.pattern
-            .graph
-            .outputs_of(n)
-            .iter()
-            .filter(|c| c.to.element != self.pattern.output)
-            .count()
-    }
-
-    fn assign(
-        &self,
-        depth: usize,
-        config: &RouterGraph,
-        candidates: &[Vec<ElementId>],
-        mapping: &mut HashMap<ElementId, ElementId>,
-        used: &mut HashSet<ElementId>,
-        bindings: &mut Vec<(String, String)>,
-    ) -> bool {
-        if depth == self.nodes.len() {
-            return self.check_boundary(config, mapping);
-        }
-        let pn = self.nodes[depth];
-        for &cn in &candidates[depth] {
-            if used.contains(&cn) {
-                continue;
-            }
-            // Config unification.
-            let saved_len = bindings.len();
-            let pdecl = self.pattern.graph.element(pn);
-            let cdecl = config.element(cn);
-            if !unify_config(pdecl.config(), cdecl.config(), bindings) {
-                bindings.truncate(saved_len);
-                continue;
-            }
-            // Edge consistency with already-assigned neighbors.
-            let consistent = mapping.iter().all(|(&pm, &cm)| {
-                self.pattern_edges(pn, pm).iter().all(|&(fp, tp)| {
-                    config
-                        .connections_from(cn, fp)
-                        .iter()
-                        .any(|c| c.to.element == cm && c.to.port == tp)
-                }) && self.pattern_edges(pm, pn).iter().all(|&(fp, tp)| {
-                    config
-                        .connections_from(cm, fp)
-                        .iter()
-                        .any(|c| c.to.element == cn && c.to.port == tp)
-                })
-            });
-            if !consistent {
-                bindings.truncate(saved_len);
-                continue;
-            }
-            mapping.insert(pn, cn);
-            used.insert(cn);
-            if self.assign(depth + 1, config, candidates, mapping, used, bindings) {
-                return true;
-            }
-            mapping.remove(&pn);
-            used.remove(&cn);
-            bindings.truncate(saved_len);
-        }
+        assigned.pop();
+        bindings.truncate(saved_len);
         false
     }
 
     /// The boundary condition: every config edge incident to the matched
     /// set is either an internal pattern edge or at a pattern
     /// input/output attachment point.
-    fn check_boundary(
-        &self,
-        config: &RouterGraph,
-        mapping: &HashMap<ElementId, ElementId>,
-    ) -> bool {
-        let reverse: HashMap<ElementId, ElementId> =
-            mapping.iter().map(|(&p, &c)| (c, p)).collect();
-        for (&pn, &cn) in mapping {
-            // Incoming config edges.
-            for c in config.inputs_of(cn) {
-                match reverse.get(&c.from.element) {
-                    Some(&pfrom) => {
-                        // Must correspond to an internal pattern edge.
-                        let ok = self
-                            .pattern_edges(pfrom, pn)
-                            .iter()
-                            .any(|&(fp, tp)| fp == c.from.port && tp == c.to.port);
-                        if !ok {
-                            return false;
-                        }
-                    }
-                    None => {
-                        if !self.ext_in.contains(&(pn, c.to.port)) {
-                            return false;
-                        }
-                    }
-                }
-            }
-            // Outgoing config edges.
-            for c in config.outputs_of(cn) {
-                match reverse.get(&c.to.element) {
-                    Some(&pto) => {
-                        let ok = self
-                            .pattern_edges(pn, pto)
-                            .iter()
-                            .any(|&(fp, tp)| fp == c.from.port && tp == c.to.port);
-                        if !ok {
-                            return false;
-                        }
-                    }
-                    None => {
-                        if !self.ext_out.contains(&(pn, c.from.port)) {
-                            return false;
-                        }
-                    }
-                }
-            }
-        }
-        true
+    fn check_boundary(&self, config: &RouterGraph, assigned: &[ElementId]) -> bool {
+        let node_of = |id: ElementId| assigned.iter().position(|&a| a == id);
+        assigned.iter().enumerate().all(|(i, &cn)| {
+            let ins_ok = config
+                .inputs_of(cn)
+                .iter()
+                .all(|c| match node_of(c.from.element) {
+                    Some(from) => self.edges.contains(&PatternEdge {
+                        from,
+                        from_port: c.from.port,
+                        to: i,
+                        to_port: c.to.port,
+                    }),
+                    None => self.ext_in.contains(&(i, c.to.port)),
+                });
+            // Connections between matched elements were all seen above.
+            ins_ok
+                && config.outputs_of(cn).iter().all(|c| {
+                    node_of(c.to.element).is_some() || self.ext_out.contains(&(i, c.from.port))
+                })
+        })
     }
 }
 

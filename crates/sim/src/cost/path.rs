@@ -330,8 +330,8 @@ impl<'g> PathModel<'g> {
                 }
             };
             // Transfer to the next element.
-            let conns = self.graph.connections_from(cur, out_port);
-            let next = conns.first().ok_or_else(|| {
+            let mut conns = self.graph.connections_from(cur, out_port);
+            let next = conns.next().ok_or_else(|| {
                 Error::graph(format!(
                     "cost model: {} output {out_port} is unconnected",
                     decl.name()

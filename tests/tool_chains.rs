@@ -154,3 +154,48 @@ fn check_tool_rejects_broken_output_of_bad_edit() {
     let report = check(&g, &lib());
     assert!(!report.is_ok());
 }
+
+/// XF → FC → DV over configuration text, serialized.
+fn compile_to_text(src: &str) -> String {
+    let mut g = read_config(src).unwrap();
+    opt::xform::apply_patterns(&mut g, &opt::xform::ip_combo_patterns().unwrap()).unwrap();
+    opt::fastclassifier::fastclassifier(&mut g).unwrap();
+    opt::devirtualize::devirtualize(&mut g, &lib(), &HashSet::new()).unwrap();
+    write_config(&g)
+}
+
+#[test]
+fn chain_output_is_byte_identical_across_runs() {
+    // The tools are Unix filters: the same text in must give the same
+    // bytes out, also within one process, where every `HashMap` hashes
+    // with different keys.
+    let mut state = 7u64;
+    let mut rand = move |n: u64| {
+        state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (state >> 33) % n
+    };
+    let mut rules: Vec<String> = (1..200)
+        .map(|_| {
+            format!(
+                "deny src net 172.{}.{}.0/24 && dst net 192.168.{}.0/24 && tcp dst port {}",
+                16 + rand(16),
+                rand(48),
+                rand(48),
+                1 + rand(1024)
+            )
+        })
+        .collect();
+    rules.push("allow all".to_owned());
+    let firewall = format!("Idle -> IPFilter({}) -> Discard;", rules.join(", "));
+    for src in [
+        IpRouterSpec::standard(4).config(),
+        IpRouterSpec::standard(32).config(),
+        firewall,
+    ] {
+        let first = compile_to_text(&src);
+        assert!(first == compile_to_text(&src), "two runs differ on:\n{src}");
+        assert!(check(&read_config(&first).unwrap(), &lib()).is_ok());
+    }
+}
