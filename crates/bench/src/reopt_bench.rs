@@ -19,13 +19,12 @@
 //! All three need live counters: built without the `telemetry` feature
 //! the loop never sees divergence and every verdict reads `false`.
 
-use click_core::registry::Library;
-use click_elements::fast::FastElement;
-use click_elements::parallel::{ParallelOpts, ParallelRouter};
-use click_elements::router::Router;
+use click_elements::batch::PacketBatch;
+use click_elements::engine::{self, Engine};
+use click_elements::parallel::ParallelOpts;
 use click_elements::telemetry::{self, ReoptGauges};
 use click_opt::reopt::{
-    demo_graph, optimize_pipeline, DemoTrace, MorphDaemon, MorphTarget, ReoptPolicy, WindowOutcome,
+    demo_graph, optimize_pipeline, DemoTrace, MorphDaemon, ReoptPolicy, WindowOutcome,
     DEMO_BRANCHES,
 };
 use std::time::Instant;
@@ -79,10 +78,10 @@ pub struct WindowedRun {
     pub swap_windows: Vec<usize>,
 }
 
-/// Drives `windows` windows of the demo trace through a [`MorphTarget`],
+/// Drives `windows` windows of the demo trace through an [`Engine`],
 /// optionally under a reoptimization daemon.
-fn run_windows<T: MorphTarget>(
-    target: T,
+fn run_windows(
+    target: Box<dyn Engine>,
     daemon_policy: Option<ReoptPolicy>,
     windows: usize,
     window_packets: usize,
@@ -98,7 +97,7 @@ fn run_windows<T: MorphTarget>(
     match daemon_policy {
         Some(policy) => {
             let mut daemon = MorphDaemon::new(target, source, artifact, policy);
-            let drops_start = daemon.target().drops();
+            let drops_start = daemon.target().total_drops();
             for w in 0..windows {
                 let frames = trace.window(window_packets, schedule.hot(w), DEMO_BRANCHES);
                 run.injected += frames.len() as u64;
@@ -113,12 +112,12 @@ fn run_windows<T: MorphTarget>(
             }
             run.gauges = daemon.gauges();
             let mut target = daemon.into_target();
-            run.tx += drain_tx(&mut target);
-            run.drops = target.drops() - drops_start;
+            run.tx += drain_tx(&mut *target);
+            run.drops = target.total_drops() - drops_start;
         }
         None => {
             let mut target = target;
-            let drops_start = target.drops();
+            let drops_start = target.total_drops();
             for w in 0..windows {
                 let frames = trace.window(window_packets, schedule.hot(w), DEMO_BRANCHES);
                 run.injected += frames.len() as u64;
@@ -131,29 +130,25 @@ fn run_windows<T: MorphTarget>(
                 target.settle();
                 run.ns_per_window
                     .push(t.elapsed().as_nanos() as f64 / frames.len() as f64);
-                run.tx += drain_tx(&mut target);
+                run.tx += drain_tx(&mut *target);
             }
-            run.drops = target.drops() - drops_start;
+            run.drops = target.total_drops() - drops_start;
         }
     }
     run
 }
 
 /// Drains every device's TX queue, returning the packet count.
-fn drain_tx<T: MorphTarget>(target: &mut T) -> u64 {
-    let mut tx = 0u64;
-    for name in target.device_names() {
-        if let Some(id) = target.device(&name) {
-            tx += target.take_tx(id).len() as u64;
-        }
-    }
-    tx
+fn drain_tx(target: &mut dyn Engine) -> u64 {
+    target.drain_all_tx_into(&mut PacketBatch::new()) as u64
 }
 
-fn serial_target() -> Router<FastElement> {
+/// The demo artifact running on the compiled engine, serial for
+/// `shards <= 1`.
+fn demo_target(shards: usize) -> Box<dyn Engine> {
     let artifact =
         optimize_pipeline(&demo_graph(DEMO_BRANCHES).expect("demo config parses")).unwrap();
-    Router::from_graph(&artifact, &Library::standard()).expect("demo artifact builds")
+    engine::open(&artifact, true, ParallelOpts::new(shards)).expect("demo artifact builds")
 }
 
 fn median(xs: &[f64]) -> f64 {
@@ -250,32 +245,29 @@ pub fn run_fig12_reopt(quick: bool) -> ReoptResults {
     let sharded_packets = if quick { 920 } else { 2300 };
 
     let baseline = run_windows(
-        serial_target(),
+        demo_target(1),
         None,
         windows,
         window_packets,
         Schedule::ShiftAt(shift_at),
     );
     let reopt = run_windows(
-        serial_target(),
+        demo_target(1),
         Some(policy()),
         windows,
         window_packets,
         Schedule::ShiftAt(shift_at),
     );
     let alternate = run_windows(
-        serial_target(),
+        demo_target(1),
         Some(policy()),
         windows,
         if quick { 460 } else { 1380 },
         Schedule::Alternate,
     );
-    let artifact =
-        optimize_pipeline(&demo_graph(DEMO_BRANCHES).expect("demo config parses")).unwrap();
     let shards = 4;
     let sharded = run_windows(
-        ParallelRouter::from_graph::<FastElement>(&artifact, ParallelOpts::new(shards))
-            .expect("sharded demo artifact builds"),
+        demo_target(shards),
         Some(policy()),
         windows,
         sharded_packets,
@@ -380,7 +372,7 @@ mod tests {
 
     #[test]
     fn baseline_run_forwards_everything() {
-        let run = run_windows(serial_target(), None, 4, 460, Schedule::ShiftAt(2));
+        let run = run_windows(demo_target(1), None, 4, 460, Schedule::ShiftAt(2));
         assert_eq!(run.injected, 4 * 460);
         assert_eq!(run.tx, 4 * 460);
         assert_eq!(run.drops, 0);

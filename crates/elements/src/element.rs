@@ -281,6 +281,11 @@ impl DeviceMap {
         &self.names[id.0]
     }
 
+    /// Every device name, in id order.
+    pub fn names(&self) -> &[String] {
+        &self.names
+    }
+
     /// Number of devices registered.
     pub fn len(&self) -> usize {
         self.names.len()

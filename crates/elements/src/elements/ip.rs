@@ -8,6 +8,7 @@ use crate::batch::{BatchEmitter, PacketBatch};
 use crate::element::{args, config_err, int_arg, CreateCtx, Element, Emitter};
 use crate::headers::{ipv4, parse_ip};
 use crate::packet::Packet;
+use crate::persist::config_hash;
 use crate::routing::MultibitTrie;
 use crate::swap::ElementState;
 use click_core::config::arg_slices;
@@ -622,15 +623,6 @@ struct CarriedTable {
     table: MultibitTrie<(Option<u32>, usize)>,
 }
 
-fn fnv64(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 /// `StaticIPLookup` / `LookupIPRoute`: longest-prefix-match routing. Route
 /// entries are `addr/prefix [gateway] output`.
 ///
@@ -708,7 +700,7 @@ impl StaticIPLookup {
         Ok(StaticIPLookup {
             routes,
             table: OnceCell::new(),
-            config_fnv: fnv64(config),
+            config_fnv: config_hash(config),
             class,
             no_route: 0,
             table_adoptions: 0,

@@ -39,9 +39,9 @@
 #![deny(unsafe_code)]
 
 pub mod batch;
-pub mod driver;
 pub mod element;
 pub mod elements;
+pub mod engine;
 pub mod fast;
 pub mod headers;
 pub mod iodev;
@@ -58,6 +58,7 @@ pub mod telemetry;
 
 pub use batch::{BatchEmitter, PacketBatch};
 pub use element::Element;
+pub use engine::Engine;
 pub use fast::CompiledRouter;
 pub use iodev::{DeviceBackend, DeviceHealth, IoFault, SupervisedDevice};
 pub use packet::Packet;

@@ -71,13 +71,14 @@
 
 use crate::batch::PacketBatch;
 use crate::element::DeviceId;
+use crate::iodev::PumpStats;
 use crate::packet::{Packet, PoolStats};
 use crate::persist::{
     Checkpoint, CheckpointEngine, DeviceRecord, ElementRecord, EngineSnapshot, PacketRecord,
     RestoreStats,
 };
 use crate::ring::{spsc, AdaptiveBurst, Backoff, RingConsumer, RingProducer};
-use crate::router::{Router, Slot};
+use crate::router::{DeviceBank, Router, Slot};
 use crate::steer::{steerer_for, FlowHashCache, RssSteering, SharedLiveMask, MAX_SHARDS};
 use crate::swap::SwapReport;
 use crate::telemetry::{
@@ -118,6 +119,9 @@ pub const CTRL_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Upper bound on parallel steerer threads.
 pub const MAX_STEERERS: usize = 16;
+
+/// Frames a device round receives per backend.
+const DEVICE_BURST: usize = 64;
 
 /// Worker/steerer dequeue burst floor (items per ring poll). The
 /// adaptive controller grows from here under load.
@@ -655,8 +659,10 @@ pub struct ParallelRouter {
     /// Packets the steerer threads dropped for want of a live shard.
     steer_drops: Arc<AtomicU64>,
     stop: Arc<AtomicBool>,
-    /// Device names; a device's id is its index.
-    devices: Vec<String>,
+    /// The control thread's device bank: the name table, the collected
+    /// TX queues, and any attached real-I/O backends. Only this thread
+    /// ever touches it — workers own private banks inside their engines.
+    pub(crate) bank: DeviceBank,
     /// Per-shard injection buffers, grouped into (device, burst) items
     /// (serial-steering mode, and fault-path re-injection).
     pending: Vec<Vec<ShardItem>>,
@@ -671,8 +677,6 @@ pub struct ParallelRouter {
     /// Open-batch index per `(steerer, device)` into `pending_steer`
     /// (same role as `pending_open` for the raw pre-partition buffers).
     pending_steer_open: Vec<Vec<Option<usize>>>,
-    /// Collected TX packets per device.
-    tx: Vec<Vec<Packet>>,
     /// Reusable empty batch storage for injection grouping.
     storage: Vec<PacketBatch>,
     burst: usize,
@@ -739,15 +743,8 @@ impl ParallelRouter {
             )));
         }
         // Validate once on this thread so errors surface synchronously;
-        // the prototype also yields the device name table.
-        let prototype: Router<S> = Router::from_graph(graph, &Library::standard())?;
-        let devices: Vec<String> = prototype
-            .devices
-            .names()
-            .into_iter()
-            .map(str::to_owned)
-            .collect();
-        drop(prototype);
+        // the prototype's (empty) device bank becomes the control side's.
+        let bank = Router::<S>::from_graph(graph, &Library::standard())?.devices;
 
         let stop = Arc::new(AtomicBool::new(false));
         let bell = Arc::new(Doorbell::default());
@@ -838,7 +835,7 @@ impl ParallelRouter {
                 }
             }
         }
-        let n_dev = devices.len();
+        let n_dev = bank.len();
         let burst = opts.burst.max(1);
         let burst_ctl = (0..opts.shards)
             .map(|_| {
@@ -858,12 +855,11 @@ impl ParallelRouter {
             steered,
             steer_drops,
             stop,
-            devices,
+            bank,
             pending: (0..opts.shards).map(|_| Vec::new()).collect(),
             pending_open: (0..opts.shards).map(|_| vec![None; n_dev]).collect(),
             pending_steer: (0..opts.steerers).map(|_| Vec::new()).collect(),
             pending_steer_open: (0..opts.steerers).map(|_| vec![None; n_dev]).collect(),
-            tx: (0..n_dev).map(|_| Vec::new()).collect(),
             storage: Vec::new(),
             burst,
             burst_ctl,
@@ -951,17 +947,22 @@ impl ParallelRouter {
     /// Sum of every live shard's engine drop counter (element drops plus
     /// unconnected-port and reentrancy drops — [`Router::total_drops`]
     /// per shard), plus packets dropped at injection because no live
-    /// shard remained. Always live (not feature-gated); monotonic across
-    /// hot swaps because each shard's counter survives its swap. Dead or
-    /// unreachable shards contribute their last known nothing (0), so a
-    /// reading during a fault can transiently understate.
+    /// shard remained, plus the control-side device bank's losses (drain
+    /// deadline, abandoned backends). Always live (not feature-gated);
+    /// monotonic across hot swaps because each shard's counter survives
+    /// its swap. Dead or unreachable shards contribute their last known
+    /// nothing (0), so a reading during a fault can transiently
+    /// understate.
     pub fn total_drops(&self) -> u64 {
         let engine: u64 = self
             .gauge_snapshot()
             .iter()
             .map(|s| s.map(|(d, _)| d).unwrap_or(0))
             .sum();
-        engine + self.faults.no_live_shard_drops + self.steer_drops.load(Ordering::Acquire)
+        engine
+            + self.faults.no_live_shard_drops
+            + self.steer_drops.load(Ordering::Acquire)
+            + self.bank.lost_packets()
     }
 
     // ---- checkpoint/restore ---------------------------------------------
@@ -996,7 +997,8 @@ impl ParallelRouter {
         }
         let mut elements: Vec<ElementRecord> = Vec::new();
         let mut devices: Vec<DeviceRecord> = self
-            .devices
+            .bank
+            .device_names()
             .iter()
             .map(|n| DeviceRecord {
                 name: n.clone(),
@@ -1034,10 +1036,9 @@ impl ParallelRouter {
                 d.rx.extend(batch.iter().map(PacketRecord::from_packet));
             }
         }
-        for (i, q) in self.tx.iter().enumerate() {
-            if let Some(d) = devices.get_mut(i) {
-                d.tx.extend(q.iter().map(PacketRecord::from_packet));
-            }
+        for (d, own) in devices.iter_mut().zip(self.bank.pending_records()) {
+            d.rx.extend(own.rx);
+            d.tx.extend(own.tx);
         }
         Ok(EngineSnapshot {
             elements,
@@ -1086,7 +1087,7 @@ impl ParallelRouter {
                         self.inject(id, pr.to_packet());
                     }
                     for pr in &dev.tx {
-                        self.tx[id.0].push(pr.to_packet());
+                        self.bank.tx_push(id, pr.to_packet());
                     }
                 }
                 None => {
@@ -1100,25 +1101,6 @@ impl ParallelRouter {
             }
         }
         Ok(stats)
-    }
-
-    /// Warm restart: builds a sharded runtime from the checkpoint's
-    /// installed configuration text (the *optimized* config if the reopt
-    /// loop had swapped one in) and applies its records.
-    ///
-    /// # Errors
-    ///
-    /// Configuration parse/check/construction errors, or the
-    /// [`ParallelRouter::checkpoint_restore`] failures; the caller
-    /// should degrade to a cold start from its source configuration.
-    pub fn restore_from<S: Slot + 'static>(
-        ckpt: &Checkpoint,
-        opts: ParallelOpts,
-    ) -> Result<(ParallelRouter, RestoreStats)> {
-        let graph = click_core::lang::read_config(&ckpt.config)?;
-        let mut router = ParallelRouter::from_graph::<S>(&graph, opts)?;
-        let stats = router.checkpoint_restore(ckpt)?;
-        Ok((router, stats))
     }
 
     /// Rolls `new_graph` out across the shards behind a canary with the
@@ -1349,12 +1331,12 @@ impl ParallelRouter {
 
     /// Looks up a device id by name (same table every shard uses).
     pub fn device_id(&self, name: &str) -> Option<DeviceId> {
-        self.devices.iter().position(|d| d == name).map(DeviceId)
+        self.bank.id(name)
     }
 
     /// Device names in id order.
     pub fn device_names(&self) -> &[String] {
-        &self.devices
+        self.bank.device_names()
     }
 
     /// The shard a frame received on `dev` steers to when every shard is
@@ -1461,7 +1443,7 @@ impl ParallelRouter {
             w.from_worker.pop_batch(usize::MAX, &mut items);
             for (dev, mut batch) in items.drain(..) {
                 moved += batch.len();
-                self.tx[dev.0].extend(batch.drain());
+                self.bank.tx_push_batch(dev, &mut batch);
                 if self.storage.len() < 64 {
                     self.storage.push(batch);
                 }
@@ -1494,6 +1476,56 @@ impl ParallelRouter {
     pub fn try_run_until_idle(&mut self) -> Result<usize> {
         let (collected, r) = self.pump(true);
         r.map(|()| collected)
+    }
+
+    /// One device round: pumps the bank's backends (RX in, queued TX out
+    /// under the supervision rules), steers everything received into the
+    /// shards, and collects what the workers have published into the
+    /// bank's TX queues for the next round to send.
+    fn pump_devices(&mut self) -> PumpStats {
+        let stats = self.bank.pump(DEVICE_BURST);
+        for dev in (0..self.bank.len()).map(DeviceId) {
+            while let Some(p) = self.bank.rx_pop(dev) {
+                self.inject(dev, p);
+            }
+        }
+        self.flush();
+        self.collect();
+        stats
+    }
+
+    /// Runs the router over its attached device backends — the sharded
+    /// counterpart of [`Router::run_with_devices`]: device rounds around
+    /// [`ParallelRouter::try_run_until_idle`] until a full round moves
+    /// nothing, the workers are idle, and every backend is exhausted with
+    /// no TX backlog — or `max_rounds` passes (live sockets and memory
+    /// queues never exhaust; call with a small `max_rounds` in your own
+    /// loop for those). A blocked TX device whose drain deadline is still
+    /// running is waited out, so its frames end up sent or counted lost.
+    /// Returns the cumulative pump totals.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Runtime`] when a worker wedges past the wedge timeout.
+    pub fn run_devices(&mut self, max_rounds: usize) -> Result<PumpStats> {
+        let mut totals = PumpStats::default();
+        for _ in 0..max_rounds {
+            let round = self.pump_devices();
+            let moved = self.try_run_until_idle()?;
+            // Send what the idle run produced before judging quiescence.
+            let drain = self.pump_devices();
+            totals.absorb(round);
+            totals.absorb(drain);
+            if round.idle() && drain.idle() && moved == 0 {
+                if self.bank.backends_exhausted() && self.bank.tx_backlog() == 0 {
+                    break;
+                }
+                // Blocked TX with the deadline still running: give the
+                // supervision clock a moment to progress.
+                std::thread::sleep(Duration::from_micros(200));
+            }
+        }
+        Ok(totals)
     }
 
     /// The shared injection/collection engine. Pushes pending bursts,
@@ -1658,7 +1690,7 @@ impl ParallelRouter {
             .from_worker
             .pop_batch(usize::MAX, &mut published);
         for (dev, mut batch) in published {
-            self.tx[dev.0].extend(batch.drain());
+            self.bank.tx_push_batch(dev, &mut batch);
             if self.storage.len() < 64 {
                 self.storage.push(batch);
             }
@@ -1781,12 +1813,12 @@ impl ParallelRouter {
 
     /// Number of packets transmitted on a device and collected so far.
     pub fn tx_len(&self, dev: DeviceId) -> usize {
-        self.tx[dev.0].len()
+        self.bank.tx_len(dev)
     }
 
     /// Takes all collected TX packets for a device.
     pub fn take_tx(&mut self, dev: DeviceId) -> Vec<Packet> {
-        std::mem::take(&mut self.tx[dev.0])
+        self.bank.take_tx(dev)
     }
 
     /// Drains collected TX packets for a device into a batch (storage
@@ -1796,16 +1828,7 @@ impl ParallelRouter {
     /// `into` (which need not be empty), and the return value counts only
     /// the packets appended by this call, not `into.len()`.
     pub fn drain_tx_into(&mut self, dev: DeviceId, into: &mut PacketBatch) -> usize {
-        let before = into.len();
-        let q = &mut self.tx[dev.0];
-        let n = q.len();
-        into.extend(q.drain(..));
-        debug_assert_eq!(
-            into.len(),
-            before + n,
-            "drain_tx_into must append exactly the drained packets"
-        );
-        n
+        self.bank.drain_tx_into(dev, into)
     }
 
     /// Every worker that can still answer a control query: the live
@@ -2972,6 +2995,54 @@ mod tests {
         let opts = ParallelOpts::new(2).with_steerers(4);
         let r = ParallelRouter::from_graph::<Box<dyn Element>>(&g, opts).unwrap();
         drop(r); // must not hang or leak spinning steerers
+    }
+
+    #[test]
+    fn device_rounds_pump_backends_through_the_shards() {
+        use crate::iodev::{MemBackend, SupervisedDevice};
+        let g = counter_graph();
+        let mut r =
+            ParallelRouter::from_graph::<Box<dyn Element>>(&g, ParallelOpts::new(2).batched(8))
+                .unwrap();
+        let (in_be, in_q) = MemBackend::with_handles();
+        let (out_be, out_q) = MemBackend::with_handles();
+        let (in0, out0) = (r.device_id("in0").unwrap(), r.device_id("out0").unwrap());
+        r.bank
+            .attach_supervised(in0, SupervisedDevice::new(Box::new(in_be)));
+        r.bank
+            .attach_supervised(out0, SupervisedDevice::new(Box::new(out_be)));
+        for i in 0..20u8 {
+            in_q.push_rx(udp(2000 + u16::from(i % 4), i).data());
+        }
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let mut totals = PumpStats::default();
+        while totals.tx < 20 && Instant::now() < deadline {
+            totals.absorb(r.run_devices(1).unwrap());
+        }
+        assert_eq!((totals.rx, totals.tx, totals.lost), (20, 20, 0));
+        assert_eq!(r.total_drops(), 0);
+        assert_eq!(out_q.tx_len(), 20);
+        let gauges = r.bank.device_gauges();
+        assert_eq!(gauges[0].rx_packets, 20);
+        assert_eq!(gauges[1].tx_packets, 20);
+        r.shutdown();
+    }
+
+    #[test]
+    fn unknown_device_is_rejected_at_lookup() {
+        use crate::iodev::{MemBackend, SupervisedDevice};
+        let g = read_config("FromDevice(in0) -> Discard;").unwrap();
+        let mut r =
+            ParallelRouter::from_graph::<Box<dyn Element>>(&g, ParallelOpts::new(1)).unwrap();
+        assert!(r.device_id("nosuch").is_none());
+        // A stale id attaches nothing and the rounds stay idle.
+        r.bank.attach_supervised(
+            DeviceId(7),
+            SupervisedDevice::new(Box::new(MemBackend::echo())),
+        );
+        assert!(r.bank.device_gauges().is_empty());
+        assert!(r.run_devices(1).unwrap().idle());
+        r.shutdown();
     }
 
     #[test]

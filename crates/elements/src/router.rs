@@ -163,6 +163,11 @@ impl DeviceBank {
             .collect()
     }
 
+    /// Device names in id order, as stored (no per-call `Vec`).
+    pub fn device_names(&self) -> &[String] {
+        self.map.names()
+    }
+
     /// Queues a packet for reception on a device. A stale device id is
     /// an accounted drop, never a panic (PR 5 audit discipline).
     pub fn inject(&mut self, dev: DeviceId, p: Packet) {
@@ -430,6 +435,17 @@ impl DeviceBank {
             .iter()
             .flatten()
             .all(SupervisedDevice::exhausted)
+    }
+
+    /// TX frames still queued on backend-bound devices (blocked sends
+    /// whose drain deadline is running).
+    pub fn tx_backlog(&self) -> usize {
+        self.backends
+            .iter()
+            .zip(&self.tx)
+            .filter(|(b, _)| b.is_some())
+            .map(|(_, q)| q.len())
+            .sum()
     }
 
     /// One pump round: moves up to `burst` frames per device from each
@@ -773,13 +789,20 @@ impl<S: Slot> Router<S> {
         let plan = TransferPlan::compute(&self.name_class_table(), &next.name_class_table());
         let mut transferred = 0u64;
         let mut dropped = 0u64;
+        let mut retired_drops = 0u64;
         for &(oi, ni) in &plan.matched {
-            if let Some(state) = self.slots[oi].borrow_mut().take_state() {
-                transferred += state.packets.len() as u64;
-                next.slots[ni].borrow_mut().restore_state(state);
+            let state = self.slots[oi].borrow_mut().take_state();
+            match state {
+                Some(state) => {
+                    transferred += state.packets.len() as u64;
+                    next.slots[ni].borrow_mut().restore_state(state);
+                }
+                // No state surface (`Classifier`, `DropBroadcasts`, ...):
+                // the successor counts from zero, so the predecessor's
+                // drops join the carryover like a retired element's.
+                None => retired_drops += self.slots[oi].borrow().stat("drops").unwrap_or(0),
             }
         }
-        let mut retired_drops = 0u64;
         for &oi in &plan.retired {
             // A retired element's lifetime drops would silently leave
             // the aggregate gauge; remember them so `total_drops` stays
@@ -903,21 +926,6 @@ impl<S: Slot> Router<S> {
         stats.drops_topped_up = target_drops.saturating_sub(have);
         self.drops_retired += stats.drops_topped_up + stats.packets_orphaned;
         stats
-    }
-
-    /// Warm restart: builds a router from the checkpoint's installed
-    /// configuration text (the *optimized* config if the reopt loop had
-    /// swapped one in) and applies its records.
-    ///
-    /// # Errors
-    ///
-    /// Configuration parse/check/construction errors; the caller should
-    /// degrade to a cold start from its source configuration, not crash.
-    pub fn restore_from(ckpt: &Checkpoint, library: &Library) -> Result<(Router<S>, RestoreStats)> {
-        let graph = click_core::lang::read_config(&ckpt.config)?;
-        let mut router = Router::from_graph(&graph, library)?;
-        let stats = router.restore_records(&ckpt.elements, &ckpt.devices, ckpt.ledger.drops);
-        Ok((router, stats))
     }
 
     // ---- telemetry -------------------------------------------------------

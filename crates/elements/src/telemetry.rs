@@ -262,8 +262,6 @@ pub struct ReoptGauges {
     /// Windows where divergence justified a recompile but hysteresis
     /// (dwell, cooldown, or the swap budget) suppressed it.
     pub thrash_suppressed: u64,
-    /// Parasol-style knob-autotune searches run after kept swaps.
-    pub autotune_runs: u64,
 }
 
 /// Checkpoint/restore gauges of the persistence layer

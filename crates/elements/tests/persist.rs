@@ -8,6 +8,7 @@ use click_core::lang::read_config;
 use click_core::registry::Library;
 use click_elements::element::{CreateCtx, Element};
 use click_elements::elements::create_element;
+use click_elements::engine::{self, Engine};
 use click_elements::ip_router::{test_packet_flow, IpRouterSpec};
 use click_elements::packet::Packet;
 use click_elements::parallel::{ParallelOpts, ParallelRouter};
@@ -374,19 +375,12 @@ fn fault_inject_rng_cursor_continues_across_restart() {
 // Engine-level crash/restore drills
 // ---------------------------------------------------------------------
 
-fn drain_serial_tx(r: &mut DynRouter) -> u64 {
-    let names: Vec<String> = r.devices.names().iter().map(|s| s.to_string()).collect();
-    let mut n = 0;
-    for name in &names {
-        let Some(id) = r.devices.id(name) else {
-            continue;
-        };
-        for p in r.devices.take_tx(id) {
-            p.recycle();
-            n += 1;
-        }
-    }
-    n
+/// Drains (and recycles) every device's TX queue; returns the count.
+fn drain_tx(e: &mut dyn Engine) -> u64 {
+    let mut tx = click_elements::PacketBatch::new();
+    let n = e.drain_all_tx_into(&mut tx);
+    tx.recycle_packets();
+    n as u64
 }
 
 #[test]
@@ -407,7 +401,7 @@ fn serial_crash_restore_resumes_exact_ledger() {
         injected += 1;
     }
     r.run_until_idle(1_000_000);
-    let mut tx = drain_serial_tx(&mut r);
+    let mut tx = drain_tx(&mut r);
 
     let store = CheckpointStore::open(&dir, 4).unwrap();
     let mut daemon = CheckpointDaemon::new(store, 0, spec.config());
@@ -433,7 +427,7 @@ fn serial_crash_restore_resumes_exact_ledger() {
     assert_eq!(ckpt.ledger.tx, tx);
     assert_eq!(config_hash(&ckpt.config), ckpt.config_hash);
 
-    let (mut r2, stats) = DynRouter::restore_from(&ckpt, &lib).unwrap();
+    let (mut r2, stats) = engine::restore(&ckpt, false, ParallelOpts::new(1)).unwrap();
     assert_eq!(stats.unmatched, 0, "every checkpointed element must match");
     assert_eq!(
         r2.total_drops(),
@@ -443,16 +437,16 @@ fn serial_crash_restore_resumes_exact_ledger() {
 
     // Second incarnation: resume traffic. Offered = accounted + the dead
     // window; the ledger closes with the dead window as the only loss.
-    let eth0 = r2.devices.id("eth0").unwrap();
+    let eth0 = r2.device("eth0").unwrap();
     for i in 0..100u64 {
-        r2.devices.inject(
+        r2.inject(
             eth0,
             test_packet_flow(&spec, 0, 1, 2000 + (i % 32) as u16, 7000),
         );
         injected += 1;
     }
-    r2.run_until_idle(1_000_000);
-    tx += drain_serial_tx(&mut r2);
+    r2.settle();
+    tx += drain_tx(&mut *r2);
 
     let offered = injected + dead_window;
     let loss = offered - tx - r2.total_drops();
@@ -479,7 +473,7 @@ fn serial_restore_carries_queued_packets_home() {
         r.devices.inject(eth0, Packet::from_data(&[i; 60]));
     }
     r.run_until_idle(1_000_000);
-    let tx_before = drain_serial_tx(&mut r);
+    let tx_before = drain_tx(&mut r);
     assert_eq!(tx_before, 6, "a 4-deep delay line holds the last 4 frames");
 
     let store = CheckpointStore::open(&dir, 2).unwrap();
@@ -493,19 +487,15 @@ fn serial_restore_carries_queued_packets_home() {
     drop(r);
 
     let ckpt = daemon.recover().unwrap();
-    let (mut r2, stats) = DynRouter::restore_from(&ckpt, &lib).unwrap();
+    let (mut r2, stats) = engine::restore(&ckpt, false, ParallelOpts::new(1)).unwrap();
     assert_eq!(stats.packets_restored, 4);
     // Four more frames push the held ones out of the line.
-    let eth0 = r2.devices.id("eth0").unwrap();
+    let eth0 = r2.device("eth0").unwrap();
     for i in 10..14u8 {
-        r2.devices.inject(eth0, Packet::from_data(&[i; 60]));
+        r2.inject(eth0, Packet::from_data(&[i; 60]));
     }
-    r2.run_until_idle(1_000_000);
-    assert_eq!(
-        drain_serial_tx(&mut r2),
-        4,
-        "the restored packets drain first"
-    );
+    r2.settle();
+    assert_eq!(drain_tx(&mut *r2), 4, "the restored packets drain first");
 }
 
 #[test]
@@ -526,17 +516,7 @@ fn parallel_crash_restore_resumes_exact_ledger() {
         injected += 1;
     }
     r.run_until_idle();
-    let mut tx = 0u64;
-    let names: Vec<String> = r.device_names().to_vec();
-    for name in &names {
-        let Some(id) = r.device_id(name) else {
-            continue;
-        };
-        for p in r.take_tx(id) {
-            p.recycle();
-            tx += 1;
-        }
-    }
+    let mut tx = drain_tx(&mut r);
 
     let store = CheckpointStore::open(&dir, 4).unwrap();
     let mut daemon = CheckpointDaemon::new(store, 0, spec.config());
@@ -546,8 +526,7 @@ fn parallel_crash_restore_resumes_exact_ledger() {
 
     let ckpt = daemon.recover().expect("checkpoint survives the crash");
     assert_eq!(ckpt.ledger.drops, drops_at_cut);
-    let (mut r2, stats) =
-        ParallelRouter::restore_from::<Box<dyn Element>>(&ckpt, ParallelOpts::new(2)).unwrap();
+    let (mut r2, stats) = engine::restore(&ckpt, false, ParallelOpts::new(2)).unwrap();
     assert_eq!(stats.unmatched, 0);
     assert_eq!(
         r2.total_drops(),
@@ -555,7 +534,7 @@ fn parallel_crash_restore_resumes_exact_ledger() {
         "the merged drop gauge resumes at its checkpointed value"
     );
 
-    let eth0 = r2.device_id("eth0").unwrap();
+    let eth0 = r2.device("eth0").unwrap();
     for i in 0..128u64 {
         r2.inject(
             eth0,
@@ -563,20 +542,11 @@ fn parallel_crash_restore_resumes_exact_ledger() {
         );
         injected += 1;
     }
-    r2.run_until_idle();
-    for name in &names {
-        let Some(id) = r2.device_id(name) else {
-            continue;
-        };
-        for p in r2.take_tx(id) {
-            p.recycle();
-            tx += 1;
-        }
-    }
+    r2.settle();
+    tx += drain_tx(&mut *r2);
     assert_eq!(
         injected,
         tx + r2.total_drops(),
         "the sharded ledger must balance exactly across incarnations"
     );
-    r2.shutdown();
 }

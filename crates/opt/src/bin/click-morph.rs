@@ -7,7 +7,7 @@
 //! click-morph [--shards K] [--branches N] [--windows W]
 //!             [--window-packets P] [--shift-at W'] [--alternate]
 //!             [--dwell D] [--cooldown C] [--min-improvement F]
-//!             [--max-swaps M] [--autotune] [--source LABEL] [--out FILE]
+//!             [--max-swaps M] [--source LABEL] [--out FILE]
 //! ```
 //!
 //! The tool runs the demo workload from [`click_opt::reopt`]: a
@@ -27,18 +27,17 @@
 //! The exported profile JSON carries the always-live
 //! [`click_elements::telemetry::ReoptGauges`] in its `"reopt"` section
 //! (windows observed, recompiles, swaps kept, rollbacks, thrash
-//! suppressed, autotune runs) — the CI `reopt-drill` job greps them.
+//! suppressed) — the CI `reopt-drill` job greps them.
 //! Build with `--features telemetry` for live counters; without it the
 //! loop observes zero divergence and stays quiet (a warning says so).
 
-use click_core::registry::Library;
-use click_elements::fast::FastElement;
-use click_elements::parallel::{ParallelOpts, ParallelRouter};
-use click_elements::router::Router;
+use click_elements::batch::PacketBatch;
+use click_elements::engine;
+use click_elements::parallel::ParallelOpts;
 use click_elements::telemetry::{self, ReoptGauges};
 use click_opt::profile::Profile;
 use click_opt::reopt::{
-    demo_graph, optimize_pipeline, DemoTrace, MorphDaemon, MorphTarget, ReoptPolicy, WindowOutcome,
+    demo_graph, optimize_pipeline, DemoTrace, MorphDaemon, ReoptPolicy, WindowOutcome,
     DEMO_BRANCHES, DEMO_FLOWS,
 };
 use click_opt::tool::parse_args;
@@ -48,7 +47,7 @@ fn usage() -> ! {
         "usage: click-morph [--shards K] [--branches N] [--windows W] \
          [--window-packets P] [--shift-at W'] [--alternate] [--dwell D] \
          [--cooldown C] [--min-improvement F] [--max-swaps M] \
-         [--autotune] [--source LABEL] [--out FILE]"
+         [--source LABEL] [--out FILE]"
     );
     std::process::exit(2);
 }
@@ -63,8 +62,8 @@ struct RunSummary {
 }
 
 #[allow(clippy::too_many_arguments)]
-fn drive<T: MorphTarget>(
-    mut daemon: MorphDaemon<T>,
+fn drive(
+    mut daemon: MorphDaemon,
     trace: &mut DemoTrace,
     windows: usize,
     window_packets: usize,
@@ -74,7 +73,7 @@ fn drive<T: MorphTarget>(
     shards: usize,
     label: &str,
 ) -> RunSummary {
-    let drops_start = daemon.target().drops();
+    let drops_start = daemon.target().total_drops();
     let mut injected = 0u64;
     for w in 0..windows {
         let hot = if alternate {
@@ -115,24 +114,11 @@ fn drive<T: MorphTarget>(
             WindowOutcome::SwapRolledBack { .. } => "swap rolled back".to_owned(),
         };
         eprintln!("click-morph: window {w:>3} hot=b{hot:<2} {line}");
-        if let Some(t) = &daemon.last_tuning {
-            if matches!(outcome, WindowOutcome::SwapKept { .. }) {
-                eprintln!(
-                    "click-morph:   autotune: default {:.0} -> best {:.0} ns/pkt ({} evals)",
-                    t.default_ns, t.best_ns, t.evaluations
-                );
-            }
-        }
     }
     let gauges = daemon.gauges();
     let mut target = daemon.into_target();
-    let mut tx = 0u64;
-    for name in target.device_names() {
-        if let Some(id) = target.device(&name) {
-            tx += target.take_tx(id).len() as u64;
-        }
-    }
-    let drops = target.drops() - drops_start;
+    let tx = target.drain_all_tx_into(&mut PacketBatch::new()) as u64;
+    let drops = target.total_drops() - drops_start;
     let profile = Profile {
         source: label.to_owned(),
         shards,
@@ -203,7 +189,6 @@ fn main() {
                     .unwrap_or_else(|| usage())
             }
             "max-swaps" => policy.max_swaps = num() as u64,
-            "autotune" => policy.autotune = true,
             "source" => source = value.clone(),
             "out" => out = value.clone(),
             "help" => usage(),
@@ -245,44 +230,22 @@ fn main() {
     );
 
     let mut trace = DemoTrace::new();
-    let summary = if shards > 1 {
-        let router =
-            ParallelRouter::from_graph::<FastElement>(&artifact, ParallelOpts::new(shards))
-                .unwrap_or_else(|e| {
-                    eprintln!("click-morph: {e}");
-                    std::process::exit(1);
-                });
-        let daemon = MorphDaemon::new(router, graph, artifact, policy);
-        drive(
-            daemon,
-            &mut trace,
-            windows,
-            window_packets,
-            shift_at,
-            alternate,
-            branches,
-            shards,
-            &label,
-        )
-    } else {
-        let router: Router<FastElement> = Router::from_graph(&artifact, &Library::standard())
-            .unwrap_or_else(|e| {
-                eprintln!("click-morph: {e}");
-                std::process::exit(1);
-            });
-        let daemon = MorphDaemon::new(router, graph, artifact, policy);
-        drive(
-            daemon,
-            &mut trace,
-            windows,
-            window_packets,
-            shift_at,
-            alternate,
-            branches,
-            shards,
-            &label,
-        )
-    };
+    // The loop installs devirtualized artifacts: compiled engine.
+    let router = engine::open(&artifact, true, ParallelOpts::new(shards)).unwrap_or_else(|e| {
+        eprintln!("click-morph: {e}");
+        std::process::exit(1);
+    });
+    let summary = drive(
+        MorphDaemon::new(router, graph, artifact, policy),
+        &mut trace,
+        windows,
+        window_packets,
+        shift_at,
+        alternate,
+        branches,
+        shards,
+        &label,
+    );
 
     let json = summary.profile.to_json();
     match &out {
@@ -299,7 +262,7 @@ fn main() {
     eprintln!(
         "click-morph: {} packets in, {} out, {} dropped; {} windows, \
          {} recompile(s), {} swap(s) kept, {} rollback(s), \
-         {} suppressed, {} autotune run(s)",
+         {} suppressed",
         summary.injected,
         summary.tx,
         summary.drops,
@@ -307,8 +270,7 @@ fn main() {
         g.recompiles,
         g.swaps_kept,
         g.rollbacks,
-        g.thrash_suppressed,
-        g.autotune_runs
+        g.thrash_suppressed
     );
     // Exact accounting: every injected packet either transmitted or is
     // covered by the monotonic drop counter (swap loss included).

@@ -72,20 +72,16 @@
 use click_core::error::{Error, Result};
 use click_core::graph::RouterGraph;
 use click_core::lang::{read_config, write_config};
-use click_core::registry::Library;
-use click_elements::driver::DeviceDriver;
-use click_elements::element::{DeviceId, Element};
-use click_elements::fast::FastElement;
+use click_elements::batch::PacketBatch;
+use click_elements::element::DeviceId;
+use click_elements::engine::{self, Engine};
 use click_elements::iodev::{
     append_pcap, read_pcap, write_pcap, FaultInjectBackend, PcapBackend, SupervisedDevice,
 };
 use click_elements::ip_router::{test_packet_flow, IpRouterSpec};
 use click_elements::packet::Packet;
-use click_elements::parallel::{ParallelOpts, ParallelRouter};
-use click_elements::persist::{
-    config_hash, Checkpoint, CheckpointDaemon, CheckpointEngine, CheckpointStore,
-};
-use click_elements::router::{Router, Slot};
+use click_elements::parallel::ParallelOpts;
+use click_elements::persist::{config_hash, Checkpoint, CheckpointDaemon, CheckpointStore};
 use click_elements::telemetry::{self, DeviceGauges, ElementProfile};
 use click_opt::profile::Profile;
 use click_opt::tool::parse_args;
@@ -141,8 +137,10 @@ fn replay_device(
     })
 }
 
-/// What a replay run measured, engine-independent.
+/// What a replay run measured.
 struct Replay {
+    /// The device the trace entered on: the configuration's first.
+    dev_name: String,
     injected: u64,
     tx_backend: u64,
     tx_sim: u64,
@@ -161,96 +159,51 @@ impl Replay {
     }
 }
 
-fn run_serial<S: Slot>(
-    graph: &RouterGraph,
-    dev_name: &str,
-    sup: SupervisedDevice,
-    batched: usize,
-) -> Result<Replay> {
-    let mut router: Router<S> = Router::from_graph(graph, &Library::standard())?;
-    if batched > 0 {
-        router.set_batching(true);
-        router.set_batch_burst(batched);
-    }
-    let dev = router
-        .devices
-        .id(dev_name)
-        .ok_or_else(|| click_core::error::Error::runtime(format!("no device `{dev_name}`")))?;
-    router.devices.attach_supervised(dev, sup);
+/// The configuration's first device — where the trace enters (`eth0`
+/// for the generated IP router).
+fn ingress(engine: &dyn Engine) -> Result<(String, DeviceId)> {
+    let first = engine.device_names().into_iter().next();
+    first
+        .and_then(|name| engine.device(&name).map(|dev| (name, dev)))
+        .ok_or_else(|| Error::runtime("configuration has no devices"))
+}
+
+/// Drains every device's TX queue, in device order, to raw frames.
+fn drain_tx_frames(engine: &mut dyn Engine) -> Vec<Vec<u8>> {
+    let mut batch = PacketBatch::new();
+    engine.drain_all_tx_into(&mut batch);
+    batch
+        .drain()
+        .map(|p| {
+            let frame = p.data().to_vec();
+            p.recycle();
+            frame
+        })
+        .collect()
+}
+
+/// Replays `sup` into the configuration's first device until the trace
+/// is exhausted and every forwarded frame is sent or counted lost.
+fn run(mut engine: Box<dyn Engine>, sup: SupervisedDevice) -> Result<Replay> {
+    let (dev_name, dev) = ingress(&*engine)?;
+    engine.attach_supervised(dev, sup);
     let start = Instant::now();
-    let stats = router.run_with_devices(10_000_000);
+    let stats = engine.run_devices(10_000_000)?;
     let elapsed_ns = start.elapsed().as_nanos() as u64;
     // Forwarded frames that stayed in simulated TX queues (devices with
     // no backend attached).
-    let names: Vec<String> = router
-        .devices
-        .names()
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let mut forwarded = Vec::new();
-    for name in &names {
-        let Some(id) = router.devices.id(name) else {
-            continue;
-        };
-        for p in router.devices.take_tx(id) {
-            forwarded.push(p.data().to_vec());
-            p.recycle();
-        }
-    }
+    let forwarded = drain_tx_frames(&mut *engine);
     Ok(Replay {
+        dev_name,
         injected: stats.rx as u64,
         tx_backend: stats.tx as u64,
         tx_sim: forwarded.len() as u64,
-        drops: router.total_drops(),
+        drops: engine.total_drops(),
         elapsed_ns,
-        elements: router.telemetry_profiles(),
-        devices: router.devices.device_gauges(),
+        elements: engine.profiles(),
+        devices: engine.device_gauges(),
         forwarded,
     })
-}
-
-fn run_sharded<S: Slot + 'static>(
-    graph: &RouterGraph,
-    dev_name: &str,
-    sup: SupervisedDevice,
-    shards: usize,
-    batched: usize,
-) -> Result<Replay> {
-    let mut opts = ParallelOpts::new(shards);
-    if batched > 0 {
-        opts = opts.batched(batched);
-    }
-    let mut router = ParallelRouter::from_graph::<S>(graph, opts)?;
-    let mut drv = DeviceDriver::new();
-    drv.attach_supervised(dev_name, sup);
-    let start = Instant::now();
-    drv.run(&mut router, 64, 10_000_000)?;
-    let elapsed_ns = start.elapsed().as_nanos() as u64;
-    let names: Vec<String> = router.device_names().to_vec();
-    let mut forwarded = Vec::new();
-    for name in &names {
-        let Some(id) = router.device_id(name) else {
-            continue;
-        };
-        for p in router.take_tx(id) {
-            forwarded.push(p.data().to_vec());
-            p.recycle();
-        }
-    }
-    let replay = Replay {
-        injected: drv.injected(),
-        tx_backend: drv.sent(),
-        tx_sim: forwarded.len() as u64,
-        // The driver's supervision losses live outside the router's bank.
-        drops: router.total_drops() + drv.lost(),
-        elapsed_ns,
-        elements: router.telemetry_profiles(),
-        devices: drv.gauges(),
-        forwarded,
-    };
-    router.shutdown();
-    Ok(replay)
 }
 
 // ---------------------------------------------------------------------
@@ -268,98 +221,10 @@ struct DrillOpts {
     resume_at: Option<u64>,
 }
 
-/// The tiny engine surface the drill needs, implemented by both the
-/// serial [`Router`] and the sharded [`ParallelRouter`]: feed a frame
-/// into the ingress device, settle the graph, drain every TX queue —
-/// plus [`CheckpointEngine`] for the cuts themselves.
-trait DrillEngine: CheckpointEngine {
-    fn ingress(&self, name: &str) -> Option<DeviceId>;
-    fn feed(&mut self, dev: DeviceId, frame: &[u8]);
-    fn settle(&mut self);
-    /// Drains every device's TX queue, in device order, to raw frames.
-    fn drain_tx_frames(&mut self) -> Vec<Vec<u8>>;
-    fn drops(&mut self) -> u64;
-    fn profiles(&mut self) -> Vec<ElementProfile>;
-    fn finish(self);
-}
-
-impl<S: Slot> DrillEngine for Router<S> {
-    fn ingress(&self, name: &str) -> Option<DeviceId> {
-        self.devices.id(name)
-    }
-    fn feed(&mut self, dev: DeviceId, frame: &[u8]) {
-        self.devices.inject(dev, Packet::from_data(frame));
-    }
-    fn settle(&mut self) {
-        self.run_until_idle(1_000_000);
-    }
-    fn drain_tx_frames(&mut self) -> Vec<Vec<u8>> {
-        let names: Vec<String> = self.devices.names().iter().map(|s| s.to_string()).collect();
-        let mut out = Vec::new();
-        for name in &names {
-            let Some(id) = self.devices.id(&name[..]) else {
-                continue;
-            };
-            for p in self.devices.take_tx(id) {
-                out.push(p.data().to_vec());
-                p.recycle();
-            }
-        }
-        out
-    }
-    fn drops(&mut self) -> u64 {
-        self.total_drops()
-    }
-    fn profiles(&mut self) -> Vec<ElementProfile> {
-        self.telemetry_profiles()
-    }
-    fn finish(self) {}
-}
-
-impl DrillEngine for ParallelRouter {
-    fn ingress(&self, name: &str) -> Option<DeviceId> {
-        self.device_id(name)
-    }
-    fn feed(&mut self, dev: DeviceId, frame: &[u8]) {
-        self.inject(dev, Packet::from_data(frame));
-    }
-    fn settle(&mut self) {
-        self.run_until_idle();
-    }
-    fn drain_tx_frames(&mut self) -> Vec<Vec<u8>> {
-        let names: Vec<String> = self.device_names().to_vec();
-        let mut out = Vec::new();
-        for name in &names {
-            let Some(id) = self.device_id(&name[..]) else {
-                continue;
-            };
-            for p in self.take_tx(id) {
-                out.push(p.data().to_vec());
-                p.recycle();
-            }
-        }
-        out
-    }
-    fn drops(&mut self) -> u64 {
-        self.total_drops()
-    }
-    fn profiles(&mut self) -> Vec<ElementProfile> {
-        self.telemetry_profiles()
-    }
-    fn finish(self) {
-        self.shutdown();
-    }
-}
-
-/// How a drill incarnation starts: from nothing, or from a recovered
-/// checkpoint.
-enum Boot {
-    Cold,
-    Warm(Checkpoint),
-}
-
-/// What one drill incarnation measured, engine-independent.
+/// What one drill incarnation measured.
 struct DrillOutcome {
+    /// The device the trace entered on: the configuration's first.
+    dev_name: String,
     /// Frames fed by this incarnation.
     fed: u64,
     /// Frames offered to the stream overall: resume point + fed now.
@@ -380,20 +245,39 @@ struct DrillOutcome {
     elements: Vec<ElementProfile>,
 }
 
-/// The windowed feed/settle/drain/cut loop, generic over the engine.
-/// Exits the process (without draining or cutting) at `--crash-at`.
-fn drill_core<E: DrillEngine>(
-    mut engine: E,
-    warm: Option<&Checkpoint>,
+/// One drill incarnation: builds the engine — warm from `boot`, where a
+/// failed restore degrades to a cold start with a warning, since a torn
+/// world must never stop the router from coming back up — then runs the
+/// windowed feed/settle/drain/cut loop on it. Exits the process (without
+/// draining or cutting) at `--crash-at`.
+#[allow(clippy::too_many_arguments)]
+fn drill(
+    graph: &RouterGraph,
+    compiled: bool,
+    opts: ParallelOpts,
+    boot: Option<&Checkpoint>,
     daemon: &mut CheckpointDaemon,
     frames: &[Vec<u8>],
-    dev_name: &str,
     output: Option<&str>,
     d: &DrillOpts,
 ) -> Result<DrillOutcome> {
-    let dev = engine
-        .ingress(dev_name)
-        .ok_or_else(|| Error::runtime(format!("drill: no device `{dev_name}` in the config")))?;
+    let restored = boot.and_then(|ckpt| match engine::restore(ckpt, compiled, opts.clone()) {
+        Ok((engine, stats)) => {
+            note_restored(daemon, ckpt, &stats);
+            Some(engine)
+        }
+        Err(e) => {
+            eprintln!("click-pcap: warning: restore failed ({e}); degrading to cold start");
+            daemon.note_cold_start();
+            None
+        }
+    });
+    let warm = boot.filter(|_| restored.is_some());
+    let mut engine = match restored {
+        Some(engine) => engine,
+        None => engine::open(graph, compiled, opts)?,
+    };
+    let (dev_name, dev) = ingress(&*engine)?;
 
     // Cross-incarnation baseline. Without `--resume-at` the dead window
     // is replayed from the checkpoint's own injected count, so nothing
@@ -437,7 +321,7 @@ fn drill_core<E: DrillEngine>(
     while next < end {
         let burst = every.min(end - next);
         for i in 0..burst {
-            engine.feed(dev, &frames[(next + i) as usize]);
+            engine.inject(dev, Packet::from_data(&frames[(next + i) as usize]));
             fed += 1;
             // A real crash: no settle, no drain, no final cut. State
             // since the last generation dies with the process.
@@ -453,7 +337,7 @@ fn drill_core<E: DrillEngine>(
         }
         next += burst;
         engine.settle();
-        let drained = engine.drain_tx_frames();
+        let drained = drain_tx_frames(&mut *engine);
         if !drained.is_empty() {
             if let Some(out) = output {
                 append_pcap(out, &drained)?;
@@ -464,7 +348,7 @@ fn drill_core<E: DrillEngine>(
         // the final ledger is recoverable. A failed cut is a warning
         // (counted in the gauges), never a stop.
         if daemon.note_traffic(burst) || next >= end {
-            match daemon.checkpoint_now(&mut engine, injected_prior + fed, tx) {
+            match daemon.checkpoint_now(&mut *engine, injected_prior + fed, tx) {
                 Ok(generation) => eprintln!(
                     "click-pcap: checkpoint generation {generation}: {} frame(s) accounted, \
                      quiesce {} ns",
@@ -476,12 +360,11 @@ fn drill_core<E: DrillEngine>(
         }
     }
     let elapsed_ns = t0.elapsed().as_nanos() as u64;
-    let drops = engine.drops();
-    let elements = engine.profiles();
-    engine.finish();
+    let drops = engine.total_drops();
     let offered = start + fed;
     let accounted = injected_prior + fed;
     Ok(DrillOutcome {
+        dev_name,
         fed,
         offered,
         accounted,
@@ -491,81 +374,8 @@ fn drill_core<E: DrillEngine>(
         loss_bound: start - injected_prior,
         restored_generation: warm.map(|c| c.generation),
         elapsed_ns,
-        elements,
+        elements: engine.profiles(),
     })
-}
-
-/// Builds (or warm-restores) a serial engine and runs the drill on it.
-/// Restore failures degrade to a cold start with a warning — a torn
-/// world must never stop the router from coming back up.
-#[allow(clippy::too_many_arguments)]
-fn drill_serial<S: Slot>(
-    graph: &RouterGraph,
-    batched: usize,
-    boot: &Boot,
-    daemon: &mut CheckpointDaemon,
-    frames: &[Vec<u8>],
-    dev_name: &str,
-    output: Option<&str>,
-    d: &DrillOpts,
-) -> Result<DrillOutcome> {
-    let library = Library::standard();
-    let (mut router, warm): (Router<S>, Option<&Checkpoint>) = match boot {
-        Boot::Warm(ckpt) => match Router::restore_from(ckpt, &library) {
-            Ok((r, stats)) => {
-                note_restored(daemon, ckpt, &stats);
-                (r, Some(ckpt))
-            }
-            Err(e) => {
-                eprintln!("click-pcap: warning: restore failed ({e}); degrading to cold start");
-                daemon.note_cold_start();
-                (Router::from_graph(graph, &library)?, None)
-            }
-        },
-        Boot::Cold => (Router::from_graph(graph, &library)?, None),
-    };
-    if batched > 0 {
-        router.set_batching(true);
-        router.set_batch_burst(batched);
-    }
-    drill_core(router, warm, daemon, frames, dev_name, output, d)
-}
-
-/// Sharded twin of [`drill_serial`].
-#[allow(clippy::too_many_arguments)]
-fn drill_sharded<S: Slot + 'static>(
-    graph: &RouterGraph,
-    shards: usize,
-    batched: usize,
-    boot: &Boot,
-    daemon: &mut CheckpointDaemon,
-    frames: &[Vec<u8>],
-    dev_name: &str,
-    output: Option<&str>,
-    d: &DrillOpts,
-) -> Result<DrillOutcome> {
-    let opts = || {
-        let mut o = ParallelOpts::new(shards);
-        if batched > 0 {
-            o = o.batched(batched);
-        }
-        o
-    };
-    let (router, warm): (ParallelRouter, Option<&Checkpoint>) = match boot {
-        Boot::Warm(ckpt) => match ParallelRouter::restore_from::<S>(ckpt, opts()) {
-            Ok((r, stats)) => {
-                note_restored(daemon, ckpt, &stats);
-                (r, Some(ckpt))
-            }
-            Err(e) => {
-                eprintln!("click-pcap: warning: restore failed ({e}); degrading to cold start");
-                daemon.note_cold_start();
-                (ParallelRouter::from_graph::<S>(graph, opts())?, None)
-            }
-        },
-        Boot::Cold => (ParallelRouter::from_graph::<S>(graph, opts())?, None),
-    };
-    drill_core(router, warm, daemon, frames, dev_name, output, d)
 }
 
 fn note_restored(
@@ -596,10 +406,8 @@ fn drill_main(
     label: &str,
     input: &str,
     output: Option<&str>,
-    dev_name: &str,
-    shards: usize,
     fast: bool,
-    batched: usize,
+    opts: ParallelOpts,
     check: bool,
     json: Option<&str>,
     source: Option<String>,
@@ -614,77 +422,40 @@ fn drill_main(
             // The store's CRC already vetted the payload; the config
             // hash is a second, independent seal on the text we are
             // about to re-parse and run.
-            Some(ckpt) if config_hash(&ckpt.config) == ckpt.config_hash => Boot::Warm(ckpt),
+            Some(ckpt) if config_hash(&ckpt.config) == ckpt.config_hash => Some(ckpt),
             Some(ckpt) => {
                 eprintln!(
                     "click-pcap: warning: generation {} config hash mismatch; cold start",
                     ckpt.generation
                 );
                 daemon.note_cold_start();
-                Boot::Cold
+                None
             }
             None => {
                 eprintln!(
                     "click-pcap: warning: no valid checkpoint in {}; cold start",
                     d.ckpt_dir
                 );
-                Boot::Cold
+                None
             }
         }
     } else {
-        Boot::Cold
+        None
     };
 
-    let outcome = if shards > 1 {
-        if fast {
-            drill_sharded::<FastElement>(
-                graph,
-                shards,
-                batched,
-                &boot,
-                &mut daemon,
-                &frames,
-                dev_name,
-                output,
-                &d,
-            )
-        } else {
-            drill_sharded::<Box<dyn Element>>(
-                graph,
-                shards,
-                batched,
-                &boot,
-                &mut daemon,
-                &frames,
-                dev_name,
-                output,
-                &d,
-            )
-        }
-    } else if fast {
-        drill_serial::<FastElement>(
-            graph,
-            batched,
-            &boot,
-            &mut daemon,
-            &frames,
-            dev_name,
-            output,
-            &d,
-        )
-    } else {
-        drill_serial::<Box<dyn Element>>(
-            graph,
-            batched,
-            &boot,
-            &mut daemon,
-            &frames,
-            dev_name,
-            output,
-            &d,
-        )
-    }
+    let shards = opts.shards;
+    let outcome = drill(
+        graph,
+        fast,
+        opts,
+        boot.as_ref(),
+        &mut daemon,
+        &frames,
+        output,
+        &d,
+    )
     .unwrap_or_else(|e| fail(e));
+    let dev_name = &outcome.dev_name;
 
     let g = daemon.gauges();
     let ledger_ok =
@@ -845,17 +616,11 @@ fn main() {
             (graph, format!("ip-router-{ifaces}"))
         }
     };
-    let probe: Router<Box<dyn Element>> =
-        Router::from_graph(&graph, &Library::standard()).unwrap_or_else(|e| fail(e));
-    let dev_name = probe
-        .devices
-        .names()
-        .first()
-        .map(|s| s.to_string())
-        .unwrap_or_else(|| fail("configuration has no devices"));
-    drop(probe);
-
     let fast = compiled || graph.has_requirement("devirtualize");
+    let opts = match batched {
+        0 => ParallelOpts::new(shards),
+        burst => ParallelOpts::new(shards).batched(burst),
+    };
 
     if let Some(dir) = ckpt_dir {
         if flap.is_some() {
@@ -866,10 +631,8 @@ fn main() {
             &label,
             &input,
             output.as_deref(),
-            &dev_name,
-            shards,
             fast,
-            batched,
+            opts,
             check,
             json.as_deref(),
             source,
@@ -886,18 +649,10 @@ fn main() {
 
     let sup = replay_device(&input, output.as_deref(), flap.as_deref()).unwrap_or_else(|e| fail(e));
 
-    let replay = if shards > 1 {
-        if fast {
-            run_sharded::<FastElement>(&graph, &dev_name, sup, shards, batched)
-        } else {
-            run_sharded::<Box<dyn Element>>(&graph, &dev_name, sup, shards, batched)
-        }
-    } else if fast {
-        run_serial::<FastElement>(&graph, &dev_name, sup, batched)
-    } else {
-        run_serial::<Box<dyn Element>>(&graph, &dev_name, sup, batched)
-    }
-    .unwrap_or_else(|e| fail(e));
+    let replay = engine::open(&graph, fast, opts)
+        .and_then(|engine| run(engine, sup))
+        .unwrap_or_else(|e| fail(e));
+    let dev_name = &replay.dev_name;
 
     let ns_per_pkt = if replay.injected == 0 {
         0.0

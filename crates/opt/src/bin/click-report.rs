@@ -67,17 +67,14 @@
 use click_core::error::Result;
 use click_core::graph::RouterGraph;
 use click_core::lang::read_config;
-use click_core::registry::Library;
-use click_elements::driver::DeviceDriver;
-use click_elements::element::Element;
-use click_elements::fast::FastElement;
+use click_elements::batch::PacketBatch;
+use click_elements::engine::{self, Engine};
 use click_elements::headers::build_udp_packet;
 use click_elements::iodev::backend_scheme;
 use click_elements::ip_router::{test_packet_flow, IpRouterSpec};
 use click_elements::packet::Packet;
-use click_elements::parallel::{ParallelOpts, ParallelRouter};
+use click_elements::parallel::ParallelOpts;
 use click_elements::persist::CheckpointStore;
-use click_elements::router::{Router, Slot};
 use click_elements::telemetry::{
     self, CheckpointGauges, DeviceGauges, ElementProfile, FaultGauges, ShardGauges, SteerGauges,
     SwapGauges,
@@ -184,181 +181,91 @@ fn generic_frames(devices: &[String], packets: usize) -> Vec<Frame> {
         .collect()
 }
 
-fn run_serial<S: Slot>(
-    graph: &RouterGraph,
-    swap_to: Option<&RouterGraph>,
-    frames: &[Frame],
-    batched: usize,
-    devices_flag: bool,
-) -> Result<SerialRun> {
-    let mut router: Router<S> = Router::from_graph(graph, &Library::standard())?;
-    if batched > 0 {
-        router.set_batching(true);
-        router.set_batch_burst(batched);
-    }
-    if devices_flag {
-        let opened = router.devices.open_backends()?;
-        eprintln!("click-report: opened {opened} device backend(s)");
-    }
-    // With --swap, the first half of the trace runs on the old
-    // configuration and the second half on the new one. Scheme-bearing
-    // devices are fed by their backends, not the synthetic trace.
-    let split = if swap_to.is_some() {
-        frames.len() / 2
-    } else {
-        frames.len()
-    };
-    for (dev, p) in &frames[..split] {
-        if devices_flag && backend_scheme(dev).is_some() {
-            continue;
-        }
-        if let Some(id) = router.devices.id(dev) {
-            router.devices.inject(id, p.clone());
-        }
-    }
-    if devices_flag && router.devices.has_backends() {
-        router.run_with_devices(1_000_000);
-    } else {
-        router.run_until_idle(1_000_000);
-    }
-    let mut swap_gauges = None;
-    if let Some(new_graph) = swap_to {
-        let mut g = SwapGauges::default();
-        match router.hot_swap(new_graph, &Library::standard()) {
-            Ok(rep) => {
-                g.swaps = 1;
-                g.packets_transferred = rep.packets_transferred;
-            }
-            Err(e) => {
-                g.rejected_configs = 1;
-                eprintln!("click-report: hot swap rejected: {e}");
-            }
-        }
-        swap_gauges = Some(g);
-        for (dev, p) in &frames[split..] {
-            if let Some(id) = router.devices.id(dev) {
-                router.devices.inject(id, p.clone());
-            }
-        }
-        router.run_until_idle(1_000_000);
-    }
-    let names: Vec<String> = router
-        .devices
-        .names()
-        .iter()
-        .map(|s| s.to_string())
-        .collect();
-    let mut tx = 0u64;
-    for name in &names {
-        let Some(id) = router.devices.id(name) else {
-            continue;
-        };
-        tx += router.devices.recycle_tx(id) as u64;
-    }
-    let devices = if devices_flag {
-        router.devices.device_gauges()
-    } else {
-        Vec::new()
-    };
-    Ok((router.telemetry_profiles(), swap_gauges, tx, devices))
+/// What one run measured. The sharded-only gauges are empty/`None` on
+/// the serial runtime.
+struct Run {
+    elements: Vec<ElementProfile>,
+    gauges: Vec<ShardGauges>,
+    steering: Vec<SteerGauges>,
+    faults: Option<FaultGauges>,
+    swap: Option<SwapGauges>,
+    /// Frames transmitted: delivered to a backend or left on a simulated
+    /// device.
+    tx: u64,
+    devices: Vec<DeviceGauges>,
 }
 
-type SerialRun = (
-    Vec<ElementProfile>,
-    Option<SwapGauges>,
-    u64,
-    Vec<DeviceGauges>,
-);
-
-type ShardedRun = (
-    Vec<ElementProfile>,
-    Vec<ShardGauges>,
-    Vec<SteerGauges>,
-    FaultGauges,
-    Option<SwapGauges>,
-    u64,
-    Vec<DeviceGauges>,
-);
-
-fn run_sharded<S: Slot + 'static>(
-    graph: &RouterGraph,
+/// Runs the trace — with `--swap`, the first half on the starting
+/// configuration and the second half across the hot swap — and reads
+/// the engine's profile and gauges out.
+fn run(
+    engine: &mut dyn Engine,
     swap_to: Option<&RouterGraph>,
     frames: &[Frame],
-    shards: usize,
-    steerers: usize,
-    batched: usize,
     devices_flag: bool,
-) -> Result<ShardedRun> {
-    let mut opts = ParallelOpts::new(shards).with_steerers(steerers);
-    if batched > 0 {
-        opts = opts.batched(batched);
-    }
-    let mut router = ParallelRouter::from_graph::<S>(graph, opts)?;
-    let mut drv = DeviceDriver::new();
+) -> Result<Run> {
     if devices_flag {
-        let names = router.device_names().to_vec();
-        let opened = drv.open_scheme_devices(&names)?;
+        let opened = engine.open_backends()?;
         eprintln!("click-report: opened {opened} device backend(s)");
     }
-    let split = if swap_to.is_some() {
-        frames.len() / 2
-    } else {
-        frames.len()
-    };
-    for (dev, p) in &frames[..split] {
-        if devices_flag && backend_scheme(dev).is_some() {
-            continue;
-        }
-        if let Some(id) = router.device_id(dev) {
-            router.inject(id, p.clone());
-        }
-    }
-    router.run_until_idle();
-    if devices_flag {
-        drv.run(&mut router, 64, 1_000_000)?;
-    }
-    let mut swap_gauges = None;
-    if let Some(new_graph) = swap_to {
-        // Buffer the second half first: it becomes the canary-window
-        // traffic the rollout judges the new configuration against.
-        for (dev, p) in &frames[split..] {
-            if let Some(id) = router.device_id(dev) {
-                router.inject(id, p.clone());
+    let mut tx = 0u64;
+    // Feeds a slice of the trace and runs it out. Scheme-bearing devices
+    // are fed by their backends, not the synthetic trace; `swap` installs
+    // the new configuration over the buffered slice, which on the
+    // sharded runtime is the canary-window traffic the rollout is
+    // judged against.
+    let mut play = |part: &[Frame], swap: Option<&RouterGraph>| -> Result<Option<SwapGauges>> {
+        for (dev, p) in part {
+            if devices_flag && backend_scheme(dev).is_some() {
+                continue;
+            }
+            if let Some(id) = engine.device(dev) {
+                engine.inject(id, p.clone());
             }
         }
-        if let Err(e) = router.hot_swap(new_graph) {
-            eprintln!("click-report: hot swap rejected: {e}");
-        }
-        swap_gauges = Some(router.swap_gauges());
-        router.run_until_idle();
+        let gauges = swap.map(|new_graph| match engine.hot_swap(new_graph) {
+            Ok(rep) => SwapGauges {
+                swaps: u64::from(!rep.rolled_back),
+                rollbacks: u64::from(rep.rolled_back),
+                canary_failures: u64::from(rep.rolled_back),
+                packets_transferred: rep.packets_transferred,
+                rejected_configs: 0,
+            },
+            Err(e) => {
+                eprintln!("click-report: hot swap rejected: {e}");
+                SwapGauges {
+                    rejected_configs: 1,
+                    ..SwapGauges::default()
+                }
+            }
+        });
+        engine.settle();
         if devices_flag {
-            // Drain whatever the post-swap traffic produced on the
-            // backend-bound devices.
-            drv.run(&mut router, 64, 1_000_000)?;
+            tx += engine.run_devices(1_000_000)?.tx as u64;
         }
-    }
-    let names: Vec<String> = router.device_names().to_vec();
-    let mut tx = 0u64;
-    for name in &names {
-        let Some(id) = router.device_id(name) else {
-            continue;
-        };
-        tx += router.take_tx(id).len() as u64;
-    }
-    let profiles = router.telemetry_profiles();
-    let gauges = router.shard_gauges();
-    let steering = router.steer_gauges();
-    let faults = router.fault_gauges();
-    router.shutdown();
-    Ok((
-        profiles,
-        gauges,
-        steering,
-        faults,
-        swap_gauges,
+        Ok(gauges)
+    };
+    let split = match swap_to {
+        Some(_) => frames.len() / 2,
+        None => frames.len(),
+    };
+    play(&frames[..split], None)?;
+    let swap = match swap_to {
+        Some(_) => play(&frames[split..], swap_to)?,
+        None => None,
+    };
+    let mut left = PacketBatch::new();
+    tx += engine.drain_all_tx_into(&mut left) as u64;
+    left.recycle_packets();
+    Ok(Run {
+        elements: engine.profiles(),
+        gauges: engine.shard_gauges(),
+        steering: engine.steer_gauges(),
+        faults: engine.fault_gauges(),
+        swap,
         tx,
-        drv.gauges(),
-    ))
+        devices: engine.device_gauges(),
+    })
 }
 
 fn main() {
@@ -431,55 +338,24 @@ fn main() {
         );
     }
 
-    // Build the graph and its trace.
-    let (graph, frames, label) = match positional.first() {
-        Some(path) => {
-            let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-                eprintln!("click-report: reading {path}: {e}");
-                std::process::exit(1);
-            });
-            let graph = read_config(&text).unwrap_or_else(|e| {
-                eprintln!("click-report: parsing {path}: {e}");
-                std::process::exit(1);
-            });
-            // Device names come from a throwaway instantiation.
-            let probe: Router<Box<dyn Element>> = Router::from_graph(&graph, &Library::standard())
-                .unwrap_or_else(|e| {
-                    eprintln!("click-report: {e}");
-                    std::process::exit(1);
-                });
-            let devices: Vec<String> = probe
-                .devices
-                .names()
-                .iter()
-                .map(|s| s.to_string())
-                .collect();
-            drop(probe);
-            if devices.is_empty() {
-                eprintln!("click-report: configuration has no devices to inject on");
-                std::process::exit(1);
-            }
-            let frames = generic_frames(&devices, packets);
-            (graph, frames, path.clone())
-        }
-        None => {
-            let spec = IpRouterSpec::standard(ifaces);
-            let graph = read_config(&spec.config()).expect("generated config parses");
-            let frames = ip_router_frames(&spec, ifaces, packets);
-            (graph, frames, format!("ip-router-{ifaces}"))
-        }
+    let die = |msg: String| -> ! {
+        eprintln!("click-report: {msg}");
+        std::process::exit(1);
     };
-
-    let swap_graph: Option<RouterGraph> = swap_path.as_deref().map(|path| {
-        let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("click-report: reading {path}: {e}");
-            std::process::exit(1);
-        });
-        read_config(&text).unwrap_or_else(|e| {
-            eprintln!("click-report: parsing {path}: {e}");
-            std::process::exit(1);
-        })
-    });
+    let load = |path: &str| -> RouterGraph {
+        let text =
+            std::fs::read_to_string(path).unwrap_or_else(|e| die(format!("reading {path}: {e}")));
+        read_config(&text).unwrap_or_else(|e| die(format!("parsing {path}: {e}")))
+    };
+    let spec = IpRouterSpec::standard(ifaces);
+    let (graph, label) = match positional.first() {
+        Some(path) => (load(path), path.clone()),
+        None => (
+            read_config(&spec.config()).expect("generated config parses"),
+            format!("ip-router-{ifaces}"),
+        ),
+    };
+    let swap_graph: Option<RouterGraph> = swap_path.as_deref().map(load);
 
     // Engine selection must cover both sides of a swap: a devirtualized
     // graph on either end runs the whole drill on the compiled engine.
@@ -487,52 +363,39 @@ fn main() {
         || swap_graph
             .as_ref()
             .is_some_and(|g| g.has_requirement("devirtualize"));
-    let swap_to = swap_graph.as_ref();
-    let (elements, gauges, steering, fault_gauges, swap_gauges, tx, devices) = if shards > 1 {
-        let r = if devirt {
-            run_sharded::<FastElement>(
-                &graph,
-                swap_to,
-                &frames,
-                shards,
-                steerers,
-                batched,
-                devices_flag,
-            )
-        } else {
-            run_sharded::<Box<dyn Element>>(
-                &graph,
-                swap_to,
-                &frames,
-                shards,
-                steerers,
-                batched,
-                devices_flag,
-            )
-        };
-        let (elements, gauges, steering, faults, swap, tx, devices) = r.unwrap_or_else(|e| {
-            eprintln!("click-report: {e}");
-            std::process::exit(1);
-        });
-        (elements, gauges, steering, Some(faults), swap, tx, devices)
+    if shards <= 1 && steerers > 0 {
+        eprintln!(
+            "click-report: warning: --steerers with a serial run (--shards 1); \
+             steering happens inline, ignoring"
+        );
+    }
+    let mut opts = ParallelOpts::new(shards).with_steerers(steerers);
+    if batched > 0 {
+        opts = opts.batched(batched);
+    }
+    let mut engine = engine::open(&graph, devirt, opts).unwrap_or_else(|e| die(e.to_string()));
+
+    // The trace: the IP router's own workload, or a generic one on every
+    // device of a loaded configuration.
+    let frames = if positional.is_empty() {
+        ip_router_frames(&spec, ifaces, packets)
     } else {
-        if steerers > 0 {
-            eprintln!(
-                "click-report: warning: --steerers with a serial run (--shards 1); \
-                 steering happens inline, ignoring"
-            );
+        let devices = engine.device_names();
+        if devices.is_empty() {
+            die("configuration has no devices to inject on".into());
         }
-        let r = if devirt {
-            run_serial::<FastElement>(&graph, swap_to, &frames, batched, devices_flag)
-        } else {
-            run_serial::<Box<dyn Element>>(&graph, swap_to, &frames, batched, devices_flag)
-        };
-        let (elements, swap, tx, devices) = r.unwrap_or_else(|e| {
-            eprintln!("click-report: {e}");
-            std::process::exit(1);
-        });
-        (elements, Vec::new(), Vec::new(), None, swap, tx, devices)
+        generic_frames(&devices, packets)
     };
+    let Run {
+        elements,
+        gauges,
+        steering,
+        faults: fault_gauges,
+        swap: swap_gauges,
+        tx,
+        devices,
+    } = run(&mut *engine, swap_graph.as_ref(), &frames, devices_flag)
+        .unwrap_or_else(|e| die(e.to_string()));
     if faults_flag && fault_gauges.is_none() {
         eprintln!(
             "click-report: warning: --faults with a serial run (--shards 1); \

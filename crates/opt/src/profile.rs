@@ -251,13 +251,8 @@ impl Profile {
             s.push_str(&format!(
                 ",\n  \"reopt\": {{\"windows_observed\": {}, \"recompiles\": {}, \
                  \"swaps_kept\": {}, \"rollbacks\": {}, \
-                 \"thrash_suppressed\": {}, \"autotune_runs\": {}}}",
-                r.windows_observed,
-                r.recompiles,
-                r.swaps_kept,
-                r.rollbacks,
-                r.thrash_suppressed,
-                r.autotune_runs
+                 \"thrash_suppressed\": {}}}",
+                r.windows_observed, r.recompiles, r.swaps_kept, r.rollbacks, r.thrash_suppressed
             ));
         }
         if let Some(c) = self.checkpoints {
@@ -410,7 +405,6 @@ impl Profile {
                 swaps_kept: g("swaps_kept"),
                 rollbacks: g("rollbacks"),
                 thrash_suppressed: g("thrash_suppressed"),
-                autotune_runs: g("autotune_runs"),
             });
         }
         if let Some(c) = v.get("checkpoints") {
@@ -998,15 +992,19 @@ mod tests {
                 swaps_kept: 1,
                 rollbacks: 1,
                 thrash_suppressed: 3,
-                autotune_runs: 1,
             }),
             ..Profile::default()
         };
         let back = Profile::from_json(&p.to_json()).unwrap();
         assert_eq!(back, p);
-        // Profiles without the section stay `None` (older exports load).
+        // Profiles without the section stay `None` (older exports load),
+        // and ones written while the section still carried the retired
+        // `autotune_runs` key load with it ignored.
         let old = Profile::from_json("{\"elements\": []}").unwrap();
         assert_eq!(old.reopt, None);
+        let v4 = p.to_json().replace("}\n}", ", \"autotune_runs\": 0}\n}");
+        assert!(v4.contains("autotune_runs"));
+        assert_eq!(Profile::from_json(&v4).unwrap(), p);
     }
 
     #[test]

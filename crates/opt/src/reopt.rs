@@ -23,13 +23,12 @@
 //!
 //! The split between [`ReoptController`] (pure decision logic over
 //! profile snapshots — no router, fully unit-testable) and
-//! [`MorphDaemon`] (drives a live [`MorphTarget`] router window by
-//! window) keeps the hysteresis edges testable without threads.
+//! [`MorphDaemon`] (drives a live [`Engine`] window by window) keeps the
+//! hysteresis edges testable without threads.
 //!
 //! Always-live [`ReoptGauges`] count what the loop did; `click-morph`
 //! exports them in the profile JSON's `"reopt"` section.
 
-use crate::autotune::{hill_climb, SearchSpace, TuneConfig, TunedWorkload};
 use crate::devirtualize::devirtualize;
 use crate::fastclassifier::fastclassifier;
 use crate::profile::{apply_profile, Profile, ProfileReport};
@@ -37,17 +36,13 @@ use click_core::error::Result;
 use click_core::graph::RouterGraph;
 use click_core::lang::{read_config, write_config};
 use click_core::registry::Library;
-use click_elements::element::DeviceId;
-use click_elements::fast::FastElement;
+use click_elements::engine::Engine;
 use click_elements::headers::build_udp_packet;
 use click_elements::packet::Packet;
-use click_elements::parallel::ParallelRouter;
-use click_elements::persist::{CheckpointDaemon, CheckpointEngine};
-use click_elements::router::{Router, Slot};
+use click_elements::persist::CheckpointDaemon;
 use click_elements::swap::SwapReport;
 use click_elements::telemetry::{ElementProfile, ReoptGauges};
 use std::collections::HashSet;
-use std::time::Instant;
 
 // ---- policy --------------------------------------------------------------
 
@@ -77,11 +72,6 @@ pub struct ReoptPolicy {
     /// fraction is rolled back. (The sharded runtime's canary applies
     /// its own margin, see `SwapOpts`.)
     pub drop_margin: f64,
-    /// Re-run a small Parasol-style knob search after each kept swap,
-    /// replaying the judgment window against scratch sharded runtimes.
-    pub autotune: bool,
-    /// Evaluation budget of that knob search.
-    pub autotune_budget: usize,
 }
 
 impl Default for ReoptPolicy {
@@ -93,8 +83,6 @@ impl Default for ReoptPolicy {
             max_swaps: 8,
             min_window_packets: 64,
             drop_margin: 0.05,
-            autotune: false,
-            autotune_budget: 6,
         }
     }
 }
@@ -298,12 +286,6 @@ impl ReoptController {
         self.gauges.windows_observed += 1;
         self.gauges.rollbacks += 1;
     }
-
-    /// Records one knob-autotune search (the daemon runs it; the gauge
-    /// lives with the rest of the loop's counters).
-    pub fn note_autotune(&mut self) {
-        self.gauges.autotune_runs += 1;
-    }
 }
 
 /// Per-element window = cumulative − baseline, matched by name
@@ -370,125 +352,6 @@ pub fn optimize_pipeline(source: &RouterGraph) -> Result<RouterGraph> {
     Ok(artifact)
 }
 
-// ---- live-router abstraction ---------------------------------------------
-
-/// How an install attempt was judged by the runtime itself.
-#[derive(Debug)]
-pub enum InstallVerdict {
-    /// Sharded rollout completed: the canary held and every live shard
-    /// runs the new graph.
-    Kept(SwapReport),
-    /// Sharded canary regressed and was rolled back; the old graph
-    /// still runs everywhere.
-    RolledBack(SwapReport),
-    /// Serial swap installed the graph without a canary judge — the
-    /// caller must run its own probation (drop-rate comparison) and
-    /// swap back on regression.
-    SelfJudge(SwapReport),
-}
-
-/// A live router the daemon can drive: inject traffic, settle it, read
-/// monotonic profiles and drop counters, and hot-install a new graph.
-/// Implemented for the serial [`Router`] (any slot) and the sharded
-/// [`ParallelRouter`].
-pub trait MorphTarget {
-    /// Resolves a device by configuration name.
-    fn device(&self, name: &str) -> Option<DeviceId>;
-    /// Buffers a packet on a device's RX path (not processed until
-    /// [`MorphTarget::settle`] — or, for the sharded runtime, an
-    /// install's canary window — runs it).
-    fn inject(&mut self, dev: DeviceId, p: Packet);
-    /// Runs until all injected traffic has drained.
-    fn settle(&mut self);
-    /// Cumulative per-element telemetry snapshot (merged across shards).
-    fn profiles(&self) -> Vec<ElementProfile>;
-    /// Monotonic total drop counter (survives hot swaps).
-    fn drops(&self) -> u64;
-    /// Hot-installs `graph`, returning how the runtime judged it.
-    ///
-    /// # Errors
-    ///
-    /// Returns the validation error of a rejected configuration; the
-    /// old graph keeps running.
-    fn install(&mut self, graph: &RouterGraph) -> Result<InstallVerdict>;
-    /// Drains and returns a device's transmitted packets.
-    fn take_tx(&mut self, dev: DeviceId) -> Vec<Packet>;
-    /// Configuration names of every device.
-    fn device_names(&self) -> Vec<String>;
-    /// The engine's checkpoint surface, if it has one. Both shipped
-    /// engines do; the default `None` keeps bare test targets working
-    /// (they simply never persist).
-    fn checkpoint_engine(&mut self) -> Option<&mut dyn CheckpointEngine> {
-        None
-    }
-}
-
-impl<S: Slot> MorphTarget for Router<S> {
-    fn device(&self, name: &str) -> Option<DeviceId> {
-        self.devices.id(name)
-    }
-    fn inject(&mut self, dev: DeviceId, p: Packet) {
-        self.devices.inject(dev, p);
-    }
-    fn settle(&mut self) {
-        self.run_until_idle(1_000_000);
-    }
-    fn profiles(&self) -> Vec<ElementProfile> {
-        self.telemetry_profiles()
-    }
-    fn drops(&self) -> u64 {
-        self.total_drops()
-    }
-    fn install(&mut self, graph: &RouterGraph) -> Result<InstallVerdict> {
-        self.hot_swap(graph, &Library::standard())
-            .map(InstallVerdict::SelfJudge)
-    }
-    fn take_tx(&mut self, dev: DeviceId) -> Vec<Packet> {
-        self.devices.take_tx(dev)
-    }
-    fn device_names(&self) -> Vec<String> {
-        self.devices.names().iter().map(|s| s.to_string()).collect()
-    }
-    fn checkpoint_engine(&mut self) -> Option<&mut dyn CheckpointEngine> {
-        Some(self)
-    }
-}
-
-impl MorphTarget for ParallelRouter {
-    fn device(&self, name: &str) -> Option<DeviceId> {
-        self.device_id(name)
-    }
-    fn inject(&mut self, dev: DeviceId, p: Packet) {
-        self.inject(dev, p);
-    }
-    fn settle(&mut self) {
-        self.run_until_idle();
-    }
-    fn profiles(&self) -> Vec<ElementProfile> {
-        self.telemetry_profiles()
-    }
-    fn drops(&self) -> u64 {
-        self.total_drops()
-    }
-    fn install(&mut self, graph: &RouterGraph) -> Result<InstallVerdict> {
-        let rep = self.hot_swap(graph)?;
-        Ok(if rep.rolled_back {
-            InstallVerdict::RolledBack(rep)
-        } else {
-            InstallVerdict::Kept(rep)
-        })
-    }
-    fn take_tx(&mut self, dev: DeviceId) -> Vec<Packet> {
-        ParallelRouter::take_tx(self, dev)
-    }
-    fn device_names(&self) -> Vec<String> {
-        ParallelRouter::device_names(self).to_vec()
-    }
-    fn checkpoint_engine(&mut self) -> Option<&mut dyn CheckpointEngine> {
-        Some(self)
-    }
-}
-
 // ---- the daemon ----------------------------------------------------------
 
 /// What one daemon window did, for logs and verdict checks.
@@ -525,13 +388,13 @@ pub enum WindowOutcome {
 /// candidate graph before it is scheduled for install.
 pub type CandidateHook = Box<dyn FnMut(&mut RouterGraph)>;
 
-/// The live half of the loop: owns a [`MorphTarget`] router plus a
+/// The live half of the loop: owns an [`Engine`] plus a
 /// [`ReoptController`], and advances one traffic window per
 /// [`MorphDaemon::step`] call. A candidate compiled in window *N*
 /// installs at the *start* of window *N + 1*, so that window's buffered
 /// traffic becomes the canary/probation workload judging it.
-pub struct MorphDaemon<T: MorphTarget> {
-    target: T,
+pub struct MorphDaemon {
+    target: Box<dyn Engine>,
     ctrl: ReoptController,
     /// The optimized artifact currently running — retained so a serial
     /// probation failure can swap back to it.
@@ -542,11 +405,6 @@ pub struct MorphDaemon<T: MorphTarget> {
     /// scheduled for install (e.g. splicing a `FaultInject` in, to drill
     /// the rollback path).
     pub mutate_candidate: Option<CandidateHook>,
-    /// Outcome of the most recent post-swap knob search, when
-    /// [`ReoptPolicy::autotune`] is on. Report-only: runtime knobs are
-    /// fixed at construction, so the search informs the next deployment
-    /// rather than the running router.
-    pub last_tuning: Option<TunedWorkload>,
     /// The attached checkpoint daemon, if any: cuts a snapshot after
     /// every kept swap (so a restart resumes on the new artifact) and on
     /// the daemon's own traffic interval.
@@ -556,10 +414,15 @@ pub struct MorphDaemon<T: MorphTarget> {
     ckpt_injected: u64,
 }
 
-impl<T: MorphTarget> MorphDaemon<T> {
+impl MorphDaemon {
     /// A daemon driving `target`, which must already be running
     /// `artifact` (= [`optimize_pipeline`] of `source`).
-    pub fn new(target: T, source: RouterGraph, artifact: RouterGraph, policy: ReoptPolicy) -> Self {
+    pub fn new(
+        target: Box<dyn Engine>,
+        source: RouterGraph,
+        artifact: RouterGraph,
+        policy: ReoptPolicy,
+    ) -> Self {
         MorphDaemon {
             target,
             ctrl: ReoptController::new(source, policy),
@@ -567,7 +430,6 @@ impl<T: MorphTarget> MorphDaemon<T> {
             last_drop_rate: 0.0,
             pending: None,
             mutate_candidate: None,
-            last_tuning: None,
             ckpt: None,
             ckpt_injected: 0,
         }
@@ -595,13 +457,13 @@ impl<T: MorphTarget> MorphDaemon<T> {
     }
 
     /// The driven router.
-    pub fn target(&mut self) -> &mut T {
-        &mut self.target
+    pub fn target(&mut self) -> &mut dyn Engine {
+        &mut *self.target
     }
 
     /// Consumes the daemon, returning the router (to drain TX, shut
     /// down, ...).
-    pub fn into_target(self) -> T {
+    pub fn into_target(self) -> Box<dyn Engine> {
         self.target
     }
 
@@ -632,7 +494,7 @@ impl<T: MorphTarget> MorphDaemon<T> {
     /// rejected at install is not an error — it is reported as
     /// [`WindowOutcome::SwapRolledBack`] and starts the cooldown.
     pub fn step(&mut self, frames: &[(String, Packet)]) -> Result<WindowOutcome> {
-        let drops_before = self.target.drops();
+        let drops_before = self.target.total_drops();
         let mut injected = 0u64;
         for (dev, p) in frames {
             if let Some(id) = self.target.device(dev) {
@@ -641,10 +503,10 @@ impl<T: MorphTarget> MorphDaemon<T> {
             }
         }
         let outcome = if let Some(plan) = self.pending.take() {
-            self.judge_install(plan, frames, drops_before, injected)?
+            self.judge_install(plan, drops_before, injected)?
         } else {
             self.target.settle();
-            self.last_drop_rate = drop_rate(self.target.drops() - drops_before, injected);
+            self.last_drop_rate = drop_rate(self.target.total_drops() - drops_before, injected);
             let decision = self.ctrl.observe_window(&self.target.profiles())?;
             match decision {
                 WindowDecision::Quiet => WindowOutcome::Quiet,
@@ -684,9 +546,7 @@ impl<T: MorphTarget> MorphDaemon<T> {
         if kept {
             daemon.set_config(write_config(&self.artifact));
         }
-        if let Some(engine) = self.target.checkpoint_engine() {
-            let _ = daemon.checkpoint_now(engine, self.ckpt_injected, 0);
-        }
+        let _ = daemon.checkpoint_now(&mut *self.target, self.ckpt_injected, 0);
     }
 
     /// Judgment window: the candidate installs against the traffic just
@@ -695,96 +555,49 @@ impl<T: MorphTarget> MorphDaemon<T> {
     fn judge_install(
         &mut self,
         plan: Box<ReoptPlan>,
-        frames: &[(String, Packet)],
         drops_before: u64,
         injected: u64,
     ) -> Result<WindowOutcome> {
-        match self.target.install(&plan.artifact) {
-            Ok(InstallVerdict::Kept(report)) => {
-                self.target.settle();
-                self.last_drop_rate = drop_rate(self.target.drops() - drops_before, injected);
-                let profiles = self.target.profiles();
-                self.ctrl.swap_kept(plan.hoisted, &profiles);
-                self.artifact = plan.artifact;
-                self.maybe_autotune(frames);
-                Ok(WindowOutcome::SwapKept {
-                    improvement: plan.improvement,
-                    report,
-                })
-            }
-            Ok(InstallVerdict::RolledBack(report)) => {
-                self.target.settle();
-                self.last_drop_rate = drop_rate(self.target.drops() - drops_before, injected);
-                let profiles = self.target.profiles();
-                self.ctrl.swap_rolled_back(&profiles);
-                Ok(WindowOutcome::SwapRolledBack {
-                    report: Some(report),
-                })
-            }
-            Ok(InstallVerdict::SelfJudge(report)) => {
-                // Serial: no canary judged for us. Drain the window
-                // under the new configuration and compare its drop rate
-                // against the previous window's, plus the margin.
-                self.target.settle();
-                let rate = drop_rate(self.target.drops() - drops_before, injected);
-                if rate > self.last_drop_rate + self.ctrl.policy().drop_margin {
-                    self.target.install(&self.artifact)?;
-                    self.target.settle();
-                    let profiles = self.target.profiles();
-                    self.ctrl.swap_rolled_back(&profiles);
-                    return Ok(WindowOutcome::SwapRolledBack { report: None });
-                }
-                self.last_drop_rate = rate;
-                let profiles = self.target.profiles();
-                self.ctrl.swap_kept(plan.hoisted, &profiles);
-                self.artifact = plan.artifact;
-                self.maybe_autotune(frames);
-                Ok(WindowOutcome::SwapKept {
-                    improvement: plan.improvement,
-                    report,
-                })
-            }
-            Err(_) => {
-                // Rejected at validation: the old graph keeps running
-                // and drains the buffered window; treat it like a
-                // rollback (cooldown) so a broken recompile cannot spin.
-                self.target.settle();
-                self.last_drop_rate = drop_rate(self.target.drops() - drops_before, injected);
-                let profiles = self.target.profiles();
-                self.ctrl.swap_rolled_back(&profiles);
-                Ok(WindowOutcome::SwapRolledBack { report: None })
-            }
-        }
-    }
-
-    /// Parasol-style step: after a kept swap the steady-state workload
-    /// has, by definition, just changed — re-search the runtime knobs by
-    /// replaying the judgment window against scratch sharded runtimes
-    /// built from the new artifact.
-    fn maybe_autotune(&mut self, frames: &[(String, Packet)]) {
-        if !self.ctrl.policy().autotune || frames.is_empty() {
-            return;
-        }
-        let space = SearchSpace {
-            max_shards: 4,
-            max_steerers: 1,
-            ..SearchSpace::default()
+        // A rejected candidate leaves the old graph draining the window;
+        // it counts as a rollback (cooldown) so a broken recompile
+        // cannot spin.
+        let report = self.target.hot_swap(&plan.artifact).ok();
+        self.target.settle();
+        let rate = drop_rate(self.target.total_drops() - drops_before, injected);
+        // No canary shard means the runtime did not judge the install
+        // (serial): compare the window's drop rate under the new
+        // configuration against the previous window's, plus the margin.
+        let probation = report.as_ref().is_some_and(|r| r.canary_shard.is_none());
+        let kept = match &report {
+            Some(_) if probation => rate <= self.last_drop_rate + self.ctrl.policy().drop_margin,
+            Some(r) => !r.rolled_back,
+            None => false,
         };
-        let default = TuneConfig::default_for(2, 32);
-        let artifact = self.artifact.clone();
-        let mut eval = |c: &TuneConfig| replay_ns_per_packet(&artifact, frames, c);
-        let budget = self.ctrl.policy().autotune_budget;
-        let (best, best_ns, default_ns, evaluations) =
-            hill_climb(default, &space, budget, &mut eval);
-        self.last_tuning = Some(TunedWorkload {
-            workload: "reopt-window".into(),
-            default,
-            default_ns,
-            best,
-            best_ns,
-            evaluations,
-        });
-        self.ctrl.note_autotune();
+        match report {
+            Some(report) if kept => {
+                self.last_drop_rate = rate;
+                self.ctrl.swap_kept(plan.hoisted, &self.target.profiles());
+                self.artifact = plan.artifact;
+                Ok(WindowOutcome::SwapKept {
+                    improvement: plan.improvement,
+                    report,
+                })
+            }
+            report => {
+                if probation {
+                    // Nobody rolled back for us: reinstall the retained
+                    // artifact.
+                    self.target.hot_swap(&self.artifact)?;
+                    self.target.settle();
+                } else {
+                    self.last_drop_rate = rate;
+                }
+                self.ctrl.swap_rolled_back(&self.target.profiles());
+                Ok(WindowOutcome::SwapRolledBack {
+                    report: report.filter(|_| !probation),
+                })
+            }
+        }
     }
 }
 
@@ -794,39 +607,6 @@ fn drop_rate(drops: u64, injected: u64) -> f64 {
     } else {
         drops as f64 / injected as f64
     }
-}
-
-/// Wall-clock ns/packet of one window replayed on a scratch sharded
-/// runtime under knob config `c` (infinite for unbuildable configs, so
-/// the search skips them).
-fn replay_ns_per_packet(
-    artifact: &RouterGraph,
-    frames: &[(String, Packet)],
-    c: &TuneConfig,
-) -> f64 {
-    let Ok(mut router) = ParallelRouter::from_graph::<FastElement>(artifact, c.to_opts()) else {
-        return f64::INFINITY;
-    };
-    let inject_all = |router: &mut ParallelRouter| {
-        for (dev, p) in frames {
-            if let Some(id) = router.device_id(dev) {
-                router.inject(id, p.clone());
-            }
-        }
-    };
-    // One warm-up pass, one timed pass.
-    inject_all(&mut router);
-    router.run_until_idle();
-    for name in router.device_names().to_vec() {
-        let id = router.device_id(&name).expect("known device");
-        let _ = router.take_tx(id);
-    }
-    inject_all(&mut router);
-    let t = Instant::now();
-    router.run_until_idle();
-    let ns = t.elapsed().as_nanos() as f64 / frames.len().max(1) as f64;
-    router.shutdown();
-    ns
 }
 
 // ---- the demo workload ---------------------------------------------------

@@ -5,10 +5,9 @@
 //! drill end to end as a real process.
 
 use click_core::lang::write_config;
-use click_core::registry::Library;
-use click_elements::fast::FastElement;
+use click_elements::engine;
+use click_elements::parallel::ParallelOpts;
 use click_elements::persist::{config_hash, CheckpointDaemon, CheckpointStore};
-use click_elements::router::Router;
 use click_elements::telemetry::CheckpointGauges;
 use click_opt::profile::{Profile, PROFILE_VERSION};
 use click_opt::reopt::{
@@ -93,7 +92,7 @@ fn morph_interval_checkpoint_restores_the_optimized_config() {
     let dir = scratch("morph-interval");
     let source = demo_graph(DEMO_BRANCHES).unwrap();
     let artifact = optimize_pipeline(&source).unwrap();
-    let router: Router<FastElement> = Router::from_graph(&artifact, &Library::standard()).unwrap();
+    let router = engine::open(&artifact, true, ParallelOpts::new(1)).unwrap();
     let mut daemon = MorphDaemon::new(router, source, artifact.clone(), ReoptPolicy::default());
 
     let store = CheckpointStore::open(&dir, 4).unwrap();
@@ -126,8 +125,7 @@ fn morph_interval_checkpoint_restores_the_optimized_config() {
         "checkpoint must carry the optimized artifact"
     );
     assert_eq!(config_hash(&ckpt.config), ckpt.config_hash);
-    let (r2, stats) =
-        Router::<FastElement>::restore_from(&ckpt, &Library::standard()).expect("warm restart");
+    let (r2, stats) = engine::restore(&ckpt, true, ParallelOpts::new(1)).expect("warm restart");
     assert_eq!(stats.unmatched, 0, "artifact elements all match");
     assert_eq!(r2.total_drops(), ckpt.ledger.drops);
 }
@@ -147,8 +145,7 @@ mod live {
         let dir = scratch("morph-swap");
         let source = demo_graph(DEMO_BRANCHES).unwrap();
         let artifact = optimize_pipeline(&source).unwrap();
-        let router: Router<FastElement> =
-            Router::from_graph(&artifact, &Library::standard()).unwrap();
+        let router = engine::open(&artifact, true, ParallelOpts::new(1)).unwrap();
         let policy = ReoptPolicy {
             min_improvement: 0.2,
             ..ReoptPolicy::default()
@@ -190,7 +187,7 @@ mod live {
             "checkpoint config must hash to the installed (hoisted) artifact"
         );
         let parsed = read_config(&ckpt.config).expect("checkpointed config parses");
-        let (r2, stats) = Router::<FastElement>::restore_from(&ckpt, &Library::standard()).unwrap();
+        let (r2, stats) = engine::restore(&ckpt, true, ParallelOpts::new(1)).unwrap();
         assert_eq!(stats.unmatched, 0);
         drop(parsed);
         drop(r2);

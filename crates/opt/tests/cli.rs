@@ -220,3 +220,67 @@ fn xform_with_custom_pattern_file() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// `click-report --devices --swap`: frames forwarded *after* the swap to
+/// a backend-bound device must reach the backend, on both runtimes (the
+/// serial twin used to settle the post-swap half without a device round,
+/// leaving them in the TX queue yet counting them as sent).
+#[test]
+fn report_devices_swap_pumps_post_swap_tx_to_the_backend() {
+    let dir = std::env::temp_dir().join(format!("click-cli-swap-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let write = |name: &str, text: &str| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap();
+        path.to_str().unwrap().to_owned()
+    };
+    // A pcap device with an empty trace: nothing to receive, and every
+    // frame the router sends it is written to `sent.pcap`.
+    let empty = write("empty.pcap", "");
+    click_elements::iodev::write_pcap(&empty, &[]).unwrap();
+    let sent = dir.join("sent.pcap");
+    let tail = format!(
+        "q :: Queue(4096) -> ToDevice(pcap:{empty}>{});",
+        sent.display()
+    );
+    let old = write(
+        "old.click",
+        &format!("FromDevice(in0) -> c :: Counter -> {tail}"),
+    );
+    let new = write(
+        "new.click",
+        &format!("FromDevice(in0) -> c :: Counter -> c2 :: Counter -> {tail}"),
+    );
+    for shards in ["1", "2"] {
+        // 400 generic frames round-robin over {in0, pcap:...}; the
+        // scheme-bearing device is fed by its backend only, so 200 enter
+        // on in0 and every one is forwarded to the backend.
+        let (stdout, stderr, ok) = run_tool(
+            env!("CARGO_BIN_EXE_click-report"),
+            &[
+                "--devices",
+                "--packets",
+                "400",
+                "--shards",
+                shards,
+                "--swap",
+                &new,
+                &old,
+            ],
+            "",
+        );
+        assert!(ok, "shards {shards}: {stderr}");
+        assert!(stdout.contains("\"swaps\": 1"), "shards {shards}: {stdout}");
+        assert!(
+            stdout.contains("\"tx_packets\": 200"),
+            "shards {shards}: both halves must reach the backend: {stdout}"
+        );
+        assert!(
+            stderr.contains("400 packets in, 200 out"),
+            "shards {shards}: {stderr}"
+        );
+        let on_disk = click_elements::iodev::read_pcap(&sent).unwrap();
+        assert_eq!(on_disk.len(), 200, "shards {shards}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

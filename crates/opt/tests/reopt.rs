@@ -7,18 +7,16 @@
 
 use click_core::graph::RouterGraph;
 use click_core::lang::read_config;
-use click_core::registry::Library;
-use click_elements::fast::FastElement;
+use click_elements::batch::PacketBatch;
+use click_elements::engine::{self, Engine};
 use click_elements::packet::Packet;
-#[cfg(feature = "telemetry")]
-use click_elements::parallel::{ParallelOpts, ParallelRouter};
-use click_elements::router::Router;
+use click_elements::parallel::ParallelOpts;
 use click_elements::steer::flow_key;
 #[cfg(feature = "telemetry")]
 use click_opt::reopt::SuppressReason;
 use click_opt::reopt::{
-    demo_config, demo_graph, optimize_pipeline, DemoTrace, MorphDaemon, MorphTarget, ReoptPolicy,
-    WindowOutcome, DEMO_BRANCHES, DEMO_FLOWS,
+    demo_config, demo_graph, optimize_pipeline, DemoTrace, MorphDaemon, ReoptPolicy, WindowOutcome,
+    DEMO_BRANCHES, DEMO_FLOWS,
 };
 
 const WINDOW_PACKETS: usize = 460;
@@ -36,8 +34,8 @@ fn strict_policy() -> ReoptPolicy {
 
 /// Drives `windows` demo windows through the daemon, shifting the hot
 /// branch from 0 to the last at `shift_at`. Returns the outcomes.
-fn drive<T: MorphTarget>(
-    daemon: &mut MorphDaemon<T>,
+fn drive(
+    daemon: &mut MorphDaemon,
     trace: &mut DemoTrace,
     windows: usize,
     shift_at: usize,
@@ -51,15 +49,20 @@ fn drive<T: MorphTarget>(
         .collect()
 }
 
+/// A daemon over the demo artifact on the compiled engine (serial for
+/// `shards <= 1`), under `policy`.
+fn demo_daemon(shards: usize, policy: ReoptPolicy) -> MorphDaemon {
+    let source = demo_graph(DEMO_BRANCHES).unwrap();
+    let artifact = optimize_pipeline(&source).unwrap();
+    let router = engine::open(&artifact, true, ParallelOpts::new(shards)).unwrap();
+    MorphDaemon::new(router, source, artifact, policy)
+}
+
 /// Drains every device's TX queue.
-fn drain_tx<T: MorphTarget>(target: &mut T) -> Vec<Packet> {
-    let mut tx = Vec::new();
-    for name in target.device_names() {
-        if let Some(id) = target.device(&name) {
-            tx.extend(target.take_tx(id));
-        }
-    }
-    tx
+fn drain_tx(target: &mut dyn Engine) -> Vec<Packet> {
+    let mut tx = PacketBatch::new();
+    target.drain_all_tx_into(&mut tx);
+    tx.take_all()
 }
 
 /// Asserts sequence markers (last payload byte) appear in increasing
@@ -136,11 +139,7 @@ mod live {
     /// per-flow order and exact packet accounting, on the serial router.
     #[test]
     fn shift_yields_exactly_one_kept_swap_serial() {
-        let source = demo_graph(DEMO_BRANCHES).unwrap();
-        let artifact = optimize_pipeline(&source).unwrap();
-        let router: Router<FastElement> =
-            Router::from_graph(&artifact, &Library::standard()).unwrap();
-        let mut daemon = MorphDaemon::new(router, source, artifact, strict_policy());
+        let mut daemon = demo_daemon(1, strict_policy());
 
         let mut trace = DemoTrace::new();
         let outcomes = drive(&mut daemon, &mut trace, 12, 6);
@@ -186,9 +185,9 @@ mod live {
 
         // Exact accounting and per-flow order across the swap.
         let mut router = daemon.into_target();
-        let tx = drain_tx(&mut router);
+        let tx = drain_tx(&mut *router);
         assert_eq!(tx.len(), 12 * WINDOW_PACKETS, "every packet forwarded");
-        assert_eq!(router.drops(), 0, "nothing dropped");
+        assert_eq!(router.total_drops(), 0, "nothing dropped");
         assert_per_flow_order(&tx);
     }
 
@@ -196,12 +195,8 @@ mod live {
     /// the canary and kept, accounting stays exact.
     #[test]
     fn shift_yields_exactly_one_kept_swap_sharded() {
-        let source = demo_graph(DEMO_BRANCHES).unwrap();
-        let artifact = optimize_pipeline(&source).unwrap();
-        let router =
-            ParallelRouter::from_graph::<FastElement>(&artifact, ParallelOpts::new(4)).unwrap();
-        let drops_start = router.total_drops();
-        let mut daemon = MorphDaemon::new(router, source, artifact, strict_policy());
+        let mut daemon = demo_daemon(4, strict_policy());
+        let drops_start = daemon.target().total_drops();
 
         let mut trace = DemoTrace::new();
         let outcomes = drive(&mut daemon, &mut trace, 12, 6);
@@ -225,8 +220,8 @@ mod live {
         assert_eq!(g.rollbacks, 0);
 
         let mut router = daemon.into_target();
-        let tx = drain_tx(&mut router);
-        let drops = router.drops() - drops_start;
+        let tx = drain_tx(&mut *router);
+        let drops = router.total_drops() - drops_start;
         assert_eq!(
             tx.len() as u64 + drops,
             (12 * WINDOW_PACKETS) as u64,
@@ -241,11 +236,7 @@ mod live {
     /// chaos hook is removed.
     #[test]
     fn faulty_recompile_rolls_back_then_recovers_serial() {
-        let source = demo_graph(DEMO_BRANCHES).unwrap();
-        let artifact = optimize_pipeline(&source).unwrap();
-        let router: Router<FastElement> =
-            Router::from_graph(&artifact, &Library::standard()).unwrap();
-        let mut daemon = MorphDaemon::new(router, source, artifact, strict_policy());
+        let mut daemon = demo_daemon(1, strict_policy());
         let bad = faulty_artifact();
         daemon.mutate_candidate = Some(Box::new(move |g| *g = bad.clone()));
 
@@ -269,7 +260,7 @@ mod live {
         // The probation window was forwarded through the faulty graph:
         // its packets died at the FaultInject, and the retired element's
         // drop counter must survive the rollback (monotonic gauge).
-        assert_eq!(daemon.target().drops(), WINDOW_PACKETS as u64);
+        assert_eq!(daemon.target().total_drops(), WINDOW_PACKETS as u64);
 
         // Divergence persists, but the cooldown (3 windows) freezes the
         // loop before it may recompile again.
@@ -297,9 +288,9 @@ mod live {
         // Exact accounting: everything injected was transmitted except
         // the probation window the fault dropped.
         let mut router = daemon.into_target();
-        let tx = drain_tx(&mut router);
+        let tx = drain_tx(&mut *router);
         let injected = 8 * WINDOW_PACKETS as u64;
-        assert_eq!(tx.len() as u64 + router.drops(), injected);
+        assert_eq!(tx.len() as u64 + router.total_drops(), injected);
         assert_per_flow_order(&tx);
     }
 
@@ -307,12 +298,8 @@ mod live {
     /// the faulty graph, rolls it back, and the loop cools down.
     #[test]
     fn faulty_recompile_is_canaried_out_sharded() {
-        let source = demo_graph(DEMO_BRANCHES).unwrap();
-        let artifact = optimize_pipeline(&source).unwrap();
-        let router =
-            ParallelRouter::from_graph::<FastElement>(&artifact, ParallelOpts::new(4)).unwrap();
-        let drops_start = router.total_drops();
-        let mut daemon = MorphDaemon::new(router, source, artifact, strict_policy());
+        let mut daemon = demo_daemon(4, strict_policy());
+        let drops_start = daemon.target().total_drops();
         let bad = faulty_artifact();
         daemon.mutate_candidate = Some(Box::new(move |g| *g = bad.clone()));
 
@@ -340,9 +327,9 @@ mod live {
         // Only the canary shard ran the faulty graph; its losses stay on
         // the monotonic gauge after the rollback retires the fault.
         let mut router = daemon.into_target();
-        let drops = router.drops() - drops_start;
+        let drops = router.total_drops() - drops_start;
         assert!(drops > 0, "canary losses survive the rollback");
-        let tx = drain_tx(&mut router);
+        let tx = drain_tx(&mut *router);
         assert_eq!(
             tx.len() as u64 + drops,
             3 * WINDOW_PACKETS as u64,
@@ -357,10 +344,7 @@ mod live {
 #[cfg(not(feature = "telemetry"))]
 #[test]
 fn loop_stays_quiet_without_telemetry() {
-    let source = demo_graph(DEMO_BRANCHES).unwrap();
-    let artifact = optimize_pipeline(&source).unwrap();
-    let router: Router<FastElement> = Router::from_graph(&artifact, &Library::standard()).unwrap();
-    let mut daemon = MorphDaemon::new(router, source, artifact, ReoptPolicy::default());
+    let mut daemon = demo_daemon(1, ReoptPolicy::default());
 
     let mut trace = DemoTrace::new();
     let outcomes = drive(&mut daemon, &mut trace, 6, 3);
@@ -373,7 +357,7 @@ fn loop_stays_quiet_without_telemetry() {
     assert_eq!(g.swaps_kept + g.rollbacks, 0);
 
     let mut router = daemon.into_target();
-    let tx = drain_tx(&mut router);
+    let tx = drain_tx(&mut *router);
     assert_eq!(tx.len(), 6 * WINDOW_PACKETS, "forwarding is unaffected");
     assert_per_flow_order(&tx);
 }

@@ -21,14 +21,14 @@
 use click::core::lang::read_config;
 use click::core::registry::Library;
 use click::core::RouterGraph;
-use click::elements::driver::DeviceDriver;
+use click::elements::batch::PacketBatch;
 use click::elements::element::Element;
-use click::elements::fast::FastElement;
+use click::elements::engine::{self, Engine};
 use click::elements::headers::build_udp_packet;
 use click::elements::iodev::{write_pcap, PcapBackend, SupervisedDevice};
 use click::elements::packet::Packet;
-use click::elements::parallel::{ParallelOpts, ParallelRouter};
-use click::elements::router::{Router, Slot};
+use click::elements::parallel::ParallelOpts;
+use click::elements::router::Router;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -59,74 +59,41 @@ fn trace_frames(n: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// Serial run with in-memory injection; returns the forwarded frames in
-/// order.
-fn serial_mem<S: Slot>(graph: &RouterGraph, frames: &[Vec<u8>]) -> Vec<Vec<u8>> {
-    let mut r: Router<S> = Router::from_graph(graph, &Library::standard()).unwrap();
-    let in0 = r.devices.id("in0").unwrap();
+/// The serial runtime on the dyn or compiled engine.
+fn serial(graph: &RouterGraph, compiled: bool) -> Box<dyn Engine> {
+    engine::open(graph, compiled, ParallelOpts::new(1)).unwrap()
+}
+
+/// The 4-shard runtime on the dyn or compiled engine.
+fn sharded(graph: &RouterGraph, compiled: bool) -> Box<dyn Engine> {
+    engine::open(graph, compiled, ParallelOpts::new(4).batched(8)).unwrap()
+}
+
+/// The frames forwarded to `out0`, in arrival order (inter-flow order is
+/// scheduling-dependent on the sharded runtime).
+fn out0_frames(e: &mut dyn Engine) -> Vec<Vec<u8>> {
+    let mut tx = PacketBatch::new();
+    e.drain_tx_into(e.device("out0").unwrap(), &mut tx);
+    tx.iter().map(|p| p.data().to_vec()).collect()
+}
+
+/// Runs `frames` through `e` by in-memory injection.
+fn forward_mem(mut e: Box<dyn Engine>, frames: &[Vec<u8>]) -> Vec<Vec<u8>> {
+    let in0 = e.device("in0").unwrap();
     for f in frames {
-        r.devices.inject(in0, Packet::from_data(f));
+        e.inject(in0, Packet::from_data(f));
     }
-    r.run_until_idle(1_000_000);
-    let out0 = r.devices.id("out0").unwrap();
-    r.devices
-        .take_tx(out0)
-        .into_iter()
-        .map(|p| p.data().to_vec())
-        .collect()
+    e.settle();
+    out0_frames(&mut *e)
 }
 
-/// Serial run with pcap replay on `in0`; returns the forwarded frames in
-/// order.
-fn serial_pcap<S: Slot>(graph: &RouterGraph, trace: &std::path::Path) -> Vec<Vec<u8>> {
-    let mut r: Router<S> = Router::from_graph(graph, &Library::standard()).unwrap();
-    let in0 = r.devices.id("in0").unwrap();
+/// Runs the pcap `trace` through `e` by backend replay on `in0`.
+fn forward_pcap(mut e: Box<dyn Engine>, trace: &std::path::Path) -> Vec<Vec<u8>> {
+    let in0 = e.device("in0").unwrap();
     let pcap = PcapBackend::open(trace.to_str().unwrap(), None).unwrap();
-    r.devices
-        .attach_supervised(in0, SupervisedDevice::new(Box::new(pcap)));
-    r.run_with_devices(1_000_000);
-    let out0 = r.devices.id("out0").unwrap();
-    r.devices
-        .take_tx(out0)
-        .into_iter()
-        .map(|p| p.data().to_vec())
-        .collect()
-}
-
-/// 4-shard run with in-memory injection; forwarded frames in arrival
-/// order at `out0` (inter-flow order is scheduling-dependent).
-fn sharded_mem<S: Slot + 'static>(graph: &RouterGraph, frames: &[Vec<u8>]) -> Vec<Vec<u8>> {
-    let mut r = ParallelRouter::from_graph::<S>(graph, ParallelOpts::new(4).batched(8)).unwrap();
-    let in0 = r.device_id("in0").unwrap();
-    for f in frames {
-        r.inject(in0, Packet::from_data(f));
-    }
-    r.run_until_idle();
-    let out0 = r.device_id("out0").unwrap();
-    let out = r
-        .take_tx(out0)
-        .into_iter()
-        .map(|p| p.data().to_vec())
-        .collect();
-    r.shutdown();
-    out
-}
-
-/// 4-shard run with pcap replay via the device driver.
-fn sharded_pcap<S: Slot + 'static>(graph: &RouterGraph, trace: &std::path::Path) -> Vec<Vec<u8>> {
-    let mut r = ParallelRouter::from_graph::<S>(graph, ParallelOpts::new(4).batched(8)).unwrap();
-    let mut drv = DeviceDriver::new();
-    let pcap = PcapBackend::open(trace.to_str().unwrap(), None).unwrap();
-    drv.attach_supervised("in0", SupervisedDevice::new(Box::new(pcap)));
-    drv.run(&mut r, 64, 1_000_000).unwrap();
-    let out0 = r.device_id("out0").unwrap();
-    let out = r
-        .take_tx(out0)
-        .into_iter()
-        .map(|p| p.data().to_vec())
-        .collect();
-    r.shutdown();
-    out
+    e.attach_supervised(in0, SupervisedDevice::new(Box::new(pcap)));
+    e.run_devices(1_000_000).unwrap();
+    out0_frames(&mut *e)
 }
 
 /// Canonical order for runs where global arrival order is legitimately
@@ -147,14 +114,14 @@ fn pcap_replay_matches_memory_injection_both_engines() {
     // Serial, dyn engine: replay must be *identical in order*, and both
     // must equal the injected trace exactly (this pipeline reorders
     // nothing).
-    let mem = serial_mem::<Box<dyn Element>>(&graph, &frames);
-    let pcap = serial_pcap::<Box<dyn Element>>(&graph, &trace);
+    let mem = forward_mem(serial(&graph, false), &frames);
+    let pcap = forward_pcap(serial(&graph, false), &trace);
     assert_eq!(mem, frames);
     assert_eq!(pcap, mem);
 
     // Serial, compiled engine.
-    let mem_fast = serial_mem::<FastElement>(&graph, &frames);
-    let pcap_fast = serial_pcap::<FastElement>(&graph, &trace);
+    let mem_fast = forward_mem(serial(&graph, true), &frames);
+    let pcap_fast = forward_pcap(serial(&graph, true), &trace);
     assert_eq!(mem_fast, mem);
     assert_eq!(pcap_fast, mem);
 
@@ -182,13 +149,13 @@ fn pcap_replay_matches_memory_injection_sharded() {
 
     // 4-shard: global order is scheduling-dependent, so compare the
     // canonicalized captures — still bit-identical as files.
-    let mem = sorted(sharded_mem::<Box<dyn Element>>(&graph, &frames));
-    let pcap = sorted(sharded_pcap::<Box<dyn Element>>(&graph, &trace));
+    let mem = sorted(forward_mem(sharded(&graph, false), &frames));
+    let pcap = sorted(forward_pcap(sharded(&graph, false), &trace));
     assert_eq!(mem, sorted(frames.clone()));
     assert_eq!(pcap, mem);
 
-    let mem_fast = sorted(sharded_mem::<FastElement>(&graph, &frames));
-    let pcap_fast = sorted(sharded_pcap::<FastElement>(&graph, &trace));
+    let mem_fast = sorted(forward_mem(sharded(&graph, true), &frames));
+    let pcap_fast = sorted(forward_pcap(sharded(&graph, true), &trace));
     assert_eq!(mem_fast, mem);
     assert_eq!(pcap_fast, mem);
 
