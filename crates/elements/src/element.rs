@@ -44,6 +44,14 @@ impl Emitter {
         self.items.drain(..)
     }
 
+    /// Removes the most recently emitted packet: the scalar engine moves
+    /// emissions onto its work stack in reverse, so the first emitted is
+    /// the first processed.
+    #[inline]
+    pub fn pop(&mut self) -> Option<(usize, Packet)> {
+        self.items.pop()
+    }
+
     /// True if nothing was emitted.
     pub fn is_empty(&self) -> bool {
         self.items.is_empty()

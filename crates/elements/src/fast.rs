@@ -4,9 +4,11 @@
 //! changing packet-transfer virtual function calls into conventional
 //! function calls" (paper §6.1). Rust's analogue: instead of
 //! `Box<dyn Element>` and vtable dispatch, [`FastElement`] is an enum over
-//! the concrete element types, so every transfer is a direct, inlinable
-//! `match` on a discriminant — no indirect branch for the BTB to
-//! mispredict, and element state lives inline.
+//! the concrete element types, so every transfer is a direct call behind
+//! a `match` on a discriminant, and element state lives inline. The
+//! match is a jump table — still one indirect branch per transfer — and
+//! on the measured host this engine runs level with the vtable engine,
+//! not ahead of it (EXPERIMENTS.md, "Transfer-engine overhead").
 //!
 //! Classes without a variant fall back to boxed dynamic dispatch, so a
 //! [`CompiledRouter`] runs *any* configuration; only the hot classes gain.
@@ -118,7 +120,13 @@ macro_rules! fast_elements {
                 })
             }
 
-            #[inline]
+            // `push` and `push_batch` are kept out of line: with these
+            // 30-arm matches (and every arm's element body) merged into
+            // the engine's run loop, the compiled engine ran slower than
+            // the vtable call it replaces (DV+batched behind Base+batched
+            // in Figure 9). One direct call per hop costs nothing
+            // measurable.
+            #[inline(never)]
             fn push(&mut self, port: usize, p: Packet, out: &mut Emitter) {
                 match self {
                     $( FastElement::$variant(e) => e.push(port, p, out), )*
@@ -134,7 +142,7 @@ macro_rules! fast_elements {
                 }
             }
 
-            #[inline]
+            #[inline(never)]
             fn push_batch(&mut self, port: usize, batch: PacketBatch, out: &mut BatchEmitter) {
                 match self {
                     $( FastElement::$variant(e) => e.push_batch(port, batch, out), )*

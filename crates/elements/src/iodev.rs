@@ -152,8 +152,9 @@ pub struct RetryPolicy {
     /// Backoff cap, microseconds.
     pub backoff_max_us: u64,
     /// Total wall-clock budget for one operation including backoffs,
-    /// microseconds. The op fails over to the health machinery when the
-    /// deadline passes even if retries remain.
+    /// microseconds, counted from its first failed attempt (a send that
+    /// succeeds at once reads no clock). The op fails over to the health
+    /// machinery when the deadline passes even if retries remain.
     pub op_deadline_us: u64,
 }
 
@@ -438,7 +439,9 @@ impl SupervisedDevice {
                 return self.park_or_lose(p);
             }
         }
-        let start = Instant::now();
+        // The op deadline runs from the first failed attempt: a send that
+        // succeeds at once (the steady state) never reads the clock.
+        let mut started: Option<Instant> = None;
         let deadline = Duration::from_micros(self.retry.op_deadline_us);
         let mut attempts = 0u32;
         loop {
@@ -453,7 +456,9 @@ impl SupervisedDevice {
                 }
                 Err(IoFault::WouldBlock) => {
                     self.gauges.would_blocks += 1;
-                    if attempts < self.retry.max_retries && start.elapsed() < deadline {
+                    if attempts < self.retry.max_retries
+                        && started.get_or_insert_with(Instant::now).elapsed() < deadline
+                    {
                         attempts += 1;
                         self.gauges.retries += 1;
                         self.gauges.backoffs += 1;
@@ -472,7 +477,9 @@ impl SupervisedDevice {
                 Err(IoFault::Truncated { .. }) => {
                     self.gauges.short_reads += 1;
                     self.record_err();
-                    if attempts < self.retry.max_retries && start.elapsed() < deadline {
+                    if attempts < self.retry.max_retries
+                        && started.get_or_insert_with(Instant::now).elapsed() < deadline
+                    {
                         attempts += 1;
                         self.gauges.retries += 1;
                         continue;

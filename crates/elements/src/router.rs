@@ -481,8 +481,9 @@ impl DeviceBank {
                 stats.lost += n;
                 continue;
             }
-            let q = std::mem::take(&mut self.tx[i]);
-            let mut it = q.into_iter();
+            let mut q = std::mem::take(&mut self.tx[i]);
+            let mut it = q.drain(..);
+            let mut parked = None;
             while let Some(p) = it.next() {
                 match sup.send_pkt(p) {
                     SendOutcome::Sent => stats.tx += 1,
@@ -491,13 +492,15 @@ impl DeviceBank {
                         // Put the head back, keep order, stop this device.
                         let mut rest: Vec<Packet> = Vec::with_capacity(it.len() + 1);
                         rest.push(p);
-                        rest.extend(it);
-                        rest.append(&mut self.tx[i]);
-                        self.tx[i] = rest;
+                        rest.extend(it.by_ref());
+                        parked = Some(rest);
                         break;
                     }
                 }
             }
+            drop(it);
+            // A fully sent queue keeps its storage for the next round.
+            self.tx[i] = parked.unwrap_or(q);
         }
         stats
     }
@@ -532,6 +535,85 @@ impl DeviceBank {
     }
 }
 
+/// One end of a connection: `(element slot, port)`.
+type Port = (usize, usize);
+
+/// One direction of the wiring, flattened at build time: the far ends of
+/// every connection in one array, grouped by near end and in connection
+/// order within a group. A transfer looks its targets up as a slice and
+/// never copies them.
+#[derive(Debug)]
+struct PortTable {
+    /// Element `e`'s ports are `spans[base[e]..base[e + 1]]`.
+    base: Vec<usize>,
+    /// Per port: `(start, len)` of its group in `peers`.
+    spans: Vec<(usize, usize)>,
+    peers: Vec<Port>,
+}
+
+impl PortTable {
+    /// The output-side and input-side tables of `graph`, with element
+    /// ids mapped to slot numbers through `index`.
+    fn pair(
+        graph: &RouterGraph,
+        index: &HashMap<click_core::graph::ElementId, usize>,
+    ) -> (PortTable, PortTable) {
+        let (mut fwd, mut rev) = (Vec::new(), Vec::new());
+        for c in graph.connections() {
+            let from = (index[&c.from.element], c.from.port);
+            let to = (index[&c.to.element], c.to.port);
+            fwd.push((from, to));
+            rev.push((to, from));
+        }
+        let n = index.len();
+        (PortTable::build(n, &fwd), PortTable::build(n, &rev))
+    }
+
+    /// Counting sort of `(near, far)` edges by near end; stable, so each
+    /// group keeps connection order.
+    fn build(n: usize, edges: &[(Port, Port)]) -> PortTable {
+        let mut base = vec![0; n + 1];
+        for &((e, port), _) in edges {
+            base[e + 1] = base[e + 1].max(port + 1);
+        }
+        for e in 0..n {
+            base[e + 1] += base[e];
+        }
+        let mut spans = vec![(0, 0); base[n]];
+        for &((e, port), _) in edges {
+            spans[base[e] + port].1 += 1;
+        }
+        let mut start = 0;
+        for span in &mut spans {
+            let len = span.1;
+            *span = (start, 0);
+            start += len;
+        }
+        let mut peers = vec![(0, 0); edges.len()];
+        for &((e, port), far) in edges {
+            let (start, len) = &mut spans[base[e] + port];
+            peers[*start + *len] = far;
+            *len += 1;
+        }
+        PortTable { base, spans, peers }
+    }
+
+    /// Number of ports of `e` up to its highest connected one.
+    fn nports(&self, e: usize) -> usize {
+        self.base[e + 1] - self.base[e]
+    }
+
+    /// What `(e, port)` is connected to; empty for an unconnected port.
+    #[inline]
+    fn peers(&self, e: usize, port: usize) -> &[Port] {
+        if port >= self.nports(e) {
+            return &[];
+        }
+        let (start, len) = self.spans[self.base[e] + port];
+        &self.peers[start..start + len]
+    }
+}
+
 /// A running router.
 ///
 /// Elements live in `Rc<RefCell<_>>` slots: packet transfers borrow the
@@ -541,8 +623,10 @@ pub struct Router<S: Slot> {
     slots: Vec<Rc<RefCell<S>>>,
     names: HashMap<String, usize>,
     classes: Vec<String>,
-    out_conns: Vec<Vec<Vec<(usize, usize)>>>,
-    in_conns: Vec<Vec<Vec<(usize, usize)>>>,
+    /// Output port -> downstream input ports (the push direction).
+    outputs: PortTable,
+    /// Input port -> upstream output ports (the pull direction).
+    inputs: PortTable,
     tasks: Vec<usize>,
     /// Simulated devices.
     pub devices: DeviceBank,
@@ -554,7 +638,18 @@ pub struct Router<S: Slot> {
     drops_retired: u64,
     batching: bool,
     batch_burst: usize,
-    batch_out: Option<BatchEmitter>,
+    /// The push engines' run state, owned by the router so steady-state
+    /// forwarding reuses it: the depth-first work stack of `(element,
+    /// input port, payload)` transfers and the emitter elements write
+    /// into, per engine. All four are empty between runs — only their
+    /// capacity (and `batch_out`'s free list, where tasks also get their
+    /// scratch batches) persists. A run moves its pair into locals and
+    /// puts it back when done, so the loop keeps them in registers and a
+    /// nested run would merely start from fresh ones.
+    push_stack: Vec<(usize, usize, Packet)>,
+    push_out: Emitter,
+    batch_stack: Vec<(usize, usize, PacketBatch)>,
+    batch_out: BatchEmitter,
     telem: RouterTelemetry,
     /// Which worker shard this engine is (0 for a serial router); a hot
     /// swap rebuilds the replacement engine in the same shard.
@@ -615,20 +710,7 @@ impl<S: Slot> Router<S> {
             classes.push(decl.class().to_owned());
         }
 
-        let mut out_conns: Vec<Vec<Vec<(usize, usize)>>> = vec![Vec::new(); n];
-        let mut in_conns: Vec<Vec<Vec<(usize, usize)>>> = vec![Vec::new(); n];
-        for c in graph.connections() {
-            let fe = index[&c.from.element];
-            let te = index[&c.to.element];
-            if out_conns[fe].len() <= c.from.port {
-                out_conns[fe].resize(c.from.port + 1, Vec::new());
-            }
-            out_conns[fe][c.from.port].push((te, c.to.port));
-            if in_conns[te].len() <= c.to.port {
-                in_conns[te].resize(c.to.port + 1, Vec::new());
-            }
-            in_conns[te][c.to.port].push((fe, c.from.port));
-        }
+        let (outputs, inputs) = PortTable::pair(graph, &index);
 
         let tasks: Vec<usize> = (0..n).filter(|&i| slots[i].borrow().is_task()).collect();
 
@@ -636,8 +718,8 @@ impl<S: Slot> Router<S> {
             slots,
             names,
             classes,
-            out_conns,
-            in_conns,
+            outputs,
+            inputs,
             tasks,
             devices: DeviceBank::from_map(ctx.devices),
             drops_unconnected: 0,
@@ -645,7 +727,10 @@ impl<S: Slot> Router<S> {
             drops_retired: 0,
             batching: false,
             batch_burst: crate::elements::device::BURST,
-            batch_out: Some(BatchEmitter::new()),
+            push_stack: Vec::new(),
+            push_out: Emitter::new(),
+            batch_stack: Vec::new(),
+            batch_out: BatchEmitter::new(),
             telem: RouterTelemetry::new(n),
             shard,
         };
@@ -675,10 +760,8 @@ impl<S: Slot> Router<S> {
                         break;
                     }
                 }
-                for port in &self.out_conns[e] {
-                    for &(te, _) in port {
-                        queue.push_back(te);
-                    }
+                for port in 0..self.outputs.nports(e) {
+                    queue.extend(self.outputs.peers(e, port).iter().map(|&(te, _)| te));
                 }
             }
             if let Some(h) = handle {
@@ -984,10 +1067,7 @@ impl<S: Slot> Router<S> {
     /// Hands out empty batch storage from the engine's free list so task
     /// elements can refill their scratch batch without allocating.
     pub fn take_batch_storage(&mut self) -> PacketBatch {
-        match &mut self.batch_out {
-            Some(out) => out.take_storage(),
-            None => PacketBatch::new(),
-        }
+        self.batch_out.take_storage()
     }
 
     // ---- push path -----------------------------------------------------
@@ -995,34 +1075,38 @@ impl<S: Slot> Router<S> {
     /// Delivers a packet to an element's input port and runs the push
     /// chain to completion.
     pub fn push_to(&mut self, elem: usize, port: usize, p: Packet) {
-        let mut stack = vec![(elem, port, p)];
-        self.run_push_stack(&mut stack);
+        let mut stack = std::mem::take(&mut self.push_stack);
+        stack.push((elem, port, p));
+        self.run_push_stack(stack);
     }
 
     /// Pushes a packet out of an element's output port (runs whatever is
     /// connected downstream).
     pub fn push_from(&mut self, elem: usize, out_port: usize, p: Packet) {
-        let mut stack = Vec::new();
+        let mut stack = std::mem::take(&mut self.push_stack);
         self.enqueue_targets(elem, out_port, p, &mut stack);
-        self.run_push_stack(&mut stack);
+        self.run_push_stack(stack);
     }
 
-    fn run_push_stack(&mut self, stack: &mut Vec<(usize, usize, Packet)>) {
+    /// Runs `stack` (the router's own, taken by the caller) to completion
+    /// and puts it back.
+    fn run_push_stack(&mut self, mut stack: Vec<(usize, usize, Packet)>) {
         // A generous hop budget breaks configuration cycles (a -> b -> a):
         // the stack-based engine releases each element's borrow between
         // hops, so a pure re-entrancy check cannot see loops.
         let mut budget = 64 + self.slots.len() * 64;
-        let mut out = Emitter::new();
+        let mut out = std::mem::take(&mut self.push_out);
         while let Some((e, port, p)) = stack.pop() {
             if budget == 0 {
                 self.drops_reentrant += 1;
+                p.recycle();
                 continue;
             }
             budget -= 1;
             {
-                let cell = &self.slots[e];
-                let Ok(mut el) = cell.try_borrow_mut() else {
+                let Ok(mut el) = self.slots[e].try_borrow_mut() else {
                     self.drops_reentrant += 1;
+                    p.recycle();
                     continue;
                 };
                 let bytes = telemetry::packet_bytes(&p);
@@ -1030,15 +1114,18 @@ impl<S: Slot> Router<S> {
                 el.push(port, p, &mut out);
                 self.telem.exit(e, 1, bytes);
             }
-            let emitted: Vec<_> = out.drain().collect();
-            // Reverse so the first-emitted packet is processed first
-            // (depth-first, like Click's call chain).
-            for (oport, pkt) in emitted.into_iter().rev() {
-                self.enqueue_targets(e, oport, pkt, stack);
+            // Emissions pop in reverse straight onto the stack, so the
+            // first-emitted packet is processed first (depth-first, like
+            // Click's call chain).
+            while let Some((oport, pkt)) = out.pop() {
+                self.enqueue_targets(e, oport, pkt, &mut stack);
             }
         }
+        self.push_stack = stack;
+        self.push_out = out;
     }
 
+    #[inline]
     fn enqueue_targets(
         &mut self,
         e: usize,
@@ -1047,20 +1134,17 @@ impl<S: Slot> Router<S> {
         stack: &mut Vec<(usize, usize, Packet)>,
     ) {
         self.telem.record_out(e, oport, 1);
-        let targets = match self.out_conns[e].get(oport) {
-            Some(t) if !t.is_empty() => t.clone(),
-            _ => {
-                self.drops_unconnected += 1;
-                return;
-            }
+        let Some((&(le, lp), rest)) = self.outputs.peers(e, oport).split_last() else {
+            self.drops_unconnected += 1;
+            pkt.recycle();
+            return;
         };
-        if targets.len() == 1 {
-            stack.push((targets[0].0, targets[0].1, pkt));
-        } else {
-            for &(te, tp) in &targets {
-                stack.push((te, tp, pkt.clone()));
-            }
+        // Fan-out: pooled clones in connection order, the original to the
+        // last target (which is therefore processed first).
+        for &(te, tp) in rest {
+            stack.push((te, tp, pkt.clone()));
         }
+        stack.push((le, lp, pkt));
     }
 
     // ---- batched push path ----------------------------------------------
@@ -1071,8 +1155,9 @@ impl<S: Slot> Router<S> {
         if batch.is_empty() {
             return;
         }
-        let mut stack = vec![(elem, port, batch)];
-        self.run_batch_stack(&mut stack);
+        let mut stack = std::mem::take(&mut self.batch_stack);
+        stack.push((elem, port, batch));
+        self.run_batch_stack(stack);
     }
 
     /// Pushes a whole batch out of an element's output port.
@@ -1080,34 +1165,30 @@ impl<S: Slot> Router<S> {
         if batch.is_empty() {
             return;
         }
-        let mut stack = Vec::new();
-        let mut out = self.batch_out.take().unwrap_or_default();
+        let mut stack = std::mem::take(&mut self.batch_stack);
+        let mut out = std::mem::take(&mut self.batch_out);
         self.enqueue_targets_batch(elem, out_port, batch, &mut stack, &mut out);
-        self.batch_out = Some(out);
-        self.run_batch_stack(&mut stack);
+        self.batch_out = out;
+        self.run_batch_stack(stack);
     }
 
-    fn run_batch_stack(&mut self, stack: &mut Vec<(usize, usize, PacketBatch)>) {
+    /// Runs `stack` (the router's own, taken by the caller) to completion
+    /// and puts it back.
+    fn run_batch_stack(&mut self, mut stack: Vec<(usize, usize, PacketBatch)>) {
         // Same hop budget as the scalar engine, but per batch hop: a loop
         // is broken after the same number of transfers, dropping whole
-        // batches. The emitter (with its storage free list) persists on
-        // the router so steady-state forwarding reuses batch allocations.
+        // batches.
         let mut budget = 64 + self.slots.len() * 64;
-        let mut out = self.batch_out.take().unwrap_or_default();
-        while let Some((e, port, mut batch)) = stack.pop() {
+        let mut out = std::mem::take(&mut self.batch_out);
+        while let Some((e, port, batch)) = stack.pop() {
             if budget == 0 {
-                self.drops_reentrant += batch.len() as u64;
-                batch.recycle_packets();
-                out.recycle_storage(batch);
+                self.drops_reentrant += discard_batch(batch, &mut out);
                 continue;
             }
             budget -= 1;
             {
-                let cell = &self.slots[e];
-                let Ok(mut el) = cell.try_borrow_mut() else {
-                    self.drops_reentrant += batch.len() as u64;
-                    batch.recycle_packets();
-                    out.recycle_storage(batch);
+                let Ok(mut el) = self.slots[e].try_borrow_mut() else {
+                    self.drops_reentrant += discard_batch(batch, &mut out);
                     continue;
                 };
                 let (packets, bytes) = telemetry::batch_volume(&batch);
@@ -1119,58 +1200,34 @@ impl<S: Slot> Router<S> {
             // stack leaves the first-emitted group on top, so processing
             // stays depth-first like the scalar engine.
             while let Some((oport, b)) = out.pop_group() {
-                self.enqueue_targets_batch(e, oport, b, stack, &mut out);
+                self.enqueue_targets_batch(e, oport, b, &mut stack, &mut out);
             }
         }
-        self.batch_out = Some(out);
+        self.batch_stack = stack;
+        self.batch_out = out;
     }
 
     fn enqueue_targets_batch(
         &mut self,
         e: usize,
         oport: usize,
-        mut batch: PacketBatch,
+        batch: PacketBatch,
         stack: &mut Vec<(usize, usize, PacketBatch)>,
         out: &mut BatchEmitter,
     ) {
         self.telem.record_out(e, oport, batch.len() as u64);
-        let targets = match self.out_conns[e].get(oport) {
-            Some(t) if !t.is_empty() => t.clone(),
-            _ => {
-                self.drops_unconnected += batch.len() as u64;
-                batch.recycle_packets();
-                out.recycle_storage(batch);
-                return;
-            }
-        };
-        // The match above guarantees non-emptiness; degrade to the
-        // unconnected-drop path rather than panicking if that ever breaks.
-        let Some((first, rest)) = targets.split_first() else {
-            self.drops_unconnected += batch.len() as u64;
-            batch.recycle_packets();
-            out.recycle_storage(batch);
+        let Some((&(le, lp), rest)) = self.outputs.peers(e, oport).split_last() else {
+            self.drops_unconnected += discard_batch(batch, out);
             return;
         };
-        if rest.is_empty() {
-            stack.push((first.0, first.1, batch));
-            return;
-        }
-        // Fan-out (Tee-style unconnected duplication): the original batch
-        // goes to the first target, pooled clones to the rest; pushed in
-        // connection order so the last connection is processed first, as
-        // in the scalar engine.
-        let clones: Vec<PacketBatch> = rest
-            .iter()
-            .map(|_| {
-                let mut nb = out.take_storage();
-                nb.extend(batch.iter().cloned());
-                nb
-            })
-            .collect();
-        stack.push((first.0, first.1, batch));
-        for (&(te, tp), nb) in rest.iter().zip(clones) {
+        // Fan-out as in the scalar engine: pooled clones on recycled
+        // storage in connection order, the original to the last target.
+        for &(te, tp) in rest {
+            let mut nb = out.take_storage();
+            nb.extend(batch.iter().cloned());
             stack.push((te, tp, nb));
         }
+        stack.push((le, lp, batch));
     }
 
     // ---- pull path -----------------------------------------------------
@@ -1178,7 +1235,7 @@ impl<S: Slot> Router<S> {
     /// Pulls a packet into an element's input port from whatever is
     /// connected upstream.
     pub fn pull_input_of(&mut self, elem: usize, in_port: usize) -> Option<Packet> {
-        let &(se, sp) = self.in_conns[elem].get(in_port)?.first()?;
+        let &(se, sp) = self.inputs.peers(elem, in_port).first()?;
         self.pull_output_of(se, sp)
     }
 
@@ -1211,7 +1268,7 @@ impl<S: Slot> Router<S> {
         max: usize,
         into: &mut PacketBatch,
     ) -> usize {
-        let Some(&(se, sp)) = self.in_conns[elem].get(in_port).and_then(|c| c.first()) else {
+        let Some(&(se, sp)) = self.inputs.peers(elem, in_port).first() else {
             return 0;
         };
         self.pull_batch_output_of(se, sp, max, into)
@@ -1247,9 +1304,9 @@ impl<S: Slot> Router<S> {
 
     /// Runs every task element once; returns packets moved.
     pub fn run_tasks_once(&mut self) -> usize {
-        let tasks = self.tasks.clone();
         let mut moved = 0;
-        for t in tasks {
+        for i in 0..self.tasks.len() {
+            let t = self.tasks[i];
             let cell = Rc::clone(&self.slots[t]);
             let Ok(mut el) = cell.try_borrow_mut() else {
                 continue;
@@ -1314,6 +1371,15 @@ impl<S: Slot> Router<S> {
     }
 }
 
+/// An engine-side drop of a whole batch: packets back to the pool,
+/// storage back to the emitter's free list; returns the packet count.
+fn discard_batch(mut batch: PacketBatch, out: &mut BatchEmitter) -> u64 {
+    let n = batch.len() as u64;
+    batch.recycle_packets();
+    out.recycle_storage(batch);
+    n
+}
+
 impl<S: Slot> CheckpointEngine for Router<S> {
     fn checkpoint_snapshot(&mut self) -> Result<EngineSnapshot> {
         Ok(Router::checkpoint_snapshot(self))
@@ -1337,7 +1403,7 @@ impl<S: Slot> PullContext for RouterPullCtx<'_, S> {
         self.router.push_from(self.elem, port, p)
     }
     fn ninputs(&self) -> usize {
-        self.router.in_conns[self.elem].len()
+        self.router.inputs.nports(self.elem)
     }
 }
 
@@ -1525,6 +1591,110 @@ mod tests {
         let a = r.find("a").unwrap();
         r.push_to(a, 0, Packet::new(10));
         assert!(r.reentrant_drops() >= 1);
+    }
+
+    #[test]
+    fn engine_drops_and_fan_out_keep_the_pool_whole() {
+        use crate::packet::{drain_pool, pool_stats, reset_pool_stats};
+        // CheckIPHeader's bad output is unconnected (an engine drop per
+        // packet); Tee(3) is the 3-way fan-out.
+        let mut r = dyn_router(
+            "i :: Idle; chk :: CheckIPHeader; d :: Discard; i -> chk -> d; \
+             j :: Idle; t :: Tee(3); j -> t; t [0] -> Queue(4) -> ToDevice(a); \
+             t [1] -> Queue(4) -> ToDevice(b); t [2] -> Queue(4) -> ToDevice(c);",
+        );
+        let (chk, t) = (r.find("chk").unwrap(), r.find("t").unwrap());
+        let frame: Vec<u8> = (0..60).collect();
+        drain_pool();
+        for round in 0..10_001 {
+            if round == 1 {
+                reset_pool_stats(); // round 0 was the warm-up
+            }
+            r.push_to(chk, 0, Packet::from_data(&[0u8; 10])); // invalid IP
+            r.push_to(t, 0, Packet::from_data(&frame));
+            r.run_until_idle(100);
+            for dev in 0..3 {
+                let tx = r.devices.take_tx(DeviceId(dev));
+                assert_eq!(tx.len(), 1);
+                assert_eq!(tx[0].data(), &frame[..], "every branch sees the bytes");
+                tx.into_iter().for_each(Packet::recycle);
+            }
+        }
+        assert_eq!(r.unconnected_drops(), 10_001);
+        let s = pool_stats();
+        assert_eq!((s.misses, s.dropped), (0, 0), "{s:?}");
+    }
+
+    /// The flat tables against the graph they were built from, under the
+    /// mutation generator of `click_core::graph`'s own index test.
+    #[test]
+    fn port_tables_equal_the_graph_connections_in_order() {
+        use click_core::graph::{Connection, ElementId, PortRef};
+        for seed in 1..=8u64 {
+            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let mut rand = move |n: usize| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                ((state >> 33) as usize) % n
+            };
+            let mut g = RouterGraph::new();
+            for step in 0..600 {
+                let live: Vec<ElementId> = g.element_ids().collect();
+                let pick = |r: &mut dyn FnMut(usize) -> usize| live[r(live.len())];
+                match rand(if live.len() < 2 { 1 } else { 16 }) {
+                    0 | 1 => {
+                        g.add_element(format!("e{step}"), "X", "").unwrap();
+                    }
+                    2..=8 => {
+                        let from = PortRef::new(pick(&mut rand), rand(3));
+                        let to = PortRef::new(pick(&mut rand), rand(3));
+                        let _ = g.connect(from, to);
+                    }
+                    9 | 10 => {
+                        let from = PortRef::new(pick(&mut rand), rand(3));
+                        let to = PortRef::new(pick(&mut rand), rand(3));
+                        g.disconnect(from, to);
+                    }
+                    11 => g.remove_element(pick(&mut rand)),
+                    12 => {
+                        let _ = g.splice_out(pick(&mut rand));
+                    }
+                    13 | 14 => {
+                        let mid = g.add_element(format!("m{step}"), "M", "").unwrap();
+                        let from = PortRef::new(pick(&mut rand), rand(3));
+                        g.insert_after(from, mid).unwrap();
+                    }
+                    _ => g.compact(),
+                }
+                if step % 8 != 7 {
+                    continue; // the scan below is quadratic; sample it
+                }
+                let ids: Vec<ElementId> = g.element_ids().collect();
+                let index: HashMap<_, _> = ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+                let (outputs, inputs) = PortTable::pair(&g, &index);
+                let far = |p: PortRef| (index[&p.element], p.port);
+                for (slot, &id) in ids.iter().enumerate() {
+                    assert_eq!(outputs.nports(slot), g.noutputs(id));
+                    assert_eq!(inputs.nports(slot), g.ninputs(id));
+                    // One port past the end too: unconnected, not a panic.
+                    for port in 0..4 {
+                        let along =
+                            |near: fn(&Connection) -> PortRef,
+                             other: fn(&Connection) -> PortRef| {
+                                g.connections()
+                                    .iter()
+                                    .filter(|c| near(c) == PortRef::new(id, port))
+                                    .map(|c| far(other(c)))
+                                    .collect::<Vec<_>>()
+                            };
+                        assert_eq!(outputs.peers(slot, port), along(|c| c.from, |c| c.to));
+                        assert_eq!(inputs.peers(slot, port), along(|c| c.to, |c| c.from));
+                    }
+                }
+            }
+            assert!(g.connections().len() > 10, "seed {seed} exercised nothing");
+        }
     }
 
     #[test]

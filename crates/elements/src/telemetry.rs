@@ -419,7 +419,10 @@ mod imp {
             r.bytes += bytes;
             r.self_ns += self_ns;
             if r.lat_buckets.is_empty() {
+                // First call: both tables at their final size, so the
+                // steady state never grows them.
                 r.lat_buckets = vec![0; super::LATENCY_BUCKETS];
+                r.recent.reserve_exact(RECENT_WINDOW);
             }
             r.lat_buckets[bucket_of(self_ns)] += 1;
             if r.recent.len() < RECENT_WINDOW {
