@@ -177,8 +177,8 @@ pub fn measure_parallel_wall<S: Slot + 'static>(
 
 /// Like [`measure_parallel_wall`], but under an arbitrary
 /// [`ParallelOpts`] — the hook `fig09_parallel --tuned` uses to re-run
-/// the sweep under `click-autotune`'s chosen knobs (steerer threads,
-/// ring capacity, burst, backoff).
+/// the sweep under `click-autotune`'s chosen knobs (shards, ring
+/// capacity, burst).
 pub fn measure_parallel_wall_opts<S: Slot + 'static>(
     h: &Harness,
     graph: &RouterGraph,

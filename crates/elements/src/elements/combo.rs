@@ -11,7 +11,7 @@
 
 use crate::batch::{BatchEmitter, PacketBatch};
 use crate::element::{args, config_err, int_arg, CreateCtx, Element, Emitter};
-use crate::elements::ip::{CheckIPHeader, IPGWOptions};
+use crate::elements::ip::{fragment, CheckIPHeader, IPGWOptions};
 use crate::headers::{ether, ipv4, parse_ip};
 use crate::packet::Packet;
 use click_core::error::Result;
@@ -83,7 +83,9 @@ impl Element for IPInputCombo {
 /// `IPOutputCombo(color, fix_src_ip, mtu)`: the fused output path.
 ///
 /// Outputs:
-/// 0. forwarded packets (fragmented if needed and permitted);
+/// 0. forwarded packets (fragmented if needed and permitted; a too-big
+///    packet whose header cannot be fragmented is dropped and counted in
+///    `drops`);
 /// 1. copy of packets leaving via their arrival interface (paint match —
 ///    feeds an ICMP redirect);
 /// 2. packets with bad gateway options (feeds ICMP parameter problem);
@@ -98,6 +100,7 @@ pub struct IPOutputCombo {
     redirects: u64,
     expired: u64,
     fragments: u64,
+    drops: u64,
 }
 
 impl IPOutputCombo {
@@ -125,39 +128,15 @@ impl IPOutputCombo {
             redirects: 0,
             expired: 0,
             fragments: 0,
+            drops: 0,
         })
     }
 
-    fn fragment_out(&mut self, p: &Packet, out: &mut Emitter) {
-        // Same framing as IPFragmenter::fragment, kept in sync by the
-        // equivalence tests below.
-        let data = p.data();
-        let hlen = ipv4::header_len(data);
-        let total = (ipv4::total_len(data) as usize).min(data.len());
-        // A crafted header length beyond the total length must not panic.
-        let payload = &data[hlen.min(total)..total];
-        let step = (self.mtu - hlen) / 8 * 8;
-        let orig_field = ipv4::frag_field(data);
-        let orig_units = (orig_field & 0x1FFF) as usize;
-        let orig_mf = orig_field & ipv4::FLAG_MF != 0;
-        let mut pos = 0usize;
-        while pos < payload.len() {
-            let this_len = step.min(payload.len() - pos);
-            let last = pos + this_len >= payload.len();
-            let mut frag = Packet::new(hlen + this_len);
-            frag.anno = p.anno.clone();
-            let fd = frag.data_mut();
-            fd[..hlen].copy_from_slice(&data[..hlen]);
-            fd[hlen..].copy_from_slice(&payload[pos..pos + this_len]);
-            fd[2..4].copy_from_slice(&((hlen + this_len) as u16).to_be_bytes());
-            let mf = !last || orig_mf;
-            let field =
-                ((orig_units + pos / 8) as u16 & 0x1FFF) | if mf { ipv4::FLAG_MF } else { 0 };
-            fd[6..8].copy_from_slice(&field.to_be_bytes());
-            ipv4::set_checksum(fd);
-            self.fragments += 1;
-            out.emit(0, frag);
-            pos += this_len;
+    /// The IPFragmenter stage of the fused path.
+    fn fragment_out(&mut self, p: Packet, out: &mut Emitter) {
+        match fragment(p, self.mtu, out) {
+            Some(n) => self.fragments += n,
+            None => self.drops += 1,
         }
     }
 }
@@ -200,7 +179,7 @@ impl Element for IPOutputCombo {
         } else if ipv4::frag_field(p.data()) & ipv4::FLAG_DF != 0 {
             out.emit(4, p);
         } else {
-            self.fragment_out(&p, out);
+            self.fragment_out(p, out);
         }
     }
     fn push_batch(&mut self, _port: usize, mut batch: PacketBatch, out: &mut BatchEmitter) {
@@ -234,8 +213,7 @@ impl Element for IPOutputCombo {
             } else if ipv4::frag_field(p.data()) & ipv4::FLAG_DF != 0 {
                 out.emit(4, p);
             } else {
-                out.with_scalar(|e| self.fragment_out(&p, e));
-                p.recycle();
+                out.with_scalar(|e| self.fragment_out(p, e));
             }
         }
         out.recycle_storage(batch);
@@ -246,6 +224,7 @@ impl Element for IPOutputCombo {
             "redirects" => Some(self.redirects),
             "expired" => Some(self.expired),
             "fragments" => Some(self.fragments),
+            "drops" => Some(self.drops),
             _ => None,
         }
     }

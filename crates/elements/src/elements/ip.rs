@@ -236,6 +236,9 @@ impl IPGWOptions {
         if hlen <= ipv4::HLEN {
             return true; // no options
         }
+        if hlen > data.len() {
+            return false; // the header claims options the frame does not carry
+        }
         let mut i = ipv4::HLEN;
         while i < hlen {
             match data[i] {
@@ -359,12 +362,15 @@ impl Element for DecIPTTL {
 }
 
 /// `IPFragmenter(mtu)`: fragments packets larger than the MTU; packets
-/// with DF set that would need fragmentation go to output 1.
+/// with DF set that would need fragmentation go to output 1, and packets
+/// whose header cannot be fragmented (see `fragment`) are dropped and
+/// counted in `drops`.
 #[derive(Debug)]
 pub struct IPFragmenter {
     mtu: usize,
     fragments: u64,
     must_frag: u64,
+    drops: u64,
 }
 
 impl IPFragmenter {
@@ -385,40 +391,59 @@ impl IPFragmenter {
             mtu,
             fragments: 0,
             must_frag: 0,
+            drops: 0,
         })
     }
+}
 
-    fn fragment(&mut self, p: &Packet, out: &mut Emitter) {
-        let data = p.data();
-        let hlen = ipv4::header_len(data);
-        let total = (ipv4::total_len(data) as usize).min(data.len());
-        // A crafted header length beyond the total length must not panic.
-        let payload = &data[hlen.min(total)..total];
-        // Fragment payload size: multiple of 8 bytes.
-        let step = (self.mtu - hlen) / 8 * 8;
-        let orig_frag_field = ipv4::frag_field(data);
-        let orig_offset_units = (orig_frag_field & 0x1FFF) as usize;
-        let orig_mf = orig_frag_field & ipv4::FLAG_MF != 0;
-        let mut pos = 0usize;
-        while pos < payload.len() {
-            let this_len = step.min(payload.len() - pos);
-            let last = pos + this_len >= payload.len();
-            let mut frag = Packet::new(hlen + this_len);
-            frag.anno = p.anno.clone();
-            let fd = frag.data_mut();
-            fd[..hlen].copy_from_slice(&data[..hlen]);
-            fd[hlen..].copy_from_slice(&payload[pos..pos + this_len]);
-            fd[2..4].copy_from_slice(&((hlen + this_len) as u16).to_be_bytes());
-            let mf = !last || orig_mf;
-            let offset_units = orig_offset_units + pos / 8;
-            let field = (offset_units as u16 & 0x1FFF) | if mf { ipv4::FLAG_MF } else { 0 };
-            fd[6..8].copy_from_slice(&field.to_be_bytes());
-            ipv4::set_checksum(fd);
-            self.fragments += 1;
-            out.emit(0, frag);
-            pos += this_len;
-        }
+/// Splits an IP packet longer than `mtu` (DF clear) into fragments of at
+/// most `mtu` bytes on port 0 of `out`, retires the original, and returns
+/// how many fragments it emitted. The one fragmenting routine:
+/// [`IPFragmenter`] and `IPOutputCombo` both call it.
+///
+/// With no `CheckIPHeader` upstream the header fields are whatever came
+/// off the wire, so they are validated before anything is sized from
+/// them: `None` — nothing emitted, the caller counts a drop — unless
+/// `20 ≤ IHL·4 < min(total length, frame length)` and the MTU leaves room
+/// for one 8-byte payload unit after the header. (A datagram with no
+/// payload has nothing to fragment; emitting zero fragments would lose it
+/// unaccounted.)
+pub(crate) fn fragment(p: Packet, mtu: usize, out: &mut Emitter) -> Option<u64> {
+    let data = p.data();
+    let hlen = ipv4::header_len(data);
+    let total = (ipv4::total_len(data) as usize).min(data.len());
+    if hlen < ipv4::HLEN || hlen >= total || mtu < hlen + 8 {
+        p.recycle();
+        return None;
     }
+    let payload = &data[hlen..total];
+    // Fragment payload size: multiple of 8 bytes.
+    let step = (mtu - hlen) / 8 * 8;
+    let orig_frag_field = ipv4::frag_field(data);
+    let orig_offset_units = (orig_frag_field & 0x1FFF) as usize;
+    let orig_mf = orig_frag_field & ipv4::FLAG_MF != 0;
+    let mut fragments = 0;
+    let mut pos = 0usize;
+    while pos < payload.len() {
+        let this_len = step.min(payload.len() - pos);
+        let last = pos + this_len >= payload.len();
+        let mut frag = Packet::new(hlen + this_len);
+        frag.anno = p.anno.clone();
+        let fd = frag.data_mut();
+        fd[..hlen].copy_from_slice(&data[..hlen]);
+        fd[hlen..].copy_from_slice(&payload[pos..pos + this_len]);
+        fd[2..4].copy_from_slice(&((hlen + this_len) as u16).to_be_bytes());
+        let mf = !last || orig_mf;
+        let offset_units = orig_offset_units + pos / 8;
+        let field = (offset_units as u16 & 0x1FFF) | if mf { ipv4::FLAG_MF } else { 0 };
+        fd[6..8].copy_from_slice(&field.to_be_bytes());
+        ipv4::set_checksum(fd);
+        fragments += 1;
+        out.emit(0, frag);
+        pos += this_len;
+    }
+    p.recycle();
+    Some(fragments)
 }
 
 impl Element for IPFragmenter {
@@ -432,13 +457,17 @@ impl Element for IPFragmenter {
             self.must_frag += 1;
             out.emit(1, p);
         } else {
-            self.fragment(&p, out);
+            match fragment(p, self.mtu, out) {
+                Some(n) => self.fragments += n,
+                None => self.drops += 1,
+            }
         }
     }
     fn stat(&self, name: &str) -> Option<u64> {
         match name {
             "fragments" => Some(self.fragments),
             "must_frag" => Some(self.must_frag),
+            "drops" => Some(self.drops),
             _ => None,
         }
     }

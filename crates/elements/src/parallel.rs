@@ -16,16 +16,22 @@
 //!   Graph-level optimizations (`fastclassifier`, `devirtualize`,
 //!   `xform`) compose with sharding unchanged: each shard runs the same
 //!   optimized graph, just on a subset of flows.
-//! * **RSS flow steering.** The injection side hashes each frame's IP
-//!   5-tuple ([`crate::steer`]) to pick a shard, so all packets of one
-//!   flow traverse one shard in FIFO order — per-flow ordering is
-//!   preserved without cross-core synchronization. Non-IP frames steer
-//!   by receiving device.
-//! * **Bounded SPSC rings.** [`PacketBatch`]es travel to workers and
-//!   back on fixed-capacity single-producer/single-consumer rings
-//!   ([`crate::ring`]): batched enqueue/dequeue, busy-poll with a
-//!   backoff knob, and backpressure instead of drops when a shard falls
-//!   behind.
+//! * **RSS flow steering, inline.** [`ParallelRouter::inject`] hashes
+//!   each frame's IP 5-tuple ([`crate::steer`]) on the calling thread to
+//!   pick a shard, so all packets of one flow traverse one shard in FIFO
+//!   order — per-flow ordering is preserved without cross-core
+//!   synchronization. Non-IP frames steer by receiving device. This is
+//!   the only ingress path: the runtime has two kinds of thread, the
+//!   control thread (whichever one calls into the router: it injects,
+//!   collects and supervises) and one worker per shard.
+//! * **Bounded SPSC rings.** [`PacketBatch`]es travel to a worker and
+//!   back on exactly one fixed-capacity single-producer/single-consumer
+//!   ring each way ([`crate::ring`]): occupancy-adapted bursts,
+//!   busy-poll with backoff, and backpressure instead of drops when a
+//!   shard falls behind.
+//!
+//! `docs/ARCHITECTURE.md` ("The sharded runtime") maps every thread,
+//! channel, counter and `&mut Router` access point.
 //!
 //! # Fault isolation and supervision
 //!
@@ -79,7 +85,7 @@ use crate::persist::{
 };
 use crate::ring::{spsc, AdaptiveBurst, Backoff, RingConsumer, RingProducer};
 use crate::router::{DeviceBank, Router, Slot};
-use crate::steer::{steerer_for, FlowHashCache, RssSteering, SharedLiveMask, MAX_SHARDS};
+use crate::steer::{FlowHashCache, RssSteering, MAX_SHARDS};
 use crate::swap::SwapReport;
 use crate::telemetry::{
     self, ElementProfile, FaultGauges, ShardGaugeTracker, ShardGauges, SteerGaugeTracker,
@@ -104,10 +110,8 @@ type ShardItem = (DeviceId, PacketBatch);
 type Validator = Box<dyn Fn(&RouterGraph) -> Result<()>>;
 
 /// A boxed replacement-worker spawner (captures the retained graph, the
-/// worker config, and the engine type `S`): returns the fresh worker
-/// plus the per-steerer inbound producers for its shard slot, in
-/// steerer order.
-type MakeWorker = Box<dyn Fn(usize) -> Result<(Worker, Vec<RingProducer<ShardItem>>)>>;
+/// worker config, and the engine type `S`).
+type MakeWorker = Box<dyn Fn(usize) -> Result<Worker>>;
 
 /// Task-scheduling budget a worker grants each ring item; generous —
 /// one item carries at most a burst of packets.
@@ -117,37 +121,33 @@ const WORKER_ROUNDS: usize = 100_000;
 /// declares it wedged and returns [`Error::Runtime`].
 pub const CTRL_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Upper bound on parallel steerer threads.
-pub const MAX_STEERERS: usize = 16;
-
 /// Frames a device round receives per backend.
 const DEVICE_BURST: usize = 64;
 
-/// Worker/steerer dequeue burst floor (items per ring poll). The
-/// adaptive controller grows from here under load.
+/// Worker dequeue burst floor (items per ring poll). The adaptive
+/// controller grows from here under load.
 const DEQUEUE_BURST: usize = 16;
 
-/// Nap cap used when `pin_cores` asks for a latency-biased, the-core-
-/// is-ours pacing profile (see [`ParallelOpts::pin_cores`]).
-const PINNED_NAP_CAP: Duration = Duration::from_micros(64);
+/// How many times an idle ring endpoint spins before it starts yielding
+/// and napping ([`Backoff`]).
+const BACKOFF_SPINS: u32 = 128;
 
 /// Spin-budget ceiling applied to every ring endpoint when the
-/// configured threads (shards + steerers + the supervisor) oversubscribe
-/// the host's cores. An idle endpoint that spins or yields on an
+/// configured threads (shards + the control thread) oversubscribe the
+/// host's cores. An idle endpoint that spins or yields on an
 /// oversubscribed host steals timeslices from whichever thread actually
 /// holds work, so the runtime clamps the budget and lets idle threads
-/// escalate to napping almost immediately. `pin_cores` (an explicit
-/// claim that each shard owns a core) disables the clamp.
+/// escalate to napping almost immediately.
 const OVERSUB_SPINS: u32 = 8;
 
-/// The endpoint spin budget after accounting for host oversubscription
-/// (see [`OVERSUB_SPINS`]).
-fn effective_spins(opts: &ParallelOpts) -> u32 {
+/// The endpoint spin budget for `shards` workers after accounting for
+/// host oversubscription (see [`OVERSUB_SPINS`]).
+fn effective_spins(shards: usize) -> u32 {
     let host = std::thread::available_parallelism().map_or(1, usize::from);
-    if !opts.pin_cores && opts.shards + opts.steerers + 1 > host {
-        opts.backoff_spins.min(OVERSUB_SPINS)
+    if shards + 1 > host {
+        OVERSUB_SPINS
     } else {
-        opts.backoff_spins
+        BACKOFF_SPINS
     }
 }
 
@@ -183,37 +183,13 @@ pub struct ParallelOpts {
     pub shards: usize,
     /// Run each shard's engine in batched (vector) transfer mode.
     pub batching: bool,
-    /// Packets per transfer batch: the injection side groups frames into
-    /// bursts of this size, and batching shards use it as their engine
-    /// burst ([`Router::set_batch_burst`]).
+    /// Packets per transfer batch: the floor of the injection side's
+    /// occupancy-adapted bursts ([`AdaptiveBurst`]: hot rings amortize
+    /// hand-off over bigger bursts, cold rings fall back to this), and
+    /// the engine burst of batching shards ([`Router::set_batch_burst`]).
     pub burst: usize,
     /// Capacity (in batches) of each SPSC ring.
     pub ring_capacity: usize,
-    /// Busy-poll backoff knob: how many times an idle endpoint spins
-    /// before it starts yielding and napping ([`Backoff`]). When the
-    /// configured threads oversubscribe the host's cores the runtime
-    /// clamps this to a small ceiling so idle endpoints nap instead of
-    /// stealing timeslices from busy ones; `pin_cores` disables the
-    /// clamp.
-    pub backoff_spins: u32,
-    /// Number of parallel steerer threads. `0` (the default) steers on
-    /// the injection thread exactly as before; `N ≥ 1` moves
-    /// classification onto N dedicated threads that partition the input
-    /// per flow ([`crate::steer::steerer_for`]) and push to the shard
-    /// rings concurrently, so the steering stage stops serializing the
-    /// front of the pipeline.
-    pub steerers: usize,
-    /// Grow/shrink the enqueue and dequeue bursts per ring from observed
-    /// occupancy ([`AdaptiveBurst`]) instead of using the fixed `burst`.
-    /// On by default: hot rings amortize hand-off over bigger bursts,
-    /// cold rings fall back to the configured floor.
-    pub adaptive_burst: bool,
-    /// Ask for per-shard core affinity. This zero-dependency safe-Rust
-    /// build has no OS affinity call, so the hint cannot literally pin
-    /// threads; instead it switches workers to a latency-biased backoff
-    /// profile (short nap cap) that assumes each shard owns its core.
-    /// Leave off when shards outnumber cores.
-    pub pin_cores: bool,
     /// What to do when a worker shard dies.
     pub recovery: Recovery,
     /// How long injection may make zero progress (all target rings full,
@@ -226,18 +202,13 @@ pub struct ParallelOpts {
 
 impl ParallelOpts {
     /// Defaults for `shards` workers: scalar engine, device burst,
-    /// 256-batch rings, 128-spin backoff, degrade-on-fault, 10 s wedge
-    /// timeout.
+    /// 256-batch rings, degrade-on-fault, 10 s wedge timeout.
     pub fn new(shards: usize) -> ParallelOpts {
         ParallelOpts {
             shards,
             batching: false,
             burst: crate::elements::device::BURST,
             ring_capacity: 256,
-            backoff_spins: 128,
-            steerers: 0,
-            adaptive_burst: true,
-            pin_cores: false,
             recovery: Recovery::Degrade,
             wedge_timeout: CTRL_TIMEOUT,
         }
@@ -250,36 +221,9 @@ impl ParallelOpts {
         self
     }
 
-    /// Runs classification on `n` parallel steerer threads (0 = steer
-    /// on the injection thread).
-    pub fn with_steerers(mut self, n: usize) -> ParallelOpts {
-        self.steerers = n;
-        self
-    }
-
-    /// Pins enqueue/dequeue bursts at the configured `burst` instead of
-    /// adapting them to ring occupancy.
-    pub fn fixed_burst(mut self) -> ParallelOpts {
-        self.adaptive_burst = false;
-        self
-    }
-
-    /// Requests the core-affinity pacing profile (see the field docs —
-    /// a behavioral hint, not an OS-level pin, in this build).
-    pub fn pin_cores(mut self) -> ParallelOpts {
-        self.pin_cores = true;
-        self
-    }
-
     /// Sets the SPSC ring capacity (in batches).
     pub fn with_ring_capacity(mut self, capacity: usize) -> ParallelOpts {
         self.ring_capacity = capacity.max(1);
-        self
-    }
-
-    /// Sets the busy-poll spin budget of every ring endpoint.
-    pub fn with_backoff_spins(mut self, spins: u32) -> ParallelOpts {
-        self.backoff_spins = spins;
         self
     }
 
@@ -400,59 +344,14 @@ enum CtrlReply {
     Gone,
 }
 
-/// Control messages the supervisor sends a steerer thread. Like
-/// [`Ctrl`], rare and off the packet path.
-enum SteerCtrl {
-    /// Snapshot the steerer's gauges.
-    Gauges,
-    /// Drain the steerer's producer ring for a (dead) shard and hand the
-    /// in-flight items back. The steerer executes this itself — it is
-    /// the ring's single producer, so the reclaim is race-free — and
-    /// the dead-shard mask (updated *before* this message was sent)
-    /// guarantees it will never push to that shard again afterwards.
-    Reclaim(usize),
-    /// Install a fresh producer ring (and doorbell thread) for a
-    /// restarted shard.
-    Replace(usize, RingProducer<ShardItem>, Thread),
-}
-
-/// Replies to [`SteerCtrl`].
-enum SteerReply {
-    Gauges(SteerGauges),
-    Reclaimed(Vec<ShardItem>),
-    Done,
-}
-
-/// State a steerer thread shares with the supervisor.
-#[derive(Debug, Default)]
-struct SteererShared {
-    heartbeat: AtomicU64,
-    /// Raw injection batches fully classified and delivered. The
-    /// supervisor balances this against its own enqueue counter to
-    /// detect steering-stage idleness.
-    processed_batches: AtomicU64,
-}
-
-/// Per-shard counters of traffic delivered *by steerer threads* (summed
-/// over steerers). The supervisor adds these to its own direct enqueue
-/// counters when judging worker idleness and in-flight loss. A steerer
-/// increments them only after a successful ring push, and always before
-/// bumping `processed_batches` — so once the steering stage reads idle,
-/// these counters are exact.
-#[derive(Debug, Default)]
-struct SteeredCounters {
-    batches: AtomicU64,
-    pkts: AtomicU64,
-}
-
 /// A parked thread's doorbell. [`Backoff::snooze`] naps with
 /// `park_timeout`, so any producer that knows the consumer's thread can
 /// `unpark` it after a push and end the nap the moment work arrives
-/// instead of when the timer expires. Worker and steerer threads are
-/// addressed directly through their [`JoinHandle`]s; the supervisor can
-/// be any thread (whichever one called `pump`), so it registers itself
-/// here at pump entry and workers/steerers ring this bell when they
-/// publish output or completion counters.
+/// instead of when the timer expires. Worker threads are addressed
+/// directly through their [`JoinHandle`]s; the supervisor can be any
+/// thread (whichever one called `pump`), so it registers itself here at
+/// pump entry and workers ring this bell when they publish output or
+/// completion counters.
 #[derive(Debug, Default)]
 struct Doorbell {
     thread: Mutex<Option<Thread>>,
@@ -472,51 +371,6 @@ impl Doorbell {
         let t = self.thread.lock().ok().and_then(|t| t.clone());
         if let Some(t) = t {
             t.unpark();
-        }
-    }
-}
-
-/// Main-thread handle to one steerer thread.
-struct Steerer {
-    index: usize,
-    to_steerer: RingProducer<ShardItem>,
-    ctrl: mpsc::Sender<SteerCtrl>,
-    reply: mpsc::Receiver<SteerReply>,
-    /// Raw batches handed to this steerer (main thread only writer).
-    enqueued_batches: u64,
-    shared: Arc<SteererShared>,
-    handle: Option<JoinHandle<()>>,
-}
-
-impl Steerer {
-    /// Every handed-over batch classified and delivered.
-    fn is_idle(&self) -> bool {
-        self.shared.processed_batches.load(Ordering::Acquire) == self.enqueued_batches
-    }
-
-    /// Rings the steerer's doorbell: cuts short a backoff nap after a
-    /// push to its input ring or a control send.
-    fn wake(&self) {
-        if let Some(h) = &self.handle {
-            h.thread().unpark();
-        }
-    }
-
-    /// Sends a control message and waits (bounded) for the answer.
-    fn query(&self, q: SteerCtrl) -> Result<SteerReply> {
-        let idx = self.index;
-        self.ctrl
-            .send(q)
-            .map_err(|_| Error::runtime(format!("steerer {idx}: control channel closed")))?;
-        self.wake();
-        match self.reply.recv_timeout(CTRL_TIMEOUT) {
-            Ok(r) => Ok(r),
-            Err(mpsc::RecvTimeoutError::Timeout) => Err(Error::runtime(format!(
-                "steerer {idx}: control query timed out after {CTRL_TIMEOUT:?}"
-            ))),
-            Err(mpsc::RecvTimeoutError::Disconnected) => Err(Error::runtime(format!(
-                "steerer {idx}: thread exited without answering"
-            ))),
         }
     }
 }
@@ -552,23 +406,14 @@ struct Worker {
     /// Set once the supervisor has processed this worker's death; a dead
     /// worker is skipped by injection and counts as idle.
     dead: bool,
-    /// [`SteeredCounters`] values at this incarnation's start: the
-    /// supervisor subtracts them so a restarted worker is not charged
-    /// with its predecessor's steered traffic.
-    steered_batches_base: u64,
-    steered_pkts_base: u64,
     handle: Option<JoinHandle<()>>,
 }
 
 impl Worker {
     /// All handed-over batches processed (a reconciled dead worker
     /// counts as idle: the supervisor already settled its accounts).
-    /// `steered_batches` is what the steerer threads delivered to this
-    /// incarnation on top of the supervisor's direct enqueues.
-    fn is_idle_with(&self, steered_batches: u64) -> bool {
-        self.dead
-            || self.shared.completed_batches.load(Ordering::Acquire)
-                == self.enqueued_batches + steered_batches
+    fn is_idle(&self) -> bool {
+        self.dead || self.shared.completed_batches.load(Ordering::Acquire) == self.enqueued_batches
     }
 
     /// True when the worker is no longer processing packets: it
@@ -585,7 +430,7 @@ impl Worker {
     }
 
     /// Rings the worker's doorbell: cuts short a backoff nap after a
-    /// push to one of its inbound rings or a control send.
+    /// push to its inbound ring or a control send.
     fn wake(&self) {
         if let Some(h) = &self.handle {
             h.thread().unpark();
@@ -650,48 +495,28 @@ pub struct ParallelRouter {
     /// so their statistics stay queryable until shutdown.
     graveyard: Vec<Worker>,
     steer: RssSteering,
-    /// Parallel steerer threads (empty in serial-steering mode).
-    steerers: Vec<Steerer>,
-    /// Live-shard mask shared with the steerer threads.
-    live_mask: Arc<SharedLiveMask>,
-    /// Per-shard counters of traffic the steerer threads delivered.
-    steered: Arc<Vec<SteeredCounters>>,
-    /// Packets the steerer threads dropped for want of a live shard.
-    steer_drops: Arc<AtomicU64>,
     stop: Arc<AtomicBool>,
     /// The control thread's device bank: the name table, the collected
     /// TX queues, and any attached real-I/O backends. Only this thread
     /// ever touches it — workers own private banks inside their engines.
     pub(crate) bank: DeviceBank,
-    /// Per-shard injection buffers, grouped into (device, burst) items
-    /// (serial-steering mode, and fault-path re-injection).
+    /// Per-shard injection buffers, grouped into (device, burst) items.
     pending: Vec<Vec<ShardItem>>,
-    /// Per-steerer injection buffers of raw, unclassified bursts
-    /// (parallel-steering mode).
-    pending_steer: Vec<Vec<ShardItem>>,
     /// Open-batch index per `(shard, device)` into `pending`: traffic
     /// that interleaves devices still fills device-coherent bursts
     /// instead of cutting a new batch on every device switch.
     /// Invalidated whenever the shard's groups are flushed or salvaged.
     pending_open: Vec<Vec<Option<usize>>>,
-    /// Open-batch index per `(steerer, device)` into `pending_steer`
-    /// (same role as `pending_open` for the raw pre-partition buffers).
-    pending_steer_open: Vec<Vec<Option<usize>>>,
     /// Reusable empty batch storage for injection grouping.
     storage: Vec<PacketBatch>,
-    burst: usize,
-    /// Per-shard adaptive enqueue burst (pinned at `burst` when
-    /// adaptive sizing is off).
+    /// Per-shard adaptive enqueue burst.
     burst_ctl: Vec<AdaptiveBurst>,
-    /// Serial-steering-mode ingress gauges (classification self-time on
-    /// the injection thread). Steerer threads track their own.
-    serial_steer: SteerGaugeTracker,
-    /// Memoized flow hashes for the serial-steering inject path (each
-    /// steerer thread owns its own cache).
+    /// Ingress gauges: classification self-time on the injection thread.
+    ingress: SteerGaugeTracker,
+    /// Memoized flow hashes for the inject path.
     steer_cache: FlowHashCache,
-    /// The supervisor's doorbell: workers and steerers ring it when they
-    /// publish output, so pump loops wake on delivery instead of on nap
-    /// expiry.
+    /// The supervisor's doorbell: workers ring it when they publish
+    /// output, so pump loops wake on delivery instead of on nap expiry.
     bell: Arc<Doorbell>,
     backoff_spins: u32,
     recovery: Recovery,
@@ -702,8 +527,7 @@ pub struct ParallelRouter {
     /// restarts rebuild from it, and a canary rollback re-installs it.
     /// A completed hot swap replaces it with the new graph.
     retained: Arc<RwLock<Arc<RouterGraph>>>,
-    /// Spawns a replacement worker for a shard slot; the supervisor
-    /// distributes the returned steerer producers.
+    /// Spawns a replacement worker for a shard slot.
     make_worker: MakeWorker,
     /// Validates a candidate configuration by building a prototype
     /// `Router<S>` on the calling thread (captures the engine type `S`),
@@ -736,28 +560,19 @@ impl ParallelRouter {
         if opts.ring_capacity < 1 {
             return Err(Error::runtime("ring capacity must be at least 1"));
         }
-        if opts.steerers > MAX_STEERERS {
-            return Err(Error::runtime(format!(
-                "steerer count {} outside 0..={MAX_STEERERS}",
-                opts.steerers
-            )));
-        }
         // Validate once on this thread so errors surface synchronously;
         // the prototype's (empty) device bank becomes the control side's.
         let bank = Router::<S>::from_graph(graph, &Library::standard())?.devices;
 
         let stop = Arc::new(AtomicBool::new(false));
         let bell = Arc::new(Doorbell::default());
-        let spins = effective_spins(&opts);
+        let spins = effective_spins(opts.shards);
         let cfg = WorkerCfg {
             shard: 0,
             batching: opts.batching,
             burst: opts.burst,
             backoff_spins: spins,
             ring_capacity: opts.ring_capacity,
-            steerers: opts.steerers,
-            adaptive: opts.adaptive_burst,
-            pin_cores: opts.pin_cores,
         };
         let retained = Arc::new(RwLock::new(Arc::new(graph.clone())));
         let make_worker: MakeWorker = {
@@ -772,17 +587,9 @@ impl ParallelRouter {
         let validate: Validator =
             Box::new(|g| Router::<S>::from_graph(g, &Library::standard()).map(|_| ()));
         let mut workers = Vec::with_capacity(opts.shards);
-        // Per steerer, that steerer's producer for each shard's ring.
-        let mut steer_producers: Vec<Vec<RingProducer<ShardItem>>> =
-            (0..opts.steerers).map(|_| Vec::new()).collect();
         for shard in 0..opts.shards {
             match make_worker(shard) {
-                Ok((w, extra)) => {
-                    for (j, p) in extra.into_iter().enumerate() {
-                        steer_producers[j].push(p);
-                    }
-                    workers.push(w);
-                }
+                Ok(w) => workers.push(w),
                 Err(e) => {
                     // Already-spawned workers exit on the stop flag
                     // instead of leaking as spinning threads.
@@ -791,79 +598,22 @@ impl ParallelRouter {
                 }
             }
         }
-        let live_mask = Arc::new(SharedLiveMask::new(opts.shards));
-        let steered: Arc<Vec<SteeredCounters>> = Arc::new(
-            (0..opts.shards)
-                .map(|_| SteeredCounters::default())
-                .collect(),
-        );
-        let steer_drops = Arc::new(AtomicU64::new(0));
-        let worker_threads: Vec<Thread> = workers
-            .iter()
-            .map(|w| {
-                w.handle
-                    .as_ref()
-                    .expect("freshly spawned worker has a thread handle")
-                    .thread()
-                    .clone()
-            })
-            .collect();
-        let mut steerers = Vec::with_capacity(opts.steerers);
-        for (index, outputs) in steer_producers.into_iter().enumerate() {
-            let scfg = SteererCfg {
-                index,
-                shards: opts.shards,
-                backoff_spins: spins,
-                ring_capacity: opts.ring_capacity,
-                adaptive: opts.adaptive_burst,
-                pin_cores: opts.pin_cores,
-            };
-            match spawn_steerer(
-                scfg,
-                outputs,
-                worker_threads.clone(),
-                Arc::clone(&live_mask),
-                Arc::clone(&steered),
-                Arc::clone(&steer_drops),
-                &stop,
-                &bell,
-            ) {
-                Ok(s) => steerers.push(s),
-                Err(e) => {
-                    stop.store(true, Ordering::Release);
-                    return Err(e);
-                }
-            }
-        }
         let n_dev = bank.len();
         let burst = opts.burst.max(1);
         let burst_ctl = (0..opts.shards)
-            .map(|_| {
-                if opts.adaptive_burst {
-                    AdaptiveBurst::new(burst, burst, burst.saturating_mul(8).min(256))
-                } else {
-                    AdaptiveBurst::fixed(burst)
-                }
-            })
+            .map(|_| AdaptiveBurst::new(burst, burst, burst.saturating_mul(8).min(256)))
             .collect();
         Ok(ParallelRouter {
             workers,
             graveyard: Vec::new(),
             steer: RssSteering::new(opts.shards),
-            steerers,
-            live_mask,
-            steered,
-            steer_drops,
             stop,
             bank,
             pending: (0..opts.shards).map(|_| Vec::new()).collect(),
             pending_open: (0..opts.shards).map(|_| vec![None; n_dev]).collect(),
-            pending_steer: (0..opts.steerers).map(|_| Vec::new()).collect(),
-            pending_steer_open: (0..opts.steerers).map(|_| vec![None; n_dev]).collect(),
             storage: Vec::new(),
-            burst,
             burst_ctl,
-            serial_steer: SteerGaugeTracker::new(0),
+            ingress: SteerGaugeTracker::new(),
             steer_cache: FlowHashCache::default(),
             bell,
             backoff_spins: spins,
@@ -881,38 +631,9 @@ impl ParallelRouter {
         })
     }
 
-    /// Number of parallel steerer threads (0 in serial-steering mode).
-    pub fn steerer_count(&self) -> usize {
-        self.steerers.len()
-    }
-
-    /// Whether the parallel steering stage and all its buffers are
-    /// drained (vacuously true in serial-steering mode). Once this
-    /// holds, the per-shard steered counters are stable.
-    fn steering_idle(&self) -> bool {
-        self.pending_steer.iter().all(Vec::is_empty) && self.steerers.iter().all(Steerer::is_idle)
-    }
-
-    /// Batches delivered to shard `i`'s current incarnation by the
-    /// steerer threads.
-    fn steered_batches(&self, i: usize) -> u64 {
-        self.steered[i]
-            .batches
-            .load(Ordering::Acquire)
-            .saturating_sub(self.workers[i].steered_batches_base)
-    }
-
-    /// Whether worker `i` has processed everything handed to it, from
-    /// both the supervisor and the steerer threads. Only meaningful
-    /// once [`ParallelRouter::steering_idle`] holds (the steered
-    /// counters still grow while steerers run).
-    fn worker_idle(&self, i: usize) -> bool {
-        self.workers[i].is_idle_with(self.steered_batches(i))
-    }
-
-    /// All workers idle (steered counters included).
+    /// All workers idle.
     fn workers_idle(&self) -> bool {
-        (0..self.workers.len()).all(|i| self.worker_idle(i))
+        self.workers.iter().all(Worker::is_idle)
     }
 
     /// Number of worker shards.
@@ -931,8 +652,6 @@ impl ParallelRouter {
         FaultGauges {
             live_shards: self.steer.live_count(),
             shards: self.workers.len(),
-            no_live_shard_drops: self.faults.no_live_shard_drops
-                + self.steer_drops.load(Ordering::Acquire),
             ..self.faults
         }
     }
@@ -959,10 +678,7 @@ impl ParallelRouter {
             .iter()
             .map(|s| s.map(|(d, _)| d).unwrap_or(0))
             .sum();
-        engine
-            + self.faults.no_live_shard_drops
-            + self.steer_drops.load(Ordering::Acquire)
-            + self.bank.lost_packets()
+        engine + self.faults.no_live_shard_drops + self.bank.lost_packets()
     }
 
     // ---- checkpoint/restore ---------------------------------------------
@@ -1028,10 +744,9 @@ impl ParallelRouter {
             }
         }
         // Supervisor-held packets: injection bursts still buffered for a
-        // shard or steerer count as received-but-unprocessed (RX), and
-        // the collected TX banks as transmitted-but-undrained.
-        let buffered = self.pending.iter().chain(self.pending_steer.iter());
-        for (dev, batch) in buffered.flatten() {
+        // shard count as received-but-unprocessed (RX), and the
+        // collected TX banks as transmitted-but-undrained.
+        for (dev, batch) in self.pending.iter().flatten() {
             if let Some(d) = devices.get_mut(dev.0) {
                 d.rx.extend(batch.iter().map(PacketRecord::from_packet));
             }
@@ -1262,7 +977,7 @@ impl ParallelRouter {
                     "hot swap: shard {shard} died while quiescing"
                 )));
             }
-            if self.steering_idle() && self.worker_idle(shard) {
+            if self.workers[shard].is_idle() {
                 return Ok(());
             }
             if Instant::now() >= deadline {
@@ -1319,9 +1034,7 @@ impl ParallelRouter {
                 .completed_pkts
                 .load(Ordering::Acquire)
                 .saturating_sub(start_pkts);
-            let idle = self.steering_idle()
-                && self.workers_idle()
-                && self.pending.iter().all(Vec::is_empty);
+            let idle = self.workers_idle() && self.pending.iter().all(Vec::is_empty);
             if canary_pkts >= window || idle || Instant::now() >= deadline {
                 return;
             }
@@ -1351,32 +1064,7 @@ impl ParallelRouter {
     /// [`ParallelRouter::run_until_idle`]) to hand buffered bursts to
     /// the workers. If no live shard remains the packet is dropped and
     /// counted in [`FaultGauges::no_live_shard_drops`].
-    ///
-    /// In parallel-steering mode the packet is *not* classified here:
-    /// it is handed (in per-flow deterministic fashion) to one of the
-    /// steerer threads, which classifies and delivers it concurrently
-    /// with this thread injecting the rest of the trace.
     pub fn inject(&mut self, dev: DeviceId, p: Packet) {
-        if !self.steerers.is_empty() {
-            // Cheap pre-partition only: full classification happens on
-            // the steerer threads.
-            let st = steerer_for(p.data(), dev, self.steerers.len());
-            let groups = &mut self.pending_steer[st];
-            let open = &mut self.pending_steer_open[st];
-            if open.len() <= dev.0 {
-                open.resize(dev.0 + 1, None);
-            }
-            match open[dev.0] {
-                Some(i) if groups[i].1.len() < self.burst => groups[i].1.push(p),
-                _ => {
-                    let mut batch = self.storage.pop().unwrap_or_default();
-                    batch.push(p);
-                    open[dev.0] = Some(groups.len());
-                    groups.push((dev, batch));
-                }
-            }
-            return;
-        }
         let t0 = telemetry::ENABLED.then(Instant::now);
         let Some(shard) = self
             .steer
@@ -1387,8 +1075,7 @@ impl ParallelRouter {
             return;
         };
         if let Some(t0) = t0 {
-            self.serial_steer
-                .steered(0, 1, t0.elapsed().as_nanos() as u64);
+            self.ingress.steered(0, 1, t0.elapsed().as_nanos() as u64);
         }
         let burst = self.burst_ctl[shard].get();
         let groups = &mut self.pending[shard];
@@ -1403,7 +1090,7 @@ impl ParallelRouter {
                 batch.push(p);
                 open[dev.0] = Some(groups.len());
                 groups.push((dev, batch));
-                self.serial_steer.steered(1, 0, 0);
+                self.ingress.steered(1, 0, 0);
             }
         }
     }
@@ -1544,32 +1231,8 @@ impl ParallelRouter {
         self.supervise();
         loop {
             let mut progressed = false;
-            // Hand raw bursts to the steerer threads (parallel-steering
-            // mode; no-op otherwise).
             let mut outstanding = 0usize;
-            for st in 0..self.steerers.len() {
-                if self.pending_steer[st].is_empty() {
-                    continue;
-                }
-                if self.steerers[st].to_steerer.is_full() {
-                    outstanding += self.pending_steer[st].len();
-                    continue;
-                }
-                let mut groups = std::mem::take(&mut self.pending_steer[st]);
-                // Flushing shifts group indices; close every open batch.
-                self.pending_steer_open[st]
-                    .iter_mut()
-                    .for_each(|o| *o = None);
-                let n = self.steerers[st].to_steerer.push_batch(&mut groups);
-                self.steerers[st].enqueued_batches += n as u64;
-                if n > 0 {
-                    progressed = true;
-                    self.steerers[st].wake();
-                }
-                outstanding += groups.len();
-                self.pending_steer[st] = groups;
-            }
-            // Hand classified bursts to their shards' rings.
+            // Hand buffered bursts to their shards' rings.
             for shard in 0..self.workers.len() {
                 if self.pending[shard].is_empty() {
                     continue;
@@ -1605,14 +1268,11 @@ impl ParallelRouter {
             if got > 0 {
                 progressed = true;
             }
-            // Done? The steering stage must drain first: its idleness
-            // freezes the steered counters that worker idleness is
-            // judged against.
             if outstanding == 0 {
                 if !until_idle {
                     return (collected, Ok(()));
                 }
-                if self.steering_idle() && self.workers_idle() {
+                if self.workers_idle() {
                     // Workers are done; one final sweep picks up anything
                     // published between the last collect and the idle
                     // check.
@@ -1662,28 +1322,14 @@ impl ParallelRouter {
     fn handle_dead_shard(&mut self, shard: usize) {
         self.faults.shard_deaths += 1;
         self.steer.mark_dead(shard);
-        // Steerer threads must stop targeting the shard *before* they
-        // are asked to reclaim their rings: receiving Reclaim proves a
-        // steerer has observed the dead bit (the mask write
-        // happens-before the channel send), so after its reply it can
-        // never push to this shard again.
-        self.live_mask.mark_dead(shard);
         self.workers[shard].dead = true;
 
-        // Salvage: everything still in the inbound rings (the dead
-        // consumer is inert; the supervisor reclaims its own direct
-        // ring, each steerer reclaims its own — every ring through its
-        // single producer), every published TX burst in the outbound
-        // ring, and every not-yet-enqueued pending burst, in FIFO order.
+        // Salvage: everything still in the inbound ring (the dead
+        // consumer is inert, and this thread is the ring's single
+        // producer), every published TX burst in the outbound ring, and
+        // every not-yet-enqueued pending burst, in FIFO order.
         let mut salvaged: Vec<ShardItem> = Vec::new();
         self.workers[shard].to_worker.reclaim(&mut salvaged);
-        for st in &self.steerers {
-            if let Ok(SteerReply::Reclaimed(items)) = st.query(SteerCtrl::Reclaim(shard)) {
-                // Per-flow order survives concatenation: a flow lives in
-                // exactly one steerer's ring.
-                salvaged.extend(items);
-            }
-        }
         let ring_pkts: u64 = salvaged.iter().map(|(_, b)| b.len() as u64).sum();
         let mut published: Vec<ShardItem> = Vec::new();
         self.workers[shard]
@@ -1701,16 +1347,12 @@ impl ParallelRouter {
 
         // Account the irrecoverable loss: packets handed to the worker
         // that it neither completed nor left in the rings were inside
-        // the engine when it died. The steered counters are stable here:
-        // every steerer answered Reclaim, so none will deliver more.
-        let steered_p = self.steered[shard]
-            .pkts
-            .load(Ordering::Acquire)
-            .saturating_sub(self.workers[shard].steered_pkts_base);
+        // the engine when it died.
         let w = &mut self.workers[shard];
         let completed_b = w.shared.completed_batches.load(Ordering::Acquire);
         let completed_p = w.shared.completed_pkts.load(Ordering::Acquire);
-        let lost = (w.enqueued_pkts + steered_p)
+        let lost = w
+            .enqueued_pkts
             .saturating_sub(completed_p)
             .saturating_sub(ring_pkts);
         self.faults.lost_packets += lost;
@@ -1718,8 +1360,6 @@ impl ParallelRouter {
         // Reconcile the dead worker's books so it reads as idle.
         w.enqueued_batches = completed_b;
         w.enqueued_pkts = completed_p;
-        w.steered_batches_base = self.steered[shard].batches.load(Ordering::Acquire);
-        w.steered_pkts_base = self.steered[shard].pkts.load(Ordering::Acquire);
 
         // Recover.
         let restart_budget = match self.recovery {
@@ -1729,30 +1369,11 @@ impl ParallelRouter {
         let mut restarted = false;
         if self.workers[shard].restarts < restart_budget {
             match (self.make_worker)(shard) {
-                Ok((mut fresh, producers)) => {
+                Ok(mut fresh) => {
                     fresh.restarts = self.workers[shard].restarts + 1;
-                    // The fresh incarnation is charged only for steered
-                    // traffic delivered from now on.
-                    fresh.steered_batches_base =
-                        self.steered[shard].batches.load(Ordering::Acquire);
-                    fresh.steered_pkts_base = self.steered[shard].pkts.load(Ordering::Acquire);
                     let old = std::mem::replace(&mut self.workers[shard], fresh);
                     self.graveyard.push(old);
-                    let fresh_thread = self.workers[shard]
-                        .handle
-                        .as_ref()
-                        .expect("freshly spawned worker has a thread handle")
-                        .thread()
-                        .clone();
-                    // Hand every steerer its fresh producer *before*
-                    // reviving the shard in the shared mask, so no
-                    // steerer can steer to the shard while still holding
-                    // the dead incarnation's ring.
-                    for (st, p) in self.steerers.iter().zip(producers) {
-                        let _ = st.query(SteerCtrl::Replace(shard, p, fresh_thread.clone()));
-                    }
                     self.steer.mark_live(shard);
-                    self.live_mask.mark_live(shard);
                     self.faults.restarts += 1;
                     restarted = true;
                 }
@@ -1991,24 +1612,10 @@ impl ParallelRouter {
     }
 
     /// Ingress-steering gauges: classification self-time, batches and
-    /// packets steered, and snoozes, per steering context. In
-    /// parallel-steering mode one row per steerer thread; in serial
-    /// mode a single row for the injection thread's inline steering.
+    /// packets steered on the injection thread — always exactly one row.
     /// Zeroed unless built with the `telemetry` feature.
     pub fn steer_gauges(&self) -> Vec<SteerGauges> {
-        if self.steerers.is_empty() {
-            return vec![self.serial_steer.snapshot()];
-        }
-        self.steerers
-            .iter()
-            .filter_map(|s| match s.query(SteerCtrl::Gauges) {
-                Ok(SteerReply::Gauges(mut g)) => {
-                    g.steerer = s.index;
-                    Some(g)
-                }
-                _ => None,
-            })
-            .collect()
+        vec![self.ingress.snapshot()]
     }
 
     /// Stops the workers and joins their threads. Equivalent to dropping
@@ -2032,32 +1639,13 @@ impl ParallelRouter {
                 .workers
                 .iter()
                 .chain(self.graveyard.iter())
-                .all(|w| w.handle.as_ref().is_none_or(JoinHandle::is_finished))
-                && self
-                    .steerers
-                    .iter()
-                    .all(|s| s.handle.as_ref().is_none_or(JoinHandle::is_finished));
+                .all(|w| w.handle.as_ref().is_none_or(JoinHandle::is_finished));
             if all_finished || Instant::now() >= deadline {
                 break;
             }
             std::thread::yield_now();
         }
         let mut leftovers: Vec<ShardItem> = Vec::new();
-        // Steerer threads first: once joined, their input rings can be
-        // reclaimed through the producer side the supervisor holds.
-        for s in &mut self.steerers {
-            if let Some(h) = s.handle.take() {
-                if h.is_finished() {
-                    let _ = h.join();
-                    s.to_steerer.reclaim(&mut leftovers);
-                } else {
-                    s.handle = None; // wedged: abandon, leave its rings alone
-                }
-            }
-        }
-        for groups in &mut self.pending_steer {
-            leftovers.append(groups);
-        }
         for w in self.workers.iter_mut().chain(self.graveyard.iter_mut()) {
             if let Some(h) = w.handle.take() {
                 if h.is_finished() {
@@ -2120,41 +1708,16 @@ struct WorkerCfg {
     burst: usize,
     backoff_spins: u32,
     ring_capacity: usize,
-    /// Number of steerer threads (each gets its own inbound ring into
-    /// this worker, on top of the supervisor's direct ring).
-    steerers: usize,
-    /// Adapt the dequeue burst to ring occupancy.
-    adaptive: bool,
-    /// Latency-biased backoff profile (see [`ParallelOpts::pin_cores`]).
-    pin_cores: bool,
 }
 
-/// A [`Backoff`] honoring the `pin_cores` pacing profile.
-fn make_backoff(spins: u32, pin_cores: bool) -> Backoff {
-    if pin_cores {
-        Backoff::with_max_nap(spins, PINNED_NAP_CAP)
-    } else {
-        Backoff::new(spins)
-    }
-}
-
-/// Creates the rings, channels, and thread for one worker shard. Also
-/// returns the producer endpoints of the steerer inbound rings (in
-/// steerer order) for the caller to distribute to the steerer threads.
+/// Creates the rings, channels, and thread for one worker shard.
 fn spawn_worker<S: Slot + 'static>(
     graph: &Arc<RouterGraph>,
     cfg: WorkerCfg,
     stop: &Arc<AtomicBool>,
     bell: &Arc<Doorbell>,
-) -> Result<(Worker, Vec<RingProducer<ShardItem>>)> {
-    let (to_worker, worker_in) = spsc::<ShardItem>(cfg.ring_capacity);
-    let mut inputs = vec![worker_in];
-    let mut steer_producers = Vec::with_capacity(cfg.steerers);
-    for _ in 0..cfg.steerers {
-        let (p, c) = spsc::<ShardItem>(cfg.ring_capacity);
-        steer_producers.push(p);
-        inputs.push(c);
-    }
+) -> Result<Worker> {
+    let (to_worker, input) = spsc::<ShardItem>(cfg.ring_capacity);
     let (worker_out, from_worker) = spsc::<ShardItem>(cfg.ring_capacity);
     let (ctrl_tx, ctrl_rx) = mpsc::channel::<Ctrl>();
     let (reply_tx, reply_rx) = mpsc::channel::<CtrlReply>();
@@ -2167,310 +1730,23 @@ fn spawn_worker<S: Slot + 'static>(
         .name(format!("click-shard-{}", cfg.shard))
         .spawn(move || {
             worker_main::<S>(
-                &g, cfg, inputs, worker_out, ctrl_rx, reply_tx, stop_w, shared_w, bell_w,
+                &g, cfg, input, worker_out, ctrl_rx, reply_tx, stop_w, shared_w, bell_w,
             );
         })
         .map_err(|e| Error::runtime(format!("spawning shard {}: {e}", cfg.shard)))?;
-    Ok((
-        Worker {
-            shard: cfg.shard,
-            to_worker,
-            from_worker,
-            ctrl: ctrl_tx,
-            reply: reply_rx,
-            enqueued_batches: 0,
-            enqueued_pkts: 0,
-            shared,
-            restarts: 0,
-            dead: false,
-            steered_batches_base: 0,
-            steered_pkts_base: 0,
-            handle: Some(handle),
-        },
-        steer_producers,
-    ))
-}
-
-/// Per-steerer configuration handed to the steerer thread.
-#[derive(Clone, Copy)]
-struct SteererCfg {
-    index: usize,
-    shards: usize,
-    backoff_spins: u32,
-    ring_capacity: usize,
-    adaptive: bool,
-    pin_cores: bool,
-}
-
-/// Creates the input ring, control channels, and thread for one steerer.
-/// `wakers[s]` is shard `s`'s worker thread: the steerer unparks it
-/// after pushing into that worker's ring.
-#[allow(clippy::too_many_arguments)]
-fn spawn_steerer(
-    cfg: SteererCfg,
-    outputs: Vec<RingProducer<ShardItem>>,
-    wakers: Vec<Thread>,
-    mask: Arc<SharedLiveMask>,
-    steered: Arc<Vec<SteeredCounters>>,
-    drops: Arc<AtomicU64>,
-    stop: &Arc<AtomicBool>,
-    bell: &Arc<Doorbell>,
-) -> Result<Steerer> {
-    let (to_steerer, input) = spsc::<ShardItem>(cfg.ring_capacity);
-    let (ctrl_tx, ctrl_rx) = mpsc::channel::<SteerCtrl>();
-    let (reply_tx, reply_rx) = mpsc::channel::<SteerReply>();
-    let shared = Arc::new(SteererShared::default());
-    let stop_s = Arc::clone(stop);
-    let shared_s = Arc::clone(&shared);
-    let bell_s = Arc::clone(bell);
-    let handle = std::thread::Builder::new()
-        .name(format!("click-steer-{}", cfg.index))
-        .spawn(move || {
-            steerer_main(
-                cfg, input, outputs, wakers, &mask, &steered, &drops, &ctrl_rx, &reply_tx, &stop_s,
-                &shared_s, &bell_s,
-            );
-        })
-        .map_err(|e| Error::runtime(format!("spawning steerer {}: {e}", cfg.index)))?;
-    Ok(Steerer {
-        index: cfg.index,
-        to_steerer,
+    Ok(Worker {
+        shard: cfg.shard,
+        to_worker,
+        from_worker,
         ctrl: ctrl_tx,
         reply: reply_rx,
         enqueued_batches: 0,
+        enqueued_pkts: 0,
         shared,
+        restarts: 0,
+        dead: false,
         handle: Some(handle),
     })
-}
-
-/// The steerer thread: pops raw injection bursts from its input ring,
-/// classifies each packet against a fresh snapshot of the shared
-/// live-shard mask, and pushes per-shard batches straight into the
-/// worker rings it owns producers for. Per-flow order holds because the
-/// injection thread partitions flows deterministically across steerers
-/// ([`steerer_for`]) and one steerer processes its input FIFO.
-#[allow(clippy::too_many_arguments)]
-fn steerer_main(
-    cfg: SteererCfg,
-    input: RingConsumer<ShardItem>,
-    mut outputs: Vec<RingProducer<ShardItem>>,
-    mut wakers: Vec<Thread>,
-    mask: &SharedLiveMask,
-    steered: &[SteeredCounters],
-    drops: &AtomicU64,
-    ctrl: &mpsc::Receiver<SteerCtrl>,
-    reply: &mpsc::Sender<SteerReply>,
-    stop: &AtomicBool,
-    shared: &SteererShared,
-    bell: &Doorbell,
-) {
-    let mut backoff = make_backoff(cfg.backoff_spins, cfg.pin_cores);
-    let mut inbox: Vec<ShardItem> = Vec::new();
-    let mut scratch: Vec<PacketBatch> = (0..cfg.shards).map(|_| PacketBatch::default()).collect();
-    let mut free: Vec<PacketBatch> = Vec::new();
-    let mut hash_cache = FlowHashCache::default();
-    let capacity = input.capacity();
-    let mut deq = if cfg.adaptive {
-        AdaptiveBurst::new(DEQUEUE_BURST, DEQUEUE_BURST, capacity.max(DEQUEUE_BURST))
-    } else {
-        AdaptiveBurst::fixed(DEQUEUE_BURST)
-    };
-    let gauges = SteerGaugeTracker::new(cfg.index);
-    loop {
-        shared.heartbeat.fetch_add(1, Ordering::Relaxed);
-        answer_steer_ctrl(&mut outputs, &mut wakers, &gauges, ctrl, reply);
-        let popped = input.pop_batch(deq.get(), &mut inbox);
-        deq.observe(input.len(), capacity);
-        if popped > 0 {
-            backoff.reset();
-            let t0 = telemetry::ENABLED.then(Instant::now);
-            let mut pkts = 0u64;
-            // Shards delivered to during this burst; each gets one
-            // doorbell unpark at the end (per-batch unparks are futex
-            // traffic that swamps small batches).
-            let mut touched = 0u128;
-            for (dev, mut batch) in inbox.drain(..) {
-                pkts += batch.len() as u64;
-                // One mask snapshot per burst: cheap, and any staleness
-                // is recovered by the dead-target recheck in `deliver`
-                // plus the supervisor's ring reclaim.
-                let steering = RssSteering::with_live_mask(cfg.shards, mask.snapshot());
-                for p in batch.drain() {
-                    match steering.live_shard_for_cached(p.data(), dev, &mut hash_cache) {
-                        Some(s) => scratch[s].push(p),
-                        None => {
-                            drops.fetch_add(1, Ordering::Relaxed);
-                            p.recycle();
-                        }
-                    }
-                }
-                if free.len() < 64 {
-                    free.push(batch);
-                }
-                for (s, slot) in scratch.iter_mut().enumerate() {
-                    if slot.is_empty() {
-                        continue;
-                    }
-                    let out = std::mem::replace(slot, free.pop().unwrap_or_default());
-                    deliver(
-                        dev,
-                        s,
-                        out,
-                        &mut outputs,
-                        &mut wakers,
-                        mask,
-                        steered,
-                        drops,
-                        &mut free,
-                        &gauges,
-                        ctrl,
-                        reply,
-                        stop,
-                        &cfg,
-                        &mut touched,
-                    );
-                }
-            }
-            for (s, w) in wakers.iter().enumerate() {
-                if touched & (1u128 << s) != 0 {
-                    w.unpark();
-                }
-            }
-            gauges.steered(
-                popped as u64,
-                pkts,
-                t0.map_or(0, |t| t.elapsed().as_nanos() as u64),
-            );
-            // Release-publish completion *after* the steered counters,
-            // so a supervisor that reads this steerer as idle also sees
-            // every per-shard delivery it made.
-            shared
-                .processed_batches
-                .fetch_add(popped as u64, Ordering::Release);
-            bell.ring();
-        } else if stop.load(Ordering::Acquire) && input.is_empty() {
-            return;
-        } else {
-            gauges.snoozed();
-            backoff.snooze();
-        }
-    }
-}
-
-/// Pushes one classified batch into a shard ring, spinning under
-/// backpressure. Re-checks the shared live mask on every attempt: a
-/// target that died mid-push is re-steered across the survivors (which
-/// may fan the batch out to several shards), exactly like the
-/// supervisor's salvage path — so a steerer can never wedge against a
-/// dead consumer. Keeps answering steerer control messages while
-/// blocked, so a supervisor Reclaim can never deadlock against a full
-/// ring.
-#[allow(clippy::too_many_arguments)]
-fn deliver(
-    dev: DeviceId,
-    shard: usize,
-    batch: PacketBatch,
-    outputs: &mut [RingProducer<ShardItem>],
-    wakers: &mut [Thread],
-    mask: &SharedLiveMask,
-    steered: &[SteeredCounters],
-    drops: &AtomicU64,
-    free: &mut Vec<PacketBatch>,
-    gauges: &SteerGaugeTracker,
-    ctrl: &mpsc::Receiver<SteerCtrl>,
-    reply: &mpsc::Sender<SteerReply>,
-    stop: &AtomicBool,
-    cfg: &SteererCfg,
-    touched: &mut u128,
-) {
-    let mut worklist: Vec<(usize, PacketBatch)> = vec![(shard, batch)];
-    let mut backoff = make_backoff(cfg.backoff_spins, cfg.pin_cores);
-    while let Some((s, mut batch)) = worklist.pop() {
-        backoff.reset();
-        loop {
-            let m = mask.snapshot();
-            if m & (1u128 << s) == 0 {
-                // The target died since classification: re-steer the
-                // whole batch under the fresh mask.
-                let steering = RssSteering::with_live_mask(cfg.shards, m);
-                let mut rerouted: Vec<(usize, PacketBatch)> = Vec::new();
-                for p in batch.drain() {
-                    match steering.live_shard_for(p.data(), dev) {
-                        Some(t) => match rerouted.iter_mut().find(|(k, _)| *k == t) {
-                            Some((_, b)) => b.push(p),
-                            None => {
-                                let mut b = free.pop().unwrap_or_default();
-                                b.push(p);
-                                rerouted.push((t, b));
-                            }
-                        },
-                        None => {
-                            drops.fetch_add(1, Ordering::Relaxed);
-                            p.recycle();
-                        }
-                    }
-                }
-                if free.len() < 64 {
-                    free.push(batch);
-                }
-                worklist.extend(rerouted);
-                break;
-            }
-            let n = batch.len() as u64;
-            match outputs[s].try_push((dev, batch)) {
-                Ok(()) => {
-                    steered[s].pkts.fetch_add(n, Ordering::Release);
-                    steered[s].batches.fetch_add(1, Ordering::Release);
-                    // Defer the worker's doorbell to the caller: one
-                    // unpark per popped burst per shard, not per batch.
-                    *touched |= 1u128 << s;
-                    break;
-                }
-                Err((_, back)) => batch = back,
-            }
-            if stop.load(Ordering::Acquire) {
-                batch.recycle_packets();
-                break;
-            }
-            // The target may be napping on a full ring's far side only
-            // if the *worker* stalled; wake it so it drains.
-            wakers[s].unpark();
-            answer_steer_ctrl(outputs, wakers, gauges, ctrl, reply);
-            gauges.snoozed();
-            backoff.snooze();
-        }
-    }
-}
-
-/// Answers every pending steerer control message. `Reclaim` drains this
-/// steerer's producer ring for a dead shard (race-free: the steerer is
-/// that ring's single producer, and the dead worker no longer pops);
-/// `Replace` installs the restarted shard's fresh ring.
-fn answer_steer_ctrl(
-    outputs: &mut [RingProducer<ShardItem>],
-    wakers: &mut [Thread],
-    gauges: &SteerGaugeTracker,
-    ctrl: &mpsc::Receiver<SteerCtrl>,
-    reply: &mpsc::Sender<SteerReply>,
-) {
-    while let Ok(q) = ctrl.try_recv() {
-        let r = match q {
-            SteerCtrl::Gauges => SteerReply::Gauges(gauges.snapshot()),
-            SteerCtrl::Reclaim(shard) => {
-                let mut items = Vec::new();
-                outputs[shard].reclaim(&mut items);
-                SteerReply::Reclaimed(items)
-            }
-            SteerCtrl::Replace(shard, p, waker) => {
-                outputs[shard] = p;
-                wakers[shard] = waker;
-                SteerReply::Done
-            }
-        };
-        if reply.send(r).is_err() {
-            return; // main side gone; shutdown is imminent
-        }
-    }
 }
 
 /// The worker thread: builds its shard's router clone and busy-polls the
@@ -2483,7 +1759,7 @@ fn answer_steer_ctrl(
 fn worker_main<S: Slot>(
     graph: &RouterGraph,
     cfg: WorkerCfg,
-    inputs: Vec<RingConsumer<ShardItem>>,
+    input: RingConsumer<ShardItem>,
     output: RingProducer<ShardItem>,
     ctrl: mpsc::Receiver<Ctrl>,
     reply: mpsc::Sender<CtrlReply>,
@@ -2512,21 +1788,13 @@ fn worker_main<S: Slot>(
     router.set_batch_burst(cfg.burst);
     let mut n_dev = router.devices.len();
 
-    let mut backoff = make_backoff(cfg.backoff_spins, cfg.pin_cores);
+    let mut backoff = Backoff::new(cfg.backoff_spins);
     let mut inbox: Vec<ShardItem> = Vec::new();
     let mut free: Vec<PacketBatch> = Vec::new();
     let mut gauges = ShardGaugeTracker::new(cfg.shard);
-    // Dequeue burst: fixed floor, or occupancy-adapted per poll.
-    let total_capacity: usize = inputs.iter().map(RingConsumer::capacity).sum();
-    let mut deq = if cfg.adaptive {
-        AdaptiveBurst::new(
-            DEQUEUE_BURST,
-            DEQUEUE_BURST,
-            total_capacity.max(DEQUEUE_BURST),
-        )
-    } else {
-        AdaptiveBurst::fixed(DEQUEUE_BURST)
-    };
+    // Dequeue burst: occupancy-adapted per poll.
+    let capacity = input.capacity();
+    let mut deq = AdaptiveBurst::new(DEQUEUE_BURST, DEQUEUE_BURST, capacity.max(DEQUEUE_BURST));
     loop {
         shared.heartbeat.fetch_add(1, Ordering::Relaxed);
         // Control drain. `Ctrl::Swap` is handled only here — the one
@@ -2556,22 +1824,9 @@ fn worker_main<S: Slot>(
         // The gauge reads are const-folded away when telemetry is off
         // (`ENABLED` is false at compile time), keeping the poll loop
         // untouched.
-        let depth = if telemetry::ENABLED {
-            inputs.iter().map(RingConsumer::len).sum()
-        } else {
-            0
-        };
-        // Round-robin over the inbound rings (the supervisor's direct
-        // ring plus one per steerer): up to the adaptive burst from
-        // each, so no single producer starves the others.
-        let burst = deq.get();
-        let mut popped = 0;
-        let mut occupancy = 0;
-        for input in &inputs {
-            popped += input.pop_batch(burst, &mut inbox);
-            occupancy += input.len();
-        }
-        deq.observe(occupancy, total_capacity);
+        let depth = if telemetry::ENABLED { input.len() } else { 0 };
+        let popped = input.pop_batch(deq.get(), &mut inbox);
+        deq.observe(input.len(), capacity);
         if popped > 0 {
             backoff.reset();
             if telemetry::ENABLED {
@@ -2629,7 +1884,7 @@ fn worker_main<S: Slot>(
                 zombie_loop(Some(&router), &gauges, &ctrl, &reply, &stop, &shared);
                 return;
             }
-        } else if stop.load(Ordering::Acquire) && inputs.iter().all(RingConsumer::is_empty) {
+        } else if stop.load(Ordering::Acquire) && input.is_empty() {
             shared.health.store(HEALTH_EXITED, Ordering::Release);
             bell.ring();
             return;
@@ -2901,100 +2156,6 @@ mod tests {
         let g = counter_graph();
         let r = ParallelRouter::from_graph::<Box<dyn Element>>(&g, ParallelOpts::new(3)).unwrap();
         drop(r); // must not hang or leak spinning threads
-    }
-
-    #[test]
-    fn steerer_mode_preserves_per_flow_order() {
-        let g = counter_graph();
-        let opts = ParallelOpts::new(4).batched(8).with_steerers(2);
-        let mut r = ParallelRouter::from_graph::<Box<dyn Element>>(&g, opts).unwrap();
-        let in0 = r.device_id("in0").unwrap();
-        let out0 = r.device_id("out0").unwrap();
-        for seq in 0..16u8 {
-            for flow in 0..8u16 {
-                r.inject(in0, udp(2000 + flow, seq));
-            }
-        }
-        assert_eq!(r.run_until_idle(), 128);
-        let tx = r.take_tx(out0);
-        assert_eq!(tx.len(), 128);
-        for flow in 0..8u16 {
-            let seqs: Vec<u8> = tx
-                .iter()
-                .filter(|p| crate::steer::flow_key(p.data()).unwrap().3 == 2000 + flow)
-                .map(|p| p.data()[p.len() - 1])
-                .collect();
-            assert_eq!(seqs, (0..16u8).collect::<Vec<_>>(), "flow {flow} reordered");
-        }
-        assert_eq!(r.class_stat("Counter", "count"), 128);
-        r.shutdown();
-    }
-
-    #[test]
-    fn steerer_mode_survives_tiny_rings() {
-        let g = counter_graph();
-        let mut opts = ParallelOpts::new(2).batched(4).with_steerers(3);
-        opts.ring_capacity = 2; // steerer input + every shard ring tiny
-        let mut r = ParallelRouter::from_graph::<Box<dyn Element>>(&g, opts).unwrap();
-        let in0 = r.device_id("in0").unwrap();
-        let out0 = r.device_id("out0").unwrap();
-        for i in 0..200u16 {
-            r.inject(in0, udp(4000 + (i % 16), (i / 16) as u8));
-        }
-        assert_eq!(r.run_until_idle(), 200, "no drops under backpressure");
-        assert_eq!(r.tx_len(out0), 200);
-    }
-
-    #[test]
-    fn steerer_mode_with_fixed_burst_and_pinning_forwards_everything() {
-        let g = counter_graph();
-        let opts = ParallelOpts::new(2)
-            .batched(8)
-            .with_steerers(2)
-            .fixed_burst()
-            .pin_cores();
-        let mut r = ParallelRouter::from_graph::<Box<dyn Element>>(&g, opts).unwrap();
-        let in0 = r.device_id("in0").unwrap();
-        for i in 0..64u8 {
-            r.inject(in0, udp(5000 + u16::from(i % 8), i / 8));
-        }
-        assert_eq!(r.run_until_idle(), 64);
-        r.shutdown();
-    }
-
-    #[test]
-    fn steer_gauges_cover_every_steering_stage() {
-        let g = counter_graph();
-        // Serial steering: one record for the inject path.
-        let r = ParallelRouter::from_graph::<Box<dyn Element>>(&g, ParallelOpts::new(2)).unwrap();
-        let gauges = r.steer_gauges();
-        assert_eq!(gauges.len(), 1);
-        assert_eq!(gauges[0].steerer, 0);
-        drop(r);
-        // Parallel steering: one record per steerer, indexed.
-        let opts = ParallelOpts::new(2).with_steerers(3);
-        let r = ParallelRouter::from_graph::<Box<dyn Element>>(&g, opts).unwrap();
-        let gauges = r.steer_gauges();
-        assert_eq!(gauges.len(), 3);
-        for (i, g) in gauges.iter().enumerate() {
-            assert_eq!(g.steerer, i);
-        }
-        r.shutdown();
-    }
-
-    #[test]
-    fn absurd_steerer_counts_error() {
-        let g = counter_graph();
-        let opts = ParallelOpts::new(2).with_steerers(MAX_STEERERS + 1);
-        assert!(ParallelRouter::from_graph::<Box<dyn Element>>(&g, opts).is_err());
-    }
-
-    #[test]
-    fn drop_joins_steerer_threads() {
-        let g = counter_graph();
-        let opts = ParallelOpts::new(2).with_steerers(4);
-        let r = ParallelRouter::from_graph::<Box<dyn Element>>(&g, opts).unwrap();
-        drop(r); // must not hang or leak spinning steerers
     }
 
     #[test]

@@ -241,9 +241,8 @@ pub enum BackoffPhase {
 /// the peer is about to act), then yield the core, then sleep in naps
 /// that grow *exponentially* — 2 µs doubling to a cap — so a worker
 /// that has been idle for a while stops burning its CPU, yet wakes
-/// quickly after a short stall. The spin budget and the nap cap are the
-/// runtime's per-ring backoff knobs
-/// ([`ParallelOpts::backoff_spins`](crate::parallel::ParallelOpts)).
+/// quickly after a short stall. The sharded runtime picks the spin
+/// budget from the host's core count ([`crate::parallel`]).
 ///
 /// `reset()` after productive work returns the machine to the spin
 /// phase *and* shrinks the nap back to its floor, so one long idle
@@ -331,9 +330,8 @@ impl Backoff {
 /// Occupancy-driven burst controller: grows the per-ring transfer burst
 /// while the ring runs hot (amortizing hand-off cost over more packets)
 /// and shrinks it while the ring runs cold (keeping latency low and the
-/// peer busy). Replaces the fixed `batch_burst` on the sharded runtime's
-/// enqueue and dequeue sides when
-/// [`ParallelOpts::adaptive_burst`](crate::parallel::ParallelOpts) is on.
+/// peer busy). Sizes every transfer on the sharded runtime's enqueue and
+/// dequeue sides.
 ///
 /// The rule is deliberately simple and branch-cheap: observe occupancy
 /// after each transfer; above 3/4 capacity double the burst (up to
@@ -356,13 +354,6 @@ impl AdaptiveBurst {
             min,
             max,
         }
-    }
-
-    /// A degenerate controller pinned at `n` — used when adaptive burst
-    /// sizing is disabled so call sites need no branching.
-    pub fn fixed(n: usize) -> AdaptiveBurst {
-        let n = n.max(1);
-        AdaptiveBurst::new(n, n, n)
     }
 
     /// The burst to use for the next transfer.
@@ -571,7 +562,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_burst_grows_when_hot_and_shrinks_when_cold() {
+    fn burst_grows_when_hot_and_shrinks_when_cold() {
         let mut ab = AdaptiveBurst::new(8, 1, 64);
         assert_eq!(ab.get(), 8);
         // Hot ring (≥ 3/4 full): burst doubles, capped at max.
@@ -595,16 +586,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_burst_fixed_never_moves() {
-        let mut ab = AdaptiveBurst::fixed(16);
-        ab.observe(128, 128);
-        assert_eq!(ab.get(), 16);
-        ab.observe(0, 128);
-        assert_eq!(ab.get(), 16);
-    }
-
-    #[test]
-    fn adaptive_burst_clamps_constructor_arguments() {
+    fn burst_clamps_constructor_arguments() {
         let ab = AdaptiveBurst::new(1000, 0, 32);
         assert_eq!(ab.get(), 32);
         let ab = AdaptiveBurst::new(0, 4, 32);

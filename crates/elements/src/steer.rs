@@ -15,7 +15,6 @@
 
 use crate::element::DeviceId;
 use crate::headers::{ether, ipv4, udp};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The parsed steering key of an IPv4 frame: `(src, dst, proto, sport,
 /// dport)`. Ports are zero for protocols without them (or truncated
@@ -115,7 +114,7 @@ const FLOW_CACHE_SLOTS: usize = 256;
 /// A direct-mapped, caller-owned cache of [`flow_hash`] results.
 ///
 /// The FNV chain over the 5-tuple costs ~30 ns standalone — cheap once
-/// per flow, but the serial inject path used to pay it once per
+/// per flow, but the inject path used to pay it once per
 /// *packet*, which on a time-sliced host erased most of the multi-shard
 /// runtime's superlinear engine gains (single-shard steering
 /// short-circuits the hash entirely, so only multi-shard configurations
@@ -127,8 +126,8 @@ const FLOW_CACHE_SLOTS: usize = 256;
 /// assignment, per-flow order, and fault remapping identical to the
 /// uncached path.
 ///
-/// Each thread that classifies packets owns its own cache (supervisor,
-/// each steerer): no sharing, no synchronization, no coherence misses.
+/// The cache belongs to the one thread that classifies packets (the
+/// control thread): no sharing, no synchronization, no coherence misses.
 #[derive(Debug, Clone)]
 pub struct FlowHashCache {
     slots: Vec<(FlowKey, u64)>,
@@ -158,83 +157,6 @@ impl FlowHashCache {
             *slot = (key, flow_hash(key));
         }
         slot.1
-    }
-}
-
-/// Picks which of `steerers` parallel steering threads classifies a
-/// frame. Deterministic *per flow* — every packet of a flow goes through
-/// the same steerer, so per-flow order survives the parallel ingress
-/// stage (one steerer pushes a flow's packets into its shard ring in
-/// arrival order; no other steerer ever touches that flow).
-///
-/// The pick must be *decorrelated* from the shard hash: if it were
-/// `flow_hash % steerers`, then with `steerers == shards` each steerer
-/// would feed exactly one shard and the hottest shard's steering work
-/// would serialize on one thread. A Fibonacci remix of the same FNV
-/// hash, taking high bits, spreads flows across steerers independently
-/// of their shard assignment.
-pub fn steerer_for(frame: &[u8], dev: DeviceId, steerers: usize) -> usize {
-    if steerers <= 1 {
-        return 0;
-    }
-    let h = match flow_key(frame) {
-        Some(key) => flow_hash(key),
-        None => dev.0 as u64,
-    };
-    let mixed = (h ^ (h >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    ((mixed >> 32) % steerers as u64) as usize
-}
-
-/// A cross-thread live-shard mask: the supervisor flips bits, parallel
-/// steerer threads snapshot it before classifying each burst.
-///
-/// The 128-bit mask is split over two `AtomicU64`s, so a snapshot is not
-/// a single atomic read — that is fine here because only the supervisor
-/// writes (single writer), and a steerer acting on a stale snapshot just
-/// pushes to a ring whose consumer died, which the supervisor reclaims
-/// during fault handling anyway.
-#[derive(Debug)]
-pub struct SharedLiveMask {
-    lo: AtomicU64,
-    hi: AtomicU64,
-}
-
-impl SharedLiveMask {
-    /// A mask with the low `shards` bits live.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or exceeds [`MAX_SHARDS`].
-    pub fn new(shards: usize) -> SharedLiveMask {
-        let all = RssSteering::new(shards).live;
-        SharedLiveMask {
-            lo: AtomicU64::new(all as u64),
-            hi: AtomicU64::new((all >> 64) as u64),
-        }
-    }
-
-    /// The current mask (bit `k` set ⇔ shard `k` live).
-    pub fn snapshot(&self) -> u128 {
-        u128::from(self.lo.load(Ordering::Acquire))
-            | (u128::from(self.hi.load(Ordering::Acquire)) << 64)
-    }
-
-    /// Clears shard `shard`'s live bit.
-    pub fn mark_dead(&self, shard: usize) {
-        if shard < 64 {
-            self.lo.fetch_and(!(1u64 << shard), Ordering::AcqRel);
-        } else if shard < MAX_SHARDS {
-            self.hi.fetch_and(!(1u64 << (shard - 64)), Ordering::AcqRel);
-        }
-    }
-
-    /// Sets shard `shard`'s live bit (after a restart).
-    pub fn mark_live(&self, shard: usize) {
-        if shard < 64 {
-            self.lo.fetch_or(1u64 << shard, Ordering::AcqRel);
-        } else if shard < MAX_SHARDS {
-            self.hi.fetch_or(1u64 << (shard - 64), Ordering::AcqRel);
-        }
     }
 }
 
@@ -276,19 +198,6 @@ impl RssSteering {
             (1u128 << shards) - 1
         };
         RssSteering { shards, live }
-    }
-
-    /// A steering stage seeded from a [`SharedLiveMask`] snapshot —
-    /// what a parallel steerer thread builds before classifying a burst.
-    /// Bits beyond `shards` are ignored.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero or exceeds [`MAX_SHARDS`].
-    pub fn with_live_mask(shards: usize, mask: u128) -> RssSteering {
-        let mut s = RssSteering::new(shards);
-        s.live &= mask;
-        s
     }
 
     /// Number of shards steered across (live or not).
@@ -361,8 +270,8 @@ impl RssSteering {
 
     /// [`RssSteering::live_shard_for`] with the hash served from a
     /// caller-owned [`FlowHashCache`] — identical result, amortized
-    /// cost. The hot steering paths (supervisor inject, steerer burst
-    /// loop) use this; one-off paths keep the uncached call.
+    /// cost. The hot steering path (the control thread's inject) uses
+    /// this; one-off paths keep the uncached call.
     pub fn live_shard_for_cached(
         &self,
         frame: &[u8],
@@ -549,98 +458,6 @@ mod tests {
         let p = udp_frame(1, 2, 3, 4);
         assert_eq!(s.live_shard_for(p.data(), DeviceId(0)), None);
         assert_eq!(s.live_count(), 0);
-    }
-
-    #[test]
-    fn steerer_pick_is_per_flow_deterministic() {
-        for steerers in [1usize, 2, 3, 4] {
-            for f in 0..32u16 {
-                let p = udp_frame(0x0A000002, 0x0A000302, 1000 + f, 5678);
-                let a = steerer_for(p.data(), DeviceId(0), steerers);
-                let b = steerer_for(p.data(), DeviceId(7), steerers);
-                assert_eq!(a, b, "steerer pick must ignore the device for IP");
-                assert!(a < steerers);
-            }
-        }
-    }
-
-    #[test]
-    fn steerer_pick_spreads_flows() {
-        let mut bins = [0usize; 2];
-        for f in 0..64u16 {
-            let p = udp_frame(0x0A000002, 0x0A000302, 1000 + f, 5678);
-            bins[steerer_for(p.data(), DeviceId(0), 2)] += 1;
-        }
-        assert!(bins.iter().all(|&b| b >= 16), "lopsided steerers: {bins:?}");
-    }
-
-    #[test]
-    fn steerer_pick_decorrelates_from_shard_pick() {
-        // With steerers == shards, a correlated pick would pin each
-        // shard's flows to one steerer and re-serialize the hot shard's
-        // classification. Check that at least one shard's flows split
-        // across steerers.
-        let s = RssSteering::new(4);
-        let mut seen = [[false; 4]; 4];
-        for f in 0..64u16 {
-            let p = udp_frame(0x0A000002, 0x0A000302, 1000 + f, 5678);
-            let shard = s.shard_for(p.data(), DeviceId(0));
-            let steerer = steerer_for(p.data(), DeviceId(0), 4);
-            seen[shard][steerer] = true;
-        }
-        let split_shards = seen
-            .iter()
-            .filter(|row| row.iter().filter(|&&x| x).count() > 1)
-            .count();
-        assert!(
-            split_shards >= 3,
-            "shard→steerer mapping looks correlated: {seen:?}"
-        );
-    }
-
-    #[test]
-    fn non_ip_frames_steer_by_device_across_steerers() {
-        let mut arp = Packet::new(60);
-        arp.data_mut()[12] = 0x08;
-        arp.data_mut()[13] = 0x06;
-        for d in 0..8usize {
-            let a = steerer_for(arp.data(), DeviceId(d), 3);
-            let b = steerer_for(arp.data(), DeviceId(d), 3);
-            assert_eq!(a, b, "same device must pick the same steerer");
-        }
-    }
-
-    #[test]
-    fn shared_live_mask_tracks_deaths_and_revivals() {
-        let m = SharedLiveMask::new(4);
-        assert_eq!(m.snapshot(), 0b1111);
-        m.mark_dead(2);
-        assert_eq!(m.snapshot(), 0b1011);
-        m.mark_dead(0);
-        assert_eq!(m.snapshot(), 0b1010);
-        m.mark_live(2);
-        assert_eq!(m.snapshot(), 0b1110);
-        // Out-of-range shard indices are ignored, not UB.
-        m.mark_dead(200);
-        m.mark_live(200);
-        assert_eq!(m.snapshot(), 0b1110);
-    }
-
-    #[test]
-    fn with_live_mask_matches_incremental_marking() {
-        let mut incremental = RssSteering::new(4);
-        incremental.mark_dead(1);
-        let mask = SharedLiveMask::new(4);
-        mask.mark_dead(1);
-        let snap = RssSteering::with_live_mask(4, mask.snapshot());
-        let p = udp_frame(0x0A000002, 0x0A000302, 1003, 5678);
-        for d in 0..4usize {
-            assert_eq!(
-                snap.live_shard_for(p.data(), DeviceId(d)),
-                incremental.live_shard_for(p.data(), DeviceId(d))
-            );
-        }
-        assert_eq!(snap.live_count(), 3);
     }
 
     #[test]

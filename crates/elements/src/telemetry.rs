@@ -167,14 +167,14 @@ pub struct ShardGauges {
     pub backoff_snoozes: u64,
 }
 
-/// One steering stage's runtime gauges: how much ingress classification
-/// work it did and what it cost. In serial-steering mode a single record
-/// (steerer 0) covers the inject path on the control-plane thread; in
-/// parallel-steering mode each steerer thread reports one record. Zeroed
-/// when [`ENABLED`] is `false`.
+/// The steering stage's runtime gauges: how much ingress classification
+/// work it did and what it cost. A sharded runtime reports exactly one
+/// record, for the inject path on the control thread. Zeroed when
+/// [`ENABLED`] is `false`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SteerGauges {
-    /// Steerer index (0 for the serial inject path).
+    /// Steering-stage index: always 0 (profiles of format ≤ 4 may carry
+    /// more than one stage).
     pub steerer: usize,
     /// Ingress batches classified and handed off.
     pub batches: u64,
@@ -183,7 +183,9 @@ pub struct SteerGauges {
     /// Cumulative steering self time, nanoseconds — hash + classify +
     /// hand-off, excluding worker processing.
     pub steer_ns: u64,
-    /// Backoff snoozes while waiting for ring space or input.
+    /// Backoff snoozes of a stage that waits on rings. The inject path
+    /// never does, so the runtime reports 0; the field keeps format ≤ 4
+    /// profiles parsing unchanged.
     pub snoozes: u64,
 }
 
@@ -357,7 +359,6 @@ fn bucket_of(ns: u64) -> usize {
 #[cfg(feature = "telemetry")]
 mod imp {
     use super::{bucket_of, ElementProfile, ShardGauges, SteerGauges, RECENT_WINDOW};
-    use std::cell::Cell;
     use std::time::Instant;
 
     #[derive(Debug, Default, Clone)]
@@ -546,53 +547,36 @@ mod imp {
         }
     }
 
-    /// Live steering gauges for one ingress stage (feature-on build).
-    /// Counters are `Cell`s so the steerer hot loop can update them
-    /// through a shared reference; each tracker stays on one thread.
-    #[derive(Debug)]
+    /// Live steering gauges for the ingress stage (feature-on build).
+    #[derive(Debug, Default)]
     pub struct SteerGaugeTracker {
-        steerer: usize,
-        batches: Cell<u64>,
-        packets: Cell<u64>,
-        steer_ns: Cell<u64>,
-        snoozes: Cell<u64>,
+        batches: u64,
+        packets: u64,
+        steer_ns: u64,
     }
 
     impl SteerGaugeTracker {
-        /// Zeroed gauges for steering stage `steerer`.
-        pub fn new(steerer: usize) -> SteerGaugeTracker {
-            SteerGaugeTracker {
-                steerer,
-                batches: Cell::new(0),
-                packets: Cell::new(0),
-                steer_ns: Cell::new(0),
-                snoozes: Cell::new(0),
-            }
+        /// Zeroed gauges.
+        pub fn new() -> SteerGaugeTracker {
+            SteerGaugeTracker::default()
         }
 
         /// Records classification work: `batches` ingress batches /
         /// `packets` packets steered, costing `ns` of self time.
         #[inline]
-        pub fn steered(&self, batches: u64, packets: u64, ns: u64) {
-            self.batches.set(self.batches.get() + batches);
-            self.packets.set(self.packets.get() + packets);
-            self.steer_ns.set(self.steer_ns.get() + ns);
-        }
-
-        /// Records one backoff snooze.
-        #[inline]
-        pub fn snoozed(&self) {
-            self.snoozes.set(self.snoozes.get() + 1);
+        pub fn steered(&mut self, batches: u64, packets: u64, ns: u64) {
+            self.batches += batches;
+            self.packets += packets;
+            self.steer_ns += ns;
         }
 
         /// Current gauge values.
         pub fn snapshot(&self) -> SteerGauges {
             SteerGauges {
-                steerer: self.steerer,
-                batches: self.batches.get(),
-                packets: self.packets.get(),
-                steer_ns: self.steer_ns.get(),
-                snoozes: self.snoozes.get(),
+                batches: self.batches,
+                packets: self.packets,
+                steer_ns: self.steer_ns,
+                ..SteerGauges::default()
             }
         }
     }
@@ -658,21 +642,18 @@ mod imp {
     }
 
     /// No-op steering gauge tracker (feature off).
-    #[derive(Debug)]
+    #[derive(Debug, Default)]
     pub struct SteerGaugeTracker;
 
     impl SteerGaugeTracker {
         /// No-op.
         #[inline(always)]
-        pub fn new(_steerer: usize) -> SteerGaugeTracker {
+        pub fn new() -> SteerGaugeTracker {
             SteerGaugeTracker
         }
         /// No-op.
         #[inline(always)]
-        pub fn steered(&self, _batches: u64, _packets: u64, _ns: u64) {}
-        /// No-op.
-        #[inline(always)]
-        pub fn snoozed(&self) {}
+        pub fn steered(&mut self, _batches: u64, _packets: u64, _ns: u64) {}
         /// Zeroed gauges.
         #[inline(always)]
         pub fn snapshot(&self) -> SteerGauges {

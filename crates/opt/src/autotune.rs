@@ -1,11 +1,10 @@
 //! Parasol-style knob search for the sharded runtime
 //! (`click-autotune`).
 //!
-//! The parallel runtime exposes a handful of performance knobs — shard
-//! count, steerer count, ring capacity, transfer burst, backoff spin
-//! budget, adaptive-burst mode, the core-affinity pacing hint — whose
-//! best values depend on the host (core count, scheduler quantum) and
-//! the workload (flow count, per-packet cost). Hand-picking them bakes
+//! The parallel runtime exposes three performance knobs — shard count,
+//! ring capacity, transfer burst — whose best values depend on the host
+//! (core count, scheduler quantum) and the workload (flow count,
+//! per-packet cost). Hand-picking them bakes
 //! one host's trade-offs into every run. Following the approach of
 //! "Automated Optimization of Parameterized Data-Plane Programs with
 //! Parasol" (PAPERS.md), this module searches the knob space against a
@@ -40,103 +39,58 @@ use click_elements::parallel::ParallelOpts;
 pub struct TuneConfig {
     /// Worker shard count.
     pub shards: usize,
-    /// Steerer threads (0 = classify on the injection thread).
-    pub steerers: usize,
     /// SPSC ring capacity, in batches.
     pub ring_capacity: usize,
-    /// Transfer burst (batch size) — the floor when adaptive.
+    /// Transfer burst (batch size): the floor of the adaptive bursts.
     pub burst: usize,
-    /// Busy-poll spins before an idle endpoint yields and naps.
-    pub backoff_spins: u32,
-    /// Grow/shrink bursts from ring occupancy.
-    pub adaptive_burst: bool,
-    /// Latency-biased backoff pacing (the affinity hint).
-    pub pin_cores: bool,
 }
 
 impl TuneConfig {
     /// The hand-picked default the benches use: `shards` workers with
-    /// [`ParallelOpts::new`]'s ring/backoff defaults and the standard
-    /// batched transfer burst.
+    /// [`ParallelOpts::new`]'s ring default and the standard batched
+    /// transfer burst.
     pub fn default_for(shards: usize, burst: usize) -> TuneConfig {
         let o = ParallelOpts::new(shards).batched(burst);
         TuneConfig {
             shards: o.shards,
-            steerers: o.steerers,
             ring_capacity: o.ring_capacity,
             burst: o.burst,
-            backoff_spins: o.backoff_spins,
-            adaptive_burst: o.adaptive_burst,
-            pin_cores: o.pin_cores,
         }
     }
 
     /// Materializes the config as runtime options (batched engine mode —
     /// the tuned workloads are the batched ones).
     pub fn to_opts(&self) -> ParallelOpts {
-        let mut o = ParallelOpts::new(self.shards)
+        ParallelOpts::new(self.shards)
             .batched(self.burst)
-            .with_steerers(self.steerers)
             .with_ring_capacity(self.ring_capacity)
-            .with_backoff_spins(self.backoff_spins);
-        if !self.adaptive_burst {
-            o = o.fixed_burst();
-        }
-        if self.pin_cores {
-            o = o.pin_cores();
-        }
-        o
     }
 
-    /// Compact one-line rendering for logs:
-    /// `shards=4 steerers=1 ring=256 burst=64 spins=128 adaptive pin`.
+    /// Compact one-line rendering for logs: `shards=4 ring=256 burst=64`.
     pub fn describe(&self) -> String {
         format!(
-            "shards={} steerers={} ring={} burst={} spins={}{}{}",
-            self.shards,
-            self.steerers,
-            self.ring_capacity,
-            self.burst,
-            self.backoff_spins,
-            if self.adaptive_burst {
-                " adaptive"
-            } else {
-                " fixed"
-            },
-            if self.pin_cores { " pin" } else { "" },
+            "shards={} ring={} burst={}",
+            self.shards, self.ring_capacity, self.burst
         )
     }
 
     fn to_json(self, ns: f64) -> String {
         format!(
-            "{{\"shards\": {}, \"steerers\": {}, \"ring_capacity\": {}, \
-             \"burst\": {}, \"backoff_spins\": {}, \"adaptive_burst\": {}, \
-             \"pin_cores\": {}, \"wall_ns_per_packet\": {:.2}}}",
-            self.shards,
-            self.steerers,
-            self.ring_capacity,
-            self.burst,
-            self.backoff_spins,
-            self.adaptive_burst,
-            self.pin_cores,
-            ns
+            "{{\"shards\": {}, \"ring_capacity\": {}, \"burst\": {}, \
+             \"wall_ns_per_packet\": {:.2}}}",
+            self.shards, self.ring_capacity, self.burst, ns
         )
     }
 
+    /// Keys this version does not know (an older report's deleted knobs)
+    /// are ignored.
     fn from_json(v: &Json) -> (TuneConfig, f64) {
         let u = |k: &str, d: u64| v.get(k).and_then(Json::as_u64).unwrap_or(d);
         (
             TuneConfig {
                 shards: u("shards", 1) as usize,
-                steerers: u("steerers", 0) as usize,
                 ring_capacity: u("ring_capacity", 256) as usize,
                 burst: u("burst", 8) as usize,
-                backoff_spins: u("backoff_spins", 128) as u32,
-                adaptive_burst: v
-                    .get("adaptive_burst")
-                    .and_then(Json::as_bool)
-                    .unwrap_or(true),
-                pin_cores: v.get("pin_cores").and_then(Json::as_bool).unwrap_or(false),
             },
             v.get("wall_ns_per_packet")
                 .and_then(Json::as_f64)
@@ -153,8 +107,6 @@ impl TuneConfig {
 pub struct SearchSpace {
     /// Highest shard count to consider.
     pub max_shards: usize,
-    /// Highest steerer count to consider.
-    pub max_steerers: usize,
     /// Ring capacity bounds (batches).
     pub min_ring: usize,
     /// Ring capacity bounds (batches).
@@ -163,23 +115,16 @@ pub struct SearchSpace {
     pub min_burst: usize,
     /// Burst bounds.
     pub max_burst: usize,
-    /// Spin-budget bounds.
-    pub min_spins: u32,
-    /// Spin-budget bounds.
-    pub max_spins: u32,
 }
 
 impl Default for SearchSpace {
     fn default() -> SearchSpace {
         SearchSpace {
             max_shards: 8,
-            max_steerers: 4,
             min_ring: 2,
             max_ring: 4096,
             min_burst: 1,
             max_burst: 256,
-            min_spins: 1,
-            max_spins: 65_536,
         }
     }
 }
@@ -187,15 +132,13 @@ impl Default for SearchSpace {
 impl SearchSpace {
     fn clamp(&self, mut c: TuneConfig) -> TuneConfig {
         c.shards = c.shards.clamp(1, self.max_shards);
-        c.steerers = c.steerers.min(self.max_steerers);
         c.ring_capacity = c.ring_capacity.clamp(self.min_ring, self.max_ring);
         c.burst = c.burst.clamp(self.min_burst, self.max_burst);
-        c.backoff_spins = c.backoff_spins.clamp(self.min_spins, self.max_spins);
         c
     }
 
-    /// Single-knob moves from `c`: each knob halved/doubled (or
-    /// stepped/toggled), clamped to the space. Duplicates of `c` itself
+    /// Single-knob moves from `c`: each knob halved/doubled, clamped to
+    /// the space. Duplicates of `c` itself
     /// are filtered out, so a config at a bound produces fewer moves.
     fn neighbors(&self, c: &TuneConfig) -> Vec<TuneConfig> {
         let mut out = Vec::new();
@@ -214,14 +157,6 @@ impl SearchSpace {
             ..*c
         });
         push(TuneConfig {
-            steerers: c.steerers + 1,
-            ..*c
-        });
-        push(TuneConfig {
-            steerers: c.steerers.saturating_sub(1),
-            ..*c
-        });
-        push(TuneConfig {
             ring_capacity: c.ring_capacity * 2,
             ..*c
         });
@@ -235,22 +170,6 @@ impl SearchSpace {
         });
         push(TuneConfig {
             burst: (c.burst / 2).max(1),
-            ..*c
-        });
-        push(TuneConfig {
-            backoff_spins: c.backoff_spins.saturating_mul(2),
-            ..*c
-        });
-        push(TuneConfig {
-            backoff_spins: (c.backoff_spins / 2).max(1),
-            ..*c
-        });
-        push(TuneConfig {
-            adaptive_burst: !c.adaptive_burst,
-            ..*c
-        });
-        push(TuneConfig {
-            pin_cores: !c.pin_cores,
             ..*c
         });
         out
@@ -429,15 +348,13 @@ mod tests {
     use super::*;
 
     /// A smooth synthetic cost surface with its minimum inside the
-    /// space: best at 4 shards, 1 steerer, ring 512, burst 32, adaptive.
+    /// space: best at 4 shards, ring 512, burst 32.
     fn synthetic_cost(c: &TuneConfig) -> f64 {
         let dist = |a: usize, b: usize| ((a as f64).log2() - (b as f64).log2()).abs();
         100.0
             + 40.0 * dist(c.shards, 4)
-            + 25.0 * (c.steerers as f64 - 1.0).abs()
             + 10.0 * dist(c.ring_capacity, 512)
             + 10.0 * dist(c.burst.max(1), 32)
-            + if c.adaptive_burst { 0.0 } else { 15.0 }
     }
 
     #[test]
@@ -454,8 +371,8 @@ mod tests {
         assert!(best_ns < default_ns, "{best_ns} vs {default_ns}");
         // The smooth surface's optimum is reachable by single-knob moves.
         assert_eq!(best.shards, 4);
-        assert_eq!(best.steerers, 1);
-        assert!(best.adaptive_burst);
+        assert_eq!(best.ring_capacity, 512);
+        assert_eq!(best.burst, 32);
     }
 
     #[test]
@@ -492,7 +409,6 @@ mod tests {
         let c = TuneConfig::default_for(8, 256); // shards and burst at the cap
         for n in space.neighbors(&c) {
             assert!(n.shards >= 1 && n.shards <= space.max_shards);
-            assert!(n.steerers <= space.max_steerers);
             assert!(n.ring_capacity >= space.min_ring && n.ring_capacity <= space.max_ring);
             assert!(n.burst >= space.min_burst && n.burst <= space.max_burst);
             assert_ne!(n, c);
@@ -503,10 +419,7 @@ mod tests {
     fn report_round_trips() {
         let default = TuneConfig::default_for(4, 64);
         let best = TuneConfig {
-            steerers: 2,
             ring_capacity: 512,
-            adaptive_burst: true,
-            pin_cores: true,
             ..default
         };
         let report = AutotuneReport {
@@ -527,6 +440,28 @@ mod tests {
     }
 
     #[test]
+    fn reports_with_deleted_knobs_still_parse() {
+        // What the seven-knob version wrote: the extra keys are ignored.
+        let old = r#"{"report": "click-autotune", "budget": 48, "host_cpus": 2, "workloads": [
+            {"workload": "All+batched",
+             "default": {"shards": 4, "steerers": 0, "ring_capacity": 256, "burst": 64,
+                         "backoff_spins": 128, "adaptive_burst": true, "pin_cores": false,
+                         "wall_ns_per_packet": 412.25},
+             "best": {"shards": 2, "steerers": 1, "ring_capacity": 512, "burst": 32,
+                      "backoff_spins": 64, "adaptive_burst": false, "pin_cores": true,
+                      "wall_ns_per_packet": 333.50},
+             "evaluations": 37, "improvement": 1.236}]}"#;
+        let w = &AutotuneReport::from_json(old).unwrap().workloads[0];
+        assert_eq!(w.default, TuneConfig::default_for(4, 64));
+        let best = TuneConfig {
+            shards: 2,
+            ring_capacity: 512,
+            burst: 32,
+        };
+        assert_eq!((w.best, w.best_ns), (best, 333.5));
+    }
+
+    #[test]
     fn from_json_rejects_non_reports() {
         assert!(AutotuneReport::from_json("{}").is_err());
         assert!(AutotuneReport::from_json("{\"report\": \"other\"}").is_err());
@@ -537,21 +472,13 @@ mod tests {
     fn configs_materialize_as_runtime_options() {
         let c = TuneConfig {
             shards: 4,
-            steerers: 2,
             ring_capacity: 128,
             burst: 16,
-            backoff_spins: 64,
-            adaptive_burst: false,
-            pin_cores: true,
         };
         let o = c.to_opts();
         assert_eq!(o.shards, 4);
-        assert_eq!(o.steerers, 2);
         assert_eq!(o.ring_capacity, 128);
         assert_eq!(o.burst, 16);
-        assert_eq!(o.backoff_spins, 64);
         assert!(o.batching);
-        assert!(!o.adaptive_burst);
-        assert!(o.pin_cores);
     }
 }

@@ -5,16 +5,14 @@
 //!
 //! ```text
 //! click-autotune [--workload base|all|both] [--budget N] [--passes P]
-//!                [--ifaces N] [--max-shards K] [--max-steerers J]
-//!                [--out FILE]
+//!                [--ifaces N] [--max-shards K] [--out FILE]
 //! ```
 //!
 //! The tool rebuilds the benchmark's Base and All (xform +
 //! fastclassifier + devirtualize) IP-router variants, replays the
 //! standard 64-flow UDP trace through the threaded
 //! [`click_elements::parallel::ParallelRouter`], and hill-climbs the
-//! knob space ({shard count, steerer count, ring capacity, burst,
-//! backoff spins, adaptive/fixed burst, core pacing}) from the
+//! knob space ({shard count, ring capacity, burst}) from the
 //! hand-picked default — Parasol-style search-the-knobs, with the
 //! runtime itself as the objective (see
 //! [`click_opt::autotune`]). The default config is always the first
@@ -54,8 +52,7 @@ const DEFAULT_SHARDS: usize = 4;
 fn usage() -> ! {
     eprintln!(
         "usage: click-autotune [--workload base|all|both] [--budget N] \
-         [--passes P] [--ifaces N] [--max-shards K] [--max-steerers J] \
-         [--out FILE]"
+         [--passes P] [--ifaces N] [--max-shards K] [--out FILE]"
     );
     std::process::exit(2);
 }
@@ -176,7 +173,6 @@ fn main() {
             "passes",
             "ifaces",
             "max-shards",
-            "max-steerers",
             "out",
         ],
     );
@@ -202,7 +198,6 @@ fn main() {
             "passes" => passes = num().max(1),
             "ifaces" => ifaces = num().max(2),
             "max-shards" => space.max_shards = num().max(1),
-            "max-steerers" => space.max_steerers = num(),
             "out" => out = value.clone(),
             "help" => usage(),
             other => {

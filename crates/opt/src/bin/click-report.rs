@@ -88,8 +88,8 @@ const FLOWS: u16 = 64;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: click-report [--ifaces N] [--shards K] [--steerers J] \
-         [--packets P] [--batched BURST] [--source LABEL] [--out FILE] \
+        "usage: click-report [--ifaces N] [--shards K] [--packets P] \
+         [--batched BURST] [--source LABEL] [--out FILE] \
          [--emit-config] [--faults] [--devices] [--swap NEW.click] \
          [--checkpoints DIR] [CONFIG.click]"
     );
@@ -275,7 +275,6 @@ fn main() {
         &[
             "ifaces",
             "shards",
-            "steerers",
             "packets",
             "batched",
             "source",
@@ -286,7 +285,6 @@ fn main() {
     );
     let mut ifaces = 4usize;
     let mut shards = 1usize;
-    let mut steerers = 0usize;
     let mut packets = 2048usize;
     let mut batched = 0usize;
     let mut source: Option<String> = None;
@@ -306,7 +304,6 @@ fn main() {
         match flag.as_str() {
             "ifaces" => ifaces = num().max(2),
             "shards" => shards = num().max(1),
-            "steerers" => steerers = num(),
             "packets" => packets = num().max(1),
             "batched" => batched = num(),
             "source" => source = value.clone(),
@@ -363,13 +360,7 @@ fn main() {
         || swap_graph
             .as_ref()
             .is_some_and(|g| g.has_requirement("devirtualize"));
-    if shards <= 1 && steerers > 0 {
-        eprintln!(
-            "click-report: warning: --steerers with a serial run (--shards 1); \
-             steering happens inline, ignoring"
-        );
-    }
-    let mut opts = ParallelOpts::new(shards).with_steerers(steerers);
+    let mut opts = ParallelOpts::new(shards);
     if batched > 0 {
         opts = opts.batched(batched);
     }
@@ -476,8 +467,8 @@ fn main() {
                 e.ns_per_packet()
             );
         }
-        // Where ingress time goes: the steering stage(s) sit in front of
-        // every element above, so their self time is the hand-off tax.
+        // Where ingress time goes: the steering stage sits in front of
+        // every element above, so its self time is the hand-off tax.
         for g in &profile.steering {
             let ns_per_pkt = if g.packets == 0 {
                 0.0

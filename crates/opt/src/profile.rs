@@ -76,9 +76,9 @@ pub struct Profile {
     pub elements: Vec<ElementProfile>,
     /// Per-shard runtime gauges (empty for serial runs).
     pub gauges: Vec<ShardGauges>,
-    /// Per-steering-stage ingress gauges: one record for the serial
-    /// inject path, or one per steerer thread in parallel-steering mode
-    /// (empty for serial-engine runs or older profiles).
+    /// Ingress steering gauges: one record for a sharded run's inject
+    /// path (empty for serial-engine runs or older profiles; format ≤ 4
+    /// profiles may carry several).
     pub steering: Vec<SteerGauges>,
     /// Supervisor fault gauges (restarts, degraded-mode entries,
     /// in-flight loss), exported when `click-report` runs with

@@ -570,80 +570,10 @@ pub fn router_cpu_cost_parallel(
     batch: usize,
     shards: usize,
 ) -> Result<ParallelCpuCost> {
-    router_cpu_cost_parallel_opts(
-        graph,
-        platform,
-        traffic,
-        batch,
-        shards,
-        &ParallelTuning::default(),
-    )
-}
-
-/// Ingress-path tuning knobs the parallel cost model understands — the
-/// modeled counterparts of the runtime's `ParallelOpts` ingress options
-/// (and of the dimensions `click-autotune` searches).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ParallelTuning {
-    /// Parallel steerer threads (0 = classification happens serially on
-    /// the injection thread, the runtime's default).
-    pub steerers: usize,
-    /// Adaptive burst sizing: transfer bursts grow from ring occupancy
-    /// under sustained load, so ring-crossing costs amortize over larger
-    /// batches than the configured floor.
-    pub adaptive_burst: bool,
-}
-
-/// [`router_cpu_cost_parallel`] with explicit ingress tuning.
-///
-/// The steering stage is modeled in two parts:
-///
-/// * **Classification** — the 5-tuple hash ([`CostParams::steer_hash`]).
-///   With `steerers > 0` the work spreads over the steerer threads
-///   (divide by the steerer count), but the injection thread still pays
-///   a cheap pre-partition pick ([`steerer_for`]'s remix — charged as a
-///   quarter hash), and every packet crosses one extra ring
-///   (injection → steerer → worker instead of injection → worker).
-/// * **Hand-off** — ring crossings amortized over the transfer burst.
-///   Adaptive sizing grows bursts toward the ring capacity under the
-///   sustained load this model assumes, so the amortizing divisor
-///   doubles; a fixed burst stays at the configured floor.
-///
-/// [`steerer_for`]: click_elements::steer::steerer_for
-///
-/// # Errors
-///
-/// Fails if any packet's path dead-ends (same contract as
-/// [`router_cpu_cost_batched`]).
-pub fn router_cpu_cost_parallel_opts(
-    graph: &RouterGraph,
-    platform: &Platform,
-    traffic: &TrafficSpec,
-    batch: usize,
-    shards: usize,
-    tuning: &ParallelTuning,
-) -> Result<ParallelCpuCost> {
     assert!(shards >= 1, "need at least one shard");
     let serial = router_cpu_cost_batched(graph, platform, traffic, batch)?;
     let params = CostParams::default();
-    let effective_burst = if tuning.adaptive_burst {
-        // The runtime's controller grows bursts up to 8x the floor
-        // (capped by ring capacity); under the steady load the model
-        // assumes it settles well above the floor. Charge 2x — a
-        // deliberately conservative amortization gain.
-        (batch * 2) as f64
-    } else {
-        batch as f64
-    };
-    let (classify, hops) = if tuning.steerers > 0 {
-        (
-            params.steer_hash * 0.25 + params.steer_hash / tuning.steerers as f64,
-            4.0,
-        )
-    } else {
-        (params.steer_hash, 2.0)
-    };
-    let steer_cycles = classify + hops * params.ring_hop / effective_burst;
+    let steer_cycles = params.steer_hash + 2.0 * params.ring_hop / batch as f64;
     let steer_ns = platform.cycles_to_ns(steer_cycles);
 
     // Steer the actual traffic to find the bottleneck shard. This is
@@ -882,85 +812,6 @@ mod tests {
             "single flow must not speed up: {}",
             four.speedup()
         );
-    }
-
-    #[test]
-    fn parallel_tuning_knobs_shift_the_steering_bound() {
-        let spec = IpRouterSpec::standard(8);
-        let g = read_config(&spec.config()).unwrap();
-        let traffic = crate::parallel_traffic(&spec, 64);
-        let p0 = Platform::p0();
-        let cost = |batch: usize, shards: usize, tuning: &ParallelTuning| {
-            router_cpu_cost_parallel_opts(&g, &p0, &traffic, batch, shards, tuning).unwrap()
-        };
-        // Default tuning reproduces the plain parallel model exactly.
-        let plain = router_cpu_cost_parallel(&g, &p0, &traffic, 16, 4).unwrap();
-        let default = cost(16, 4, &ParallelTuning::default());
-        assert!((plain.ns_per_packet - default.ns_per_packet).abs() < 1e-9);
-        assert!((plain.steer_ns - default.steer_ns).abs() < 1e-9);
-        // Within steerer mode, adding steerers never makes the steering
-        // stage slower: the classification work divides across them.
-        let mut prev = f64::INFINITY;
-        for steerers in 1..=4 {
-            let c = cost(
-                16,
-                4,
-                &ParallelTuning {
-                    steerers,
-                    adaptive_burst: false,
-                },
-            );
-            assert!(
-                c.steer_ns <= prev + 1e-9,
-                "{steerers} steerers: steer_ns {} vs {prev}",
-                c.steer_ns
-            );
-            prev = c.steer_ns;
-        }
-        // Where steering bounds the pipeline (many shards), enough
-        // steerers beat the serial classifier despite the extra hop.
-        let serial_steer = cost(16, 64, &ParallelTuning::default());
-        let four_steerers = cost(
-            16,
-            64,
-            &ParallelTuning {
-                steerers: 4,
-                adaptive_burst: false,
-            },
-        );
-        assert!(
-            four_steerers.ns_per_packet < serial_steer.ns_per_packet,
-            "steered {} vs serial {}",
-            four_steerers.ns_per_packet,
-            serial_steer.ns_per_packet
-        );
-        // Adaptive bursts amortize ring hops at least as well as the
-        // fixed floor, in both serial-steer and steerer modes.
-        for steerers in [0usize, 2] {
-            let fixed = cost(
-                16,
-                4,
-                &ParallelTuning {
-                    steerers,
-                    adaptive_burst: false,
-                },
-            );
-            let adaptive = cost(
-                16,
-                4,
-                &ParallelTuning {
-                    steerers,
-                    adaptive_burst: true,
-                },
-            );
-            assert!(
-                adaptive.ns_per_packet <= fixed.ns_per_packet + 1e-9,
-                "steerers={steerers}: adaptive {} vs fixed {}",
-                adaptive.ns_per_packet,
-                fixed.ns_per_packet
-            );
-            assert!(adaptive.steer_ns <= fixed.steer_ns + 1e-9);
-        }
     }
 
     #[test]

@@ -98,6 +98,34 @@ fn inject_wave(r: &mut ParallelRouter, flows: &[Vec<u16>], base_seq: u8) -> u64 
     injected
 }
 
+/// Per-flow order after shard `KILLED` died: flows homed on survivors
+/// arrive complete (`0..per_flow`) and in order; the dead shard's flows
+/// may have a gap (the in-flight loss) but never reorder.
+fn assert_per_flow_order(tx: &[Packet], flows: &[Vec<u16>], per_flow: u8) {
+    let observed = flow_seqs(tx);
+    for (shard, shard_flows) in flows.iter().enumerate() {
+        for &sport in shard_flows {
+            let seqs = &observed
+                .iter()
+                .find(|(k, _)| *k == sport)
+                .unwrap_or_else(|| panic!("flow {sport} vanished entirely"))
+                .1;
+            if shard == KILLED {
+                assert!(
+                    seqs.windows(2).all(|w| w[0] < w[1]),
+                    "dead-homed flow {sport} reordered: {seqs:?}"
+                );
+            } else {
+                assert_eq!(
+                    *seqs,
+                    (0..per_flow).collect::<Vec<u8>>(),
+                    "survivor-homed flow {sport} lost or reordered packets"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn killing_one_of_four_shards_degrades_gracefully() {
     // Shard KILLED's FaultInject panics on the 151st packet it sees;
@@ -145,31 +173,7 @@ fn killing_one_of_four_shards_degrades_gracefully() {
         "injected packets must be transmitted or accounted lost"
     );
 
-    // Per-flow order: flows homed on survivors arrive complete and in
-    // order; the dead shard's flows may have a gap (the in-flight loss)
-    // but never reorder.
-    let observed = flow_seqs(&tx);
-    for (shard, shard_flows) in flows.iter().enumerate() {
-        for &sport in shard_flows {
-            let seqs = &observed
-                .iter()
-                .find(|(k, _)| *k == sport)
-                .unwrap_or_else(|| panic!("flow {sport} vanished entirely"))
-                .1;
-            if shard == KILLED {
-                assert!(
-                    seqs.windows(2).all(|w| w[0] < w[1]),
-                    "dead-homed flow {sport} reordered: {seqs:?}"
-                );
-            } else {
-                assert_eq!(
-                    *seqs,
-                    (0..2 * PER_FLOW).collect::<Vec<u8>>(),
-                    "survivor-homed flow {sport} lost or reordered packets"
-                );
-            }
-        }
-    }
+    assert_per_flow_order(&tx, &flows, 2 * PER_FLOW);
     r.shutdown();
 }
 
@@ -213,6 +217,46 @@ fn restart_policy_respawns_the_dead_shard() {
         tx.len()
     );
     r.shutdown();
+}
+
+#[test]
+fn shard_killed_behind_a_full_ring_and_a_backlog_is_salvaged_in_order() {
+    // Two-slot rings: while the doomed shard works through its first 40
+    // packets the supervisor keeps its ring full and holds the rest of
+    // the shard's 200 in `pending` — the salvage has to take both, in
+    // order, under either recovery policy.
+    for opts in [
+        ParallelOpts::new(4).batched(4).degrade_on_fault(),
+        ParallelOpts::new(4).batched(4).restart_on_fault(8),
+    ] {
+        let policy = opts.recovery;
+        let g = chaos_graph(&format!("PANIC 1, AFTER 40, SHARD {KILLED}"));
+        let mut r = ParallelRouter::from_graph::<Box<dyn Element>>(&g, opts.with_ring_capacity(2))
+            .expect("router builds");
+        let out0 = r.device_id("out0").expect("out0 exists");
+        let flows = flows_per_shard(&r, PER_SHARD_FLOWS);
+        let injected = inject_wave(&mut r, &flows, 0);
+        r.run_until_idle();
+
+        let faults = r.fault_gauges();
+        assert!(faults.shard_deaths >= 1, "{policy:?}: the shard died");
+        assert_eq!(faults.no_live_shard_drops, 0, "{policy:?}");
+        // A ring holds at most 2 bursts of at most 8 x 4 packets: more
+        // than that reclaimed means the salvage reached `pending` too.
+        assert!(
+            faults.reclaimed_packets > 2 * 32,
+            "{policy:?}: only {} packets reclaimed",
+            faults.reclaimed_packets
+        );
+        let tx = r.take_tx(out0);
+        assert_eq!(
+            tx.len() as u64 + faults.lost_packets,
+            injected,
+            "{policy:?}: injected packets must be transmitted or accounted lost"
+        );
+        assert_per_flow_order(&tx, &flows, PER_FLOW);
+        r.shutdown();
+    }
 }
 
 #[test]

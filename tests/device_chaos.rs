@@ -68,7 +68,7 @@ fn device_ledger(e: &dyn Engine) -> DeviceLedger {
     }
 }
 
-/// A UDP frame of flow `sport` so the 4-shard steerer spreads the trace.
+/// A UDP frame of flow `sport` so 4-shard steering spreads the trace.
 fn frame(i: usize) -> Vec<u8> {
     let sport = 2000 + (i as u16 % 32);
     let mut p = build_udp_packet([1; 6], [2; 6], 0x0A00_0002, 0x0A00_0102, sport, 9, 18, 64);

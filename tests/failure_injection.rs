@@ -289,3 +289,110 @@ fn compiled_engine_survives_the_same_adversarial_packets() {
     r.run_until_idle(10_000);
     assert_eq!(r.devices.rx_len(eth0), 0);
 }
+
+/// A raw IP packet of `len` bytes whose header says whatever the caller
+/// wants: nothing between the wire and the fragmenter has checked it.
+fn hostile_ip(ihl: u8, len: usize, total_len: u16, df: bool) -> Packet {
+    let mut p = Packet::new(len);
+    let d = p.data_mut();
+    for (i, b) in d.iter_mut().enumerate() {
+        // No-op options wherever the IHL ends, distinct bytes after.
+        *b = if i < 60 { 1 } else { (i % 251) as u8 };
+    }
+    d[0] = 0x40 | ihl;
+    d[2..4].copy_from_slice(&total_len.to_be_bytes());
+    d[6..8].copy_from_slice(&(if df { ipv4::FLAG_DF } else { 0 }).to_be_bytes());
+    d[8] = 64;
+    p
+}
+
+/// Equal but for what `DecIPTTL` rewrites (the TTL and the checksum).
+fn same_but_ttl(a: &[u8], b: &[u8]) -> bool {
+    a.len() == b.len() && (0..a.len()).all(|i| matches!(i, 8 | 10 | 11) || a[i] == b[i])
+}
+
+/// Every IHL x frame length x DF x total-length claim through a
+/// fragmenting element with no `CheckIPHeader` in front of it: each
+/// packet must end up in exactly one place.
+fn fragmenter_accounts_for_hostile_frames(config: &str, mtu: usize, batched: bool) {
+    let graph = read_config(config).unwrap();
+    let mut r: DynRouter = Router::from_graph(&graph, &Library::standard()).unwrap();
+    r.set_batching(batched);
+    let [in0, out0, err0] = ["in0", "out0", "err0"].map(|d| r.devices.id(d).unwrap());
+    for ihl in 0..=15u8 {
+        for len in [21usize, 28, 60, 61, 1500] {
+            for total_len in [len as u16, 0, 0xFFFF] {
+                for df in [false, true] {
+                    let what = format!(
+                        "{config} batched={batched}: IHL {ihl}, {len} bytes, \
+                         total_len {total_len}, DF {df}"
+                    );
+                    let sent = hostile_ip(ihl, len, total_len, df);
+                    let before = r.total_drops();
+                    r.devices.inject(in0, sent.clone());
+                    r.run_until_idle(10_000);
+                    let out = r.devices.take_tx(out0);
+                    let err = r.devices.take_tx(err0);
+                    let dropped = r.total_drops() - before;
+                    let sent = sent.data();
+                    match (out.as_slice(), err.as_slice(), dropped) {
+                        ([], [], 1) => {}
+                        ([], [e], 0) => assert!(same_but_ttl(e.data(), sent), "{what}: error copy"),
+                        ([whole], [], 0) if whole.len() == len => {
+                            assert!(len <= mtu, "{what}: forwarded above the MTU");
+                            assert!(same_but_ttl(whole.data(), sent), "{what}: forwarded");
+                        }
+                        (frags, [], 0) if !frags.is_empty() => {
+                            let hlen = usize::from(ihl) * 4;
+                            let mut payload = Vec::new();
+                            for f in frags {
+                                assert!(f.len() <= mtu, "{what}: fragment above the MTU");
+                                assert_eq!(ipv4::header_len(f.data()), hlen, "{what}");
+                                payload.extend_from_slice(&f.data()[hlen..]);
+                            }
+                            let total = usize::from(total_len).min(len);
+                            assert_eq!(payload, sent[hlen..total], "{what}: payload");
+                        }
+                        _ => panic!(
+                            "{what}: {} forwarded, {} on the error output, {dropped} dropped",
+                            out.len(),
+                            err.len()
+                        ),
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn unguarded_fragmenters_account_for_every_hostile_frame() {
+    // On its own thread under a wall-clock guard: the failure this pins
+    // was a fragment loop that never advanced.
+    let (done, finished) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for mtu in [28usize, 68, 576] {
+            let fragmenter = format!(
+                "FromDevice(in0) -> f :: IPFragmenter({mtu}); \
+                 f [0] -> Queue(4096) -> ToDevice(out0); \
+                 f [1] -> Queue(4096) -> ToDevice(err0);"
+            );
+            // Color 1 never matches the default paint: no redirect copies.
+            let combo = format!(
+                "FromDevice(in0) -> f :: IPOutputCombo(1, 10.0.0.1, {mtu}); \
+                 err :: Queue(4096) -> ToDevice(err0); \
+                 f [0] -> Queue(4096) -> ToDevice(out0); f [1] -> Discard; \
+                 f [2] -> err; f [3] -> err; f [4] -> err;"
+            );
+            for batched in [false, true] {
+                fragmenter_accounts_for_hostile_frames(&fragmenter, mtu, batched);
+                fragmenter_accounts_for_hostile_frames(&combo, mtu, batched);
+            }
+        }
+        let _ = done.send(());
+    });
+    // A panic on the worker drops `done`: `Disconnected`, also a failure.
+    finished
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("hostile frames must neither hang nor panic a fragmenter");
+}

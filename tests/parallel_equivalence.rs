@@ -107,17 +107,8 @@ fn run_parallel<S: Slot + 'static>(
     shards: usize,
     batched: bool,
 ) -> Observation {
-    run_parallel_steered::<S>(graph, shards, batched, 0)
-}
-
-fn run_parallel_steered<S: Slot + 'static>(
-    graph: &RouterGraph,
-    shards: usize,
-    batched: bool,
-    steerers: usize,
-) -> Observation {
     let spec = IpRouterSpec::standard(N);
-    let mut opts = ParallelOpts::new(shards).with_steerers(steerers);
+    let mut opts = ParallelOpts::new(shards);
     if batched {
         opts = opts.batched(8);
     }
@@ -190,127 +181,6 @@ fn compiled_engine_parallel_matches_serial_batched() {
     let variants = ip_router_variants(N).expect("variants build");
     let all = &variants.iter().find(|v| v.name == "All").unwrap().graph;
     check_engine::<click::elements::fast::FastElement>(all, true);
-}
-
-#[test]
-fn multi_steerer_parallel_matches_serial() {
-    // Parallel steering moves classification off the injection thread
-    // onto N steerer threads; the observable behavior (per-flow order,
-    // per-class stats) must stay bit-identical to the serial reference
-    // at every steerer count, on both engines.
-    let variants = ip_router_variants(N).expect("variants build");
-    let base = &variants.iter().find(|v| v.name == "Base").unwrap().graph;
-    let all = &variants.iter().find(|v| v.name == "All").unwrap().graph;
-    let dyn_reference = run_serial::<Box<dyn click::elements::Element>>(base, true);
-    let fast_reference = run_serial::<click::elements::fast::FastElement>(all, true);
-    for shards in [2usize, 4] {
-        for steerers in [1usize, 2, 3] {
-            let got = run_parallel_steered::<Box<dyn click::elements::Element>>(
-                base, shards, true, steerers,
-            );
-            assert_eq!(
-                got, dyn_reference,
-                "{shards}-shard/{steerers}-steerer dyn runtime diverges from serial"
-            );
-            let got = run_parallel_steered::<click::elements::fast::FastElement>(
-                all, shards, true, steerers,
-            );
-            assert_eq!(
-                got, fast_reference,
-                "{shards}-shard/{steerers}-steerer compiled runtime diverges from serial"
-            );
-        }
-    }
-}
-
-#[test]
-fn multi_steerer_survives_mid_stream_shard_kill() {
-    // Compose parallel steering with the chaos contract: a shard panic
-    // mid-trace must degrade, not abort, and the ingress path through
-    // the steerer threads must keep per-flow order for everything that
-    // is delivered. Survivor-homed flows arrive complete and in order;
-    // dead-homed flows may have a gap (the in-flight loss) but never
-    // reorder; accounting is exact.
-    use click::core::lang::read_config;
-    use click::elements::headers::build_udp_packet;
-
-    const KILLED: usize = 1;
-    const PER_SHARD_FLOWS: usize = 4;
-    const KILL_PER_FLOW: u8 = 30;
-
-    let g = read_config(&format!(
-        "FromDevice(in0) -> FaultInject(PANIC 1, AFTER 100, SHARD {KILLED}) \
-         -> Queue(8192) -> ToDevice(out0);"
-    ))
-    .expect("chaos graph parses");
-    let udp = |sport: u16, seq: u8| {
-        let mut p = build_udp_packet([1; 6], [2; 6], 0x0A00_0002, 0x0A00_0102, sport, 9, 18, 64);
-        let n = p.len();
-        p.data_mut()[n - 1] = seq;
-        p
-    };
-    for steerers in [1usize, 2] {
-        let opts = ParallelOpts::new(4).batched(8).with_steerers(steerers);
-        let mut r = ParallelRouter::from_graph::<Box<dyn click::elements::Element>>(&g, opts)
-            .expect("router builds");
-        let in0 = r.device_id("in0").expect("in0 exists");
-        let out0 = r.device_id("out0").expect("out0 exists");
-        // PER_SHARD_FLOWS flows homed on each shard, found by probing
-        // the steering hash — so the doomed shard sees enough traffic
-        // to trip its FaultInject mid-wave.
-        let mut flows: Vec<Vec<u16>> = vec![Vec::new(); r.shards()];
-        let mut sport = 2000u16;
-        while flows.iter().any(|f| f.len() < PER_SHARD_FLOWS) {
-            let home = r.shard_for(udp(sport, 0).data(), in0);
-            if flows[home].len() < PER_SHARD_FLOWS {
-                flows[home].push(sport);
-            }
-            sport += 1;
-        }
-        let mut injected = 0u64;
-        for seq in 0..KILL_PER_FLOW {
-            for shard_flows in &flows {
-                for &sport in shard_flows {
-                    r.inject(in0, udp(sport, seq));
-                    injected += 1;
-                }
-            }
-        }
-        r.run_until_idle();
-        let faults = r.fault_gauges();
-        assert_eq!(faults.shard_deaths, 1, "{steerers} steerers: one death");
-        assert_eq!(faults.live_shards, 3);
-        assert_eq!(faults.no_live_shard_drops, 0);
-        let tx = r.take_tx(out0);
-        assert_eq!(
-            tx.len() as u64 + faults.lost_packets,
-            injected,
-            "{steerers} steerers: injected packets must be transmitted or accounted lost"
-        );
-        let observed = flows_of(vec![(0, tx)]);
-        for (shard, shard_flows) in flows.iter().enumerate() {
-            for &sport in shard_flows {
-                let seqs = &observed
-                    .iter()
-                    .find(|((_, k), _)| *k == sport)
-                    .unwrap_or_else(|| panic!("flow {sport} vanished entirely"))
-                    .1;
-                if shard == KILLED {
-                    assert!(
-                        seqs.windows(2).all(|w| w[0] < w[1]),
-                        "dead-homed flow {sport} reordered: {seqs:?}"
-                    );
-                } else {
-                    assert_eq!(
-                        *seqs,
-                        (0..KILL_PER_FLOW).collect::<Vec<u8>>(),
-                        "survivor-homed flow {sport} lost or reordered packets"
-                    );
-                }
-            }
-        }
-        r.shutdown();
-    }
 }
 
 #[test]

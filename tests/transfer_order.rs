@@ -2,7 +2,7 @@
 //!
 //! Random tree-shaped push graphs built from the multi-emitters (`Tee`,
 //! `PaintTee`, a `Classifier` fan, the error outputs of `CheckIPHeader`
-//! and `DecIPTTL`, `ICMPError`) run on the scalar engine,
+//! and `DecIPTTL`, `ICMPError`, `IPFragmenter`) run on the scalar engine,
 //! on the batched engine, and on a reference inside this file that
 //! delivers depth-first by plain recursion. Per-device TX byte sequences
 //! and the drop gauges must agree. A deliberate push loop, which the
@@ -44,6 +44,7 @@ const NODES: &[(&str, usize)] = &[
     ("CheckIPHeader", 2),
     ("DecIPTTL", 2),
     ("ICMPError(10.0.0.1, 11, 0)", 1),
+    ("IPFragmenter(68)", 2),
     ("Counter", 1),
 ];
 
