@@ -5,28 +5,16 @@
 //! pass through the default Click IP router (excluding devices)" — and
 //! 188 ns after `click-fastclassifier`, a >2× improvement.
 //!
-//! This harness reports both the cost-model numbers and host wall-clock
-//! measurements of the two classifier runtimes.
+//! Prints the size and depth of both decision trees and the cost model's
+//! price for the nodes the DNS-5 packet visits in each. The measured
+//! ratio is a row the spine has yet to gain (`classifier.sec4_gain`,
+//! ROADMAP 3(a)).
 //!
 //! Run: `cargo run --release -p click-bench --bin sec4_firewall`
 
 use click_classifier::firewall::{dns5_packet, firewall_config};
 use click_classifier::{build_tree, optimize, parse_rules, FastMatcher, TreeClassifier};
 use click_sim::CostParams;
-use std::hint::black_box;
-use std::time::Instant;
-
-fn time_ns<F: FnMut() -> Option<usize>>(mut f: F, iters: u32) -> f64 {
-    // Warm up.
-    for _ in 0..iters / 4 {
-        black_box(f());
-    }
-    let start = Instant::now();
-    for _ in 0..iters {
-        black_box(f());
-    }
-    start.elapsed().as_nanos() as f64 / f64::from(iters)
-}
 
 fn main() {
     let config = firewall_config();
@@ -63,17 +51,6 @@ fn main() {
     println!("cost model (ns):   generic {generic_model:.0}   fastclassifier {fast_model:.0}");
     println!("paper (ns):        generic 388   fastclassifier 188   (>2x)");
     println!("model ratio: {:.2}x", generic_model / fast_model);
-
-    // Host wall-clock (absolute values depend on this machine; the ratio
-    // is the point).
-    let iters = 2_000_000;
-    let wall_generic = time_ns(|| generic.classify(black_box(&pkt)), iters);
-    let wall_fast = time_ns(|| fast.classify(black_box(&pkt)), iters);
-    println!();
-    println!(
-        "host wall-clock (ns): generic {wall_generic:.1}   fastclassifier {wall_fast:.1}   ratio {:.2}x",
-        wall_generic / wall_fast
-    );
 }
 
 fn count_visits(tree: &click_classifier::DecisionTree, data: &[u8]) -> (usize, Option<usize>) {

@@ -1,31 +1,26 @@
 //! # click-bench
 //!
-//! Shared harness for regenerating the paper's evaluation: builders for
-//! every router variant of Figure 9 (Base, FC, DV, XF, All, MR, MR+All,
-//! Simple), and small table-formatting helpers used by the per-figure
-//! binaries in `src/bin/`.
+//! Builders for every router variant of Figure 9 (Base, FC, DV, XF, All,
+//! MR, MR+All, Simple), the seeded [`Lcg`] the root test suites share,
+//! and the binaries in `src/bin/` that print the paper's figures from
+//! the `click-sim` cost model. Nothing here reads a clock: real-engine
+//! numbers come from the measurement spine in `benchmark/` (committed as
+//! `BENCH_spine.json` and `BENCH_spine_layers.json`).
 //!
-//! | figure/table | regenerated by |
+//! | figure/table | printed by |
 //! |---|---|
 //! | Figure 2 (branch predictor) | `fig02_branch_predictor` |
-//! | §4 firewall (388→188 ns)    | `sec4_firewall`, bench `fig03_fastclassifier` |
+//! | §4 firewall (388→188 ns)    | `sec4_firewall` |
 //! | Figure 8 (CPU breakdown)    | `fig08_cpu_breakdown` |
-//! | Figure 9 (optimizations)    | `fig09_optimizations`, bench `fig09_real_engine` |
+//! | Figure 9 (optimizations)    | `fig09_optimizations` |
 //! | Figure 10 (forwarding rate) | `fig10_forwarding_rate` |
 //! | Figure 11 (outcomes)        | `fig11_outcomes` |
 //! | Figure 12 (platform MLFFR)  | `fig12_platforms` |
-//! | closed-loop reoptimization  | `fig12_reopt` |
 //! | Figure 13 (hardware evolution) | `fig13_hardware_evolution` |
 //! | §8.2 microarchitecture      | `sec82_microarch` |
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
-
-pub mod engine_bench;
-pub mod harness;
-pub mod parallel_bench;
-pub mod reopt_bench;
-pub mod tables_bench;
 
 use click_core::error::Result;
 use click_core::graph::RouterGraph;
@@ -180,6 +175,43 @@ pub fn flag_usize(args: &[String], name: &str, default: usize) -> usize {
             .and_then(|v| v.parse::<usize>().ok())
             .filter(|&v| v >= 1)
             .unwrap_or_else(|| panic!("usage: {name} <positive integer>")),
+    }
+}
+
+/// Deterministic 64-bit LCG (MMIX constants) behind every seeded case the
+/// root test suites generate. The high bits are the well-mixed ones, so
+/// each step yields the top 31 bits of the state.
+#[derive(Debug, Clone)]
+pub struct Lcg(u64);
+
+impl Lcg {
+    /// A generator started at `seed`; equal seeds yield equal streams.
+    pub fn new(seed: u64) -> Lcg {
+        Lcg(seed)
+    }
+
+    /// Advances the state and returns its top 31 bits.
+    #[allow(clippy::should_implement_trait)] // an endless stream: no `None` to end an `Iterator`
+    pub fn next(&mut self) -> u64 {
+        self.0 = self
+            .0
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        self.0 >> 33
+    }
+
+    /// A value in `0..n`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` is zero.
+    pub fn below(&mut self, n: usize) -> usize {
+        (self.next() as usize) % n
+    }
+
+    /// 32 bits from two steps (one step carries only 31).
+    pub fn word(&mut self) -> u32 {
+        (self.next() as u32) ^ ((self.next() as u32) << 16)
     }
 }
 

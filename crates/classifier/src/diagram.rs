@@ -652,6 +652,133 @@ mod tests {
         }
     }
 
+    fn lcg(seed: u64) -> impl FnMut() -> u32 {
+        let mut s = seed;
+        move || {
+            s = s
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (s >> 33) as u32
+        }
+    }
+
+    /// Field layout of the generated ACLs: src net, dst net, protocol,
+    /// destination port — `(offset, mask)`, word-aligned as [`Check`]
+    /// requires.
+    const ACL_FIELDS: [(u32, u32); 4] = [
+        (24, 0xFFFF_FF00),
+        (28, 0xFFFF_FF00),
+        (20, 0x00FF_0000),
+        (32, 0xFFFF_0000),
+    ];
+
+    /// A value of field `f` from its bounded pool (48 nets, 3 protocols,
+    /// 256 ports): real ACLs reuse the same nets and ports, which is
+    /// what makes subtree sharing possible.
+    fn acl_field_value(next: &mut impl FnMut() -> u32, f: usize) -> u32 {
+        match f {
+            0 | 1 => (next() % 48) << 12,
+            2 => [1u32, 6, 17][(next() % 3) as usize] << 16,
+            _ => (next() % 256 + 1) << 16,
+        }
+    }
+
+    /// `n` fully-specified 4-field rules plus a trailing default-allow.
+    fn synthetic_acl(seed: u64, n: usize) -> Vec<Rule> {
+        let mut next = lcg(seed);
+        let mut rules: Vec<Rule> = (0..n)
+            .map(|_| {
+                let checks = (0..ACL_FIELDS.len())
+                    .map(|f| {
+                        let (off, mask) = ACL_FIELDS[f];
+                        Cond::Check(Check::new(off, mask, acl_field_value(&mut next, f)))
+                    })
+                    .collect();
+                let action = if next().is_multiple_of(4) {
+                    Action::Drop
+                } else {
+                    Action::Emit((next() % 4) as usize)
+                };
+                Rule {
+                    cond: Cond::And(checks),
+                    action,
+                }
+            })
+            .collect();
+        rules.push(Rule {
+            cond: Cond::True,
+            action: Action::Emit(0),
+        });
+        rules
+    }
+
+    /// Probe frames: half plant a random rule's exact field values (a
+    /// hit somewhere in the table), half sample the pools (almost always
+    /// the default).
+    fn acl_probes(seed: u64, rules: &[Rule], n: usize) -> Vec<Vec<u8>> {
+        let mut next = lcg(seed);
+        (0..n)
+            .map(|_| {
+                let values: Vec<u32> = if next().is_multiple_of(2) {
+                    match &rules[next() as usize % (rules.len() - 1)].cond {
+                        Cond::And(cs) => cs
+                            .iter()
+                            .map(|c| match c {
+                                Cond::Check(chk) => chk.value,
+                                _ => unreachable!("generated rules hold only checks"),
+                            })
+                            .collect(),
+                        _ => unreachable!("generated rules are conjunctions"),
+                    }
+                } else {
+                    (0..ACL_FIELDS.len())
+                        .map(|f| acl_field_value(&mut next, f))
+                        .collect()
+                };
+                let mut frame = vec![0u8; 64];
+                for (&(off, _), v) in ACL_FIELDS.iter().zip(values) {
+                    frame[off as usize..off as usize + 4].copy_from_slice(&v.to_be_bytes());
+                }
+                frame
+            })
+            .collect()
+    }
+
+    /// The seeded 4-field ACL at `n` rules: match depth bounded by the
+    /// field count, node count no larger than `max_nodes` (what this
+    /// generator yields with today's hash-consing), and agreement with
+    /// the first-match decision tree on 4096 seeded frames.
+    fn check_synthetic_acl(n: usize, max_nodes: usize) {
+        let rules = synthetic_acl(0xAC1 + n as u64, n);
+        let d = build_diagram(&rules, 4);
+        d.validate().unwrap();
+        assert_eq!(d.fields.len(), ACL_FIELDS.len());
+        assert!(d.depth() <= 4, "{n} rules: depth {}", d.depth());
+        assert!(
+            d.nodes.len() <= max_nodes,
+            "{n} rules: {} nodes, sharing got worse than {max_nodes}",
+            d.nodes.len()
+        );
+        // The decision tree's own iterative walk is the reference: the
+        // linked-node `TreeClassifier` recurses once per rule to build,
+        // which a 10k-rule first-match chain does not survive on a test
+        // thread's stack.
+        let tree = build_tree(&rules, 4);
+        for p in acl_probes(0xF10 + n as u64, &rules, 4096) {
+            assert_eq!(d.classify(&p), tree.classify(&p), "{n} rules: {p:?}");
+        }
+    }
+
+    #[test]
+    fn synthetic_acl_1k_is_four_deep_shared_and_agrees_with_tree() {
+        check_synthetic_acl(1_000, 1204);
+    }
+
+    #[test]
+    fn synthetic_acl_10k_is_four_deep_shared_and_agrees_with_tree() {
+        check_synthetic_acl(10_000, 5436);
+    }
+
     #[test]
     fn serialization_round_trips() {
         let rules =

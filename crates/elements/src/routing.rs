@@ -607,13 +607,7 @@ mod tests {
     fn randomized_against_linear_scan() {
         // Deterministic pseudo-random prefixes; compare trie lookup with a
         // brute-force longest-match scan.
-        let mut seed = 0x12345678u64;
-        let mut next = move || {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (seed >> 33) as u32
-        };
+        let mut next = lcg(0x12345678);
         let mut t = IpTrie::new();
         let mut prefixes: Vec<(u32, u8, usize)> = Vec::new();
         for i in 0..200 {
@@ -828,6 +822,109 @@ mod tests {
             "pool grew without compaction: {}",
             t.pool.len()
         );
+    }
+
+    /// `n` distinct synthetic-BGP prefixes: a default route, then a
+    /// seeded mix skewed toward /24s the way public tables are (55% /24,
+    /// 20% /20-/23, 15% /16-/19, 5% /8-/15, 5% /25-/32).
+    fn synthetic_bgp_prefixes(seed: u64, n: usize) -> Vec<(u32, u8)> {
+        let mut next = lcg(seed);
+        let mut seen = std::collections::HashSet::with_capacity(n * 2);
+        let mut out = vec![(0u32, 0u8)];
+        seen.insert((0u32, 0u8));
+        while out.len() < n {
+            let roll = next() % 100;
+            let plen = if roll < 55 {
+                24
+            } else if roll < 75 {
+                20 + next() % 4
+            } else if roll < 90 {
+                16 + next() % 4
+            } else if roll < 95 {
+                8 + next() % 8
+            } else {
+                25 + next() % 8
+            } as u8;
+            let addr = mask_addr(next(), plen);
+            if seen.insert((addr, plen)) {
+                out.push((addr, plen));
+            }
+        }
+        out
+    }
+
+    /// `len` destinations drawn from a working set of `diversity` host
+    /// addresses, each covered by one of `prefixes`.
+    fn destination_stream(
+        seed: u64,
+        prefixes: &[(u32, u8)],
+        diversity: usize,
+        len: usize,
+    ) -> Vec<u32> {
+        let mut next = lcg(seed);
+        let pool: Vec<u32> = (0..4 * diversity)
+            .map(|_| {
+                let (addr, plen) = prefixes[next() as usize % prefixes.len()];
+                if plen >= 32 {
+                    addr
+                } else {
+                    addr | (next() & (u32::MAX >> plen))
+                }
+            })
+            .collect();
+        let working: Vec<u32> = (0..diversity)
+            .map(|_| pool[next() as usize % pool.len()])
+            .collect();
+        (0..len)
+            .map(|_| working[next() as usize % diversity])
+            .collect()
+    }
+
+    /// Builds the multibit trie over `n` synthetic-BGP prefixes and
+    /// checks every lookup of a 4096-address, diversity-1024 stream
+    /// against the stride plan's level bound and, when `against_old`,
+    /// against the one-bit trie.
+    fn check_synthetic_bgp(n: usize, against_old: bool) {
+        // The root array consumes 16 address bits and the strides
+        // 6 + 6 + 4 = 16 more: at most three interior nodes per lookup,
+        // whatever the table size.
+        const LEVEL_BOUND: usize = 3;
+        let prefixes = synthetic_bgp_prefixes(0xB6_D0 + n as u64, n);
+        let slash24 = prefixes.iter().filter(|&&(_, l)| l == 24).count();
+        assert!(slash24 * 10 > n * 4, "{slash24} /24s in {n}: skew lost");
+        let mut multi = MultibitTrie::new();
+        let mut old = IpTrie::new();
+        for (i, &(addr, plen)) in prefixes.iter().enumerate() {
+            multi.insert(addr, plen, i);
+            if against_old {
+                old.insert(addr, plen, i);
+            }
+        }
+        assert_eq!(multi.len(), n, "prefixes are distinct");
+        let mut deepest = 0;
+        for a in destination_stream(0xD1CE + n as u64, &prefixes, 1024, 4096) {
+            let (hit, steps) = multi.lookup_steps(a);
+            assert!(steps <= LEVEL_BOUND, "{a:#x}: {steps} levels");
+            assert!(hit.is_some(), "{a:#x} misses the default route");
+            if against_old {
+                assert_eq!(hit, old.lookup(a), "divergence at {a:#x}");
+            }
+            deepest = deepest.max(steps);
+        }
+        // The /25-/32 tail of the mix reaches the last stride, so the
+        // bound above is exercised, not vacuous.
+        assert_eq!(deepest, LEVEL_BOUND, "stream never reached the last level");
+    }
+
+    #[test]
+    fn synthetic_bgp_100k_lookups_stay_within_level_bound_and_match_iptrie() {
+        check_synthetic_bgp(100_000, true);
+    }
+
+    #[test]
+    #[ignore = "1M prefixes: run with --release -- --ignored (CI tables-smoke)"]
+    fn synthetic_bgp_1m_lookups_stay_within_level_bound() {
+        check_synthetic_bgp(1_000_000, false);
     }
 
     #[test]

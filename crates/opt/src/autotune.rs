@@ -19,9 +19,8 @@
 //!   neighbor, so `best_ns <= default_ns` by construction (ties keep
 //!   the default).
 //! * **The report is plain JSON** (rendered and parsed with the same
-//!   zero-dependency machinery as the profile format), so
-//!   `fig09_parallel --tuned FILE` and the CI smoke job can consume it
-//!   without a JSON library.
+//!   zero-dependency machinery as the profile format), so the CI smoke
+//!   job can check it without a JSON library.
 //!
 //! The search itself is measurement-agnostic: [`hill_climb`] takes the
 //! evaluation function as a callback, so unit tests drive it with
@@ -255,7 +254,7 @@ pub fn hill_climb(
 
 /// The autotune report: one [`TunedWorkload`] per tuned workload, plus
 /// the run's budget and host shape. Written by `click-autotune`,
-/// consumed by `fig09_parallel --tuned` and the CI smoke job.
+/// checked by the CI smoke job.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AutotuneReport {
     /// Evaluation budget per workload the run was given.

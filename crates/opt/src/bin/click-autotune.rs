@@ -18,9 +18,8 @@
 //! [`click_opt::autotune`]). The default config is always the first
 //! candidate, so the emitted best is never slower than it.
 //!
-//! The report is consumed by `fig09_parallel --tuned FILE` (which
-//! re-measures the wall-clock sweep under the chosen knobs) and by the
-//! CI `autotune-smoke` job (which asserts `best <= default`).
+//! The report is checked by the CI `autotune-smoke` job (which asserts
+//! `best <= default`).
 
 use click_core::error::Result;
 use click_core::graph::RouterGraph;

@@ -6,7 +6,12 @@ use click_opt::combine::{combine, LinkSpec};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (flags, positional) = click_opt::tool::parse_args(&args, &["link"]);
+    let (flags, positional) = click_opt::tool::filter_args(
+        "click-combine NAME=FILE.click... --link \"A.eth1 -> B.eth0\"... [--check-loops]",
+        &args,
+        &["link"],
+        &["check-loops"],
+    );
     let check_loops = flags.iter().any(|(f, _)| f == "check-loops");
     let result = (|| -> click_core::Result<click_core::RouterGraph> {
         let mut routers = Vec::new();
@@ -19,13 +24,9 @@ fn main() {
             routers.push((name.to_owned(), click_core::lang::read_config(&text)?));
         }
         let mut links = Vec::new();
-        for (f, v) in &flags {
-            if f == "link" {
-                let v = v.as_deref().ok_or_else(|| {
-                    click_core::Error::graph("--link requires a value".to_string())
-                })?;
-                links.push(LinkSpec::parse(v)?);
-            }
+        // Only `--link` carries a value.
+        for v in flags.iter().filter_map(|(_, v)| v.as_deref()) {
+            links.push(LinkSpec::parse(v)?);
         }
         combine(&routers, &links)
     })();

@@ -7,12 +7,13 @@ use std::collections::HashSet;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (flags, _) = click_opt::tool::parse_args(&args, &["exclude"]);
-    let exclude: HashSet<String> = flags
-        .iter()
-        .filter(|(f, _)| f == "exclude")
-        .filter_map(|(_, v)| v.clone())
-        .collect();
+    let (flags, _) = click_opt::tool::filter_args(
+        "click-devirtualize [--exclude NAME]... < router.click",
+        &args,
+        &["exclude"],
+        &[],
+    );
+    let exclude: HashSet<String> = flags.into_iter().filter_map(|(_, v)| v).collect();
     click_opt::tool::run_tool("click-devirtualize", move |graph| {
         let lib = click_core::registry::Library::standard();
         let report = click_opt::devirtualize::devirtualize(graph, &lib, &exclude)?;

@@ -16,26 +16,22 @@
 //! ```
 
 use click_opt::profile::{apply_profile, Profile};
-use click_opt::tool::{parse_args, run_tool};
+use click_opt::tool::{filter_args, run_tool};
+
+const USAGE: &str = "click-profile --profile PROFILE.json < router.click";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (flags, positional) = parse_args(&args, &["profile"]);
-    let mut path: Option<String> = None;
-    for (flag, value) in flags {
-        match flag.as_str() {
-            "profile" => path = value,
-            _ => {
-                eprintln!("usage: click-profile --profile PROFILE.json < router.click");
-                std::process::exit(2);
-            }
-        }
-    }
-    // Allow the profile as a bare positional argument too.
-    let path = path
+    let (flags, positional) = filter_args(USAGE, &args, &["profile"], &[]);
+    // The last `--profile` wins; the profile may be a bare positional
+    // argument too.
+    let path = flags
+        .into_iter()
+        .filter_map(|(_, v)| v)
+        .next_back()
         .or_else(|| positional.first().cloned())
         .unwrap_or_else(|| {
-            eprintln!("usage: click-profile --profile PROFILE.json < router.click");
+            eprintln!("usage: {USAGE}");
             std::process::exit(2);
         });
     let text = std::fs::read_to_string(&path).unwrap_or_else(|e| {

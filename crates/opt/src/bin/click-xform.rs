@@ -6,7 +6,12 @@
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (_, files) = click_opt::tool::parse_args(&args, &[]);
+    let (_, files) = click_opt::tool::filter_args(
+        "click-xform [PATTERN_FILE]... < router.click",
+        &args,
+        &[],
+        &[],
+    );
     click_opt::tool::run_tool("click-xform", move |graph| {
         let patterns = if files.is_empty() {
             click_opt::xform::ip_combo_patterns()?

@@ -85,6 +85,46 @@ pub fn parse_args(
     (flags, positional)
 }
 
+/// `(flags, positional)` as [`parse_args`] returns them.
+pub type Args = (Vec<(String, Option<String>)>, Vec<String>);
+
+/// [`parse_args`] for a tool that names every flag it takes: any other
+/// `--flag`, or a flag of `value_flags` with nothing after it, is an
+/// error saying which. Flags in `switches` take no value.
+///
+/// # Errors
+///
+/// The offending flag, as a message for the user.
+pub fn parse_known_args(
+    args: &[String],
+    value_flags: &[&str],
+    switches: &[&str],
+) -> std::result::Result<Args, String> {
+    let (flags, positional) = parse_args(args, value_flags);
+    for (name, value) in &flags {
+        if value_flags.contains(&name.as_str()) {
+            if value.is_none() {
+                return Err(format!("--{name} requires a value"));
+            }
+        } else if !switches.contains(&name.as_str()) {
+            return Err(format!("unknown flag --{name}"));
+        }
+    }
+    Ok((flags, positional))
+}
+
+/// The argument parser of the filter tools: [`parse_known_args`], with a
+/// refused command line answered by the complaint and `usage` on stderr
+/// and exit status 2 before anything is read or written — tool
+/// arguments are outside input, and a mistyped flag must not silently
+/// run the default.
+pub fn filter_args(usage: &str, args: &[String], value_flags: &[&str], switches: &[&str]) -> Args {
+    parse_known_args(args, value_flags, switches).unwrap_or_else(|complaint| {
+        eprintln!("{complaint}\nusage: {usage}");
+        std::process::exit(2);
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -109,8 +149,26 @@ mod tests {
     #[test]
     fn value_flag_at_end_without_value() {
         let args: Vec<String> = ["--exclude"].iter().map(|s| s.to_string()).collect();
-        let (flags, pos) = parse_args(&args, &["exclude"]);
-        assert_eq!(flags, vec![("exclude".to_owned(), None)]);
-        assert!(pos.is_empty());
+        assert_eq!(
+            parse_known_args(&args, &["exclude"], &[]),
+            Err("--exclude requires a value".to_owned())
+        );
+    }
+
+    #[test]
+    fn unknown_flag_is_refused_and_known_ones_pass() {
+        let args: Vec<String> = ["--exclde", "q0"].iter().map(|s| s.to_string()).collect();
+        assert_eq!(
+            parse_known_args(&args, &["exclude"], &["check-loops"]),
+            Err("unknown flag --exclde".to_owned())
+        );
+        let args: Vec<String> = ["--check-loops", "--exclude", "q0", "f"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        assert_eq!(
+            parse_known_args(&args, &["exclude"], &["check-loops"]),
+            Ok(parse_args(&args, &["exclude"]))
+        );
     }
 }

@@ -12,12 +12,16 @@ fn run_tool(exe: &str, args: &[&str], stdin: &str) -> (String, String, bool) {
         .stderr(Stdio::piped())
         .spawn()
         .unwrap_or_else(|e| panic!("spawn {exe}: {e}"));
-    child
+    // A tool that refuses its arguments exits without reading stdin.
+    match child
         .stdin
         .as_mut()
         .expect("stdin")
         .write_all(stdin.as_bytes())
-        .expect("write stdin");
+    {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => panic!("write stdin: {e}"),
+        _ => {}
+    }
     let out = child.wait_with_output().expect("tool runs");
     (
         String::from_utf8_lossy(&out.stdout).into_owned(),
@@ -95,6 +99,26 @@ fn devirtualize_exclude_flag() {
         "Counter",
         "excluded element untouched"
     );
+}
+
+/// A mistyped flag, or a value flag with its value missing, must not
+/// silently run the default transform: usage on stderr, nothing on
+/// stdout, failure status.
+#[test]
+fn filter_tools_refuse_unknown_flags_and_missing_values() {
+    for (exe, args) in [
+        (
+            env!("CARGO_BIN_EXE_click-devirtualize"),
+            &["--exclde", "a"][..],
+        ),
+        (env!("CARGO_BIN_EXE_click-devirtualize"), &["--exclude"][..]),
+        (env!("CARGO_BIN_EXE_click-xform"), &["--bogus"][..]),
+    ] {
+        let (stdout, stderr, ok) = run_tool(exe, args, "a :: Idle;");
+        assert!(!ok, "{exe} {args:?} ran");
+        assert_eq!(stdout, "", "{exe} {args:?} wrote a configuration");
+        assert!(stderr.contains("usage: click-"), "{exe} {args:?}: {stderr}");
+    }
 }
 
 #[test]

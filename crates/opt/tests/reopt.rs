@@ -1,6 +1,8 @@
 //! Continuous-reoptimization drill: the `click-morph` loop observed end
 //! to end. A mid-trace traffic shift must produce exactly one kept swap
-//! (no thrash, per-flow order preserved, every packet accounted for); a
+//! (no thrash, per-flow order preserved, every packet accounted for)
+//! that lowers the loop's own objective on the shifted traffic; a hot
+//! branch that flips every window must be held to the dwell bound; a
 //! fault-injected recompile must roll back and freeze the loop in
 //! cooldown; and without the `telemetry` feature the loop must stay
 //! quiet while forwarding everything.
@@ -32,21 +34,37 @@ fn strict_policy() -> ReoptPolicy {
     }
 }
 
-/// Drives `windows` demo windows through the daemon, shifting the hot
-/// branch from 0 to the last at `shift_at`. Returns the outcomes.
+/// Drives `windows` demo windows through the daemon, window `w` with
+/// hot branch `hot(w)`. Returns the outcomes.
+fn drive_schedule(
+    daemon: &mut MorphDaemon,
+    trace: &mut DemoTrace,
+    windows: usize,
+    hot: impl Fn(usize) -> usize,
+) -> Vec<WindowOutcome> {
+    (0..windows)
+        .map(|w| {
+            let frames = trace.window(WINDOW_PACKETS, hot(w), DEMO_BRANCHES);
+            daemon.step(&frames).expect("window steps cleanly")
+        })
+        .collect()
+}
+
+/// [`drive_schedule`] shifting the hot branch from 0 to the last at
+/// `shift_at`.
 fn drive(
     daemon: &mut MorphDaemon,
     trace: &mut DemoTrace,
     windows: usize,
     shift_at: usize,
 ) -> Vec<WindowOutcome> {
-    (0..windows)
-        .map(|w| {
-            let hot = if w < shift_at { 0 } else { DEMO_BRANCHES - 1 };
-            let frames = trace.window(WINDOW_PACKETS, hot, DEMO_BRANCHES);
-            daemon.step(&frames).expect("window steps cleanly")
-        })
-        .collect()
+    drive_schedule(daemon, trace, windows, |w| {
+        if w < shift_at {
+            0
+        } else {
+            DEMO_BRANCHES - 1
+        }
+    })
 }
 
 /// A daemon over the demo artifact on the compiled engine (serial for
@@ -117,6 +135,77 @@ fn assert_per_subflow_order(tx: &[Packet], hot_branches: &[usize]) {
     }
 }
 
+/// The reopt controller's objective, recomputed from outside it: a
+/// first-match classifier tries its patterns in order, so a frame
+/// matched by pattern `p` (0-based) costs `p + 1` tests. Summed over one
+/// window of demo traffic with the last branch hot, for the classifier
+/// of `graph`.
+#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+fn first_match_work_after_shift(graph: &RouterGraph) -> usize {
+    let cls = graph.find("cls").expect("demo classifier");
+    let rules = click_classifier::parse_rules("Classifier", graph.element(cls).config())
+        .expect("demo patterns parse");
+    DemoTrace::new()
+        .window(WINDOW_PACKETS, DEMO_BRANCHES - 1, DEMO_BRANCHES)
+        .iter()
+        .map(|(_, p)| {
+            1 + rules
+                .iter()
+                .position(|r| r.cond.eval(p.data()))
+                .expect("the catch-all matches")
+        })
+        .sum()
+}
+
+/// The kept swap of the shift drill must pay by the loop's own measure:
+/// less modeled first-match work on the shifted traffic for the graph
+/// now installed than for the one it replaced.
+#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+fn assert_swap_lowered_the_objective(daemon: &MorphDaemon) {
+    let before = first_match_work_after_shift(&demo_graph(DEMO_BRANCHES).unwrap());
+    let after = first_match_work_after_shift(daemon.installed());
+    assert!(
+        after < before,
+        "installed ordering costs {after} pattern tests on the shifted window, \
+         the replaced one {before}"
+    );
+}
+
+/// The thrash drill: the hot branch flips every window. Hysteresis must
+/// hold installs to one per `dwell + 1` windows (well inside the run's
+/// swap budget), visibly suppress at least one divergence, and lose no
+/// packet while doing so.
+#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
+fn alternating_hot_branch_cannot_thrash(shards: usize) {
+    const WINDOWS: usize = 12;
+    let policy = strict_policy();
+    let mut daemon = demo_daemon(shards, policy);
+    let drops_start = daemon.target().total_drops();
+    let mut trace = DemoTrace::new();
+    drive_schedule(&mut daemon, &mut trace, WINDOWS, |w| {
+        if w.is_multiple_of(2) {
+            0
+        } else {
+            DEMO_BRANCHES - 1
+        }
+    });
+
+    let g = daemon.gauges();
+    let installs = g.swaps_kept + g.rollbacks;
+    assert!(installs >= 1, "the drill never diverged: {g:?}");
+    assert!(g.swaps_kept <= policy.max_swaps, "{g:?}");
+    assert!(
+        installs <= WINDOWS as u64 / u64::from(policy.dwell_windows + 1),
+        "installs outran the dwell bound: {g:?}"
+    );
+    assert!(g.thrash_suppressed >= 1, "nothing was suppressed: {g:?}");
+
+    let mut router = daemon.into_target();
+    let tx = drain_tx(&mut *router).len() as u64;
+    let offered = (WINDOWS * WINDOW_PACKETS) as u64;
+    assert_eq!(offered, tx + (router.total_drops() - drops_start));
+}
+
 /// The demo artifact with a deterministic all-drop `FaultInject` spliced
 /// onto the push path right after ingress — a "recompile" that regresses
 /// catastrophically.
@@ -182,6 +271,7 @@ mod live {
             "hot branch not hoisted: {}",
             installed.element(cls).config()
         );
+        assert_swap_lowered_the_objective(&daemon);
 
         // Exact accounting and per-flow order across the swap.
         let mut router = daemon.into_target();
@@ -218,6 +308,7 @@ mod live {
         assert_eq!(g.recompiles, 1);
         assert_eq!(g.swaps_kept, 1);
         assert_eq!(g.rollbacks, 0);
+        assert_swap_lowered_the_objective(&daemon);
 
         let mut router = daemon.into_target();
         let tx = drain_tx(&mut *router);
@@ -228,6 +319,16 @@ mod live {
             "exact accounting across the canary rollout"
         );
         assert_per_subflow_order(&tx, &[0, DEMO_BRANCHES - 1]);
+    }
+
+    #[test]
+    fn alternating_hot_branch_cannot_thrash_serial() {
+        alternating_hot_branch_cannot_thrash(1);
+    }
+
+    #[test]
+    fn alternating_hot_branch_cannot_thrash_sharded() {
+        alternating_hot_branch_cannot_thrash(4);
     }
 
     /// A regressed recompile (all-drop `FaultInject` spliced into the

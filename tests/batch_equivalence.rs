@@ -13,23 +13,9 @@ use click::elements::ip_router::{test_packet, IpRouterSpec};
 use click::elements::packet::{pool_stats, reset_pool_stats, Packet};
 use click::elements::router::Slot;
 use click::elements::Router;
+use click_bench::Lcg;
 
 const N: usize = 4;
-
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() as usize) % n
-    }
-}
 
 /// A pure-forwarding workload: valid cross-interface UDP only, all from
 /// one input so even inter-device scheduling order is fixed.
@@ -133,7 +119,7 @@ fn sorted(mut outputs: Vec<Vec<Vec<u8>>>) -> Vec<Vec<Vec<u8>>> {
 fn batched_engine_matches_scalar_exactly_on_pure_forwarding() {
     let spec = IpRouterSpec::standard(N);
     let graph = click::core::lang::read_config(&spec.config()).unwrap();
-    let mut r = Lcg(0xBA7C4);
+    let mut r = Lcg::new(0xBA7C4);
     let workload = pure_workload(&spec, &mut r, 96);
     type Dyn = Box<dyn click::elements::Element>;
     let (reference, ref_stats) = run::<Dyn>(&graph, &workload, None);
@@ -167,7 +153,7 @@ fn batched_engine_matches_scalar_on_branchy_mixes() {
     let graph = click::core::lang::read_config(&spec.config()).unwrap();
     type Dyn = Box<dyn click::elements::Element>;
     for seed in [1u64, 0xFEED, 0xD00D] {
-        let mut r = Lcg(seed);
+        let mut r = Lcg::new(seed);
         let workload = branchy_workload(&spec, &mut r, 128);
         let (reference, ref_stats) = run::<Dyn>(&graph, &workload, None);
         let reference = sorted(reference);
@@ -210,7 +196,7 @@ fn pool_serves_steady_state_allocations() {
             router.set_batching(true);
             router.set_batch_burst(b);
         }
-        let mut r = Lcg(0x9001);
+        let mut r = Lcg::new(0x9001);
         let devs: Vec<_> = (0..N)
             .map(|i| router.devices.id(&format!("eth{i}")).unwrap())
             .collect();

@@ -11,25 +11,7 @@ use click::classifier::{
     build_tree, optimize, parse_rules, Action, Check, ClassifierProgram, Cond, FastMatcher, Rule,
     TreeClassifier,
 };
-
-/// Deterministic 64-bit LCG (MMIX constants); high bits are well mixed.
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() as usize) % n
-    }
-    fn word(&mut self) -> u32 {
-        (self.next() as u32) ^ ((self.next() as u32) << 16)
-    }
-}
+use click_bench::Lcg;
 
 /// A random single-word check with plausible packet offsets.
 fn gen_check(r: &mut Lcg) -> Cond {
@@ -94,7 +76,7 @@ fn reference(rules: &[Rule], data: &[u8]) -> Option<usize> {
 
 #[test]
 fn all_runtimes_agree() {
-    let mut r = Lcg(0xC1A551F1E5);
+    let mut r = Lcg::new(0xC1A551F1E5);
     for case in 0..128 {
         let rules = gen_rules(&mut r);
         let noutputs = rules.len();
@@ -137,7 +119,7 @@ fn all_runtimes_agree() {
 
 #[test]
 fn optimization_never_grows_depth() {
-    let mut r = Lcg(0xDEE9);
+    let mut r = Lcg::new(0xDEE9);
     for _ in 0..128 {
         let rules = gen_rules(&mut r);
         let tree = build_tree(&rules, rules.len());
@@ -149,7 +131,7 @@ fn optimization_never_grows_depth() {
 
 #[test]
 fn program_serialization_round_trips() {
-    let mut r = Lcg(0x5E11A11);
+    let mut r = Lcg::new(0x5E11A11);
     for _ in 0..128 {
         let rules = gen_rules(&mut r);
         let tree = build_tree(&rules, rules.len());
@@ -162,7 +144,7 @@ fn program_serialization_round_trips() {
 
 #[test]
 fn tree_serialization_round_trips() {
-    let mut r = Lcg(0x7EE5);
+    let mut r = Lcg::new(0x7EE5);
     for _ in 0..128 {
         let rules = gen_rules(&mut r);
         let tree = build_tree(&rules, rules.len());

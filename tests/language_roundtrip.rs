@@ -8,31 +8,19 @@
 
 use click::core::graph::{PortRef, RouterGraph};
 use click::core::lang::{read_config, write_config};
+use click_bench::Lcg;
 
-struct Lcg(u64);
+fn pick(r: &mut Lcg, chars: &[u8]) -> char {
+    chars[r.below(chars.len())] as char
+}
 
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
+fn string(r: &mut Lcg, first: &[u8], rest: &[u8], max_rest: usize) -> String {
+    let mut s = String::new();
+    s.push(pick(r, first));
+    for _ in 0..r.below(max_rest + 1) {
+        s.push(pick(r, rest));
     }
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() as usize) % n
-    }
-    fn pick(&mut self, chars: &[u8]) -> char {
-        chars[self.below(chars.len())] as char
-    }
-    fn string(&mut self, first: &[u8], rest: &[u8], max_rest: usize) -> String {
-        let mut s = String::new();
-        s.push(self.pick(first));
-        for _ in 0..self.below(max_rest + 1) {
-            s.push(self.pick(rest));
-        }
-        s
-    }
+    s
 }
 
 const LOWER: &[u8] = b"abcdefghijklmnopqrstuvwxyz";
@@ -59,9 +47,9 @@ fn gen_graph(r: &mut Lcg, cfg_chars: &[u8]) -> RouterGraph {
     let mut g = RouterGraph::new();
     let mut ids = Vec::new();
     for _ in 0..1 + r.below(9) {
-        let name = r.string(LOWER, LOWER_NUM, 8);
-        let class = r.string(UPPER, ALNUM, 8);
-        let config: String = (0..r.below(13)).map(|_| r.pick(cfg_chars)).collect();
+        let name = string(r, LOWER, LOWER_NUM, 8);
+        let class = string(r, UPPER, ALNUM, 8);
+        let config: String = (0..r.below(13)).map(|_| pick(r, cfg_chars)).collect();
         // Names must be unique; skip duplicates.
         if g.find(&name).is_none() {
             ids.push(
@@ -83,7 +71,7 @@ fn gen_graph(r: &mut Lcg, cfg_chars: &[u8]) -> RouterGraph {
 
 #[test]
 fn unparse_parse_round_trips() {
-    let mut r = Lcg(0x0C0FFEE);
+    let mut r = Lcg::new(0x0C0FFEE);
     let cfg_chars = config_charset();
     for _ in 0..192 {
         let g = gen_graph(&mut r, &cfg_chars);
@@ -100,14 +88,16 @@ fn unparse_parse_round_trips() {
 
 #[test]
 fn archive_round_trips() {
-    let mut r = Lcg(0xA2C417E);
+    let mut r = Lcg::new(0xA2C417E);
     let cfg_chars = config_charset();
     let data_chars = printable();
     for _ in 0..192 {
         let mut g = gen_graph(&mut r, &cfg_chars);
         for _ in 0..r.below(4) {
-            let name = format!("{}.rs", r.string(LOWER, LOWER, 7));
-            let data: String = (0..r.below(65)).map(|_| r.pick(&data_chars)).collect();
+            let name = format!("{}.rs", string(&mut r, LOWER, LOWER, 7));
+            let data: String = (0..r.below(65))
+                .map(|_| pick(&mut r, &data_chars))
+                .collect();
             g.archive_mut().insert(name, data);
         }
         let text = write_config(&g);

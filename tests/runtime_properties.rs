@@ -11,24 +11,7 @@ use click::core::registry::Library;
 use click::core::spec::PortKind;
 use click::elements::packet::Packet;
 use click::elements::routing::IpTrie;
-
-struct Lcg(u64);
-
-impl Lcg {
-    fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-    fn below(&mut self, n: usize) -> usize {
-        (self.next() as usize) % n
-    }
-    fn word(&mut self) -> u32 {
-        (self.next() as u32) ^ ((self.next() as u32) << 16)
-    }
-}
+use click_bench::Lcg;
 
 #[derive(Debug, Clone)]
 enum PacketOp {
@@ -56,7 +39,7 @@ fn gen_op(r: &mut Lcg) -> PacketOp {
 /// pull/push round trips, and align preserves contents.
 #[test]
 fn packet_ops_never_corrupt() {
-    let mut r = Lcg(0x9AC4E7);
+    let mut r = Lcg::new(0x9AC4E7);
     for _ in 0..256 {
         let data: Vec<u8> = (0..1 + r.below(79)).map(|_| r.next() as u8).collect();
         let mut p = Packet::from_data(&data);
@@ -99,7 +82,7 @@ fn packet_ops_never_corrupt() {
 /// route tables.
 #[test]
 fn trie_matches_linear_scan() {
-    let mut r = Lcg(0x72E1E);
+    let mut r = Lcg::new(0x72E1E);
     for _ in 0..256 {
         let mut trie = IpTrie::new();
         let mut table: Vec<(u32, u8, usize)> = Vec::new();
@@ -136,13 +119,8 @@ fn resolution_is_consistent_across_random_chains() {
     // deterministic PRNG; whenever resolution succeeds, check the
     // invariant; whenever it fails, verify a genuine conflict exists.
     let lib = Library::standard();
-    let mut seed = 0xC0FFEEu64;
-    let mut rand = move |n: usize| {
-        seed = seed
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((seed >> 33) as usize) % n
-    };
+    let mut r = Lcg::new(0xC0FFEE);
+    let mut rand = move |n: usize| r.below(n);
     for _ in 0..200 {
         let len = 2 + rand(5);
         let mut src = String::from("FromDevice(in) -> ");

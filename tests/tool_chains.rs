@@ -169,13 +169,8 @@ fn chain_output_is_byte_identical_across_runs() {
     // The tools are Unix filters: the same text in must give the same
     // bytes out, also within one process, where every `HashMap` hashes
     // with different keys.
-    let mut state = 7u64;
-    let mut rand = move |n: u64| {
-        state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (state >> 33) % n
-    };
+    let mut r = click_bench::Lcg::new(7);
+    let mut rand = move |n: u64| r.next() % n;
     let mut rules: Vec<String> = (1..200)
         .map(|_| {
             format!(

@@ -19,19 +19,8 @@ use click::elements::headers::ipv4;
 use click::elements::ip_router::{test_packet, IpRouterSpec};
 use click::elements::packet::Packet;
 use click::elements::{DynRouter, PacketBatch, Router};
+use click_bench::Lcg;
 use std::collections::HashMap;
-
-struct Lcg(u64);
-
-impl Lcg {
-    fn below(&mut self, n: usize) -> usize {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        ((self.0 >> 33) as usize) % n
-    }
-}
 
 /// Inner nodes: `(class and configuration, output ports)`.
 const NODES: &[(&str, usize)] = &[
@@ -222,7 +211,7 @@ impl Reference {
 #[test]
 fn engines_agree_with_recursive_delivery_on_random_trees() {
     let spec = IpRouterSpec::standard(4);
-    let mut r = Lcg(0x5EED_0014);
+    let mut r = Lcg::new(0x5EED_0014);
     let (mut delivered, mut engine_drops) = (0, 0);
     for case in 0..60 {
         let text = random_tree(&mut r);
