@@ -21,7 +21,7 @@ use crate::parallel::{ParallelOpts, ParallelRouter};
 use crate::persist::{Checkpoint, CheckpointEngine, RestoreStats};
 use crate::router::{Router, Slot};
 use crate::swap::SwapReport;
-use crate::telemetry::{DeviceGauges, ElementProfile, FaultGauges, ShardGauges, SteerGauges};
+use crate::telemetry::{ElementProfile, Gauges};
 use click_core::error::Result;
 use click_core::graph::RouterGraph;
 use click_core::lang::read_config;
@@ -84,20 +84,9 @@ pub trait Engine: CheckpointEngine {
     ///
     /// A wedged worker shard (sharded runtime only).
     fn run_devices(&mut self, max_rounds: usize) -> Result<PumpStats>;
-    /// Supervision gauges of every attached backend, in device order.
-    fn device_gauges(&self) -> Vec<DeviceGauges>;
-    /// Per-shard runtime gauges (none on the serial runtime).
-    fn shard_gauges(&self) -> Vec<ShardGauges> {
-        Vec::new()
-    }
-    /// Ingress-steering gauges (none on the serial runtime).
-    fn steer_gauges(&self) -> Vec<SteerGauges> {
-        Vec::new()
-    }
-    /// Supervisor fault gauges (`None` on the serial runtime).
-    fn fault_gauges(&self) -> Option<FaultGauges> {
-        None
-    }
+    /// Every gauge section this engine keeps — devices and swaps on
+    /// both runtimes; shards, steering and faults on the sharded one.
+    fn gauges(&self) -> Gauges;
 }
 
 impl<S: Slot> Engine for Router<S> {
@@ -134,8 +123,8 @@ impl<S: Slot> Engine for Router<S> {
     fn run_devices(&mut self, max_rounds: usize) -> Result<PumpStats> {
         Ok(self.run_with_devices(max_rounds))
     }
-    fn device_gauges(&self) -> Vec<DeviceGauges> {
-        self.devices.device_gauges()
+    fn gauges(&self) -> Gauges {
+        Router::gauges(self)
     }
 }
 
@@ -173,17 +162,8 @@ impl Engine for ParallelRouter {
     fn run_devices(&mut self, max_rounds: usize) -> Result<PumpStats> {
         ParallelRouter::run_devices(self, max_rounds)
     }
-    fn device_gauges(&self) -> Vec<DeviceGauges> {
-        self.bank.device_gauges()
-    }
-    fn shard_gauges(&self) -> Vec<ShardGauges> {
-        ParallelRouter::shard_gauges(self)
-    }
-    fn steer_gauges(&self) -> Vec<SteerGauges> {
-        ParallelRouter::steer_gauges(self)
-    }
-    fn fault_gauges(&self) -> Option<FaultGauges> {
-        Some(ParallelRouter::fault_gauges(self))
+    fn gauges(&self) -> Gauges {
+        ParallelRouter::gauges(self)
     }
 }
 

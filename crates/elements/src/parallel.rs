@@ -88,7 +88,7 @@ use crate::router::{DeviceBank, Router, Slot};
 use crate::steer::{FlowHashCache, RssSteering, MAX_SHARDS};
 use crate::swap::SwapReport;
 use crate::telemetry::{
-    self, ElementProfile, FaultGauges, ShardGaugeTracker, ShardGauges, SteerGaugeTracker,
+    self, ElementProfile, FaultGauges, Gauges, ShardGaugeTracker, ShardGauges, SteerGaugeTracker,
     SteerGauges, SwapGauges,
 };
 use click_core::error::{Error, Result};
@@ -1612,10 +1612,21 @@ impl ParallelRouter {
     }
 
     /// Ingress-steering gauges: classification self-time, batches and
-    /// packets steered on the injection thread — always exactly one row.
-    /// Zeroed unless built with the `telemetry` feature.
-    pub fn steer_gauges(&self) -> Vec<SteerGauges> {
-        vec![self.ingress.snapshot()]
+    /// packets steered on the injection thread. Zeroed unless built with
+    /// the `telemetry` feature.
+    pub fn steer_gauges(&self) -> SteerGauges {
+        self.ingress.snapshot()
+    }
+
+    /// Every gauge section of the sharded runtime in one read-out.
+    pub fn gauges(&self) -> Gauges {
+        Gauges {
+            shards: self.shard_gauges(),
+            steering: Some(self.steer_gauges()),
+            devices: self.bank.device_gauges(),
+            faults: Some(self.fault_gauges()),
+            swap: Some(self.swap_gauges()),
+        }
     }
 
     /// Stops the workers and joins their threads. Equivalent to dropping

@@ -20,8 +20,8 @@ use crate::persist::{
     RestoreStats,
 };
 use crate::swap::{ElementState, SwapReport, TransferPlan};
-use crate::telemetry::DeviceGauges;
 use crate::telemetry::{self, ElementProfile, RouterTelemetry};
+use crate::telemetry::{DeviceGauges, Gauges, SwapGauges};
 use click_core::check::check;
 use click_core::error::{Error, Result};
 use click_core::graph::RouterGraph;
@@ -636,6 +636,8 @@ pub struct Router<S: Slot> {
     /// [`Router::total_drops`] stays monotonic when a dropping element
     /// (e.g. a rolled-back `FaultInject`) leaves the configuration.
     drops_retired: u64,
+    /// What this router's hot swaps did; carried across each of them.
+    swap: SwapGauges,
     batching: bool,
     batch_burst: usize,
     /// The push engines' run state, owned by the router so steady-state
@@ -725,6 +727,7 @@ impl<S: Slot> Router<S> {
             drops_unconnected: 0,
             drops_reentrant: 0,
             drops_retired: 0,
+            swap: SwapGauges::default(),
             batching: false,
             batch_burst: crate::elements::device::BURST,
             push_stack: Vec::new(),
@@ -831,6 +834,16 @@ impl<S: Slot> Router<S> {
             + self.devices.lost_packets()
     }
 
+    /// The serial runtime's gauge sections: its device backends and the
+    /// hot swaps it went through. Always live.
+    pub fn gauges(&self) -> Gauges {
+        Gauges {
+            devices: self.devices.device_gauges(),
+            swap: Some(self.swap),
+            ..Gauges::default()
+        }
+    }
+
     /// `(name, class)` of every element, in slot order — the table
     /// [`TransferPlan::compute`] matches on.
     fn name_class_table(&self) -> Vec<(String, String)> {
@@ -865,7 +878,8 @@ impl<S: Slot> Router<S> {
     /// invalid; element-construction errors otherwise. The old
     /// configuration is unchanged in both cases.
     pub fn hot_swap(&mut self, new_graph: &RouterGraph, library: &Library) -> Result<SwapReport> {
-        let mut next: Router<S> = Router::from_graph_in_shard(new_graph, library, self.shard)?;
+        let mut next: Router<S> = Router::from_graph_in_shard(new_graph, library, self.shard)
+            .inspect_err(|_| self.swap.rejected_configs += 1)?;
         next.set_batching(self.batching);
         next.set_batch_burst(self.batch_burst);
 
@@ -906,6 +920,11 @@ impl<S: Slot> Router<S> {
         next.drops_reentrant += self.drops_reentrant;
         next.drops_retired += self.drops_retired + retired_drops;
         next.telem.transfer_from(&self.telem, &plan.matched);
+        next.swap = SwapGauges {
+            swaps: self.swap.swaps + 1,
+            packets_transferred: self.swap.packets_transferred + transferred,
+            ..self.swap
+        };
 
         let report = SwapReport {
             matched: plan.matched.len(),

@@ -25,10 +25,13 @@
 //! ([`ElementProfile`], [`ShardGauges`]) are always compiled so tools and
 //! benches build in both modes; with the feature off they report zeros.
 //!
-//! Per-shard gauges ([`ShardGauges`]) live in the parallel runtime: each
-//! worker tracks its inbound-ring occupancy high-water mark, backoff
-//! snoozes, and batches processed; the control plane collects them next
-//! to the merged per-element profiles.
+//! **Each exported counter is declared once.** [`ElementProfile`] and the
+//! seven gauge structs are declared together with their field tables
+//! ([`GaugeSet::FIELDS`]: key, kind, and the doc comment as help), and
+//! everything that would otherwise restate the fields — the profile JSON
+//! in `click-opt`, the tools' stderr [`summary`] lines, shard merging
+//! ([`absorb`]), the OPERATIONS.md glossary — loops over the table. An
+//! engine hands out its sections as one [`Gauges`].
 
 use crate::batch::PacketBatch;
 use crate::packet::Packet;
@@ -47,33 +50,192 @@ pub const LATENCY_BUCKETS: usize = 24;
 /// samples (nanoseconds), kept alongside the cumulative histogram.
 pub const RECENT_WINDOW: usize = 32;
 
-/// One element instance's telemetry snapshot — the unit record of the
-/// profile export format (`click-report` emits one JSON object per
-/// [`ElementProfile`], merged across shards).
-///
-/// Always available; zeroed when [`ENABLED`] is `false`.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ElementProfile {
-    /// Element instance name (configuration name, e.g. `c0`).
-    pub name: String,
-    /// Element class (e.g. `Classifier`).
-    pub class: String,
-    /// Element calls observed (push/pull/batch/task invocations,
-    /// including empty pull polls).
-    pub calls: u64,
-    /// Packets handled (pushed in, pulled out, or moved by a task).
-    pub packets: u64,
-    /// Bytes handled on push/pull boundaries (tasks count packets only).
-    pub bytes: u64,
-    /// Cumulative exclusive (self) wall time, nanoseconds.
-    pub self_ns: u64,
-    /// Packets emitted per output port, indexed by port.
-    pub out_ports: Vec<u64>,
-    /// Log2 self-time histogram, [`LATENCY_BUCKETS`] buckets.
-    pub lat_buckets: Vec<u64>,
-    /// Most recent raw self-time samples (ns), oldest first, at most
-    /// [`RECENT_WINDOW`] entries.
-    pub recent_ns: Vec<u64>,
+/// What one gauge field holds, as its [`Field`] hands it across.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Value<'a> {
+    /// A counter, index or high-water mark.
+    U64(u64),
+    /// A name or state label.
+    Str(&'a str),
+    /// A histogram or sample list.
+    U64s(&'a [u64]),
+}
+
+/// The field types a gauge struct may have, each mapped onto a [`Value`].
+trait Cell {
+    fn value(&self) -> Value<'_>;
+    /// Stores `v`; `false` (and no change) if it is of another kind.
+    fn store(&mut self, v: Value<'_>) -> bool;
+}
+
+impl Cell for u64 {
+    fn value(&self) -> Value<'_> {
+        Value::U64(*self)
+    }
+    fn store(&mut self, v: Value<'_>) -> bool {
+        let Value::U64(n) = v else { return false };
+        *self = n;
+        true
+    }
+}
+
+impl Cell for usize {
+    fn value(&self) -> Value<'_> {
+        Value::U64(*self as u64)
+    }
+    fn store(&mut self, v: Value<'_>) -> bool {
+        let Value::U64(n) = v else { return false };
+        *self = n as usize;
+        true
+    }
+}
+
+impl Cell for String {
+    fn value(&self) -> Value<'_> {
+        Value::Str(self)
+    }
+    fn store(&mut self, v: Value<'_>) -> bool {
+        let Value::Str(s) = v else { return false };
+        *self = s.to_owned();
+        true
+    }
+}
+
+impl Cell for Vec<u64> {
+    fn value(&self) -> Value<'_> {
+        Value::U64s(self)
+    }
+    fn store(&mut self, v: Value<'_>) -> bool {
+        let Value::U64s(ns) = v else { return false };
+        *self = ns.to_vec();
+        true
+    }
+}
+
+/// One row of a gauge struct's field table: the exported key, the help
+/// line (the field's doc comment), and typed access to the field.
+pub struct Field<T> {
+    /// The field's name, which is also its key in the profile JSON.
+    pub key: &'static str,
+    help: &'static str,
+    /// Reads the field.
+    pub get: fn(&T) -> Value<'_>,
+    /// Writes the field; `false` if the value is of another kind.
+    pub set: fn(&mut T, Value<'_>) -> bool,
+}
+
+impl<T> Field<T> {
+    /// What the field counts: its doc comment, on one line.
+    pub fn help(&self) -> &'static str {
+        self.help.trim()
+    }
+}
+
+/// A struct whose fields are all exported: everything that serializes,
+/// parses, prints or documents one goes through [`GaugeSet::FIELDS`]
+/// (the profile JSON in `click-opt`, [`summary`], the OPERATIONS.md
+/// glossary) and never names a field itself.
+pub trait GaugeSet: Default + 'static {
+    /// The struct's name.
+    const NAME: &'static str;
+    /// Key of the struct's section in the profile JSON.
+    const SECTION: &'static str;
+    /// The field table, in declaration (and export) order.
+    const FIELDS: &'static [Field<Self>];
+}
+
+/// Declares a gauge struct together with its field table, so the two
+/// cannot drift: `"section"; struct`, every field documented and of a
+/// [`Cell`] type.
+macro_rules! gauge_struct {
+    ($section:literal; $(#[$meta:meta])* pub struct $name:ident {
+        $($(#[doc = $help:literal])+ pub $field:ident: $ty:ty,)+
+    }) => {
+        $(#[$meta])*
+        pub struct $name {
+            $($(#[doc = $help])+ pub $field: $ty,)+
+        }
+
+        impl GaugeSet for $name {
+            const NAME: &'static str = stringify!($name);
+            const SECTION: &'static str = $section;
+            const FIELDS: &'static [Field<Self>] = &[$(Field {
+                key: stringify!($field),
+                help: concat!($($help),+),
+                get: |g| g.$field.value(),
+                set: |g, v| g.$field.store(v),
+            },)+];
+        }
+    };
+}
+
+/// One stderr line for a gauge record, every field as `value key`
+/// (`3 checkpoints written, 1 torn discarded, ...`; labels as
+/// `key value`).
+pub fn summary<T: GaugeSet>(g: &T) -> String {
+    let parts: Vec<String> = T::FIELDS
+        .iter()
+        .map(|f| {
+            let key = f.key.replace('_', " ");
+            match (f.get)(g) {
+                Value::U64(n) => format!("{n} {key}"),
+                Value::Str(s) => format!("{key} {s}"),
+                Value::U64s(ns) => format!("{key} {ns:?}"),
+            }
+        })
+        .collect();
+    parts.join(", ")
+}
+
+/// Adds `other` into `into`, field by field: counters sum (saturating:
+/// rows may come from a file), lists sum index by index (the longer
+/// length wins), labels keep `into`'s. How
+/// shards' records merge and several rows of one section fold into one.
+pub fn absorb<T: GaugeSet>(into: &mut T, other: &T) {
+    for f in T::FIELDS {
+        match ((f.get)(into), (f.get)(other)) {
+            (Value::U64(a), Value::U64(b)) => (f.set)(into, Value::U64(a.saturating_add(b))),
+            (Value::U64s(a), Value::U64s(b)) => {
+                let (long, short) = if a.len() < b.len() { (b, a) } else { (a, b) };
+                let mut sum = long.to_vec();
+                sum.iter_mut()
+                    .zip(short)
+                    .for_each(|(s, n)| *s = s.saturating_add(*n));
+                (f.set)(into, Value::U64s(&sum))
+            }
+            _ => continue,
+        };
+    }
+}
+
+gauge_struct! {
+    "elements";
+    /// One element instance's telemetry snapshot, merged across shards —
+    /// the unit record of the profile export. Always available; zeroed
+    /// when [`ENABLED`] is `false`.
+    #[derive(Debug, Clone, Default, PartialEq)]
+    pub struct ElementProfile {
+        /// Element instance name (configuration name, e.g. `c0`).
+        pub name: String,
+        /// Element class (e.g. `Classifier`).
+        pub class: String,
+        /// Element calls observed (push/pull/batch/task invocations,
+        /// including empty pull polls).
+        pub calls: u64,
+        /// Packets handled (pushed in, pulled out, or moved by a task).
+        pub packets: u64,
+        /// Bytes handled on push/pull boundaries (tasks count packets only).
+        pub bytes: u64,
+        /// Cumulative exclusive (self) wall time, nanoseconds.
+        pub self_ns: u64,
+        /// Packets emitted per output port, indexed by port.
+        pub out_ports: Vec<u64>,
+        /// Log2 self-time histogram, `LATENCY_BUCKETS` buckets.
+        pub lat_buckets: Vec<u64>,
+        /// Most recent raw self-time samples (ns), oldest first, at most
+        /// `RECENT_WINDOW` entries.
+        pub recent_ns: Vec<u64>,
+    }
 }
 
 impl ElementProfile {
@@ -88,30 +250,14 @@ impl ElementProfile {
     }
 
     /// Merges another shard's record for the same element instance:
-    /// counters and histogram buckets sum; the recent-sample rings
-    /// concatenate (truncated to [`RECENT_WINDOW`]).
+    /// counters and histogram buckets sum ([`absorb`]); the recent-sample
+    /// rings concatenate (truncated to [`RECENT_WINDOW`]).
     pub fn merge(&mut self, other: &ElementProfile) {
-        self.calls += other.calls;
-        self.packets += other.packets;
-        self.bytes += other.bytes;
-        self.self_ns += other.self_ns;
-        if self.out_ports.len() < other.out_ports.len() {
-            self.out_ports.resize(other.out_ports.len(), 0);
-        }
-        for (i, &n) in other.out_ports.iter().enumerate() {
-            self.out_ports[i] += n;
-        }
-        if self.lat_buckets.len() < other.lat_buckets.len() {
-            self.lat_buckets.resize(other.lat_buckets.len(), 0);
-        }
-        for (i, &n) in other.lat_buckets.iter().enumerate() {
-            self.lat_buckets[i] += n;
-        }
-        self.recent_ns.extend_from_slice(&other.recent_ns);
-        if self.recent_ns.len() > RECENT_WINDOW {
-            let drop = self.recent_ns.len() - RECENT_WINDOW;
-            self.recent_ns.drain(..drop);
-        }
+        let mut recent = std::mem::take(&mut self.recent_ns);
+        recent.extend_from_slice(&other.recent_ns);
+        recent.drain(..recent.len().saturating_sub(RECENT_WINDOW));
+        absorb(self, other);
+        self.recent_ns = recent;
     }
 
     /// Mean exclusive nanoseconds per packet (0.0 if no packets).
@@ -149,204 +295,207 @@ pub fn merge_profiles(shards: &[Vec<ElementProfile>]) -> Vec<ElementProfile> {
     out
 }
 
-/// One worker shard's runtime gauges: how loaded its inbound ring ran
-/// and how often it had to back off. Zeroed when [`ENABLED`] is `false`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ShardGauges {
-    /// Shard index.
-    pub shard: usize,
-    /// Batches popped from the inbound ring.
-    pub batches: u64,
-    /// Packets processed (popped from the inbound ring).
-    pub packets: u64,
-    /// High-water mark of inbound-ring occupancy (batches queued, read
-    /// just before each pop).
-    pub ring_high_water: usize,
-    /// Backoff snoozes while the shard waited for input or for
-    /// backpressured output-ring space.
-    pub backoff_snoozes: u64,
+gauge_struct! {
+    "gauges";
+    /// One worker shard's runtime gauges: how loaded its inbound ring ran
+    /// and how often it had to back off. Zeroed when [`ENABLED`] is `false`.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ShardGauges {
+        /// Shard index.
+        pub shard: usize,
+        /// Batches popped from the inbound ring.
+        pub batches: u64,
+        /// Packets popped from the inbound ring.
+        pub packets: u64,
+        /// Most batches seen queued on the inbound ring (read before each
+        /// pop); near `ring_capacity`, this worker is the bottleneck.
+        pub ring_high_water: usize,
+        /// Backoff snoozes while waiting for input or for output-ring space.
+        pub backoff_snoozes: u64,
+    }
 }
 
-/// The steering stage's runtime gauges: how much ingress classification
-/// work it did and what it cost. A sharded runtime reports exactly one
-/// record, for the inject path on the control thread. Zeroed when
-/// [`ENABLED`] is `false`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SteerGauges {
-    /// Steering-stage index: always 0 (profiles of format ≤ 4 may carry
-    /// more than one stage).
-    pub steerer: usize,
-    /// Ingress batches classified and handed off.
-    pub batches: u64,
-    /// Packets classified (hashed and routed to a shard ring).
-    pub packets: u64,
-    /// Cumulative steering self time, nanoseconds — hash + classify +
-    /// hand-off, excluding worker processing.
-    pub steer_ns: u64,
-    /// Backoff snoozes of a stage that waits on rings. The inject path
-    /// never does, so the runtime reports 0; the field keeps format ≤ 4
-    /// profiles parsing unchanged.
-    pub snoozes: u64,
+gauge_struct! {
+    "steering";
+    /// The ingress steering gauges of a sharded runtime: the inject
+    /// path's classification work on the control thread. Zeroed when
+    /// [`ENABLED`] is `false`.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SteerGauges {
+        /// Ingress batches classified and handed off.
+        pub batches: u64,
+        /// Packets hashed and routed to a shard ring.
+        pub packets: u64,
+        /// Steering self time, ns: hash + classify + hand-off, excluding
+        /// worker processing.
+        pub steer_ns: u64,
+    }
 }
 
-/// Supervisor fault gauges of a sharded runtime: how many worker shards
-/// died, what recovery did about it, and how many packets were lost in
-/// flight. Unlike the per-element counters these are **always live** —
-/// they are maintained on the rare fault path by the supervisor in
-/// [`crate::parallel`], not on the per-packet fast path, so they are not
-/// gated behind the `telemetry` feature.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FaultGauges {
-    /// Worker shards that died (panicked, or exited unexpectedly).
-    pub shard_deaths: u64,
-    /// Shards restarted from the retained configuration graph.
-    pub restarts: u64,
-    /// Times the runtime entered degraded mode (a dead shard's flows
-    /// re-steered across the survivors instead of restarting it).
-    pub degraded_entries: u64,
-    /// Packets that were inside a shard's engine when it died —
-    /// irrecoverably lost. Bounded by the dead shard's in-flight ring
-    /// occupancy at the time of death.
-    pub lost_packets: u64,
-    /// Packets salvaged from a dead shard's rings and re-steered.
-    pub reclaimed_packets: u64,
-    /// Packets dropped at injection because no live shard remained.
-    pub no_live_shard_drops: u64,
-    /// Currently live shards (snapshot at read time).
-    pub live_shards: usize,
-    /// Configured shard count.
-    pub shards: usize,
+gauge_struct! {
+    "faults";
+    /// Supervisor fault gauges of a sharded runtime. Like every section
+    /// below these are **always live**, not gated behind the `telemetry`
+    /// feature: they are kept by the control plane on rare events, never
+    /// on the per-packet path.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct FaultGauges {
+        /// Worker shards that died (panicked, or exited unexpectedly).
+        pub shard_deaths: u64,
+        /// Shards restarted from the retained configuration graph.
+        pub restarts: u64,
+        /// Dead shards whose flows were re-steered across the survivors
+        /// instead of restarting them.
+        pub degraded_entries: u64,
+        /// Packets inside a shard's engine when it died: lost, bounded by its
+        /// in-flight ring occupancy.
+        pub lost_packets: u64,
+        /// Packets salvaged from a dead shard's rings and re-steered.
+        pub reclaimed_packets: u64,
+        /// Packets dropped at injection because no live shard remained.
+        pub no_live_shard_drops: u64,
+        /// Live shards at read time.
+        pub live_shards: usize,
+        /// Configured shard count.
+        pub shards: usize,
+    }
 }
 
-/// Live-reconfiguration gauges of a hot-swapping router: how many swaps
-/// completed, how canaries fared, and how much state moved. Like
-/// [`FaultGauges`] these are **always live** — hot swaps are rare
-/// control-plane events maintained off the per-packet fast path, so the
-/// bookkeeping is not gated behind the `telemetry` feature.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SwapGauges {
-    /// Completed rollouts: every live shard now runs the new graph.
-    pub swaps: u64,
-    /// Canary shards rolled back to the retained old graph.
-    pub rollbacks: u64,
-    /// Canary windows whose drop gauge regressed past the margin.
-    pub canary_failures: u64,
-    /// Packets carried across swaps (element state plus device queues),
-    /// including state moved back by rollbacks.
-    pub packets_transferred: u64,
-    /// Configurations rejected by `click_core::check::check` before any
-    /// shard saw them.
-    pub rejected_configs: u64,
+gauge_struct! {
+    "swap";
+    /// Live-reconfiguration gauges of a hot-swapping router, serial or
+    /// sharded.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct SwapGauges {
+        /// Completed swaps: every live shard now runs the new graph.
+        pub swaps: u64,
+        /// Canary shards rolled back to the retained old graph.
+        pub rollbacks: u64,
+        /// Canary windows whose drop gauge regressed past the margin.
+        pub canary_failures: u64,
+        /// Packets carried across swaps (element state plus device queues),
+        /// rollbacks included.
+        pub packets_transferred: u64,
+        /// Configurations refused at validation, before any shard saw them.
+        pub rejected_configs: u64,
+    }
 }
 
-/// Continuous-reoptimization gauges of a `click-morph` control loop: how
-/// many telemetry windows it judged, how often it recompiled, and what
-/// became of each installed candidate. Like [`FaultGauges`] and
-/// [`SwapGauges`] these are **always live** — the reopt controller runs
-/// on the control plane between traffic windows, never on the per-packet
-/// fast path, so the bookkeeping is not gated behind the `telemetry`
-/// feature (with the feature off the windows simply observe zero
-/// divergence and the loop stays quiet).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ReoptGauges {
-    /// Telemetry windows observed (decision and judgment windows both
-    /// count — every window the controller looked at).
-    pub windows_observed: u64,
-    /// Background recompiles: profile-hoist plus optimizer pipeline runs
-    /// that produced an install candidate.
-    pub recompiles: u64,
-    /// Candidates installed and kept after their canary / probation
-    /// window.
-    pub swaps_kept: u64,
-    /// Candidates rolled back (canary regression, probation drop-rate
-    /// regression, or install rejection).
-    pub rollbacks: u64,
-    /// Windows where divergence justified a recompile but hysteresis
-    /// (dwell, cooldown, or the swap budget) suppressed it.
-    pub thrash_suppressed: u64,
+gauge_struct! {
+    "reopt";
+    /// Continuous-reoptimization gauges of a `click-morph` control loop
+    /// (with the `telemetry` feature off its windows observe zero
+    /// divergence and the loop stays quiet).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct ReoptGauges {
+        /// Telemetry windows judged, decision and judgment windows alike.
+        pub windows_observed: u64,
+        /// Recompiles (profile hoist + optimizer pipeline) that produced an
+        /// install candidate.
+        pub recompiles: u64,
+        /// Candidates kept after their canary / probation window.
+        pub swaps_kept: u64,
+        /// Candidates rolled back (canary or probation regression, or install
+        /// rejection).
+        pub rollbacks: u64,
+        /// Divergent windows whose recompile dwell, cooldown or the swap
+        /// budget suppressed.
+        pub thrash_suppressed: u64,
+    }
 }
 
-/// Checkpoint/restore gauges of the persistence layer
-/// ([`crate::persist`]): snapshots cut, torn files skipped, warm
-/// restarts performed, and the data-plane pause each cut cost. Like
-/// [`FaultGauges`] and [`ReoptGauges`] these are **always live** — the
-/// checkpoint daemon runs on the control plane between traffic windows
-/// (the per-packet fast path never touches it), and a restart after a
-/// crash is exactly the moment an operator needs the books — so the
-/// bookkeeping is not gated behind the `telemetry` feature.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CheckpointGauges {
-    /// Checkpoints cut and durably renamed into place.
-    pub checkpoints_written: u64,
-    /// Snapshot or write attempts that failed (engine unreachable, I/O
-    /// error); the engine keeps running.
-    pub checkpoint_failures: u64,
-    /// Torn/corrupt/wrong-version checkpoint files skipped while
-    /// scanning for the newest valid generation.
-    pub torn_discarded: u64,
-    /// Warm restarts completed from a valid checkpoint.
-    pub restores: u64,
-    /// Starts (or restore attempts) that found no usable checkpoint and
-    /// booted cold.
-    pub cold_starts: u64,
-    /// Generation number of the newest checkpoint written or restored.
-    pub last_generation: u64,
-    /// Data-plane pause of the most recent cut, in nanoseconds
-    /// (quiesce wait plus state walk).
-    pub quiesce_ns_last: u64,
-    /// Cumulative data-plane pause across all cuts, in nanoseconds.
-    pub quiesce_ns_total: u64,
-    /// Packets captured into checkpoints (element queues plus device
-    /// queues), cumulative.
-    pub packets_persisted: u64,
+gauge_struct! {
+    "checkpoints";
+    /// Checkpoint/restore gauges of the persistence layer
+    /// ([`crate::persist`]).
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct CheckpointGauges {
+        /// Checkpoints cut and durably renamed into place.
+        pub checkpoints_written: u64,
+        /// Snapshot or write attempts that failed; the engine keeps running.
+        pub checkpoint_failures: u64,
+        /// Torn, corrupt or wrong-version files skipped while scanning for
+        /// the newest valid generation.
+        pub torn_discarded: u64,
+        /// Warm restarts completed from a valid checkpoint.
+        pub restores: u64,
+        /// Starts (or restore attempts) that found no usable checkpoint.
+        pub cold_starts: u64,
+        /// Newest generation written or restored.
+        pub last_generation: u64,
+        /// Data-plane pause of the latest cut, ns (quiesce wait plus state
+        /// walk).
+        pub quiesce_ns_last: u64,
+        /// Data-plane pause summed over all cuts, ns.
+        pub quiesce_ns_total: u64,
+        /// Packets captured into checkpoints (element plus device queues),
+        /// cumulative.
+        pub packets_persisted: u64,
+    }
 }
 
-/// Per-device I/O gauges of a supervised device backend: traffic volume,
-/// every fault the supervision layer absorbed, and the health transitions
-/// it drove. Like [`FaultGauges`] these are **always live** — device
-/// faults are exactly the events an operator must see, and the counters
-/// are bumped on the (already syscall-bound) I/O path, never on the
-/// in-memory per-packet fast path, so they are not gated behind the
-/// `telemetry` feature.
+gauge_struct! {
+    "devices";
+    /// Per-device I/O gauges of a supervised device backend: traffic
+    /// volume, every fault the supervision layer absorbed, and the health
+    /// transitions it drove. Bumped on the (syscall-bound) I/O path.
+    #[derive(Debug, Clone, Default, PartialEq, Eq)]
+    pub struct DeviceGauges {
+        /// Device name, as the configuration writes it.
+        pub device: String,
+        /// Backend kind (`mem`, `pcap`, `udp`, `tap`, `raw`, `fault`).
+        pub backend: String,
+        /// Health at read time (`up`, `flapping`, `down`, `recovering`).
+        pub health: String,
+        /// Frames received from the backend and queued for the router.
+        pub rx_packets: u64,
+        /// Bytes received from the backend.
+        pub rx_bytes: u64,
+        /// Frames handed to the backend for transmission.
+        pub tx_packets: u64,
+        /// Bytes handed to the backend for transmission.
+        pub tx_bytes: u64,
+        /// Frames cut short on the wire or in a capture file (`Truncated`).
+        pub short_reads: u64,
+        /// `WouldBlock` results (empty RX poll, full TX ring); only a storm
+        /// is a health signal.
+        pub would_blocks: u64,
+        /// Operations retried after a transient fault.
+        pub retries: u64,
+        /// Backoff sleeps taken between retries.
+        pub backoffs: u64,
+        /// Departures from `Up` (into `Flapping` or `Down`).
+        pub flaps: u64,
+        /// Hard `Down`/`Wedged` faults; each forces the state machine to
+        /// `Down`.
+        pub down_events: u64,
+        /// Successful re-opens (`Down` -> `Recovering`); refused attempts
+        /// are not counted.
+        pub reopens: u64,
+        /// Pending TX frames declared lost: the device stayed sick past the
+        /// drain deadline, or was abandoned with frames queued.
+        pub drain_lost: u64,
+        /// RX frames that failed the backend's integrity check (`Corrupt`).
+        pub corrupt_drops: u64,
+    }
+}
+
+/// Every engine-owned gauge section, as one read-out
+/// ([`Engine::gauges`](crate::engine::Engine::gauges)). A section the
+/// engine does not keep is empty or `None`: the serial runtime has no
+/// shards, steering stage or supervisor.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct DeviceGauges {
-    /// Device name (as written in the configuration).
-    pub device: String,
-    /// Backend kind (`mem`, `pcap`, `udp`, `tap`, `raw`, `fault`).
-    pub backend: String,
-    /// Health snapshot at read time (`up`, `flapping`, `down`,
-    /// `recovering`).
-    pub health: String,
-    /// Frames received from the backend and enqueued for the router.
-    pub rx_packets: u64,
-    /// Bytes received from the backend.
-    pub rx_bytes: u64,
-    /// Frames handed to the backend for transmission.
-    pub tx_packets: u64,
-    /// Bytes handed to the backend for transmission.
-    pub tx_bytes: u64,
-    /// Frames cut short on the wire or in a capture file (`Truncated`).
-    pub short_reads: u64,
-    /// Operations that returned `WouldBlock` (empty RX poll or full TX
-    /// ring; only a storm of these is a health signal).
-    pub would_blocks: u64,
-    /// Operations retried after a transient fault.
-    pub retries: u64,
-    /// Exponential-backoff sleeps taken between retries.
-    pub backoffs: u64,
-    /// Health departures from `Up` (into `Flapping` or `Down`).
-    pub flaps: u64,
-    /// Hard `Down`/`Wedged` faults observed (each one forces the state
-    /// machine to `Down`).
-    pub down_events: u64,
-    /// Successful re-opens (`Down` -> `Recovering`).
-    pub reopens: u64,
-    /// Pending TX frames declared lost: the device stayed sick past the
-    /// drain deadline, or was abandoned with frames still queued.
-    pub drain_lost: u64,
-    /// RX frames dropped for failing the backend's integrity check
-    /// (`Corrupt`: bad capture record, impossible length).
-    pub corrupt_drops: u64,
+pub struct Gauges {
+    /// Per-shard runtime gauges, in shard order.
+    pub shards: Vec<ShardGauges>,
+    /// The ingress steering stage.
+    pub steering: Option<SteerGauges>,
+    /// Every attached device backend, in device order.
+    pub devices: Vec<DeviceGauges>,
+    /// The shard supervisor's books.
+    pub faults: Option<FaultGauges>,
+    /// Hot swaps performed by this engine.
+    pub swap: Option<SwapGauges>,
 }
 
 /// Log2 bucket index for a self-time sample: the number of significant
@@ -550,9 +699,7 @@ mod imp {
     /// Live steering gauges for the ingress stage (feature-on build).
     #[derive(Debug, Default)]
     pub struct SteerGaugeTracker {
-        batches: u64,
-        packets: u64,
-        steer_ns: u64,
+        g: SteerGauges,
     }
 
     impl SteerGaugeTracker {
@@ -565,19 +712,14 @@ mod imp {
         /// `packets` packets steered, costing `ns` of self time.
         #[inline]
         pub fn steered(&mut self, batches: u64, packets: u64, ns: u64) {
-            self.batches += batches;
-            self.packets += packets;
-            self.steer_ns += ns;
+            self.g.batches += batches;
+            self.g.packets += packets;
+            self.g.steer_ns += ns;
         }
 
         /// Current gauge values.
         pub fn snapshot(&self) -> SteerGauges {
-            SteerGauges {
-                batches: self.batches,
-                packets: self.packets,
-                steer_ns: self.steer_ns,
-                ..SteerGauges::default()
-            }
+            self.g
         }
     }
 }

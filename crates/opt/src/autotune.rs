@@ -18,17 +18,15 @@
 //!   starts at the default and only moves to a strictly better
 //!   neighbor, so `best_ns <= default_ns` by construction (ties keep
 //!   the default).
-//! * **The report is plain JSON** (rendered and parsed with the same
-//!   zero-dependency machinery as the profile format), so the CI smoke
-//!   job can check it without a JSON library.
+//! * **The report is plain JSON**, rendered by the same zero-dependency
+//!   writer as the profile format; the CI smoke job reads it.
 //!
 //! The search itself is measurement-agnostic: [`hill_climb`] takes the
 //! evaluation function as a callback, so unit tests drive it with
 //! synthetic cost surfaces and the `click-autotune` binary drives it
 //! with the threaded runtime.
 
-use crate::profile::{parse_json, Json};
-use click_core::error::{Error, Result};
+use crate::json::Json;
 use click_elements::parallel::ParallelOpts;
 
 /// One point in the knob space: everything [`ParallelOpts`] lets a
@@ -73,28 +71,14 @@ impl TuneConfig {
         )
     }
 
-    fn to_json(self, ns: f64) -> String {
-        format!(
-            "{{\"shards\": {}, \"ring_capacity\": {}, \"burst\": {}, \
-             \"wall_ns_per_packet\": {:.2}}}",
-            self.shards, self.ring_capacity, self.burst, ns
-        )
-    }
-
-    /// Keys this version does not know (an older report's deleted knobs)
-    /// are ignored.
-    fn from_json(v: &Json) -> (TuneConfig, f64) {
-        let u = |k: &str, d: u64| v.get(k).and_then(Json::as_u64).unwrap_or(d);
-        (
-            TuneConfig {
-                shards: u("shards", 1) as usize,
-                ring_capacity: u("ring_capacity", 256) as usize,
-                burst: u("burst", 8) as usize,
-            },
-            v.get("wall_ns_per_packet")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0),
-        )
+    /// The config and its measured cost, as the report carries them.
+    fn measured(self, ns: f64) -> Json {
+        Json::obj([
+            ("shards", Json::Int(self.shards as u64)),
+            ("ring_capacity", Json::Int(self.ring_capacity as u64)),
+            ("burst", Json::Int(self.burst as u64)),
+            ("wall_ns_per_packet", Json::Num(ns)),
+        ])
     }
 }
 
@@ -266,79 +250,24 @@ pub struct AutotuneReport {
 }
 
 impl AutotuneReport {
-    /// Finds a workload's outcome by label.
-    pub fn workload(&self, name: &str) -> Option<&TunedWorkload> {
-        self.workloads.iter().find(|w| w.workload == name)
-    }
-
     /// Renders the report as JSON.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str("  \"report\": \"click-autotune\",\n");
-        s.push_str(&format!("  \"budget\": {},\n", self.budget));
-        s.push_str(&format!("  \"host_cpus\": {},\n", self.host_cpus));
-        s.push_str("  \"workloads\": [\n");
-        for (i, w) in self.workloads.iter().enumerate() {
-            s.push_str("    {\n");
-            s.push_str(&format!("      \"workload\": \"{}\",\n", w.workload));
-            s.push_str(&format!(
-                "      \"default\": {},\n",
-                w.default.to_json(w.default_ns)
-            ));
-            s.push_str(&format!("      \"best\": {},\n", w.best.to_json(w.best_ns)));
-            s.push_str(&format!("      \"evaluations\": {},\n", w.evaluations));
-            s.push_str(&format!("      \"improvement\": {:.3}\n", w.improvement()));
-            s.push_str(if i + 1 < self.workloads.len() {
-                "    },\n"
-            } else {
-                "    }\n"
-            });
-        }
-        s.push_str("  ]\n}\n");
-        s
-    }
-
-    /// Parses a report back from its JSON export.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Spec`] on malformed JSON or a document that is
-    /// not a `click-autotune` report.
-    pub fn from_json(text: &str) -> Result<AutotuneReport> {
-        let v = parse_json(text)?;
-        if v.get("report").and_then(Json::as_str).as_deref() != Some("click-autotune") {
-            return Err(Error::spec("not a click-autotune report"));
-        }
-        let mut r = AutotuneReport {
-            budget: v.get("budget").and_then(Json::as_u64).unwrap_or(0) as usize,
-            host_cpus: v.get("host_cpus").and_then(Json::as_u64).unwrap_or(1) as usize,
-            workloads: Vec::new(),
-        };
-        if let Some(Json::Arr(items)) = v.get("workloads") {
-            for item in items {
-                let (default, default_ns) = item
-                    .get("default")
-                    .map(TuneConfig::from_json)
-                    .unwrap_or((TuneConfig::default_for(1, 8), 0.0));
-                let (best, best_ns) = item
-                    .get("best")
-                    .map(TuneConfig::from_json)
-                    .unwrap_or((default, default_ns));
-                r.workloads.push(TunedWorkload {
-                    workload: item
-                        .get("workload")
-                        .and_then(Json::as_str)
-                        .unwrap_or_default(),
-                    default,
-                    default_ns,
-                    best,
-                    best_ns,
-                    evaluations: item.get("evaluations").and_then(Json::as_u64).unwrap_or(0)
-                        as usize,
-                });
-            }
-        }
-        Ok(r)
+        let workloads = self.workloads.iter().map(|w| {
+            Json::obj([
+                ("workload", Json::Str(w.workload.clone())),
+                ("default", w.default.measured(w.default_ns)),
+                ("best", w.best.measured(w.best_ns)),
+                ("evaluations", Json::Int(w.evaluations as u64)),
+                ("improvement", Json::Num(w.improvement())),
+            ])
+        });
+        Json::obj([
+            ("report", Json::Str("click-autotune".into())),
+            ("budget", Json::Int(self.budget as u64)),
+            ("host_cpus", Json::Int(self.host_cpus as u64)),
+            ("workloads", Json::Arr(workloads.collect())),
+        ])
+        .render()
     }
 }
 
@@ -414,57 +343,45 @@ mod tests {
         }
     }
 
+    /// The report is JSON whatever the workload is called, with the keys
+    /// CI's `autotune-smoke` job reads.
     #[test]
-    fn report_round_trips() {
+    fn report_parses_and_carries_the_keys_ci_reads() {
         let default = TuneConfig::default_for(4, 64);
-        let best = TuneConfig {
-            ring_capacity: 512,
-            ..default
-        };
         let report = AutotuneReport {
             budget: 48,
             host_cpus: 2,
             workloads: vec![TunedWorkload {
-                workload: "All+batched".into(),
+                workload: "All+\"batched\"".into(),
                 default,
                 default_ns: 412.25,
-                best,
+                best: TuneConfig {
+                    ring_capacity: 512,
+                    ..default
+                },
                 best_ns: 333.5,
                 evaluations: 37,
             }],
         };
-        let back = AutotuneReport::from_json(&report.to_json()).unwrap();
-        assert_eq!(back, report);
-        assert!(back.workload("All+batched").unwrap().improvement() > 1.2);
-    }
-
-    #[test]
-    fn reports_with_deleted_knobs_still_parse() {
-        // What the seven-knob version wrote: the extra keys are ignored.
-        let old = r#"{"report": "click-autotune", "budget": 48, "host_cpus": 2, "workloads": [
-            {"workload": "All+batched",
-             "default": {"shards": 4, "steerers": 0, "ring_capacity": 256, "burst": 64,
-                         "backoff_spins": 128, "adaptive_burst": true, "pin_cores": false,
-                         "wall_ns_per_packet": 412.25},
-             "best": {"shards": 2, "steerers": 1, "ring_capacity": 512, "burst": 32,
-                      "backoff_spins": 64, "adaptive_burst": false, "pin_cores": true,
-                      "wall_ns_per_packet": 333.50},
-             "evaluations": 37, "improvement": 1.236}]}"#;
-        let w = &AutotuneReport::from_json(old).unwrap().workloads[0];
-        assert_eq!(w.default, TuneConfig::default_for(4, 64));
-        let best = TuneConfig {
-            shards: 2,
-            ring_capacity: 512,
-            burst: 32,
+        let v = crate::json::parse(&report.to_json()).unwrap();
+        let Some(Json::Arr(workloads)) = v.get("workloads") else {
+            panic!("no workloads array: {v:?}")
         };
-        assert_eq!((w.best, w.best_ns), (best, 333.5));
-    }
-
-    #[test]
-    fn from_json_rejects_non_reports() {
-        assert!(AutotuneReport::from_json("{}").is_err());
-        assert!(AutotuneReport::from_json("{\"report\": \"other\"}").is_err());
-        assert!(AutotuneReport::from_json("not json").is_err());
+        let w = &workloads[0];
+        assert_eq!(
+            w.get("workload").and_then(Json::as_str),
+            Some("All+\"batched\"")
+        );
+        assert_eq!(w.get("improvement"), Some(&Json::Num(1.24)));
+        for (side, ring, ns) in [("default", 256, 412.25), ("best", 512, 333.5)] {
+            let expect = Json::obj([
+                ("shards", Json::Int(4)),
+                ("ring_capacity", Json::Int(ring)),
+                ("burst", Json::Int(64)),
+                ("wall_ns_per_packet", Json::Num(ns)),
+            ]);
+            assert_eq!(w.get(side), Some(&expect), "{side}");
+        }
     }
 
     #[test]

@@ -34,7 +34,7 @@ use click_elements::router::Slot;
 use click_opt::autotune::{hill_climb, AutotuneReport, SearchSpace, TuneConfig, TunedWorkload};
 use click_opt::devirtualize::devirtualize;
 use click_opt::fastclassifier::fastclassifier;
-use click_opt::tool::parse_args;
+use click_opt::tool::{filter_args, number, refuse};
 use click_opt::xform::{apply_patterns, ip_combo_patterns};
 use std::collections::HashSet;
 use std::time::Instant;
@@ -48,13 +48,8 @@ const DEFAULT_BURST: usize = 64;
 /// Default shard count of the hand-picked config the search starts at.
 const DEFAULT_SHARDS: usize = 4;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: click-autotune [--workload base|all|both] [--budget N] \
-         [--passes P] [--ifaces N] [--max-shards K] [--out FILE]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "click-autotune [--workload base|all|both] [--budget N] \
+    [--passes P] [--ifaces N] [--max-shards K] [--out FILE]";
 
 /// The tuning trace: `FLOWS` cross-interface UDP flows of
 /// `PACKETS_PER_FLOW` frames each, interleaved round-robin.
@@ -164,7 +159,8 @@ fn tune_workload(
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (flags, positional) = parse_args(
+    let (flags, positional) = filter_args(
+        USAGE,
         &args,
         &[
             "workload",
@@ -174,9 +170,10 @@ fn main() {
             "max-shards",
             "out",
         ],
+        &[],
     );
     if !positional.is_empty() {
-        usage();
+        refuse(USAGE, "click-autotune takes no configuration");
     }
     let mut workload = "both".to_string();
     let mut budget = 40usize;
@@ -185,31 +182,22 @@ fn main() {
     let mut space = SearchSpace::default();
     let mut out: Option<String> = None;
     for (flag, value) in &flags {
-        let num = || -> usize {
-            value
-                .as_deref()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| usage())
-        };
+        let num = || number::<usize>(USAGE, flag, value);
         match flag.as_str() {
-            "workload" => workload = value.clone().unwrap_or_else(|| usage()).to_lowercase(),
+            "workload" => workload = value.as_deref().unwrap_or_default().to_lowercase(),
             "budget" => budget = num().max(1),
             "passes" => passes = num().max(1),
             "ifaces" => ifaces = num().max(2),
             "max-shards" => space.max_shards = num().max(1),
             "out" => out = value.clone(),
-            "help" => usage(),
-            other => {
-                eprintln!("click-autotune: unknown flag --{other}");
-                usage();
-            }
+            _ => unreachable!("filter_args admits only the flags above"),
         }
     }
     let (tune_base, tune_all) = match workload.as_str() {
         "base" => (true, false),
         "all" => (false, true),
         "both" => (true, true),
-        _ => usage(),
+        _ => refuse(USAGE, "--workload is base, all or both"),
     };
 
     let (base, all) = build_workloads(ifaces).unwrap_or_else(|e| {

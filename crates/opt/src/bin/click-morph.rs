@@ -34,30 +34,24 @@
 use click_elements::batch::PacketBatch;
 use click_elements::engine;
 use click_elements::parallel::ParallelOpts;
-use click_elements::telemetry::{self, ReoptGauges};
+use click_elements::telemetry::{self, summary};
 use click_opt::profile::Profile;
 use click_opt::reopt::{
     demo_graph, optimize_pipeline, DemoTrace, MorphDaemon, ReoptPolicy, WindowOutcome,
     DEMO_BRANCHES, DEMO_FLOWS,
 };
-use click_opt::tool::parse_args;
+use click_opt::tool::{filter_args, number, refuse};
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: click-morph [--shards K] [--branches N] [--windows W] \
-         [--window-packets P] [--shift-at W'] [--alternate] [--dwell D] \
-         [--cooldown C] [--min-improvement F] [--max-swaps M] \
-         [--source LABEL] [--out FILE]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "click-morph [--shards K] [--branches N] [--windows W] \
+    [--window-packets P] [--shift-at W'] [--alternate] [--dwell D] \
+    [--cooldown C] [--min-improvement F] [--max-swaps M] [--source LABEL] \
+    [--out FILE]";
 
 /// One run's accounting, for the stderr summary and exit checks.
 struct RunSummary {
     injected: u64,
     tx: u64,
     drops: u64,
-    gauges: ReoptGauges,
     profile: Profile,
 }
 
@@ -131,14 +125,14 @@ fn drive(
         injected,
         tx,
         drops,
-        gauges,
         profile,
     }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (flags, positional) = parse_args(
+    let (flags, positional) = filter_args(
+        USAGE,
         &args,
         &[
             "shards",
@@ -153,9 +147,10 @@ fn main() {
             "source",
             "out",
         ],
+        &["alternate"],
     );
     if !positional.is_empty() {
-        usage();
+        refuse(USAGE, "click-morph takes no configuration");
     }
     let mut shards = 1usize;
     let mut branches = DEMO_BRANCHES;
@@ -167,12 +162,7 @@ fn main() {
     let mut source: Option<String> = None;
     let mut out: Option<String> = None;
     for (flag, value) in &flags {
-        let num = || -> usize {
-            value
-                .as_deref()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| usage())
-        };
+        let num = || number::<usize>(USAGE, flag, value);
         match flag.as_str() {
             "shards" => shards = num().max(1),
             "branches" => branches = num().clamp(2, 31),
@@ -182,20 +172,11 @@ fn main() {
             "alternate" => alternate = true,
             "dwell" => policy.dwell_windows = num() as u32,
             "cooldown" => policy.cooldown_windows = num() as u32,
-            "min-improvement" => {
-                policy.min_improvement = value
-                    .as_deref()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
+            "min-improvement" => policy.min_improvement = number(USAGE, flag, value),
             "max-swaps" => policy.max_swaps = num() as u64,
             "source" => source = value.clone(),
             "out" => out = value.clone(),
-            "help" => usage(),
-            other => {
-                eprintln!("click-morph: unknown flag --{other}");
-                usage();
-            }
+            _ => unreachable!("filter_args admits only the flags above"),
         }
     }
     let shift_at = shift_at.unwrap_or(windows / 2);
@@ -235,7 +216,7 @@ fn main() {
         eprintln!("click-morph: {e}");
         std::process::exit(1);
     });
-    let summary = drive(
+    let run = drive(
         MorphDaemon::new(router, graph, artifact, policy),
         &mut trace,
         windows,
@@ -247,7 +228,7 @@ fn main() {
         &label,
     );
 
-    let json = summary.profile.to_json();
+    let json = run.profile.to_json();
     match &out {
         Some(path) => {
             std::fs::write(path, &json).unwrap_or_else(|e| {
@@ -258,26 +239,19 @@ fn main() {
         }
         None => print!("{json}"),
     }
-    let g = summary.gauges;
     eprintln!(
-        "click-morph: {} packets in, {} out, {} dropped; {} windows, \
-         {} recompile(s), {} swap(s) kept, {} rollback(s), \
-         {} suppressed",
-        summary.injected,
-        summary.tx,
-        summary.drops,
-        g.windows_observed,
-        g.recompiles,
-        g.swaps_kept,
-        g.rollbacks,
-        g.thrash_suppressed
+        "click-morph: {} packets in, {} out, {} dropped; {}",
+        run.injected,
+        run.tx,
+        run.drops,
+        summary(&run.profile.reopt.unwrap_or_default())
     );
     // Exact accounting: every injected packet either transmitted or is
     // covered by the monotonic drop counter (swap loss included).
-    if summary.tx + summary.drops < summary.injected {
+    if run.tx + run.drops < run.injected {
         eprintln!(
             "click-morph: accounting hole: {} injected != {} tx + {} drops",
-            summary.injected, summary.tx, summary.drops
+            run.injected, run.tx, run.drops
         );
         std::process::exit(1);
     }

@@ -82,23 +82,18 @@ use click_elements::ip_router::{test_packet_flow, IpRouterSpec};
 use click_elements::packet::Packet;
 use click_elements::parallel::ParallelOpts;
 use click_elements::persist::{config_hash, Checkpoint, CheckpointDaemon, CheckpointStore};
-use click_elements::telemetry::{self, DeviceGauges, ElementProfile};
+use click_elements::telemetry::{self, summary, DeviceGauges, ElementProfile, Gauges};
 use click_opt::profile::Profile;
-use click_opt::tool::parse_args;
+use click_opt::tool::{filter_args, number, refuse};
 use std::time::Instant;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: click-pcap --gen N --in TRACE.pcap [--ifaces M]\n\
-         \x20      click-pcap --in TRACE.pcap [--out FWD.pcap] [--ifaces M] \
-         [--shards K] [--batched BURST] [--compiled] [--flap CLAUSES] \
-         [--check] [--json FILE] [--source LABEL] [CONFIG.click]\n\
-         \x20      click-pcap --in TRACE.pcap --ckpt-dir DIR [--ckpt-every N] \
-         [--retain K] [--crash-at N] [--restore [--resume-at N]] \
-         [--shards K] [--compiled] [--check] [--json FILE] [CONFIG.click]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "click-pcap --gen N --in TRACE.pcap [--ifaces M]\n\
+    \x20      click-pcap --in TRACE.pcap [--out FWD.pcap] [--ifaces M] \
+    [--shards K] [--batched BURST] [--compiled] [--flap CLAUSES] \
+    [--check] [--json FILE] [--source LABEL] [CONFIG.click]\n\
+    \x20      click-pcap --in TRACE.pcap --ckpt-dir DIR [--ckpt-every N] \
+    [--retain K] [--crash-at N] [--restore [--resume-at N]] \
+    [--shards K] [--compiled] [--check] [--json FILE] [CONFIG.click]";
 
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("click-pcap: {msg}");
@@ -201,7 +196,7 @@ fn run(mut engine: Box<dyn Engine>, sup: SupervisedDevice) -> Result<Replay> {
         drops: engine.total_drops(),
         elapsed_ns,
         elements: engine.profiles(),
-        devices: engine.device_gauges(),
+        devices: engine.gauges().devices,
         forwarded,
     })
 }
@@ -486,20 +481,7 @@ fn drill_main(
         outcome.loss_bound,
         if ledger_ok { "exact" } else { "VIOLATION" }
     );
-    eprintln!(
-        "click-pcap: checkpoints: {} written, {} failure(s), {} torn discarded, \
-         {} restore(s), {} cold start(s), last generation {}, quiesce last {} ns \
-         total {} ns, {} packet(s) persisted",
-        g.checkpoints_written,
-        g.checkpoint_failures,
-        g.torn_discarded,
-        g.restores,
-        g.cold_starts,
-        g.last_generation,
-        g.quiesce_ns_last,
-        g.quiesce_ns_total,
-        g.packets_persisted
-    );
+    eprintln!("click-pcap: checkpoints: {}", summary(&g));
 
     if let Some(path) = json {
         let profile = Profile {
@@ -522,7 +504,8 @@ fn drill_main(
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (flags, positional) = parse_args(
+    let (flags, positional) = filter_args(
+        USAGE,
         &args,
         &[
             "gen",
@@ -540,6 +523,7 @@ fn main() {
             "crash-at",
             "resume-at",
         ],
+        &["compiled", "check", "restore"],
     );
     let mut gen: Option<usize> = None;
     let mut input: Option<String> = None;
@@ -559,12 +543,7 @@ fn main() {
     let mut restore = false;
     let mut resume_at: Option<u64> = None;
     for (flag, value) in &flags {
-        let num = || -> usize {
-            value
-                .as_deref()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| usage())
-        };
+        let num = || number::<usize>(USAGE, flag, value);
         match flag.as_str() {
             "gen" => gen = Some(num().max(1)),
             "in" => input = value.clone(),
@@ -583,17 +562,15 @@ fn main() {
             "crash-at" => crash_at = Some(num() as u64),
             "restore" => restore = true,
             "resume-at" => resume_at = Some(num() as u64),
-            "help" => usage(),
-            other => {
-                eprintln!("click-pcap: unknown flag --{other}");
-                usage();
-            }
+            _ => unreachable!("filter_args admits only the flags above"),
         }
     }
     if positional.len() > 1 {
-        usage();
+        refuse(USAGE, "more than one configuration");
     }
-    let Some(input) = input else { usage() };
+    let Some(input) = input else {
+        refuse(USAGE, "--in is required")
+    };
 
     if let Some(n) = gen {
         gen_trace(&input, ifaces, n).unwrap_or_else(|e| fail(e));
@@ -680,19 +657,7 @@ fn main() {
         }
     );
     for d in &replay.devices {
-        eprintln!(
-            "click-pcap: device {} ({}, {}): {} rx, {} tx, {} flap(s), {} reopen(s), \
-             {} drain-lost, {} retries",
-            d.device,
-            d.backend,
-            d.health,
-            d.rx_packets,
-            d.tx_packets,
-            d.flaps,
-            d.reopens,
-            d.drain_lost,
-            d.retries
-        );
+        eprintln!("click-pcap: {}", summary(d));
     }
 
     // The forwarded capture: the attached device's own TX was recorded
@@ -715,7 +680,10 @@ fn main() {
             shards,
             telemetry: telemetry::ENABLED,
             elements: replay.elements,
-            devices: replay.devices,
+            gauges: Gauges {
+                devices: replay.devices,
+                ..Gauges::default()
+            },
             ..Profile::default()
         };
         std::fs::write(path, profile.to_json())

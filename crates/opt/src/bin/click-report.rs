@@ -42,7 +42,7 @@
 //! rollback on the sharded runtime — see
 //! [`click_elements::parallel::ParallelRouter::hot_swap`]), and the
 //! second half runs under whichever configuration survived. The
-//! resulting [`click_elements::telemetry::SwapGauges`] are exported in
+//! engine's own [`click_elements::telemetry::SwapGauges`] are exported in
 //! the profile's `"swap"` section and summarized on stderr. A `NEW.click`
 //! that fails `click-check` is rejected; the run continues (and the
 //! profile records it) under the old configuration.
@@ -75,26 +75,17 @@ use click_elements::ip_router::{test_packet_flow, IpRouterSpec};
 use click_elements::packet::Packet;
 use click_elements::parallel::ParallelOpts;
 use click_elements::persist::CheckpointStore;
-use click_elements::telemetry::{
-    self, CheckpointGauges, DeviceGauges, ElementProfile, FaultGauges, ShardGauges, SteerGauges,
-    SwapGauges,
-};
+use click_elements::telemetry::{self, summary, CheckpointGauges, ElementProfile};
 use click_opt::profile::Profile;
-use click_opt::tool::parse_args;
+use click_opt::tool::{filter_args, number, refuse};
 
 /// Distinct UDP source ports in the generated trace (distinct flows for
 /// RSS steering).
 const FLOWS: u16 = 64;
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: click-report [--ifaces N] [--shards K] [--packets P] \
-         [--batched BURST] [--source LABEL] [--out FILE] \
-         [--emit-config] [--faults] [--devices] [--swap NEW.click] \
-         [--checkpoints DIR] [CONFIG.click]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "click-report [--ifaces N] [--shards K] [--packets P] \
+    [--batched BURST] [--source LABEL] [--out FILE] [--emit-config] [--faults] \
+    [--devices] [--swap NEW.click] [--checkpoints DIR] [CONFIG.click]";
 
 /// One frame of the trace: (receiving device name, packet).
 type Frame = (String, Packet);
@@ -181,29 +172,16 @@ fn generic_frames(devices: &[String], packets: usize) -> Vec<Frame> {
         .collect()
 }
 
-/// What one run measured. The sharded-only gauges are empty/`None` on
-/// the serial runtime.
-struct Run {
-    elements: Vec<ElementProfile>,
-    gauges: Vec<ShardGauges>,
-    steering: Vec<SteerGauges>,
-    faults: Option<FaultGauges>,
-    swap: Option<SwapGauges>,
-    /// Frames transmitted: delivered to a backend or left on a simulated
-    /// device.
-    tx: u64,
-    devices: Vec<DeviceGauges>,
-}
-
 /// Runs the trace — with `--swap`, the first half on the starting
-/// configuration and the second half across the hot swap — and reads
-/// the engine's profile and gauges out.
+/// configuration and the second half across the hot swap — and returns
+/// the frames transmitted: delivered to a backend or left on a simulated
+/// device.
 fn run(
     engine: &mut dyn Engine,
     swap_to: Option<&RouterGraph>,
     frames: &[Frame],
     devices_flag: bool,
-) -> Result<Run> {
+) -> Result<u64> {
     if devices_flag {
         let opened = engine.open_backends()?;
         eprintln!("click-report: opened {opened} device backend(s)");
@@ -213,8 +191,8 @@ fn run(
     // are fed by their backends, not the synthetic trace; `swap` installs
     // the new configuration over the buffered slice, which on the
     // sharded runtime is the canary-window traffic the rollout is
-    // judged against.
-    let mut play = |part: &[Frame], swap: Option<&RouterGraph>| -> Result<Option<SwapGauges>> {
+    // judged against. A refused swap is the engine's to count.
+    let mut play = |part: &[Frame], swap: Option<&RouterGraph>| -> Result<()> {
         for (dev, p) in part {
             if devices_flag && backend_scheme(dev).is_some() {
                 continue;
@@ -223,54 +201,33 @@ fn run(
                 engine.inject(id, p.clone());
             }
         }
-        let gauges = swap.map(|new_graph| match engine.hot_swap(new_graph) {
-            Ok(rep) => SwapGauges {
-                swaps: u64::from(!rep.rolled_back),
-                rollbacks: u64::from(rep.rolled_back),
-                canary_failures: u64::from(rep.rolled_back),
-                packets_transferred: rep.packets_transferred,
-                rejected_configs: 0,
-            },
-            Err(e) => {
-                eprintln!("click-report: hot swap rejected: {e}");
-                SwapGauges {
-                    rejected_configs: 1,
-                    ..SwapGauges::default()
-                }
-            }
-        });
+        if let Some(Err(e)) = swap.map(|new_graph| engine.hot_swap(new_graph)) {
+            eprintln!("click-report: hot swap rejected: {e}");
+        }
         engine.settle();
         if devices_flag {
             tx += engine.run_devices(1_000_000)?.tx as u64;
         }
-        Ok(gauges)
+        Ok(())
     };
     let split = match swap_to {
         Some(_) => frames.len() / 2,
         None => frames.len(),
     };
     play(&frames[..split], None)?;
-    let swap = match swap_to {
-        Some(_) => play(&frames[split..], swap_to)?,
-        None => None,
-    };
+    if swap_to.is_some() {
+        play(&frames[split..], swap_to)?;
+    }
     let mut left = PacketBatch::new();
     tx += engine.drain_all_tx_into(&mut left) as u64;
     left.recycle_packets();
-    Ok(Run {
-        elements: engine.profiles(),
-        gauges: engine.shard_gauges(),
-        steering: engine.steer_gauges(),
-        faults: engine.fault_gauges(),
-        swap,
-        tx,
-        devices: engine.device_gauges(),
-    })
+    Ok(tx)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let (flags, positional) = parse_args(
+    let (flags, positional) = filter_args(
+        USAGE,
         &args,
         &[
             "ifaces",
@@ -282,6 +239,7 @@ fn main() {
             "swap",
             "checkpoints",
         ],
+        &["emit-config", "faults", "devices"],
     );
     let mut ifaces = 4usize;
     let mut shards = 1usize;
@@ -295,12 +253,7 @@ fn main() {
     let mut faults_flag = false;
     let mut devices_flag = false;
     for (flag, value) in &flags {
-        let num = || -> usize {
-            value
-                .as_deref()
-                .and_then(|v| v.parse().ok())
-                .unwrap_or_else(|| usage())
-        };
+        let num = || number::<usize>(USAGE, flag, value);
         match flag.as_str() {
             "ifaces" => ifaces = num().max(2),
             "shards" => shards = num().max(1),
@@ -313,15 +266,11 @@ fn main() {
             "emit-config" => emit_config = true,
             "faults" => faults_flag = true,
             "devices" => devices_flag = true,
-            "help" => usage(),
-            other => {
-                eprintln!("click-report: unknown flag --{other}");
-                usage();
-            }
+            _ => unreachable!("filter_args admits only the flags above"),
         }
     }
     if positional.len() > 1 {
-        usage();
+        refuse(USAGE, "more than one configuration");
     }
     if emit_config {
         print!("{}", IpRouterSpec::standard(ifaces).config());
@@ -377,33 +326,28 @@ fn main() {
         }
         generic_frames(&devices, packets)
     };
-    let Run {
-        elements,
-        gauges,
-        steering,
-        faults: fault_gauges,
-        swap: swap_gauges,
-        tx,
-        devices,
-    } = run(&mut *engine, swap_graph.as_ref(), &frames, devices_flag)
+    let tx = run(&mut *engine, swap_graph.as_ref(), &frames, devices_flag)
         .unwrap_or_else(|e| die(e.to_string()));
-    if faults_flag && fault_gauges.is_none() {
+    // The engine's own books; `faults` and `swap` are exported on request.
+    let mut gauges = engine.gauges();
+    if faults_flag && gauges.faults.is_none() {
         eprintln!(
             "click-report: warning: --faults with a serial run (--shards 1); \
              no supervisor gauges to export"
         );
     }
-
+    if !faults_flag {
+        gauges.faults = None;
+    }
+    if swap_graph.is_none() {
+        gauges.swap = None;
+    }
     let profile = Profile {
         source: source.unwrap_or(label),
         shards,
         telemetry: telemetry::ENABLED,
-        elements,
+        elements: engine.profiles(),
         gauges,
-        steering,
-        faults: if faults_flag { fault_gauges } else { None },
-        swap: swap_gauges,
-        devices,
         checkpoints: checkpoints_dir.as_deref().map(inspect_checkpoints),
         ..Profile::default()
     };
@@ -419,33 +363,14 @@ fn main() {
         None => print!("{json}"),
     }
 
-    if let Some(f) = profile.faults {
-        eprintln!(
-            "click-report: faults: {} death(s), {} restart(s), {} degraded, \
-             {} lost, {}/{} shards live",
-            f.shard_deaths, f.restarts, f.degraded_entries, f.lost_packets, f.live_shards, f.shards
-        );
+    if let Some(f) = &profile.gauges.faults {
+        eprintln!("click-report: faults: {}", summary(f));
     }
-    if let Some(w) = profile.swap {
-        eprintln!(
-            "click-report: swap: {} swap(s), {} rollback(s), {} canary failure(s), \
-             {} packet(s) transferred",
-            w.swaps, w.rollbacks, w.canary_failures, w.packets_transferred
-        );
+    if let Some(w) = &profile.gauges.swap {
+        eprintln!("click-report: swap: {}", summary(w));
     }
-    for d in &profile.devices {
-        eprintln!(
-            "click-report: device {} ({}, {}): {} rx, {} tx, {} flap(s), \
-             {} reopen(s), {} lost",
-            d.device,
-            d.backend,
-            d.health,
-            d.rx_packets,
-            d.tx_packets,
-            d.flaps,
-            d.reopens,
-            d.drain_lost
-        );
+    for d in &profile.gauges.devices {
+        eprintln!("click-report: {}", summary(d));
     }
 
     // Human summary: where the cycles went.
@@ -469,16 +394,15 @@ fn main() {
         }
         // Where ingress time goes: the steering stage sits in front of
         // every element above, so its self time is the hand-off tax.
-        for g in &profile.steering {
+        if let Some(g) = &profile.gauges.steering {
             let ns_per_pkt = if g.packets == 0 {
                 0.0
             } else {
                 g.steer_ns as f64 / g.packets as f64
             };
             eprintln!(
-                "click-report:   steerer {:<4} ingress          {:>8} pkts  {:>8.1} ns/pkt  \
-                 ({} snoozes)",
-                g.steerer, g.packets, ns_per_pkt, g.snoozes
+                "click-report:   steering     ingress          {:>8} pkts  {:>8.1} ns/pkt",
+                g.packets, ns_per_pkt
             );
         }
     }

@@ -40,6 +40,7 @@ pub mod autotune;
 pub mod combine;
 pub mod devirtualize;
 pub mod fastclassifier;
+mod json;
 pub mod mkmindriver;
 pub mod pretty;
 pub mod profile;

@@ -24,42 +24,41 @@
 //! * **Cold-branch flagging.** Output ports that never saw a packet are
 //!   reported so `click-undead` (or an operator) can prune the branch.
 //!
-//! The profile itself is deliberately plain JSON with no external
-//! dependencies on either side: [`Profile::to_json`] hand-renders it and
-//! [`Profile::from_json`] uses the small recursive-descent parser below.
+//! The profile is plain JSON and its format is stated once: a header
+//! (`version`, `source`, `shards`, `telemetry`), an `elements` array and
+//! one section per gauge struct, each record written and read through
+//! that struct's field table in [`click_elements::telemetry`] (key =
+//! field name, in declaration order). Reading defaults a missing key,
+//! ignores an unknown one and refuses one of the wrong kind; the value
+//! type, parser and writer are `json.rs`.
 
+use crate::json::{self, Json};
 use click_classifier::pattern::parse_pattern;
 use click_classifier::{Check, Cond};
 use click_core::config::split_args;
-use click_core::error::{Error, Result};
+use click_core::error::Result;
 use click_core::graph::{PortRef, RouterGraph};
 use click_elements::telemetry::{
-    CheckpointGauges, DeviceGauges, ElementProfile, FaultGauges, ReoptGauges, ShardGauges,
-    SteerGauges, SwapGauges,
+    absorb, CheckpointGauges, ElementProfile, GaugeSet, Gauges, ReoptGauges, SteerGauges,
 };
 
 /// Schema version written by [`Profile::to_json`]. Version history:
 ///
 /// * **1** — implicit: everything before the `version` field existed
 ///   (PR 1–7 exports carry no `version` key and parse as 1).
-/// * **2** — adds `version` itself and the optional `reopt` gauge
-///   section exported by `click-morph`.
-/// * **3** — adds the optional `devices` section: per-device I/O and
-///   supervision gauges from the real-I/O backends (`click-report
-///   --devices`, `click-pcap`).
-/// * **4** — adds the optional `checkpoints` section: persistence-layer
-///   gauges (snapshots cut, torn files skipped, warm restarts, quiesce
-///   pauses) from `click-pcap`'s crash drill and `click-report
-///   --checkpoints`.
+/// * **2** — adds `version` itself and the optional `reopt` section.
+/// * **3** — adds the optional `devices` section.
+/// * **4** — adds the optional `checkpoints` section.
 ///
-/// [`Profile::from_json`] accepts any version ≤ the current one (fields
-/// it does not know default), so older tools keep reading newer profiles
-/// of the same major shape and newer tools read version-less exports.
+/// [`Profile::from_json`] accepts any version (keys it does not know are
+/// ignored, keys it misses default), so older tools keep reading newer
+/// profiles and newer tools read version-less exports.
 pub const PROFILE_VERSION: u32 = 4;
 
 /// A runtime profile: one record per element instance, merged across
-/// shards, plus per-shard runtime gauges. Produced by `click-report`,
-/// consumed by `click-profile` and the benches.
+/// shards, plus the gauge sections of whoever produced it. Written by
+/// `click-report`, `click-morph` and `click-pcap`; read by
+/// `click-profile`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Profile {
     /// Schema version of the export ([`PROFILE_VERSION`] when produced
@@ -70,36 +69,19 @@ pub struct Profile {
     /// Worker shards the profile was collected from (1 = serial).
     pub shards: usize,
     /// Whether the producing binary was built with the `telemetry`
-    /// feature (if `false`, every counter is zero by construction).
+    /// feature (if `false`, every per-element counter is zero).
     pub telemetry: bool,
     /// Per-element records, merged across shards by element name.
     pub elements: Vec<ElementProfile>,
-    /// Per-shard runtime gauges (empty for serial runs).
-    pub gauges: Vec<ShardGauges>,
-    /// Ingress steering gauges: one record for a sharded run's inject
-    /// path (empty for serial-engine runs or older profiles; format ≤ 4
-    /// profiles may carry several).
-    pub steering: Vec<SteerGauges>,
-    /// Supervisor fault gauges (restarts, degraded-mode entries,
-    /// in-flight loss), exported when `click-report` runs with
-    /// `--faults`; `None` for serial runs or older profiles.
-    pub faults: Option<FaultGauges>,
-    /// Live-reconfiguration gauges (swaps, rollbacks, canary failures),
-    /// exported when `click-report` runs with `--swap`; `None` when no
-    /// hot swap was exercised or for older profiles.
-    pub swap: Option<SwapGauges>,
-    /// Continuous-reoptimization gauges (windows observed, recompiles,
-    /// kept swaps, rollbacks, thrash suppressions), exported by
-    /// `click-morph`; `None` for profiles from other tools or older
-    /// (version 1) exports.
+    /// The engine's sections, as [`Engine::gauges`] read them out; a
+    /// section that is empty or `None` is not exported (`"gauges"`, the
+    /// per-shard rows, always is).
+    ///
+    /// [`Engine::gauges`]: click_elements::engine::Engine::gauges
+    pub gauges: Gauges,
+    /// The `click-morph` control loop's section.
     pub reopt: Option<ReoptGauges>,
-    /// Per-device I/O and supervision gauges (RX/TX counts, faults,
-    /// flaps, reopens, drain losses) from the real-I/O backend layer;
-    /// empty for simulated runs and pre-version-3 profiles.
-    pub devices: Vec<DeviceGauges>,
-    /// Checkpoint/restore gauges (snapshots cut, torn files skipped,
-    /// warm restarts, quiesce pauses) from the persistence layer;
-    /// `None` when no checkpointing ran or for pre-version-4 profiles.
+    /// The checkpoint daemon's section.
     pub checkpoints: Option<CheckpointGauges>,
 }
 
@@ -112,15 +94,36 @@ impl Default for Profile {
             shards: 0,
             telemetry: false,
             elements: Vec::new(),
-            gauges: Vec::new(),
-            steering: Vec::new(),
-            faults: None,
-            swap: None,
+            gauges: Gauges::default(),
             reopt: None,
-            devices: Vec::new(),
             checkpoints: None,
         }
     }
+}
+
+/// `T`'s section as an array of records.
+fn rows<T: GaugeSet>(items: &[T]) -> (&'static str, Json) {
+    let records = items.iter().map(|t| Json::obj(json::record(t)));
+    (T::SECTION, Json::Arr(records.collect()))
+}
+
+/// `T`'s section as one record, if there is one.
+fn one<T: GaugeSet>(item: &Option<T>) -> Option<(&'static str, Json)> {
+    Some((T::SECTION, Json::obj(json::record(item.as_ref()?))))
+}
+
+/// Reads `T`'s array section; absent is empty.
+fn read_rows<T: GaugeSet>(v: &Json) -> Result<Vec<T>> {
+    match v.get(T::SECTION) {
+        None => Ok(Vec::new()),
+        Some(Json::Arr(items)) => items.iter().map(json::read).collect(),
+        Some(_) => Err(json::mistyped("profile", T::SECTION)),
+    }
+}
+
+/// Reads `T`'s single-record section; absent is `None`.
+fn read_one<T: GaugeSet>(v: &Json) -> Result<Option<T>> {
+    v.get(T::SECTION).map(json::read).transpose()
 }
 
 impl Profile {
@@ -136,553 +139,76 @@ impl Profile {
         self.elements.iter().map(|e| e.packets).sum()
     }
 
-    /// Renders the profile as JSON (the export format: one object per
-    /// element under `"elements"`, gauges under `"gauges"`).
+    /// Renders the profile as JSON.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        s.push_str("  \"profile\": \"click-report\",\n");
-        s.push_str(&format!("  \"version\": {},\n", self.version));
-        s.push_str(&format!("  \"source\": {},\n", json_string(&self.source)));
-        s.push_str(&format!("  \"shards\": {},\n", self.shards));
-        s.push_str(&format!("  \"telemetry\": {},\n", self.telemetry));
-        s.push_str("  \"elements\": [\n");
-        for (i, e) in self.elements.iter().enumerate() {
-            s.push_str("    {");
-            s.push_str(&format!("\"name\": {}, ", json_string(&e.name)));
-            s.push_str(&format!("\"class\": {}, ", json_string(&e.class)));
-            s.push_str(&format!("\"calls\": {}, ", e.calls));
-            s.push_str(&format!("\"packets\": {}, ", e.packets));
-            s.push_str(&format!("\"bytes\": {}, ", e.bytes));
-            s.push_str(&format!("\"self_ns\": {}, ", e.self_ns));
-            s.push_str(&format!("\"ns_per_packet\": {:.2}, ", e.ns_per_packet()));
-            s.push_str(&format!("\"out_ports\": {}, ", json_u64s(&e.out_ports)));
-            s.push_str(&format!("\"lat_buckets\": {}, ", json_u64s(&e.lat_buckets)));
-            s.push_str(&format!("\"recent_ns\": {}", json_u64s(&e.recent_ns)));
-            s.push_str(if i + 1 < self.elements.len() {
-                "},\n"
-            } else {
-                "}\n"
-            });
-        }
-        s.push_str("  ],\n");
-        s.push_str("  \"gauges\": [\n");
-        for (i, g) in self.gauges.iter().enumerate() {
-            s.push_str(&format!(
-                "    {{\"shard\": {}, \"batches\": {}, \"packets\": {}, \
-                 \"ring_high_water\": {}, \"backoff_snoozes\": {}}}{}\n",
-                g.shard,
-                g.batches,
-                g.packets,
-                g.ring_high_water,
-                g.backoff_snoozes,
-                if i + 1 < self.gauges.len() { "," } else { "" }
-            ));
-        }
-        s.push_str("  ]");
-        if !self.steering.is_empty() {
-            s.push_str(",\n  \"steering\": [\n");
-            for (i, g) in self.steering.iter().enumerate() {
-                s.push_str(&format!(
-                    "    {{\"steerer\": {}, \"batches\": {}, \"packets\": {}, \
-                     \"steer_ns\": {}, \"snoozes\": {}}}{}\n",
-                    g.steerer,
-                    g.batches,
-                    g.packets,
-                    g.steer_ns,
-                    g.snoozes,
-                    if i + 1 < self.steering.len() { "," } else { "" }
-                ));
-            }
-            s.push_str("  ]");
-        }
-        if !self.devices.is_empty() {
-            s.push_str(",\n  \"devices\": [\n");
-            for (i, d) in self.devices.iter().enumerate() {
-                s.push_str("    {");
-                s.push_str(&format!("\"device\": {}, ", json_string(&d.device)));
-                s.push_str(&format!("\"backend\": {}, ", json_string(&d.backend)));
-                s.push_str(&format!("\"health\": {}, ", json_string(&d.health)));
-                s.push_str(&format!("\"rx_packets\": {}, ", d.rx_packets));
-                s.push_str(&format!("\"rx_bytes\": {}, ", d.rx_bytes));
-                s.push_str(&format!("\"tx_packets\": {}, ", d.tx_packets));
-                s.push_str(&format!("\"tx_bytes\": {}, ", d.tx_bytes));
-                s.push_str(&format!("\"short_reads\": {}, ", d.short_reads));
-                s.push_str(&format!("\"would_blocks\": {}, ", d.would_blocks));
-                s.push_str(&format!("\"retries\": {}, ", d.retries));
-                s.push_str(&format!("\"backoffs\": {}, ", d.backoffs));
-                s.push_str(&format!("\"flaps\": {}, ", d.flaps));
-                s.push_str(&format!("\"down_events\": {}, ", d.down_events));
-                s.push_str(&format!("\"reopens\": {}, ", d.reopens));
-                s.push_str(&format!("\"drain_lost\": {}, ", d.drain_lost));
-                s.push_str(&format!("\"corrupt_drops\": {}", d.corrupt_drops));
-                s.push_str(if i + 1 < self.devices.len() {
-                    "},\n"
-                } else {
-                    "}\n"
-                });
-            }
-            s.push_str("  ]");
-        }
-        if let Some(f) = self.faults {
-            s.push_str(&format!(
-                ",\n  \"faults\": {{\"shard_deaths\": {}, \"restarts\": {}, \
-                 \"degraded_entries\": {}, \"lost_packets\": {}, \
-                 \"reclaimed_packets\": {}, \"no_live_shard_drops\": {}, \
-                 \"live_shards\": {}, \"shards\": {}}}",
-                f.shard_deaths,
-                f.restarts,
-                f.degraded_entries,
-                f.lost_packets,
-                f.reclaimed_packets,
-                f.no_live_shard_drops,
-                f.live_shards,
-                f.shards
-            ));
-        }
-        if let Some(w) = self.swap {
-            s.push_str(&format!(
-                ",\n  \"swap\": {{\"swaps\": {}, \"rollbacks\": {}, \
-                 \"canary_failures\": {}, \"packets_transferred\": {}, \
-                 \"rejected_configs\": {}}}",
-                w.swaps, w.rollbacks, w.canary_failures, w.packets_transferred, w.rejected_configs
-            ));
-        }
-        if let Some(r) = self.reopt {
-            s.push_str(&format!(
-                ",\n  \"reopt\": {{\"windows_observed\": {}, \"recompiles\": {}, \
-                 \"swaps_kept\": {}, \"rollbacks\": {}, \
-                 \"thrash_suppressed\": {}}}",
-                r.windows_observed, r.recompiles, r.swaps_kept, r.rollbacks, r.thrash_suppressed
-            ));
-        }
-        if let Some(c) = self.checkpoints {
-            s.push_str(&format!(
-                ",\n  \"checkpoints\": {{\"checkpoints_written\": {}, \
-                 \"checkpoint_failures\": {}, \"torn_discarded\": {}, \
-                 \"restores\": {}, \"cold_starts\": {}, \
-                 \"last_generation\": {}, \"quiesce_ns_last\": {}, \
-                 \"quiesce_ns_total\": {}, \"packets_persisted\": {}}}",
-                c.checkpoints_written,
-                c.checkpoint_failures,
-                c.torn_discarded,
-                c.restores,
-                c.cold_starts,
-                c.last_generation,
-                c.quiesce_ns_last,
-                c.quiesce_ns_total,
-                c.packets_persisted
-            ));
-        }
-        s.push_str("\n}\n");
-        s
+        let elements = self.elements.iter().map(|e| {
+            // The one derived, export-only member: written after the
+            // time it is derived from, ignored on load.
+            let mut members = json::record(e);
+            let time = members.iter().position(|(k, _)| *k == "self_ns");
+            let rate = ("ns_per_packet", Json::Num(e.ns_per_packet()));
+            members.insert(time.map_or(members.len(), |i| i + 1), rate);
+            Json::obj(members)
+        });
+        let g = &self.gauges;
+        let mut doc = vec![
+            ("profile", Json::Str("click-report".into())),
+            ("version", Json::Int(self.version.into())),
+            ("source", Json::Str(self.source.clone())),
+            ("shards", Json::Int(self.shards as u64)),
+            ("telemetry", Json::Bool(self.telemetry)),
+            (ElementProfile::SECTION, Json::Arr(elements.collect())),
+            rows(&g.shards),
+        ];
+        // One record, but an array on the wire: format <= 4 readers and
+        // files have it so.
+        doc.extend(g.steering.map(|s| rows(&[s])));
+        doc.extend((!g.devices.is_empty()).then(|| rows(&g.devices)));
+        doc.extend(one(&g.faults));
+        doc.extend(one(&g.swap));
+        doc.extend(one(&self.reopt));
+        doc.extend(one(&self.checkpoints));
+        Json::obj(doc).render()
     }
 
-    /// Parses a profile back from its JSON export.
+    /// Parses a profile back from its JSON export. Missing keys default
+    /// (so older and hand-written profiles load), unknown keys are
+    /// ignored, and several `steering` rows (format <= 4 could carry one
+    /// per stage) are summed into the one record.
     ///
     /// # Errors
     ///
-    /// Returns [`Error::Spec`] on malformed JSON; missing fields default
-    /// to zero / empty so older or hand-written profiles load.
+    /// Returns [`click_core::Error::Spec`] on malformed
+    /// JSON, or on a key present with a value of the wrong kind (a count
+    /// that is a string, a fraction, negative), naming section and key.
     pub fn from_json(text: &str) -> Result<Profile> {
-        let v = parse_json(text)?;
-        let mut p = Profile {
+        let v = json::parse(text)?;
+        let count = |key| v.member("profile", key, Json::as_u64);
+        let source = v.member("profile", "source", Json::as_str)?;
+        let telemetry = v.member("profile", "telemetry", Json::as_bool)?;
+        let steering = read_rows::<SteerGauges>(&v)?;
+        let steering = steering.into_iter().reduce(|mut sum, row| {
+            absorb(&mut sum, &row);
+            sum
+        });
+        Ok(Profile {
             // Version-less exports predate the field: they are schema 1.
-            version: v.get("version").and_then(Json::as_u64).unwrap_or(1) as u32,
-            source: v.get("source").and_then(Json::as_str).unwrap_or_default(),
-            shards: v.get("shards").and_then(Json::as_u64).unwrap_or(1) as usize,
-            telemetry: v.get("telemetry").and_then(Json::as_bool).unwrap_or(false),
-            elements: Vec::new(),
-            gauges: Vec::new(),
-            steering: Vec::new(),
-            faults: None,
-            swap: None,
-            reopt: None,
-            devices: Vec::new(),
-            checkpoints: None,
-        };
-        if let Some(Json::Arr(items)) = v.get("elements") {
-            for item in items {
-                let mut e = ElementProfile::new(
-                    &item.get("name").and_then(Json::as_str).unwrap_or_default(),
-                    &item.get("class").and_then(Json::as_str).unwrap_or_default(),
-                );
-                e.calls = item.get("calls").and_then(Json::as_u64).unwrap_or(0);
-                e.packets = item.get("packets").and_then(Json::as_u64).unwrap_or(0);
-                e.bytes = item.get("bytes").and_then(Json::as_u64).unwrap_or(0);
-                e.self_ns = item.get("self_ns").and_then(Json::as_u64).unwrap_or(0);
-                if let Some(v) = item.get("out_ports").and_then(Json::as_u64s) {
-                    e.out_ports = v;
-                }
-                if let Some(v) = item.get("lat_buckets").and_then(Json::as_u64s) {
-                    e.lat_buckets = v;
-                }
-                if let Some(v) = item.get("recent_ns").and_then(Json::as_u64s) {
-                    e.recent_ns = v;
-                }
-                p.elements.push(e);
-            }
-        }
-        if let Some(Json::Arr(items)) = v.get("gauges") {
-            for item in items {
-                p.gauges.push(ShardGauges {
-                    shard: item.get("shard").and_then(Json::as_u64).unwrap_or(0) as usize,
-                    batches: item.get("batches").and_then(Json::as_u64).unwrap_or(0),
-                    packets: item.get("packets").and_then(Json::as_u64).unwrap_or(0),
-                    ring_high_water: item
-                        .get("ring_high_water")
-                        .and_then(Json::as_u64)
-                        .unwrap_or(0) as usize,
-                    backoff_snoozes: item
-                        .get("backoff_snoozes")
-                        .and_then(Json::as_u64)
-                        .unwrap_or(0),
-                });
-            }
-        }
-        if let Some(Json::Arr(items)) = v.get("steering") {
-            for item in items {
-                p.steering.push(SteerGauges {
-                    steerer: item.get("steerer").and_then(Json::as_u64).unwrap_or(0) as usize,
-                    batches: item.get("batches").and_then(Json::as_u64).unwrap_or(0),
-                    packets: item.get("packets").and_then(Json::as_u64).unwrap_or(0),
-                    steer_ns: item.get("steer_ns").and_then(Json::as_u64).unwrap_or(0),
-                    snoozes: item.get("snoozes").and_then(Json::as_u64).unwrap_or(0),
-                });
-            }
-        }
-        if let Some(Json::Arr(items)) = v.get("devices") {
-            for item in items {
-                let s = |k: &str| item.get(k).and_then(Json::as_str).unwrap_or_default();
-                let g = |k: &str| item.get(k).and_then(Json::as_u64).unwrap_or(0);
-                p.devices.push(DeviceGauges {
-                    device: s("device"),
-                    backend: s("backend"),
-                    health: s("health"),
-                    rx_packets: g("rx_packets"),
-                    rx_bytes: g("rx_bytes"),
-                    tx_packets: g("tx_packets"),
-                    tx_bytes: g("tx_bytes"),
-                    short_reads: g("short_reads"),
-                    would_blocks: g("would_blocks"),
-                    retries: g("retries"),
-                    backoffs: g("backoffs"),
-                    flaps: g("flaps"),
-                    down_events: g("down_events"),
-                    reopens: g("reopens"),
-                    drain_lost: g("drain_lost"),
-                    corrupt_drops: g("corrupt_drops"),
-                });
-            }
-        }
-        if let Some(f) = v.get("faults") {
-            let g = |k: &str| f.get(k).and_then(Json::as_u64).unwrap_or(0);
-            p.faults = Some(FaultGauges {
-                shard_deaths: g("shard_deaths"),
-                restarts: g("restarts"),
-                degraded_entries: g("degraded_entries"),
-                lost_packets: g("lost_packets"),
-                reclaimed_packets: g("reclaimed_packets"),
-                no_live_shard_drops: g("no_live_shard_drops"),
-                live_shards: g("live_shards") as usize,
-                shards: g("shards") as usize,
-            });
-        }
-        if let Some(w) = v.get("swap") {
-            let g = |k: &str| w.get(k).and_then(Json::as_u64).unwrap_or(0);
-            p.swap = Some(SwapGauges {
-                swaps: g("swaps"),
-                rollbacks: g("rollbacks"),
-                canary_failures: g("canary_failures"),
-                packets_transferred: g("packets_transferred"),
-                rejected_configs: g("rejected_configs"),
-            });
-        }
-        if let Some(r) = v.get("reopt") {
-            let g = |k: &str| r.get(k).and_then(Json::as_u64).unwrap_or(0);
-            p.reopt = Some(ReoptGauges {
-                windows_observed: g("windows_observed"),
-                recompiles: g("recompiles"),
-                swaps_kept: g("swaps_kept"),
-                rollbacks: g("rollbacks"),
-                thrash_suppressed: g("thrash_suppressed"),
-            });
-        }
-        if let Some(c) = v.get("checkpoints") {
-            let g = |k: &str| c.get(k).and_then(Json::as_u64).unwrap_or(0);
-            p.checkpoints = Some(CheckpointGauges {
-                checkpoints_written: g("checkpoints_written"),
-                checkpoint_failures: g("checkpoint_failures"),
-                torn_discarded: g("torn_discarded"),
-                restores: g("restores"),
-                cold_starts: g("cold_starts"),
-                last_generation: g("last_generation"),
-                quiesce_ns_last: g("quiesce_ns_last"),
-                quiesce_ns_total: g("quiesce_ns_total"),
-                packets_persisted: g("packets_persisted"),
-            });
-        }
-        Ok(p)
+            version: count("version")?.unwrap_or(1) as u32,
+            source: source.unwrap_or_default().to_owned(),
+            shards: count("shards")?.unwrap_or(1) as usize,
+            telemetry: telemetry.unwrap_or(false),
+            elements: read_rows(&v)?,
+            gauges: Gauges {
+                shards: read_rows(&v)?,
+                steering,
+                devices: read_rows(&v)?,
+                faults: read_one(&v)?,
+                swap: read_one(&v)?,
+            },
+            reopt: read_one(&v)?,
+            checkpoints: read_one(&v)?,
+        })
     }
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_u64s(v: &[u64]) -> String {
-    let items: Vec<String> = v.iter().map(u64::to_string).collect();
-    format!("[{}]", items.join(", "))
-}
-
-// ---- minimal JSON reader (no external dependencies) ----------------------
-
-/// A parsed JSON value (just enough JSON for the profile and autotune
-/// report formats).
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    pub(crate) fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-    pub(crate) fn as_u64(&self) -> Option<u64> {
-        match self {
-            Json::Num(n) if *n >= 0.0 => Some(*n as u64),
-            _ => None,
-        }
-    }
-    pub(crate) fn as_f64(&self) -> Option<f64> {
-        match self {
-            Json::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-    pub(crate) fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
-    pub(crate) fn as_str(&self) -> Option<String> {
-        match self {
-            Json::Str(s) => Some(s.clone()),
-            _ => None,
-        }
-    }
-    fn as_u64s(&self) -> Option<Vec<u64>> {
-        match self {
-            Json::Arr(items) => items.iter().map(Json::as_u64).collect(),
-            _ => None,
-        }
-    }
-}
-
-struct JsonParser<'a> {
-    s: &'a [u8],
-    i: usize,
-}
-
-impl<'a> JsonParser<'a> {
-    fn err(&self, what: &str) -> Error {
-        Error::spec(format!("profile JSON: {what} at byte {}", self.i))
-    }
-
-    fn ws(&mut self) {
-        while self.i < self.s.len() && self.s[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.s.get(self.i).copied()
-    }
-
-    fn eat(&mut self, b: u8) -> Result<()> {
-        if self.peek() == Some(b) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected {:?}", b as char)))
-        }
-    }
-
-    fn lit(&mut self, word: &str, v: Json) -> Result<Json> {
-        if self.s[self.i..].starts_with(word.as_bytes()) {
-            self.i += word.len();
-            Ok(v)
-        } else {
-            Err(self.err("bad literal"))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json> {
-        self.ws();
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.lit("true", Json::Bool(true)),
-            Some(b'f') => self.lit("false", Json::Bool(false)),
-            Some(b'n') => self.lit("null", Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a value")),
-        }
-    }
-
-    fn object(&mut self) -> Result<Json> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            self.ws();
-            let key = self.string()?;
-            self.ws();
-            self.eat(b':')?;
-            let val = self.value()?;
-            fields.push((key, val));
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(self.err("expected `,` or `}`")),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(self.err("expected `,` or `]`")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.i += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b'u') => {
-                            let hex = self
-                                .s
-                                .get(self.i + 1..self.i + 5)
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| self.err("bad \\u escape"))?,
-                                16,
-                            )
-                            .map_err(|_| self.err("bad \\u escape"))?;
-                            out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                            self.i += 4;
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                    self.i += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (multi-byte sequences pass
-                    // through unchanged).
-                    let rest = std::str::from_utf8(&self.s[self.i..])
-                        .map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = rest.chars().next().expect("nonempty");
-                    out.push(c);
-                    self.i += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn number(&mut self) -> Result<Json> {
-        let start = self.i;
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(c) if c.is_ascii_digit() || c == b'.' || c == b'e' || c == b'E' || c == b'+' || c == b'-'
-        ) {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.s[start..self.i])
-            .ok()
-            .and_then(|t| t.parse::<f64>().ok())
-            .map(Json::Num)
-            .ok_or_else(|| self.err("bad number"))
-    }
-}
-
-/// Parses a JSON document (used by [`Profile::from_json`] and the
-/// autotune report reader).
-pub(crate) fn parse_json(text: &str) -> Result<Json> {
-    let mut p = JsonParser {
-        s: text.as_bytes(),
-        i: 0,
-    };
-    let v = p.value()?;
-    p.ws();
-    if p.i != p.s.len() {
-        return Err(p.err("trailing garbage"));
-    }
-    Ok(v)
 }
 
 // ---- the click-profile pass ----------------------------------------------
@@ -827,7 +353,7 @@ fn hot_order(counts: &[u64], checks: &[Option<Vec<Check>>]) -> Vec<usize> {
 ///
 /// # Errors
 ///
-/// Returns [`Error::Spec`] if a profiled classifier's configuration
+/// Returns [`click_core::Error::Spec`] if a profiled classifier's configuration
 /// fails to parse.
 pub fn apply_profile(graph: &mut RouterGraph, profile: &Profile) -> Result<ProfileReport> {
     let mut report = ProfileReport::default();
@@ -911,6 +437,9 @@ fn patterns_config(patterns: &[String], order: &[usize]) -> String {
 mod tests {
     use super::*;
     use click_core::lang::read_config;
+    use click_elements::telemetry::{
+        DeviceGauges, FaultGauges, ShardGauges, SwapGauges, Value, LATENCY_BUCKETS,
+    };
 
     fn profile_for(name: &str, out_ports: Vec<u64>) -> Profile {
         let mut e = ElementProfile::new(name, "Classifier");
@@ -925,205 +454,89 @@ mod tests {
         }
     }
 
+    /// A `T` with every table field set to a distinct non-default value
+    /// (numbered from `*next` on; labels carry every escape the writer
+    /// has).
+    fn filled<T: GaugeSet>(next: &mut u64) -> T {
+        let mut t = T::default();
+        for f in T::FIELDS {
+            *next += 1;
+            let label = format!("{} \"{}\"\\\t\r\n\u{1}é #{next}", T::NAME, f.key);
+            let stored = match (f.get)(&t) {
+                Value::U64(_) => (f.set)(&mut t, Value::U64(*next)),
+                Value::Str(_) => (f.set)(&mut t, Value::Str(&label)),
+                Value::U64s(_) => (f.set)(&mut t, Value::U64s(&[*next, 0, *next + 1])),
+            };
+            assert!(stored, "{}.{} refuses its own kind", T::NAME, f.key);
+        }
+        t
+    }
+
+    /// The one round-trip test: every field of every section, through the
+    /// table, so a field added to a gauge struct is covered by declaring
+    /// it.
     #[test]
-    fn json_round_trips() {
-        let mut e = ElementProfile::new("c0", "Classifier");
-        e.calls = 7;
-        e.packets = 6;
-        e.bytes = 384;
-        e.self_ns = 900;
-        e.out_ports = vec![0, 0, 6, 0];
-        e.lat_buckets[3] = 7;
-        e.recent_ns = vec![120, 130, 125];
+    fn every_field_of_every_section_round_trips() {
+        let n = &mut 0;
         let p = Profile {
-            source: "ip-router-4".into(),
+            version: PROFILE_VERSION,
+            source: "every \"section\"".into(),
             shards: 4,
             telemetry: true,
-            elements: vec![e],
-            gauges: vec![ShardGauges {
-                shard: 1,
-                batches: 3,
-                packets: 24,
-                ring_high_water: 2,
-                backoff_snoozes: 9,
-            }],
-            ..Profile::default()
+            elements: vec![filled(n), filled(n)],
+            gauges: Gauges {
+                shards: vec![filled::<ShardGauges>(n), filled(n)],
+                steering: Some(filled(n)),
+                devices: vec![filled::<DeviceGauges>(n), filled(n)],
+                faults: Some(filled::<FaultGauges>(n)),
+                swap: Some(filled::<SwapGauges>(n)),
+            },
+            reopt: Some(filled(n)),
+            checkpoints: Some(filled(n)),
         };
-        let back = Profile::from_json(&p.to_json()).unwrap();
-        assert_eq!(back, p);
+        let json = p.to_json();
+        assert_eq!(Profile::from_json(&json).unwrap(), p, "{json}");
+        // An empty profile round-trips too, with no optional section.
+        let empty = Profile::default();
+        let json = empty.to_json();
+        assert!(
+            json.ends_with("\"elements\": [\n  ],\n  \"gauges\": [\n  ]\n}\n"),
+            "{json}"
+        );
+        assert_eq!(Profile::from_json(&json).unwrap(), empty);
     }
 
     #[test]
-    fn version_round_trips_and_versionless_profiles_parse_as_v1() {
-        // A current export carries the schema version...
-        let p = Profile {
-            source: "versioned".into(),
-            shards: 1,
-            ..Profile::default()
-        };
-        assert_eq!(p.version, PROFILE_VERSION);
-        let json = p.to_json();
-        assert!(json.contains(&format!("\"version\": {PROFILE_VERSION}")));
-        assert_eq!(Profile::from_json(&json).unwrap(), p);
-        // ...while a version-less (pre-PR-8) export still loads, stamped
-        // as schema 1 with every newer section defaulted.
+    fn old_and_hand_written_profiles_load() {
+        // A version-less (pre-PR-8) export is schema 1, every later
+        // section defaulted.
         let old = Profile::from_json(
             "{\"profile\": \"click-report\", \"source\": \"legacy\", \
              \"shards\": 4, \"telemetry\": true, \"elements\": []}",
         )
         .unwrap();
-        assert_eq!(old.version, 1);
-        assert_eq!(old.source, "legacy");
-        assert_eq!(old.shards, 4);
+        assert_eq!(
+            (old.version, old.source.as_str(), old.shards),
+            (1, "legacy", 4)
+        );
         assert!(old.telemetry);
-        assert_eq!(old.reopt, None);
-        assert_eq!(old.swap, None);
-    }
-
-    #[test]
-    fn reopt_gauges_round_trip() {
-        let p = Profile {
-            source: "reopt-drill".into(),
-            shards: 4,
-            telemetry: true,
-            reopt: Some(ReoptGauges {
-                windows_observed: 12,
-                recompiles: 2,
-                swaps_kept: 1,
-                rollbacks: 1,
-                thrash_suppressed: 3,
-            }),
-            ..Profile::default()
-        };
-        let back = Profile::from_json(&p.to_json()).unwrap();
-        assert_eq!(back, p);
-        // Profiles without the section stay `None` (older exports load),
-        // and ones written while the section still carried the retired
-        // `autotune_runs` key load with it ignored.
-        let old = Profile::from_json("{\"elements\": []}").unwrap();
-        assert_eq!(old.reopt, None);
-        let v4 = p.to_json().replace("}\n}", ", \"autotune_runs\": 0}\n}");
-        assert!(v4.contains("autotune_runs"));
-        assert_eq!(Profile::from_json(&v4).unwrap(), p);
-    }
-
-    #[test]
-    fn fault_gauges_round_trip() {
-        let p = Profile {
-            source: "chaos".into(),
-            shards: 4,
-            telemetry: false,
-            faults: Some(FaultGauges {
-                shard_deaths: 2,
-                restarts: 1,
-                degraded_entries: 1,
-                lost_packets: 17,
-                reclaimed_packets: 40,
-                no_live_shard_drops: 0,
-                live_shards: 3,
-                shards: 4,
-            }),
-            ..Profile::default()
-        };
-        let back = Profile::from_json(&p.to_json()).unwrap();
-        assert_eq!(back, p);
-        // Profiles without the section stay `None` (older exports load).
-        let old = Profile::from_json("{\"elements\": []}").unwrap();
-        assert_eq!(old.faults, None);
-    }
-
-    #[test]
-    fn steering_gauges_round_trip() {
-        let p = Profile {
-            source: "steered".into(),
-            shards: 4,
-            telemetry: true,
-            steering: vec![
-                SteerGauges {
-                    steerer: 0,
-                    batches: 12,
-                    packets: 96,
-                    steer_ns: 4800,
-                    snoozes: 2,
-                },
-                SteerGauges {
-                    steerer: 1,
-                    batches: 11,
-                    packets: 88,
-                    steer_ns: 4100,
-                    snoozes: 0,
-                },
-            ],
-            ..Profile::default()
-        };
-        let back = Profile::from_json(&p.to_json()).unwrap();
-        assert_eq!(back, p);
-        // Profiles without the section stay empty (older exports load).
-        let old = Profile::from_json("{\"elements\": []}").unwrap();
-        assert!(old.steering.is_empty());
-    }
-
-    #[test]
-    fn swap_gauges_round_trip() {
-        let p = Profile {
-            source: "swap-drill".into(),
-            shards: 4,
-            telemetry: true,
-            swap: Some(SwapGauges {
-                swaps: 1,
-                rollbacks: 1,
-                canary_failures: 1,
-                packets_transferred: 321,
-                rejected_configs: 2,
-            }),
-            ..Profile::default()
-        };
-        let back = Profile::from_json(&p.to_json()).unwrap();
-        assert_eq!(back, p);
-        // Profiles without the section stay `None` (older exports load).
-        let old = Profile::from_json("{\"elements\": []}").unwrap();
-        assert_eq!(old.swap, None);
-    }
-
-    #[test]
-    fn device_gauges_round_trip() {
-        let p = Profile {
-            source: "pcap-replay".into(),
-            shards: 1,
-            telemetry: true,
-            devices: vec![DeviceGauges {
-                device: "pcap:trace.pcap".into(),
-                backend: "pcap".into(),
-                health: "up".into(),
-                rx_packets: 1000,
-                rx_bytes: 64_000,
-                tx_packets: 990,
-                tx_bytes: 63_360,
-                short_reads: 1,
-                would_blocks: 12,
-                retries: 4,
-                backoffs: 4,
-                flaps: 1,
-                down_events: 1,
-                reopens: 1,
-                drain_lost: 10,
-                corrupt_drops: 0,
-            }],
-            ..Profile::default()
-        };
-        let back = Profile::from_json(&p.to_json()).unwrap();
-        assert_eq!(back, p);
-        // Profiles without the section stay empty (older exports load).
-        let old = Profile::from_json("{\"elements\": []}").unwrap();
-        assert!(old.devices.is_empty());
-    }
-
-    #[test]
-    fn parser_rejects_garbage() {
-        assert!(Profile::from_json("").is_err());
-        assert!(Profile::from_json("{\"a\": }").is_err());
-        assert!(Profile::from_json("{} trailing").is_err());
-        assert!(Profile::from_json("{\"elements\": [{\"name\"]}").is_err());
+        assert_eq!(old.gauges, Gauges::default());
+        assert_eq!((old.reopt, old.checkpoints), (None, None));
+        // Keys this build no longer knows are ignored: the retired
+        // `autotune_runs`, and the `steerer`/`snoozes` of a format <= 4
+        // steering row — whose several rows sum into the one record.
+        let v4 = Profile::from_json(
+            "{\"reopt\": {\"recompiles\": 2, \"autotune_runs\": 0}, \"steering\": [\
+             {\"steerer\": 0, \"batches\": 12, \"packets\": 96, \"steer_ns\": 4800, \"snoozes\": 2},\
+             {\"steerer\": 1, \"batches\": 11, \"packets\": 88, \"steer_ns\": 4100, \"snoozes\": 0}]}",
+        )
+        .unwrap();
+        assert_eq!(v4.reopt.unwrap().recompiles, 2);
+        let steering = v4.gauges.steering.unwrap();
+        assert_eq!(
+            (steering.batches, steering.packets, steering.steer_ns),
+            (23, 184, 8900)
+        );
     }
 
     #[test]
@@ -1132,6 +545,58 @@ mod tests {
         assert_eq!(p.shards, 1);
         assert_eq!(p.elements.len(), 1);
         assert_eq!(p.elements[0].packets, 0);
+    }
+
+    #[test]
+    fn counters_load_exactly_and_mistyped_fields_are_refused() {
+        // Above 2^53 a float no longer holds every integer.
+        for n in [(1u64 << 53) + 1, u64::MAX] {
+            let mut e = ElementProfile::new("big", "Counter");
+            e.bytes = n;
+            e.lat_buckets[LATENCY_BUCKETS - 1] = n;
+            let p = Profile {
+                elements: vec![e],
+                ..Profile::default()
+            };
+            let json = p.to_json();
+            assert!(json.contains(&format!("\"bytes\": {n},")), "{json}");
+            assert_eq!(Profile::from_json(&json).unwrap().elements, p.elements);
+        }
+        // Present but of the wrong kind: refused, naming section and key.
+        for (text, section, key) in [
+            (
+                "{\"elements\": [{\"packets\": \"many\"}]}",
+                "elements",
+                "packets",
+            ),
+            (
+                "{\"elements\": [{\"packets\": 1.5}]}",
+                "elements",
+                "packets",
+            ),
+            (
+                "{\"elements\": [{\"out_ports\": [1, 1e3]}]}",
+                "elements",
+                "out_ports",
+            ),
+            ("{\"elements\": [{\"name\": 7}]}", "elements", "name"),
+            ("{\"swap\": {\"swaps\": -1}}", "swap", "swaps"),
+            // 2^64: an integer token, but not a count.
+            (
+                "{\"swap\": {\"swaps\": 18446744073709551616}}",
+                "swap",
+                "swaps",
+            ),
+            ("{\"devices\": {\"retries\": 1}}", "profile", "devices"),
+            ("{\"faults\": 3}", "profile", "faults"),
+            ("{\"shards\": \"four\"}", "profile", "shards"),
+        ] {
+            let e = Profile::from_json(text).unwrap_err().to_string();
+            assert!(
+                e.contains(&format!("`{key}` in `{section}`")),
+                "{text}: {e}"
+            );
+        }
     }
 
     #[test]

@@ -59,83 +59,80 @@ where
     }
 }
 
-/// Parses `--flag value`-style arguments, returning `(flags, positional)`.
-/// Flags listed in `value_flags` consume the following argument.
-pub fn parse_args(
-    args: &[String],
-    value_flags: &[&str],
-) -> (Vec<(String, Option<String>)>, Vec<String>) {
-    let mut flags = Vec::new();
-    let mut positional = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        let a = &args[i];
-        if let Some(name) = a.strip_prefix("--") {
-            if value_flags.contains(&name) && i + 1 < args.len() {
-                flags.push((name.to_owned(), Some(args[i + 1].clone())));
-                i += 2;
-                continue;
-            }
-            flags.push((name.to_owned(), None));
-        } else {
-            positional.push(a.clone());
-        }
-        i += 1;
-    }
-    (flags, positional)
-}
-
-/// `(flags, positional)` as [`parse_args`] returns them.
+/// `(flags, positional)`: each `--flag` with its value, if it takes one.
 pub type Args = (Vec<(String, Option<String>)>, Vec<String>);
 
-/// [`parse_args`] for a tool that names every flag it takes: any other
-/// `--flag`, or a flag of `value_flags` with nothing after it, is an
-/// error saying which. Flags in `switches` take no value.
+/// Parses the arguments of a tool that names every flag it takes:
+/// `--flag value` for the flags in `value_flags`, bare `--flag` for those
+/// in `switches`, anything else positional.
 ///
 /// # Errors
 ///
-/// The offending flag, as a message for the user.
+/// The offending flag, as a message for the user: one the tool does not
+/// take, or a value flag with nothing after it.
 pub fn parse_known_args(
     args: &[String],
     value_flags: &[&str],
     switches: &[&str],
 ) -> std::result::Result<Args, String> {
-    let (flags, positional) = parse_args(args, value_flags);
-    for (name, value) in &flags {
-        if value_flags.contains(&name.as_str()) {
-            if value.is_none() {
-                return Err(format!("--{name} requires a value"));
-            }
-        } else if !switches.contains(&name.as_str()) {
+    let (mut flags, mut positional) = (Vec::new(), Vec::new());
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        let Some(name) = arg.strip_prefix("--") else {
+            positional.push(arg.clone());
+            continue;
+        };
+        let value = if value_flags.contains(&name) {
+            let value = args
+                .next()
+                .ok_or_else(|| format!("--{name} requires a value"))?;
+            Some(value.clone())
+        } else if switches.contains(&name) {
+            None
+        } else {
             return Err(format!("unknown flag --{name}"));
-        }
+        };
+        flags.push((name.to_owned(), value));
     }
     Ok((flags, positional))
 }
 
-/// The argument parser of the filter tools: [`parse_known_args`], with a
+/// The argument parser of every tool: [`parse_known_args`], with a
 /// refused command line answered by the complaint and `usage` on stderr
 /// and exit status 2 before anything is read or written — tool
 /// arguments are outside input, and a mistyped flag must not silently
 /// run the default.
 pub fn filter_args(usage: &str, args: &[String], value_flags: &[&str], switches: &[&str]) -> Args {
-    parse_known_args(args, value_flags, switches).unwrap_or_else(|complaint| {
-        eprintln!("{complaint}\nusage: {usage}");
-        std::process::exit(2);
-    })
+    parse_known_args(args, value_flags, switches)
+        .unwrap_or_else(|complaint| refuse(usage, &complaint))
+}
+
+/// Answers a refused command line: `complaint` and `usage` on stderr,
+/// exit status 2.
+pub fn refuse(usage: &str, complaint: &str) -> ! {
+    eprintln!("{complaint}\nusage: {usage}");
+    std::process::exit(2);
+}
+
+/// The value of `--flag` as a number; one that does not parse is
+/// [`refuse`]d.
+pub fn number<T: std::str::FromStr>(usage: &str, flag: &str, value: &Option<String>) -> T {
+    let parsed = value.as_deref().and_then(|v| v.parse().ok());
+    parsed.unwrap_or_else(|| refuse(usage, &format!("--{flag} wants a number")))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|s| s.to_string()).collect()
+    }
+
     #[test]
-    fn parse_args_splits_flags_and_positional() {
-        let args: Vec<String> = ["--exclude", "q0", "file.click", "--verbose"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        let (flags, pos) = parse_args(&args, &["exclude"]);
+    fn flags_values_and_positional_are_split() {
+        let args = strings(&["--exclude", "q0", "file.click", "--verbose"]);
+        let (flags, pos) = parse_known_args(&args, &["exclude"], &["verbose"]).unwrap();
         assert_eq!(
             flags,
             vec![
@@ -147,28 +144,18 @@ mod tests {
     }
 
     #[test]
-    fn value_flag_at_end_without_value() {
-        let args: Vec<String> = ["--exclude"].iter().map(|s| s.to_string()).collect();
+    fn missing_values_and_unknown_flags_are_refused() {
         assert_eq!(
-            parse_known_args(&args, &["exclude"], &[]),
+            parse_known_args(&strings(&["--exclude"]), &["exclude"], &[]),
             Err("--exclude requires a value".to_owned())
         );
-    }
-
-    #[test]
-    fn unknown_flag_is_refused_and_known_ones_pass() {
-        let args: Vec<String> = ["--exclde", "q0"].iter().map(|s| s.to_string()).collect();
         assert_eq!(
-            parse_known_args(&args, &["exclude"], &["check-loops"]),
+            parse_known_args(
+                &strings(&["--exclde", "q0"]),
+                &["exclude"],
+                &["check-loops"]
+            ),
             Err("unknown flag --exclde".to_owned())
-        );
-        let args: Vec<String> = ["--check-loops", "--exclude", "q0", "f"]
-            .iter()
-            .map(|s| s.to_string())
-            .collect();
-        assert_eq!(
-            parse_known_args(&args, &["exclude"], &["check-loops"]),
-            Ok(parse_args(&args, &["exclude"]))
         );
     }
 }

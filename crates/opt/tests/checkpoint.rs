@@ -8,7 +8,6 @@ use click_core::lang::write_config;
 use click_elements::engine;
 use click_elements::parallel::ParallelOpts;
 use click_elements::persist::{config_hash, CheckpointDaemon, CheckpointStore};
-use click_elements::telemetry::CheckpointGauges;
 use click_opt::profile::{Profile, PROFILE_VERSION};
 use click_opt::reopt::{
     demo_graph, optimize_pipeline, DemoTrace, MorphDaemon, ReoptPolicy, DEMO_BRANCHES,
@@ -26,29 +25,6 @@ fn scratch(name: &str) -> PathBuf {
 // ---------------------------------------------------------------------
 // Profile schema
 // ---------------------------------------------------------------------
-
-#[test]
-fn profile_v4_round_trips_the_checkpoints_section() {
-    assert_eq!(PROFILE_VERSION, 4);
-    let profile = Profile {
-        source: "drill".to_string(),
-        checkpoints: Some(CheckpointGauges {
-            checkpoints_written: 7,
-            checkpoint_failures: 1,
-            torn_discarded: 2,
-            restores: 3,
-            cold_starts: 4,
-            last_generation: 19,
-            quiesce_ns_last: 12_345,
-            quiesce_ns_total: 99_999,
-            packets_persisted: 42,
-        }),
-        ..Profile::default()
-    };
-    let parsed = Profile::from_json(&profile.to_json()).expect("v4 JSON parses");
-    assert_eq!(parsed.version, PROFILE_VERSION);
-    assert_eq!(parsed.checkpoints, profile.checkpoints);
-}
 
 #[test]
 fn profile_v3_documents_still_parse() {

@@ -105,7 +105,7 @@ fn devirtualize_exclude_flag() {
 /// silently run the default transform: usage on stderr, nothing on
 /// stdout, failure status.
 #[test]
-fn filter_tools_refuse_unknown_flags_and_missing_values() {
+fn tools_refuse_unknown_flags_and_missing_values() {
     for (exe, args) in [
         (
             env!("CARGO_BIN_EXE_click-devirtualize"),
@@ -113,10 +113,22 @@ fn filter_tools_refuse_unknown_flags_and_missing_values() {
         ),
         (env!("CARGO_BIN_EXE_click-devirtualize"), &["--exclude"][..]),
         (env!("CARGO_BIN_EXE_click-xform"), &["--bogus"][..]),
+        // The runtime tools too: these used to run the default workload
+        // and print a profile, or run a drill without checkpoints.
+        (
+            env!("CARGO_BIN_EXE_click-report"),
+            &["--packets", "8", "--out"][..],
+        ),
+        (
+            env!("CARGO_BIN_EXE_click-pcap"),
+            &["--in", "x", "--ckpt-dir"][..],
+        ),
+        (env!("CARGO_BIN_EXE_click-morph"), &["--bogus"][..]),
+        (env!("CARGO_BIN_EXE_click-autotune"), &["--out"][..]),
     ] {
         let (stdout, stderr, ok) = run_tool(exe, args, "a :: Idle;");
         assert!(!ok, "{exe} {args:?} ran");
-        assert_eq!(stdout, "", "{exe} {args:?} wrote a configuration");
+        assert_eq!(stdout, "", "{exe} {args:?} wrote its output");
         assert!(stderr.contains("usage: click-"), "{exe} {args:?}: {stderr}");
     }
 }

@@ -9,6 +9,7 @@ use click_core::graph::RouterGraph;
 use click_core::lang::read_config;
 use click_core::registry::Library;
 use click_elements::element::Element;
+use click_elements::engine::Engine;
 use click_elements::fast::FastElement;
 use click_elements::headers::build_udp_packet;
 use click_elements::ip_router::{test_packet_flow, IpRouterSpec};
@@ -397,6 +398,10 @@ fn serial_swap_rejects_invalid_config_on_both_engines() {
         err.to_string().contains("push/pull conflict"),
         "diagnostics surface: {err}"
     );
+    let swap = Engine::gauges(&dy)
+        .swap
+        .expect("the serial runtime counts too");
+    assert_eq!((swap.rejected_configs, swap.swaps), (1, 0));
     // The old configuration is untouched and still forwards.
     let in0 = dy.devices.id("in0").unwrap();
     let out0 = dy.devices.id("out0").unwrap();
@@ -504,10 +509,18 @@ fn regressing_canary_rolls_back_with_exact_accounting() {
     );
     r.run_until_idle();
 
-    let gauges = r.swap_gauges();
-    assert_eq!(gauges.swaps, 0);
-    assert_eq!(gauges.rollbacks, 1);
-    assert_eq!(gauges.canary_failures, 1);
+    // Read as a tool reads them: the engine's one gauge read-out.
+    let gauges = Engine::gauges(&r);
+    let swap = gauges.swap.expect("the runtime counts its own swaps");
+    assert_eq!(
+        (
+            swap.swaps,
+            swap.rollbacks,
+            swap.canary_failures,
+            swap.rejected_configs
+        ),
+        (0, 1, 1, 0)
+    );
 
     // Exact accounting: every injected packet either made it out or is
     // visible in the canary's measured faulty-regime drops.
@@ -524,20 +537,16 @@ fn regressing_canary_rolls_back_with_exact_accounting() {
     // Survivors' flows stay ordered through the whole drill.
     assert_per_flow_order(&tx, 8000..8016);
 
-    // The gauges round-trip through the JSON profile (what
-    // `click-report --swap` exports).
+    // The read-out is what `click-report --swap --faults` exports.
     let profile = Profile {
         source: "rollback-drill".into(),
         shards: 4,
-        telemetry: false,
-        faults: Some(r.fault_gauges()),
-        swap: Some(gauges),
+        gauges,
         ..Profile::default()
     };
     let json = profile.to_json();
     assert!(json.contains("\"rollbacks\": 1"), "{json}");
     assert!(json.contains("\"canary_failures\": 1"), "{json}");
-    let back = Profile::from_json(&json).unwrap();
-    assert_eq!(back.swap, Some(gauges));
+    assert_eq!(Profile::from_json(&json).unwrap(), profile);
     r.shutdown();
 }

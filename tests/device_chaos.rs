@@ -60,7 +60,7 @@ struct DeviceLedger {
 }
 
 fn device_ledger(e: &dyn Engine) -> DeviceLedger {
-    let g = e.device_gauges();
+    let g = e.gauges().devices;
     DeviceLedger {
         injected: g[0].rx_packets,
         sent: g[1].tx_packets,
@@ -175,7 +175,7 @@ fn tx_device_killed_mid_run_keeps_exact_ledger() {
     assert_eq!(out_q.tx_len() as u64, l.sent);
 
     // The outage is visible in the gauges, and the device recovered.
-    let g = &r.device_gauges()[1];
+    let g = &r.gauges().devices[1];
     assert_eq!(g.device, "out0");
     assert!(g.flaps >= 1, "flap gauge: {g:?}");
     assert!(g.down_events >= 1, "down gauge: {g:?}");
@@ -221,7 +221,7 @@ fn eagain_storm_is_absorbed_without_loss() {
     assert_eq!(r.total_drops(), 0);
     assert_eq!(out_q.tx_len(), FRAMES);
 
-    let g = &r.device_gauges()[1];
+    let g = &r.gauges().devices[1];
     assert!(g.would_blocks > 0, "storm must be visible: {g:?}");
     assert!(g.retries > 0, "retries must be counted: {g:?}");
     assert!(g.backoffs > 0, "backoffs must be counted: {g:?}");
@@ -256,7 +256,7 @@ fn rx_device_killed_mid_run_replugs_within_budget() {
     assert_eq!(l.lost, 0);
     assert_eq!(out_q.tx_len(), FRAMES);
 
-    let g = &r.device_gauges()[0];
+    let g = &r.gauges().devices[0];
     assert_eq!(g.device, "in0");
     assert!(g.flaps >= 1, "kill must register: {g:?}");
     assert!(g.down_events >= 1, "down must register: {g:?}");
@@ -304,7 +304,7 @@ fn abandoned_tx_device_turns_backlog_into_counted_loss() {
     assert_eq!(out_q.tx_len() as u64, l.sent);
     assert!(l.lost > 0, "the backlog must be counted, not leaked");
 
-    let g = &r.device_gauges()[1];
+    let g = &r.gauges().devices[1];
     assert_eq!(g.health, "down", "an abandoned device stays down: {g:?}");
     assert!(g.drain_lost > 0, "{g:?}");
     assert_eq!(g.reopens, 0, "no refused re-open may count as success");

@@ -123,14 +123,35 @@ fn script(
     assert_eq!(b.frames.len(), forwarded(0..128));
     b.check(&*e, "settle");
 
-    // 2. Hot swap over buffered traffic (the sharded canary's window).
+    // 2. Hot swap over buffered traffic (the sharded canary's window):
+    //    a configuration that fails its check is refused, the next one
+    //    installs, and the engine's own swap gauges say so.
     b.feed(&mut *e, 128..256);
+    let invalid = read_config("FromDevice(in0) -> NoSuchClass -> ToDevice(out0);").unwrap();
+    assert!(e.hot_swap(&invalid).is_err());
     let report = e.hot_swap(swapped).expect("swap installs");
     assert!(!report.rolled_back, "{report:?}");
     assert_eq!(report.canary_shard.is_some(), shards > 1);
     e.settle();
     b.drain(&mut *e);
     b.check(&*e, "hot_swap");
+    let g = e.gauges();
+    let swap = g.swap.expect("both runtimes count their swaps");
+    assert_eq!(
+        (
+            swap.swaps,
+            swap.rejected_configs,
+            swap.rollbacks,
+            swap.canary_failures
+        ),
+        (1, 1, 0, 0)
+    );
+    assert_eq!(swap.packets_transferred, report.packets_transferred);
+    assert_eq!(
+        (g.shards.len(), g.steering.is_some(), g.faults.is_some()),
+        (if shards > 1 { shards } else { 0 }, shards > 1, shards > 1),
+        "shards, steering and faults are the sharded runtime's sections"
+    );
 
     // 3. Cut with traffic still pending, round-trip the wire format,
     //    restore into a fresh engine, resume.
@@ -190,8 +211,16 @@ fn script(
     b.offered += pumped.rx as u64;
     b.frames.extend(out_q.take_tx());
     b.check(&*e, "run_devices");
-    let g = e.device_gauges();
-    assert_eq!((g[0].rx_packets, g[1].tx_packets), (128, pumped.tx as u64));
+    let g = e.gauges();
+    assert_eq!(
+        (g.devices[0].rx_packets, g.devices[1].tx_packets),
+        (128, pumped.tx as u64)
+    );
+    assert_eq!(
+        g.swap.map(|s| s.swaps),
+        Some(1),
+        "counted since the restart"
+    );
 
     b.frames.sort();
     b.frames

@@ -13,6 +13,9 @@
 //! 3. **`click-profile` round-trip** (either mode) — applying a profile
 //!    to the IP router reorders hot classifier branches without changing
 //!    any per-class packet count or per-flow output sequence.
+//! 4. **One statement of the gauges** — the profile JSON is byte-for-byte
+//!    what the build before the field tables wrote, and OPERATIONS.md's
+//!    glossary is the tables' help text.
 
 use click::core::registry::Library;
 use click::core::RouterGraph;
@@ -22,9 +25,12 @@ use click::elements::packet::Packet;
 use click::elements::parallel::{ParallelOpts, ParallelRouter};
 use click::elements::router::Slot;
 use click::elements::steer::flow_key;
-use click::elements::telemetry::{self, ElementProfile};
+use click::elements::telemetry::{
+    self, CheckpointGauges, DeviceGauges, ElementProfile, FaultGauges, GaugeSet, ReoptGauges,
+    ShardGauges, SteerGauges, SwapGauges,
+};
 use click::elements::Router;
-use click::opt::profile::{apply_profile, Profile, PROFILE_VERSION};
+use click::opt::profile::{apply_profile, Profile};
 use click_bench::ip_router_variants;
 
 const N: usize = 4;
@@ -291,7 +297,7 @@ fn four_shard_merge_matches_serial() {
 
 #[cfg(feature = "telemetry")]
 #[test]
-fn steering_gauges_are_one_row_covering_every_packet() {
+fn steering_gauges_cover_every_packet() {
     let graph = base_graph();
     let spec = IpRouterSpec::standard(N);
     let opts = ParallelOpts::new(4).batched(8);
@@ -305,31 +311,9 @@ fn steering_gauges_are_one_row_covering_every_packet() {
     let steering = router.steer_gauges();
     router.shutdown();
 
-    assert_eq!(steering.len(), 1, "one ingress stage, one gauge record");
     let injected: u64 = injected_per_device(&spec).iter().sum();
-    assert_eq!(
-        steering[0].packets, injected,
-        "every packet classified once"
-    );
-    assert!(steering[0].steer_ns > 0, "self time tracked");
-
-    // The export format carries the records losslessly.
-    let profile = Profile {
-        version: PROFILE_VERSION,
-        source: "steering-test".into(),
-        shards: 4,
-        telemetry: true,
-        elements: Vec::new(),
-        gauges: Vec::new(),
-        steering,
-        faults: None,
-        swap: None,
-        reopt: None,
-        devices: Vec::new(),
-        checkpoints: None,
-    };
-    let back = Profile::from_json(&profile.to_json()).expect("round trip");
-    assert_eq!(back, profile);
+    assert_eq!(steering.packets, injected, "every packet classified once");
+    assert!(steering.steer_ns > 0, "self time tracked");
 }
 
 /// The profile-guided reorder must be invisible to forwarding: same
@@ -352,18 +336,11 @@ fn click_profile_round_trip_preserves_classification() {
         })
         .collect();
     let profile = Profile {
-        version: PROFILE_VERSION,
         source: "synthetic".into(),
         shards: 1,
         telemetry: true,
         elements,
-        gauges: Vec::new(),
-        steering: Vec::new(),
-        faults: None,
-        swap: None,
-        reopt: None,
-        devices: Vec::new(),
-        checkpoints: None,
+        ..Profile::default()
     };
 
     let report = apply_profile(&mut profiled, &profile).expect("profile applies");
@@ -391,4 +368,98 @@ fn click_profile_round_trip_preserves_classification() {
     let (before, _) = run_serial::<Box<dyn Element>>(&base);
     let (after, _) = run_serial::<Box<dyn Element>>(&profiled);
     assert_eq!(after, before, "reordering changed observable forwarding");
+}
+
+/// What the parent of the field-table change wrote for the fixture of
+/// [`same_bytes_as_before_the_field_tables`], captured from that build.
+const PARENT_PROFILE: &str = r#"{
+  "profile": "click-report",
+  "version": 4,
+  "source": "golden \"run\"\\1",
+  "shards": 2,
+  "telemetry": true,
+  "elements": [
+    {"name": "c0", "class": "Classifier", "calls": 7, "packets": 6, "bytes": 384, "self_ns": 900, "ns_per_packet": 150.00, "out_ports": [0, 0, 6, 0], "lat_buckets": [0, 0, 0, 7, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0], "recent_ns": [120, 130, 125]},
+    {"name": "q \"0\"", "class": "Queue", "calls": 12, "packets": 12, "bytes": 768, "self_ns": 301, "ns_per_packet": 25.08, "out_ports": [12], "lat_buckets": [0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 7], "recent_ns": [25]}
+  ],
+  "gauges": [
+    {"shard": 0, "batches": 3, "packets": 24, "ring_high_water": 2, "backoff_snoozes": 9},
+    {"shard": 1, "batches": 4, "packets": 31, "ring_high_water": 5, "backoff_snoozes": 0}
+  ],
+  "steering": [
+    {"steerer": 0, "batches": 12, "packets": 96, "steer_ns": 4800, "snoozes": 0}
+  ],
+  "devices": [
+    {"device": "pcap:a\"b\\c.pcap", "backend": "pcap", "health": "up", "rx_packets": 1000, "rx_bytes": 64000, "tx_packets": 990, "tx_bytes": 63360, "short_reads": 1, "would_blocks": 12, "retries": 4, "backoffs": 3, "flaps": 2, "down_events": 5, "reopens": 6, "drain_lost": 10, "corrupt_drops": 7},
+    {"device": "eth1\tx", "backend": "pcap", "health": "flapping", "rx_packets": 990, "rx_bytes": 63360, "tx_packets": 980, "tx_bytes": 62720, "short_reads": 1, "would_blocks": 12, "retries": 4, "backoffs": 3, "flaps": 2, "down_events": 5, "reopens": 6, "drain_lost": 10, "corrupt_drops": 7}
+  ],
+  "faults": {"shard_deaths": 2, "restarts": 1, "degraded_entries": 3, "lost_packets": 17, "reclaimed_packets": 40, "no_live_shard_drops": 8, "live_shards": 1, "shards": 2},
+  "swap": {"swaps": 4, "rollbacks": 1, "canary_failures": 2, "packets_transferred": 321, "rejected_configs": 3},
+  "reopt": {"windows_observed": 12, "recompiles": 2, "swaps_kept": 1, "rollbacks": 5, "thrash_suppressed": 3},
+  "checkpoints": {"checkpoints_written": 7, "checkpoint_failures": 1, "torn_discarded": 2, "restores": 3, "cold_starts": 4, "last_generation": 19, "quiesce_ns_last": 12345, "quiesce_ns_total": 99999, "packets_persisted": 42}
+}
+"#;
+
+/// The table-driven writer emits the bytes the hand-written one did —
+/// same keys, order and spacing — which is why the `grep`s over exported
+/// profiles in `.github/workflows/ci.yml` did not change with it. Every
+/// field is non-default in some row of the fixture, so reading the
+/// parent's file (as `click-profile --profile` must still be able to) and
+/// writing it back loses nothing only if reader and writer both cover
+/// every key. The one permitted difference is the two `steering` keys
+/// deleted with the steerer stage.
+#[test]
+fn same_bytes_as_before_the_field_tables() {
+    let profile = Profile::from_json(PARENT_PROFILE).expect("the parent's export loads");
+    let expected = PARENT_PROFILE
+        .replace("\"steerer\": 0, ", "")
+        .replace(", \"snoozes\": 0", "");
+    assert_eq!(profile.to_json(), expected);
+    // Spot checks that values landed in the fields their keys name.
+    assert_eq!(profile.source, "golden \"run\"\\1");
+    assert_eq!(profile.elements[1].lat_buckets[23], 7);
+    assert_eq!(profile.gauges.devices[1].device, "eth1\tx");
+    assert_eq!(profile.gauges.steering.map(|s| s.steer_ns), Some(4800));
+    assert_eq!(profile.gauges.faults.map(|f| f.live_shards), Some(1));
+    assert_eq!(profile.checkpoints.map(|c| c.packets_persisted), Some(42));
+}
+
+/// One glossary table: a header naming the struct and its section, one
+/// row per table field carrying the field's help line.
+fn glossary_table<T: GaugeSet>() -> String {
+    let mut s = format!(
+        "**`{}`** (`\"{}\"`):\n\n| gauge | counts |\n|---|---|\n",
+        T::NAME,
+        T::SECTION
+    );
+    for f in T::FIELDS {
+        s.push_str(&format!("| `{}` | {} |\n", f.key, f.help()));
+    }
+    s
+}
+
+/// OPERATIONS.md's "Gauge glossary" is output, not prose: its tables are
+/// exactly what the field tables render to, so a gauge is documented by
+/// declaring it and cannot be documented differently from its doc
+/// comment. On a mismatch, paste the text this test prints.
+#[test]
+fn operations_glossary_is_generated_from_the_field_tables() {
+    let tables = [
+        glossary_table::<ShardGauges>(),
+        glossary_table::<SteerGauges>(),
+        glossary_table::<FaultGauges>(),
+        glossary_table::<SwapGauges>(),
+        glossary_table::<ReoptGauges>(),
+        glossary_table::<CheckpointGauges>(),
+        glossary_table::<DeviceGauges>(),
+    ]
+    .join("\n");
+    let doc = include_str!("../docs/OPERATIONS.md");
+    let begin = doc.find("**`ShardGauges`**").unwrap_or(doc.len());
+    let end = doc[begin..].find("\n## ").map_or(doc.len(), |i| begin + i);
+    assert_eq!(
+        doc[begin..end].trim_end(),
+        tables.trim_end(),
+        "docs/OPERATIONS.md \"Gauge glossary\" is stale; its tables should read:\n\n{tables}"
+    );
 }
