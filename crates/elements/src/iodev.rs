@@ -26,14 +26,14 @@
 //! Click configuration selects real I/O with no new syntax; scheme-less
 //! device names keep the simulated in-memory behavior.
 
-use crate::packet::Packet;
+use crate::packet::{Packet, TxFrame};
 use crate::telemetry::DeviceGauges;
 use click_core::error::{Error, Result};
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs::File;
-use std::io::{Read, Seek, SeekFrom, Write};
-use std::net::UdpSocket;
+use std::io::{BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::net::{SocketAddr, ToSocketAddrs, UdpSocket};
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -114,8 +114,8 @@ pub type IoResult<T> = std::result::Result<T, IoFault>;
 
 /// A packet source/sink underneath one named device.
 ///
-/// Backends are deliberately dumb: they move one frame per call and
-/// classify failures into [`IoFault`]s. Retry, backoff, health, and loss
+/// Backends are deliberately dumb: they move frames and classify
+/// failures into [`IoFault`]s. Retry, backoff, health, and loss
 /// accounting all live in [`SupervisedDevice`], so every backend gets the
 /// same robustness for free.
 pub trait DeviceBackend: Send + fmt::Debug {
@@ -128,6 +128,31 @@ pub trait DeviceBackend: Send + fmt::Debug {
     fn recv(&mut self) -> IoResult<Option<Packet>>;
     /// Transmits one frame.
     fn send(&mut self, frame: &[u8]) -> IoResult<()>;
+    /// Appends up to `max` received frames to `into`. Returns how many,
+    /// and the first [`DeviceBackend::recv`] outcome that was not a frame
+    /// (`Ok(())` for an exhausted source) if one ended the burst early.
+    /// The default makes one `recv` per frame.
+    fn recv_burst(
+        &mut self,
+        max: usize,
+        into: &mut VecDeque<Packet>,
+    ) -> (usize, Option<IoResult<()>>) {
+        for n in 0..max {
+            match self.recv() {
+                Ok(Some(p)) => into.push_back(p),
+                Ok(None) => return (n, Some(Ok(()))),
+                Err(fault) => return (n, Some(Err(fault))),
+            }
+        }
+        (max, None)
+    }
+    /// Transmits packets from the front of `q`, in order, taking each one
+    /// it sends. Returns how many, and the fault that stopped it; the
+    /// packet that met the fault is still at the front of `q`. The
+    /// default makes one `send` per packet.
+    fn send_burst(&mut self, q: &mut VecDeque<Packet>) -> (usize, Option<IoFault>) {
+        send_each(q, |frame| self.send(frame))
+    }
     /// Attempts to bring a `Down` device back (re-open the file,
     /// re-create the socket, re-plug the tap).
     fn reopen(&mut self) -> IoResult<()>;
@@ -135,6 +160,24 @@ pub trait DeviceBackend: Send + fmt::Debug {
     fn exhausted(&self) -> bool {
         false
     }
+}
+
+/// Hands `send` the packets at the front of `q` until one faults; that
+/// packet stays in `q`, the ones sent are recycled.
+fn send_each(
+    q: &mut VecDeque<Packet>,
+    mut send: impl FnMut(&[u8]) -> IoResult<()>,
+) -> (usize, Option<IoFault>) {
+    let mut n = 0;
+    while let Some(p) = q.pop_front() {
+        if let Err(fault) = send(p.data()) {
+            q.push_front(p);
+            return (n, Some(fault));
+        }
+        p.recycle();
+        n += 1;
+    }
+    (n, None)
 }
 
 // ---------------------------------------------------------------------------
@@ -275,6 +318,8 @@ pub struct SupervisedDevice {
     next_reopen_at: Option<Instant>,
     tx_blocked_since: Option<Instant>,
     gauges: DeviceGauges,
+    /// Storage for the one-packet burst behind `send_pkt`.
+    one: VecDeque<Packet>,
 }
 
 impl SupervisedDevice {
@@ -306,6 +351,7 @@ impl SupervisedDevice {
             next_reopen_at: None,
             tx_blocked_since: None,
             gauges,
+            one: VecDeque::new(),
         }
     }
 
@@ -380,85 +426,160 @@ impl SupervisedDevice {
     /// Receives one frame under supervision. `None` means "nothing now":
     /// empty poll, exhausted trace, or a device that is down.
     pub fn recv(&mut self) -> Option<Packet> {
-        if self.health == DeviceHealth::Down {
-            self.tick();
-            if self.health == DeviceHealth::Down {
-                return None;
-            }
-        }
-        if self.backend.exhausted() {
+        if !self.rx_ready() {
             return None;
         }
-        let mut attempts = 0u32;
+        let mut attempts = 0;
         loop {
-            match self.backend.recv() {
+            let stop = match self.backend.recv() {
                 Ok(Some(p)) => {
-                    self.gauges.rx_packets += 1;
-                    self.gauges.rx_bytes += p.len() as u64;
-                    self.record_ok();
+                    self.rx_frame(&p);
                     return Some(p);
                 }
-                Ok(None) => {
-                    self.record_ok();
-                    return None;
-                }
-                Err(IoFault::WouldBlock) => {
-                    // An empty RX poll is normal, not an error: do not
-                    // spin or sleep on an idle device.
-                    self.gauges.would_blocks += 1;
-                    return None;
-                }
-                Err(IoFault::Truncated { .. }) => {
-                    self.gauges.short_reads += 1;
-                    self.record_err();
-                }
-                Err(IoFault::Corrupt(_)) => {
-                    self.gauges.corrupt_drops += 1;
-                    self.record_err();
-                }
-                Err(fault) => {
-                    debug_assert!(fault.is_hard());
-                    self.go_down();
-                    return None;
-                }
-            }
-            if self.health == DeviceHealth::Down || attempts >= self.retry.max_retries {
+                Ok(None) => Ok(()),
+                Err(fault) => Err(fault),
+            };
+            if !self.rx_retry(stop, &mut attempts) {
                 return None;
             }
-            attempts += 1;
-            self.gauges.retries += 1;
         }
+    }
+
+    /// Receives up to `max` frames under supervision, appending them to
+    /// `into`; returns how many. Frame for frame what that many
+    /// [`SupervisedDevice::recv`] calls do, ending at the first `None`.
+    pub fn recv_burst(&mut self, max: usize, into: &mut VecDeque<Packet>) -> usize {
+        if !self.rx_ready() {
+            return 0;
+        }
+        let (mut got, mut attempts) = (0, 0);
+        while got < max {
+            let (n, stop) = self.backend.recv_burst(max - got, into);
+            for p in into.range(into.len() - n..) {
+                self.rx_frame(p);
+            }
+            got += n;
+            if n > 0 {
+                attempts = 0;
+            }
+            if stop.is_some_and(|stop| !self.rx_retry(stop, &mut attempts)) {
+                break;
+            }
+        }
+        got
+    }
+
+    /// The gate of an RX poll: a device that is down (and stays so after
+    /// a tick) or exhausted is not asked.
+    fn rx_ready(&mut self) -> bool {
+        if self.health == DeviceHealth::Down {
+            self.tick();
+        }
+        self.health != DeviceHealth::Down && !self.backend.exhausted()
+    }
+
+    fn rx_frame(&mut self, p: &Packet) {
+        self.gauges.rx_packets += 1;
+        self.gauges.rx_bytes += p.len() as u64;
+        self.record_ok();
+    }
+
+    /// Accounts the outcome that ended an RX poll without a frame; true
+    /// if the poll is to be retried, `attempts` counting the retries
+    /// spent on the frame being waited for.
+    fn rx_retry(&mut self, stop: IoResult<()>, attempts: &mut u32) -> bool {
+        match stop {
+            Ok(()) => {
+                self.record_ok();
+                return false;
+            }
+            Err(IoFault::WouldBlock) => {
+                // An empty RX poll is normal, not an error: do not
+                // spin or sleep on an idle device.
+                self.gauges.would_blocks += 1;
+                return false;
+            }
+            Err(IoFault::Truncated { .. }) => {
+                self.gauges.short_reads += 1;
+                self.record_err();
+            }
+            Err(IoFault::Corrupt(_)) => {
+                self.gauges.corrupt_drops += 1;
+                self.record_err();
+            }
+            Err(fault) => {
+                debug_assert!(fault.is_hard());
+                self.go_down();
+                return false;
+            }
+        }
+        if self.health == DeviceHealth::Down || *attempts >= self.retry.max_retries {
+            return false;
+        }
+        *attempts += 1;
+        self.gauges.retries += 1;
+        true
     }
 
     /// Transmits one packet under supervision, retrying transient faults
     /// with exponential backoff inside the operation deadline.
     pub fn send_pkt(&mut self, p: Packet) -> SendOutcome {
-        if self.health == DeviceHealth::Down {
-            self.tick();
-            if self.health == DeviceHealth::Down {
-                return self.park_or_lose(p);
-            }
-        }
-        // The op deadline runs from the first failed attempt: a send that
-        // succeeds at once (the steady state) never reads the clock.
+        let mut one = std::mem::take(&mut self.one);
+        one.push_back(p);
+        let (sent, _) = self.send_burst(&mut one);
+        let outcome = match one.pop_front() {
+            Some(p) => SendOutcome::Pending(p),
+            None if sent == 1 => SendOutcome::Sent,
+            None => SendOutcome::Lost,
+        };
+        self.one = one;
+        outcome
+    }
+
+    /// Transmits packets from the front of `q` under supervision, each as
+    /// [`SupervisedDevice::send_pkt`] would; returns `(sent, lost)`. What
+    /// stays in `q` could not be delivered now: the caller keeps it
+    /// queued (the drain deadline is running).
+    pub fn send_burst(&mut self, q: &mut VecDeque<Packet>) -> (usize, u64) {
+        let (mut sent, mut lost) = (0, 0);
+        // Retry state of the packet at the front of `q`. Its op deadline
+        // runs from the first failed attempt: a send that succeeds at
+        // once (the steady state) never reads the clock.
         let mut started: Option<Instant> = None;
-        let deadline = Duration::from_micros(self.retry.op_deadline_us);
         let mut attempts = 0u32;
-        loop {
-            match self.backend.send(p.data()) {
-                Ok(()) => {
-                    self.gauges.tx_packets += 1;
-                    self.gauges.tx_bytes += p.len() as u64;
-                    self.record_ok();
-                    self.tx_blocked_since = None;
-                    p.recycle();
-                    return SendOutcome::Sent;
+        while !q.is_empty() {
+            if attempts == 0 && self.health == DeviceHealth::Down {
+                self.tick();
+                if self.health == DeviceHealth::Down {
+                    if !self.lose_front(q) {
+                        break;
+                    }
+                    lost += 1;
+                    continue;
                 }
-                Err(IoFault::WouldBlock) => {
+            }
+            let offered: usize = q.iter().map(Packet::len).sum();
+            let (n, fault) = self.backend.send_burst(q);
+            let left: usize = q.iter().map(Packet::len).sum();
+            self.gauges.tx_bytes += (offered - left) as u64;
+            for _ in 0..n {
+                self.gauges.tx_packets += 1;
+                self.record_ok();
+            }
+            sent += n;
+            if n > 0 {
+                self.tx_blocked_since = None;
+                (attempts, started) = (0, None);
+            }
+            let retry = fault.is_some()
+                && attempts < self.retry.max_retries
+                && started.get_or_insert_with(Instant::now).elapsed()
+                    < Duration::from_micros(self.retry.op_deadline_us);
+            let front_lost = match fault {
+                None => continue,
+                Some(IoFault::WouldBlock) => {
                     self.gauges.would_blocks += 1;
-                    if attempts < self.retry.max_retries
-                        && started.get_or_insert_with(Instant::now).elapsed() < deadline
-                    {
+                    if retry {
                         attempts += 1;
                         self.gauges.retries += 1;
                         self.gauges.backoffs += 1;
@@ -466,45 +587,46 @@ impl SupervisedDevice {
                         continue;
                     }
                     // The op failed despite retries: that is an error
-                    // signal (an EAGAIN storm), and the frame stays
-                    // queued with the drain deadline running.
+                    // signal (an EAGAIN storm).
                     self.record_err();
-                    if self.tx_blocked_since.is_none() {
-                        self.tx_blocked_since = Some(Instant::now());
-                    }
-                    return SendOutcome::Pending(p);
+                    false
                 }
-                Err(IoFault::Truncated { .. }) => {
+                Some(IoFault::Truncated { .. }) => {
                     self.gauges.short_reads += 1;
                     self.record_err();
-                    if attempts < self.retry.max_retries
-                        && started.get_or_insert_with(Instant::now).elapsed() < deadline
-                    {
+                    // As on RX, a device this error has just taken down
+                    // is not retried: the packets behind the front one
+                    // must meet the `Down` check above first.
+                    if retry && self.health != DeviceHealth::Down {
                         attempts += 1;
                         self.gauges.retries += 1;
                         continue;
                     }
-                    if self.tx_blocked_since.is_none() {
-                        self.tx_blocked_since = Some(Instant::now());
-                    }
-                    return SendOutcome::Pending(p);
+                    false
                 }
-                Err(IoFault::Corrupt(_)) => {
+                Some(IoFault::Corrupt(_)) => {
                     // The backend rejected the frame itself: retrying the
                     // same bytes cannot succeed. Accounted loss.
                     self.gauges.corrupt_drops += 1;
-                    self.gauges.drain_lost += 1;
                     self.record_err();
-                    p.recycle();
-                    return SendOutcome::Lost;
+                    self.drop_front(q);
+                    true
                 }
-                Err(fault) => {
+                Some(fault) => {
                     debug_assert!(fault.is_hard());
                     self.go_down();
-                    return self.park_or_lose(p);
+                    self.lose_front(q)
                 }
+            };
+            if !front_lost {
+                // The front packet stays queued, the drain deadline runs.
+                self.tx_blocked_since.get_or_insert_with(Instant::now);
+                break;
             }
+            lost += 1;
+            (attempts, started) = (0, None);
         }
+        (sent, lost)
     }
 
     /// True when pending TX for this device should be declared lost: the
@@ -524,18 +646,25 @@ impl SupervisedDevice {
         self.tx_blocked_since = None;
     }
 
-    fn park_or_lose(&mut self, p: Packet) -> SendOutcome {
-        if self.should_drop_pending() {
-            self.gauges.drain_lost += 1;
-            self.tx_blocked_since = None;
+    /// Declares the packet at the front of `q` lost and recycles it.
+    fn drop_front(&mut self, q: &mut VecDeque<Packet>) {
+        self.gauges.drain_lost += 1;
+        if let Some(p) = q.pop_front() {
             p.recycle();
-            SendOutcome::Lost
-        } else {
-            if self.tx_blocked_since.is_none() {
-                self.tx_blocked_since = Some(Instant::now());
-            }
-            SendOutcome::Pending(p)
         }
+    }
+
+    /// The front packet of `q` on a device that is down: lost (true) if
+    /// pending TX should be dropped, else parked under the drain deadline.
+    fn lose_front(&mut self, q: &mut VecDeque<Packet>) -> bool {
+        let lose = self.should_drop_pending();
+        if lose {
+            self.drop_front(q);
+            self.tx_blocked_since = None;
+        } else {
+            self.tx_blocked_since.get_or_insert_with(Instant::now);
+        }
+        lose
     }
 
     fn window_cap(&self) -> u32 {
@@ -702,9 +831,18 @@ pub fn open_backend(spec: &str) -> Result<Box<dyn DeviceBackend>> {
 
 #[derive(Debug, Default)]
 struct MemState {
-    rx: VecDeque<Vec<u8>>,
-    tx: Vec<Vec<u8>>,
+    rx: VecDeque<Packet>,
+    tx: Vec<TxFrame>,
     closed: bool,
+}
+
+impl MemState {
+    fn check_open(&self) -> IoResult<()> {
+        if self.closed {
+            return Err(IoFault::Down("mem backend closed".to_string()));
+        }
+        Ok(())
+    }
 }
 
 /// Shared handles onto a [`MemBackend`]'s queues, for tests and chaos
@@ -715,30 +853,43 @@ pub struct MemQueues {
 }
 
 impl MemQueues {
-    /// Queues a frame for the backend to receive.
-    pub fn push_rx(&self, frame: &[u8]) {
-        self.inner.lock().unwrap().rx.push_back(frame.to_vec());
+    fn state(&self) -> std::sync::MutexGuard<'_, MemState> {
+        self.inner
+            .lock()
+            .expect("no mem queue user panics while holding the lock")
     }
 
-    /// Takes every frame the backend has transmitted so far.
-    pub fn take_tx(&self) -> Vec<Vec<u8>> {
-        std::mem::take(&mut self.inner.lock().unwrap().tx)
+    /// Queues a frame for the backend to receive. The packet is built
+    /// here, on the caller's side, so receiving it is a pop.
+    pub fn push_rx(&self, frame: &[u8]) {
+        let p = Packet::from_data(frame);
+        self.state().rx.push_back(p);
+    }
+
+    /// Takes every frame the backend has transmitted so far. Each is the
+    /// sent packet's own buffer, back in the packet pool once dropped.
+    pub fn take_tx(&self) -> Vec<TxFrame> {
+        let mut st = self.state();
+        // The next list starts as large as this one grew: steady traffic
+        // costs the reader this one vector per take and no regrowth.
+        let next = Vec::with_capacity(st.tx.len());
+        std::mem::replace(&mut st.tx, next)
     }
 
     /// Frames waiting to be received.
     pub fn rx_len(&self) -> usize {
-        self.inner.lock().unwrap().rx.len()
+        self.state().rx.len()
     }
 
     /// Frames transmitted since the last take.
     pub fn tx_len(&self) -> usize {
-        self.inner.lock().unwrap().tx.len()
+        self.state().tx.len()
     }
 
     /// Simulates unplugging: subsequent backend ops fail `Down` until a
     /// re-open.
     pub fn close(&self) {
-        self.inner.lock().unwrap().closed = true;
+        self.state().closed = true;
     }
 }
 
@@ -771,6 +922,16 @@ impl MemBackend {
             echo: true,
         }
     }
+
+    /// Hands transmitted packets to the far side: back onto RX as the
+    /// wire would deliver them (echo), or to the reader's list.
+    fn transmit(&self, st: &mut MemState, pkts: impl Iterator<Item = Packet>) {
+        if self.echo {
+            st.rx.extend(pkts.map(Packet::into_wire));
+        } else {
+            st.tx.extend(pkts.map(Packet::into_frame));
+        }
+    }
 }
 
 impl DeviceBackend for MemBackend {
@@ -778,29 +939,42 @@ impl DeviceBackend for MemBackend {
         "mem"
     }
     fn recv(&mut self) -> IoResult<Option<Packet>> {
-        let mut st = self.q.inner.lock().unwrap();
-        if st.closed {
-            return Err(IoFault::Down("mem backend closed".to_string()));
-        }
-        match st.rx.pop_front() {
-            Some(frame) => Ok(Some(Packet::from_data(&frame))),
-            None => Err(IoFault::WouldBlock),
-        }
+        let mut st = self.q.state();
+        st.check_open()?;
+        st.rx.pop_front().map(Some).ok_or(IoFault::WouldBlock)
     }
     fn send(&mut self, frame: &[u8]) -> IoResult<()> {
-        let mut st = self.q.inner.lock().unwrap();
-        if st.closed {
-            return Err(IoFault::Down("mem backend closed".to_string()));
-        }
-        if self.echo {
-            st.rx.push_back(frame.to_vec());
-        } else {
-            st.tx.push(frame.to_vec());
-        }
+        let mut st = self.q.state();
+        st.check_open()?;
+        self.transmit(&mut st, std::iter::once(Packet::from_data(frame)));
         Ok(())
     }
+    /// One lock for the whole burst.
+    fn recv_burst(
+        &mut self,
+        max: usize,
+        into: &mut VecDeque<Packet>,
+    ) -> (usize, Option<IoResult<()>>) {
+        let mut st = self.q.state();
+        if let Err(fault) = st.check_open() {
+            return (0, Some(Err(fault)));
+        }
+        let n = max.min(st.rx.len());
+        into.extend(st.rx.drain(..n));
+        (n, (n < max).then_some(Err(IoFault::WouldBlock)))
+    }
+    /// One lock for the whole burst, and each packet's buffer moves.
+    fn send_burst(&mut self, q: &mut VecDeque<Packet>) -> (usize, Option<IoFault>) {
+        let mut st = self.q.state();
+        if let Err(fault) = st.check_open() {
+            return (0, Some(fault));
+        }
+        let n = q.len();
+        self.transmit(&mut st, q.drain(..));
+        (n, None)
+    }
     fn reopen(&mut self) -> IoResult<()> {
-        self.q.inner.lock().unwrap().closed = false;
+        self.q.state().closed = false;
         Ok(())
     }
 }
@@ -814,10 +988,11 @@ const PCAP_MAGIC_NS: u32 = 0xa1b2_3c4d;
 
 /// Writes a classic little-endian pcap file (linktype 1, Ethernet).
 /// Timestamps are a deterministic frame counter, so two writes of the
-/// same frames are bit-identical.
+/// same frames are bit-identical. Records are buffered: they are in the
+/// file after [`PcapWriter::flush`] (or drop, which cannot report errors).
 #[derive(Debug)]
 pub struct PcapWriter {
-    file: File,
+    file: BufWriter<File>,
     frames: u32,
 }
 
@@ -825,8 +1000,9 @@ impl PcapWriter {
     /// Creates the file and writes the global header.
     pub fn create(path: impl Into<PathBuf>) -> Result<PcapWriter> {
         let path = path.into();
-        let mut file = File::create(&path)
+        let file = File::create(&path)
             .map_err(|e| Error::runtime(format!("pcap create {}: {e}", path.display())))?;
+        let mut file = BufWriter::new(file);
         let mut hdr = Vec::with_capacity(24);
         hdr.extend_from_slice(&PCAP_MAGIC_US.to_le_bytes());
         hdr.extend_from_slice(&2u16.to_le_bytes()); // version major
@@ -842,15 +1018,17 @@ impl PcapWriter {
 
     /// Appends one frame record.
     pub fn write_frame(&mut self, frame: &[u8]) -> Result<()> {
-        let mut rec = Vec::with_capacity(16 + frame.len());
-        rec.extend_from_slice(&(self.frames / 1_000_000).to_le_bytes()); // ts_sec
-        rec.extend_from_slice(&(self.frames % 1_000_000).to_le_bytes()); // ts_usec
-        rec.extend_from_slice(&(frame.len() as u32).to_le_bytes()); // incl_len
-        rec.extend_from_slice(&(frame.len() as u32).to_le_bytes()); // orig_len
-        rec.extend_from_slice(frame);
+        let len = frame.len() as u32;
+        let mut hdr = [0u8; 16];
+        // ts_sec, ts_usec, incl_len, orig_len
+        let fields = [self.frames / 1_000_000, self.frames % 1_000_000, len, len];
+        for (at, v) in hdr.chunks_exact_mut(4).zip(fields) {
+            at.copy_from_slice(&v.to_le_bytes());
+        }
         self.frames += 1;
         self.file
-            .write_all(&rec)
+            .write_all(&hdr)
+            .and_then(|()| self.file.write_all(frame))
             .map_err(|e| Error::runtime(format!("pcap record write: {e}")))
     }
 
@@ -860,15 +1038,16 @@ impl PcapWriter {
             .flush()
             .map_err(|e| Error::runtime(format!("pcap flush: {e}")))
     }
+
+    fn write_all(mut self, frames: &[Vec<u8>]) -> Result<()> {
+        frames.iter().try_for_each(|f| self.write_frame(f))?;
+        self.flush()
+    }
 }
 
 /// Writes `frames` to `path` as a pcap file (test/tool convenience).
 pub fn write_pcap(path: impl Into<PathBuf>, frames: &[Vec<u8>]) -> Result<()> {
-    let mut w = PcapWriter::create(path)?;
-    for f in frames {
-        w.write_frame(f)?;
-    }
-    w.flush()
+    PcapWriter::create(path)?.write_all(frames)
 }
 
 /// Appends `frames` as records to an existing capture at `path`,
@@ -881,23 +1060,12 @@ pub fn append_pcap(path: impl Into<PathBuf>, frames: &[Vec<u8>]) -> Result<()> {
     if !has_header {
         return write_pcap(path, frames);
     }
-    let mut file = std::fs::OpenOptions::new()
+    let file = std::fs::OpenOptions::new()
         .append(true)
         .open(&path)
         .map_err(|e| Error::runtime(format!("pcap append {}: {e}", path.display())))?;
-    for (i, f) in frames.iter().enumerate() {
-        let counter = i as u32;
-        let mut rec = Vec::with_capacity(16 + f.len());
-        rec.extend_from_slice(&(counter / 1_000_000).to_le_bytes()); // ts_sec
-        rec.extend_from_slice(&(counter % 1_000_000).to_le_bytes()); // ts_usec
-        rec.extend_from_slice(&(f.len() as u32).to_le_bytes()); // incl_len
-        rec.extend_from_slice(&(f.len() as u32).to_le_bytes()); // orig_len
-        rec.extend_from_slice(f);
-        file.write_all(&rec)
-            .map_err(|e| Error::runtime(format!("pcap append write: {e}")))?;
-    }
-    file.flush()
-        .map_err(|e| Error::runtime(format!("pcap append flush: {e}")))
+    let file = BufWriter::new(file);
+    PcapWriter { file, frames: 0 }.write_all(frames)
 }
 
 /// Reads every frame of a pcap file into memory (tool convenience: the
@@ -919,17 +1087,7 @@ pub fn read_pcap(path: impl Into<PathBuf>) -> Result<Vec<Vec<u8>>> {
             path.display()
         )));
     }
-    let magic = u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]);
-    let swapped = match magic {
-        PCAP_MAGIC_US | PCAP_MAGIC_NS => false,
-        m if m.swap_bytes() == PCAP_MAGIC_US || m.swap_bytes() == PCAP_MAGIC_NS => true,
-        m => {
-            return Err(Error::runtime(format!(
-                "{}: not a pcap file (magic {m:#010x})",
-                path.display()
-            )))
-        }
-    };
+    let swapped = pcap_swapped(&bytes, &path)?;
     let mut frames = Vec::new();
     let mut at = 24usize;
     while bytes.len() - at >= 16 {
@@ -949,7 +1107,7 @@ pub fn read_pcap(path: impl Into<PathBuf>) -> Result<Vec<Vec<u8>>> {
 #[derive(Debug)]
 pub struct PcapBackend {
     path: PathBuf,
-    file: Option<File>,
+    file: Option<BufReader<File>>,
     /// Byte offset of the next unread record (survives re-open).
     offset: u64,
     swapped: bool,
@@ -976,24 +1134,26 @@ impl PcapBackend {
         })
     }
 
-    fn open_and_check(path: &PathBuf) -> Result<(File, bool)> {
-        let mut file = File::open(path)
+    fn open_and_check(path: &PathBuf) -> Result<(BufReader<File>, bool)> {
+        let file = File::open(path)
             .map_err(|e| Error::runtime(format!("pcap open {}: {e}", path.display())))?;
+        let mut file = BufReader::new(file);
         let mut hdr = [0u8; 24];
         file.read_exact(&mut hdr)
             .map_err(|e| Error::runtime(format!("pcap {} header: {e}", path.display())))?;
-        let magic = u32::from_le_bytes([hdr[0], hdr[1], hdr[2], hdr[3]]);
-        let swapped = match magic {
-            PCAP_MAGIC_US | PCAP_MAGIC_NS => false,
-            m if m.swap_bytes() == PCAP_MAGIC_US || m.swap_bytes() == PCAP_MAGIC_NS => true,
-            m => {
-                return Err(Error::runtime(format!(
-                    "{}: not a pcap file (magic {m:#010x})",
-                    path.display()
-                )))
-            }
-        };
-        Ok((file, swapped))
+        Ok((file, pcap_swapped(&hdr, path)?))
+    }
+}
+
+/// Reads the byte order off a global header's magic: true if swapped.
+fn pcap_swapped(hdr: &[u8], path: &std::path::Path) -> Result<bool> {
+    match pcap_u32(false, hdr, 0) {
+        PCAP_MAGIC_US | PCAP_MAGIC_NS => Ok(false),
+        m if m.swap_bytes() == PCAP_MAGIC_US || m.swap_bytes() == PCAP_MAGIC_NS => Ok(true),
+        m => Err(Error::runtime(format!(
+            "{}: not a pcap file (magic {m:#010x})",
+            path.display()
+        ))),
     }
 }
 
@@ -1003,6 +1163,39 @@ fn pcap_u32(swapped: bool, b: &[u8], i: usize) -> u32 {
         raw.swap_bytes()
     } else {
         raw
+    }
+}
+
+/// Reads until `buf` is full or the source ends; returns the bytes read.
+fn read_full(r: &mut impl Read, buf: &mut [u8]) -> IoResult<usize> {
+    let mut got = 0;
+    while got < buf.len() {
+        match r.read(&mut buf[got..]) {
+            Ok(0) => break,
+            Ok(n) => got += n,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(IoFault::Down(format!("pcap read: {e}"))),
+        }
+    }
+    Ok(got)
+}
+
+impl PcapBackend {
+    /// Buffers one TX record; [`PcapBackend::flush`] puts it in the file.
+    fn write(&mut self, frame: &[u8]) -> IoResult<()> {
+        match self.writer.as_mut() {
+            Some(w) => w
+                .write_frame(frame)
+                .map_err(|e| IoFault::Down(e.to_string())),
+            // A replay-only pcap device quietly sinks TX, like replaying
+            // a trace at a real interface nobody listens on.
+            None => Ok(()),
+        }
+    }
+
+    fn flush(&mut self) -> IoResult<()> {
+        let flushed = self.writer.as_mut().map_or(Ok(()), PcapWriter::flush);
+        flushed.map_err(|e| IoFault::Down(e.to_string()))
     }
 }
 
@@ -1018,15 +1211,7 @@ impl DeviceBackend for PcapBackend {
             return Err(IoFault::Down("pcap file closed".to_string()));
         };
         let mut hdr = [0u8; 16];
-        let mut got = 0usize;
-        while got < hdr.len() {
-            match file.read(&mut hdr[got..]) {
-                Ok(0) => break,
-                Ok(n) => got += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(IoFault::Down(format!("pcap read: {e}"))),
-            }
-        }
+        let got = read_full(file, &mut hdr)?;
         if got == 0 {
             // Clean end of trace.
             self.exhausted = true;
@@ -1048,35 +1233,30 @@ impl DeviceBackend for PcapBackend {
                 "pcap record claims {incl_len} bytes"
             )));
         }
-        let mut frame = vec![0u8; incl_len];
-        let mut fgot = 0usize;
-        while fgot < incl_len {
-            match file.read(&mut frame[fgot..]) {
-                Ok(0) => break,
-                Ok(n) => fgot += n,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(e) => return Err(IoFault::Down(format!("pcap read: {e}"))),
-            }
-        }
-        if fgot < incl_len {
+        // The record's bytes land in the pool frame they leave in.
+        let mut p = Packet::new(incl_len);
+        let got = read_full(file, p.data_mut());
+        if got != Ok(incl_len) {
+            p.recycle();
+            let got = got?;
             self.exhausted = true;
             return Err(IoFault::Truncated {
                 expected: incl_len,
-                got: fgot,
+                got,
             });
         }
         self.offset += 16 + incl_len as u64;
-        Ok(Some(Packet::from_data(&frame)))
+        Ok(Some(p))
     }
+    /// Outside a burst every frame sent is in the file.
     fn send(&mut self, frame: &[u8]) -> IoResult<()> {
-        match self.writer.as_mut() {
-            Some(w) => w
-                .write_frame(frame)
-                .map_err(|e| IoFault::Down(e.to_string())),
-            // A replay-only pcap device quietly sinks TX, like replaying
-            // a trace at a real interface nobody listens on.
-            None => Ok(()),
-        }
+        self.write(frame)?;
+        self.flush()
+    }
+    /// One flush, and so one write to the file, for the burst.
+    fn send_burst(&mut self, q: &mut VecDeque<Packet>) -> (usize, Option<IoFault>) {
+        let (n, fault) = send_each(q, |frame| self.write(frame));
+        (n, fault.or(self.flush().err()))
     }
     fn reopen(&mut self) -> IoResult<()> {
         let (mut file, swapped) =
@@ -1103,20 +1283,32 @@ impl DeviceBackend for PcapBackend {
 pub struct UdpBackend {
     bind: String,
     peer: Option<String>,
+    /// `peer` as resolved by the last (re-)open: sends never resolve.
+    peer_addr: Option<SocketAddr>,
     sock: Option<UdpSocket>,
     buf: Vec<u8>,
 }
 
 impl UdpBackend {
-    /// Binds the socket.
+    /// Binds the socket and resolves the peer.
     pub fn open(bind: &str, peer: Option<String>) -> Result<UdpBackend> {
+        let peer_addr = peer.as_deref().map(Self::resolve).transpose()?;
         let sock = Self::make_socket(bind)?;
         Ok(UdpBackend {
             bind: bind.to_string(),
             peer,
+            peer_addr,
             sock: Some(sock),
             buf: vec![0u8; 65536],
         })
+    }
+
+    fn resolve(peer: &str) -> Result<SocketAddr> {
+        let addr = peer
+            .to_socket_addrs()
+            .ok()
+            .and_then(|mut found| found.next());
+        addr.ok_or_else(|| Error::runtime(format!("udp peer `{peer}` does not resolve")))
     }
 
     fn make_socket(bind: &str) -> Result<UdpSocket> {
@@ -1147,13 +1339,13 @@ impl DeviceBackend for UdpBackend {
         }
     }
     fn send(&mut self, frame: &[u8]) -> IoResult<()> {
-        let Some(peer) = self.peer.as_ref() else {
+        let Some(peer) = self.peer_addr else {
             return Err(IoFault::Down("udp backend has no peer address".to_string()));
         };
         let Some(sock) = self.sock.as_ref() else {
             return Err(IoFault::Down("udp socket closed".to_string()));
         };
-        match sock.send_to(frame, peer.as_str()) {
+        match sock.send_to(frame, peer) {
             Ok(n) if n == frame.len() => Ok(()),
             Ok(n) => Err(IoFault::Truncated {
                 expected: frame.len(),
@@ -1168,7 +1360,10 @@ impl DeviceBackend for UdpBackend {
         }
     }
     fn reopen(&mut self) -> IoResult<()> {
-        self.sock = Some(Self::make_socket(&self.bind).map_err(|e| IoFault::Down(e.to_string()))?);
+        let down = |e: Error| IoFault::Down(e.to_string());
+        let peer = self.peer.as_deref().map(Self::resolve);
+        self.peer_addr = peer.transpose().map_err(down)?;
+        self.sock = Some(Self::make_socket(&self.bind).map_err(down)?);
         Ok(())
     }
 }
@@ -2018,6 +2213,14 @@ mod tests {
                 Err(e) => panic!("udp recv: {e}"),
             }
         }
+    }
+
+    #[test]
+    fn udp_peer_is_resolved_at_open() {
+        // No resolver lookup on the packet path, and no device that opens
+        // fine only to die on its first send.
+        let err = open_backend("udp:127.0.0.1:0>not an address").unwrap_err();
+        assert!(err.to_string().contains("`not an address`"), "{err}");
     }
 
     #[test]

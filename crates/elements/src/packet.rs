@@ -193,6 +193,28 @@ impl Packet {
         p
     }
 
+    /// The packet as a device's far side receives it: only bytes cross a
+    /// wire, so annotations are reset and the data sits at the default
+    /// headroom again (copied only if an element moved `head`).
+    pub(crate) fn into_wire(mut self) -> Packet {
+        if self.head != DEFAULT_HEADROOM {
+            let fresh = Packet::from_data(self.data());
+            self.recycle();
+            return fresh;
+        }
+        self.anno = Anno::default();
+        self
+    }
+
+    /// Hands the packet's own buffer over as a transmitted frame.
+    pub(crate) fn into_frame(self) -> TxFrame {
+        TxFrame {
+            buf: self.buf,
+            head: self.head,
+            tail: self.tail,
+        }
+    }
+
     /// The packet contents.
     #[inline]
     pub fn data(&self) -> &[u8] {
@@ -335,6 +357,51 @@ impl fmt::Debug for Packet {
             .map(|b| format!("{b:02x}"))
             .collect();
         write!(f, ", data {}..)", preview.join(" "))
+    }
+}
+
+/// A frame a device transmitted, handed to whoever reads the far side:
+/// the bytes of the packet that carried it, in that packet's own buffer.
+/// Dereferences to the bytes; dropping it returns the buffer to this
+/// thread's packet pool, so a reader that only looks allocates nothing
+/// and one that keeps the frame converts it `into` a `Vec<u8>`.
+pub struct TxFrame {
+    buf: Vec<u8>,
+    head: usize,
+    tail: usize,
+}
+
+impl std::ops::Deref for TxFrame {
+    type Target = [u8];
+    fn deref(&self) -> &[u8] {
+        &self.buf[self.head..self.tail]
+    }
+}
+
+impl Drop for TxFrame {
+    fn drop(&mut self) {
+        // `try_with`: a frame dropped while its thread tears down just
+        // frees its buffer.
+        let buf = std::mem::take(&mut self.buf);
+        let _ = POOL.try_with(|p| p.borrow_mut().recycle(buf));
+    }
+}
+
+impl From<TxFrame> for Vec<u8> {
+    fn from(frame: TxFrame) -> Vec<u8> {
+        frame.to_vec()
+    }
+}
+
+impl<T: AsRef<[u8]> + ?Sized> PartialEq<T> for TxFrame {
+    fn eq(&self, other: &T) -> bool {
+        **self == *other.as_ref()
+    }
+}
+
+impl fmt::Debug for TxFrame {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&**self, f)
     }
 }
 

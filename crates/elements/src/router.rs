@@ -11,8 +11,7 @@
 use crate::batch::{BatchEmitter, PacketBatch};
 use crate::element::{CreateCtx, DeviceId, DeviceMap, Element, Emitter, PullContext, TaskContext};
 use crate::iodev::{
-    backend_scheme, open_backend, DeviceBackend, DeviceHealth, PumpStats, SendOutcome,
-    SupervisedDevice,
+    backend_scheme, open_backend, DeviceBackend, DeviceHealth, PumpStats, SupervisedDevice,
 };
 use crate::packet::Packet;
 use crate::persist::{
@@ -448,10 +447,11 @@ impl DeviceBank {
             .sum()
     }
 
-    /// One pump round: moves up to `burst` frames per device from each
-    /// backend into its RX queue, and drains each TX queue into its
-    /// backend under the supervision rules (retry, backoff, drain
-    /// deadline). Devices without backends are untouched.
+    /// One pump round, one burst per device and direction: drains each TX
+    /// queue into its backend under the supervision rules (retry,
+    /// backoff, drain deadline), then moves up to `burst` frames from the
+    /// backend into the RX queue — in that order, so a poll sees what the
+    /// send looped back. Devices without backends are untouched.
     pub fn pump(&mut self, burst: usize) -> PumpStats {
         let mut stats = PumpStats::default();
         for i in 0..self.backends.len() {
@@ -459,48 +459,27 @@ impl DeviceBank {
                 continue;
             };
             sup.tick();
-            // RX: backend -> rx queue.
-            for _ in 0..burst.max(1) {
-                let Some(p) = sup.recv() else { break };
-                self.rx[i].push_back(p);
-                stats.rx += 1;
-            }
             // TX: tx queue -> backend, in order; a blocked device keeps
             // its queue (deadline running), a dead-past-deadline device
-            // converts it to accounted loss.
-            if self.tx[i].is_empty() {
-                continue;
-            }
-            if sup.should_drop_pending() {
-                let q = std::mem::take(&mut self.tx[i]);
-                let n = q.len() as u64;
-                for p in q {
-                    p.recycle();
-                }
+            // converts it to accounted loss. Either way the queue keeps
+            // its storage.
+            let tx = &mut self.tx[i];
+            if tx.is_empty() {
+                // Nothing to send.
+            } else if sup.should_drop_pending() {
+                let n = tx.len() as u64;
+                tx.drain(..).for_each(Packet::recycle);
                 sup.count_drain_lost(n);
                 stats.lost += n;
-                continue;
+            } else {
+                let mut q = VecDeque::from(std::mem::take(tx));
+                let (sent, lost) = sup.send_burst(&mut q);
+                *tx = Vec::from(q);
+                stats.tx += sent;
+                stats.lost += lost;
             }
-            let mut q = std::mem::take(&mut self.tx[i]);
-            let mut it = q.drain(..);
-            let mut parked = None;
-            while let Some(p) = it.next() {
-                match sup.send_pkt(p) {
-                    SendOutcome::Sent => stats.tx += 1,
-                    SendOutcome::Lost => stats.lost += 1,
-                    SendOutcome::Pending(p) => {
-                        // Put the head back, keep order, stop this device.
-                        let mut rest: Vec<Packet> = Vec::with_capacity(it.len() + 1);
-                        rest.push(p);
-                        rest.extend(it.by_ref());
-                        parked = Some(rest);
-                        break;
-                    }
-                }
-            }
-            drop(it);
-            // A fully sent queue keeps its storage for the next round.
-            self.tx[i] = parked.unwrap_or(q);
+            // RX: backend -> rx queue.
+            stats.rx += sup.recv_burst(burst.max(1), &mut self.rx[i]);
         }
         stats
     }
@@ -1362,9 +1341,9 @@ impl<S: Slot> Router<S> {
 
     /// Runs the router over its real device backends: each round pumps
     /// frames backend -> RX, schedules tasks until idle, and drains TX ->
-    /// backend, until a full round moves nothing (trace exhausted, TX
-    /// flushed or accounted lost) or `max_rounds` passes. Returns the
-    /// cumulative pump totals.
+    /// backend, until the drain finds nothing more to receive (trace
+    /// exhausted, TX flushed or accounted lost) or `max_rounds` passes.
+    /// Returns the cumulative pump totals.
     ///
     /// With no backends attached this returns immediately — the
     /// simulated harness loops stay in charge.
@@ -1382,7 +1361,12 @@ impl<S: Slot> Router<S> {
             let drain = self.devices.pump(burst);
             totals.absorb(round);
             totals.absorb(drain);
-            if round.idle() && drain.idle() && moved == 0 {
+            // The drain polled every RX after sending: with nothing
+            // received, lost or parked there is nothing left to move. A
+            // parked frame (blocked device, drain deadline running) waits
+            // for a whole round to move nothing.
+            let settled = drain.rx == 0 && drain.lost == 0 && self.devices.tx_backlog() == 0;
+            if settled || (round.idle() && drain.idle() && moved == 0) {
                 break;
             }
         }

@@ -175,14 +175,13 @@ fn device_rounds_allocate_only_what_the_backend_api_forces() {
     let mut forwarded = 0;
     let allocs = allocations_in(|| forwarded = wire_pass(&mut router, &queues, &frames));
     assert_eq!(forwarded, FRAMES);
-    // Two per frame are the `MemBackend` API's own: `push_rx` copies the
-    // frame into the backend's RX queue and `send` copies it into the TX
-    // list. `take_tx` also carries that list's storage away, so each
-    // interface's list grows again from nothing: at most log2(FRAMES) + 1
-    // doublings. Nothing else may allocate.
-    let regrowth = IFACES as u64 * (u64::from(FRAMES.ilog2()) + 1);
+    // No frame costs an allocation: `push_rx` builds the packet in a pool
+    // buffer, `recv` pops it, `send` moves that buffer to the TX list and
+    // the reader's drop returns it to the pool. What is left is the
+    // reader's own: each `take_tx` carries its list away and leaves one
+    // of the same size behind, one vector per interface and no regrowth.
     assert!(
-        allocs <= 2 * FRAMES as u64 + regrowth,
+        allocs <= IFACES as u64,
         "{allocs} heap allocations in {FRAMES} frames wire to wire"
     );
 }

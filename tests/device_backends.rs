@@ -170,6 +170,47 @@ fn pcap_replay_matches_memory_injection_sharded() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Only bytes cross a device. `mem:` echo hands the transmitted packet's
+/// own buffer back to RX, so whatever the graph hung on it before
+/// `ToDevice` — paint, the destination annotation, a `head` moved by
+/// `Strip` — must be gone when `FromDevice` sees the frame again.
+#[test]
+fn echoed_frames_carry_bytes_only() {
+    for (strip, ip_offset) in [("", 30), ("-> Strip(14) ", 16)] {
+        let graph = read_config(&format!(
+            "FromDevice(in0) -> Paint(3) {strip}-> GetIPAddress({ip_offset}) \
+             -> Queue(64) -> ToDevice(mem:loop); \
+             FromDevice(mem:loop) -> cp :: CheckPaint(3); \
+             cp[0] -> Queue(64) -> ToDevice(plain); \
+             cp[1] -> Queue(64) -> ToDevice(painted);"
+        ))
+        .unwrap();
+        let mut e = serial(&graph, false);
+        assert_eq!(e.open_backends().unwrap(), 1);
+        let frames = trace_frames(8);
+        let in0 = e.device("in0").unwrap();
+        for f in &frames {
+            e.inject(in0, Packet::from_data(f));
+        }
+        e.run_devices(100).unwrap();
+
+        let mut tx = PacketBatch::new();
+        e.drain_tx_into(e.device("painted").unwrap(), &mut tx);
+        assert_eq!(tx.len(), 0, "paint crossed the device (strip: {strip:?})");
+        e.drain_tx_into(e.device("plain").unwrap(), &mut tx);
+        assert_eq!(tx.len(), frames.len());
+        for (p, f) in tx.iter().zip(&frames) {
+            let sent = &f[f.len() - p.len()..];
+            assert_eq!(p.data(), sent);
+            assert_eq!((p.anno.paint, p.anno.dst_ip), (0, None));
+            let fresh = Packet::from_data(sent);
+            assert_eq!(p.alignment_offset(), fresh.alignment_offset());
+            fresh.recycle();
+        }
+        tx.recycle_packets();
+    }
+}
+
 #[test]
 fn udp_loopback_end_to_end() {
     // Host-side sockets: one feeds the router's RX, one receives its TX.

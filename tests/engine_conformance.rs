@@ -209,7 +209,7 @@ fn script(
     }
     assert_eq!((pumped.rx, pumped.lost), (128, 0));
     b.offered += pumped.rx as u64;
-    b.frames.extend(out_q.take_tx());
+    b.frames.extend(out_q.take_tx().into_iter().map(Vec::from));
     b.check(&*e, "run_devices");
     let g = e.gauges();
     assert_eq!(
