@@ -60,7 +60,8 @@ impl PoolStats {
 
 #[derive(Default)]
 struct Pool {
-    bufs: Vec<Vec<u8>>,
+    /// Retired blocks, most recently retired (cache-warm) last.
+    blocks: Vec<Packet>,
     stats: PoolStats,
 }
 
@@ -69,29 +70,40 @@ thread_local! {
 }
 
 impl Pool {
-    /// A zeroed buffer of exactly `len` bytes, reusing retired capacity
-    /// when possible (Click's packet-pool analogue: the buffer vector is
-    /// the `sk_buff` data area).
-    fn alloc(&mut self, len: usize) -> Vec<u8> {
-        // Retired buffers all come from the same forwarding path, so the
-        // most recently retired one (cache-warm) almost always fits.
-        for i in (0..self.bufs.len()).rev() {
-            if self.bufs[i].capacity() >= len {
-                let mut buf = self.bufs.swap_remove(i);
-                buf.clear();
-                buf.resize(len, 0);
-                self.stats.hits += 1;
-                return buf;
-            }
+    /// A block with fresh annotations and a zeroed buffer of exactly
+    /// `len` bytes (Click's packet-pool analogue: the block is the
+    /// `sk_buff`, its buffer the data area); the caller sets the data
+    /// bounds. Retired blocks all come from the same forwarding path, so
+    /// the most recently retired one almost always fits; when it is short
+    /// it gets a new buffer, and is the one handed out next time.
+    fn alloc(&mut self, len: usize) -> Packet {
+        let Some(mut p) = self.blocks.pop() else {
+            self.stats.misses += 1;
+            return Packet(Box::new(PacketBlock {
+                buf: vec![0u8; len],
+                head: 0,
+                tail: 0,
+                anno: Anno::default(),
+            }));
+        };
+        // The capacity check dominates the zero-fill, so the hit path is
+        // a `resize` known to be in capacity: a plain memset.
+        if p.buf.capacity() >= len {
+            self.stats.hits += 1;
+            p.buf.clear();
+            p.buf.resize(len, 0);
+        } else {
+            self.stats.misses += 1;
+            p.buf = vec![0u8; len];
         }
-        self.stats.misses += 1;
-        vec![0u8; len]
+        p.anno = Anno::default();
+        p
     }
 
-    fn recycle(&mut self, buf: Vec<u8>) {
-        if self.bufs.len() < POOL_CAPACITY && (1..=POOL_MAX_BUF).contains(&buf.capacity()) {
+    fn recycle(&mut self, p: Packet) {
+        if self.blocks.len() < POOL_CAPACITY && (1..=POOL_MAX_BUF).contains(&p.buf.capacity()) {
             self.stats.recycled += 1;
-            self.bufs.push(buf);
+            self.blocks.push(p);
         } else {
             self.stats.dropped += 1;
         }
@@ -109,9 +121,9 @@ pub fn reset_pool_stats() {
     POOL.with(|p| p.borrow_mut().stats = PoolStats::default());
 }
 
-/// Releases every pooled buffer on this thread (test isolation).
+/// Releases every pooled block on this thread (test isolation).
 pub fn drain_pool() {
-    POOL.with(|p| p.borrow_mut().bufs.clear());
+    POOL.with(|p| p.borrow_mut().blocks.clear());
 }
 
 /// Out-of-band per-packet annotations.
@@ -134,8 +146,10 @@ pub struct Anno {
     pub timestamp: u64,
 }
 
-/// A network packet: an owned byte buffer with headroom/tailroom and
-/// annotations.
+/// A network packet: an owning, pointer-sized handle to one pooled
+/// [`PacketBlock`] — as Click hands its neighbour a `Packet *`, an element
+/// here is handed eight bytes however large the block is. Dereferences
+/// to the block for its annotations (`p.anno.paint`).
 ///
 /// # Examples
 ///
@@ -150,12 +164,39 @@ pub struct Anno {
 /// assert_eq!(p.len(), 20);
 /// ```
 #[derive(PartialEq, Eq)]
-pub struct Packet {
+pub struct Packet(Box<PacketBlock>);
+
+/// What a [`Packet`] points to: a byte buffer with headroom/tailroom,
+/// the bounds of the data in it, and annotations.
+#[derive(PartialEq, Eq)]
+pub struct PacketBlock {
     buf: Vec<u8>,
     head: usize,
     tail: usize,
     /// Annotations.
     pub anno: Anno,
+}
+
+// Every work stack, emitter, batch, queue and ring entry carries a
+// `Packet` by value: it must stay a pointer, with `None` in its niche.
+const _: () = {
+    assert!(std::mem::size_of::<Packet>() == std::mem::size_of::<usize>());
+    assert!(std::mem::size_of::<Option<Packet>>() == std::mem::size_of::<usize>());
+};
+
+impl std::ops::Deref for Packet {
+    type Target = PacketBlock;
+    #[inline]
+    fn deref(&self) -> &PacketBlock {
+        &self.0
+    }
+}
+
+impl std::ops::DerefMut for Packet {
+    #[inline]
+    fn deref_mut(&mut self) -> &mut PacketBlock {
+        &mut self.0
+    }
 }
 
 impl Packet {
@@ -168,22 +209,19 @@ impl Packet {
     /// Allocates a zero-filled packet with a specific headroom, which also
     /// determines the initial alignment of the data pointer.
     pub fn with_headroom(len: usize, headroom: usize) -> Packet {
-        let buf = POOL.with(|p| p.borrow_mut().alloc(headroom + len + DEFAULT_TAILROOM));
-        Packet {
-            buf,
-            head: headroom,
-            tail: headroom + len,
-            anno: Anno::default(),
-        }
+        let mut p = POOL.with(|p| p.borrow_mut().alloc(headroom + len + DEFAULT_TAILROOM));
+        p.head = headroom;
+        p.tail = headroom + len;
+        p
     }
 
-    /// Retires this packet, returning its buffer to the thread-local pool
-    /// so a later allocation can reuse the capacity without touching the
-    /// heap. Annotations die with the packet; the next allocation of the
-    /// buffer starts zeroed with a fresh [`Anno`].
+    /// Retires this packet, returning its block to the thread-local pool
+    /// so a later allocation can reuse it without touching the heap.
+    /// Annotations die with the packet; the next allocation of the block
+    /// starts zeroed with a fresh [`Anno`].
     #[inline]
     pub fn recycle(self) {
-        POOL.with(|p| p.borrow_mut().recycle(self.buf));
+        POOL.with(|p| p.borrow_mut().recycle(self));
     }
 
     /// Creates a packet holding a copy of `data`.
@@ -197,7 +235,7 @@ impl Packet {
     /// wire, so annotations are reset and the data sits at the default
     /// headroom again (copied only if an element moved `head`).
     pub(crate) fn into_wire(mut self) -> Packet {
-        if self.head != DEFAULT_HEADROOM {
+        if self.0.head != DEFAULT_HEADROOM {
             let fresh = Packet::from_data(self.data());
             self.recycle();
             return fresh;
@@ -206,31 +244,27 @@ impl Packet {
         self
     }
 
-    /// Hands the packet's own buffer over as a transmitted frame.
+    /// Hands the packet's own block over as a transmitted frame.
     pub(crate) fn into_frame(self) -> TxFrame {
-        TxFrame {
-            buf: self.buf,
-            head: self.head,
-            tail: self.tail,
-        }
+        TxFrame(Some(self))
     }
 
     /// The packet contents.
     #[inline]
     pub fn data(&self) -> &[u8] {
-        &self.buf[self.head..self.tail]
+        &self.0.buf[self.0.head..self.0.tail]
     }
 
     /// Mutable packet contents.
     #[inline]
     pub fn data_mut(&mut self) -> &mut [u8] {
-        &mut self.buf[self.head..self.tail]
+        &mut self.0.buf[self.0.head..self.0.tail]
     }
 
     /// Packet length in bytes.
     #[inline]
     pub fn len(&self) -> usize {
-        self.tail - self.head
+        self.0.tail - self.0.head
     }
 
     /// True if the packet is empty.
@@ -240,61 +274,66 @@ impl Packet {
 
     /// Available headroom in front of the data.
     pub fn headroom(&self) -> usize {
-        self.head
+        self.0.head
     }
 
     /// Available tailroom after the data.
     pub fn tailroom(&self) -> usize {
-        self.buf.len() - self.tail
+        self.0.buf.len() - self.0.tail
     }
 
     /// Removes `n` bytes from the front (e.g. stripping an Ethernet
     /// header). Removes at most `len()` bytes.
     pub fn pull(&mut self, n: usize) {
-        self.head = (self.head + n).min(self.tail);
+        self.0.head = (self.0.head + n).min(self.0.tail);
+    }
+
+    /// Moves the data into a zeroed pool buffer of `buf_len` bytes,
+    /// starting at `head` there; the old buffer retires in the block the
+    /// new one came in.
+    fn rebuffer(&mut self, buf_len: usize, head: usize) {
+        let len = self.len();
+        let mut fresh = POOL.with(|p| p.borrow_mut().alloc(buf_len));
+        fresh.buf[head..head + len].copy_from_slice(self.data());
+        std::mem::swap(&mut self.0.buf, &mut fresh.buf);
+        fresh.recycle();
+        self.0.head = head;
+        self.0.tail = head + len;
     }
 
     /// Prepends `n` bytes to the front, reallocating for extra headroom if
     /// necessary. Newly exposed bytes retain whatever the buffer held
     /// (zero for fresh allocations).
     pub fn push(&mut self, n: usize) {
-        if n > self.head {
+        if n > self.0.head {
             // Grow headroom, preserving data alignment mod 4.
-            let want = n + DEFAULT_HEADROOM;
-            let shift = want - self.head;
-            let shift = shift.div_ceil(4) * 4; // keep alignment of head
-            let mut nbuf = POOL.with(|p| p.borrow_mut().alloc(self.buf.len() + shift));
-            nbuf[self.head + shift..self.tail + shift]
-                .copy_from_slice(&self.buf[self.head..self.tail]);
-            let old = std::mem::replace(&mut self.buf, nbuf);
-            POOL.with(|p| p.borrow_mut().recycle(old));
-            self.head += shift;
-            self.tail += shift;
+            let shift = (n + DEFAULT_HEADROOM - self.0.head).div_ceil(4) * 4;
+            self.rebuffer(self.0.buf.len() + shift, self.0.head + shift);
         }
-        self.head -= n;
+        self.0.head -= n;
     }
 
     /// Removes `n` bytes from the end.
     pub fn take(&mut self, n: usize) {
-        self.tail -= n.min(self.len());
+        self.0.tail -= n.min(self.len());
     }
 
     /// Appends `n` zero bytes to the end, reallocating if necessary.
     pub fn put(&mut self, n: usize) {
         if n > self.tailroom() {
-            self.buf.resize(self.tail + n + DEFAULT_TAILROOM, 0);
+            self.0.buf.resize(self.0.tail + n + DEFAULT_TAILROOM, 0);
         }
-        for b in &mut self.buf[self.tail..self.tail + n] {
+        for b in &mut self.0.buf[self.0.tail..self.0.tail + n] {
             *b = 0;
         }
-        self.tail += n;
+        self.0.tail += n;
     }
 
     /// The alignment of the data pointer: `data() as usize % 4`, modeled
     /// as the head offset so it is deterministic. Used by alignment tests
     /// and the `Align` element.
     pub fn alignment_offset(&self) -> usize {
-        self.head % 4
+        self.0.head % 4
     }
 
     /// Copies the packet so its data starts at `offset` modulo `modulus`
@@ -310,34 +349,26 @@ impl Packet {
             "alignment modulus must be a power of two"
         );
         assert!(offset < modulus);
-        if self.head % modulus == offset {
+        if self.0.head % modulus == offset {
             return;
         }
-        let len = self.len();
         let headroom = DEFAULT_HEADROOM / modulus * modulus + offset;
-        let mut nbuf = POOL.with(|p| p.borrow_mut().alloc(headroom + len + DEFAULT_TAILROOM));
-        nbuf[headroom..headroom + len].copy_from_slice(self.data());
-        let old = std::mem::replace(&mut self.buf, nbuf);
-        POOL.with(|p| p.borrow_mut().recycle(old));
-        self.head = headroom;
-        self.tail = headroom + len;
+        self.rebuffer(headroom + self.len() + DEFAULT_TAILROOM, headroom);
     }
 }
 
 impl Clone for Packet {
-    /// Copies the packet through the pool: the clone's buffer comes from
+    /// Copies the packet through the pool: the clone's block comes from
     /// recycled capacity when available, so fan-out (`Tee`, `PaintTee`)
     /// stays allocation-free in steady state. Byte-for-byte identical to
     /// a plain field-wise copy.
     fn clone(&self) -> Packet {
-        let mut buf = POOL.with(|p| p.borrow_mut().alloc(self.buf.len()));
-        buf.copy_from_slice(&self.buf);
-        Packet {
-            buf,
-            head: self.head,
-            tail: self.tail,
-            anno: self.anno.clone(),
-        }
+        let mut p = POOL.with(|p| p.borrow_mut().alloc(self.0.buf.len()));
+        p.buf.copy_from_slice(&self.0.buf);
+        p.head = self.0.head;
+        p.tail = self.0.tail;
+        p.anno = self.anno.clone();
+        p
     }
 }
 
@@ -361,29 +392,26 @@ impl fmt::Debug for Packet {
 }
 
 /// A frame a device transmitted, handed to whoever reads the far side:
-/// the bytes of the packet that carried it, in that packet's own buffer.
-/// Dereferences to the bytes; dropping it returns the buffer to this
-/// thread's packet pool, so a reader that only looks allocates nothing
-/// and one that keeps the frame converts it `into` a `Vec<u8>`.
-pub struct TxFrame {
-    buf: Vec<u8>,
-    head: usize,
-    tail: usize,
-}
+/// the packet that carried it, seen as its bytes only. Dereferences to
+/// the bytes; dropping it returns the block to this thread's packet pool,
+/// so a reader that only looks allocates nothing and one that keeps the
+/// frame converts it `into` a `Vec<u8>`.
+pub struct TxFrame(Option<Packet>); // `None` only once `drop` has run
 
 impl std::ops::Deref for TxFrame {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.buf[self.head..self.tail]
+        self.0.as_ref().map_or(&[], |p| p.data())
     }
 }
 
 impl Drop for TxFrame {
     fn drop(&mut self) {
         // `try_with`: a frame dropped while its thread tears down just
-        // frees its buffer.
-        let buf = std::mem::take(&mut self.buf);
-        let _ = POOL.try_with(|p| p.borrow_mut().recycle(buf));
+        // frees its block.
+        if let Some(p) = self.0.take() {
+            let _ = POOL.try_with(|pool| pool.borrow_mut().recycle(p));
+        }
     }
 }
 
@@ -533,30 +561,152 @@ mod tests {
         assert!(s.misses >= 1);
     }
 
+    /// Retires a block whose every annotation is set and whose every
+    /// buffer byte is 0xEE: the next allocation on this thread gets it.
+    fn retire_dirty(len: usize) {
+        let mut p = Packet::new(len);
+        p.anno = Anno {
+            paint: 7,
+            dst_ip: Some(0x0A000001),
+            device: Some(3),
+            link_broadcast: true,
+            fix_ip_src: true,
+            timestamp: 42,
+        };
+        p.0.buf.fill(0xEE);
+        p.recycle();
+    }
+
+    /// `p` sits where it was asked to, carries `anno`, and holds nothing
+    /// but zeroes outside its data.
+    fn assert_clean(p: &Packet, headroom: usize, len: usize, anno: &Anno) {
+        assert_eq!((p.headroom(), p.len()), (headroom, len));
+        assert_eq!(&p.anno, anno, "annotations leaked through the pool");
+        let outside = p.0.buf[..p.0.head].iter().chain(&p.0.buf[p.0.tail..]);
+        assert!(
+            outside.copied().all(|b| b == 0),
+            "stale bytes leaked through the pool"
+        );
+    }
+
     #[test]
     fn pool_never_leaks_annotations_between_reuses() {
         drain_pool();
         reset_pool_stats();
+        let fresh = Anno::default();
+        let painted = Anno {
+            paint: 9,
+            ..Anno::default()
+        };
+        // Every way a block comes back out takes the dirty one: `hits`
+        // counts them.
+        retire_dirty(60);
+        let p = Packet::new(60);
+        assert_clean(&p, DEFAULT_HEADROOM, 60, &fresh);
+        assert!(p.data().iter().all(|&b| b == 0));
+
+        retire_dirty(60);
+        let p = Packet::with_headroom(60, 2);
+        assert_clean(&p, 2, 60, &fresh);
+        assert!(p.data().iter().all(|&b| b == 0));
+
+        retire_dirty(60);
+        let mut src = Packet::from_data(&[0xAB; 60]);
+        assert_clean(&src, DEFAULT_HEADROOM, 60, &fresh);
+        assert_eq!(src.data(), &[0xAB; 60]);
+
+        src.anno.paint = 9;
+        retire_dirty(60);
+        let copy = src.clone();
+        assert_clean(&copy, DEFAULT_HEADROOM, 60, &painted);
+        assert_eq!(copy, src);
+
+        // The regrow in `push` and the copy in `align_to` keep the
+        // packet's own annotations and move its bytes into the dirty
+        // block's buffer.
+        let mut p = Packet::with_headroom(8, 2);
+        p.data_mut().fill(0x11);
+        p.anno.paint = 9;
+        retire_dirty(60);
+        p.push(10);
+        assert_clean(&p, 32, 18, &painted);
+        assert_eq!(p.data(), [[0; 10].as_slice(), &[0x11; 8]].concat());
+
+        retire_dirty(60);
+        src.align_to(4, 0);
+        assert_clean(&src, 28, 60, &painted);
+        assert_eq!(src.data(), &[0xAB; 60]);
+
+        // A transmitted frame's block comes back through `drop`.
+        let mut sent = Packet::from_data(&[0xCD; 60]);
+        sent.anno.timestamp = 42;
+        let before = pool_stats();
+        drop(sent.into_frame());
+        assert_eq!(pool_stats().recycled, before.recycled + 1);
+        let p = Packet::new(60);
+        assert_clean(&p, DEFAULT_HEADROOM, 60, &fresh);
+        assert!(p.data().iter().all(|&b| b == 0));
+
+        let s = pool_stats();
+        assert_eq!((s.hits, s.misses), (8, 7), "reuse expected: {s:?}");
+    }
+
+    #[test]
+    fn large_allocation_over_a_full_pool_of_small_blocks_misses_once() {
+        drain_pool();
+        let small: Vec<Packet> = (0..POOL_CAPACITY).map(|_| Packet::new(60)).collect();
+        small.into_iter().for_each(Packet::recycle);
+        reset_pool_stats();
+        for _ in 0..100 {
+            Packet::new(1500).recycle();
+        }
+        // The top block got a 1500-byte buffer once and went back on top.
+        let s = pool_stats();
+        assert!(s.misses <= 1 && s.hits >= 99, "{s:?}");
+        drain_pool();
+    }
+
+    #[test]
+    fn a_packet_retires_into_the_pool_of_the_thread_that_recycles_it() {
+        // As in the sharded runtime: allocated by the injecting thread,
+        // dropped (recycled) by a worker.
+        reset_pool_stats();
         let mut p = Packet::new(60);
         p.anno.paint = 7;
-        p.anno.dst_ip = Some(0x0A000001);
-        p.anno.device = Some(3);
-        p.anno.link_broadcast = true;
-        p.anno.fix_ip_src = true;
-        p.anno.timestamp = 42;
         p.data_mut().fill(0xEE);
-        p.recycle();
-        let q = Packet::new(60);
-        assert_eq!(pool_stats().hits, 1, "reuse expected: {:?}", pool_stats());
-        assert_eq!(
-            q.anno,
-            Anno::default(),
-            "annotations leaked through the pool"
-        );
-        assert!(
-            q.data().iter().all(|&b| b == 0),
-            "stale bytes leaked through the pool"
-        );
+        let theirs = std::thread::spawn(move || {
+            p.recycle();
+            let q = Packet::new(60);
+            assert_clean(&q, DEFAULT_HEADROOM, 60, &Anno::default());
+            assert!(q.data().iter().all(|&b| b == 0));
+            pool_stats()
+        })
+        .join()
+        .expect("worker side is clean");
+        assert_eq!((theirs.recycled, theirs.hits, theirs.misses), (1, 1, 0));
+        assert_eq!(pool_stats().recycled, 0, "nothing came back to this thread");
+    }
+
+    #[test]
+    fn frame_dropped_during_thread_teardown_frees_instead_of_panicking() {
+        thread_local! {
+            static HELD: RefCell<Option<TxFrame>> = const { RefCell::new(None) };
+        }
+        // Thread-local destructors run in an order the test does not
+        // choose, so register `HELD` before the pool on one thread and
+        // after it on the other: on one of them the frame outlives the
+        // pool, and its drop must fall back to freeing the block.
+        for held_first in [true, false] {
+            std::thread::spawn(move || {
+                if held_first {
+                    HELD.with(|h| h.borrow_mut().take());
+                }
+                let frame = Packet::from_data(&[1, 2, 3]).into_frame();
+                HELD.with(|h| *h.borrow_mut() = Some(frame));
+            })
+            .join()
+            .expect("teardown does not panic");
+        }
     }
 
     #[test]

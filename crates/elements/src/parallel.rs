@@ -509,6 +509,9 @@ pub struct ParallelRouter {
     pending_open: Vec<Vec<Option<usize>>>,
     /// Reusable empty batch storage for injection grouping.
     storage: Vec<PacketBatch>,
+    /// Where `collect` pops the workers' outbound rings into (empty
+    /// between calls; kept for its capacity).
+    collected: Vec<ShardItem>,
     /// Per-shard adaptive enqueue burst.
     burst_ctl: Vec<AdaptiveBurst>,
     /// Ingress gauges: classification self-time on the injection thread.
@@ -612,6 +615,7 @@ impl ParallelRouter {
             pending: (0..opts.shards).map(|_| Vec::new()).collect(),
             pending_open: (0..opts.shards).map(|_| vec![None; n_dev]).collect(),
             storage: Vec::new(),
+            collected: Vec::new(),
             burst_ctl,
             ingress: SteerGaugeTracker::new(),
             steer_cache: FlowHashCache::default(),
@@ -1125,10 +1129,9 @@ impl ParallelRouter {
     /// returns how many packets arrived.
     pub fn collect(&mut self) -> usize {
         let mut moved = 0;
-        let mut items: Vec<ShardItem> = Vec::new();
         for w in &mut self.workers {
-            w.from_worker.pop_batch(usize::MAX, &mut items);
-            for (dev, mut batch) in items.drain(..) {
+            w.from_worker.pop_batch(usize::MAX, &mut self.collected);
+            for (dev, mut batch) in self.collected.drain(..) {
                 moved += batch.len();
                 self.bank.tx_push_batch(dev, &mut batch);
                 if self.storage.len() < 64 {
@@ -1862,7 +1865,11 @@ fn worker_main<S: Slot>(
                         if router.devices.tx_len(dev) == 0 {
                             continue;
                         }
-                        let mut out = free.pop().unwrap_or_default();
+                        // Sized to a burst: this storage ends up in the
+                        // injecting thread's free list, which refills it.
+                        let mut out = free
+                            .pop()
+                            .unwrap_or_else(|| PacketBatch::with_capacity(cfg.burst));
                         router.devices.drain_tx_into(dev, &mut out);
                         push_with_backpressure(
                             &output,

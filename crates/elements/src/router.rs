@@ -597,7 +597,10 @@ impl PortTable {
 ///
 /// Elements live in `Rc<RefCell<_>>` slots: packet transfers borrow the
 /// target element in place (no moves — a devirtualized enum element can
-/// be large), and a failed re-borrow detects configuration loops.
+/// be large), and a failed re-borrow detects configuration loops. The
+/// same holds for what is transferred: a [`Packet`] is an 8-byte handle
+/// to its block, so a hop moves a pointer through the work stack and the
+/// emitter (24 and 16 bytes an entry), never the block.
 pub struct Router<S: Slot> {
     slots: Vec<Rc<RefCell<S>>>,
     names: HashMap<String, usize>,
