@@ -1,11 +1,11 @@
 //! # click-bench
 //!
 //! Builders for every router variant of Figure 9 (Base, FC, DV, XF, All,
-//! MR, MR+All, Simple), the seeded [`Lcg`] the root test suites share,
-//! and the binaries in `src/bin/` that print the paper's figures from
-//! the `click-sim` cost model. Nothing here reads a clock: real-engine
-//! numbers come from the measurement spine in `benchmark/` (committed as
-//! `BENCH_spine.json` and `BENCH_spine_layers.json`).
+//! MR, MR+All, Simple) and the binaries in `src/bin/` that print the
+//! paper's figures from the `click-sim` cost model. Nothing here reads a
+//! clock: real-engine numbers come from the measurement spine in
+//! `benchmark/` (committed as `BENCH_spine.json` and
+//! `BENCH_spine_layers.json`).
 //!
 //! | figure/table | printed by |
 //! |---|---|
@@ -175,43 +175,6 @@ pub fn flag_usize(args: &[String], name: &str, default: usize) -> usize {
             .and_then(|v| v.parse::<usize>().ok())
             .filter(|&v| v >= 1)
             .unwrap_or_else(|| panic!("usage: {name} <positive integer>")),
-    }
-}
-
-/// Deterministic 64-bit LCG (MMIX constants) behind every seeded case the
-/// root test suites generate. The high bits are the well-mixed ones, so
-/// each step yields the top 31 bits of the state.
-#[derive(Debug, Clone)]
-pub struct Lcg(u64);
-
-impl Lcg {
-    /// A generator started at `seed`; equal seeds yield equal streams.
-    pub fn new(seed: u64) -> Lcg {
-        Lcg(seed)
-    }
-
-    /// Advances the state and returns its top 31 bits.
-    #[allow(clippy::should_implement_trait)] // an endless stream: no `None` to end an `Iterator`
-    pub fn next(&mut self) -> u64 {
-        self.0 = self
-            .0
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        self.0 >> 33
-    }
-
-    /// A value in `0..n`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is zero.
-    pub fn below(&mut self, n: usize) -> usize {
-        (self.next() as usize) % n
-    }
-
-    /// 32 bits from two steps (one step carries only 31).
-    pub fn word(&mut self) -> u32 {
-        (self.next() as u32) ^ ((self.next() as u32) << 16)
     }
 }
 

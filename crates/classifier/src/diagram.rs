@@ -653,13 +653,8 @@ mod tests {
     }
 
     fn lcg(seed: u64) -> impl FnMut() -> u32 {
-        let mut s = seed;
-        move || {
-            s = s
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (s >> 33) as u32
-        }
+        let mut lcg = click_core::Lcg::new(seed);
+        move || lcg.next() as u32
     }
 
     /// Field layout of the generated ACLs: src net, dst net, protocol,

@@ -488,13 +488,8 @@ mod tests {
     /// Seeded rule text for each classifier class: overlapping nets, ports
     /// and protocols, so paths share, contradict and subsume facts.
     fn seeded_config(class: &str, rules: usize, seed: u64) -> String {
-        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-        let mut rand = move |n: u64| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) % n
-        };
+        let mut lcg = click_core::Lcg::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1);
+        let mut rand = move |n: u64| lcg.next() % n;
         let mut args: Vec<String> = (1..rules)
             .map(|_| match class {
                 "Classifier" => match rand(3) {

@@ -668,13 +668,8 @@ mod tests {
     #[test]
     fn indexed_queries_equal_a_linear_scan_under_random_mutation() {
         for seed in 1..=8u64 {
-            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let mut rand = move |n: usize| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 33) as usize) % n
-            };
+            let mut lcg = crate::Lcg::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut rand = move |n: usize| lcg.below(n);
             let mut g = RouterGraph::new();
             for step in 0..600 {
                 let live: Vec<ElementId> = g.element_ids().collect();

@@ -43,6 +43,8 @@
 //! * [`archive`] — multi-file configuration bundles.
 //! * [`config`] — configuration-string utilities (argument splitting,
 //!   `$variable` substitution).
+//! * [`hash`] — the workspace's one seeded generator ([`Lcg`]) and one
+//!   hash ([`fnv1a`]).
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -52,6 +54,7 @@ pub mod check;
 pub mod config;
 pub mod error;
 pub mod graph;
+pub mod hash;
 pub mod lang;
 pub mod pushpull;
 pub mod registry;
@@ -59,3 +62,4 @@ pub mod spec;
 
 pub use error::{Error, Result};
 pub use graph::{Connection, ElementId, PortRef, RouterGraph};
+pub use hash::{fnv1a, Lcg};

@@ -39,6 +39,7 @@ use crate::element::{args, config_err, int_arg, CreateCtx, Element, Emitter};
 use crate::packet::Packet;
 use crate::swap::ElementState;
 use click_core::error::Result;
+use click_core::Lcg;
 use std::collections::VecDeque;
 
 /// Probability scale: thresholds live in a 32-bit fixed-point space so a
@@ -55,7 +56,7 @@ pub struct FaultInject {
     panic_t: u64,
     wedge_t: u64,
     delay: usize,
-    state: u64,
+    lcg: Lcg,
     /// False when a `SHARD` clause names a different shard than the one
     /// this clone was built in: the element becomes a transparent wire.
     active: bool,
@@ -92,7 +93,7 @@ impl FaultInject {
             panic_t: 0,
             wedge_t: 0,
             delay: 0,
-            state: 1,
+            lcg: Lcg::with_increment(1, 1),
             active: true,
             after: 0,
             seen: 0,
@@ -116,7 +117,7 @@ impl FaultInject {
                 "PANIC" => e.panic_t = prob_arg("PANIC", value)?,
                 "WEDGE" => e.wedge_t = prob_arg("WEDGE", value)?,
                 "DELAY" => e.delay = int_arg("FaultInject", "DELAY depth", value)?,
-                "SEED" => e.state = int_arg("FaultInject", "SEED", value)?,
+                "SEED" => e.lcg = Lcg::with_increment(int_arg("FaultInject", "SEED", value)?, 1),
                 "AFTER" => e.after = int_arg("FaultInject", "AFTER count", value)?,
                 "SHARD" => {
                     let shard: usize = int_arg("FaultInject", "SHARD index", value)?;
@@ -133,11 +134,10 @@ impl FaultInject {
         Ok(e)
     }
 
-    /// One 32-bit draw from the element's LCG (the repo's standard
-    /// multiplier; high bits are the strong ones).
+    /// One 32-bit draw from the element's LCG (high bits are the strong
+    /// ones).
     fn roll(&mut self) -> u64 {
-        self.state = self.state.wrapping_mul(6364136223846793005).wrapping_add(1);
-        self.state >> 32
+        self.lcg.step() >> 32
     }
 
     /// Sends `p` through the delay line (or straight out when `DELAY` is
@@ -214,7 +214,7 @@ impl Element for FaultInject {
         // continues instead of restarting, and the delay line's packets.
         let mut s = ElementState::new("FaultInject")
             .counter("seen", self.seen)
-            .counter("lcg", self.state)
+            .counter("lcg", self.lcg.state())
             .counter("drops", self.dropped)
             .counter("corrupted", self.corrupted)
             .counter("duplicated", self.duplicated);
@@ -227,7 +227,7 @@ impl Element for FaultInject {
         self.corrupted += state.get("corrupted");
         self.duplicated += state.get("duplicated");
         if let Some(lcg) = state.find("lcg") {
-            self.state = lcg;
+            self.lcg = Lcg::with_increment(lcg, 1);
         }
         self.line.extend(state.packets);
     }

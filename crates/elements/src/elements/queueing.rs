@@ -5,6 +5,7 @@ use crate::element::{args, config_err, int_arg, CreateCtx, Element, Emitter, Pul
 use crate::packet::Packet;
 use crate::swap::ElementState;
 use click_core::error::Result;
+use click_core::Lcg;
 use std::cell::Cell;
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -160,7 +161,7 @@ pub struct Red {
     avg_e8: u64, // EWMA of queue depth, fixed-point * 2^8
     depth: Option<Rc<Cell<usize>>>,
     drops: u64,
-    rng: u64,
+    rng: Lcg,
 }
 
 impl Red {
@@ -190,16 +191,12 @@ impl Red {
             avg_e8: 0,
             depth: None,
             drops: 0,
-            rng: 0x243F6A8885A308D3,
+            rng: Lcg::new(0x243F6A8885A308D3),
         })
     }
 
     fn next_rand_e4(&mut self) -> u64 {
-        self.rng = self
-            .rng
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (self.rng >> 33) % 10000
+        self.rng.next() % 10000
     }
 
     /// The current average queue depth estimate.

@@ -55,7 +55,14 @@ pub trait Engine: CheckpointEngine {
     /// Monotonic drop counter: element and engine drops (surviving hot
     /// swaps) plus everything device supervision declared lost.
     fn total_drops(&self) -> u64;
-    /// Cumulative per-element telemetry (merged across shards).
+    /// Arms or disarms per-element telemetry: what [`Engine::profiles`]
+    /// reads and the steering stage's clock. Off in a new engine; on,
+    /// every element call is timed, so only a caller that reads the
+    /// profiles arms it. The setting survives hot swaps and shard
+    /// restarts, and the counters keep their values while off.
+    fn set_telemetry(&mut self, on: bool);
+    /// Cumulative per-element telemetry (merged across shards): zeroes
+    /// until [`Engine::set_telemetry`] arms it.
     fn profiles(&self) -> Vec<ElementProfile>;
     /// Hot-installs `graph` from the standard element library. A report
     /// with `canary_shard: None` was not judged by the runtime (serial);
@@ -108,6 +115,9 @@ impl<S: Slot> Engine for Router<S> {
     fn total_drops(&self) -> u64 {
         Router::total_drops(self)
     }
+    fn set_telemetry(&mut self, on: bool) {
+        Router::set_telemetry(self, on);
+    }
     fn profiles(&self) -> Vec<ElementProfile> {
         self.telemetry_profiles()
     }
@@ -146,6 +156,9 @@ impl Engine for ParallelRouter {
     }
     fn total_drops(&self) -> u64 {
         ParallelRouter::total_drops(self)
+    }
+    fn set_telemetry(&mut self, on: bool) {
+        ParallelRouter::set_telemetry(self, on);
     }
     fn profiles(&self) -> Vec<ElementProfile> {
         self.telemetry_profiles()

@@ -29,6 +29,7 @@
 use crate::packet::{Packet, TxFrame};
 use crate::telemetry::DeviceGauges;
 use click_core::error::{Error, Result};
+use click_core::Lcg;
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs::File;
@@ -1755,8 +1756,6 @@ impl DeviceBackend for RawSocketBackend {
 /// Fixed-point probability denominator (matches the `FaultInject`
 /// element).
 const PROB_ONE: u64 = 1 << 32;
-/// The PCG/Knuth LCG multiplier the `FaultInject` element uses.
-const LCG_MUL: u64 = 6364136223846793005;
 
 /// A deterministic fault shim wrapped around any inner backend: the
 /// device-level sibling of the `FaultInject` element, so chaos tests and
@@ -1789,7 +1788,8 @@ pub struct FaultInjectBackend {
     ops: u64,
     down: bool,
     wedged: bool,
-    state: u64,
+    /// Steps by 1, as the `FaultInject` element's does.
+    lcg: Lcg,
 }
 
 impl FaultInjectBackend {
@@ -1810,7 +1810,7 @@ impl FaultInjectBackend {
             ops: 0,
             down: false,
             wedged: false,
-            state: 1,
+            lcg: Lcg::with_increment(1, 1),
         }
     }
 
@@ -1844,7 +1844,7 @@ impl FaultInjectBackend {
                 "DOWN-AFTER" => fb.down_after = Some(int(val)?),
                 "DOWN-FOR" => fb.down_for = int(val)? as u32,
                 "WEDGE-AFTER" => fb.wedge_after = Some(int(val)?),
-                "SEED" => fb.state = int(val)?,
+                "SEED" => fb.lcg = Lcg::with_increment(int(val)?, 1),
                 other => {
                     return Err(Error::runtime(format!(
                         "unknown fault clause `{other}` (known: DROP, TRUNCATE, EAGAIN, \
@@ -1894,7 +1894,7 @@ impl FaultInjectBackend {
     }
     /// Builder: LCG seed.
     pub fn seed(mut self, s: u64) -> Self {
-        self.state = s;
+        self.lcg = Lcg::with_increment(s, 1);
         self
     }
 
@@ -1902,8 +1902,7 @@ impl FaultInjectBackend {
         if p == 0 {
             return false;
         }
-        self.state = self.state.wrapping_mul(LCG_MUL).wrapping_add(1);
-        u64::from((self.state >> 32) as u32) < p
+        u64::from((self.lcg.step() >> 32) as u32) < p
     }
 
     /// Counts an op; returns the hard fault the op must fail with, if any.
@@ -2235,7 +2234,7 @@ mod tests {
         assert_eq!(fb.storm, 4);
         assert_eq!(fb.down_after, Some(100));
         assert_eq!(fb.down_for, 2);
-        assert_eq!(fb.state, 7);
+        assert_eq!(fb.lcg.state(), 7);
         let inner = Box::new(MemBackend::echo());
         assert!(FaultInjectBackend::parse("BOGUS 1", inner).is_err());
         let inner = Box::new(MemBackend::echo());

@@ -88,8 +88,7 @@ use crate::router::{DeviceBank, Router, Slot};
 use crate::steer::{FlowHashCache, RssSteering, MAX_SHARDS};
 use crate::swap::SwapReport;
 use crate::telemetry::{
-    self, ElementProfile, FaultGauges, Gauges, ShardGaugeTracker, ShardGauges, SteerGaugeTracker,
-    SteerGauges, SwapGauges,
+    self, ElementProfile, FaultGauges, Gauges, ShardGauges, SteerGauges, SwapGauges,
 };
 use click_core::error::{Error, Result};
 use click_core::graph::RouterGraph;
@@ -109,9 +108,10 @@ type ShardItem = (DeviceId, PacketBatch);
 /// sees it (captures the engine type `S`).
 type Validator = Box<dyn Fn(&RouterGraph) -> Result<()>>;
 
-/// A boxed replacement-worker spawner (captures the retained graph, the
-/// worker config, and the engine type `S`).
-type MakeWorker = Box<dyn Fn(usize) -> Result<Worker>>;
+/// A boxed worker spawner for `(shard, telemetry switch)` (captures the
+/// retained graph, the rest of the worker config, and the engine type
+/// `S`).
+type MakeWorker = Box<dyn Fn(usize, bool) -> Result<Worker>>;
 
 /// Task-scheduling budget a worker grants each ring item; generous —
 /// one item carries at most a burst of packets.
@@ -296,6 +296,10 @@ enum Ctrl {
     ResetPoolStats,
     /// Snapshot the shard's per-element telemetry profiles.
     Telemetry,
+    /// Arm or disarm the shard engine's per-element telemetry
+    /// ([`Router::set_telemetry`]). Same quiesced-main-loop-only
+    /// discipline as `Swap`, so a flip never lands inside a burst.
+    SetTelemetry(bool),
     /// Snapshot the shard's runtime gauges (ring depth, backoff).
     Gauges,
     /// Read the shard's aggregate drop gauge
@@ -514,8 +518,12 @@ pub struct ParallelRouter {
     collected: Vec<ShardItem>,
     /// Per-shard adaptive enqueue burst.
     burst_ctl: Vec<AdaptiveBurst>,
-    /// Ingress gauges: classification self-time on the injection thread.
-    ingress: SteerGaugeTracker,
+    /// Ingress gauges of the injection thread; `steer_ns` only while
+    /// `telemetry` is on.
+    ingress: SteerGauges,
+    /// The telemetry switch, as last set: every live shard engine has
+    /// it, and a restarted shard is spawned with it.
+    telemetry: bool,
     /// Memoized flow hashes for the inject path.
     steer_cache: FlowHashCache,
     /// The supervisor's doorbell: workers ring it when they publish
@@ -576,22 +584,28 @@ impl ParallelRouter {
             burst: opts.burst,
             backoff_spins: spins,
             ring_capacity: opts.ring_capacity,
+            telemetry: false,
         };
         let retained = Arc::new(RwLock::new(Arc::new(graph.clone())));
         let make_worker: MakeWorker = {
             let retained = Arc::clone(&retained);
             let stop = Arc::clone(&stop);
             let bell = Arc::clone(&bell);
-            Box::new(move |shard| {
+            Box::new(move |shard, telemetry| {
                 let graph = read_retained(&retained);
-                spawn_worker::<S>(&graph, WorkerCfg { shard, ..cfg }, &stop, &bell)
+                let cfg = WorkerCfg {
+                    shard,
+                    telemetry,
+                    ..cfg
+                };
+                spawn_worker::<S>(&graph, cfg, &stop, &bell)
             })
         };
         let validate: Validator =
             Box::new(|g| Router::<S>::from_graph(g, &Library::standard()).map(|_| ()));
         let mut workers = Vec::with_capacity(opts.shards);
         for shard in 0..opts.shards {
-            match make_worker(shard) {
+            match make_worker(shard, false) {
                 Ok(w) => workers.push(w),
                 Err(e) => {
                     // Already-spawned workers exit on the stop flag
@@ -617,7 +631,8 @@ impl ParallelRouter {
             storage: Vec::new(),
             collected: Vec::new(),
             burst_ctl,
-            ingress: SteerGaugeTracker::new(),
+            ingress: SteerGauges::default(),
+            telemetry: false,
             steer_cache: FlowHashCache::default(),
             bell,
             backoff_spins: spins,
@@ -661,8 +676,8 @@ impl ParallelRouter {
     }
 
     /// Live-reconfiguration gauges: completed swaps, rollbacks, canary
-    /// failures, packets transferred, and rejected configs. Always live
-    /// (not feature-gated), like [`ParallelRouter::fault_gauges`].
+    /// failures, packets transferred, and rejected configs. Always
+    /// live, like [`ParallelRouter::fault_gauges`].
     pub fn swap_gauges(&self) -> SwapGauges {
         self.swap
     }
@@ -671,7 +686,7 @@ impl ParallelRouter {
     /// unconnected-port and reentrancy drops — [`Router::total_drops`]
     /// per shard), plus packets dropped at injection because no live
     /// shard remained, plus the control-side device bank's losses (drain
-    /// deadline, abandoned backends). Always live (not feature-gated);
+    /// deadline, abandoned backends). Always live;
     /// monotonic across hot swaps because each shard's counter survives
     /// its swap. Dead or unreachable shards contribute their last known
     /// nothing (0), so a reading during a fault can transiently
@@ -1069,7 +1084,7 @@ impl ParallelRouter {
     /// the workers. If no live shard remains the packet is dropped and
     /// counted in [`FaultGauges::no_live_shard_drops`].
     pub fn inject(&mut self, dev: DeviceId, p: Packet) {
-        let t0 = telemetry::ENABLED.then(Instant::now);
+        let t0 = self.telemetry.then(Instant::now);
         let Some(shard) = self
             .steer
             .live_shard_for_cached(p.data(), dev, &mut self.steer_cache)
@@ -1078,8 +1093,9 @@ impl ParallelRouter {
             p.recycle();
             return;
         };
+        self.ingress.packets += 1;
         if let Some(t0) = t0 {
-            self.ingress.steered(0, 1, t0.elapsed().as_nanos() as u64);
+            self.ingress.steer_ns += t0.elapsed().as_nanos() as u64;
         }
         let burst = self.burst_ctl[shard].get();
         let groups = &mut self.pending[shard];
@@ -1094,7 +1110,7 @@ impl ParallelRouter {
                 batch.push(p);
                 open[dev.0] = Some(groups.len());
                 groups.push((dev, batch));
-                self.ingress.steered(1, 0, 0);
+                self.ingress.batches += 1;
             }
         }
     }
@@ -1371,7 +1387,7 @@ impl ParallelRouter {
         };
         let mut restarted = false;
         if self.workers[shard].restarts < restart_budget {
-            match (self.make_worker)(shard) {
+            match (self.make_worker)(shard, self.telemetry) {
                 Ok(mut fresh) => {
                     fresh.restarts = self.workers[shard].restarts + 1;
                     let old = std::mem::replace(&mut self.workers[shard], fresh);
@@ -1581,12 +1597,27 @@ impl ParallelRouter {
         }
     }
 
+    /// Arms or disarms telemetry on every shard engine and on the
+    /// steering clock of [`ParallelRouter::inject`]. Each live shard is
+    /// quiesced first, so what it was already handed runs under the old
+    /// setting and everything after under the new one; a shard restarted
+    /// later is spawned with it, and hot swaps carry it. Shards that
+    /// cannot answer (dead, wedged) are skipped.
+    pub fn set_telemetry(&mut self, on: bool) {
+        self.telemetry = on;
+        for s in 0..self.workers.len() {
+            if self.quiesce_shard(s).is_ok() {
+                let _ = self.workers[s].query(Ctrl::SetTelemetry(on));
+            }
+        }
+    }
+
     /// Per-element telemetry profiles merged across shards: each worker
     /// snapshots its own engine's counters
     /// ([`Router::telemetry_profiles`]) and the control plane sums
     /// records by element name, so the merged profile reads like a
-    /// serial run of the same graph. Zeroed counters unless the crate
-    /// was built with the `telemetry` feature.
+    /// serial run of the same graph. Zeroes until
+    /// [`ParallelRouter::set_telemetry`] arms the shards.
     pub fn telemetry_profiles(&self) -> Vec<ElementProfile> {
         let shards: Vec<Vec<ElementProfile>> = self
             .respondents()
@@ -1600,7 +1631,7 @@ impl ParallelRouter {
 
     /// Runtime gauges of every worker shard, in shard order: inbound-ring
     /// occupancy high-water, backoff snoozes, and batches/packets
-    /// processed. Zeroed unless built with the `telemetry` feature.
+    /// processed. Always live (kept per ring poll).
     pub fn shard_gauges(&self) -> Vec<ShardGauges> {
         self.workers
             .iter()
@@ -1614,11 +1645,11 @@ impl ParallelRouter {
             .collect()
     }
 
-    /// Ingress-steering gauges: classification self-time, batches and
-    /// packets steered on the injection thread. Zeroed unless built with
-    /// the `telemetry` feature.
+    /// Ingress-steering gauges: batches and packets steered on the
+    /// injection thread (always live) and their classification self-time
+    /// (while the telemetry switch is on).
     pub fn steer_gauges(&self) -> SteerGauges {
-        self.ingress.snapshot()
+        self.ingress
     }
 
     /// Every gauge section of the sharded runtime in one read-out.
@@ -1722,6 +1753,8 @@ struct WorkerCfg {
     burst: usize,
     backoff_spins: u32,
     ring_capacity: usize,
+    /// The telemetry switch the shard's engine starts with.
+    telemetry: bool,
 }
 
 /// Creates the rings, channels, and thread for one worker shard.
@@ -1788,24 +1821,21 @@ fn worker_main<S: Slot>(
     else {
         shared.health.store(HEALTH_BUILD_FAILED, Ordering::Release);
         bell.ring();
-        zombie_loop::<S>(
-            None,
-            &ShardGaugeTracker::new(cfg.shard),
-            &ctrl,
-            &reply,
-            &stop,
-            &shared,
-        );
+        zombie_loop::<S>(None, &ShardGauges::default(), &ctrl, &reply, &stop, &shared);
         return;
     };
     router.set_batching(cfg.batching);
     router.set_batch_burst(cfg.burst);
+    router.set_telemetry(cfg.telemetry);
     let mut n_dev = router.devices.len();
 
     let mut backoff = Backoff::new(cfg.backoff_spins);
     let mut inbox: Vec<ShardItem> = Vec::new();
     let mut free: Vec<PacketBatch> = Vec::new();
-    let mut gauges = ShardGaugeTracker::new(cfg.shard);
+    let mut gauges = ShardGauges {
+        shard: cfg.shard,
+        ..ShardGauges::default()
+    };
     // Dequeue burst: occupancy-adapted per poll.
     let capacity = input.capacity();
     let mut deq = AdaptiveBurst::new(DEQUEUE_BURST, DEQUEUE_BURST, capacity.max(DEQUEUE_BURST));
@@ -1829,24 +1859,23 @@ fn worker_main<S: Slot>(
                     &[],
                     plan.target_drops,
                 )))),
+                Ctrl::SetTelemetry(on) => {
+                    router.set_telemetry(on);
+                    CtrlReply::Pong
+                }
                 other => answer_one(&router, &gauges, other),
             };
             if reply.send(r).is_err() {
                 break; // main side gone; shutdown is imminent
             }
         }
-        // The gauge reads are const-folded away when telemetry is off
-        // (`ENABLED` is false at compile time), keeping the poll loop
-        // untouched.
-        let depth = if telemetry::ENABLED { input.len() } else { 0 };
+        gauges.ring_high_water = gauges.ring_high_water.max(input.len());
         let popped = input.pop_batch(deq.get(), &mut inbox);
         deq.observe(input.len(), capacity);
         if popped > 0 {
             backoff.reset();
-            if telemetry::ENABLED {
-                let packets = inbox.iter().map(|(_, b)| b.len() as u64).sum();
-                gauges.polled(depth, popped as u64, packets);
-            }
+            gauges.batches += popped as u64;
+            gauges.packets += inbox.iter().map(|(_, b)| b.len() as u64).sum::<u64>();
             // Fault isolation: a panic anywhere in the element graph is
             // confined to this shard. The router lives outside the catch
             // so its statistics remain readable afterwards.
@@ -1907,7 +1936,7 @@ fn worker_main<S: Slot>(
             bell.ring();
             return;
         } else {
-            gauges.snoozed();
+            gauges.backoff_snoozes += 1;
             backoff.snooze();
         }
     }
@@ -1920,7 +1949,7 @@ fn worker_main<S: Slot>(
 /// down or the main side drops the control channel.
 fn zombie_loop<S: Slot>(
     router: Option<&Router<S>>,
-    gauges: &ShardGaugeTracker,
+    gauges: &ShardGauges,
     ctrl: &mpsc::Receiver<Ctrl>,
     reply: &mpsc::Sender<CtrlReply>,
     stop: &AtomicBool,
@@ -1972,7 +2001,7 @@ fn push_with_backpressure<S: Slot>(
     output: &RingProducer<ShardItem>,
     mut item: ShardItem,
     router: &Router<S>,
-    gauges: &mut ShardGaugeTracker,
+    gauges: &mut ShardGauges,
     ctrl: &mpsc::Receiver<Ctrl>,
     reply: &mpsc::Sender<CtrlReply>,
     stop: &AtomicBool,
@@ -1990,7 +2019,7 @@ fn push_with_backpressure<S: Slot>(
             return;
         }
         answer_ctrl(router, gauges, ctrl, reply);
-        gauges.snoozed();
+        gauges.backoff_snoozes += 1;
         // A full output ring means the supervisor fell behind on
         // collection; wake it before napping.
         bell.ring();
@@ -1999,7 +2028,7 @@ fn push_with_backpressure<S: Slot>(
 }
 
 /// Answers one control query against this shard's router.
-fn answer_one<S: Slot>(router: &Router<S>, gauges: &ShardGaugeTracker, q: Ctrl) -> CtrlReply {
+fn answer_one<S: Slot>(router: &Router<S>, gauges: &ShardGauges, q: Ctrl) -> CtrlReply {
     match q {
         Ctrl::Ping => CtrlReply::Pong,
         Ctrl::Stat(elem, stat) => CtrlReply::Stat(router.stat(&elem, &stat)),
@@ -2014,7 +2043,7 @@ fn answer_one<S: Slot>(router: &Router<S>, gauges: &ShardGaugeTracker, q: Ctrl) 
             CtrlReply::Value(0)
         }
         Ctrl::Telemetry => CtrlReply::Telemetry(router.telemetry_profiles()),
-        Ctrl::Gauges => CtrlReply::Gauges(gauges.snapshot()),
+        Ctrl::Gauges => CtrlReply::Gauges(*gauges),
         Ctrl::DropGauge => CtrlReply::Value(router.total_drops()),
         // A swap needs `&mut Router`; only the worker's top-of-loop has
         // it. Anywhere else (zombies, backpressure stalls) the shard is
@@ -2029,13 +2058,16 @@ fn answer_one<S: Slot>(router: &Router<S>, gauges: &ShardGaugeTracker, q: Ctrl) 
         Ctrl::Restore(_) => CtrlReply::Restored(Box::new(Err(Error::runtime(
             "shard busy: restore requires a quiesced worker",
         )))),
+        // The switch is only sent to a quiesced live shard; a zombie
+        // forwards nothing more, so there is nothing to arm.
+        Ctrl::SetTelemetry(_) => CtrlReply::Pong,
     }
 }
 
 /// Answers every pending control query against this shard's router.
 fn answer_ctrl<S: Slot>(
     router: &Router<S>,
-    gauges: &ShardGaugeTracker,
+    gauges: &ShardGauges,
     ctrl: &mpsc::Receiver<Ctrl>,
     reply: &mpsc::Sender<CtrlReply>,
 ) {

@@ -77,12 +77,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// fingerprint carried in every checkpoint, so a warm restart can prove
 /// it resumed on the same (optimized) configuration it checkpointed.
 pub fn config_hash(text: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in text.bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    click_core::fnv1a(text.as_bytes())
 }
 
 // ---------------------------------------------------------------------

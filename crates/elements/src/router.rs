@@ -19,8 +19,8 @@ use crate::persist::{
     RestoreStats,
 };
 use crate::swap::{ElementState, SwapReport, TransferPlan};
-use crate::telemetry::{self, ElementProfile, RouterTelemetry};
 use crate::telemetry::{DeviceGauges, Gauges, SwapGauges};
+use crate::telemetry::{ElementProfile, RouterTelemetry};
 use click_core::check::check;
 use click_core::error::{Error, Result};
 use click_core::graph::RouterGraph;
@@ -840,8 +840,8 @@ impl<S: Slot> Router<S> {
     /// carrying state across: element counters and buffered packets move
     /// to same-name, same-class successors ([`TransferPlan`]), device
     /// RX/TX queues move by device name, engine drop gauges stay
-    /// monotonic, and (with the `telemetry` feature) per-element profiles
-    /// of matched elements merge into the new engine.
+    /// monotonic, and the telemetry switch and the per-element profiles
+    /// of matched elements carry into the new engine.
     ///
     /// The caller must have drained in-flight work first — for a serial
     /// router that simply means calling this between transfers, since
@@ -1015,9 +1015,9 @@ impl<S: Slot> Router<S> {
     // ---- telemetry -------------------------------------------------------
 
     /// Per-element telemetry snapshots, one per element instance, in slot
-    /// order. Counters are live only when the crate is built with the
-    /// `telemetry` feature ([`telemetry::ENABLED`]); otherwise the
-    /// profiles carry names and classes but read zero.
+    /// order. Counters cover what ran while the switch was on
+    /// ([`Router::set_telemetry`]); a router never armed hands out names
+    /// and classes with zeroes.
     pub fn telemetry_profiles(&self) -> Vec<ElementProfile> {
         let mut by_index: Vec<&str> = vec![""; self.slots.len()];
         for (name, &i) in &self.names {
@@ -1032,10 +1032,11 @@ impl<S: Slot> Router<S> {
         out
     }
 
-    /// Zeroes the telemetry counters (a no-op without the `telemetry`
-    /// feature).
-    pub fn telemetry_reset(&mut self) {
-        self.telem.reset();
+    /// Arms or disarms per-element telemetry (off in a new router). Off,
+    /// every probe on the transfer path is one untaken branch and the
+    /// counters keep what they held.
+    pub fn set_telemetry(&mut self, on: bool) {
+        self.telem.set_enabled(on);
     }
 
     // ---- batch mode ------------------------------------------------------
@@ -1110,7 +1111,7 @@ impl<S: Slot> Router<S> {
                     p.recycle();
                     continue;
                 };
-                let bytes = telemetry::packet_bytes(&p);
+                let bytes = self.telem.packet_bytes(&p);
                 self.telem.enter();
                 el.push(port, p, &mut out);
                 self.telem.exit(e, 1, bytes);
@@ -1192,7 +1193,7 @@ impl<S: Slot> Router<S> {
                     self.drops_reentrant += discard_batch(batch, &mut out);
                     continue;
                 };
-                let (packets, bytes) = telemetry::batch_volume(&batch);
+                let (packets, bytes) = self.telem.batch_volume_from(&batch, 0);
                 self.telem.enter();
                 el.push_batch(port, batch, &mut out);
                 self.telem.exit(e, packets, bytes);
@@ -1251,7 +1252,7 @@ impl<S: Slot> Router<S> {
         };
         match &p {
             Some(pkt) => {
-                let bytes = telemetry::packet_bytes(pkt);
+                let bytes = self.telem.packet_bytes(pkt);
                 self.telem.exit(elem, 1, bytes);
                 self.telem.record_out(elem, out_port, 1);
             }
@@ -1293,7 +1294,7 @@ impl<S: Slot> Router<S> {
             let mut ctx = RouterPullCtx { router: self, elem };
             el.pull_batch(out_port, max, &mut ctx, into)
         };
-        let (packets, bytes) = telemetry::batch_volume_from(into, before);
+        let (packets, bytes) = self.telem.batch_volume_from(into, before);
         self.telem.exit(elem, packets, bytes);
         if n > 0 {
             self.telem.record_out(elem, out_port, n as u64);
@@ -1637,13 +1638,8 @@ mod tests {
     fn port_tables_equal_the_graph_connections_in_order() {
         use click_core::graph::{Connection, ElementId, PortRef};
         for seed in 1..=8u64 {
-            let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            let mut rand = move |n: usize| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 33) as usize) % n
-            };
+            let mut lcg = click_core::Lcg::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let mut rand = move |n: usize| lcg.below(n);
             let mut g = RouterGraph::new();
             for step in 0..600 {
                 let live: Vec<ElementId> = g.element_ids().collect();

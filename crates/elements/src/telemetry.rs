@@ -1,5 +1,4 @@
-//! Per-element runtime telemetry, compiled in or out by the `telemetry`
-//! cargo feature.
+//! Per-element runtime telemetry behind one run-time switch.
 //!
 //! The paper evaluates optimizations by *per-element cycle attribution*
 //! (Figure 9/10 style tables); this module makes the running engines
@@ -17,13 +16,21 @@
 //! On the stack-based push engine, frames nest only under task elements,
 //! so attribution stays exact without sampling.
 //!
-//! **Zero cost when off.** Without the `telemetry` feature every probe
-//! ([`RouterTelemetry::enter`], [`RouterTelemetry::exit`], ...) is an
-//! inlined empty method on a zero-sized type and the byte-volume helpers
-//! return constants, so the optimizer removes the instrumentation
-//! entirely — the fast path stays branch-free. The snapshot types
-//! ([`ElementProfile`], [`ShardGauges`]) are always compiled so tools and
-//! benches build in both modes; with the feature off they report zeros.
+//! **One binary, off until armed.** Every probe is compiled into every
+//! build and starts with a test of the recorder's switch
+//! ([`RouterTelemetry::set_enabled`], reached through
+//! [`Engine::set_telemetry`](crate::engine::Engine::set_telemetry)); off
+//! — the default — it returns at once: no clock read, no counter write,
+//! no batch walk. That is not free, it is measured (EXPERIMENTS.md "One
+//! binary" has every pair): in a closed loop the predicted branches do
+//! not show (`ip_base` 316.4 → 314.2 ns/pkt over 10 alternating pairs,
+//! every serial workload within ±2 %), while a lone frame between idle
+//! polls runs them cold and its median latency rose 2–8 % (`ip_base`
+//! 0.729 → 0.758 µs, 9 of 10 pairs) — 9–12 % before the recording
+//! halves were moved out of line. Only what reads `profiles()` arms the
+//! switch: the reopt daemon, `click-report`, and `click-pcap --json`.
+//! Everything kept per *poll* or per rare event — the gauge structs
+//! below — is always live.
 //!
 //! **Each exported counter is declared once.** [`ElementProfile`] and the
 //! seven gauge structs are declared together with their field tables
@@ -35,10 +42,7 @@
 
 use crate::batch::PacketBatch;
 use crate::packet::Packet;
-
-/// True when the crate was compiled with the `telemetry` feature; all
-/// counters read zero when this is `false`.
-pub const ENABLED: bool = cfg!(feature = "telemetry");
+use std::time::Instant;
 
 /// Number of log2 latency buckets. Bucket `i` counts element calls whose
 /// self time needed `i` significant bits of nanoseconds, i.e. fell in
@@ -211,8 +215,8 @@ pub fn absorb<T: GaugeSet>(into: &mut T, other: &T) {
 gauge_struct! {
     "elements";
     /// One element instance's telemetry snapshot, merged across shards —
-    /// the unit record of the profile export. Always available; zeroed
-    /// when [`ENABLED`] is `false`.
+    /// the unit record of the profile export. Counts only what ran while
+    /// the switch was on ([`RouterTelemetry::set_enabled`]).
     #[derive(Debug, Clone, Default, PartialEq)]
     pub struct ElementProfile {
         /// Element instance name (configuration name, e.g. `c0`).
@@ -298,7 +302,7 @@ pub fn merge_profiles(shards: &[Vec<ElementProfile>]) -> Vec<ElementProfile> {
 gauge_struct! {
     "gauges";
     /// One worker shard's runtime gauges: how loaded its inbound ring ran
-    /// and how often it had to back off. Zeroed when [`ENABLED`] is `false`.
+    /// and how often it had to back off. Kept per ring poll, always live.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct ShardGauges {
         /// Shard index.
@@ -318,8 +322,9 @@ gauge_struct! {
 gauge_struct! {
     "steering";
     /// The ingress steering gauges of a sharded runtime: the inject
-    /// path's classification work on the control thread. Zeroed when
-    /// [`ENABLED`] is `false`.
+    /// path's classification work on the control thread. The counts are
+    /// always live; `steer_ns` reads a clock per packet and so follows
+    /// the telemetry switch.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct SteerGauges {
         /// Ingress batches classified and handed off.
@@ -334,10 +339,8 @@ gauge_struct! {
 
 gauge_struct! {
     "faults";
-    /// Supervisor fault gauges of a sharded runtime. Like every section
-    /// below these are **always live**, not gated behind the `telemetry`
-    /// feature: they are kept by the control plane on rare events, never
-    /// on the per-packet path.
+    /// Supervisor fault gauges of a sharded runtime: kept by the control
+    /// plane on rare events, never on the per-packet path.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct FaultGauges {
         /// Worker shards that died (panicked, or exited unexpectedly).
@@ -383,9 +386,7 @@ gauge_struct! {
 
 gauge_struct! {
     "reopt";
-    /// Continuous-reoptimization gauges of a `click-morph` control loop
-    /// (with the `telemetry` feature off its windows observe zero
-    /// divergence and the loop stays quiet).
+    /// Continuous-reoptimization gauges of a `click-morph` control loop.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct ReoptGauges {
         /// Telemetry windows judged, decision and judgment windows alike.
@@ -498,359 +499,226 @@ pub struct Gauges {
     pub swap: Option<SwapGauges>,
 }
 
+#[cold]
+#[inline(never)]
+fn volume_from(b: &PacketBatch, from: usize) -> (u64, u64) {
+    b.iter()
+        .skip(from)
+        .fold((0, 0), |(n, bytes), p| (n + 1, bytes + p.len() as u64))
+}
+
 /// Log2 bucket index for a self-time sample: the number of significant
 /// bits, clamped to the histogram width.
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 fn bucket_of(ns: u64) -> usize {
     ((u64::BITS - ns.leading_zeros()) as usize).min(LATENCY_BUCKETS - 1)
 }
 
-#[cfg(feature = "telemetry")]
-mod imp {
-    use super::{bucket_of, ElementProfile, ShardGauges, SteerGauges, RECENT_WINDOW};
-    use std::time::Instant;
+#[derive(Debug, Default, Clone)]
+struct Record {
+    calls: u64,
+    packets: u64,
+    bytes: u64,
+    self_ns: u64,
+    out_ports: Vec<u64>,
+    lat_buckets: Vec<u64>,
+    recent: Vec<u64>,
+    recent_pos: usize,
+}
 
-    #[derive(Debug, Default, Clone)]
-    struct Record {
-        calls: u64,
-        packets: u64,
-        bytes: u64,
-        self_ns: u64,
-        out_ports: Vec<u64>,
-        lat_buckets: Vec<u64>,
-        recent: Vec<u64>,
-        recent_pos: usize,
-    }
+#[derive(Debug)]
+struct Frame {
+    start: Instant,
+    child_ns: u64,
+}
 
-    #[derive(Debug)]
-    struct Frame {
-        start: Instant,
-        child_ns: u64,
-    }
+/// Per-element counters for one engine, behind the run-time switch: off
+/// (the default) every probe returns at once and the counters keep what
+/// they held.
+#[derive(Debug)]
+pub struct RouterTelemetry {
+    on: bool,
+    records: Vec<Record>,
+    frames: Vec<Frame>,
+}
 
-    /// Live per-element counters for one engine (feature-on build).
-    #[derive(Debug)]
-    pub struct RouterTelemetry {
-        records: Vec<Record>,
-        frames: Vec<Frame>,
-    }
-
-    impl RouterTelemetry {
-        /// Zeroed counters for `n` element slots.
-        pub fn new(n: usize) -> RouterTelemetry {
-            RouterTelemetry {
-                records: vec![Record::default(); n],
-                frames: Vec::with_capacity(8),
-            }
+impl RouterTelemetry {
+    /// Zeroed counters for `n` element slots, switched off.
+    pub fn new(n: usize) -> RouterTelemetry {
+        RouterTelemetry {
+            on: false,
+            records: vec![Record::default(); n],
+            frames: Vec::with_capacity(8),
         }
+    }
 
-        /// Opens a timing frame; pair with [`RouterTelemetry::exit`].
-        #[inline]
-        pub fn enter(&mut self) {
-            self.frames.push(Frame {
-                start: Instant::now(),
-                child_ns: 0,
-            });
+    /// Flips the switch. Turning it off discards the open frames, so a
+    /// frame an unwound element call left behind cannot outlive the run
+    /// that armed it; the counters freeze.
+    pub fn set_enabled(&mut self, on: bool) {
+        self.on = on;
+        if !on {
+            self.frames.clear();
         }
+    }
 
-        /// Closes the innermost frame, attributing its exclusive time
-        /// (total minus nested frames) plus `packets`/`bytes` to `elem`.
-        #[inline]
-        pub fn exit(&mut self, elem: usize, packets: u64, bytes: u64) {
-            let f = self.frames.pop().expect("telemetry enter/exit balanced");
-            let total = f.start.elapsed().as_nanos() as u64;
-            let self_ns = total.saturating_sub(f.child_ns);
-            if let Some(parent) = self.frames.last_mut() {
-                parent.child_ns += total;
+    /// Opens a timing frame; pair with [`RouterTelemetry::exit`].
+    #[inline(always)]
+    pub fn enter(&mut self) {
+        if self.on {
+            self.open_frame();
+        }
+    }
+
+    // The recording halves stay out of line and cold, so an un-armed
+    // engine's transfer loops carry a test and a call site per probe,
+    // not the recorder.
+    #[cold]
+    #[inline(never)]
+    fn open_frame(&mut self) {
+        self.frames.push(Frame {
+            start: Instant::now(),
+            child_ns: 0,
+        });
+    }
+
+    /// Closes the innermost frame, attributing its exclusive time
+    /// (total minus nested frames) plus `packets`/`bytes` to `elem`.
+    /// With no frame open — the switch was armed after the matching
+    /// `enter` — nothing is recorded.
+    #[inline(always)]
+    pub fn exit(&mut self, elem: usize, packets: u64, bytes: u64) {
+        if self.on {
+            self.close_frame(elem, packets, bytes);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn close_frame(&mut self, elem: usize, packets: u64, bytes: u64) {
+        let Some(f) = self.frames.pop() else {
+            return;
+        };
+        let total = f.start.elapsed().as_nanos() as u64;
+        let self_ns = total.saturating_sub(f.child_ns);
+        if let Some(parent) = self.frames.last_mut() {
+            parent.child_ns += total;
+        }
+        let r = &mut self.records[elem];
+        r.calls += 1;
+        r.packets += packets;
+        r.bytes += bytes;
+        r.self_ns += self_ns;
+        if r.lat_buckets.is_empty() {
+            // First call: both tables at their final size, so the
+            // steady state never grows them.
+            r.lat_buckets = vec![0; LATENCY_BUCKETS];
+            r.recent.reserve_exact(RECENT_WINDOW);
+        }
+        r.lat_buckets[bucket_of(self_ns)] += 1;
+        if r.recent.len() < RECENT_WINDOW {
+            r.recent.push(self_ns);
+        } else {
+            r.recent[r.recent_pos % RECENT_WINDOW] = self_ns;
+        }
+        r.recent_pos = (r.recent_pos + 1) % RECENT_WINDOW;
+    }
+
+    /// Counts `n` packets emitted by `elem` on output port `oport`.
+    #[inline(always)]
+    pub fn record_out(&mut self, elem: usize, oport: usize, n: u64) {
+        if self.on {
+            self.count_out(elem, oport, n);
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn count_out(&mut self, elem: usize, oport: usize, n: u64) {
+        let r = &mut self.records[elem];
+        if r.out_ports.len() <= oport {
+            r.out_ports.resize(oport + 1, 0);
+        }
+        r.out_ports[oport] += n;
+    }
+
+    /// Bytes in a packet about to be pushed; 0 (the length is not read)
+    /// when off.
+    #[inline]
+    pub fn packet_bytes(&self, p: &Packet) -> u64 {
+        if self.on {
+            p.len() as u64
+        } else {
+            0
+        }
+    }
+
+    /// `(packets, bytes)` volume of the batch's tail starting at `from`
+    /// (a batched pull attributes only what it newly produced); `(0, 0)`
+    /// when off, without walking the batch.
+    #[inline(always)]
+    pub fn batch_volume_from(&self, b: &PacketBatch, from: usize) -> (u64, u64) {
+        if self.on {
+            volume_from(b, from)
+        } else {
+            (0, 0)
+        }
+    }
+
+    /// Copies counters into pre-named profiles (index-aligned with
+    /// the engine's element slots).
+    pub fn fill(&self, profiles: &mut [ElementProfile]) {
+        for (r, p) in self.records.iter().zip(profiles.iter_mut()) {
+            p.calls = r.calls;
+            p.packets = r.packets;
+            p.bytes = r.bytes;
+            p.self_ns = r.self_ns;
+            p.out_ports = r.out_ports.clone();
+            if !r.lat_buckets.is_empty() {
+                p.lat_buckets = r.lat_buckets.clone();
             }
-            let r = &mut self.records[elem];
-            r.calls += 1;
-            r.packets += packets;
-            r.bytes += bytes;
-            r.self_ns += self_ns;
-            if r.lat_buckets.is_empty() {
-                // First call: both tables at their final size, so the
-                // steady state never grows them.
-                r.lat_buckets = vec![0; super::LATENCY_BUCKETS];
-                r.recent.reserve_exact(RECENT_WINDOW);
-            }
-            r.lat_buckets[bucket_of(self_ns)] += 1;
+            // Unroll the ring so samples come out oldest first.
+            p.recent_ns.clear();
             if r.recent.len() < RECENT_WINDOW {
-                r.recent.push(self_ns);
+                p.recent_ns.extend_from_slice(&r.recent);
             } else {
-                r.recent[r.recent_pos % RECENT_WINDOW] = self_ns;
-            }
-            r.recent_pos = (r.recent_pos + 1) % RECENT_WINDOW;
-        }
-
-        /// Counts `n` packets emitted by `elem` on output port `oport`.
-        #[inline]
-        pub fn record_out(&mut self, elem: usize, oport: usize, n: u64) {
-            let r = &mut self.records[elem];
-            if r.out_ports.len() <= oport {
-                r.out_ports.resize(oport + 1, 0);
-            }
-            r.out_ports[oport] += n;
-        }
-
-        /// Copies counters into pre-named profiles (index-aligned with
-        /// the engine's element slots).
-        pub fn fill(&self, profiles: &mut [ElementProfile]) {
-            for (r, p) in self.records.iter().zip(profiles.iter_mut()) {
-                p.calls = r.calls;
-                p.packets = r.packets;
-                p.bytes = r.bytes;
-                p.self_ns = r.self_ns;
-                p.out_ports = r.out_ports.clone();
-                if !r.lat_buckets.is_empty() {
-                    p.lat_buckets = r.lat_buckets.clone();
-                }
-                // Unroll the ring so samples come out oldest first.
-                p.recent_ns.clear();
-                if r.recent.len() < RECENT_WINDOW {
-                    p.recent_ns.extend_from_slice(&r.recent);
-                } else {
-                    let split = r.recent_pos % RECENT_WINDOW;
-                    p.recent_ns.extend_from_slice(&r.recent[split..]);
-                    p.recent_ns.extend_from_slice(&r.recent[..split]);
-                }
-            }
-        }
-
-        /// Zeroes every counter (frames in flight are kept).
-        pub fn reset(&mut self) {
-            for r in &mut self.records {
-                *r = Record::default();
-            }
-        }
-
-        /// Folds a predecessor engine's counters into this one across a
-        /// hot swap: `map` pairs `(old_index, new_index)` of elements
-        /// matched by the transfer plan, and each matched record's
-        /// counters and histogram sum into the successor (recent-sample
-        /// rings restart — they describe the retired engine).
-        pub fn transfer_from(&mut self, old: &RouterTelemetry, map: &[(usize, usize)]) {
-            for &(oi, ni) in map {
-                if oi >= old.records.len() || ni >= self.records.len() {
-                    continue;
-                }
-                let o = &old.records[oi];
-                let n = &mut self.records[ni];
-                n.calls += o.calls;
-                n.packets += o.packets;
-                n.bytes += o.bytes;
-                n.self_ns += o.self_ns;
-                if n.out_ports.len() < o.out_ports.len() {
-                    n.out_ports.resize(o.out_ports.len(), 0);
-                }
-                for (d, s) in n.out_ports.iter_mut().zip(&o.out_ports) {
-                    *d += s;
-                }
-                if n.lat_buckets.len() < o.lat_buckets.len() {
-                    n.lat_buckets.resize(o.lat_buckets.len(), 0);
-                }
-                for (d, s) in n.lat_buckets.iter_mut().zip(&o.lat_buckets) {
-                    *d += s;
-                }
+                let split = r.recent_pos % RECENT_WINDOW;
+                p.recent_ns.extend_from_slice(&r.recent[split..]);
+                p.recent_ns.extend_from_slice(&r.recent[..split]);
             }
         }
     }
 
-    /// Live shard gauges for one parallel worker (feature-on build).
-    #[derive(Debug)]
-    pub struct ShardGaugeTracker {
-        g: ShardGauges,
-    }
-
-    impl ShardGaugeTracker {
-        /// Zeroed gauges for shard `shard`.
-        pub fn new(shard: usize) -> ShardGaugeTracker {
-            ShardGaugeTracker {
-                g: ShardGauges {
-                    shard,
-                    ..ShardGauges::default()
-                },
+    /// Makes this recorder the successor of `old` across a hot swap: it
+    /// takes over the switch, and `map` pairs `(old_index, new_index)`
+    /// of elements matched by the transfer plan, each matched record's
+    /// counters and histogram summing into the successor (recent-sample
+    /// rings restart — they describe the retired engine).
+    pub fn transfer_from(&mut self, old: &RouterTelemetry, map: &[(usize, usize)]) {
+        self.on = old.on;
+        for &(oi, ni) in map {
+            if oi >= old.records.len() || ni >= self.records.len() {
+                continue;
+            }
+            let o = &old.records[oi];
+            let n = &mut self.records[ni];
+            n.calls += o.calls;
+            n.packets += o.packets;
+            n.bytes += o.bytes;
+            n.self_ns += o.self_ns;
+            if n.out_ports.len() < o.out_ports.len() {
+                n.out_ports.resize(o.out_ports.len(), 0);
+            }
+            for (d, s) in n.out_ports.iter_mut().zip(&o.out_ports) {
+                *d += s;
+            }
+            if n.lat_buckets.len() < o.lat_buckets.len() {
+                n.lat_buckets.resize(o.lat_buckets.len(), 0);
+            }
+            for (d, s) in n.lat_buckets.iter_mut().zip(&o.lat_buckets) {
+                *d += s;
             }
         }
-
-        /// Records one inbound-ring poll: occupancy `depth` observed
-        /// before popping, `batches` batches / `packets` packets popped.
-        #[inline]
-        pub fn polled(&mut self, depth: usize, batches: u64, packets: u64) {
-            self.g.batches += batches;
-            self.g.packets += packets;
-            if depth > self.g.ring_high_water {
-                self.g.ring_high_water = depth;
-            }
-        }
-
-        /// Records one backoff snooze.
-        #[inline]
-        pub fn snoozed(&mut self) {
-            self.g.backoff_snoozes += 1;
-        }
-
-        /// Current gauge values.
-        pub fn snapshot(&self) -> ShardGauges {
-            self.g
-        }
     }
-
-    /// Live steering gauges for the ingress stage (feature-on build).
-    #[derive(Debug, Default)]
-    pub struct SteerGaugeTracker {
-        g: SteerGauges,
-    }
-
-    impl SteerGaugeTracker {
-        /// Zeroed gauges.
-        pub fn new() -> SteerGaugeTracker {
-            SteerGaugeTracker::default()
-        }
-
-        /// Records classification work: `batches` ingress batches /
-        /// `packets` packets steered, costing `ns` of self time.
-        #[inline]
-        pub fn steered(&mut self, batches: u64, packets: u64, ns: u64) {
-            self.g.batches += batches;
-            self.g.packets += packets;
-            self.g.steer_ns += ns;
-        }
-
-        /// Current gauge values.
-        pub fn snapshot(&self) -> SteerGauges {
-            self.g
-        }
-    }
-}
-
-#[cfg(not(feature = "telemetry"))]
-mod imp {
-    use super::{ElementProfile, ShardGauges, SteerGauges};
-
-    /// No-op telemetry (feature off): every probe is an inlined empty
-    /// method on this zero-sized type, so instrumented engines compile
-    /// to exactly the uninstrumented code.
-    #[derive(Debug)]
-    pub struct RouterTelemetry;
-
-    impl RouterTelemetry {
-        /// No-op.
-        #[inline(always)]
-        pub fn new(_n: usize) -> RouterTelemetry {
-            RouterTelemetry
-        }
-        /// No-op.
-        #[inline(always)]
-        pub fn enter(&mut self) {}
-        /// No-op.
-        #[inline(always)]
-        pub fn exit(&mut self, _elem: usize, _packets: u64, _bytes: u64) {}
-        /// No-op.
-        #[inline(always)]
-        pub fn record_out(&mut self, _elem: usize, _oport: usize, _n: u64) {}
-        /// No-op: profiles keep their zeroed counters.
-        #[inline(always)]
-        pub fn fill(&self, _profiles: &mut [ElementProfile]) {}
-        /// No-op.
-        #[inline(always)]
-        pub fn reset(&mut self) {}
-        /// No-op.
-        #[inline(always)]
-        pub fn transfer_from(&mut self, _old: &RouterTelemetry, _map: &[(usize, usize)]) {}
-    }
-
-    /// No-op gauge tracker (feature off).
-    #[derive(Debug)]
-    pub struct ShardGaugeTracker;
-
-    impl ShardGaugeTracker {
-        /// No-op.
-        #[inline(always)]
-        pub fn new(_shard: usize) -> ShardGaugeTracker {
-            ShardGaugeTracker
-        }
-        /// No-op.
-        #[inline(always)]
-        pub fn polled(&mut self, _depth: usize, _batches: u64, _packets: u64) {}
-        /// No-op.
-        #[inline(always)]
-        pub fn snoozed(&mut self) {}
-        /// Zeroed gauges.
-        #[inline(always)]
-        pub fn snapshot(&self) -> ShardGauges {
-            ShardGauges::default()
-        }
-    }
-
-    /// No-op steering gauge tracker (feature off).
-    #[derive(Debug, Default)]
-    pub struct SteerGaugeTracker;
-
-    impl SteerGaugeTracker {
-        /// No-op.
-        #[inline(always)]
-        pub fn new() -> SteerGaugeTracker {
-            SteerGaugeTracker
-        }
-        /// No-op.
-        #[inline(always)]
-        pub fn steered(&mut self, _batches: u64, _packets: u64, _ns: u64) {}
-        /// Zeroed gauges.
-        #[inline(always)]
-        pub fn snapshot(&self) -> SteerGauges {
-            SteerGauges::default()
-        }
-    }
-}
-
-pub use imp::{RouterTelemetry, ShardGaugeTracker, SteerGaugeTracker};
-
-/// Bytes in a packet about to be pushed (0 when telemetry is off, so the
-/// length read folds away with the rest of the probe).
-#[cfg(feature = "telemetry")]
-#[inline]
-pub fn packet_bytes(p: &Packet) -> u64 {
-    p.len() as u64
-}
-
-/// Bytes in a packet about to be pushed (0 when telemetry is off, so the
-/// length read folds away with the rest of the probe).
-#[cfg(not(feature = "telemetry"))]
-#[inline(always)]
-pub fn packet_bytes(_p: &Packet) -> u64 {
-    0
-}
-
-/// `(packets, bytes)` volume of the batch's tail starting at `from` —
-/// used to attribute only the newly produced packets of a batched pull.
-/// `(0, 0)` when telemetry is off (the batch is not walked).
-#[cfg(feature = "telemetry")]
-#[inline]
-pub fn batch_volume_from(b: &PacketBatch, from: usize) -> (u64, u64) {
-    let mut packets = 0u64;
-    let mut bytes = 0u64;
-    for p in b.iter().skip(from) {
-        packets += 1;
-        bytes += p.len() as u64;
-    }
-    (packets, bytes)
-}
-
-/// `(packets, bytes)` volume of the batch's tail starting at `from` —
-/// used to attribute only the newly produced packets of a batched pull.
-/// `(0, 0)` when telemetry is off (the batch is not walked).
-#[cfg(not(feature = "telemetry"))]
-#[inline(always)]
-pub fn batch_volume_from(_b: &PacketBatch, _from: usize) -> (u64, u64) {
-    (0, 0)
-}
-
-/// `(packets, bytes)` volume of a whole batch; `(0, 0)` when telemetry
-/// is off.
-#[inline]
-pub fn batch_volume(b: &PacketBatch) -> (u64, u64) {
-    batch_volume_from(b, 0)
 }
 
 #[cfg(test)]
@@ -909,20 +777,22 @@ mod tests {
         assert_eq!(p.cold_ports(4), vec![1, 2, 3]);
     }
 
-    #[cfg(feature = "telemetry")]
+    fn filled(t: &RouterTelemetry, n: usize) -> Vec<ElementProfile> {
+        let mut profiles = vec![ElementProfile::new("e", "X"); n];
+        t.fill(&mut profiles);
+        profiles
+    }
+
     #[test]
     fn frames_attribute_exclusive_time() {
         let mut t = RouterTelemetry::new(2);
+        t.set_enabled(true);
         t.enter(); // elem 0 (parent)
         t.enter(); // elem 1 (child)
         std::thread::sleep(std::time::Duration::from_millis(2));
         t.exit(1, 1, 64);
         t.exit(0, 1, 64);
-        let mut profiles = vec![
-            ElementProfile::new("parent", "X"),
-            ElementProfile::new("child", "Y"),
-        ];
-        t.fill(&mut profiles);
+        let profiles = filled(&t, 2);
         // The child's sleep is excluded from the parent's self time.
         assert!(profiles[1].self_ns >= 1_000_000);
         assert!(profiles[0].self_ns < profiles[1].self_ns);
@@ -930,20 +800,60 @@ mod tests {
         assert_eq!(profiles[1].calls, 1);
     }
 
-    #[cfg(not(feature = "telemetry"))]
     #[test]
-    fn disabled_probes_report_zero() {
-        let mut t = RouterTelemetry::new(2);
+    fn probes_record_nothing_until_armed_and_freeze_when_disarmed() {
+        let mut t = RouterTelemetry::new(1);
+        let p = Packet::new(60);
+        let mut b = PacketBatch::new();
+        b.push(Packet::new(60));
+        assert_eq!(t.packet_bytes(&p), 0);
+        assert_eq!(t.batch_volume_from(&b, 0), (0, 0));
         t.enter();
         t.exit(0, 1, 64);
         t.record_out(0, 0, 1);
-        let mut profiles = vec![ElementProfile::new("a", "X")];
-        t.fill(&mut profiles);
-        assert_eq!(profiles[0].packets, 0);
-        // `ENABLED` mirroring the cfg is itself part of the contract.
-        #[allow(clippy::assertions_on_constants)]
-        {
-            assert!(!ENABLED);
-        }
+        assert_eq!(filled(&t, 1)[0], ElementProfile::new("e", "X"));
+
+        t.set_enabled(true);
+        assert_eq!(t.packet_bytes(&p), 60);
+        assert_eq!(t.batch_volume_from(&b, 0), (1, 60));
+        assert_eq!(t.batch_volume_from(&b, 1), (0, 0));
+        t.enter();
+        t.exit(0, 1, 64);
+        t.record_out(0, 0, 1);
+        let armed = filled(&t, 1);
+        assert_eq!(
+            (armed[0].calls, armed[0].packets, armed[0].bytes),
+            (1, 1, 64)
+        );
+        assert_eq!(armed[0].out_ports, vec![1]);
+
+        t.set_enabled(false);
+        t.enter();
+        t.exit(0, 1, 64);
+        t.record_out(0, 0, 1);
+        assert_eq!(filled(&t, 1), armed);
+        p.recycle();
+        b.recycle_packets();
+    }
+
+    /// A frame with no `exit` (its element call unwound) or an `exit`
+    /// with no frame (the switch was armed in between) must neither
+    /// panic nor bill anyone: disarming drops the orphan.
+    #[test]
+    fn unbalanced_frames_are_dropped_not_billed() {
+        let mut t = RouterTelemetry::new(2);
+        t.exit(0, 1, 64); // off: ignored
+        t.set_enabled(true);
+        t.exit(0, 1, 64); // armed after its `enter`: no frame, no record
+        assert_eq!(filled(&t, 2)[0].calls, 0);
+
+        t.enter(); // orphan: the call it timed never returned
+        t.set_enabled(false);
+        t.set_enabled(true);
+        t.enter();
+        t.exit(1, 1, 64);
+        t.exit(0, 0, 0); // the orphan's late `exit` finds nothing
+        let profiles = filled(&t, 2);
+        assert_eq!((profiles[0].calls, profiles[1].calls), (0, 1));
     }
 }

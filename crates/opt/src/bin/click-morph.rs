@@ -28,13 +28,11 @@
 //! [`click_elements::telemetry::ReoptGauges`] in its `"reopt"` section
 //! (windows observed, recompiles, swaps kept, rollbacks, thrash
 //! suppressed) — the CI `reopt-drill` job greps them.
-//! Build with `--features telemetry` for live counters; without it the
-//! loop observes zero divergence and stays quiet (a warning says so).
 
 use click_elements::batch::PacketBatch;
 use click_elements::engine;
 use click_elements::parallel::ParallelOpts;
-use click_elements::telemetry::{self, summary};
+use click_elements::telemetry::summary;
 use click_opt::profile::Profile;
 use click_opt::reopt::{
     demo_graph, optimize_pipeline, DemoTrace, MorphDaemon, ReoptPolicy, WindowOutcome,
@@ -116,7 +114,7 @@ fn drive(
     let profile = Profile {
         source: label.to_owned(),
         shards,
-        telemetry: telemetry::ENABLED,
+        telemetry: true,
         elements: target.profiles(),
         reopt: Some(gauges),
         ..Profile::default()
@@ -180,12 +178,6 @@ fn main() {
         }
     }
     let shift_at = shift_at.unwrap_or(windows / 2);
-    if !telemetry::ENABLED {
-        eprintln!(
-            "click-morph: warning: built without `--features telemetry`; \
-             the loop sees no divergence and will never recompile"
-        );
-    }
 
     let graph = demo_graph(branches).unwrap_or_else(|e| {
         eprintln!("click-morph: demo config: {e}");

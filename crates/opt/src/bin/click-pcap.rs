@@ -40,7 +40,8 @@
 //!
 //! `--json FILE` exports a profile whose `"devices"` section carries
 //! the per-device supervision gauges (flaps, reopens, drain losses,
-//! retries) next to the usual per-element telemetry.
+//! retries) next to the per-element telemetry, which only this flag
+//! arms: a replay that exports nothing times no element call.
 //!
 //! # Crash drill
 //!
@@ -82,7 +83,7 @@ use click_elements::ip_router::{test_packet_flow, IpRouterSpec};
 use click_elements::packet::Packet;
 use click_elements::parallel::ParallelOpts;
 use click_elements::persist::{config_hash, Checkpoint, CheckpointDaemon, CheckpointStore};
-use click_elements::telemetry::{self, summary, DeviceGauges, ElementProfile, Gauges};
+use click_elements::telemetry::{summary, DeviceGauges, ElementProfile, Gauges};
 use click_opt::profile::Profile;
 use click_opt::tool::{filter_args, number, refuse};
 use std::time::Instant;
@@ -178,8 +179,10 @@ fn drain_tx_frames(engine: &mut dyn Engine) -> Vec<Vec<u8>> {
 }
 
 /// Replays `sup` into the configuration's first device until the trace
-/// is exhausted and every forwarded frame is sent or counted lost.
-fn run(mut engine: Box<dyn Engine>, sup: SupervisedDevice) -> Result<Replay> {
+/// is exhausted and every forwarded frame is sent or counted lost;
+/// `profile` arms telemetry for the `--json` export.
+fn run(mut engine: Box<dyn Engine>, sup: SupervisedDevice, profile: bool) -> Result<Replay> {
+    engine.set_telemetry(profile);
     let (dev_name, dev) = ingress(&*engine)?;
     engine.attach_supervised(dev, sup);
     let start = Instant::now();
@@ -214,6 +217,8 @@ struct DrillOpts {
     crash_at: Option<u64>,
     restore: bool,
     resume_at: Option<u64>,
+    /// `--json` was given: arm telemetry so the export has counters.
+    profile: bool,
 }
 
 /// What one drill incarnation measured.
@@ -272,6 +277,7 @@ fn drill(
         Some(engine) => engine,
         None => engine::open(graph, compiled, opts)?,
     };
+    engine.set_telemetry(d.profile);
     let (dev_name, dev) = ingress(&*engine)?;
 
     // Cross-incarnation baseline. Without `--resume-at` the dead window
@@ -487,7 +493,7 @@ fn drill_main(
         let profile = Profile {
             source: source.unwrap_or_else(|| label.to_string()),
             shards,
-            telemetry: telemetry::ENABLED,
+            telemetry: true,
             elements: outcome.elements,
             checkpoints: Some(g),
             ..Profile::default()
@@ -620,6 +626,7 @@ fn main() {
                 crash_at,
                 restore,
                 resume_at,
+                profile: json.is_some(),
             },
         );
     }
@@ -627,7 +634,7 @@ fn main() {
     let sup = replay_device(&input, output.as_deref(), flap.as_deref()).unwrap_or_else(|e| fail(e));
 
     let replay = engine::open(&graph, fast, opts)
-        .and_then(|engine| run(engine, sup))
+        .and_then(|engine| run(engine, sup, json.is_some()))
         .unwrap_or_else(|e| fail(e));
     let dev_name = &replay.dev_name;
 
@@ -678,7 +685,7 @@ fn main() {
         let profile = Profile {
             source: source.unwrap_or(label),
             shards,
-            telemetry: telemetry::ENABLED,
+            telemetry: true,
             elements: replay.elements,
             gauges: Gauges {
                 devices: replay.devices,

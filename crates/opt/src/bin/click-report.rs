@@ -17,16 +17,12 @@
 //! per-shard counters are merged by the control plane — packet totals
 //! equal the serial run, so a profile is engine-independent.
 //!
-//! The binary must be built with `--features telemetry` for live
-//! counters; without it the profile structure is emitted with zeros (and
-//! a warning on stderr).
-//!
 //! `--faults` includes the sharded runtime's supervisor gauges (shard
 //! deaths, restarts, degraded-mode entries, in-flight loss — see
 //! [`click_elements::telemetry::FaultGauges`]) in the exported JSON, so
-//! `click-profile` consumers can see the run's fault history. The gauges
-//! are always live (not feature-gated): a configuration carrying a
-//! `FaultInject(PANIC …)` element profiles its own chaos run.
+//! `click-profile` consumers can see the run's fault history: a
+//! configuration carrying a `FaultInject(PANIC …)` element profiles its
+//! own chaos run.
 //!
 //! `--devices` opens a real I/O backend for every device name that
 //! carries a backend scheme (`pcap:trace.pcap`, `udp:ADDR>PEER`,
@@ -75,7 +71,7 @@ use click_elements::ip_router::{test_packet_flow, IpRouterSpec};
 use click_elements::packet::Packet;
 use click_elements::parallel::ParallelOpts;
 use click_elements::persist::CheckpointStore;
-use click_elements::telemetry::{self, summary, CheckpointGauges, ElementProfile};
+use click_elements::telemetry::{summary, CheckpointGauges, ElementProfile};
 use click_opt::profile::Profile;
 use click_opt::tool::{filter_args, number, refuse};
 
@@ -277,13 +273,6 @@ fn main() {
         return;
     }
 
-    if !telemetry::ENABLED {
-        eprintln!(
-            "click-report: warning: built without `--features telemetry`; \
-             all counters in the profile will read zero"
-        );
-    }
-
     let die = |msg: String| -> ! {
         eprintln!("click-report: {msg}");
         std::process::exit(1);
@@ -314,6 +303,7 @@ fn main() {
         opts = opts.batched(batched);
     }
     let mut engine = engine::open(&graph, devirt, opts).unwrap_or_else(|e| die(e.to_string()));
+    engine.set_telemetry(true);
 
     // The trace: the IP router's own workload, or a generic one on every
     // device of a loaded configuration.
@@ -345,7 +335,7 @@ fn main() {
     let profile = Profile {
         source: source.unwrap_or(label),
         shards,
-        telemetry: telemetry::ENABLED,
+        telemetry: true,
         elements: engine.profiles(),
         gauges,
         checkpoints: checkpoints_dir.as_deref().map(inspect_checkpoints),
@@ -380,30 +370,28 @@ fn main() {
         profile.shards,
         profile.elements.len()
     );
-    if telemetry::ENABLED {
-        let mut by_cost: Vec<&ElementProfile> = profile.elements.iter().collect();
-        by_cost.sort_by_key(|e| std::cmp::Reverse(e.self_ns));
-        for e in by_cost.iter().take(5) {
-            eprintln!(
-                "click-report:   {:<12} {:<16} {:>8} pkts  {:>8.1} ns/pkt",
-                e.name,
-                e.class,
-                e.packets,
-                e.ns_per_packet()
-            );
-        }
-        // Where ingress time goes: the steering stage sits in front of
-        // every element above, so its self time is the hand-off tax.
-        if let Some(g) = &profile.gauges.steering {
-            let ns_per_pkt = if g.packets == 0 {
-                0.0
-            } else {
-                g.steer_ns as f64 / g.packets as f64
-            };
-            eprintln!(
-                "click-report:   steering     ingress          {:>8} pkts  {:>8.1} ns/pkt",
-                g.packets, ns_per_pkt
-            );
-        }
+    let mut by_cost: Vec<&ElementProfile> = profile.elements.iter().collect();
+    by_cost.sort_by_key(|e| std::cmp::Reverse(e.self_ns));
+    for e in by_cost.iter().take(5) {
+        eprintln!(
+            "click-report:   {:<12} {:<16} {:>8} pkts  {:>8.1} ns/pkt",
+            e.name,
+            e.class,
+            e.packets,
+            e.ns_per_packet()
+        );
+    }
+    // Where ingress time goes: the steering stage sits in front of
+    // every element above, so its self time is the hand-off tax.
+    if let Some(g) = &profile.gauges.steering {
+        let ns_per_pkt = if g.packets == 0 {
+            0.0
+        } else {
+            g.steer_ns as f64 / g.packets as f64
+        };
+        eprintln!(
+            "click-report:   steering     ingress          {:>8} pkts  {:>8.1} ns/pkt",
+            g.packets, ns_per_pkt
+        );
     }
 }

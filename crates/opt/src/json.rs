@@ -1,5 +1,5 @@
-//! The one JSON value, reader and writer behind the profile and autotune
-//! report formats (no external dependencies on either side).
+//! The one JSON value, reader and writer behind the profile format (no
+//! external dependencies).
 //!
 //! A gauge record crosses this module through its field table
 //! ([`GaugeSet::FIELDS`]): [`record`] renders one, [`read`] parses one.

@@ -36,7 +36,6 @@
 #![forbid(unsafe_code)]
 
 pub mod align;
-pub mod autotune;
 pub mod combine;
 pub mod devirtualize;
 pub mod fastclassifier;

@@ -68,8 +68,8 @@ pub struct Profile {
     pub source: String,
     /// Worker shards the profile was collected from (1 = serial).
     pub shards: usize,
-    /// Whether the producing binary was built with the `telemetry`
-    /// feature (if `false`, every per-element counter is zero).
+    /// Whether the producing run had the telemetry switch armed (if
+    /// `false`, every per-element counter is zero).
     pub telemetry: bool,
     /// Per-element records, merged across shards by element name.
     pub elements: Vec<ElementProfile>,

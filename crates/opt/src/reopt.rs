@@ -416,13 +416,16 @@ pub struct MorphDaemon {
 
 impl MorphDaemon {
     /// A daemon driving `target`, which must already be running
-    /// `artifact` (= [`optimize_pipeline`] of `source`).
+    /// `artifact` (= [`optimize_pipeline`] of `source`). Arms the
+    /// target's telemetry: the windows the loop judges are diffs of its
+    /// per-element profiles.
     pub fn new(
-        target: Box<dyn Engine>,
+        mut target: Box<dyn Engine>,
         source: RouterGraph,
         artifact: RouterGraph,
         policy: ReoptPolicy,
     ) -> Self {
+        target.set_telemetry(true);
         MorphDaemon {
             target,
             ctrl: ReoptController::new(source, policy),

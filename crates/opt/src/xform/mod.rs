@@ -492,13 +492,8 @@ mod tests {
              elementclass P_replacement { input -> Counter -> output; }",
         )
         .unwrap();
-        let mut seed = 0xFEEDu64;
-        let mut rand = move |n: usize| {
-            seed = seed
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((seed >> 33) as usize) % n
-        };
+        let mut lcg = click_core::Lcg::new(0xFEED);
+        let mut rand = move |n: usize| lcg.below(n);
         for _ in 0..60 {
             let len = 1 + rand(8);
             let mut src = String::from("head :: Idle; head -> ");

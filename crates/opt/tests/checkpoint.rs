@@ -4,13 +4,14 @@
 //! resuming the *optimized* configuration, and the `click-pcap` crash
 //! drill end to end as a real process.
 
-use click_core::lang::write_config;
+use click_core::lang::{read_config, write_config};
 use click_elements::engine;
 use click_elements::parallel::ParallelOpts;
 use click_elements::persist::{config_hash, CheckpointDaemon, CheckpointStore};
 use click_opt::profile::{Profile, PROFILE_VERSION};
 use click_opt::reopt::{
-    demo_graph, optimize_pipeline, DemoTrace, MorphDaemon, ReoptPolicy, DEMO_BRANCHES,
+    demo_graph, optimize_pipeline, DemoTrace, MorphDaemon, ReoptPolicy, WindowOutcome,
+    DEMO_BRANCHES,
 };
 use std::path::PathBuf;
 use std::process::Command;
@@ -106,68 +107,61 @@ fn morph_interval_checkpoint_restores_the_optimized_config() {
     assert_eq!(r2.total_drops(), ckpt.ledger.drops);
 }
 
-#[cfg(feature = "telemetry")]
-mod live {
-    use super::*;
-    use click_core::lang::read_config;
-    use click_opt::reopt::WindowOutcome;
+/// A kept swap cuts a checkpoint immediately, stamped with the
+/// *newly installed* (hoisted) configuration — the acceptance gate
+/// for "restart after a kept reopt swap resumes the optimized
+/// config".
+#[test]
+fn kept_swap_cuts_a_checkpoint_carrying_the_new_artifact() {
+    let dir = scratch("morph-swap");
+    let source = demo_graph(DEMO_BRANCHES).unwrap();
+    let artifact = optimize_pipeline(&source).unwrap();
+    let router = engine::open(&artifact, true, ParallelOpts::new(1)).unwrap();
+    let policy = ReoptPolicy {
+        min_improvement: 0.2,
+        ..ReoptPolicy::default()
+    };
+    let mut daemon = MorphDaemon::new(router, source, artifact, policy);
+    let store = CheckpointStore::open(&dir, 8).unwrap();
+    // Interval 0: only kept swaps cut checkpoints.
+    daemon.attach_checkpoints(CheckpointDaemon::new(store, 0, String::new()));
 
-    /// A kept swap cuts a checkpoint immediately, stamped with the
-    /// *newly installed* (hoisted) configuration — the acceptance gate
-    /// for "restart after a kept reopt swap resumes the optimized
-    /// config".
-    #[test]
-    fn kept_swap_cuts_a_checkpoint_carrying_the_new_artifact() {
-        let dir = scratch("morph-swap");
-        let source = demo_graph(DEMO_BRANCHES).unwrap();
-        let artifact = optimize_pipeline(&source).unwrap();
-        let router = engine::open(&artifact, true, ParallelOpts::new(1)).unwrap();
-        let policy = ReoptPolicy {
-            min_improvement: 0.2,
-            ..ReoptPolicy::default()
-        };
-        let mut daemon = MorphDaemon::new(router, source, artifact, policy);
-        let store = CheckpointStore::open(&dir, 8).unwrap();
-        // Interval 0: only kept swaps cut checkpoints.
-        daemon.attach_checkpoints(CheckpointDaemon::new(store, 0, String::new()));
-
-        let mut trace = DemoTrace::new();
-        let mut kept_at = None;
-        for w in 0..10 {
-            let hot = if w < 5 { 0 } else { DEMO_BRANCHES - 1 };
-            let frames = trace.window(460, hot, DEMO_BRANCHES);
-            if let WindowOutcome::SwapKept { .. } = daemon.step(&frames).unwrap() {
-                kept_at = Some(w);
-                break;
-            }
+    let mut trace = DemoTrace::new();
+    let mut kept_at = None;
+    for w in 0..10 {
+        let hot = if w < 5 { 0 } else { DEMO_BRANCHES - 1 };
+        let frames = trace.window(460, hot, DEMO_BRANCHES);
+        if let WindowOutcome::SwapKept { .. } = daemon.step(&frames).unwrap() {
+            kept_at = Some(w);
+            break;
         }
-        assert!(
-            kept_at.is_some(),
-            "the traffic shift must produce a kept swap"
-        );
-
-        let gauges = daemon.checkpoint_daemon().unwrap().gauges();
-        assert_eq!(
-            gauges.checkpoints_written, 1,
-            "exactly the post-swap checkpoint, nothing else"
-        );
-
-        // The cut carries the freshly-hoisted artifact (the optimized
-        // graph now running), not the one the daemon started on.
-        let installed = write_config(daemon.artifact());
-        let mut ckpt_daemon = daemon.take_checkpoints().unwrap();
-        let ckpt = ckpt_daemon.recover().expect("post-swap cut recovers");
-        assert_eq!(
-            config_hash(&ckpt.config),
-            config_hash(&installed),
-            "checkpoint config must hash to the installed (hoisted) artifact"
-        );
-        let parsed = read_config(&ckpt.config).expect("checkpointed config parses");
-        let (r2, stats) = engine::restore(&ckpt, true, ParallelOpts::new(1)).unwrap();
-        assert_eq!(stats.unmatched, 0);
-        drop(parsed);
-        drop(r2);
     }
+    assert!(
+        kept_at.is_some(),
+        "the traffic shift must produce a kept swap"
+    );
+
+    let gauges = daemon.checkpoint_daemon().unwrap().gauges();
+    assert_eq!(
+        gauges.checkpoints_written, 1,
+        "exactly the post-swap checkpoint, nothing else"
+    );
+
+    // The cut carries the freshly-hoisted artifact (the optimized
+    // graph now running), not the one the daemon started on.
+    let installed = write_config(daemon.artifact());
+    let mut ckpt_daemon = daemon.take_checkpoints().unwrap();
+    let ckpt = ckpt_daemon.recover().expect("post-swap cut recovers");
+    assert_eq!(
+        config_hash(&ckpt.config),
+        config_hash(&installed),
+        "checkpoint config must hash to the installed (hoisted) artifact"
+    );
+    let parsed = read_config(&ckpt.config).expect("checkpointed config parses");
+    let (r2, stats) = engine::restore(&ckpt, true, ParallelOpts::new(1)).unwrap();
+    assert_eq!(stats.unmatched, 0);
+    drop(parsed);
+    drop(r2);
 }
 
 // ---------------------------------------------------------------------

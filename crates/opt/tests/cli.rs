@@ -124,7 +124,6 @@ fn tools_refuse_unknown_flags_and_missing_values() {
             &["--in", "x", "--ckpt-dir"][..],
         ),
         (env!("CARGO_BIN_EXE_click-morph"), &["--bogus"][..]),
-        (env!("CARGO_BIN_EXE_click-autotune"), &["--out"][..]),
     ] {
         let (stdout, stderr, ok) = run_tool(exe, args, "a :: Idle;");
         assert!(!ok, "{exe} {args:?} ran");

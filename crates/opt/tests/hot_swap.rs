@@ -63,8 +63,7 @@ const SERIAL_GRAPH_V2: &str =
 
 /// The `click-profile`-optimized Figure-1 configuration: every
 /// per-interface classifier's hot IP branch hoisted first, with a
-/// handcrafted profile so the test is identical with and without the
-/// `telemetry` feature.
+/// handcrafted profile so the test needs no profiling run.
 fn optimized_figure1(spec: &IpRouterSpec, graph: &RouterGraph) -> RouterGraph {
     let n = spec.interfaces.len();
     let elements = (0..n)
@@ -202,13 +201,6 @@ fn sharded_swap_to_profiled_figure1_preserves_order_and_accounting() {
 /// Routes in the big-table drill (a realistically sized FIB).
 const BIG_ROUTES: usize = 100_000;
 
-fn lcg32(state: &mut u64) -> u32 {
-    *state = state
-        .wrapping_mul(6364136223846793005)
-        .wrapping_add(1442695040888963407);
-    (*state >> 33) as u32
-}
-
 fn ip_str(a: u32) -> String {
     format!(
         "{}.{}.{}.{}",
@@ -222,13 +214,13 @@ fn ip_str(a: u32) -> String {
 /// A deterministic 100k-prefix route table (default route first, /16–/28
 /// mix, ports alternating 0/1) and a covered probe set.
 fn big_table() -> (String, Vec<u32>) {
-    let mut seed = 0x100Au64;
+    let mut lcg = click_core::Lcg::new(0x100A);
     let mut seen = std::collections::HashSet::new();
     let mut prefixes: Vec<(u32, u8)> = vec![(0, 0)];
     seen.insert((0u32, 0u8));
     while prefixes.len() < BIG_ROUTES {
-        let plen = 16 + (lcg32(&mut seed) % 13) as u8;
-        let addr = lcg32(&mut seed) & (u32::MAX << (32 - u32::from(plen)));
+        let plen = 16 + (lcg.next() as u32 % 13) as u8;
+        let addr = lcg.next() as u32 & (u32::MAX << (32 - u32::from(plen)));
         if seen.insert((addr, plen)) {
             prefixes.push((addr, plen));
         }
@@ -241,11 +233,11 @@ fn big_table() -> (String, Vec<u32>) {
         .join(", ");
     let probes = (0..512)
         .map(|_| {
-            let (a, l) = prefixes[lcg32(&mut seed) as usize % prefixes.len()];
+            let (a, l) = prefixes[lcg.next() as u32 as usize % prefixes.len()];
             if l >= 32 {
                 a
             } else {
-                a | (lcg32(&mut seed) & (u32::MAX >> l))
+                a | (lcg.next() as u32 & (u32::MAX >> l))
             }
         })
         .collect();

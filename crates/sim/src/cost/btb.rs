@@ -85,12 +85,7 @@ impl Btb {
 
 /// Stable hash for code identities (class names).
 pub fn code_id(name: &str) -> u64 {
-    let mut h: u64 = 0xcbf29ce484222325;
-    for b in name.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100000001b3);
-    }
-    h
+    click_core::fnv1a(name.as_bytes())
 }
 
 #[cfg(test)]

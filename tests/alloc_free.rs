@@ -4,8 +4,10 @@
 //! `clone()` or `collect()` that creeps onto the per-hop path fails
 //! `cargo test`, not a benchmark three PRs later. A packet is a pooled
 //! block plus its buffer, so a pool miss is two allocations (block +
-//! buffer); only the warm-up pass sees one. The device path and the
-//! calling thread of the one-shard runtime are held to stated budgets.
+//! buffer); only the warm-up pass sees one. Armed telemetry is held to
+//! the same zero (its tables reach their final size on an element's first
+//! call), and the device path and the calling thread of the one-shard
+//! runtime to stated budgets.
 //!
 //! The binary installs a counting `#[global_allocator]`; counts are kept
 //! per thread, so the tests stay exact when the harness runs them in
@@ -122,8 +124,9 @@ fn inject_pass<S: Slot>(r: &mut Router<S>, devs: &[DeviceId], frames: &[Frame]) 
     forwarded
 }
 
-fn steady_state_is_allocation_free<S: Slot>(batched: bool) {
+fn steady_state_is_allocation_free<S: Slot>(batched: bool, telemetry: bool) {
     let (mut router, devs, frames) = figure1::<S>(batched);
+    router.set_telemetry(telemetry);
     assert_eq!(inject_pass(&mut router, &devs, &frames), FRAMES, "warm-up");
     let mut forwarded = 0;
     let allocs = allocations_in(|| forwarded = inject_pass(&mut router, &devs, &frames));
@@ -134,22 +137,28 @@ fn steady_state_is_allocation_free<S: Slot>(batched: bool) {
 
 #[test]
 fn dyn_scalar_forwards_without_allocating() {
-    steady_state_is_allocation_free::<Box<dyn Element>>(false);
+    steady_state_is_allocation_free::<Box<dyn Element>>(false, false);
 }
 
 #[test]
 fn dyn_batched_forwards_without_allocating() {
-    steady_state_is_allocation_free::<Box<dyn Element>>(true);
+    steady_state_is_allocation_free::<Box<dyn Element>>(true, false);
 }
 
 #[test]
 fn compiled_scalar_forwards_without_allocating() {
-    steady_state_is_allocation_free::<FastElement>(false);
+    steady_state_is_allocation_free::<FastElement>(false, false);
 }
 
 #[test]
 fn compiled_batched_forwards_without_allocating() {
-    steady_state_is_allocation_free::<FastElement>(true);
+    steady_state_is_allocation_free::<FastElement>(true, false);
+}
+
+#[test]
+fn armed_telemetry_forwards_without_allocating() {
+    steady_state_is_allocation_free::<Box<dyn Element>>(false, true);
+    steady_state_is_allocation_free::<FastElement>(true, true);
 }
 
 /// One pass wire to wire: `push_rx -> run_with_devices -> take_tx`.

@@ -7,13 +7,13 @@
 //! and dependency-free.
 
 use click::core::registry::Library;
+use click::core::Lcg;
 use click::core::RouterGraph;
 use click::elements::headers::ipv4;
 use click::elements::ip_router::{test_packet, IpRouterSpec};
 use click::elements::packet::{pool_stats, reset_pool_stats, Packet};
 use click::elements::router::Slot;
 use click::elements::Router;
-use click_bench::Lcg;
 
 const N: usize = 4;
 

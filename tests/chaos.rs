@@ -219,6 +219,49 @@ fn restart_policy_respawns_the_dead_shard() {
     r.shutdown();
 }
 
+/// Telemetry armed across deaths and restarts. Each wave kills the
+/// doomed shard inside an element call, whose frame stays open in the
+/// zombie. Wave 2 runs on a shard restarted while the switch was on and
+/// never told so, wave 3 after the switch was flipped off and on: the
+/// merged profile of `c` must still count every packet the merged
+/// `Counter` saw.
+#[test]
+fn restarted_shard_inherits_the_telemetry_switch() {
+    let g = chaos_graph(&format!("PANIC 1, AFTER 150, SHARD {KILLED}"));
+    let opts = ParallelOpts::new(4).batched(8).restart_on_fault(8);
+    let mut r = ParallelRouter::from_graph::<Box<dyn Element>>(&g, opts).expect("router builds");
+    let flows = flows_per_shard(&r, PER_SHARD_FLOWS);
+    let started = std::time::Instant::now();
+
+    r.set_telemetry(true);
+    inject_wave(&mut r, &flows, 0);
+    r.run_until_idle();
+    inject_wave(&mut r, &flows, PER_FLOW);
+    r.run_until_idle();
+    r.set_telemetry(false);
+    r.set_telemetry(true);
+    inject_wave(&mut r, &flows, 2 * PER_FLOW);
+    r.run_until_idle();
+
+    let faults = r.fault_gauges();
+    assert_eq!((faults.shard_deaths, faults.restarts), (3, 3));
+    let profiles = r.telemetry_profiles();
+    let wall_ns = started.elapsed().as_nanos() as u64;
+    let c = profiles.iter().find(|p| p.name == "c").expect("c profiled");
+    assert_eq!(
+        c.packets,
+        r.class_stat("Counter", "count"),
+        "a restarted shard forwarded with its telemetry off"
+    );
+    for p in &profiles {
+        assert_eq!(p.lat_buckets.iter().sum::<u64>(), p.calls, "{}", p.name);
+        // Seven engines (four shards, three restarts) each billed at
+        // most the wall time: an orphaned frame popped late bills more.
+        assert!(p.self_ns <= 7 * wall_ns, "{}: {} ns", p.name, p.self_ns);
+    }
+    r.shutdown();
+}
+
 #[test]
 fn shard_killed_behind_a_full_ring_and_a_backlog_is_salvaged_in_order() {
     // Two-slot rings: while the doomed shard works through its first 40

@@ -11,7 +11,7 @@ use click::classifier::{
     build_tree, optimize, parse_rules, Action, Check, ClassifierProgram, Cond, FastMatcher, Rule,
     TreeClassifier,
 };
-use click_bench::Lcg;
+use click::core::Lcg;
 
 /// A random single-word check with plausible packet offsets.
 fn gen_check(r: &mut Lcg) -> Cond {
@@ -163,11 +163,8 @@ fn ip_language_agrees_with_runtimes_on_structured_packets() {
     let rules = parse_rules("IPFilter", config).unwrap();
     let tree = build_tree(&rules, 1);
     let fast = FastMatcher::compile(&optimize(&tree));
-    let mut seed = 0x5EEDu64;
-    let mut rand_byte = move || {
-        seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-        (seed >> 33) as u8
-    };
+    let mut lcg = Lcg::with_increment(0x5EED, 1);
+    let mut rand_byte = move || lcg.next() as u8;
     for _ in 0..500 {
         let mut p = vec![0u8; 40];
         p[0] = 0x45;

@@ -4,6 +4,7 @@
 use click::core::archive::{Archive, CONFIG_ENTRY};
 use click::core::lang::read_config;
 use click::core::registry::Library;
+use click::core::Lcg;
 use click::elements::headers::{ether, ipv4};
 use click::elements::ip_router::{test_packet_flow, IpRouterSpec};
 use click::elements::router::{DynRouter, Slot};
@@ -110,11 +111,8 @@ fn runtime_survives_adversarial_packets() {
     let graph = read_config(&spec.config()).unwrap();
     let mut r: DynRouter = Router::from_graph(&graph, &Library::standard()).unwrap();
     let eth0 = r.devices.id("eth0").unwrap();
-    let mut seed = 7u64;
-    let mut rand_byte = move || {
-        seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-        (seed >> 33) as u8
-    };
+    let mut lcg = Lcg::with_increment(7, 1);
+    let mut rand_byte = move || lcg.next() as u8;
     for len in [0usize, 1, 13, 14, 15, 33, 34, 59, 60, 61, 1500, 9000] {
         let mut p = click::elements::Packet::new(len);
         for b in p.data_mut() {
@@ -198,11 +196,8 @@ fn flow_key_fuzz_never_panics_and_steers_stably() {
     // panic, and shard assignment must be a pure function of the bytes.
     let steer = RssSteering::new(4);
     let dev = click::elements::element::DeviceId(1);
-    let mut state = 0x2545_F491_4F6C_DD1Du64;
-    let mut rand = move || {
-        state = state.wrapping_mul(6364136223846793005).wrapping_add(1);
-        state >> 32
-    };
+    let mut lcg = Lcg::with_increment(0x2545_F491_4F6C_DD1D, 1);
+    let mut rand = move || lcg.step() >> 32;
     for round in 0..2000 {
         let len = (rand() as usize) % 80;
         let mut frame = vec![0u8; len];

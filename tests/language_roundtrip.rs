@@ -8,7 +8,7 @@
 
 use click::core::graph::{PortRef, RouterGraph};
 use click::core::lang::{read_config, write_config};
-use click_bench::Lcg;
+use click::core::Lcg;
 
 fn pick(r: &mut Lcg, chars: &[u8]) -> char {
     chars[r.below(chars.len())] as char

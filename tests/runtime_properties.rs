@@ -9,9 +9,9 @@ use click::core::lang::read_config;
 use click::core::pushpull::resolve;
 use click::core::registry::Library;
 use click::core::spec::PortKind;
+use click::core::Lcg;
 use click::elements::packet::Packet;
 use click::elements::routing::IpTrie;
-use click_bench::Lcg;
 
 #[derive(Debug, Clone)]
 enum PacketOp {

@@ -1,18 +1,19 @@
 //! Telemetry guards: the observability layer must never change what the
 //! router *does* — only what it can *report*.
 //!
-//! Three properties are pinned here:
+//! Four properties are pinned here:
 //!
-//! 1. **Overhead guard** — forwarding results (per-flow order, per-class
-//!    stats, tx counts) are byte-identical whether the `telemetry`
-//!    feature is on or off: the same assertions compile and pass in both
-//!    modes. With the feature off, every counter reads zero.
-//! 2. **Counter correctness** (feature on) — per-element packet counters
-//!    match independently observable statistics, and the merged 4-shard
+//! 1. **The switch** — forwarding results (transmitted bytes, per-flow
+//!    order, per-class stats) are identical whether telemetry is armed
+//!    or not; un-armed, every counter reads zero; armed mid-run, the
+//!    counters cover exactly what ran after the flip, and disarming
+//!    freezes them — on both runtimes.
+//! 2. **Counter correctness** — per-element packet counters match
+//!    independently observable statistics, and the merged 4-shard
 //!    profile equals the serial profile element-for-element.
-//! 3. **`click-profile` round-trip** (either mode) — applying a profile
-//!    to the IP router reorders hot classifier branches without changing
-//!    any per-class packet count or per-flow output sequence.
+//! 3. **`click-profile` round-trip** — applying a profile to the IP
+//!    router reorders hot classifier branches without changing any
+//!    transmitted byte, per-class packet count or per-flow sequence.
 //! 4. **One statement of the gauges** — the profile JSON is byte-for-byte
 //!    what the build before the field tables wrote, and OPERATIONS.md's
 //!    glossary is the tables' help text.
@@ -20,13 +21,14 @@
 use click::core::registry::Library;
 use click::core::RouterGraph;
 use click::elements::element::Element;
+use click::elements::engine::{self, Engine};
 use click::elements::ip_router::{test_packet_flow, IpRouterSpec};
 use click::elements::packet::Packet;
 use click::elements::parallel::{ParallelOpts, ParallelRouter};
 use click::elements::router::Slot;
 use click::elements::steer::flow_key;
 use click::elements::telemetry::{
-    self, CheckpointGauges, DeviceGauges, ElementProfile, FaultGauges, GaugeSet, ReoptGauges,
+    CheckpointGauges, DeviceGauges, ElementProfile, FaultGauges, GaugeSet, ReoptGauges,
     ShardGauges, SteerGauges, SwapGauges,
 };
 use click::elements::Router;
@@ -55,7 +57,6 @@ fn trace(spec: &IpRouterSpec) -> Vec<(usize, Packet)> {
 }
 
 /// Packets the trace injects on each interface.
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 fn injected_per_device(spec: &IpRouterSpec) -> Vec<u64> {
     let mut counts = vec![0u64; N];
     for (src, _) in trace(spec) {
@@ -67,6 +68,8 @@ fn injected_per_device(spec: &IpRouterSpec) -> Vec<u64> {
 /// The forwarding outcome every run must reproduce exactly.
 #[derive(Debug, PartialEq)]
 struct Outcome {
+    /// Every transmitted frame, per output device in TX order.
+    wire: Vec<Vec<Vec<u8>>>,
     class_stats: Vec<(String, u64)>,
     /// (output device, flow source port) → payload sequence numbers.
     flows: Vec<((usize, u16), Vec<u8>)>,
@@ -94,24 +97,29 @@ fn flows_of(outputs: Vec<(usize, Vec<Packet>)>) -> Vec<((usize, u16), Vec<u8>)> 
     flows
 }
 
-/// Runs the trace on the serial engine; returns the forwarding outcome
-/// and the telemetry profiles.
-fn run_serial<S: Slot>(graph: &RouterGraph) -> (Outcome, Vec<ElementProfile>) {
+/// Runs the trace on the serial engine, telemetry armed or not; returns
+/// the forwarding outcome and the telemetry profiles.
+fn run_serial<S: Slot>(graph: &RouterGraph, armed: bool) -> (Outcome, Vec<ElementProfile>) {
     let spec = IpRouterSpec::standard(N);
     let mut router: Router<S> =
         Router::from_graph(graph, &Library::standard()).expect("router builds");
+    router.set_telemetry(armed);
     for (src, p) in trace(&spec) {
         let id = router.devices.id(&format!("eth{src}")).expect("device");
         router.devices.inject(id, p);
     }
     router.run_until_idle(100_000);
-    let outputs = (0..N)
+    let outputs: Vec<(usize, Vec<Packet>)> = (0..N)
         .map(|d| {
             let id = router.devices.id(&format!("eth{d}")).expect("device");
             (d, router.devices.take_tx(id))
         })
         .collect();
     let outcome = Outcome {
+        wire: outputs
+            .iter()
+            .map(|(_, tx)| tx.iter().map(|p| p.data().to_vec()).collect())
+            .collect(),
         class_stats: CLASSES
             .iter()
             .map(|(c, s)| (format!("{c}.{s}"), router.class_stat(c, s)))
@@ -131,7 +139,6 @@ fn base_graph() -> RouterGraph {
         .clone()
 }
 
-#[cfg_attr(not(feature = "telemetry"), allow(dead_code))]
 fn profile_of<'a>(profiles: &'a [ElementProfile], name: &str) -> &'a ElementProfile {
     profiles
         .iter()
@@ -139,12 +146,27 @@ fn profile_of<'a>(profiles: &'a [ElementProfile], name: &str) -> &'a ElementProf
         .unwrap_or_else(|| panic!("no profile for {name}"))
 }
 
-/// Every packet of every flow forwarded in order, no drops anywhere —
-/// the assertions are feature-independent, so compiling and running this
-/// test with and without `--features telemetry` *is* the overhead guard.
+fn assert_all_zero(profiles: &[ElementProfile]) {
+    assert!(!profiles.is_empty(), "the snapshot structure always exists");
+    for p in profiles {
+        assert_eq!(
+            (p.calls, p.packets, p.bytes, p.self_ns),
+            (0, 0, 0, 0),
+            "{}",
+            p.name
+        );
+        assert!(p.out_ports.iter().all(|&n| n == 0), "{}", p.name);
+        assert!(p.lat_buckets.iter().all(|&n| n == 0), "{}", p.name);
+        assert!(p.recent_ns.is_empty(), "{}", p.name);
+    }
+}
+
+/// Every packet of every flow forwarded in order, no drops anywhere, and
+/// the armed run transmits the very bytes the un-armed one does: the
+/// switch changes what the router reports, never what it does.
 #[test]
-fn forwarding_outcome_is_feature_independent() {
-    let (outcome, _) = run_serial::<Box<dyn Element>>(&base_graph());
+fn forwarding_outcome_is_switch_independent() {
+    let (outcome, off) = run_serial::<Box<dyn Element>>(&base_graph(), false);
     for (stat, v) in &outcome.class_stats {
         assert_eq!(*v, 0, "{stat} must be zero on the clean trace");
     }
@@ -156,56 +178,73 @@ fn forwarding_outcome_is_feature_independent() {
             "flow {sport} lost or reordered packets"
         );
     }
+    assert_all_zero(&off);
+
+    let (armed, on) = run_serial::<Box<dyn Element>>(&base_graph(), true);
+    assert_eq!(armed, outcome, "arming telemetry changed forwarding");
+    assert!(
+        on.iter().any(|p| p.packets > 0),
+        "armed run counted nothing"
+    );
 }
 
-#[cfg(not(feature = "telemetry"))]
+/// Feeds the trace through `engine` and settles it; returns how many
+/// packets went in.
+fn feed(engine: &mut dyn Engine, spec: &IpRouterSpec) -> u64 {
+    let trace = trace(spec);
+    let injected = trace.len() as u64;
+    for (src, p) in trace {
+        let id = engine.device(&format!("eth{src}")).expect("device");
+        engine.inject(id, p);
+    }
+    engine.settle();
+    injected
+}
+
+/// Off reads zero; armed mid-run, the classifiers count exactly the
+/// packets injected after the flip; off again, nothing moves — serial
+/// and sharded, through the one `Engine::set_telemetry`. The shard and
+/// steering *counts* do not follow the switch: they are always live.
 #[test]
 fn profiles_read_zero_when_disabled() {
-    // `ENABLED` mirroring the cfg is itself part of the contract.
-    #[allow(clippy::assertions_on_constants)]
-    {
-        assert!(!telemetry::ENABLED);
+    let spec = IpRouterSpec::standard(N);
+    let classified = |ps: &[ElementProfile]| -> u64 {
+        let cs = ps.iter().filter(|p| p.class == "Classifier");
+        cs.map(|p| p.packets).sum()
+    };
+    for shards in [1, 2] {
+        let mut engine =
+            engine::open(&base_graph(), false, ParallelOpts::new(shards)).expect("engine builds");
+        let injected = feed(&mut *engine, &spec);
+        assert_all_zero(&engine.profiles());
+
+        engine.set_telemetry(true);
+        feed(&mut *engine, &spec);
+        let armed = engine.profiles();
+        assert_eq!(classified(&armed), injected, "{shards} shard(s)");
+        for p in &armed {
+            assert_eq!(p.lat_buckets.iter().sum::<u64>(), p.calls, "{}", p.name);
+        }
+
+        engine.set_telemetry(false);
+        feed(&mut *engine, &spec);
+        assert_eq!(engine.profiles(), armed, "{shards} shard(s): not frozen");
+
+        let gauges = engine.gauges();
+        if shards > 1 {
+            let polled: u64 = gauges.shards.iter().map(|g| g.packets).sum();
+            assert_eq!(polled, 3 * injected, "shard gauges are always live");
+            let steering = gauges.steering.expect("sharded engines steer");
+            assert_eq!(steering.packets, 3 * injected);
+        }
     }
-    let (_, profiles) = run_serial::<Box<dyn Element>>(&base_graph());
-    assert!(
-        !profiles.is_empty(),
-        "snapshot structure exists even when off"
-    );
-    for p in &profiles {
-        assert_eq!(
-            (p.calls, p.packets, p.bytes, p.self_ns),
-            (0, 0, 0, 0),
-            "{}",
-            p.name
-        );
-        assert!(p.out_ports.iter().all(|&n| n == 0), "{}", p.name);
-        assert!(p.lat_buckets.iter().all(|&n| n == 0), "{}", p.name);
-    }
-    // The sharded runtime's gauges are likewise dead weightless stubs.
-    let mut router =
-        ParallelRouter::from_graph::<Box<dyn Element>>(&base_graph(), ParallelOpts::new(2))
-            .expect("parallel router builds");
-    router.run_until_idle();
-    for g in router.shard_gauges() {
-        assert_eq!(
-            (g.batches, g.packets, g.ring_high_water, g.backoff_snoozes),
-            (0, 0, 0, 0)
-        );
-    }
-    router.shutdown();
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn counters_match_observed_statistics() {
-    // `ENABLED` mirroring the cfg is itself part of the contract.
-    #[allow(clippy::assertions_on_constants)]
-    {
-        assert!(telemetry::ENABLED);
-    }
     let spec = IpRouterSpec::standard(N);
     let injected = injected_per_device(&spec);
-    let (outcome, profiles) = run_serial::<Box<dyn Element>>(&base_graph());
+    let (outcome, profiles) = run_serial::<Box<dyn Element>>(&base_graph(), true);
 
     // Each interface's Classifier sees exactly the packets injected on
     // that interface, and the trace is pure IP: every packet leaves on
@@ -247,15 +286,15 @@ fn counters_match_observed_statistics() {
     assert_eq!(queue_packets, 2 * forwarded, "queue in+out traffic");
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn four_shard_merge_matches_serial() {
     let graph = base_graph();
     let spec = IpRouterSpec::standard(N);
-    let (_, serial) = run_serial::<Box<dyn Element>>(&graph);
+    let (_, serial) = run_serial::<Box<dyn Element>>(&graph, true);
 
     let mut router = ParallelRouter::from_graph::<Box<dyn Element>>(&graph, ParallelOpts::new(4))
         .expect("parallel router builds");
+    router.set_telemetry(true);
     for (src, p) in trace(&spec) {
         let id = router.device_id(&format!("eth{src}")).expect("device");
         router.inject(id, p);
@@ -295,7 +334,6 @@ fn four_shard_merge_matches_serial() {
     assert!(gauges.iter().all(|g| g.batches <= g.packets.max(1)));
 }
 
-#[cfg(feature = "telemetry")]
 #[test]
 fn steering_gauges_cover_every_packet() {
     let graph = base_graph();
@@ -303,6 +341,7 @@ fn steering_gauges_cover_every_packet() {
     let opts = ParallelOpts::new(4).batched(8);
     let mut router = ParallelRouter::from_graph::<Box<dyn Element>>(&graph, opts)
         .expect("parallel router builds");
+    router.set_telemetry(true);
     for (src, p) in trace(&spec) {
         let id = router.device_id(&format!("eth{src}")).expect("device");
         router.inject(id, p);
@@ -318,8 +357,8 @@ fn steering_gauges_cover_every_packet() {
 
 /// The profile-guided reorder must be invisible to forwarding: same
 /// per-class stats, same per-flow output sequences — only the classifier
-/// pattern order (and its wiring) changes. Runs in both feature modes;
-/// the profile is synthetic, so no live counters are needed.
+/// pattern order (and its wiring) changes. The profile is synthetic, so
+/// nothing needs arming.
 #[test]
 fn click_profile_round_trip_preserves_classification() {
     let base = base_graph();
@@ -365,8 +404,8 @@ fn click_profile_round_trip_preserves_classification() {
         }
     }
 
-    let (before, _) = run_serial::<Box<dyn Element>>(&base);
-    let (after, _) = run_serial::<Box<dyn Element>>(&profiled);
+    let (before, _) = run_serial::<Box<dyn Element>>(&base, false);
+    let (after, _) = run_serial::<Box<dyn Element>>(&profiled, false);
     assert_eq!(after, before, "reordering changed observable forwarding");
 }
 

@@ -169,7 +169,7 @@ fn chain_output_is_byte_identical_across_runs() {
     // The tools are Unix filters: the same text in must give the same
     // bytes out, also within one process, where every `HashMap` hashes
     // with different keys.
-    let mut r = click_bench::Lcg::new(7);
+    let mut r = click::core::Lcg::new(7);
     let mut rand = move |n: u64| r.next() % n;
     let mut rules: Vec<String> = (1..200)
         .map(|_| {

@@ -12,6 +12,7 @@
 
 use click::core::lang::read_config;
 use click::core::registry::Library;
+use click::core::Lcg;
 use click::core::RouterGraph;
 use click::elements::element::{CreateCtx, DeviceId, Element, Emitter};
 use click::elements::elements::create_element;
@@ -19,7 +20,6 @@ use click::elements::headers::ipv4;
 use click::elements::ip_router::{test_packet, IpRouterSpec};
 use click::elements::packet::Packet;
 use click::elements::{DynRouter, PacketBatch, Router};
-use click_bench::Lcg;
 use std::collections::HashMap;
 
 /// Inner nodes: `(class and configuration, output ports)`.
