@@ -145,18 +145,7 @@ fn tokenize(s: &str) -> Result<Vec<Token>> {
 }
 
 fn parse_ipv4(s: &str) -> Result<u32> {
-    let parts: Vec<&str> = s.split('.').collect();
-    if parts.len() != 4 {
-        return Err(Error::spec(format!("bad IP address {s:?}")));
-    }
-    let mut v = 0u32;
-    for p in parts {
-        let b: u8 = p
-            .parse()
-            .map_err(|_| Error::spec(format!("bad IP address {s:?}")))?;
-        v = (v << 8) | b as u32;
-    }
-    Ok(v)
+    click_core::config::parse_ipv4(s).ok_or_else(|| Error::spec(format!("bad IP address {s:?}")))
 }
 
 fn port_number(s: &str) -> Result<u16> {

@@ -5,7 +5,7 @@
 //! element's specification, unconnected ports, and push/pull violations
 //! (a push output or pull input must have exactly one connection).
 
-use crate::config::{arg_slices, split_args};
+use crate::config::{arg_slices, parse_route, split_args, Route};
 use crate::graph::{Connection, RouterGraph};
 use crate::pushpull::{resolve, PortAssignment};
 use crate::registry::Library;
@@ -230,49 +230,24 @@ fn per_port(conns: &[Connection], port: impl Fn(&Connection) -> usize) -> Vec<us
     counts
 }
 
-/// Parses one `ADDR[/PLEN] [GW] PORT` route entry; `None` for anything the
-/// element itself would reject (the install-time error already covers it).
-fn parse_route(entry: &str) -> Option<(u32, u32, usize)> {
-    let mut words = entry.split_whitespace();
-    let (dst, second, third) = (words.next()?, words.next()?, words.next());
-    if words.next().is_some() {
-        return None;
-    }
-    let (addr_str, plen) = match dst.split_once('/') {
-        Some((a, p)) => (a, p.parse::<u32>().ok().filter(|&p| p <= 32)?),
-        None => (dst, 32),
-    };
-    let mut addr = 0u32;
-    let mut octets = 0;
-    for o in addr_str.split('.') {
-        addr = (addr << 8) | u32::from(o.parse::<u8>().ok()?);
-        octets += 1;
-    }
-    if octets != 4 {
-        return None;
-    }
-    let mask = if plen == 0 {
-        0
-    } else {
-        u32::MAX << (32 - plen)
-    };
-    let port = third.unwrap_or(second).parse::<usize>().ok()?;
-    Some((addr & mask, plen, port))
-}
-
 /// Route-table lint for `StaticIPLookup` / `LookupIPRoute`: the element
 /// builds its table with later duplicates overriding earlier entries, so a
 /// repeated prefix is at best dead configuration and at worst (when the
 /// output ports disagree) silently rewires traffic. Both cases warn.
+/// Entries the element itself rejects are skipped (the install-time
+/// error already covers them).
 fn check_route_tables(graph: &RouterGraph, ds: &mut Vec<Diagnostic>) {
     for (_, decl) in graph.elements() {
         if !matches!(decl.class(), "StaticIPLookup" | "LookupIPRoute") {
             continue;
         }
         let entries = arg_slices(decl.config());
-        let mut seen: HashMap<(u32, u32), usize> = HashMap::with_capacity(entries.len());
+        let mut seen: HashMap<(u32, u8), usize> = HashMap::with_capacity(entries.len());
         for entry in entries {
-            let Some((addr, plen, port)) = parse_route(entry) else {
+            let Ok(Route {
+                addr, plen, port, ..
+            }) = parse_route(entry)
+            else {
                 continue;
             };
             let Some(prev) = seen.insert((addr, plen), port) else {

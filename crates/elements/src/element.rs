@@ -249,6 +249,11 @@ pub trait Element {
     /// configuration (matched by name and class, see
     /// [`crate::swap::TransferPlan`]). The default discards the state,
     /// recycling any buffered packets.
+    ///
+    /// Counters are added (`+=`): [`crate::router::Router::checkpoint_snapshot`]
+    /// hands an element its own state back with `counters` emptied, the
+    /// only hand-back that lacks them (`StaticIPLookup` tells by that
+    /// absence that its table came home rather than was adopted).
     fn restore_state(&mut self, state: ElementState) {
         state.recycle_packets();
     }

@@ -12,8 +12,9 @@
 use crate::batch::{BatchEmitter, PacketBatch};
 use crate::element::{args, config_err, int_arg, CreateCtx, Element, Emitter};
 use crate::elements::ip::{fragment, CheckIPHeader, IPGWOptions};
-use crate::headers::{ether, ipv4, parse_ip};
+use crate::headers::{ether, ipv4};
 use crate::packet::Packet;
+use click_core::config::parse_ipv4;
 use click_core::error::Result;
 
 /// `IPInputCombo(color)`: paints, strips the Ethernet header, validates
@@ -114,7 +115,7 @@ impl IPOutputCombo {
             ));
         }
         let color = int_arg("IPOutputCombo", "color", &a[0])?;
-        let fix_src = parse_ip(&a[1])
+        let fix_src = parse_ipv4(&a[1])
             .ok_or_else(|| config_err("IPOutputCombo", format!("bad address {:?}", a[1])))?;
         let mtu: usize = int_arg("IPOutputCombo", "mtu", &a[2])?;
         if mtu < ipv4::HLEN + 8 {

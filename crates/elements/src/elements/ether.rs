@@ -2,8 +2,9 @@
 //! `HostEtherFilter`.
 
 use crate::element::{args, config_err, CreateCtx, Element, Emitter};
-use crate::headers::{arp, ether, ipv4, parse_ip, parse_mac};
+use crate::headers::{arp, ether, ipv4, parse_mac};
 use crate::packet::Packet;
+use click_core::config::parse_ipv4;
 use click_core::error::Result;
 use std::collections::HashMap;
 
@@ -86,7 +87,7 @@ impl ArpQuerier {
         if a.len() < 2 {
             return Err(config_err("ARPQuerier", "expects at least `ip, eth`"));
         }
-        let ip = parse_ip(&a[0])
+        let ip = parse_ipv4(&a[0])
             .ok_or_else(|| config_err("ARPQuerier", format!("bad IP address {:?}", a[0])))?;
         let eth = parse_mac(&a[1])
             .ok_or_else(|| config_err("ARPQuerier", format!("bad MAC address {:?}", a[1])))?;
@@ -99,7 +100,7 @@ impl ArpQuerier {
                     format!("bad table entry {pair:?}"),
                 ));
             };
-            let nip = parse_ip(ip_s)
+            let nip = parse_ipv4(ip_s)
                 .ok_or_else(|| config_err("ARPQuerier", format!("bad IP in entry {pair:?}")))?;
             let neth = parse_mac(mac_s)
                 .ok_or_else(|| config_err("ARPQuerier", format!("bad MAC in entry {pair:?}")))?;
@@ -221,7 +222,7 @@ impl ArpResponder {
             let (Some(ip_s), Some(mac_s), None) = (it.next(), it.next(), it.next()) else {
                 return Err(config_err("ARPResponder", format!("bad entry {pair:?}")));
             };
-            let ip = parse_ip(ip_s)
+            let ip = parse_ipv4(ip_s)
                 .ok_or_else(|| config_err("ARPResponder", format!("bad IP in {pair:?}")))?;
             let mac = parse_mac(mac_s)
                 .ok_or_else(|| config_err("ARPResponder", format!("bad MAC in {pair:?}")))?;

@@ -6,12 +6,12 @@
 
 use crate::batch::{BatchEmitter, PacketBatch};
 use crate::element::{args, config_err, int_arg, CreateCtx, Element, Emitter};
-use crate::headers::{ipv4, parse_ip};
+use crate::headers::ipv4;
 use crate::packet::Packet;
 use crate::persist::config_hash;
 use crate::routing::MultibitTrie;
 use crate::swap::ElementState;
-use click_core::config::arg_slices;
+use click_core::config::{arg_slices, parse_ipv4, parse_route, Route, RouteError};
 use click_core::error::Result;
 use std::cell::OnceCell;
 
@@ -165,7 +165,7 @@ impl SetIPAddress {
                 "expects exactly one address argument",
             ));
         }
-        let ip = parse_ip(&a[0])
+        let ip = parse_ipv4(&a[0])
             .ok_or_else(|| config_err("SetIPAddress", format!("bad address {:?}", a[0])))?;
         Ok(SetIPAddress { ip })
     }
@@ -295,7 +295,7 @@ impl FixIPSrc {
                 "expects exactly one address argument",
             ));
         }
-        let ip = parse_ip(&a[0])
+        let ip = parse_ipv4(&a[0])
             .ok_or_else(|| config_err("FixIPSrc", format!("bad address {:?}", a[0])))?;
         Ok(FixIPSrc { ip })
     }
@@ -490,7 +490,7 @@ impl ICMPError {
         if a.len() != 3 {
             return Err(config_err("ICMPError", "expects `src_ip, type, code`"));
         }
-        let src_ip = parse_ip(&a[0])
+        let src_ip = parse_ipv4(&a[0])
             .ok_or_else(|| config_err("ICMPError", format!("bad address {:?}", a[0])))?;
         Ok(ICMPError {
             src_ip,
@@ -564,7 +564,7 @@ impl ICMPPingResponder {
                 "expects exactly one address argument",
             ));
         }
-        let ip = parse_ip(&a[0])
+        let ip = parse_ipv4(&a[0])
             .ok_or_else(|| config_err("ICMPPingResponder", format!("bad address {:?}", a[0])))?;
         Ok(ICMPPingResponder {
             ip,
@@ -664,7 +664,7 @@ struct CarriedTable {
 pub struct StaticIPLookup {
     /// Parsed route entries, in configuration order (later duplicates
     /// override earlier ones when the table is built).
-    routes: Vec<(u32, u8, Option<u32>, usize)>,
+    routes: Vec<Route>,
     table: OnceCell<MultibitTrie<(Option<u32>, usize)>>,
     config_fnv: u64,
     class: &'static str,
@@ -688,44 +688,21 @@ impl StaticIPLookup {
         if a.is_empty() {
             return Err(config_err(class, "expects at least one route"));
         }
-        let mut routes = Vec::with_capacity(a.len());
-        for route in a {
-            let mut words = route.split_whitespace();
-            let (Some(dst), Some(second), third, None) =
-                (words.next(), words.next(), words.next(), words.next())
-            else {
-                return Err(config_err(class, format!("bad route {route:?}")));
-            };
-            let (addr_s, plen): (&str, u8) = match dst.split_once('/') {
-                Some((a, l)) => (
-                    a,
-                    l.parse()
-                        .ok()
-                        .filter(|&l| l <= 32)
-                        .ok_or_else(|| config_err(class, format!("bad prefix in {route:?}")))?,
-                ),
-                None => (dst, 32),
-            };
-            let addr = parse_ip(addr_s)
-                .ok_or_else(|| config_err(class, format!("bad address in {route:?}")))?;
-            let (gw, port_s) = match third {
-                Some(port_s) => {
-                    let gw = parse_ip(second)
-                        .ok_or_else(|| config_err(class, format!("bad gateway in {route:?}")))?;
-                    (Some(gw), port_s)
-                }
-                None => (None, second),
-            };
-            let port: usize = port_s
-                .parse()
-                .map_err(|_| config_err(class, format!("bad output port in {route:?}")))?;
-            let masked = if plen == 0 {
-                0
-            } else {
-                addr & (u32::MAX << (32 - plen))
-            };
-            routes.push((masked, plen, gw, port));
-        }
+        let routes = a
+            .into_iter()
+            .map(|route| {
+                parse_route(route).map_err(|e| {
+                    let what = match e {
+                        RouteError::Shape => "route",
+                        RouteError::Prefix => "prefix in",
+                        RouteError::Address => "address in",
+                        RouteError::Gateway => "gateway in",
+                        RouteError::Port => "output port in",
+                    };
+                    config_err(class, format!("bad {what} {route:?}"))
+                })
+            })
+            .collect::<Result<Vec<Route>>>()?;
         Ok(StaticIPLookup {
             routes,
             table: OnceCell::new(),
@@ -740,11 +717,11 @@ impl StaticIPLookup {
     /// a hot swap already installed a carried one).
     fn table(&self) -> &MultibitTrie<(Option<u32>, usize)> {
         self.table.get_or_init(|| {
-            let mut t = MultibitTrie::new();
-            for &(addr, plen, gw, port) in &self.routes {
-                t.insert(addr, plen, (gw, port));
-            }
-            t
+            MultibitTrie::from_prefixes(
+                self.routes
+                    .iter()
+                    .map(|r| (r.addr, r.plen, (r.gateway, r.port))),
+            )
         })
     }
 
@@ -863,17 +840,19 @@ impl Element for StaticIPLookup {
     }
     fn restore_state(&mut self, mut state: ElementState) {
         self.no_route += state.get("no_route");
-        let mut adoptions = state.get("table_adoptions");
+        self.table_adoptions += state.get("table_adoptions");
         if let Some(carried) = state.take_payload::<CarriedTable>() {
             // Adopt only when built from the same configuration and our
             // own lazy build has not run yet — otherwise the new
             // configuration wins and the carried table is dropped.
             if carried.config_fnv == self.config_fnv && self.table.get().is_none() {
                 let _ = self.table.set(carried.table);
-                adoptions += 1;
+                // A checkpoint walk hands our own table back with the
+                // counters cleared: a return, not an adoption (the
+                // contract on `Element::restore_state`).
+                self.table_adoptions += u64::from(state.find("table_adoptions").is_some());
             }
         }
-        self.table_adoptions = adoptions;
         state.recycle_packets();
     }
 }
@@ -1109,6 +1088,60 @@ mod tests {
     }
 
     #[test]
+    fn static_ip_lookup_adoptions_survive_a_checkpoint_walk() {
+        let config = "10.0.1.0/24 0, 0.0.0.0/0 1";
+        let mut e = StaticIPLookup::from_config(config, &mut ctx()).unwrap();
+        assert_eq!(e.route(0x0A000105), Some((0x0A000105, 0)));
+        for _ in 0..2 {
+            let state = e.take_state().unwrap();
+            e = StaticIPLookup::from_config(config, &mut ctx()).unwrap();
+            e.restore_state(state);
+        }
+        assert_eq!(e.stat("table_adoptions"), Some(2));
+        // `Router::checkpoint_snapshot`'s walk: the element's own state
+        // comes back with the counters cleared.
+        let walk = |e: &mut StaticIPLookup| {
+            let mut state = e.take_state().unwrap();
+            state.counters.clear();
+            e.restore_state(state);
+        };
+        walk(&mut e);
+        assert_eq!(e.stat("table_adoptions"), Some(2));
+        assert_eq!(e.route(0x0A000105), Some((0x0A000105, 0)));
+        // A lineage whose last table was rejected is unbuilt; its count
+        // survives the walk too.
+        let state = e.take_state().unwrap();
+        let mut other = StaticIPLookup::from_config("10.9.0.0/16 1", &mut ctx()).unwrap();
+        other.restore_state(state);
+        walk(&mut other);
+        assert_eq!(other.stat("table_adoptions"), Some(2));
+    }
+
+    #[test]
+    fn router_keeps_table_adoptions_across_swaps_and_a_cut() {
+        use crate::persist::CheckpointEngine;
+        use crate::router::DynRouter;
+        use click_core::registry::Library;
+        let graph =
+            click_core::lang::read_config("Idle -> rt :: StaticIPLookup(10.0.0.0/8 0) -> Discard;")
+                .unwrap();
+        let lib = Library::standard();
+        let mut r = DynRouter::from_graph(&graph, &lib).unwrap();
+        let rt = r.find("rt").unwrap();
+        r.push_to(rt, 0, ip_packet(0x0A000001, 64));
+        for _ in 0..2 {
+            r.hot_swap(&graph, &lib).unwrap();
+        }
+        assert_eq!(r.stat("rt", "table_adoptions"), Some(2));
+        let snap = CheckpointEngine::checkpoint_snapshot(&mut r).unwrap();
+        let record = snap.elements.iter().find(|e| e.name == "rt").unwrap();
+        assert!(record.counters.contains(&("table_adoptions".to_owned(), 2)));
+        assert_eq!(r.stat("rt", "table_adoptions"), Some(2));
+        r.hot_swap(&graph, &lib).unwrap();
+        assert_eq!(r.stat("rt", "table_adoptions"), Some(3));
+    }
+
+    #[test]
     fn static_ip_lookup_incremental_updates() {
         let mut r = StaticIPLookup::from_config("10.0.0.0/8 0", &mut ctx()).unwrap();
         assert_eq!(r.route_count(), 1);
@@ -1138,5 +1171,22 @@ mod tests {
         assert!(StaticIPLookup::from_config("", &mut ctx()).is_err());
         assert!(StaticIPLookup::from_config("10.0.0.0/40 1", &mut ctx()).is_err());
         assert!(StaticIPLookup::from_config("10.0.0.0/8 1 2 3", &mut ctx()).is_err());
+    }
+
+    #[test]
+    fn static_ip_lookup_names_the_bad_field() {
+        for (entry, message) in [
+            ("10.0.0.0/8", "bad route \"10.0.0.0/8\""),
+            ("10.0.0.0/33 1", "bad prefix in \"10.0.0.0/33 1\""),
+            ("10.0.0/8 1", "bad address in \"10.0.0/8 1\""),
+            (
+                "10.0.0.0/8 1.2.3 1",
+                "bad gateway in \"10.0.0.0/8 1.2.3 1\"",
+            ),
+            ("10.0.0.0/8 x", "bad output port in \"10.0.0.0/8 x\""),
+        ] {
+            let err = StaticIPLookup::from_config(entry, &mut ctx()).unwrap_err();
+            assert!(err.to_string().ends_with(message), "{err}");
+        }
     }
 }

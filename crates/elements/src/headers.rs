@@ -231,22 +231,6 @@ pub mod icmp {
     pub const CODE_NEEDS_FRAG: u8 = 4;
 }
 
-/// Parses a dotted-quad IPv4 address.
-pub fn parse_ip(s: &str) -> Option<u32> {
-    let mut v: u32 = 0;
-    let mut count = 0;
-    for part in s.split('.') {
-        let b: u8 = part.parse().ok()?;
-        v = (v << 8) | u32::from(b);
-        count += 1;
-    }
-    if count == 4 {
-        Some(v)
-    } else {
-        None
-    }
-}
-
 /// Formats an IPv4 address as dotted quad.
 pub fn ip_to_string(ip: u32) -> String {
     format!(
@@ -323,14 +307,15 @@ pub fn build_udp_packet(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use click_core::config::parse_ipv4;
 
     #[test]
     fn ip_parse_and_format() {
-        assert_eq!(parse_ip("10.0.0.1"), Some(0x0A000001));
+        assert_eq!(parse_ipv4("10.0.0.1"), Some(0x0A000001));
         assert_eq!(ip_to_string(0x0A000001), "10.0.0.1");
-        assert_eq!(parse_ip("1.2.3"), None);
-        assert_eq!(parse_ip("256.0.0.1"), None);
-        assert_eq!(parse_ip("1.2.3.4.5"), None);
+        assert_eq!(parse_ipv4("1.2.3"), None);
+        assert_eq!(parse_ipv4("256.0.0.1"), None);
+        assert_eq!(parse_ipv4("1.2.3.4.5"), None);
     }
 
     #[test]
@@ -352,8 +337,8 @@ mod tests {
         let p = build_udp_packet(
             [1; 6],
             [2; 6],
-            parse_ip("10.0.0.1").unwrap(),
-            parse_ip("10.0.1.1").unwrap(),
+            parse_ipv4("10.0.0.1").unwrap(),
+            parse_ipv4("10.0.1.1").unwrap(),
             1234,
             5678,
             18,

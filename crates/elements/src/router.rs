@@ -929,7 +929,9 @@ impl<S: Slot> Router<S> {
     /// ([`Element::take_state`]), copied into plain-data records, and
     /// handed straight back with its counters cleared — so `+=`-style
     /// restores are no-ops, queued packets and opaque payloads (routing
-    /// tries) return home, and RNG state is untouched.
+    /// tries) return home, and RNG state is untouched. The empty counter
+    /// set is also how an element tells this return from a hot-swap
+    /// hand-over (see [`Element::restore_state`]); keep it empty.
     ///
     /// The caller must be between transfers (a serial router always is,
     /// outside [`Router::run_until_idle`]); the reported `quiesce_ns` is

@@ -174,12 +174,15 @@ struct PackedNode {
 /// shared pool, so a lookup is a root load plus at most three
 /// bitmap-popcount hops regardless of table size.
 ///
-/// Mutation is incremental: a short-prefix insert or remove repaints
-/// only the root slots it covers; a long-prefix insert or remove
-/// rebuilds only its own chunk's subtree (a handful of nodes).
-/// Replacing the value of an existing prefix is O(1) — the value arena
-/// is updated in place and no nodes move. Freed nodes and pool ranges
-/// are recycled, with the pool compacted when over half garbage.
+/// A whole table is built at once by [`MultibitTrie::from_prefixes`]:
+/// one sort of the long prefixes, then each chunk's subtree built once.
+/// Mutation after that is incremental: a short-prefix insert or remove
+/// repaints only the root slots it covers; a long-prefix insert or
+/// remove rebuilds only its own chunk's subtree (a handful of nodes)
+/// with the same builder. Replacing the value of an existing prefix is
+/// O(1) — the value arena is updated in place and no nodes move. Freed
+/// nodes and pool ranges are recycled, with the pool compacted when
+/// over half garbage.
 #[derive(Debug, Clone)]
 pub struct MultibitTrie<T> {
     root: Vec<RootSlot>,
@@ -195,7 +198,7 @@ pub struct MultibitTrie<T> {
     /// prefix -> (value index, plen).
     short: IpTrie<(u32, u8)>,
     /// Authoritative store for prefixes with `plen > 16`, keyed by the
-    /// top-16-bit chunk they live in.
+    /// top-16-bit chunk they live in; each list sorted by `(addr, plen)`.
     long: HashMap<u16, Vec<LongEntry>>,
     count: usize,
 }
@@ -205,6 +208,12 @@ struct LongEntry {
     addr: u32,
     plen: u8,
     validx: u32,
+}
+
+impl LongEntry {
+    fn key(&self) -> (u32, u8) {
+        (self.addr, self.plen)
+    }
 }
 
 impl<T> Default for MultibitTrie<T> {
@@ -230,6 +239,50 @@ impl<T> MultibitTrie<T> {
         MultibitTrie::default()
     }
 
+    /// Builds a table from `(addr, plen, value)` routes in one go. Later
+    /// duplicates of an exact prefix win, as with [`MultibitTrie::insert`],
+    /// and the result answers every query as the in-order insert loop
+    /// would; but the long prefixes are sorted once and each chunk's
+    /// subtree is built once, so no storage is freed or compacted.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `plen > 32`.
+    pub fn from_prefixes(routes: impl IntoIterator<Item = (u32, u8, T)>) -> MultibitTrie<T> {
+        let mut t = MultibitTrie::new();
+        let mut long: Vec<LongEntry> = Vec::new();
+        for (addr, plen, value) in routes {
+            assert!(plen <= 32, "prefix length must be at most 32");
+            let addr = mask_addr(addr, plen);
+            if plen <= 16 {
+                t.insert_short(addr, plen, value);
+            } else {
+                let validx = place(&mut t.values, &mut t.free_values, Some(value));
+                long.push(LongEntry { addr, plen, validx });
+            }
+        }
+        // Stable, so of exact duplicates the last one sorts last and is
+        // the one kept; the earlier values are freed.
+        long.sort_by_key(LongEntry::key);
+        long.dedup_by(|later, kept| {
+            if later.key() != kept.key() {
+                return false;
+            }
+            t.values[kept.validx as usize] = None;
+            t.free_values.push(kept.validx);
+            kept.validx = later.validx;
+            true
+        });
+        t.count += long.len();
+        for list in long.chunk_by(|a, b| a.addr >> 16 == b.addr >> 16) {
+            let chunk = (list[0].addr >> 16) as u16;
+            t.root[chunk as usize].child =
+                build_sorted(&mut t.nodes, &mut t.pool, &mut t.free_nodes, list, 0);
+            t.long.insert(chunk, list.to_vec());
+        }
+        t
+    }
+
     /// Inserts a prefix of `plen` bits. Replaces any existing value for
     /// the exact same prefix and returns the old value. Replacement is
     /// O(1); a fresh insert touches only the root slots or the one
@@ -248,21 +301,11 @@ impl<T> MultibitTrie<T> {
         }
     }
 
-    fn alloc_value(&mut self, value: T) -> u32 {
-        if let Some(i) = self.free_values.pop() {
-            self.values[i as usize] = Some(value);
-            i
-        } else {
-            self.values.push(Some(value));
-            (self.values.len() - 1) as u32
-        }
-    }
-
     fn insert_short(&mut self, addr: u32, plen: u8, value: T) -> Option<T> {
         if let Some(&(vi, _)) = self.short.get(addr, plen) {
             return self.values[vi as usize].replace(value);
         }
-        let vi = self.alloc_value(value);
+        let vi = place(&mut self.values, &mut self.free_values, Some(value));
         self.short.insert(addr, plen, (vi, plen));
         self.count += 1;
         // Leaf-push: paint every root slot this prefix covers, unless a
@@ -280,18 +323,14 @@ impl<T> MultibitTrie<T> {
 
     fn insert_long(&mut self, addr: u32, plen: u8, value: T) -> Option<T> {
         let chunk = (addr >> 16) as u16;
-        if let Some(list) = self.long.get(&chunk) {
-            if let Some(e) = list.iter().find(|e| e.addr == addr && e.plen == plen) {
-                // In-place value update: no structure moves.
-                return self.values[e.validx as usize].replace(value);
-            }
-        }
-        let vi = self.alloc_value(value);
-        self.long.entry(chunk).or_default().push(LongEntry {
-            addr,
-            plen,
-            validx: vi,
-        });
+        let list = self.long.entry(chunk).or_default();
+        let pos = match list.binary_search_by_key(&(addr, plen), LongEntry::key) {
+            // In-place value update: no structure moves.
+            Ok(pos) => return self.values[list[pos].validx as usize].replace(value),
+            Err(pos) => pos,
+        };
+        let validx = place(&mut self.values, &mut self.free_values, Some(value));
+        list.insert(pos, LongEntry { addr, plen, validx });
         self.count += 1;
         self.rebuild_chunk(chunk);
         None
@@ -325,7 +364,9 @@ impl<T> MultibitTrie<T> {
         } else {
             let chunk = (addr >> 16) as u16;
             let list = self.long.get_mut(&chunk)?;
-            let pos = list.iter().position(|e| e.addr == addr && e.plen == plen)?;
+            let pos = list
+                .binary_search_by_key(&(addr, plen), LongEntry::key)
+                .ok()?;
             let entry = list.remove(pos);
             if list.is_empty() {
                 self.long.remove(&chunk);
@@ -385,8 +426,10 @@ impl<T> MultibitTrie<T> {
             self.values[vi as usize].as_ref()
         } else {
             let list = self.long.get(&((addr >> 16) as u16))?;
-            let e = list.iter().find(|e| e.addr == addr && e.plen == plen)?;
-            self.values[e.validx as usize].as_ref()
+            let pos = list
+                .binary_search_by_key(&(addr, plen), LongEntry::key)
+                .ok()?;
+            self.values[list[pos].validx as usize].as_ref()
         }
     }
 
@@ -409,11 +452,15 @@ impl<T> MultibitTrie<T> {
         if old != NONE {
             self.free_subtree(old);
         }
-        let entries = self.long.get(&chunk).cloned().unwrap_or_default();
-        self.root[chunk as usize].child = if entries.is_empty() {
-            NONE
-        } else {
-            self.build_node(&entries, 0)
+        self.root[chunk as usize].child = match self.long.get(&chunk) {
+            Some(list) => build_sorted(
+                &mut self.nodes,
+                &mut self.pool,
+                &mut self.free_nodes,
+                list,
+                0,
+            ),
+            None => NONE,
         };
         self.maybe_compact();
     }
@@ -428,65 +475,6 @@ impl<T> MultibitTrie<T> {
                 stack.push(self.pool[n.base_children as usize + k]);
             }
             self.free_nodes.push(i);
-        }
-    }
-
-    /// Builds one stride node (and its descendants) covering `entries`,
-    /// which all share the address bits above this level. Returns the
-    /// node index.
-    fn build_node(&mut self, entries: &[LongEntry], level: usize) -> u32 {
-        let (shift, width) = LEVELS[level];
-        // Address bits of the low 16 consumed once this level resolves.
-        let boundary = 16 - shift;
-        let wmask = (1u32 << width) - 1;
-        let mut leaf_bm = 0u64;
-        let mut child_bm = 0u64;
-        let mut leaf_vals: Vec<u32> = Vec::new();
-        let mut child_idxs: Vec<u32> = Vec::new();
-        for i in 0..(1u32 << width) {
-            // Leaf-push: the longest prefix resolving at this level
-            // that covers slot `i`.
-            let mut best: Option<(u32, u32)> = None;
-            let mut sub: Vec<LongEntry> = Vec::new();
-            for e in entries {
-                let low = e.addr & 0xFFFF;
-                let plen_low = u32::from(e.plen) - 16;
-                let slot = (low >> shift) & wmask;
-                if plen_low <= boundary {
-                    let free = boundary - plen_low;
-                    if (i & !((1u32 << free) - 1)) == slot && best.is_none_or(|(p, _)| p < plen_low)
-                    {
-                        best = Some((plen_low, e.validx));
-                    }
-                } else if slot == i {
-                    sub.push(*e);
-                }
-            }
-            if let Some((_, vi)) = best {
-                leaf_bm |= 1u64 << i;
-                leaf_vals.push(vi);
-            }
-            if !sub.is_empty() {
-                child_bm |= 1u64 << i;
-                child_idxs.push(self.build_node(&sub, level + 1));
-            }
-        }
-        let base_leaves = self.pool.len() as u32;
-        self.pool.extend_from_slice(&leaf_vals);
-        let base_children = self.pool.len() as u32;
-        self.pool.extend_from_slice(&child_idxs);
-        let node = PackedNode {
-            child_bm,
-            leaf_bm,
-            base_children,
-            base_leaves,
-        };
-        if let Some(i) = self.free_nodes.pop() {
-            self.nodes[i as usize] = node;
-            i
-        } else {
-            self.nodes.push(node);
-            (self.nodes.len() - 1) as u32
         }
     }
 
@@ -523,6 +511,77 @@ impl<T> MultibitTrie<T> {
     }
 }
 
+/// Stores `item` in `arena`, in a slot from `free` if one is spare.
+fn place<V>(arena: &mut Vec<V>, free: &mut Vec<u32>, item: V) -> u32 {
+    if let Some(i) = free.pop() {
+        arena[i as usize] = item;
+        i
+    } else {
+        arena.push(item);
+        (arena.len() - 1) as u32
+    }
+}
+
+/// Builds the stride node at `level` (and its descendants) over
+/// `entries`, which are sorted by `(addr, plen)` and share the address
+/// bits above this level. Returns the node index.
+///
+/// One pass: entries of one slot are contiguous, so a slot's child is
+/// built from that run; entries an ancestor level resolved are in the
+/// run but skipped. Sorted order puts every prefix before the longer
+/// ones nested in it, so leaf-pushing by overwrite leaves each slot
+/// with its longest covering prefix.
+fn build_sorted(
+    nodes: &mut Vec<PackedNode>,
+    pool: &mut Vec<u32>,
+    free_nodes: &mut Vec<u32>,
+    entries: &[LongEntry],
+    level: usize,
+) -> u32 {
+    let (shift, width) = LEVELS[level];
+    // Bits of the low 16 resolved above this level, and once it resolves.
+    let above = level.checked_sub(1).map_or(0, |l| 16 - LEVELS[l].0);
+    let boundary = 16 - shift;
+    let slot_of = |e: &LongEntry| (((e.addr & 0xFFFF) >> shift) & ((1 << width) - 1)) as usize;
+    let (mut leaves, mut leaf_bm) = ([NONE; 64], 0u64);
+    let (mut children, mut child_bm) = ([NONE; 64], 0u64);
+    for run in entries.chunk_by(|a, b| slot_of(a) == slot_of(b)) {
+        let slot = slot_of(&run[0]);
+        let mut deeper = false;
+        for e in run {
+            let plen_low = u32::from(e.plen) - 16;
+            if plen_low > boundary {
+                deeper = true;
+            } else if plen_low > above {
+                let span = 1 << (boundary - plen_low);
+                leaves[slot..slot + span].fill(e.validx);
+                leaf_bm |= (u64::MAX >> (64 - span)) << slot;
+            }
+        }
+        if deeper {
+            children[slot] = build_sorted(nodes, pool, free_nodes, run, level + 1);
+            child_bm |= 1 << slot;
+        }
+    }
+    let mut pack = |slots: &[u32; 64], mut bm: u64| {
+        let base = pool.len() as u32;
+        while bm != 0 {
+            pool.push(slots[bm.trailing_zeros() as usize]);
+            bm &= bm - 1;
+        }
+        base
+    };
+    let base_leaves = pack(&leaves, leaf_bm);
+    let base_children = pack(&children, child_bm);
+    let node = PackedNode {
+        child_bm,
+        leaf_bm,
+        base_children,
+        base_leaves,
+    };
+    place(nodes, free_nodes, node)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -530,7 +589,7 @@ mod tests {
 
     mod click_elements_test_util {
         pub fn ip(s: &str) -> u32 {
-            crate::headers::parse_ip(s).unwrap()
+            click_core::config::parse_ipv4(s).unwrap()
         }
     }
 
@@ -725,10 +784,30 @@ mod tests {
     /// longest-prefix scan — for both the old and the new trie.
     #[test]
     fn differential_churn_old_and_multibit_vs_linear_scan() {
-        let mut next = lcg(0xfeed_beef);
-        let mut old: IpTrie<usize> = IpTrie::new();
-        let mut multi: MultibitTrie<usize> = MultibitTrie::new();
+        churn(IpTrie::new(), MultibitTrie::new(), Vec::new());
+    }
+
+    /// The same churn from a bulk-built start: the authoritative stores
+    /// `from_prefixes` fills must take incremental edits as the insert
+    /// loop's do.
+    #[test]
+    fn differential_churn_after_bulk_build_vs_linear_scan() {
+        let mut old = IpTrie::new();
         let mut model: Vec<(u32, u8, usize)> = Vec::new();
+        for (i, (a, l)) in synthetic_bgp_prefixes(0xB01C, 400).into_iter().enumerate() {
+            old.insert(a, l, 1000 + i);
+            model.push((a, l, 1000 + i));
+        }
+        let multi = MultibitTrie::from_prefixes(model.iter().copied());
+        churn(old, multi, model);
+    }
+
+    fn churn(
+        mut old: IpTrie<usize>,
+        mut multi: MultibitTrie<usize>,
+        mut model: Vec<(u32, u8, usize)>,
+    ) {
+        let mut next = lcg(0xfeed_beef);
         for step in 0..600usize {
             let roll = next() % 10;
             if roll < 7 || model.is_empty() {
@@ -875,10 +954,10 @@ mod tests {
             .collect()
     }
 
-    /// Builds the multibit trie over `n` synthetic-BGP prefixes and
+    /// Bulk-builds the multibit trie over `n` synthetic-BGP prefixes and
     /// checks every lookup of a 4096-address, diversity-1024 stream
     /// against the stride plan's level bound and, when `against_old`,
-    /// against the one-bit trie.
+    /// against the insert-built trie and the one-bit trie.
     fn check_synthetic_bgp(n: usize, against_old: bool) {
         // The root array consumes 16 address bits and the strides
         // 6 + 6 + 4 = 16 more: at most three interior nodes per lookup,
@@ -887,11 +966,13 @@ mod tests {
         let prefixes = synthetic_bgp_prefixes(0xB6_D0 + n as u64, n);
         let slash24 = prefixes.iter().filter(|&&(_, l)| l == 24).count();
         assert!(slash24 * 10 > n * 4, "{slash24} /24s in {n}: skew lost");
-        let mut multi = MultibitTrie::new();
+        let multi =
+            MultibitTrie::from_prefixes(prefixes.iter().enumerate().map(|(i, &(a, l))| (a, l, i)));
+        let mut inserted = MultibitTrie::new();
         let mut old = IpTrie::new();
-        for (i, &(addr, plen)) in prefixes.iter().enumerate() {
-            multi.insert(addr, plen, i);
-            if against_old {
+        if against_old {
+            for (i, &(addr, plen)) in prefixes.iter().enumerate() {
+                inserted.insert(addr, plen, i);
                 old.insert(addr, plen, i);
             }
         }
@@ -902,6 +983,11 @@ mod tests {
             assert!(steps <= LEVEL_BOUND, "{a:#x}: {steps} levels");
             assert!(hit.is_some(), "{a:#x} misses the default route");
             if against_old {
+                assert_eq!(
+                    inserted.lookup_steps(a),
+                    (hit, steps),
+                    "bulk vs insert at {a:#x}"
+                );
                 assert_eq!(hit, old.lookup(a), "divergence at {a:#x}");
             }
             deepest = deepest.max(steps);
@@ -909,6 +995,69 @@ mod tests {
         // The /25-/32 tail of the mix reaches the last stride, so the
         // bound above is exercised, not vacuous.
         assert_eq!(deepest, LEVEL_BOUND, "stream never reached the last level");
+    }
+
+    /// Synthetic-BGP prefixes (a `/0`, `/8`–`/32`) plus exact duplicates
+    /// of a fifth of them with fresh values, short and long alike: the
+    /// bulk build must answer like the in-order insert loop — lookups
+    /// with their step counts, `get` and `len` — with the last duplicate
+    /// winning.
+    #[test]
+    fn bulk_build_equals_in_order_insert() {
+        for seed in [3u64, 0x5EED, 0xB6_D0] {
+            let mut next = lcg(seed);
+            let prefixes = synthetic_bgp_prefixes(seed, 2000);
+            let mut routes: Vec<(u32, u8, usize)> = prefixes
+                .iter()
+                .enumerate()
+                .map(|(i, &(a, l))| (a, l, i))
+                .collect();
+            for v in 0..400 {
+                let (a, l) = prefixes[next() as usize % prefixes.len()];
+                let at = next() as usize % (routes.len() + 1);
+                routes.insert(at, (a | !mask_addr(u32::MAX, l), l, 10_000 + v));
+            }
+            let bulk = MultibitTrie::from_prefixes(routes.iter().copied());
+            let mut inserted = MultibitTrie::new();
+            for &(a, l, v) in &routes {
+                inserted.insert(a, l, v);
+            }
+            assert_eq!(bulk.len(), prefixes.len(), "seed {seed}");
+            assert_eq!(inserted.len(), prefixes.len(), "seed {seed}");
+            let mut probes: Vec<u32> = (0..1024).map(|_| next()).collect();
+            for &(a, l) in prefixes.iter().step_by(40) {
+                let top = a | !mask_addr(u32::MAX, l);
+                probes.extend([a, a.wrapping_sub(1), top, top.wrapping_add(1)]);
+                probes.extend((0..60).map(|_| a ^ (next() & 0x1FF)));
+            }
+            assert!(probes.len() >= 4096);
+            for q in probes {
+                assert_eq!(bulk.lookup_steps(q), inserted.lookup_steps(q), "{q:#x}");
+            }
+            let key = |&(a, l, _): &(u32, u8, usize)| (mask_addr(a, l), l);
+            for r in &routes {
+                let last = routes.iter().rev().find(|s| key(s) == key(r));
+                assert_eq!(bulk.get(r.0, r.1), last.map(|s| &s.2), "{r:?}");
+                assert_eq!(bulk.get(r.0, r.1), inserted.get(r.0, r.1), "{r:?}");
+            }
+        }
+    }
+
+    /// The bulk build stores each chunk once: nothing on the free lists,
+    /// no pool garbage, and a pool exactly as long as the live ranges.
+    #[test]
+    fn bulk_build_leaves_no_garbage() {
+        let routes = synthetic_bgp_prefixes(0x6A7B, 20_000);
+        let t = MultibitTrie::from_prefixes(routes.iter().map(|&(a, l)| (a, l, ())));
+        assert!(t.free_nodes.is_empty());
+        assert_eq!(t.pool_garbage, 0);
+        let live: usize = t
+            .nodes
+            .iter()
+            .map(|n| (n.leaf_bm.count_ones() + n.child_bm.count_ones()) as usize)
+            .sum();
+        assert_eq!(t.pool.len(), live);
+        assert!(t.free_values.is_empty());
     }
 
     #[test]
