@@ -187,12 +187,7 @@ pub enum RouteError {
 /// Parses one `ADDR[/PLEN] [GW] PORT` route entry, split into words as
 /// `str::split_whitespace` splits it.
 pub fn parse_route(entry: &str) -> Result<Route, RouteError> {
-    if !entry.is_ascii() {
-        return route_from_words(entry.split_whitespace().map(str::as_bytes));
-    }
-    // The same words, split on bytes: 10 % of `tables`' swap pause.
-    let space = |b: &u8| matches!(b, b'\t'..=b'\r' | b' ');
-    route_from_words(entry.as_bytes().split(space).filter(|w| !w.is_empty()))
+    route_from_words(entry.split_whitespace().map(str::as_bytes))
 }
 
 fn route_from_words<'a>(mut words: impl Iterator<Item = &'a [u8]>) -> Result<Route, RouteError> {

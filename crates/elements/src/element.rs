@@ -237,10 +237,10 @@ pub trait Element {
     }
 
     /// Surrenders this element's transferable state for a hot swap
-    /// ([`crate::router::Router::hot_swap`]): counters and buffered
-    /// packets that should survive a configuration change. The element is
-    /// left empty (it is about to be discarded). Stateless elements — the
-    /// default — return `None`.
+    /// ([`crate::router::Router::hot_swap`]) that rebuilds it with a
+    /// changed configuration: counters and buffered packets that should
+    /// survive the change. The element is left empty (it is about to be
+    /// discarded). Stateless elements — the default — return `None`.
     fn take_state(&mut self) -> Option<ElementState> {
         None
     }
@@ -251,9 +251,7 @@ pub trait Element {
     /// recycling any buffered packets.
     ///
     /// Counters are added (`+=`): [`crate::router::Router::checkpoint_snapshot`]
-    /// hands an element its own state back with `counters` emptied, the
-    /// only hand-back that lacks them (`StaticIPLookup` tells by that
-    /// absence that its table came home rather than was adopted).
+    /// hands an element its own state back with `counters` emptied.
     fn restore_state(&mut self, state: ElementState) {
         state.recycle_packets();
     }

@@ -8,7 +8,6 @@ use crate::batch::{BatchEmitter, PacketBatch};
 use crate::element::{args, config_err, int_arg, CreateCtx, Element, Emitter};
 use crate::headers::ipv4;
 use crate::packet::Packet;
-use crate::persist::config_hash;
 use crate::routing::MultibitTrie;
 use crate::swap::ElementState;
 use click_core::config::{arg_slices, parse_ipv4, parse_route, Route, RouteError};
@@ -644,32 +643,23 @@ impl Element for ICMPPingResponder {
     }
 }
 
-/// The bulk payload `StaticIPLookup` moves across a hot swap: the live
-/// multibit trie, tagged with a hash of the configuration it was built
-/// from so a successor with different routes rejects it.
-struct CarriedTable {
-    config_fnv: u64,
-    table: MultibitTrie<(Option<u32>, usize)>,
-}
-
 /// `StaticIPLookup` / `LookupIPRoute`: longest-prefix-match routing. Route
-/// entries are `addr/prefix [gateway] output`.
+/// entries are `addr/prefix [gateway] output`; a destination with no
+/// route is dropped and counted under `drops`.
 ///
 /// Backed by a Poptrie-style [`MultibitTrie`], built lazily on first
-/// lookup so a hot swap can hand the predecessor's live table over
-/// ([`Element::take_state`]/[`Element::restore_state`]) without ever
-/// rebuilding it — at a million routes, the rebuild is the expensive
-/// part of a swap.
+/// lookup: building a router (or a hot swap that rebuilds this element
+/// with new routes) parses the routes but does not pay for the table
+/// until traffic needs it. A hot swap that keeps the routes reuses the
+/// element, table and all.
 #[derive(Debug)]
 pub struct StaticIPLookup {
     /// Parsed route entries, in configuration order (later duplicates
     /// override earlier ones when the table is built).
     routes: Vec<Route>,
     table: OnceCell<MultibitTrie<(Option<u32>, usize)>>,
-    config_fnv: u64,
     class: &'static str,
-    no_route: u64,
-    table_adoptions: u64,
+    drops: u64,
 }
 
 impl StaticIPLookup {
@@ -706,15 +696,12 @@ impl StaticIPLookup {
         Ok(StaticIPLookup {
             routes,
             table: OnceCell::new(),
-            config_fnv: config_hash(config),
             class,
-            no_route: 0,
-            table_adoptions: 0,
+            drops: 0,
         })
     }
 
-    /// The live table, built from the parsed routes on first use (unless
-    /// a hot swap already installed a carried one).
+    /// The live table, built from the parsed routes on first use.
     fn table(&self) -> &MultibitTrie<(Option<u32>, usize)> {
         self.table.get_or_init(|| {
             MultibitTrie::from_prefixes(
@@ -764,18 +751,9 @@ impl StaticIPLookup {
         self.table().len()
     }
 
-    /// How many times this element (across its hot-swap lineage) adopted
-    /// a predecessor's table instead of rebuilding.
-    pub fn table_adoptions(&self) -> u64 {
-        self.table_adoptions
-    }
-}
-
-impl Element for StaticIPLookup {
-    fn class_name(&self) -> &str {
-        self.class
-    }
-    fn push(&mut self, _port: usize, mut p: Packet, out: &mut Emitter) {
+    /// Routes `p` by its destination annotation (or header), or counts
+    /// it as a drop and hands it back to the pool.
+    fn forward(&mut self, mut p: Packet) -> Option<(usize, Packet)> {
         let dst = p.anno.dst_ip.unwrap_or_else(|| {
             if p.len() >= ipv4::HLEN {
                 ipv4::dst(p.data())
@@ -786,73 +764,44 @@ impl Element for StaticIPLookup {
         match self.route(dst) {
             Some((next_hop, port)) => {
                 p.anno.dst_ip = Some(next_hop);
-                out.emit(port, p);
+                Some((port, p))
             }
             None => {
-                self.no_route += 1;
+                self.drops += 1;
+                p.recycle();
+                None
             }
+        }
+    }
+}
+
+impl Element for StaticIPLookup {
+    fn class_name(&self) -> &str {
+        self.class
+    }
+    fn push(&mut self, _port: usize, p: Packet, out: &mut Emitter) {
+        if let Some((port, p)) = self.forward(p) {
+            out.emit(port, p);
         }
     }
     fn push_batch(&mut self, _port: usize, mut batch: PacketBatch, out: &mut BatchEmitter) {
         // One trie lookup per packet, branch-sorted per next hop: flows
         // toward the same interface stay a single batch downstream.
-        for mut p in batch.drain() {
-            let dst = p.anno.dst_ip.unwrap_or_else(|| {
-                if p.len() >= ipv4::HLEN {
-                    ipv4::dst(p.data())
-                } else {
-                    0
-                }
-            });
-            match self.route(dst) {
-                Some((next_hop, port)) => {
-                    p.anno.dst_ip = Some(next_hop);
-                    out.emit(port, p);
-                }
-                None => {
-                    self.no_route += 1;
-                    p.recycle();
-                }
+        for p in batch.drain() {
+            if let Some((port, p)) = self.forward(p) {
+                out.emit(port, p);
             }
         }
         out.recycle_storage(batch);
     }
     fn stat(&self, name: &str) -> Option<u64> {
-        match name {
-            "no_route" => Some(self.no_route),
-            "table_adoptions" => Some(self.table_adoptions),
-            _ => None,
-        }
+        (name == "drops").then_some(self.drops)
     }
     fn take_state(&mut self) -> Option<ElementState> {
-        let mut state = ElementState::new(self.class)
-            .counter("no_route", self.no_route)
-            .counter("table_adoptions", self.table_adoptions);
-        // Move the live table out whole; never rebuilt on the far side
-        // if the successor's routes are identical.
-        if let Some(table) = self.table.take() {
-            state = state.with_payload(CarriedTable {
-                config_fnv: self.config_fnv,
-                table,
-            });
-        }
-        Some(state)
+        Some(ElementState::new(self.class).counter("drops", self.drops))
     }
-    fn restore_state(&mut self, mut state: ElementState) {
-        self.no_route += state.get("no_route");
-        self.table_adoptions += state.get("table_adoptions");
-        if let Some(carried) = state.take_payload::<CarriedTable>() {
-            // Adopt only when built from the same configuration and our
-            // own lazy build has not run yet — otherwise the new
-            // configuration wins and the carried table is dropped.
-            if carried.config_fnv == self.config_fnv && self.table.get().is_none() {
-                let _ = self.table.set(carried.table);
-                // A checkpoint walk hands our own table back with the
-                // counters cleared: a return, not an adoption (the
-                // contract on `Element::restore_state`).
-                self.table_adoptions += u64::from(state.find("table_adoptions").is_some());
-            }
-        }
+    fn restore_state(&mut self, state: ElementState) {
+        self.drops += state.get("drops");
         state.recycle_packets();
     }
 }
@@ -1064,84 +1013,6 @@ mod tests {
     }
 
     #[test]
-    fn static_ip_lookup_carries_table_across_swap() {
-        let config = "10.0.1.0/24 0, 10.0.2.0/24 1, 0.0.0.0/0 2";
-        let mut old = StaticIPLookup::from_config(config, &mut ctx()).unwrap();
-        assert_eq!(old.route(0x0A000105), Some((0x0A000105, 0)));
-        old.no_route += 3;
-        let state = old.take_state().unwrap();
-
-        // Same configuration: the live table is adopted, not rebuilt.
-        let mut new = StaticIPLookup::from_config(config, &mut ctx()).unwrap();
-        new.restore_state(state);
-        assert_eq!(new.stat("table_adoptions"), Some(1));
-        assert_eq!(new.stat("no_route"), Some(3));
-        assert_eq!(new.route(0x0A000205), Some((0x0A000205, 1)));
-
-        // Different configuration: carried table rejected, own routes win.
-        let state = new.take_state().unwrap();
-        let mut other = StaticIPLookup::from_config("10.9.0.0/16 1", &mut ctx()).unwrap();
-        other.restore_state(state);
-        assert_eq!(other.stat("table_adoptions"), Some(1)); // lineage count, no new adoption
-        assert_eq!(other.route(0x0A000105), None);
-        assert_eq!(other.route(0x0A090001), Some((0x0A090001, 1)));
-    }
-
-    #[test]
-    fn static_ip_lookup_adoptions_survive_a_checkpoint_walk() {
-        let config = "10.0.1.0/24 0, 0.0.0.0/0 1";
-        let mut e = StaticIPLookup::from_config(config, &mut ctx()).unwrap();
-        assert_eq!(e.route(0x0A000105), Some((0x0A000105, 0)));
-        for _ in 0..2 {
-            let state = e.take_state().unwrap();
-            e = StaticIPLookup::from_config(config, &mut ctx()).unwrap();
-            e.restore_state(state);
-        }
-        assert_eq!(e.stat("table_adoptions"), Some(2));
-        // `Router::checkpoint_snapshot`'s walk: the element's own state
-        // comes back with the counters cleared.
-        let walk = |e: &mut StaticIPLookup| {
-            let mut state = e.take_state().unwrap();
-            state.counters.clear();
-            e.restore_state(state);
-        };
-        walk(&mut e);
-        assert_eq!(e.stat("table_adoptions"), Some(2));
-        assert_eq!(e.route(0x0A000105), Some((0x0A000105, 0)));
-        // A lineage whose last table was rejected is unbuilt; its count
-        // survives the walk too.
-        let state = e.take_state().unwrap();
-        let mut other = StaticIPLookup::from_config("10.9.0.0/16 1", &mut ctx()).unwrap();
-        other.restore_state(state);
-        walk(&mut other);
-        assert_eq!(other.stat("table_adoptions"), Some(2));
-    }
-
-    #[test]
-    fn router_keeps_table_adoptions_across_swaps_and_a_cut() {
-        use crate::persist::CheckpointEngine;
-        use crate::router::DynRouter;
-        use click_core::registry::Library;
-        let graph =
-            click_core::lang::read_config("Idle -> rt :: StaticIPLookup(10.0.0.0/8 0) -> Discard;")
-                .unwrap();
-        let lib = Library::standard();
-        let mut r = DynRouter::from_graph(&graph, &lib).unwrap();
-        let rt = r.find("rt").unwrap();
-        r.push_to(rt, 0, ip_packet(0x0A000001, 64));
-        for _ in 0..2 {
-            r.hot_swap(&graph, &lib).unwrap();
-        }
-        assert_eq!(r.stat("rt", "table_adoptions"), Some(2));
-        let snap = CheckpointEngine::checkpoint_snapshot(&mut r).unwrap();
-        let record = snap.elements.iter().find(|e| e.name == "rt").unwrap();
-        assert!(record.counters.contains(&("table_adoptions".to_owned(), 2)));
-        assert_eq!(r.stat("rt", "table_adoptions"), Some(2));
-        r.hot_swap(&graph, &lib).unwrap();
-        assert_eq!(r.stat("rt", "table_adoptions"), Some(3));
-    }
-
-    #[test]
     fn static_ip_lookup_incremental_updates() {
         let mut r = StaticIPLookup::from_config("10.0.0.0/8 0", &mut ctx()).unwrap();
         assert_eq!(r.route_count(), 1);
@@ -1159,7 +1030,7 @@ mod tests {
         let mut p = ip_packet(0x01020304, 64);
         p.anno.dst_ip = Some(0x01020304);
         assert!(push_one(&mut r, p).is_empty());
-        assert_eq!(r.stat("no_route"), Some(1));
+        assert_eq!(r.stat("drops"), Some(1));
     }
 
     #[test]

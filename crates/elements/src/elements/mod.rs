@@ -105,7 +105,12 @@ pub fn create_element(class: &str, config: &str, ctx: &mut CreateCtx) -> Result<
 }
 
 #[cfg(test)]
+#[path = "../../tests/common/mod.rs"]
+mod common;
+
+#[cfg(test)]
 mod tests {
+    use super::common::sample_config;
     use super::*;
 
     #[test]
@@ -114,33 +119,6 @@ mod tests {
         // constructible (the paper's "common understanding between tools
         // and Click" applies to us too).
         let lib = click_core::registry::Library::standard();
-        let sample_config = |class: &str| -> &'static str {
-            match class {
-                "Classifier" => "12/0800, -",
-                "IPClassifier" => "tcp, -",
-                "IPFilter" => "allow all",
-                "Paint" | "PaintTee" | "CheckPaint" => "1",
-                "Strip" | "Unstrip" => "14",
-                "Align" => "4, 0",
-                "Switch" | "StaticSwitch" | "StaticPullSwitch" => "0",
-                "Queue" => "",
-                "RED" => "5, 50, 0.02",
-                "EtherEncap" | "EtherEncapCombo" => "0x0800, 00:00:00:00:00:01, 00:00:00:00:00:02",
-                "ARPQuerier" => "10.0.0.1, 00:00:00:00:00:01",
-                "ARPResponder" => "10.0.0.1 00:00:00:00:00:01",
-                "HostEtherFilter" => "00:00:00:00:00:01",
-                "GetIPAddress" => "16",
-                "SetIPAddress" | "FixIPSrc" => "10.0.0.1",
-                "IPFragmenter" => "1500",
-                "ICMPError" => "10.0.0.1, 11, 0",
-                "ICMPPingResponder" => "10.0.0.1",
-                "StaticIPLookup" | "LookupIPRoute" => "10.0.0.0/8 0",
-                "IPInputCombo" => "1",
-                "IPOutputCombo" => "1, 10.0.0.1, 1500",
-                "FromDevice" | "PollDevice" | "ToDevice" => "eth0",
-                _ => "",
-            }
-        };
         for spec in lib.iter() {
             let mut ctx = CreateCtx::new();
             let result = create_element(&spec.name, sample_config(&spec.name), &mut ctx);
@@ -149,6 +127,14 @@ mod tests {
                 "class {:?} failed: {:?}",
                 spec.name,
                 result.err()
+            );
+            // A hot swap hands an unchanged element to the next router as
+            // it is, so a class whose construction reads the graph's
+            // device map must be rebuilt every time.
+            assert!(
+                ctx.devices.is_empty() || crate::swap::ALWAYS_REBUILT.contains(&spec.name.as_str()),
+                "{:?} registers a device: list it in swap::ALWAYS_REBUILT",
+                spec.name
             );
         }
     }

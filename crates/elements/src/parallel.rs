@@ -944,9 +944,7 @@ impl ParallelRouter {
             self.quiesce_shard(canary)?;
             let final_snap = self.gauge_snapshot();
             let old = read_retained(&self.retained);
-            let rb = self.swap_shard(canary, &old)?;
-            report.packets_transferred += rb.packets_transferred;
-            report.packets_dropped += rb.packets_dropped;
+            report.absorb(&self.swap_shard(canary, &old)?);
             report.swapped_shards = 0;
             report.rolled_back = true;
             if let (Some((bd, bp)), Some((fd, fp))) = (before[canary], final_snap[canary]) {
@@ -967,10 +965,7 @@ impl ParallelRouter {
                 continue;
             }
             self.quiesce_shard(i)?;
-            let r = self.swap_shard(i, &new_arc)?;
-            report.packets_transferred += r.packets_transferred;
-            report.packets_dropped += r.packets_dropped;
-            report.swapped_shards += 1;
+            report.absorb(&self.swap_shard(i, &new_arc)?);
         }
         match self.retained.write() {
             Ok(mut g) => *g = Arc::clone(&new_arc),

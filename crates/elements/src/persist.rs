@@ -158,10 +158,8 @@ impl PacketRecord {
 }
 
 /// One element's checkpointed state: the counters and queued packets of
-/// its [`ElementState`]. Opaque payloads (e.g. a routing trie carried
-/// across a hot swap) are *not* persisted — they are rebuildable from
-/// the configuration text, and the snapshot path hands them straight
-/// back to the live element.
+/// its [`ElementState`]. Structures rebuildable from the configuration
+/// text (a routing trie, a classifier) are not part of it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ElementRecord {
     /// Element name in the configuration.

@@ -593,18 +593,29 @@ impl PortTable {
     }
 }
 
+/// One slot as the graph declared it. The configuration text is shared,
+/// so a slot a hot swap reuses takes it into the next router uncopied,
+/// and the swap after that compares against it.
+#[derive(Debug)]
+struct Decl {
+    name: String,
+    class: String,
+    config: Rc<str>,
+}
+
 /// A running router.
 ///
 /// Elements live in `Rc<RefCell<_>>` slots: packet transfers borrow the
 /// target element in place (no moves — a devirtualized enum element can
-/// be large), and a failed re-borrow detects configuration loops. The
-/// same holds for what is transferred: a [`Packet`] is an 8-byte handle
-/// to its block, so a hop moves a pointer through the work stack and the
-/// emitter (24 and 16 bytes an entry), never the block.
+/// be large), a failed re-borrow detects configuration loops, and a hot
+/// swap hands an unchanged element to the next router by sharing its
+/// slot. The same holds for what is transferred: a [`Packet`] is an
+/// 8-byte handle to its block, so a hop moves a pointer through the work
+/// stack and the emitter (24 and 16 bytes an entry), never the block.
 pub struct Router<S: Slot> {
     slots: Vec<Rc<RefCell<S>>>,
     names: HashMap<String, usize>,
-    classes: Vec<String>,
+    decls: Vec<Decl>,
     /// Output port -> downstream input ports (the push direction).
     outputs: PortTable,
     /// Input port -> upstream output ports (the pull direction).
@@ -669,6 +680,20 @@ impl<S: Slot> Router<S> {
         library: &Library,
         shard: usize,
     ) -> Result<Router<S>> {
+        Router::build(graph, library, shard, None).map(|(router, _)| router)
+    }
+
+    /// Builds a router for `graph` in worker shard `shard`. With a
+    /// `donor`, each element the [`TransferPlan`] reuses is the donor's
+    /// own slot, shared rather than taken, so the donor runs on
+    /// untouched until the caller drops it; without one, every element
+    /// is fresh.
+    fn build(
+        graph: &RouterGraph,
+        library: &Library,
+        shard: usize,
+        donor: Option<&Router<S>>,
+    ) -> Result<(Router<S>, TransferPlan)> {
         let report = check(graph, library);
         if !report.is_ok() {
             // Join every error diagnostic: a rejected config (especially on
@@ -681,18 +706,36 @@ impl<S: Slot> Router<S> {
         let ids: Vec<_> = graph.element_ids().collect();
         let index: HashMap<_, _> = ids.iter().enumerate().map(|(i, &id)| (id, i)).collect();
         let n = ids.len();
+        let rows: Vec<(&str, &str, &str)> = (ids.iter().map(|&id| graph.element(id)))
+            .map(|d| (d.name(), d.class(), d.config()))
+            .collect();
+        let plan = TransferPlan::compute(&donor.map_or_else(Vec::new, Router::rows), &rows);
+        let mut reuse = vec![None; n];
+        for &(oi, ni) in &plan.reused {
+            reuse[ni] = donor.map(|old| (&old.slots[oi], &old.decls[oi].config));
+        }
 
         let mut ctx = CreateCtx::for_shard(shard);
         let mut slots = Vec::with_capacity(n);
-        let mut names = HashMap::new();
-        let mut classes = Vec::with_capacity(n);
-        for (i, &id) in ids.iter().enumerate() {
-            let decl = graph.element(id);
-            let slot = S::create(decl.class(), decl.config(), &mut ctx)?;
-            slots.push(Rc::new(RefCell::new(slot)));
-            names.insert(decl.name().to_owned(), i);
-            classes.push(decl.class().to_owned());
+        let mut decls = Vec::with_capacity(n);
+        for (&(name, class, config), reused) in rows.iter().zip(reuse) {
+            let (slot, config) = match reused {
+                Some((slot, config)) => (Rc::clone(slot), Rc::clone(config)),
+                None => (
+                    Rc::new(RefCell::new(S::create(class, config, &mut ctx)?)),
+                    Rc::from(config),
+                ),
+            };
+            slots.push(slot);
+            decls.push(Decl {
+                name: name.to_owned(),
+                class: class.to_owned(),
+                config,
+            });
         }
+        let names = (decls.iter().enumerate())
+            .map(|(i, d)| (d.name.clone(), i))
+            .collect();
 
         let (outputs, inputs) = PortTable::pair(graph, &index);
 
@@ -701,7 +744,7 @@ impl<S: Slot> Router<S> {
         let mut router = Router {
             slots,
             names,
-            classes,
+            decls,
             outputs,
             inputs,
             tasks,
@@ -720,14 +763,31 @@ impl<S: Slot> Router<S> {
             shard,
         };
         router.wire_red_elements();
-        Ok(router)
+        Ok((router, plan))
+    }
+
+    /// `(name, class, config)` of every element, in slot order — the
+    /// table [`TransferPlan::compute`] matches on.
+    fn rows(&self) -> Vec<(&str, &str, &str)> {
+        (self.decls.iter())
+            .map(|d| (d.name.as_str(), d.class.as_str(), &*d.config))
+            .collect()
+    }
+
+    /// The class of an element with any devirtualization mangling
+    /// stripped.
+    fn base_class(&self, elem: usize) -> &str {
+        let class = &self.decls[elem].class;
+        devirt_base(class).unwrap_or(class)
     }
 
     /// RED elements need the depth handle of the nearest downstream
-    /// storage element (Click finds its `Storage` the same way).
+    /// storage element (Click finds its `Storage` the same way). `RED` is
+    /// in [`crate::swap::ALWAYS_REBUILT`], so this only ever attaches to
+    /// an element this build created.
     fn wire_red_elements(&mut self) {
         for i in 0..self.slots.len() {
-            if devirt_base(&self.classes[i]).unwrap_or(&self.classes[i]) != "RED" {
+            if self.base_class(i) != "RED" {
                 continue;
             }
             // BFS downstream for a queue-depth handle.
@@ -767,7 +827,7 @@ impl<S: Slot> Router<S> {
 
     /// The class name of an element.
     pub fn class_of(&self, elem: usize) -> &str {
-        &self.classes[elem]
+        &self.decls[elem].class
     }
 
     /// Reads a named statistic from an element.
@@ -780,7 +840,7 @@ impl<S: Slot> Router<S> {
     /// Sum of a statistic across all elements of a class.
     pub fn class_stat(&self, class: &str, stat: &str) -> u64 {
         (0..self.slots.len())
-            .filter(|&i| devirt_base(&self.classes[i]).unwrap_or(&self.classes[i]) == class)
+            .filter(|&i| self.base_class(i) == class)
             .filter_map(|i| self.slots[i].borrow().stat(stat))
             .sum()
     }
@@ -798,9 +858,10 @@ impl<S: Slot> Router<S> {
 
     /// The router's aggregate drop gauge: every element's `drops`
     /// statistic plus the engine's unconnected/reentrant drops. Monotonic
-    /// across a hot swap (matched elements carry their counters over, the
-    /// engine drops transfer, and retired elements' drop counters fold
-    /// into a carryover gauge), which is what makes it usable as the
+    /// across a hot swap (reused elements keep their counters, rebuilt
+    /// matched ones take theirs over, the engine drops transfer, and
+    /// retired elements' drop counters fold into a carryover gauge),
+    /// which is what makes it usable as the
     /// canary-regression signal in
     /// [`crate::parallel::ParallelRouter::hot_swap`] and as the
     /// probation signal of the `click-morph` reoptimization loop.
@@ -826,22 +887,16 @@ impl<S: Slot> Router<S> {
         }
     }
 
-    /// `(name, class)` of every element, in slot order — the table
-    /// [`TransferPlan::compute`] matches on.
-    fn name_class_table(&self) -> Vec<(String, String)> {
-        let mut t = vec![(String::new(), String::new()); self.slots.len()];
-        for (name, &i) in &self.names {
-            t[i] = (name.clone(), self.classes[i].clone());
-        }
-        t
-    }
-
     /// Atomically replaces the running configuration with `new_graph`,
-    /// carrying state across: element counters and buffered packets move
-    /// to same-name, same-class successors ([`TransferPlan`]), device
-    /// RX/TX queues move by device name, engine drop gauges stay
-    /// monotonic, and the telemetry switch and the per-element profiles
-    /// of matched elements carry into the new engine.
+    /// keeping what did not change ([`TransferPlan`]): an element with the
+    /// same name, base class and configuration text is *reused* — the
+    /// object itself moves into the new engine with its counters, queue,
+    /// tables and per-element telemetry. Only new and changed elements
+    /// are constructed; a changed one takes over its predecessor's
+    /// counters and buffered packets through
+    /// [`Element::take_state`]/[`Element::restore_state`]. Device RX/TX
+    /// queues move by device name, engine drop gauges stay monotonic, and
+    /// the telemetry switch carries over.
     ///
     /// The caller must have drained in-flight work first — for a serial
     /// router that simply means calling this between transfers, since
@@ -850,9 +905,9 @@ impl<S: Slot> Router<S> {
     /// preserved, not in-flight work).
     ///
     /// The swap is all-or-nothing: `new_graph` is validated by
-    /// [`click_core::check::check`] and its elements are constructed
-    /// *before* any state moves, so on error the old configuration keeps
-    /// running untouched.
+    /// [`click_core::check::check`] and its new elements are constructed,
+    /// with reused ones shared, *before* any state moves, so on error the
+    /// old configuration keeps running untouched.
     ///
     /// # Errors
     ///
@@ -860,12 +915,11 @@ impl<S: Slot> Router<S> {
     /// invalid; element-construction errors otherwise. The old
     /// configuration is unchanged in both cases.
     pub fn hot_swap(&mut self, new_graph: &RouterGraph, library: &Library) -> Result<SwapReport> {
-        let mut next: Router<S> = Router::from_graph_in_shard(new_graph, library, self.shard)
+        let (mut next, plan) = Router::build(new_graph, library, self.shard, Some(self))
             .inspect_err(|_| self.swap.rejected_configs += 1)?;
         next.set_batching(self.batching);
         next.set_batch_burst(self.batch_burst);
 
-        let plan = TransferPlan::compute(&self.name_class_table(), &next.name_class_table());
         let mut transferred = 0u64;
         let mut dropped = 0u64;
         let mut retired_drops = 0u64;
@@ -901,7 +955,7 @@ impl<S: Slot> Router<S> {
         next.drops_unconnected += self.drops_unconnected;
         next.drops_reentrant += self.drops_reentrant;
         next.drops_retired += self.drops_retired + retired_drops;
-        next.telem.transfer_from(&self.telem, &plan.matched);
+        next.telem.transfer_from(&mut self.telem, &plan);
         next.swap = SwapGauges {
             swaps: self.swap.swaps + 1,
             packets_transferred: self.swap.packets_transferred + transferred,
@@ -909,6 +963,7 @@ impl<S: Slot> Router<S> {
         };
 
         let report = SwapReport {
+            reused: plan.reused.len(),
             matched: plan.matched.len(),
             fresh: plan.fresh.len(),
             retired: plan.retired.len(),
@@ -928,10 +983,8 @@ impl<S: Slot> Router<S> {
     /// router**: each element's state is taken over the hot-swap surface
     /// ([`Element::take_state`]), copied into plain-data records, and
     /// handed straight back with its counters cleared — so `+=`-style
-    /// restores are no-ops, queued packets and opaque payloads (routing
-    /// tries) return home, and RNG state is untouched. The empty counter
-    /// set is also how an element tells this return from a hot-swap
-    /// hand-over (see [`Element::restore_state`]); keep it empty.
+    /// restores are no-ops, queued packets return home, and RNG state is
+    /// untouched.
     ///
     /// The caller must be between transfers (a serial router always is,
     /// outside [`Router::run_until_idle`]); the reported `quiesce_ns` is
@@ -939,15 +992,14 @@ impl<S: Slot> Router<S> {
     /// experiences.
     pub fn checkpoint_snapshot(&mut self) -> EngineSnapshot {
         let t0 = std::time::Instant::now();
-        let table = self.name_class_table();
         let mut elements = Vec::new();
-        for (i, slot) in self.slots.iter().enumerate() {
+        for (slot, decl) in self.slots.iter().zip(&self.decls) {
             let mut el = slot.borrow_mut();
             if let Some(mut state) = el.take_state() {
-                elements.push(ElementRecord::from_state(&table[i].0, &table[i].1, &state));
+                elements.push(ElementRecord::from_state(&decl.name, &decl.class, &state));
                 // Hand everything back: cleared counters make the
-                // element's `+=` restore a no-op, while packets and
-                // opaque payloads (e.g. a routing trie) return home.
+                // element's `+=` restore a no-op, while packets return
+                // home.
                 state.counters.clear();
                 el.restore_state(state);
             }
@@ -976,10 +1028,9 @@ impl<S: Slot> Router<S> {
         target_drops: u64,
     ) -> RestoreStats {
         let mut stats = RestoreStats::default();
-        let base = |class: &str| devirt_base(class).unwrap_or(class).to_owned();
         for rec in elements {
-            match self.names.get(&rec.name).copied() {
-                Some(i) if base(&self.classes[i]) == base(&rec.class) => {
+            match self.find(&rec.name) {
+                Some(i) if self.base_class(i) == devirt_base(&rec.class).unwrap_or(&rec.class) => {
                     let state = rec.to_state();
                     stats.packets_restored += state.packets.len() as u64;
                     self.slots[i].borrow_mut().restore_state(state);
@@ -1021,14 +1072,8 @@ impl<S: Slot> Router<S> {
     /// ([`Router::set_telemetry`]); a router never armed hands out names
     /// and classes with zeroes.
     pub fn telemetry_profiles(&self) -> Vec<ElementProfile> {
-        let mut by_index: Vec<&str> = vec![""; self.slots.len()];
-        for (name, &i) in &self.names {
-            by_index[i] = name;
-        }
-        let mut out: Vec<ElementProfile> = by_index
-            .iter()
-            .zip(&self.classes)
-            .map(|(n, c)| ElementProfile::new(n, c))
+        let mut out: Vec<ElementProfile> = (self.decls.iter())
+            .map(|d| ElementProfile::new(&d.name, &d.class))
             .collect();
         self.telem.fill(&mut out);
         out

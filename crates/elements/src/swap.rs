@@ -1,23 +1,32 @@
-//! Live reconfiguration: element-state transfer between an old and a new
-//! router graph.
+//! Live reconfiguration: what a hot swap keeps, moves and retires
+//! between an old and a new router graph.
 //!
 //! The paper's optimizers rewrite *configurations*, but a production
 //! router cannot afford to restart — and lose every queued packet and
-//! counter — just to adopt an optimized graph. This module provides the
-//! pieces a hot swap needs:
+//! counter — just to adopt an optimized graph. Nor should it pay to
+//! rebuild what the new configuration did not change. This module
+//! provides the pieces a hot swap needs:
 //!
-//! * [`ElementState`] — the portable state one element surrenders
-//!   ([`crate::element::Element::take_state`]) and its successor absorbs
-//!   ([`crate::element::Element::restore_state`]): named counters plus
-//!   buffered packets (queue contents, delay lines).
-//! * [`TransferPlan`] — which old element hands its state to which new
-//!   element. Matching is Click-style: by element *name*, provided the
-//!   (devirtualization-normalized) class agrees, so a `Counter` named
-//!   `c` carries its totals into the optimized graph's `Counter__DV3`
-//!   also named `c`.
-//! * [`SwapReport`] — what a completed swap did: how much state moved,
-//!   what was retired, and (for the sharded runtime) how the canary
-//!   rollout went.
+//! * [`TransferPlan`] — how each element of the new graph comes to be.
+//!   Matching is Click-style, by element *name* with the
+//!   (devirtualization-normalized) class agreeing, so a `Counter` named
+//!   `c` lines up with the optimized graph's `Counter__DV3` also named
+//!   `c`. A matched element whose configuration string is byte-identical
+//!   is **reused**: the running element object moves into the new router
+//!   with everything it holds (counters, queue, RNG, routing table,
+//!   telemetry). Every other match is rebuilt and **matched**: it gets
+//!   its predecessor's [`ElementState`]. An element with no predecessor
+//!   is **fresh**; one with no successor is **retired**.
+//! * [`ALWAYS_REBUILT`] — the classes that read their graph context at
+//!   construction or wiring time and so are never reused.
+//! * [`ElementState`] — the portable state a rebuilt element takes over
+//!   ([`crate::element::Element::take_state`] on the predecessor,
+//!   [`crate::element::Element::restore_state`] on the successor): named
+//!   counters plus buffered packets (queue contents, delay lines). The
+//!   checkpoint path uses the same surface.
+//! * [`SwapReport`] — what a completed swap did: how many elements it
+//!   reused, how much state moved, what was retired, and (for the
+//!   sharded runtime) how the canary rollout went.
 //!
 //! The swap itself lives on the engines:
 //! [`crate::router::Router::hot_swap`] performs the quiesced, atomic
@@ -25,26 +34,15 @@
 //! new graph out shard by shard behind a canary with automatic rollback.
 
 use click_core::registry::devirt_base;
-use std::any::Any;
 use std::collections::HashMap;
 
 use crate::packet::Packet;
 
-/// A typed-but-opaque payload an element can attach to its
-/// [`ElementState`]: bulk structures (a million-route trie, a compiled
-/// classifier) that would be absurd to serialize through the named
-/// counters and must move, not rebuild, across a hot swap.
-///
-/// The transfer machinery never looks inside; the successor element
-/// downcasts with [`ElementState::take_payload`] and decides whether the
-/// carried structure is still valid for its own configuration.
-pub struct OpaqueState(Box<dyn Any + Send>);
-
-impl std::fmt::Debug for OpaqueState {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("OpaqueState(..)")
-    }
-}
+/// Base classes a swap always rebuilds, even with an unchanged
+/// configuration: the device elements take their device id from the
+/// [`crate::element::CreateCtx`] device map of the graph they are built
+/// in, and `RED` finds its downstream queue by walking the new wiring.
+pub const ALWAYS_REBUILT: &[&str] = &["FromDevice", "PollDevice", "ToDevice", "RED"];
 
 /// Portable state extracted from one element for transfer into its
 /// successor across a hot swap.
@@ -62,9 +60,6 @@ pub struct ElementState {
     pub counters: Vec<(String, u64)>,
     /// Buffered packets in FIFO order (queue contents, delay lines).
     pub packets: Vec<Packet>,
-    /// Optional bulk payload ([`OpaqueState`]) moved by reference, not
-    /// rebuilt — e.g. a live routing table.
-    pub payload: Option<OpaqueState>,
 }
 
 impl ElementState {
@@ -74,7 +69,6 @@ impl ElementState {
             class: class.to_owned(),
             counters: Vec::new(),
             packets: Vec::new(),
-            payload: None,
         }
     }
 
@@ -83,26 +77,6 @@ impl ElementState {
     pub fn counter(mut self, name: &str, value: u64) -> ElementState {
         self.counters.push((name.to_owned(), value));
         self
-    }
-
-    /// Attaches a bulk payload (builder style). The successor element
-    /// reclaims it with [`ElementState::take_payload`].
-    #[must_use]
-    pub fn with_payload<P: Any + Send>(mut self, payload: P) -> ElementState {
-        self.payload = Some(OpaqueState(Box::new(payload)));
-        self
-    }
-
-    /// Takes the payload out, if present and of the expected type.
-    /// A payload of the wrong type is left in place (and eventually
-    /// dropped with the state).
-    pub fn take_payload<P: Any>(&mut self) -> Option<Box<P>> {
-        if self.payload.as_ref().is_some_and(|p| p.0.is::<P>()) {
-            let OpaqueState(boxed) = self.payload.take()?;
-            boxed.downcast::<P>().ok()
-        } else {
-            None
-        }
     }
 
     /// Looks up a counter by name.
@@ -130,11 +104,18 @@ impl ElementState {
 /// The pairing of old-graph elements to new-graph elements computed
 /// before a hot swap.
 ///
-/// Indices refer to the two `(name, class)` tables handed to
-/// [`TransferPlan::compute`] (element slot order in each engine).
+/// Indices refer to the two `(name, class, config)` tables handed to
+/// [`TransferPlan::compute`] (element slot order in each engine). Every
+/// new element is in exactly one of `reused`, `matched` and `fresh`;
+/// every old one in exactly one of `reused`, `matched` and `retired`.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct TransferPlan {
-    /// `(old_index, new_index)` pairs whose state carries over.
+    /// `(old_index, new_index)` pairs whose element object moves into the
+    /// new router as it is: same name, base class and configuration, and
+    /// a class not in [`ALWAYS_REBUILT`].
+    pub reused: Vec<(usize, usize)>,
+    /// `(old_index, new_index)` pairs rebuilt from the new graph whose
+    /// state carries over through [`ElementState`].
     pub matched: Vec<(usize, usize)>,
     /// Old elements with no successor: their state is retired (packets
     /// recycled and counted by the swap).
@@ -144,29 +125,42 @@ pub struct TransferPlan {
 }
 
 impl TransferPlan {
-    /// Computes the transfer plan between two `(name, class)` tables.
+    /// Computes the transfer plan between two `(name, class, config)`
+    /// tables.
     ///
-    /// An old element's state carries over iff the new graph declares an
+    /// An old element has a successor iff the new graph declares an
     /// element of the same name whose class — after stripping any
     /// `click-devirtualize` mangling on either side — agrees. A same-name
     /// element of a *different* class starts fresh (its predecessor's
     /// state is retired), exactly like Click's install-time matching.
-    pub fn compute(old: &[(String, String)], new: &[(String, String)]) -> TransferPlan {
-        let base = |class: &str| -> String { devirt_base(class).unwrap_or(class).to_owned() };
+    /// A successor is reused when its configuration string is
+    /// byte-identical and its base class is not in [`ALWAYS_REBUILT`].
+    pub fn compute(old: &[(&str, &str, &str)], new: &[(&str, &str, &str)]) -> TransferPlan {
+        fn base(class: &str) -> &str {
+            devirt_base(class).unwrap_or(class)
+        }
         let new_by_name: HashMap<&str, usize> = new
             .iter()
             .enumerate()
-            .map(|(i, (name, _))| (name.as_str(), i))
+            .map(|(i, &(name, _, _))| (name, i))
             .collect();
         let mut plan = TransferPlan::default();
         let mut claimed = vec![false; new.len()];
-        for (oi, (name, class)) in old.iter().enumerate() {
-            match new_by_name.get(name.as_str()) {
-                Some(&ni) if base(class) == base(&new[ni].1) => {
-                    plan.matched.push((oi, ni));
-                    claimed[ni] = true;
-                }
-                _ => plan.retired.push(oi),
+        for (oi, &(name, class, config)) in old.iter().enumerate() {
+            let Some(&ni) = new_by_name.get(name) else {
+                plan.retired.push(oi);
+                continue;
+            };
+            let (_, new_class, new_config) = new[ni];
+            let class = base(class);
+            if class != base(new_class) {
+                plan.retired.push(oi);
+            } else if config == new_config && !ALWAYS_REBUILT.contains(&class) {
+                plan.reused.push((oi, ni));
+                claimed[ni] = true;
+            } else {
+                plan.matched.push((oi, ni));
+                claimed[ni] = true;
             }
         }
         plan.fresh = (0..new.len()).filter(|&ni| !claimed[ni]).collect();
@@ -182,14 +176,19 @@ impl TransferPlan {
 /// canary outcome.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct SwapReport {
-    /// Elements whose state carried over (matched by name + base class).
+    /// Elements moved into the new router unrebuilt (same name, base
+    /// class and configuration).
+    pub reused: usize,
+    /// Elements rebuilt whose state carried over (same name and base
+    /// class, changed configuration or an [`ALWAYS_REBUILT`] class).
     pub matched: usize,
     /// New elements that started with fresh state.
     pub fresh: usize,
     /// Old elements retired with no successor.
     pub retired: usize,
-    /// Packets moved into the new graph: element state (queue contents,
-    /// delay lines) plus device RX/TX queues carried by device name.
+    /// Packets moved into the new graph: the state of rebuilt matched
+    /// elements (queue contents, delay lines) plus device RX/TX queues
+    /// carried by device name. A reused element's packets never move.
     pub packets_transferred: u64,
     /// Buffered packets with no home in the new graph — retired-element
     /// state and queues of devices the new graph lacks. Recycled, and
@@ -224,39 +223,54 @@ impl SwapReport {
 mod tests {
     use super::*;
 
-    fn table(rows: &[(&str, &str)]) -> Vec<(String, String)> {
-        rows.iter()
-            .map(|&(n, c)| (n.to_owned(), c.to_owned()))
-            .collect()
-    }
-
     #[test]
     fn plan_matches_by_name_and_class() {
-        let old = table(&[("c", "Counter"), ("q", "Queue"), ("d", "Discard")]);
-        let new = table(&[("q", "Queue"), ("c", "Counter"), ("t", "Tee")]);
+        let old = [
+            ("c", "Counter", ""),
+            ("q", "Queue", "8"),
+            ("d", "Discard", ""),
+        ];
+        let new = [
+            ("q", "Queue", "16"),
+            ("c", "Counter", ""),
+            ("t", "Tee", "2"),
+        ];
         let plan = TransferPlan::compute(&old, &new);
-        assert_eq!(plan.matched, vec![(0, 1), (1, 0)]);
+        assert_eq!(plan.reused, vec![(0, 1)]);
+        assert_eq!(plan.matched, vec![(1, 0)]);
         assert_eq!(plan.retired, vec![2]);
         assert_eq!(plan.fresh, vec![2]);
     }
 
     #[test]
     fn plan_normalizes_devirtualized_classes() {
-        let old = table(&[("c", "Counter")]);
-        let new = table(&[("c", "Counter__DV3")]);
+        let old = [("c", "Counter", "")];
+        let new = [("c", "Counter__DV3", "")];
         let plan = TransferPlan::compute(&old, &new);
-        assert_eq!(plan.matched, vec![(0, 0)]);
-        assert!(plan.retired.is_empty() && plan.fresh.is_empty());
+        assert_eq!(plan.reused, vec![(0, 0)]);
+        assert!(plan.matched.is_empty() && plan.retired.is_empty() && plan.fresh.is_empty());
     }
 
     #[test]
     fn plan_retires_same_name_different_class() {
-        let old = table(&[("x", "Counter")]);
-        let new = table(&[("x", "Queue")]);
+        let old = [("x", "Counter", "")];
+        let new = [("x", "Queue", "")];
         let plan = TransferPlan::compute(&old, &new);
-        assert!(plan.matched.is_empty());
+        assert!(plan.reused.is_empty() && plan.matched.is_empty());
         assert_eq!(plan.retired, vec![0]);
         assert_eq!(plan.fresh, vec![0]);
+    }
+
+    #[test]
+    fn plan_rebuilds_graph_context_classes_even_when_unchanged() {
+        let old = [
+            ("in", "FromDevice", "eth0"),
+            ("red", "RED__DV1", "5, 50, 0.02"),
+            ("q", "Queue", "64"),
+        ];
+        let plan = TransferPlan::compute(&old, &old);
+        assert_eq!(plan.matched, vec![(0, 0), (1, 1)]);
+        assert_eq!(plan.reused, vec![(2, 2)]);
     }
 
     #[test]
@@ -265,17 +279,5 @@ mod tests {
         assert_eq!(s.get("drops"), 7);
         assert_eq!(s.find("missing"), None);
         assert_eq!(s.get("missing"), 0);
-    }
-
-    #[test]
-    fn payload_round_trips_by_type() {
-        let mut s = ElementState::new("X").with_payload(vec![1u32, 2, 3]);
-        // Wrong type: left in place.
-        assert!(s.take_payload::<String>().is_none());
-        assert!(s.payload.is_some());
-        // Right type: moved out exactly once.
-        assert_eq!(*s.take_payload::<Vec<u32>>().unwrap(), vec![1, 2, 3]);
-        assert!(s.payload.is_none());
-        assert!(s.take_payload::<Vec<u32>>().is_none());
     }
 }

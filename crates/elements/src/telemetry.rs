@@ -42,6 +42,7 @@
 
 use crate::batch::PacketBatch;
 use crate::packet::Packet;
+use crate::swap::TransferPlan;
 use std::time::Instant;
 
 /// Number of log2 latency buckets. Bucket `i` counts element calls whose
@@ -376,7 +377,7 @@ gauge_struct! {
         pub rollbacks: u64,
         /// Canary windows whose drop gauge regressed past the margin.
         pub canary_failures: u64,
-        /// Packets carried across swaps (element state plus device queues),
+        /// Packets moved by swaps (rebuilt elements' state, device queues),
         /// rollbacks included.
         pub packets_transferred: u64,
         /// Configurations refused at validation, before any shard saw them.
@@ -689,13 +690,16 @@ impl RouterTelemetry {
     }
 
     /// Makes this recorder the successor of `old` across a hot swap: it
-    /// takes over the switch, and `map` pairs `(old_index, new_index)`
-    /// of elements matched by the transfer plan, each matched record's
-    /// counters and histogram summing into the successor (recent-sample
-    /// rings restart — they describe the retired engine).
-    pub fn transfer_from(&mut self, old: &RouterTelemetry, map: &[(usize, usize)]) {
+    /// takes over the switch, a reused element's record moves over
+    /// whole, and a rebuilt matched element's counters and histogram sum
+    /// into its successor (its recent-sample ring restarts — it
+    /// describes the retired object).
+    pub fn transfer_from(&mut self, old: &mut RouterTelemetry, plan: &TransferPlan) {
         self.on = old.on;
-        for &(oi, ni) in map {
+        for &(oi, ni) in &plan.reused {
+            self.records[ni] = std::mem::take(&mut old.records[oi]);
+        }
+        for &(oi, ni) in &plan.matched {
             if oi >= old.records.len() || ni >= self.records.len() {
                 continue;
             }

@@ -18,7 +18,10 @@ use click_elements::persist::{
 };
 use click_elements::router::Router;
 use click_elements::swap::ElementState;
+use common::sample_config;
 use std::path::PathBuf;
+
+mod common;
 
 type DynRouter = Router<Box<dyn Element>>;
 
@@ -208,37 +211,6 @@ fn recovery_of_an_empty_directory_is_a_counted_cold_start() {
     let mut daemon = CheckpointDaemon::new(store, 0, String::new());
     assert!(daemon.recover().is_none());
     assert_eq!(daemon.gauges().cold_starts, 1);
-}
-
-/// Sample configurations for every registered class, mirroring the
-/// factory's coverage test: a class added to the registry without an
-/// entry here fails the round-trip test by construction.
-fn sample_config(class: &str) -> &'static str {
-    match class {
-        "Classifier" => "12/0800, -",
-        "IPClassifier" => "tcp, -",
-        "IPFilter" => "allow all",
-        "Paint" | "PaintTee" | "CheckPaint" => "1",
-        "Strip" | "Unstrip" => "14",
-        "Align" => "4, 0",
-        "Switch" | "StaticSwitch" | "StaticPullSwitch" => "0",
-        "Queue" => "",
-        "RED" => "5, 50, 0.02",
-        "EtherEncap" | "EtherEncapCombo" => "0x0800, 00:00:00:00:00:01, 00:00:00:00:00:02",
-        "ARPQuerier" => "10.0.0.1, 00:00:00:00:00:01",
-        "ARPResponder" => "10.0.0.1 00:00:00:00:00:01",
-        "HostEtherFilter" => "00:00:00:00:00:01",
-        "GetIPAddress" => "16",
-        "SetIPAddress" | "FixIPSrc" => "10.0.0.1",
-        "IPFragmenter" => "1500",
-        "ICMPError" => "10.0.0.1, 11, 0",
-        "ICMPPingResponder" => "10.0.0.1",
-        "StaticIPLookup" | "LookupIPRoute" => "10.0.0.0/8 0",
-        "IPInputCombo" => "1",
-        "IPOutputCombo" => "1, 10.0.0.1, 1500",
-        "FromDevice" | "PollDevice" | "ToDevice" => "eth0",
-        _ => "",
-    }
 }
 
 #[test]

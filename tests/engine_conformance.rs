@@ -99,17 +99,24 @@ impl Books {
     }
 }
 
+/// Every engine corner as `(compiled, shards)`; the first is the
+/// reference.
+const ENGINES: [(bool, usize); 4] = [(false, 1), (true, 1), (false, 2), (true, 2)];
+
+fn opts(shards: usize) -> ParallelOpts {
+    match shards {
+        1 => ParallelOpts::new(1),
+        n => ParallelOpts::new(n).batched(8),
+    }
+}
+
 fn script(
     graph: &RouterGraph,
     swapped: &RouterGraph,
     compiled: bool,
     shards: usize,
 ) -> Vec<Vec<u8>> {
-    let opts = || match shards {
-        1 => ParallelOpts::new(1),
-        n => ParallelOpts::new(n).batched(8),
-    };
-    let mut e = engine::open(graph, compiled, opts()).expect("engine opens");
+    let mut e = engine::open(graph, compiled, opts(shards)).expect("engine opens");
     assert_eq!(e.device_names(), ["in0", "out0"]);
     let mut b = Books {
         offered: 0,
@@ -131,6 +138,13 @@ fn script(
     assert!(e.hot_swap(&invalid).is_err());
     let report = e.hot_swap(swapped).expect("swap installs");
     assert!(!report.rolled_back, "{report:?}");
+    // cls, c and q are unchanged and move over; the two device elements
+    // are rebuilt; c2 is new.
+    assert_eq!(
+        (report.reused, report.matched, report.fresh, report.retired),
+        (3, 2, 1, 0),
+        "{report:?}"
+    );
     assert_eq!(report.canary_shard.is_some(), shards > 1);
     e.settle();
     b.drain(&mut *e);
@@ -173,7 +187,7 @@ fn script(
     };
     drop(e);
     let ckpt = Checkpoint::decode(&ckpt.encode()).expect("wire round trip");
-    let (mut e, stats) = engine::restore(&ckpt, compiled, opts()).expect("warm restart");
+    let (mut e, stats) = engine::restore(&ckpt, compiled, opts(shards)).expect("warm restart");
     assert_eq!(stats.unmatched, 0);
     assert_eq!(stats.packets_restored, 64, "the pending window comes back");
     assert_eq!(e.total_drops(), ckpt.ledger.drops);
@@ -234,11 +248,37 @@ fn one_script_reads_the_same_on_all_four_engines() {
     let mut want: Vec<Vec<u8>> = (0..512usize).filter(|&i| !dropped(i)).map(frame).collect();
     want.sort();
     assert_eq!(reference, want, "the pipeline forwards frames unchanged");
-    for (compiled, shards) in [(true, 1), (false, 2), (true, 2)] {
+    for (compiled, shards) in ENGINES.into_iter().skip(1) {
         assert_eq!(
             script(&graph, &swapped, compiled, shards),
             reference,
             "compiled={compiled} shards={shards}"
+        );
+    }
+}
+
+#[test]
+fn a_missing_route_is_a_counted_drop_on_every_engine() {
+    let graph = read_config(
+        "FromDevice(in0) -> Strip(14) -> rt :: StaticIPLookup(10.0.0.0/8 0) \
+         -> Queue -> ToDevice(out0);",
+    )
+    .unwrap();
+    for (compiled, shards) in ENGINES {
+        let mut e = engine::open(&graph, compiled, opts(shards)).expect("engine opens");
+        let in0 = e.device("in0").expect("in0");
+        for dst in [0x0A00_0001, 0xC0A8_0001] {
+            let p = build_udp_packet([1; 6], [2; 6], 0x0A00_0002, dst, 2000, 9, 18, 64);
+            e.inject(in0, p);
+        }
+        e.settle();
+        let mut tx = PacketBatch::new();
+        let sent = e.drain_all_tx_into(&mut tx);
+        tx.recycle_packets();
+        assert_eq!(
+            (sent, e.total_drops()),
+            (1, 1),
+            "compiled={compiled} shards={shards}: offered == tx + total_drops()"
         );
     }
 }
