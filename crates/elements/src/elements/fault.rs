@@ -24,7 +24,7 @@
 //!   (the element sleeps in a loop and never returns). This simulates a
 //!   livelocked element: the shard stops consuming, its ring fills, and
 //!   the runtime's backpressure timeout
-//!   ([`crate::parallel::ParallelRouter::try_flush`]) is the only way
+//!   ([`crate::parallel::ParallelRouter::try_run_until_idle`]) is the only way
 //!   out. Only for chaos tests — never configure it in a serial router.
 //! * `SEED s` — LCG seed (default 1); identical seeds give identical
 //!   fault sequences.

@@ -55,6 +55,15 @@ pub trait Engine: CheckpointEngine {
     /// Monotonic drop counter: element and engine drops (surviving hot
     /// swaps) plus everything device supervision declared lost.
     fn total_drops(&self) -> u64;
+    /// One element's named statistic (summed across shards); `None` if
+    /// no element or statistic has that name.
+    fn stat(&self, element: &str, stat: &str) -> Option<u64>;
+    /// A statistic summed over every element of a (base) class.
+    fn class_stat(&self, class: &str, stat: &str) -> u64;
+    /// Packets emitted on unconnected ports.
+    fn unconnected_drops(&self) -> u64;
+    /// Packets dropped breaking a configuration loop.
+    fn reentrant_drops(&self) -> u64;
     /// Arms or disarms per-element telemetry: what [`Engine::profiles`]
     /// reads and the steering stage's clock. Off in a new engine; on,
     /// every element call is timed, so only a caller that reads the
@@ -115,6 +124,18 @@ impl<S: Slot> Engine for Router<S> {
     fn total_drops(&self) -> u64 {
         Router::total_drops(self)
     }
+    fn stat(&self, element: &str, stat: &str) -> Option<u64> {
+        Router::stat(self, element, stat)
+    }
+    fn class_stat(&self, class: &str, stat: &str) -> u64 {
+        Router::class_stat(self, class, stat)
+    }
+    fn unconnected_drops(&self) -> u64 {
+        Router::unconnected_drops(self)
+    }
+    fn reentrant_drops(&self) -> u64 {
+        Router::reentrant_drops(self)
+    }
     fn set_telemetry(&mut self, on: bool) {
         Router::set_telemetry(self, on);
     }
@@ -156,6 +177,18 @@ impl Engine for ParallelRouter {
     }
     fn total_drops(&self) -> u64 {
         ParallelRouter::total_drops(self)
+    }
+    fn stat(&self, element: &str, stat: &str) -> Option<u64> {
+        ParallelRouter::stat(self, element, stat)
+    }
+    fn class_stat(&self, class: &str, stat: &str) -> u64 {
+        ParallelRouter::class_stat(self, class, stat)
+    }
+    fn unconnected_drops(&self) -> u64 {
+        ParallelRouter::unconnected_drops(self)
+    }
+    fn reentrant_drops(&self) -> u64 {
+        ParallelRouter::reentrant_drops(self)
     }
     fn set_telemetry(&mut self, on: bool) {
         ParallelRouter::set_telemetry(self, on);

@@ -42,7 +42,7 @@
 //! panicked worker publishes its death through a *health word* (an
 //! atomic the supervisor reads on every unproductive poll — never on the
 //! per-packet fast path) and then parks as a **zombie**: its thread
-//! stays alive answering control-plane queries, so the dead shard's
+//! stays alive answering read jobs, so the dead shard's
 //! element statistics and telemetry remain readable until shutdown.
 //!
 //! The supervisor — the main thread, inside [`ParallelRouter::flush`] /
@@ -62,21 +62,35 @@
 //! 3. re-injecting the salvaged packets in FIFO order through the
 //!    (updated) steering stage.
 //!
-//! The control plane is typed-error clean: queries honor
-//! [`CTRL_TIMEOUT`] and return [`Error::Runtime`] instead of panicking
-//! when a worker is gone or wedged, injection into a wedged router
-//! reports a backpressure timeout instead of spinning forever
-//! ([`ParallelRouter::try_flush`]), and `Drop` performs a bounded,
-//! orderly drain.
+//! # Shards and jobs
 //!
-//! Statistics aggregate through a control channel:
-//! [`ParallelRouter::stat`] / [`ParallelRouter::class_stat`] query every
-//! worker (including zombies and restarted shards' predecessors) and
-//! sum, so a sharded router answers exactly like a serial [`Router`] and
-//! equivalence tests run unchanged.
+//! A worker shard is a serial engine — a `Box<dyn Engine>` its own
+//! thread builds — driven by the same [`Engine`] calls the serial path
+//! uses: `inject`, `settle`, `drain_tx_into`. The control plane reaches
+//! it only through *jobs*: a closure that runs on the worker against the
+//! shard's engine and sends its typed result on a reply channel of its
+//! own. A read job runs wherever the engine is readable (between bursts,
+//! while stalled on a full outbound ring, in a zombie); a write job
+//! (`hot_swap`, `checkpoint_*`, `set_telemetry`) runs only at the
+//! quiesced top of the loop and is refused with a "shard busy" error
+//! anywhere else.
+//!
+//! The control plane is typed-error clean: jobs honor [`CTRL_TIMEOUT`]
+//! and return [`Error::Runtime`] instead of panicking when a worker is
+//! gone or wedged, injection into a wedged router reports a backpressure
+//! timeout instead of spinning forever
+//! ([`ParallelRouter::try_run_until_idle`]), and `Drop` performs a
+//! bounded, orderly drain.
+//!
+//! Statistics aggregate through read jobs: [`ParallelRouter::stat`] /
+//! [`ParallelRouter::class_stat`] ask every worker (including zombies
+//! and restarted shards' predecessors) and sum, so a sharded router
+//! answers exactly like a serial [`Router`] and equivalence tests run
+//! unchanged.
 
 use crate::batch::PacketBatch;
 use crate::element::DeviceId;
+use crate::engine::Engine;
 use crate::iodev::PumpStats;
 use crate::packet::{Packet, PoolStats};
 use crate::persist::{
@@ -85,7 +99,7 @@ use crate::persist::{
 };
 use crate::ring::{spsc, AdaptiveBurst, Backoff, RingConsumer, RingProducer};
 use crate::router::{DeviceBank, Router, Slot};
-use crate::steer::{FlowHashCache, RssSteering, MAX_SHARDS};
+use crate::steer::{RssSteering, MAX_SHARDS};
 use crate::swap::SwapReport;
 use crate::telemetry::{
     self, ElementProfile, FaultGauges, Gauges, ShardGauges, SteerGauges, SwapGauges,
@@ -93,6 +107,7 @@ use crate::telemetry::{
 use click_core::error::{Error, Result};
 use click_core::graph::RouterGraph;
 use click_core::registry::Library;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
@@ -103,23 +118,23 @@ use std::time::{Duration, Instant};
 /// simulated device.
 type ShardItem = (DeviceId, PacketBatch);
 
-/// A boxed configuration validator: builds a prototype router on the
-/// calling thread so a hot swap rejects a bad config before any worker
-/// sees it (captures the engine type `S`).
-type Validator = Box<dyn Fn(&RouterGraph) -> Result<()>>;
+/// Builds a shard's engine on the worker's own thread. The one factory
+/// is [`shard_engine`], instantiated for the engine type `S` by
+/// [`ParallelRouter::from_graph`].
+type EngineFactory = fn(&RouterGraph, &WorkerCfg) -> Result<Box<dyn Engine>>;
 
 /// A boxed worker spawner for `(shard, telemetry switch)` (captures the
-/// retained graph, the rest of the worker config, and the engine type
-/// `S`).
+/// retained graph, the rest of the worker config, and the engine
+/// factory).
 type MakeWorker = Box<dyn Fn(usize, bool) -> Result<Worker>>;
 
-/// Task-scheduling budget a worker grants each ring item; generous —
-/// one item carries at most a burst of packets.
-const WORKER_ROUNDS: usize = 100_000;
-
-/// How long a control query may wait on a worker before the runtime
+/// How long a control job may wait on a worker before the runtime
 /// declares it wedged and returns [`Error::Runtime`].
 pub const CTRL_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// How long a zombie shard naps between looks at its job channel; a job
+/// sender unparks it at once.
+const ZOMBIE_NAP: Duration = Duration::from_millis(1);
 
 /// Frames a device round receives per backend.
 const DEVICE_BURST: usize = 64;
@@ -153,13 +168,13 @@ fn effective_spins(shards: usize) -> u32 {
 
 /// Health-word states a worker publishes (see [`WorkerShared`]).
 const HEALTH_RUNNING: u8 = 0;
-/// The worker's packet loop panicked; the thread is parked as a zombie
-/// that still answers control queries.
+/// The worker's engine panicked; the thread is parked as a zombie that
+/// still answers read jobs.
 const HEALTH_PANICKED: u8 = 1;
 /// The worker exited cleanly (shutdown).
 const HEALTH_EXITED: u8 = 2;
-/// The worker could not build its router clone (cannot normally happen:
-/// the graph was validated on the main thread).
+/// The worker could not build its engine (cannot normally happen: the
+/// graph was validated on the main thread).
 const HEALTH_BUILD_FAILED: u8 = 3;
 
 /// What the supervisor does when a worker shard dies.
@@ -193,8 +208,8 @@ pub struct ParallelOpts {
     /// What to do when a worker shard dies.
     pub recovery: Recovery,
     /// How long injection may make zero progress (all target rings full,
-    /// nothing arriving) before [`ParallelRouter::try_flush`] /
-    /// [`ParallelRouter::try_run_until_idle`] report a backpressure
+    /// nothing arriving) before
+    /// [`ParallelRouter::try_run_until_idle`] reports a backpressure
     /// timeout, and how long `Drop` waits for workers before abandoning
     /// a wedged thread.
     pub wedge_timeout: Duration,
@@ -279,73 +294,56 @@ fn read_retained(retained: &RwLock<Arc<RouterGraph>>) -> Arc<RouterGraph> {
     }
 }
 
-/// Control-plane queries the injection thread sends to workers. Rare and
-/// cheap; the packet path never touches this channel.
-enum Ctrl {
-    /// Liveness probe (the control-plane heartbeat).
-    Ping,
-    /// Read one element's named statistic.
-    Stat(String, String),
-    /// Sum a statistic across all elements of a class.
-    ClassStat(String, String),
-    /// Read the engine drop counters.
-    EngineDrops,
-    /// Snapshot the worker thread's packet-pool counters.
-    PoolStats,
-    /// Reset the worker thread's packet-pool counters.
-    ResetPoolStats,
-    /// Snapshot the shard's per-element telemetry profiles.
-    Telemetry,
-    /// Arm or disarm the shard engine's per-element telemetry
-    /// ([`Router::set_telemetry`]). Same quiesced-main-loop-only
-    /// discipline as `Swap`, so a flip never lands inside a burst.
-    SetTelemetry(bool),
-    /// Snapshot the shard's runtime gauges (ring depth, backoff).
-    Gauges,
-    /// Read the shard's aggregate drop gauge
-    /// ([`Router::total_drops`]) — the canary-regression signal.
-    DropGauge,
-    /// Hot-swap the shard's engine to this configuration graph. Only the
-    /// worker's main loop (which owns `&mut Router`) performs the swap;
-    /// read-only contexts answer with a busy error.
-    Swap(Arc<RouterGraph>),
-    /// Cut a non-destructive checkpoint snapshot of the shard's engine.
-    /// Same discipline as `Swap`: only the quiesced worker's main loop
-    /// (which owns `&mut Router`) answers; elsewhere it is refused.
-    Snapshot,
-    /// Apply checkpoint element records to the shard's engine (warm
-    /// restart). Same quiesced-main-loop-only discipline as `Swap`.
-    Restore(Arc<RestorePlan>),
+/// What a read job is handed: the shard's engine and its loop gauges,
+/// or why there is no engine to read.
+type ReadJob = Box<dyn FnOnce(Result<(&dyn Engine, &ShardGauges)>) + Send>;
+
+/// What a write job is handed: the shard's engine, mutably, or why the
+/// shard cannot give it out right now.
+type WriteJob = Box<dyn FnOnce(Result<&mut dyn Engine>) + Send>;
+
+/// Where a job's answer arrives: the job's own channel, so an answer
+/// that comes too late is dropped with its channel instead of being read
+/// as the answer to the next job.
+type Reply<T> = mpsc::Receiver<Result<T>>;
+
+/// A control-plane job: a closure the control thread sends a worker,
+/// which runs it on the worker thread against the shard's engine. It
+/// carries the sending half of its [`Reply`] and always answers on it —
+/// with its result, or with the error that kept it from running. Rare
+/// and cheap; the packet path never touches the job channel.
+enum Job {
+    /// Runs wherever the engine is readable: at the top of the loop,
+    /// while stalled on a full outbound ring, and in a zombie.
+    Read(ReadJob),
+    /// Runs only at the quiesced top of the loop, the one point where
+    /// the shard holds no packet in flight; anywhere else it is refused
+    /// with a "shard busy" error.
+    Write(WriteJob),
 }
 
-/// The element records (and drop-ledger target) a warm restart hands a
-/// worker shard over the control plane. Plain `Send` data — packets are
-/// byte records, re-materialized on the worker thread.
-struct RestorePlan {
-    elements: Vec<ElementRecord>,
-    target_drops: u64,
-}
+impl Job {
+    /// A read job running `f`, and the channel its answer arrives on.
+    fn read<T: Send + 'static>(
+        f: impl FnOnce(&dyn Engine, &ShardGauges) -> T + Send + 'static,
+    ) -> (Job, Reply<T>) {
+        let (tx, rx) = mpsc::channel();
+        let job = Job::Read(Box::new(move |shard| {
+            let _ = tx.send(shard.map(|(e, g)| f(e, g)));
+        }));
+        (job, rx)
+    }
 
-/// Replies to [`Ctrl`] queries.
-enum CtrlReply {
-    Pong,
-    Stat(Option<u64>),
-    Value(u64),
-    Drops {
-        unconnected: u64,
-        reentrant: u64,
-    },
-    Pool(PoolStats),
-    Telemetry(Vec<ElementProfile>),
-    Gauges(ShardGauges),
-    /// Outcome of a [`Ctrl::Swap`] request against this shard's engine.
-    Swapped(Result<SwapReport>),
-    /// Outcome of a [`Ctrl::Snapshot`] request.
-    Snapshot(Box<Result<EngineSnapshot>>),
-    /// Outcome of a [`Ctrl::Restore`] request.
-    Restored(Box<Result<RestoreStats>>),
-    /// The worker has no router to answer with (build failure zombie).
-    Gone,
+    /// A write job running `f`, and the channel its answer arrives on.
+    fn write<T: Send + 'static>(
+        f: impl FnOnce(&mut dyn Engine) -> T + Send + 'static,
+    ) -> (Job, Reply<T>) {
+        let (tx, rx) = mpsc::channel();
+        let job = Job::Write(Box::new(move |engine| {
+            let _ = tx.send(engine.map(f));
+        }));
+        (job, rx)
+    }
 }
 
 /// A parked thread's doorbell. [`Backoff::snooze`] naps with
@@ -397,8 +395,7 @@ struct Worker {
     shard: usize,
     to_worker: RingProducer<ShardItem>,
     from_worker: RingConsumer<ShardItem>,
-    ctrl: mpsc::Sender<Ctrl>,
-    reply: mpsc::Receiver<CtrlReply>,
+    jobs: mpsc::Sender<Job>,
     /// Batches handed to this worker (main thread is the only writer).
     enqueued_batches: u64,
     /// Packets handed to this worker.
@@ -414,6 +411,36 @@ struct Worker {
 }
 
 impl Worker {
+    /// Creates one shard's rings and job channel: the control thread's
+    /// handle (with no thread yet) and the worker-side ends.
+    fn link(cfg: &WorkerCfg, stop: &Arc<AtomicBool>, bell: &Arc<Doorbell>) -> (Worker, ShardLinks) {
+        let (to_worker, input) = spsc::<ShardItem>(cfg.ring_capacity);
+        let (output, from_worker) = spsc::<ShardItem>(cfg.ring_capacity);
+        let (jobs, job_rx) = mpsc::channel();
+        let shared = Arc::new(WorkerShared::default());
+        let links = ShardLinks {
+            input,
+            output,
+            jobs: job_rx,
+            shared: Arc::clone(&shared),
+            stop: Arc::clone(stop),
+            bell: Arc::clone(bell),
+        };
+        let worker = Worker {
+            shard: cfg.shard,
+            to_worker,
+            from_worker,
+            jobs,
+            enqueued_batches: 0,
+            enqueued_pkts: 0,
+            shared,
+            restarts: 0,
+            dead: false,
+            handle: None,
+        };
+        (worker, links)
+    }
+
     /// All handed-over batches processed (a reconciled dead worker
     /// counts as idle: the supervisor already settled its accounts).
     fn is_idle(&self) -> bool {
@@ -427,9 +454,8 @@ impl Worker {
             return true;
         }
         match self.shared.health.load(Ordering::Acquire) {
-            HEALTH_PANICKED | HEALTH_BUILD_FAILED => true,
-            HEALTH_EXITED => true,
-            _ => self.handle.as_ref().is_none_or(JoinHandle::is_finished),
+            HEALTH_RUNNING => self.handle.as_ref().is_none_or(JoinHandle::is_finished),
+            _ => true,
         }
     }
 
@@ -441,25 +467,23 @@ impl Worker {
         }
     }
 
-    /// Sends a control query and waits (bounded) for the answer.
+    /// Sends a job and waits (bounded) for its answer.
     ///
     /// # Errors
     ///
-    /// [`Error::Runtime`] when the worker is gone, answers [`CtrlReply::Gone`],
-    /// or does not answer within [`CTRL_TIMEOUT`].
-    fn query(&self, q: Ctrl) -> Result<CtrlReply> {
+    /// [`Error::Runtime`] when the worker is gone, refuses the job (a
+    /// failed build, or a write job on a busy shard), or does not answer
+    /// within [`CTRL_TIMEOUT`].
+    fn query<T>(&self, (job, reply): (Job, Reply<T>)) -> Result<T> {
         let shard = self.shard;
-        self.ctrl
-            .send(q)
-            .map_err(|_| Error::runtime(format!("shard {shard}: control channel closed")))?;
+        self.jobs
+            .send(job)
+            .map_err(|_| Error::runtime(format!("shard {shard}: job channel closed")))?;
         self.wake();
-        match self.reply.recv_timeout(CTRL_TIMEOUT) {
-            Ok(CtrlReply::Gone) => Err(Error::runtime(format!(
-                "shard {shard}: worker has no router (build failed)"
-            ))),
-            Ok(r) => Ok(r),
+        match reply.recv_timeout(CTRL_TIMEOUT) {
+            Ok(r) => r,
             Err(mpsc::RecvTimeoutError::Timeout) => Err(Error::runtime(format!(
-                "shard {shard}: control query timed out after {CTRL_TIMEOUT:?} (worker wedged?)"
+                "shard {shard}: control job timed out after {CTRL_TIMEOUT:?} (worker wedged?)"
             ))),
             Err(mpsc::RecvTimeoutError::Disconnected) => Err(Error::runtime(format!(
                 "shard {shard}: worker exited without answering"
@@ -524,8 +548,6 @@ pub struct ParallelRouter {
     /// The telemetry switch, as last set: every live shard engine has
     /// it, and a restarted shard is spawned with it.
     telemetry: bool,
-    /// Memoized flow hashes for the inject path.
-    steer_cache: FlowHashCache,
     /// The supervisor's doorbell: workers ring it when they publish
     /// output, so pump loops wake on delivery instead of on nap expiry.
     bell: Arc<Doorbell>,
@@ -540,17 +562,13 @@ pub struct ParallelRouter {
     retained: Arc<RwLock<Arc<RouterGraph>>>,
     /// Spawns a replacement worker for a shard slot.
     make_worker: MakeWorker,
-    /// Validates a candidate configuration by building a prototype
-    /// `Router<S>` on the calling thread (captures the engine type `S`),
-    /// so a hot swap rejects a bad config before any worker sees it.
-    validate: Validator,
 }
 
 impl ParallelRouter {
     /// Builds and starts a sharded router over `graph`: validates the
     /// configuration, then spawns one worker thread per shard, each
-    /// instantiating its own `Router<S>` from the standard element
-    /// library.
+    /// building its own `Router<S>` from the standard element library
+    /// and driving it as a `dyn Engine`.
     ///
     /// # Errors
     ///
@@ -598,11 +616,9 @@ impl ParallelRouter {
                     telemetry,
                     ..cfg
                 };
-                spawn_worker::<S>(&graph, cfg, &stop, &bell)
+                spawn_worker(&graph, cfg, shard_engine::<S>, &stop, &bell)
             })
         };
-        let validate: Validator =
-            Box::new(|g| Router::<S>::from_graph(g, &Library::standard()).map(|_| ()));
         let mut workers = Vec::with_capacity(opts.shards);
         for shard in 0..opts.shards {
             match make_worker(shard, false) {
@@ -633,7 +649,6 @@ impl ParallelRouter {
             burst_ctl,
             ingress: SteerGauges::default(),
             telemetry: false,
-            steer_cache: FlowHashCache::default(),
             bell,
             backoff_spins: spins,
             recovery: opts.recovery,
@@ -646,7 +661,6 @@ impl ParallelRouter {
             swap: SwapGauges::default(),
             retained,
             make_worker,
-            validate,
         })
     }
 
@@ -717,7 +731,7 @@ impl ParallelRouter {
     /// # Errors
     ///
     /// [`Error::Runtime`] when no live shard exists, a shard fails to
-    /// quiesce within the wedge timeout, or a control query fails; the
+    /// quiesce within the wedge timeout, or a control job fails; the
     /// runtime keeps forwarding either way.
     pub fn checkpoint_snapshot(&mut self) -> Result<EngineSnapshot> {
         let t0 = Instant::now();
@@ -741,14 +755,7 @@ impl ParallelRouter {
             })
             .collect();
         for &s in &live {
-            let snap = match self.workers[s].query(Ctrl::Snapshot)? {
-                CtrlReply::Snapshot(r) => (*r)?,
-                _ => {
-                    return Err(Error::runtime(format!(
-                        "shard {s}: unexpected control reply to snapshot"
-                    )))
-                }
-            };
+            let snap = self.workers[s].query(Job::write(|e| e.checkpoint_snapshot()))??;
             for rec in snap.elements {
                 match elements.iter_mut().find(|e| e.name == rec.name) {
                     Some(merged) => merged.absorb(&rec),
@@ -801,18 +808,15 @@ impl ParallelRouter {
             return Err(Error::runtime("restore: no live shard"));
         };
         self.quiesce_shard(shard)?;
-        let plan = Arc::new(RestorePlan {
+        // The shard takes the element records and the ledger; the device
+        // records are this thread's, below.
+        let records = Checkpoint {
             elements: ckpt.elements.clone(),
-            target_drops: ckpt.ledger.drops,
-        });
-        let mut stats = match self.workers[shard].query(Ctrl::Restore(plan))? {
-            CtrlReply::Restored(r) => (*r)?,
-            _ => {
-                return Err(Error::runtime(format!(
-                    "shard {shard}: unexpected control reply to restore"
-                )))
-            }
+            ledger: ckpt.ledger,
+            ..Checkpoint::default()
         };
+        let mut stats =
+            self.workers[shard].query(Job::write(move |e| e.checkpoint_restore(&records)))??;
         for dev in &ckpt.devices {
             match self.device_id(&dev.name) {
                 Some(id) => {
@@ -851,14 +855,16 @@ impl ParallelRouter {
     /// rollout, preserving element state ([`Router::hot_swap`]) on every
     /// swapped shard.
     ///
-    /// 1. **Validate.** The candidate graph is checked and a prototype
-    ///    engine is built on this thread; a config that fails
-    ///    `click_core::check::check` is rejected here — counted in
-    ///    [`SwapGauges::rejected_configs`] — and no worker ever sees it.
-    /// 2. **Canary.** The lowest-index live shard is quiesced (its ring
+    /// 1. **Canary.** The lowest-index live shard is quiesced (its ring
     ///    drains; other shards keep forwarding, so per-flow order on
     ///    their flows is untouched) and swapped to the new graph with
     ///    full state transfer.
+    /// 2. **Validate.** The canary is the validator: its engine's
+    ///    [`Router::hot_swap`] checks and builds the new graph before any
+    ///    state moves, so a config that fails `click_core::check::check`
+    ///    or an element constructor leaves the canary's old graph intact.
+    ///    It is counted in [`SwapGauges::rejected_configs`] and no other
+    ///    shard ever sees it.
     /// 3. **Window.** Buffered traffic is pumped until the canary has
     ///    processed [`SwapOpts::canary_window`] packets (or the traffic
     ///    drains), then the canary's drops-per-packet delta is compared
@@ -886,20 +892,19 @@ impl ParallelRouter {
     /// graph while the retained configuration stays old — a retry (or a
     /// rollback swap to the old graph) converges the fleet.
     pub fn hot_swap_with(&mut self, new_graph: &RouterGraph, opts: SwapOpts) -> Result<SwapReport> {
-        if let Err(e) = (self.validate)(new_graph) {
-            self.swap.rejected_configs += 1;
-            return Err(e);
-        }
         self.supervise();
         let canary = (0..self.workers.len())
             .find(|&i| !self.workers[i].dead && !self.workers[i].is_dead())
             .ok_or_else(|| Error::runtime("hot swap: no live shard to canary"))?;
         let new_arc = Arc::new(new_graph.clone());
 
-        // Phase 1: quiesce and swap the canary.
+        // Phase 1: quiesce and swap the canary. An error from its engine
+        // is the config's verdict; an error reaching it is not.
         self.quiesce_shard(canary)?;
         let before = self.gauge_snapshot();
-        let mut report = self.swap_shard(canary, &new_arc)?;
+        let mut report = self.swap_shard(canary, &new_arc)?.inspect_err(|_| {
+            self.swap.rejected_configs += 1;
+        })?;
         report.canary_shard = Some(canary);
 
         // Phase 2: the canary window, over whatever traffic the caller
@@ -944,7 +949,7 @@ impl ParallelRouter {
             self.quiesce_shard(canary)?;
             let final_snap = self.gauge_snapshot();
             let old = read_retained(&self.retained);
-            report.absorb(&self.swap_shard(canary, &old)?);
+            report.absorb(&self.swap_shard(canary, &old)??);
             report.swapped_shards = 0;
             report.rolled_back = true;
             if let (Some((bd, bp)), Some((fd, fp))) = (before[canary], final_snap[canary]) {
@@ -965,7 +970,7 @@ impl ParallelRouter {
                 continue;
             }
             self.quiesce_shard(i)?;
-            report.absorb(&self.swap_shard(i, &new_arc)?);
+            report.absorb(&self.swap_shard(i, &new_arc)??);
         }
         match self.retained.write() {
             Ok(mut g) => *g = Arc::clone(&new_arc),
@@ -1004,14 +1009,11 @@ impl ParallelRouter {
         }
     }
 
-    /// Asks one worker to hot-swap its engine (it must be quiesced).
-    fn swap_shard(&mut self, shard: usize, graph: &Arc<RouterGraph>) -> Result<SwapReport> {
-        match self.workers[shard].query(Ctrl::Swap(Arc::clone(graph)))? {
-            CtrlReply::Swapped(r) => r,
-            _ => Err(Error::runtime(format!(
-                "shard {shard}: unexpected control reply to swap"
-            ))),
-        }
+    /// Asks one worker to hot-swap its engine (it must be quiesced). The
+    /// outer error is the control plane's, the inner one the engine's.
+    fn swap_shard(&self, shard: usize, graph: &Arc<RouterGraph>) -> Result<Result<SwapReport>> {
+        let graph = Arc::clone(graph);
+        self.workers[shard].query(Job::write(move |e| e.hot_swap(&graph)))
     }
 
     /// Per-shard `(total_drops, completed_packets)` snapshot; `None` for
@@ -1023,12 +1025,8 @@ impl ParallelRouter {
                 if w.dead || w.is_dead() {
                     return None;
                 }
-                match w.query(Ctrl::DropGauge) {
-                    Ok(CtrlReply::Value(d)) => {
-                        Some((d, w.shared.completed_pkts.load(Ordering::Acquire)))
-                    }
-                    _ => None,
-                }
+                let drops = w.query(Job::read(|e, _| e.total_drops())).ok()?;
+                Some((drops, w.shared.completed_pkts.load(Ordering::Acquire)))
             })
             .collect()
     }
@@ -1080,10 +1078,7 @@ impl ParallelRouter {
     /// counted in [`FaultGauges::no_live_shard_drops`].
     pub fn inject(&mut self, dev: DeviceId, p: Packet) {
         let t0 = self.telemetry.then(Instant::now);
-        let Some(shard) = self
-            .steer
-            .live_shard_for_cached(p.data(), dev, &mut self.steer_cache)
-        else {
+        let Some(shard) = self.steer.live_shard_for(p.data(), dev) else {
             self.faults.no_live_shard_drops += 1;
             p.recycle();
             return;
@@ -1119,21 +1114,10 @@ impl ParallelRouter {
     /// If a live worker wedges (zero progress for the configured
     /// `wedge_timeout`), this returns early with the packets collected
     /// so far; un-handed bursts stay buffered. Use
-    /// [`ParallelRouter::try_flush`] to observe the timeout as an error.
+    /// [`ParallelRouter::try_run_until_idle`] to observe the timeout as
+    /// an error.
     pub fn flush(&mut self) -> usize {
         self.pump(false).0
-    }
-
-    /// Like [`ParallelRouter::flush`], but reports a wedged router.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Runtime`] when injection made no progress for the
-    /// configured `wedge_timeout` (a live worker stopped consuming and
-    /// its ring is full — backpressure timeout).
-    pub fn try_flush(&mut self) -> Result<usize> {
-        let (collected, r) = self.pump(false);
-        r.map(|()| collected)
     }
 
     /// Drains every worker's outbound ring into the merged TX banks;
@@ -1438,12 +1422,7 @@ impl ParallelRouter {
             .workers
             .get(shard)
             .ok_or_else(|| Error::runtime(format!("no shard {shard}")))?;
-        match w.query(Ctrl::Ping)? {
-            CtrlReply::Pong => Ok(()),
-            _ => Err(Error::runtime(format!(
-                "shard {shard}: unexpected control reply to ping"
-            ))),
-        }
+        w.query(Job::read(|_, _| ()))
     }
 
     /// Number of packets transmitted on a device and collected so far.
@@ -1466,130 +1445,64 @@ impl ParallelRouter {
         self.bank.drain_tx_into(dev, into)
     }
 
-    /// Every worker that can still answer a control query: the live
-    /// shards, zombies, and the graveyard (dead predecessors of
-    /// restarted shards) — so merged statistics keep counting packets
-    /// the dead saw.
-    fn respondents(&self) -> impl Iterator<Item = &Worker> {
-        self.workers.iter().chain(self.graveyard.iter())
+    /// Runs `f` as a read job on every worker that can still answer one
+    /// — the live shards, zombies, and the graveyard (dead predecessors
+    /// of restarted shards), so merged statistics keep counting packets
+    /// the dead saw — and yields the answers. Shards that cannot answer
+    /// (gone, wedged) are skipped.
+    fn ask_all<T: Send + 'static>(
+        &self,
+        f: impl FnOnce(&dyn Engine, &ShardGauges) -> T + Clone + Send + 'static,
+    ) -> impl Iterator<Item = T> + '_ {
+        (self.workers.iter().chain(&self.graveyard))
+            .filter_map(move |w| w.query(Job::read(f.clone())).ok())
     }
 
     /// Reads a named statistic from an element, summed across shards —
     /// the merged view that makes a sharded router answer like a serial
-    /// one. `None` if no shard knows the element/statistic. Shards that
-    /// cannot answer (gone, wedged) are skipped; use
-    /// [`ParallelRouter::try_stat`] to observe those as errors.
+    /// one. `None` if no shard knows the element/statistic.
     pub fn stat(&self, element: &str, stat: &str) -> Option<u64> {
-        let mut total = None;
-        for w in self.respondents() {
-            if let Ok(CtrlReply::Stat(Some(v))) =
-                w.query(Ctrl::Stat(element.to_owned(), stat.to_owned()))
-            {
-                *total.get_or_insert(0) += v;
-            }
-        }
-        total
-    }
-
-    /// Like [`ParallelRouter::stat`], but propagates control-plane
-    /// failures instead of skipping unreachable shards.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Runtime`] if any shard fails to answer within
-    /// [`CTRL_TIMEOUT`].
-    pub fn try_stat(&self, element: &str, stat: &str) -> Result<Option<u64>> {
-        let mut total = None;
-        for w in self.respondents() {
-            if let CtrlReply::Stat(Some(v)) =
-                w.query(Ctrl::Stat(element.to_owned(), stat.to_owned()))?
-            {
-                *total.get_or_insert(0) += v;
-            }
-        }
-        Ok(total)
+        let (element, stat) = (element.to_owned(), stat.to_owned());
+        (self.ask_all(move |e, _| e.stat(&element, &stat)))
+            .flatten()
+            .reduce(|a, b| a + b)
     }
 
     /// Sum of a statistic across all elements of a class, across all
-    /// shards (unreachable shards skipped).
+    /// shards.
     pub fn class_stat(&self, class: &str, stat: &str) -> u64 {
-        self.respondents()
-            .map(
-                |w| match w.query(Ctrl::ClassStat(class.to_owned(), stat.to_owned())) {
-                    Ok(CtrlReply::Value(v)) => v,
-                    _ => 0,
-                },
-            )
-            .sum()
-    }
-
-    /// Like [`ParallelRouter::class_stat`], but propagates control-plane
-    /// failures.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::Runtime`] if any shard fails to answer within
-    /// [`CTRL_TIMEOUT`].
-    pub fn try_class_stat(&self, class: &str, stat: &str) -> Result<u64> {
-        let mut total = 0;
-        for w in self.respondents() {
-            if let CtrlReply::Value(v) =
-                w.query(Ctrl::ClassStat(class.to_owned(), stat.to_owned()))?
-            {
-                total += v;
-            }
-        }
-        Ok(total)
+        let (class, stat) = (class.to_owned(), stat.to_owned());
+        self.ask_all(move |e, _| e.class_stat(&class, &stat)).sum()
     }
 
     /// Packets dropped on unconnected ports, summed across shards.
     pub fn unconnected_drops(&self) -> u64 {
-        self.engine_drops().0
+        self.ask_all(|e, _| e.unconnected_drops()).sum()
     }
 
     /// Packets dropped breaking configuration loops, summed across
     /// shards.
     pub fn reentrant_drops(&self) -> u64 {
-        self.engine_drops().1
-    }
-
-    fn engine_drops(&self) -> (u64, u64) {
-        let mut u = 0;
-        let mut r = 0;
-        for w in self.respondents() {
-            if let Ok(CtrlReply::Drops {
-                unconnected,
-                reentrant,
-            }) = w.query(Ctrl::EngineDrops)
-            {
-                u += unconnected;
-                r += reentrant;
-            }
-        }
-        (u, r)
+        self.ask_all(|e, _| e.reentrant_drops()).sum()
     }
 
     /// Merged packet-pool counters of every worker thread (each shard
     /// allocates from its own thread-local pool).
     pub fn pool_stats(&self) -> PoolStats {
-        let mut total = PoolStats::default();
-        for w in self.respondents() {
-            if let Ok(CtrlReply::Pool(s)) = w.query(Ctrl::PoolStats) {
-                total.hits += s.hits;
-                total.misses += s.misses;
-                total.recycled += s.recycled;
-                total.dropped += s.dropped;
-            }
-        }
-        total
+        let pools = self.ask_all(|_, _| crate::packet::pool_stats());
+        pools.fold(PoolStats::default(), |t, s| PoolStats {
+            hits: t.hits + s.hits,
+            misses: t.misses + s.misses,
+            recycled: t.recycled + s.recycled,
+            dropped: t.dropped + s.dropped,
+        })
     }
 
     /// Resets every worker thread's packet-pool counters (benchmark
     /// warmup).
     pub fn reset_pool_stats(&self) {
-        for w in self.respondents() {
-            let _ = w.query(Ctrl::ResetPoolStats);
-        }
+        self.ask_all(|_, _| crate::packet::reset_pool_stats())
+            .for_each(drop);
     }
 
     /// Arms or disarms telemetry on every shard engine and on the
@@ -1602,7 +1515,7 @@ impl ParallelRouter {
         self.telemetry = on;
         for s in 0..self.workers.len() {
             if self.quiesce_shard(s).is_ok() {
-                let _ = self.workers[s].query(Ctrl::SetTelemetry(on));
+                let _ = self.workers[s].query(Job::write(move |e| e.set_telemetry(on)));
             }
         }
     }
@@ -1614,13 +1527,7 @@ impl ParallelRouter {
     /// serial run of the same graph. Zeroes until
     /// [`ParallelRouter::set_telemetry`] arms the shards.
     pub fn telemetry_profiles(&self) -> Vec<ElementProfile> {
-        let shards: Vec<Vec<ElementProfile>> = self
-            .respondents()
-            .filter_map(|w| match w.query(Ctrl::Telemetry) {
-                Ok(CtrlReply::Telemetry(v)) => Some(v),
-                _ => None,
-            })
-            .collect();
+        let shards: Vec<Vec<ElementProfile>> = self.ask_all(|e, _| e.profiles()).collect();
         telemetry::merge_profiles(&shards)
     }
 
@@ -1628,15 +1535,8 @@ impl ParallelRouter {
     /// occupancy high-water, backoff snoozes, and batches/packets
     /// processed. Always live (kept per ring poll).
     pub fn shard_gauges(&self) -> Vec<ShardGauges> {
-        self.workers
-            .iter()
-            .filter_map(|w| match w.query(Ctrl::Gauges) {
-                Ok(CtrlReply::Gauges(mut g)) => {
-                    g.shard = w.shard;
-                    Some(g)
-                }
-                _ => None,
-            })
+        (self.workers.iter())
+            .filter_map(|w| w.query(Job::read(|_, g| *g)).ok())
             .collect()
     }
 
@@ -1752,324 +1652,294 @@ struct WorkerCfg {
     telemetry: bool,
 }
 
-/// Creates the rings, channels, and thread for one worker shard.
-fn spawn_worker<S: Slot + 'static>(
-    graph: &Arc<RouterGraph>,
-    cfg: WorkerCfg,
-    stop: &Arc<AtomicBool>,
-    bell: &Arc<Doorbell>,
-) -> Result<Worker> {
-    let (to_worker, input) = spsc::<ShardItem>(cfg.ring_capacity);
-    let (worker_out, from_worker) = spsc::<ShardItem>(cfg.ring_capacity);
-    let (ctrl_tx, ctrl_rx) = mpsc::channel::<Ctrl>();
-    let (reply_tx, reply_rx) = mpsc::channel::<CtrlReply>();
-    let shared = Arc::new(WorkerShared::default());
-    let g = Arc::clone(graph);
-    let stop_w = Arc::clone(stop);
-    let shared_w = Arc::clone(&shared);
-    let bell_w = Arc::clone(bell);
-    let handle = std::thread::Builder::new()
-        .name(format!("click-shard-{}", cfg.shard))
-        .spawn(move || {
-            worker_main::<S>(
-                &g, cfg, input, worker_out, ctrl_rx, reply_tx, stop_w, shared_w, bell_w,
-            );
-        })
-        .map_err(|e| Error::runtime(format!("spawning shard {}: {e}", cfg.shard)))?;
-    Ok(Worker {
-        shard: cfg.shard,
-        to_worker,
-        from_worker,
-        ctrl: ctrl_tx,
-        reply: reply_rx,
-        enqueued_batches: 0,
-        enqueued_pkts: 0,
-        shared,
-        restarts: 0,
-        dead: false,
-        handle: Some(handle),
-    })
-}
-
-/// The worker thread: builds its shard's router clone and busy-polls the
-/// inbound ring, forwarding each burst to quiescence and publishing TX
-/// output. The packet loop runs under `catch_unwind`; on a panic the
-/// worker publishes [`HEALTH_PANICKED`] and parks as a zombie that keeps
-/// answering control queries (so the dead shard's statistics survive)
-/// until shutdown.
-#[allow(clippy::too_many_arguments)]
-fn worker_main<S: Slot>(
+/// The engine factory: shard `cfg.shard`'s `Router<S>` from the standard
+/// element library, set up as `cfg` says and boxed as a `dyn Engine`.
+fn shard_engine<S: Slot + 'static>(
     graph: &RouterGraph,
-    cfg: WorkerCfg,
-    input: RingConsumer<ShardItem>,
-    output: RingProducer<ShardItem>,
-    ctrl: mpsc::Receiver<Ctrl>,
-    reply: mpsc::Sender<CtrlReply>,
-    stop: Arc<AtomicBool>,
-    shared: Arc<WorkerShared>,
-    bell: Arc<Doorbell>,
-) {
-    // The graph was validated on the main thread; a failure here is a
-    // bug, surfaced as a health-word state rather than a panic.
-    shared.health.store(HEALTH_RUNNING, Ordering::Release);
-    let Ok(mut router) = Router::<S>::from_graph_in_shard(graph, &Library::standard(), cfg.shard)
-    else {
-        shared.health.store(HEALTH_BUILD_FAILED, Ordering::Release);
-        bell.ring();
-        zombie_loop::<S>(None, &ShardGauges::default(), &ctrl, &reply, &stop, &shared);
-        return;
-    };
+    cfg: &WorkerCfg,
+) -> Result<Box<dyn Engine>> {
+    let mut router = Router::<S>::from_graph_in_shard(graph, &Library::standard(), cfg.shard)?;
     router.set_batching(cfg.batching);
     router.set_batch_burst(cfg.burst);
     router.set_telemetry(cfg.telemetry);
-    let mut n_dev = router.devices.len();
+    Ok(Box::new(router))
+}
 
-    let mut backoff = Backoff::new(cfg.backoff_spins);
-    let mut inbox: Vec<ShardItem> = Vec::new();
-    let mut free: Vec<PacketBatch> = Vec::new();
-    let mut gauges = ShardGauges {
-        shard: cfg.shard,
-        ..ShardGauges::default()
-    };
-    // Dequeue burst: occupancy-adapted per poll.
-    let capacity = input.capacity();
-    let mut deq = AdaptiveBurst::new(DEQUEUE_BURST, DEQUEUE_BURST, capacity.max(DEQUEUE_BURST));
-    loop {
-        shared.heartbeat.fetch_add(1, Ordering::Relaxed);
-        // Control drain. `Ctrl::Swap` is handled only here — the one
-        // point with `&mut router` — so every other answer path can stay
-        // read-only and simply report the shard as busy.
-        while let Ok(q) = ctrl.try_recv() {
-            let r = match q {
-                Ctrl::Swap(g) => {
-                    let outcome = router.hot_swap(&g, &Library::standard());
-                    n_dev = router.devices.len();
-                    CtrlReply::Swapped(outcome)
+/// Creates the rings, job channel and thread of one worker shard; the
+/// thread builds its engine with `factory` and runs [`Shard::run`].
+fn spawn_worker(
+    graph: &Arc<RouterGraph>,
+    cfg: WorkerCfg,
+    factory: EngineFactory,
+    stop: &Arc<AtomicBool>,
+    bell: &Arc<Doorbell>,
+) -> Result<Worker> {
+    let (mut worker, links) = Worker::link(&cfg, stop, bell);
+    let graph = Arc::clone(graph);
+    let handle = std::thread::Builder::new()
+        .name(format!("click-shard-{}", cfg.shard))
+        .spawn(move || Shard::new(factory(&graph, &cfg), &cfg, links).run(cfg.backoff_spins))
+        .map_err(|e| Error::runtime(format!("spawning shard {}: {e}", cfg.shard)))?;
+    worker.handle = Some(handle);
+    Ok(worker)
+}
+
+/// The worker-side ends of one shard's rings and job channel, and what
+/// it shares with the supervisor.
+struct ShardLinks {
+    input: RingConsumer<ShardItem>,
+    output: RingProducer<ShardItem>,
+    jobs: mpsc::Receiver<Job>,
+    shared: Arc<WorkerShared>,
+    stop: Arc<AtomicBool>,
+    bell: Arc<Doorbell>,
+}
+
+impl ShardLinks {
+    /// Publishes a health-word state and wakes the supervisor to read it.
+    fn set_health(&self, state: u8) {
+        self.shared.health.store(state, Ordering::Release);
+        self.bell.ring();
+    }
+}
+
+/// What one [`Shard::step`] did, which tells its thread how to wait.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Step {
+    /// Forwarded packets: poll again at once.
+    Busy,
+    /// Found nothing to do, or is stalled on a full outbound ring.
+    Idle,
+    /// A zombie, which forwards nothing more: nap until a job arrives.
+    Parked,
+    /// The runtime shut down.
+    Exit,
+}
+
+/// One worker shard: a serial engine between an inbound and an outbound
+/// ring. Its thread calls [`Shard::step`] in a loop ([`Shard::run`]); a
+/// caller can step it just as well. A step never blocks: TX that does
+/// not fit the outbound ring waits in `outbox` for a later step, and
+/// meanwhile the shard answers read jobs and refuses write jobs.
+///
+/// A panic in the engine is confined to the shard: it publishes
+/// [`HEALTH_PANICKED`] and turns zombie, forwarding nothing more but
+/// still answering read jobs (so the dead shard's statistics survive)
+/// until shutdown.
+struct Shard {
+    /// The shard's engine, or why it could not be built (the shard then
+    /// only refuses jobs).
+    engine: Result<Box<dyn Engine>>,
+    /// Set once the engine panicked.
+    zombie: bool,
+    links: ShardLinks,
+    gauges: ShardGauges,
+    /// Dequeue burst: occupancy-adapted per poll.
+    deq: AdaptiveBurst,
+    /// Items popped from the inbound ring and not yet forwarded.
+    inbox: VecDeque<ShardItem>,
+    /// TX bursts drained from the engine, waiting for ring space.
+    outbox: Vec<ShardItem>,
+    /// `(batches, packets)` completed but not yet published: they are
+    /// published once `outbox` is on the ring, so the supervisor never
+    /// finds the shard idle with output it cannot collect yet.
+    owed: (u64, u64),
+    /// Empty batch storage for TX bursts.
+    free: Vec<PacketBatch>,
+    /// Devices of the engine's graph (a write job may change them).
+    n_dev: usize,
+    /// Capacity of a freshly allocated TX batch.
+    burst: usize,
+}
+
+impl Shard {
+    fn new(engine: Result<Box<dyn Engine>>, cfg: &WorkerCfg, links: ShardLinks) -> Shard {
+        // The graph was validated on the control thread; a failure here
+        // is a bug, surfaced as a health-word state rather than a panic.
+        if engine.is_err() {
+            links.set_health(HEALTH_BUILD_FAILED);
+        }
+        let capacity = links.input.capacity().max(DEQUEUE_BURST);
+        Shard {
+            n_dev: engine.as_ref().map_or(0, |e| e.device_names().len()),
+            engine,
+            zombie: false,
+            links,
+            gauges: ShardGauges {
+                shard: cfg.shard,
+                ..ShardGauges::default()
+            },
+            deq: AdaptiveBurst::new(DEQUEUE_BURST, DEQUEUE_BURST, capacity),
+            inbox: VecDeque::new(),
+            outbox: Vec::new(),
+            owed: (0, 0),
+            free: Vec::new(),
+            burst: cfg.burst,
+        }
+    }
+
+    /// The worker thread's loop: steps the shard, backing off while it
+    /// finds nothing to do and napping while it is a zombie.
+    fn run(mut self, backoff_spins: u32) {
+        let mut backoff = Backoff::new(backoff_spins);
+        loop {
+            match self.step() {
+                Step::Busy => backoff.reset(),
+                Step::Idle => {
+                    self.gauges.backoff_snoozes += 1;
+                    backoff.snooze();
                 }
-                // Like `Swap`, the checkpoint paths need `&mut Router`
-                // and a quiesced shard; only this loop has both.
-                Ctrl::Snapshot => CtrlReply::Snapshot(Box::new(Ok(router.checkpoint_snapshot()))),
-                Ctrl::Restore(plan) => CtrlReply::Restored(Box::new(Ok(router.restore_records(
-                    &plan.elements,
-                    &[],
-                    plan.target_drops,
-                )))),
-                Ctrl::SetTelemetry(on) => {
-                    router.set_telemetry(on);
-                    CtrlReply::Pong
-                }
-                other => answer_one(&router, &gauges, other),
+                Step::Parked => std::thread::park_timeout(ZOMBIE_NAP),
+                Step::Exit => return,
+            }
+        }
+    }
+
+    /// One poll: publish what a full outbound ring held back, serve the
+    /// job channel, then pop a burst from the inbound ring and forward
+    /// it.
+    fn step(&mut self) -> Step {
+        self.links.shared.heartbeat.fetch_add(1, Ordering::Relaxed);
+        if self.zombie || self.engine.is_err() {
+            self.serve(false);
+            return if self.stopping() {
+                self.exit()
+            } else {
+                Step::Parked
             };
-            if reply.send(r).is_err() {
-                break; // main side gone; shutdown is imminent
-            }
         }
-        gauges.ring_high_water = gauges.ring_high_water.max(input.len());
-        let popped = input.pop_batch(deq.get(), &mut inbox);
-        deq.observe(input.len(), capacity);
-        if popped > 0 {
-            backoff.reset();
-            gauges.batches += popped as u64;
-            gauges.packets += inbox.iter().map(|(_, b)| b.len() as u64).sum::<u64>();
-            // Fault isolation: a panic anywhere in the element graph is
-            // confined to this shard. The router lives outside the catch
-            // so its statistics remain readable afterwards.
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                for (dev, mut batch) in inbox.drain(..) {
-                    let batch_pkts = batch.len() as u64;
-                    for p in batch.drain() {
-                        router.devices.inject(dev, p);
-                    }
-                    if free.len() < 64 {
-                        free.push(batch);
-                    }
-                    router.run_until_idle(WORKER_ROUNDS);
-                    for d in 0..n_dev {
-                        let dev = DeviceId(d);
-                        if router.devices.tx_len(dev) == 0 {
-                            continue;
-                        }
-                        // Sized to a burst: this storage ends up in the
-                        // injecting thread's free list, which refills it.
-                        let mut out = free
-                            .pop()
-                            .unwrap_or_else(|| PacketBatch::with_capacity(cfg.burst));
-                        router.devices.drain_tx_into(dev, &mut out);
-                        push_with_backpressure(
-                            &output,
-                            (dev, out),
-                            &router,
-                            &mut gauges,
-                            &ctrl,
-                            &reply,
-                            &stop,
-                            cfg.backoff_spins,
-                            &bell,
-                        );
-                    }
-                    shared.completed_batches.fetch_add(1, Ordering::Release);
-                    shared
-                        .completed_pkts
-                        .fetch_add(batch_pkts, Ordering::Release);
-                }
-            }));
-            // One doorbell ring per productive poll: the supervisor sees
-            // the output batches and completion counters published above
-            // without waiting out its own nap.
-            bell.ring();
-            if outcome.is_err() {
-                // Unprocessed inbox items are part of the in-flight loss
-                // the supervisor accounts; drop their buffers here.
-                inbox.clear();
-                shared.health.store(HEALTH_PANICKED, Ordering::Release);
-                bell.ring();
-                zombie_loop(Some(&router), &gauges, &ctrl, &reply, &stop, &shared);
-                return;
-            }
-        } else if stop.load(Ordering::Acquire) && input.is_empty() {
-            shared.health.store(HEALTH_EXITED, Ordering::Release);
-            bell.ring();
-            return;
-        } else {
-            gauges.backoff_snoozes += 1;
-            backoff.snooze();
+        if !self.publish() {
+            self.serve(false);
+            // The supervisor fell behind on collection; wake it.
+            self.links.bell.ring();
+            return Step::Idle;
         }
-    }
-}
-
-/// The parked state of a dead worker: never touches packets again, but
-/// keeps the control plane honest — statistics queries against the dead
-/// shard's router still answer (stats salvage), and a build-failure
-/// zombie answers [`CtrlReply::Gone`]. Exits when the runtime shuts
-/// down or the main side drops the control channel.
-fn zombie_loop<S: Slot>(
-    router: Option<&Router<S>>,
-    gauges: &ShardGauges,
-    ctrl: &mpsc::Receiver<Ctrl>,
-    reply: &mpsc::Sender<CtrlReply>,
-    stop: &AtomicBool,
-    shared: &WorkerShared,
-) {
-    loop {
-        shared.heartbeat.fetch_add(1, Ordering::Relaxed);
-        match router {
-            Some(r) => answer_ctrl(r, gauges, ctrl, reply),
-            None => {
-                while let Ok(_q) = ctrl.try_recv() {
-                    if reply.send(CtrlReply::Gone).is_err() {
-                        break;
-                    }
-                }
-            }
-        }
-        if stop.load(Ordering::Acquire) {
-            shared.health.store(HEALTH_EXITED, Ordering::Release);
-            return;
-        }
-        // Nothing to do but answer queries; sleep instead of spinning.
-        match ctrl.recv_timeout(Duration::from_millis(1)) {
-            Ok(q) => {
-                let r = match router {
-                    Some(rt) => answer_one(rt, gauges, q),
-                    None => CtrlReply::Gone,
+        // With the inbox empty this is the quiesced top of the loop.
+        self.serve(self.inbox.is_empty());
+        if self.inbox.is_empty() {
+            let input = &self.links.input;
+            self.gauges.ring_high_water = self.gauges.ring_high_water.max(input.len());
+            let burst = self.deq.get();
+            self.inbox
+                .extend(std::iter::from_fn(|| input.try_pop()).take(burst));
+            self.deq.observe(input.len(), input.capacity());
+            if self.inbox.is_empty() {
+                return if self.stopping() && input.is_empty() {
+                    self.exit()
+                } else {
+                    Step::Idle
                 };
-                if reply.send(r).is_err() {
-                    shared.health.store(HEALTH_EXITED, Ordering::Release);
-                    return;
+            }
+            self.gauges.batches += self.inbox.len() as u64;
+            self.gauges.packets += self.inbox.iter().map(|(_, b)| b.len() as u64).sum::<u64>();
+        }
+        // Fault isolation: a panic anywhere in the element graph is
+        // confined to this shard. The engine lives outside the catch so
+        // its statistics remain readable afterwards.
+        let outcome = catch_unwind(AssertUnwindSafe(|| self.forward()));
+        // One doorbell ring per productive poll: the supervisor sees the
+        // output batches and completion counters published above without
+        // waiting out its own nap.
+        self.links.bell.ring();
+        if outcome.is_err() {
+            // Unprocessed items are part of the in-flight loss the
+            // supervisor accounts; drop their buffers here.
+            self.inbox.clear();
+            self.outbox.clear();
+            self.zombie = true;
+            self.links.set_health(HEALTH_PANICKED);
+        }
+        Step::Busy
+    }
+
+    /// Forwards the inbox item by item through the engine — inject,
+    /// settle, drain every device's TX — and publishes each item's
+    /// output, until the inbox is empty or the outbound ring is full.
+    fn forward(&mut self) {
+        while let Some((dev, mut batch)) = self.inbox.pop_front() {
+            let Ok(engine) = self.engine.as_deref_mut() else {
+                return;
+            };
+            let pkts = batch.len() as u64;
+            for p in batch.drain() {
+                engine.inject(dev, p);
+            }
+            if self.free.len() < 64 {
+                self.free.push(batch);
+            }
+            engine.settle();
+            for d in (0..self.n_dev).map(DeviceId) {
+                // Sized to a burst: this storage ends up in the injecting
+                // thread's free list, which refills it.
+                let fresh = || PacketBatch::with_capacity(self.burst);
+                let mut out = self.free.pop().unwrap_or_else(fresh);
+                if engine.drain_tx_into(d, &mut out) > 0 {
+                    self.outbox.push((d, out));
+                } else {
+                    self.free.push(out);
                 }
             }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
-            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                shared.health.store(HEALTH_EXITED, Ordering::Release);
+            self.owed.0 += 1;
+            self.owed.1 += pkts;
+            if !self.publish() {
                 return;
             }
         }
     }
-}
 
-/// Publishes one TX burst, spinning under backpressure. Keeps answering
-/// control queries while blocked (so a stat query can never deadlock
-/// against a full ring), and abandons the burst if the runtime is
-/// shutting down.
-#[allow(clippy::too_many_arguments)]
-fn push_with_backpressure<S: Slot>(
-    output: &RingProducer<ShardItem>,
-    mut item: ShardItem,
-    router: &Router<S>,
-    gauges: &mut ShardGauges,
-    ctrl: &mpsc::Receiver<Ctrl>,
-    reply: &mpsc::Sender<CtrlReply>,
-    stop: &AtomicBool,
-    backoff_spins: u32,
-    bell: &Doorbell,
-) {
-    let mut backoff = Backoff::new(backoff_spins);
-    loop {
-        match output.try_push(item) {
-            Ok(()) => return,
-            Err(back) => item = back,
+    /// Moves `outbox` onto the outbound ring (once the runtime is
+    /// stopping, what does not fit is recycled), then publishes the
+    /// completions owed. Returns `false` while TX is still held back.
+    fn publish(&mut self) -> bool {
+        if !self.outbox.is_empty() {
+            self.links.output.push_batch(&mut self.outbox);
+            if !self.outbox.is_empty() {
+                if !self.stopping() {
+                    return false;
+                }
+                for (_, mut batch) in self.outbox.drain(..) {
+                    batch.recycle_packets();
+                }
+            }
         }
-        if stop.load(Ordering::Acquire) {
-            item.1.recycle_packets();
-            return;
+        let (batches, pkts) = std::mem::take(&mut self.owed);
+        if batches > 0 {
+            let shared = &self.links.shared;
+            shared
+                .completed_batches
+                .fetch_add(batches, Ordering::Release);
+            shared.completed_pkts.fetch_add(pkts, Ordering::Release);
         }
-        answer_ctrl(router, gauges, ctrl, reply);
-        gauges.backoff_snoozes += 1;
-        // A full output ring means the supervisor fell behind on
-        // collection; wake it before napping.
-        bell.ring();
-        backoff.snooze();
+        true
     }
-}
 
-/// Answers one control query against this shard's router.
-fn answer_one<S: Slot>(router: &Router<S>, gauges: &ShardGauges, q: Ctrl) -> CtrlReply {
-    match q {
-        Ctrl::Ping => CtrlReply::Pong,
-        Ctrl::Stat(elem, stat) => CtrlReply::Stat(router.stat(&elem, &stat)),
-        Ctrl::ClassStat(class, stat) => CtrlReply::Value(router.class_stat(&class, &stat)),
-        Ctrl::EngineDrops => CtrlReply::Drops {
-            unconnected: router.unconnected_drops(),
-            reentrant: router.reentrant_drops(),
-        },
-        Ctrl::PoolStats => CtrlReply::Pool(crate::packet::pool_stats()),
-        Ctrl::ResetPoolStats => {
-            crate::packet::reset_pool_stats();
-            CtrlReply::Value(0)
+    /// Runs every queued job. A read job gets the engine wherever it is
+    /// readable; a write job gets it only when `quiesced`, and is refused
+    /// with "shard busy" otherwise.
+    fn serve(&mut self, quiesced: bool) {
+        while let Ok(job) = self.links.jobs.try_recv() {
+            match (job, &mut self.engine) {
+                (Job::Read(job), Ok(e)) => job(Ok((&**e, &self.gauges))),
+                (Job::Write(job), Ok(e)) if quiesced => {
+                    job(Ok(&mut **e));
+                    self.n_dev = e.device_names().len();
+                }
+                (Job::Write(job), Ok(_)) => job(Err(Error::runtime(
+                    "shard busy: a write job needs a quiesced worker",
+                ))),
+                (Job::Read(job), Err(e)) => job(Err(e.clone())),
+                (Job::Write(job), Err(e)) => job(Err(e.clone())),
+            }
         }
-        Ctrl::Telemetry => CtrlReply::Telemetry(router.telemetry_profiles()),
-        Ctrl::Gauges => CtrlReply::Gauges(*gauges),
-        Ctrl::DropGauge => CtrlReply::Value(router.total_drops()),
-        // A swap needs `&mut Router`; only the worker's top-of-loop has
-        // it. Anywhere else (zombies, backpressure stalls) the shard is
-        // by definition not quiesced, so refuse.
-        Ctrl::Swap(_) => CtrlReply::Swapped(Err(Error::runtime(
-            "shard busy: hot swap requires a quiesced worker",
-        ))),
-        // The checkpoint paths share the swap discipline.
-        Ctrl::Snapshot => CtrlReply::Snapshot(Box::new(Err(Error::runtime(
-            "shard busy: checkpoint requires a quiesced worker",
-        )))),
-        Ctrl::Restore(_) => CtrlReply::Restored(Box::new(Err(Error::runtime(
-            "shard busy: restore requires a quiesced worker",
-        )))),
-        // The switch is only sent to a quiesced live shard; a zombie
-        // forwards nothing more, so there is nothing to arm.
-        Ctrl::SetTelemetry(_) => CtrlReply::Pong,
     }
-}
 
-/// Answers every pending control query against this shard's router.
-fn answer_ctrl<S: Slot>(
-    router: &Router<S>,
-    gauges: &ShardGauges,
-    ctrl: &mpsc::Receiver<Ctrl>,
-    reply: &mpsc::Sender<CtrlReply>,
-) {
-    while let Ok(q) = ctrl.try_recv() {
-        if reply.send(answer_one(router, gauges, q)).is_err() {
-            return; // main side gone; shutdown is imminent
-        }
+    fn stopping(&self) -> bool {
+        self.links.stop.load(Ordering::Acquire)
+    }
+
+    fn exit(&self) -> Step {
+        self.links.set_health(HEALTH_EXITED);
+        Step::Exit
     }
 }
 
@@ -2089,6 +1959,101 @@ mod tests {
         let n = p.len();
         p.data_mut()[n - 1] = seq;
         p
+    }
+
+    /// One shard on the calling thread, with no thread spawned.
+    fn stepped_shard(ring_capacity: usize) -> (Worker, Shard) {
+        let cfg = WorkerCfg {
+            shard: 0,
+            batching: false,
+            burst: 8,
+            backoff_spins: 1,
+            ring_capacity,
+            telemetry: false,
+        };
+        let stop = Arc::new(AtomicBool::new(false));
+        let (worker, links) = Worker::link(&cfg, &stop, &Arc::new(Doorbell::default()));
+        let engine = shard_engine::<Box<dyn Element>>(&counter_graph(), &cfg);
+        (worker, Shard::new(engine, &cfg, links))
+    }
+
+    /// Puts a burst of `n` frames for `in0` on the shard's inbound ring.
+    fn hand(w: &Worker, shard: &Shard, n: u8) {
+        let in0 = shard.engine.as_ref().unwrap().device("in0").unwrap();
+        let mut batch = PacketBatch::new();
+        (0..n).for_each(|i| batch.push(udp(5000, i)));
+        assert!(w.to_worker.try_push((in0, batch)).is_ok());
+    }
+
+    /// Pops the outbound ring; returns the packets per burst.
+    fn take_out(w: &Worker) -> Vec<usize> {
+        let mut out = Vec::new();
+        w.from_worker.pop_batch(usize::MAX, &mut out);
+        (out.into_iter())
+            .map(|(_, mut b)| {
+                let n = b.len();
+                b.recycle_packets();
+                n
+            })
+            .collect()
+    }
+
+    fn completed(w: &Worker) -> u64 {
+        w.shared.completed_batches.load(Ordering::Acquire)
+    }
+
+    #[test]
+    fn a_stepped_shard_forwards_a_burst_and_answers_jobs_on_top() {
+        let (w, mut shard) = stepped_shard(4);
+        hand(&w, &shard, 5);
+        assert_eq!(shard.step(), Step::Busy);
+        assert_eq!(take_out(&w), [5]);
+        assert_eq!(completed(&w), 1);
+        assert_eq!(shard.step(), Step::Idle, "nothing left to pop");
+
+        // A write job waits for the next step, which answers it at the
+        // top of the loop.
+        let (job, reply) = Job::write(|e| {
+            e.set_telemetry(true);
+            e.profiles().len()
+        });
+        w.jobs.send(job).unwrap();
+        assert!(reply.try_recv().is_err());
+        assert_eq!(shard.step(), Step::Idle);
+        assert_eq!(reply.try_recv().unwrap().unwrap(), 4);
+    }
+
+    #[test]
+    fn a_stalled_shard_refuses_write_jobs_and_answers_read_jobs() {
+        let (w, mut shard) = stepped_shard(1);
+        hand(&w, &shard, 3);
+        assert_eq!(shard.step(), Step::Busy);
+        // The first burst's TX fills the one-slot outbound ring; the
+        // second burst is forwarded but its TX is held back, and so is
+        // its completion.
+        hand(&w, &shard, 4);
+        assert_eq!(shard.step(), Step::Busy);
+        assert_eq!(completed(&w), 1);
+
+        let (write, written) = Job::write(|e| e.hot_swap(&counter_graph()));
+        let (read, count) = Job::read(|e, _| e.stat("c", "count"));
+        w.jobs.send(write).unwrap();
+        w.jobs.send(read).unwrap();
+        assert_eq!(shard.step(), Step::Idle, "stalled on the full ring");
+        let err = written.try_recv().unwrap().unwrap_err();
+        assert!(err.to_string().contains("shard busy"), "{err}");
+        assert_eq!(count.try_recv().unwrap().unwrap(), Some(7));
+
+        // Once the ring drains, the held burst goes out and the shard is
+        // quiesced again: a write job runs.
+        assert_eq!(take_out(&w), [3]);
+        let (write, written) = Job::write(|e| e.hot_swap(&counter_graph()));
+        w.jobs.send(write).unwrap();
+        assert_eq!(shard.step(), Step::Idle);
+        assert_eq!(completed(&w), 2);
+        assert_eq!(take_out(&w), [4]);
+        let report = written.try_recv().unwrap().unwrap().unwrap();
+        assert_eq!(report.reused, 2, "{report:?}");
     }
 
     #[test]

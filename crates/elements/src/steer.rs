@@ -100,28 +100,18 @@ pub fn flow_hash(key: FlowKey) -> u64 {
     click_core::fnv1a(&bytes)
 }
 
-/// Slots in a [`FlowHashCache`]: 256 entries x 24 bytes sits comfortably
-/// in L1 while holding far more concurrent flows than the bench traces
-/// carry.
+/// Slots in a [`FlowHashCache`].
 const FLOW_CACHE_SLOTS: usize = 256;
 
-/// A direct-mapped, caller-owned cache of [`flow_hash`] results.
+/// A direct-mapped, caller-owned memo of [`flow_hash`] results (a
+/// collision recomputes, so the hash is always exact).
 ///
-/// The FNV chain over the 5-tuple costs ~30 ns standalone — cheap once
-/// per flow, but the inject path used to pay it once per
-/// *packet*, which on a time-sliced host erased most of the multi-shard
-/// runtime's superlinear engine gains (single-shard steering
-/// short-circuits the hash entirely, so only multi-shard configurations
-/// carried the cost). Real routers amortize exactly this way: RSS NICs
-/// hash into flow tables, and Click's own IP route cache memoizes the
-/// per-packet lookup. The cache is keyed by a trivial XOR of the tuple
-/// words and stores the full key, so a collision merely recomputes —
-/// the returned hash is always exactly [`flow_hash`], keeping shard
-/// assignment, per-flow order, and fault remapping identical to the
-/// uncached path.
-///
-/// The cache belongs to the one thread that classifies packets (the
-/// control thread): no sharing, no synchronization, no coherence misses.
+/// No runtime path uses it: the spine's layer rows show it costs more
+/// than the hash it saves (`steer.cached_hash_ns` against
+/// `steer.hash_ns`), so [`crate::parallel::ParallelRouter::inject`]
+/// steers uncached. It stays only because the frozen
+/// `steer.cached_hash_ns` row names it; it goes with that row when the
+/// spine is thawed (ROADMAP.md item 1(a)).
 #[derive(Debug, Clone)]
 pub struct FlowHashCache {
     slots: Vec<(FlowKey, u64)>,
@@ -263,9 +253,8 @@ impl RssSteering {
     }
 
     /// [`RssSteering::live_shard_for`] with the hash served from a
-    /// caller-owned [`FlowHashCache`] — identical result, amortized
-    /// cost. The hot steering path (the control thread's inject) uses
-    /// this; one-off paths keep the uncached call.
+    /// caller-owned [`FlowHashCache`] — identical result. Kept only for
+    /// the frozen `steer.cached_hash_ns` row (see [`FlowHashCache`]).
     pub fn live_shard_for_cached(
         &self,
         frame: &[u8],

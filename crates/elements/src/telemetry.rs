@@ -380,7 +380,8 @@ gauge_struct! {
         /// Packets moved by swaps (rebuilt elements' state, device queues),
         /// rollbacks included.
         pub packets_transferred: u64,
-        /// Configurations refused at validation, before any shard saw them.
+        /// Configurations refused before any state moved (sharded: by the
+        /// canary's engine, before any other shard saw them).
         pub rejected_configs: u64,
     }
 }

@@ -432,7 +432,8 @@ fn sharded_swap_rejects_invalid_config_and_keeps_forwarding() {
     assert_eq!(r.swap_gauges().rejected_configs, 1);
     assert_eq!(r.swap_gauges().swaps, 0);
 
-    // No worker ever saw the bad graph; the fleet keeps forwarding.
+    // Only the canary's engine saw the bad graph, and it refused it
+    // before moving any state; the fleet keeps forwarding.
     for seq in 0..8u8 {
         for flow in 0..8u16 {
             r.inject(in0, udp(7000 + flow, seq));

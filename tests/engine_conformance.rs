@@ -1,9 +1,10 @@
 //! `Engine` conformance: one script, driven through `dyn Engine`, must
 //! read the same on every engine — dyn or compiled dispatch, serial or
 //! 2-shard runtime. After every step the ledger
-//! `offered == tx + total_drops()` must close exactly, and the bytes
-//! forwarded must be equal across engines (sorted: inter-flow order is
-//! scheduling-dependent on the sharded runtime).
+//! `offered == tx + total_drops()` must close exactly and the statistics
+//! read through `dyn Engine` must be equal across engines, and so must
+//! the bytes forwarded (sorted: inter-flow order is scheduling-dependent
+//! on the sharded runtime).
 //!
 //! The script: inject → settle → drain; a hot swap over buffered
 //! traffic; a checkpoint cut with traffic still pending → wire round
@@ -69,6 +70,24 @@ fn forwarded(range: std::ops::Range<usize>) -> usize {
 struct Books {
     offered: u64,
     frames: Vec<Vec<u8>>,
+    /// What `check` read after each step.
+    stats: Vec<Stats>,
+}
+
+/// The statistics read through `dyn Engine` after a step. `c` and `cls`
+/// are reused by every swap, and the classifier's drops are counted by
+/// frame, so their sums do not depend on which shard ran a frame under
+/// which graph; `c2` exists only under the swapped graph.
+#[derive(Debug, PartialEq)]
+struct Stats {
+    step: &'static str,
+    c: Option<u64>,
+    c2: bool,
+    cls_drops: Option<u64>,
+    classifier_drops: u64,
+    queue_drops: u64,
+    unconnected: u64,
+    reentrant: u64,
 }
 
 impl Books {
@@ -90,12 +109,22 @@ impl Books {
         }
     }
 
-    fn check(&self, e: &dyn Engine, step: &str) {
+    fn check(&mut self, e: &dyn Engine, step: &'static str) {
         assert_eq!(
             self.offered,
             self.frames.len() as u64 + e.total_drops(),
             "{step}: offered == tx + total_drops()"
         );
+        self.stats.push(Stats {
+            step,
+            c: e.stat("c", "count"),
+            c2: e.stat("c2", "count").is_some(),
+            cls_drops: e.stat("cls", "drops"),
+            classifier_drops: e.class_stat("Classifier", "drops"),
+            queue_drops: e.class_stat("Queue", "drops"),
+            unconnected: e.unconnected_drops(),
+            reentrant: e.reentrant_drops(),
+        });
     }
 }
 
@@ -115,12 +144,13 @@ fn script(
     swapped: &RouterGraph,
     compiled: bool,
     shards: usize,
-) -> Vec<Vec<u8>> {
+) -> (Vec<Vec<u8>>, Vec<Stats>) {
     let mut e = engine::open(graph, compiled, opts(shards)).expect("engine opens");
     assert_eq!(e.device_names(), ["in0", "out0"]);
     let mut b = Books {
         offered: 0,
         frames: Vec::new(),
+        stats: Vec::new(),
     };
 
     // 1. inject -> settle -> drain.
@@ -237,23 +267,31 @@ fn script(
     );
 
     b.frames.sort();
-    b.frames
+    (b.frames, b.stats)
 }
 
 #[test]
 fn one_script_reads_the_same_on_all_four_engines() {
     let graph = read_config(BASE).unwrap();
     let swapped = read_config(SWAPPED).unwrap();
-    let reference = script(&graph, &swapped, false, 1);
+    let (reference, stats) = script(&graph, &swapped, false, 1);
     let mut want: Vec<Vec<u8>> = (0..512usize).filter(|&i| !dropped(i)).map(frame).collect();
     want.sort();
     assert_eq!(reference, want, "the pipeline forwards frames unchanged");
+    assert_eq!(
+        stats.iter().map(|s| (s.step, s.c)).collect::<Vec<_>>(),
+        [
+            ("settle", Some(96)),
+            ("hot_swap", Some(192)),
+            ("restore", Some(288)),
+            ("run_devices", Some(384)),
+        ],
+        "the counter counts every forwarded frame, across swaps and restore"
+    );
     for (compiled, shards) in ENGINES.into_iter().skip(1) {
-        assert_eq!(
-            script(&graph, &swapped, compiled, shards),
-            reference,
-            "compiled={compiled} shards={shards}"
-        );
+        let (frames, other) = script(&graph, &swapped, compiled, shards);
+        assert_eq!(frames, reference, "compiled={compiled} shards={shards}");
+        assert_eq!(other, stats, "compiled={compiled} shards={shards}");
     }
 }
 
