@@ -8,7 +8,7 @@
 use crate::config::{arg_slices, parse_route, split_args, Route};
 use crate::graph::{Connection, RouterGraph};
 use crate::pushpull::{resolve, PortAssignment};
-use crate::registry::Library;
+use crate::registry::{devirt_base, Library};
 use crate::spec::PortKind;
 use std::collections::HashMap;
 use std::fmt;
@@ -84,7 +84,8 @@ fn diag(
     });
 }
 
-/// Checks a configuration against a library.
+/// Checks a configuration against a library: everything `click-check`
+/// reports.
 ///
 /// # Examples
 ///
@@ -101,6 +102,18 @@ fn diag(
 /// # Ok::<(), click_core::Error>(())
 /// ```
 pub fn check(graph: &RouterGraph, library: &Library) -> CheckReport {
+    diagnose(graph, library, true)
+}
+
+/// [`check`] without the route-table lint: what installing a
+/// configuration needs. The lint only warns, and its cost grows with the
+/// table (tens of milliseconds at 100k routes), so building or hot-swapping
+/// a router does not pay it. The errors are the same as [`check`]'s.
+pub fn validate(graph: &RouterGraph, library: &Library) -> CheckReport {
+    diagnose(graph, library, false)
+}
+
+fn diagnose(graph: &RouterGraph, library: &Library, lint_routes: bool) -> CheckReport {
     let mut ds = Vec::new();
 
     // Class resolution and port counts.
@@ -196,7 +209,9 @@ pub fn check(graph: &RouterGraph, library: &Library) -> CheckReport {
         }
     }
 
-    check_route_tables(graph, &mut ds);
+    if lint_routes {
+        check_route_tables(graph, &mut ds);
+    }
     check_devices(graph, &mut ds);
 
     // Push/pull resolution and connection-count rules.
@@ -235,10 +250,15 @@ fn per_port(conns: &[Connection], port: impl Fn(&Connection) -> usize) -> Vec<us
 /// repeated prefix is at best dead configuration and at worst (when the
 /// output ports disagree) silently rewires traffic. Both cases warn.
 /// Entries the element itself rejects are skipped (the install-time
-/// error already covers them).
+/// error already covers them). A devirtualized class (`StaticIPLookup__DV1`)
+/// is linted as its base class.
 fn check_route_tables(graph: &RouterGraph, ds: &mut Vec<Diagnostic>) {
     for (_, decl) in graph.elements() {
-        if !matches!(decl.class(), "StaticIPLookup" | "LookupIPRoute") {
+        let class = decl.class();
+        if !matches!(
+            devirt_base(class).unwrap_or(class),
+            "StaticIPLookup" | "LookupIPRoute"
+        ) {
             continue;
         }
         let entries = arg_slices(decl.config());
@@ -509,6 +529,15 @@ mod tests {
             .any(|d| d.message == "duplicate route 10.0.0.0/8 -> output 1"));
         assert!(warnings.iter().any(|d| d.message
             == "route 10.1.2.0/24 -> output 0 is shadowed by a later duplicate -> output 1"));
+        // Installation skips the lint.
+        let graph = read_config(
+            "Idle -> rt :: StaticIPLookup(10.0.0.0/8 0, 10.0.0.0/8 1); \
+             rt [0] -> Discard; rt [1] -> Discard;",
+        )
+        .unwrap();
+        assert!(validate(&graph, &Library::standard())
+            .diagnostics
+            .is_empty());
     }
 
     #[test]

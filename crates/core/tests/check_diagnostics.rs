@@ -129,6 +129,24 @@ fn duplicate_route_prefix_is_a_named_warning() {
 }
 
 #[test]
+fn devirtualized_route_table_is_linted_as_its_base_class() {
+    // `click-devirtualize` renames every Figure-1 lookup to a `__DVn`
+    // class; its table is still the base element's.
+    let r = report(
+        "Idle -> rt :: StaticIPLookup__DV1(10.0.0.0/8 0, 10.0.0.0/8 1); \
+         rt [0] -> Discard; rt [1] -> Discard;",
+    );
+    assert!(r.is_ok(), "{:?}", r.diagnostics);
+    let d = find(&r, "shadowed");
+    assert_eq!(d.severity, Severity::Warning);
+    assert_eq!(d.element.as_deref(), Some("rt"));
+    assert_eq!(
+        d.message,
+        "route 10.0.0.0/8 -> output 0 is shadowed by a later duplicate -> output 1"
+    );
+}
+
+#[test]
 fn errors_sort_before_warnings() {
     let r = report("leftover :: Idle; z :: Zorp; d :: Discard; z -> d;");
     assert!(!r.is_ok());

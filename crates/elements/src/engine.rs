@@ -4,8 +4,8 @@
 //! swap its configuration, checkpoint it or run it over real devices do
 //! so through [`Engine`], implemented once for the serial [`Router`] and
 //! once for the sharded [`ParallelRouter`]. [`open`] and [`restore`] are
-//! the one place the serial/sharded × dyn/compiled choice is made; the
-//! result is a `Box<dyn Engine>`.
+//! the one place the serial/sharded choice is made; the result is a
+//! `Box<dyn Engine>`.
 //!
 //! The ledger reads the same on every engine:
 //! `offered == tx + total_drops()`, where `tx` counts frames drained with
@@ -14,12 +14,11 @@
 
 use crate::batch::PacketBatch;
 use crate::element::{DeviceId, Element};
-use crate::fast::FastElement;
 use crate::iodev::{PumpStats, SupervisedDevice};
 use crate::packet::Packet;
 use crate::parallel::{ParallelOpts, ParallelRouter};
 use crate::persist::{Checkpoint, CheckpointEngine, RestoreStats};
-use crate::router::{Router, Slot};
+use crate::router::Router;
 use crate::swap::SwapReport;
 use crate::telemetry::{ElementProfile, Gauges};
 use click_core::error::Result;
@@ -105,7 +104,7 @@ pub trait Engine: CheckpointEngine {
     fn gauges(&self) -> Gauges;
 }
 
-impl<S: Slot> Engine for Router<S> {
+impl Engine for Router {
     fn device(&self, name: &str) -> Option<DeviceId> {
         self.devices.id(name)
     }
@@ -215,29 +214,24 @@ impl Engine for ParallelRouter {
 
 /// Builds and starts an engine for `graph`: `opts.shards <= 1` is the
 /// serial runtime (taking only `batching`/`burst` from `opts`), anything
-/// more the sharded one; `compiled` picks static over vtable dispatch.
+/// more the sharded one.
 ///
 /// # Errors
 ///
 /// Configuration check or element construction failures, or a failed
 /// thread spawn.
-pub fn open(graph: &RouterGraph, compiled: bool, opts: ParallelOpts) -> Result<Box<dyn Engine>> {
-    fn on<S: Slot + 'static>(graph: &RouterGraph, opts: ParallelOpts) -> Result<Box<dyn Engine>> {
-        if opts.shards > 1 {
-            return Ok(Box::new(ParallelRouter::from_graph::<S>(graph, opts)?));
-        }
-        let mut router: Router<S> = Router::from_graph(graph, &Library::standard())?;
-        if opts.batching {
-            router.set_batching(true);
-            router.set_batch_burst(opts.burst);
-        }
-        Ok(Box::new(router))
+pub fn open(graph: &RouterGraph, opts: ParallelOpts) -> Result<Box<dyn Engine>> {
+    if opts.shards > 1 {
+        return Ok(Box::new(ParallelRouter::from_graph::<Box<dyn Element>>(
+            graph, opts,
+        )?));
     }
-    if compiled {
-        on::<FastElement>(graph, opts)
-    } else {
-        on::<Box<dyn Element>>(graph, opts)
+    let mut router: Router = Router::from_graph(graph, &Library::standard())?;
+    if opts.batching {
+        router.set_batching(true);
+        router.set_batch_burst(opts.burst);
     }
+    Ok(Box::new(router))
 }
 
 /// Warm restart: [`open`]s the checkpoint's installed configuration (the
@@ -249,12 +243,8 @@ pub fn open(graph: &RouterGraph, compiled: bool, opts: ParallelOpts) -> Result<B
 /// Configuration parse/check/construction errors or a failed restore;
 /// the caller should degrade to a cold start from its source
 /// configuration, not crash.
-pub fn restore(
-    ckpt: &Checkpoint,
-    compiled: bool,
-    opts: ParallelOpts,
-) -> Result<(Box<dyn Engine>, RestoreStats)> {
-    let mut engine = open(&read_config(&ckpt.config)?, compiled, opts)?;
+pub fn restore(ckpt: &Checkpoint, opts: ParallelOpts) -> Result<(Box<dyn Engine>, RestoreStats)> {
+    let mut engine = open(&read_config(&ckpt.config)?, opts)?;
     let stats = engine.checkpoint_restore(ckpt)?;
     Ok((engine, stats))
 }

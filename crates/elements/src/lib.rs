@@ -2,14 +2,14 @@
 //!
 //! The element library and router runtime for the Click reproduction:
 //! packets, headers, the [`element::Element`] trait, the full Figure-1 IP
-//! router element set, and two execution engines over the same
-//! configuration graph:
-//!
-//! * [`router::DynRouter`] — every packet transfer dispatches through a
-//!   `Box<dyn Element>` vtable (the baseline Click "virtual function"
-//!   regime, paper §3);
-//! * [`fast::CompiledRouter`] — elements stored inline in an enum and
-//!   dispatched statically (the `click-devirtualize` regime, §6.1).
+//! router element set, and the [`router::Router`] that runs a
+//! configuration graph: every element is a `Box<dyn Element>`, and every
+//! packet transfer dispatches through its vtable (Click's "virtual
+//! function" regime, paper §3). `click-devirtualize` (§6.1) rewrites the
+//! configuration, not the runtime: its specialized classes build their
+//! base class into the same store. The serial router and the sharded
+//! [`parallel::ParallelRouter`] are driven alike through
+//! [`engine::Engine`].
 //!
 //! ## Quick start
 //!

@@ -1,6 +1,6 @@
-//! The multi-core router runtime: N independent shards of the compiled
-//! element graph, RSS flow steering, bounded ring queues — and a
-//! supervisor that keeps the router forwarding when a shard dies.
+//! The multi-core router runtime: N independent shards of the element
+//! graph, RSS flow steering, bounded ring queues — and a supervisor that
+//! keeps the router forwarding when a shard dies.
 //!
 //! The paper's runtime is a "constantly-active kernel thread" — one core
 //! runs the whole element graph, and any element misbehavior takes the
@@ -9,7 +9,7 @@
 //! do, and adds the fault-isolation discipline they need:
 //!
 //! * **Per-shard graph clones.** Every worker thread builds its *own*
-//!   [`Router<S>`] from the same configuration graph. Nothing on the
+//!   [`Router`] from the same configuration graph. Nothing on the
 //!   packet path is shared between shards — no locks, no cache-line
 //!   ping-pong — and each worker thread gets its own thread-local
 //!   packet pool ([`crate::packet`]) and its own element statistics.
@@ -118,14 +118,8 @@ use std::time::{Duration, Instant};
 /// simulated device.
 type ShardItem = (DeviceId, PacketBatch);
 
-/// Builds a shard's engine on the worker's own thread. The one factory
-/// is [`shard_engine`], instantiated for the engine type `S` by
-/// [`ParallelRouter::from_graph`].
-type EngineFactory = fn(&RouterGraph, &WorkerCfg) -> Result<Box<dyn Engine>>;
-
 /// A boxed worker spawner for `(shard, telemetry switch)` (captures the
-/// retained graph, the rest of the worker config, and the engine
-/// factory).
+/// retained graph and the rest of the worker config).
 type MakeWorker = Box<dyn Fn(usize, bool) -> Result<Worker>>;
 
 /// How long a control job may wait on a worker before the runtime
@@ -567,8 +561,9 @@ pub struct ParallelRouter {
 impl ParallelRouter {
     /// Builds and starts a sharded router over `graph`: validates the
     /// configuration, then spawns one worker thread per shard, each
-    /// building its own `Router<S>` from the standard element library
-    /// and driving it as a `dyn Engine`.
+    /// building its own [`Router`] from the standard element library
+    /// and driving it as a `dyn Engine`. `S` names the element store
+    /// ([`Slot`]), of which there is one.
     ///
     /// # Errors
     ///
@@ -576,10 +571,7 @@ impl ParallelRouter {
     /// check failures, element construction errors), or
     /// [`Error::Runtime`] for an invalid shard count or a failed thread
     /// spawn; no threads are leaked in either case.
-    pub fn from_graph<S: Slot + 'static>(
-        graph: &RouterGraph,
-        opts: ParallelOpts,
-    ) -> Result<ParallelRouter> {
+    pub fn from_graph<S: Slot>(graph: &RouterGraph, opts: ParallelOpts) -> Result<ParallelRouter> {
         if opts.shards < 1 || opts.shards > MAX_SHARDS {
             return Err(Error::runtime(format!(
                 "shard count {} outside 1..={MAX_SHARDS}",
@@ -616,7 +608,7 @@ impl ParallelRouter {
                     telemetry,
                     ..cfg
                 };
-                spawn_worker(&graph, cfg, shard_engine::<S>, &stop, &bell)
+                spawn_worker(&graph, cfg, &stop, &bell)
             })
         };
         let mut workers = Vec::with_capacity(opts.shards);
@@ -1652,13 +1644,10 @@ struct WorkerCfg {
     telemetry: bool,
 }
 
-/// The engine factory: shard `cfg.shard`'s `Router<S>` from the standard
-/// element library, set up as `cfg` says and boxed as a `dyn Engine`.
-fn shard_engine<S: Slot + 'static>(
-    graph: &RouterGraph,
-    cfg: &WorkerCfg,
-) -> Result<Box<dyn Engine>> {
-    let mut router = Router::<S>::from_graph_in_shard(graph, &Library::standard(), cfg.shard)?;
+/// Shard `cfg.shard`'s `Router` from the standard element library, set up
+/// as `cfg` says and boxed as a `dyn Engine`.
+fn shard_engine(graph: &RouterGraph, cfg: &WorkerCfg) -> Result<Box<dyn Engine>> {
+    let mut router: Router = Router::from_graph_in_shard(graph, &Library::standard(), cfg.shard)?;
     router.set_batching(cfg.batching);
     router.set_batch_burst(cfg.burst);
     router.set_telemetry(cfg.telemetry);
@@ -1666,11 +1655,10 @@ fn shard_engine<S: Slot + 'static>(
 }
 
 /// Creates the rings, job channel and thread of one worker shard; the
-/// thread builds its engine with `factory` and runs [`Shard::run`].
+/// thread builds its engine with [`shard_engine`] and runs [`Shard::run`].
 fn spawn_worker(
     graph: &Arc<RouterGraph>,
     cfg: WorkerCfg,
-    factory: EngineFactory,
     stop: &Arc<AtomicBool>,
     bell: &Arc<Doorbell>,
 ) -> Result<Worker> {
@@ -1678,7 +1666,7 @@ fn spawn_worker(
     let graph = Arc::clone(graph);
     let handle = std::thread::Builder::new()
         .name(format!("click-shard-{}", cfg.shard))
-        .spawn(move || Shard::new(factory(&graph, &cfg), &cfg, links).run(cfg.backoff_spins))
+        .spawn(move || Shard::new(shard_engine(&graph, &cfg), &cfg, links).run(cfg.backoff_spins))
         .map_err(|e| Error::runtime(format!("spawning shard {}: {e}", cfg.shard)))?;
     worker.handle = Some(handle);
     Ok(worker)
@@ -1973,7 +1961,7 @@ mod tests {
         };
         let stop = Arc::new(AtomicBool::new(false));
         let (worker, links) = Worker::link(&cfg, &stop, &Arc::new(Doorbell::default()));
-        let engine = shard_engine::<Box<dyn Element>>(&counter_graph(), &cfg);
+        let engine = shard_engine(&counter_graph(), &cfg);
         (worker, Shard::new(engine, &cfg, links))
     }
 

@@ -1,15 +1,15 @@
 //! The router runtime: instantiates a configuration graph and executes
 //! packet transfers.
 //!
-//! The runtime is generic over how elements are stored and dispatched (the
-//! [`Slot`] trait), because dispatch is exactly what `click-devirtualize`
-//! optimizes: [`DynRouter`] stores `Box<dyn Element>` and every transfer
-//! goes through a vtable (the paper's "packets are transferred between
-//! elements via dynamic dispatches"); the compiled router in
-//! [`crate::fast`] stores a concrete enum and dispatches statically.
+//! Every element is a `Box<dyn Element>` and every transfer goes through
+//! its vtable (the paper's "packets are transferred between elements via
+//! dynamic dispatches"). `click-devirtualize`'s specialized classes
+//! (`Counter__DV1`) are configuration: they build their base class into
+//! the same store.
 
 use crate::batch::{BatchEmitter, PacketBatch};
 use crate::element::{CreateCtx, DeviceId, DeviceMap, Element, Emitter, PullContext, TaskContext};
+use crate::elements::create_element;
 use crate::iodev::{
     backend_scheme, open_backend, DeviceBackend, DeviceHealth, PumpStats, SupervisedDevice,
 };
@@ -18,103 +18,25 @@ use crate::persist::{
     Checkpoint, CheckpointEngine, DeviceRecord, ElementRecord, EngineSnapshot, PacketRecord,
     RestoreStats,
 };
-use crate::swap::{ElementState, SwapReport, TransferPlan};
+use crate::swap::{SwapReport, TransferPlan};
 use crate::telemetry::{DeviceGauges, Gauges, SwapGauges};
 use crate::telemetry::{ElementProfile, RouterTelemetry};
-use click_core::check::check;
+use click_core::check::validate;
 use click_core::error::{Error, Result};
 use click_core::graph::RouterGraph;
 use click_core::registry::{devirt_base, Library};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
+use std::marker::PhantomData;
 use std::rc::Rc;
 
-/// Storage and dispatch for one element in a running router.
-///
-/// `pull` and `pull_batch` are generic over the pull context rather than
-/// taking `&mut dyn PullContext`: a `Slot` is never used as a trait
-/// object, and the router always supplies the one concrete context type
-/// (`RouterPullCtx<S>`), so for the compiled engine the whole pull chain
-/// monomorphizes to static calls. A dynamic slot (`Box<dyn Element>`)
-/// re-erases the context at the element boundary, which is exactly the
-/// vtable cost the baseline is supposed to pay.
-pub trait Slot: Sized {
-    /// Instantiates an element of `class` with `config`.
-    fn create(class: &str, config: &str, ctx: &mut CreateCtx) -> Result<Self>;
-    /// See [`Element::push`].
-    fn push(&mut self, port: usize, p: Packet, out: &mut Emitter);
-    /// See [`Element::pull`].
-    fn pull<C: PullContext>(&mut self, port: usize, ctx: &mut C) -> Option<Packet>;
-    /// See [`Element::push_batch`].
-    fn push_batch(&mut self, port: usize, batch: PacketBatch, out: &mut BatchEmitter);
-    /// See [`Element::pull_batch`].
-    fn pull_batch<C: PullContext>(
-        &mut self,
-        port: usize,
-        max: usize,
-        ctx: &mut C,
-        into: &mut PacketBatch,
-    ) -> usize;
-    /// See [`Element::is_task`].
-    fn is_task(&self) -> bool;
-    /// See [`Element::run_task`].
-    fn run_task(&mut self, ctx: &mut dyn TaskContext) -> usize;
-    /// See [`Element::stat`].
-    fn stat(&self, name: &str) -> Option<u64>;
-    /// See [`Element::queue_depth_handle`].
-    fn queue_depth_handle(&self) -> Option<Rc<Cell<usize>>>;
-    /// See [`Element::attach_downstream_queue`].
-    fn attach_downstream_queue(&mut self, handle: Rc<Cell<usize>>);
-    /// See [`Element::take_state`].
-    fn take_state(&mut self) -> Option<ElementState>;
-    /// See [`Element::restore_state`].
-    fn restore_state(&mut self, state: ElementState);
-}
+/// The element store a [`Router`] is named by. It has one implementation,
+/// `Box<dyn Element>`, and nothing depends on it. Kept for the frozen
+/// benchmark, whose paths are generic over `Router<S>`; goes with ROADMAP
+/// 1(a).
+pub trait Slot {}
 
-impl Slot for Box<dyn Element> {
-    fn create(class: &str, config: &str, ctx: &mut CreateCtx) -> Result<Self> {
-        crate::elements::create_element(class, config, ctx)
-    }
-    fn push(&mut self, port: usize, p: Packet, out: &mut Emitter) {
-        (**self).push(port, p, out)
-    }
-    fn pull<C: PullContext>(&mut self, port: usize, ctx: &mut C) -> Option<Packet> {
-        (**self).pull(port, ctx)
-    }
-    fn push_batch(&mut self, port: usize, batch: PacketBatch, out: &mut BatchEmitter) {
-        (**self).push_batch(port, batch, out)
-    }
-    fn pull_batch<C: PullContext>(
-        &mut self,
-        port: usize,
-        max: usize,
-        ctx: &mut C,
-        into: &mut PacketBatch,
-    ) -> usize {
-        (**self).pull_batch(port, max, ctx, into)
-    }
-    fn is_task(&self) -> bool {
-        (**self).is_task()
-    }
-    fn run_task(&mut self, ctx: &mut dyn TaskContext) -> usize {
-        (**self).run_task(ctx)
-    }
-    fn stat(&self, name: &str) -> Option<u64> {
-        (**self).stat(name)
-    }
-    fn queue_depth_handle(&self) -> Option<Rc<Cell<usize>>> {
-        (**self).queue_depth_handle()
-    }
-    fn attach_downstream_queue(&mut self, handle: Rc<Cell<usize>>) {
-        (**self).attach_downstream_queue(handle)
-    }
-    fn take_state(&mut self) -> Option<ElementState> {
-        (**self).take_state()
-    }
-    fn restore_state(&mut self, state: ElementState) {
-        (**self).restore_state(state)
-    }
-}
+impl Slot for Box<dyn Element> {}
 
 /// Network devices: per-device RX and TX packet queues that tests,
 /// benchmarks, and the hardware simulator feed and drain — and that a
@@ -605,15 +527,17 @@ struct Decl {
 
 /// A running router.
 ///
-/// Elements live in `Rc<RefCell<_>>` slots: packet transfers borrow the
-/// target element in place (no moves — a devirtualized enum element can
-/// be large), a failed re-borrow detects configuration loops, and a hot
-/// swap hands an unchanged element to the next router by sharing its
-/// slot. The same holds for what is transferred: a [`Packet`] is an
-/// 8-byte handle to its block, so a hop moves a pointer through the work
-/// stack and the emitter (24 and 16 bytes an entry), never the block.
-pub struct Router<S: Slot> {
-    slots: Vec<Rc<RefCell<S>>>,
+/// Elements live in `Rc<RefCell<Box<dyn Element>>>` slots: packet
+/// transfers borrow the target element in place, a failed re-borrow
+/// detects configuration loops, and a hot swap hands an unchanged element
+/// to the next router by sharing its slot. The same holds for what is
+/// transferred: a [`Packet`] is an 8-byte handle to its block, so a hop
+/// moves a pointer through the work stack and the emitter (24 and 16
+/// bytes an entry), never the block.
+///
+/// `S` is a name only ([`Slot`]); every `Router<S>` is the same router.
+pub struct Router<S: Slot = Box<dyn Element>> {
+    slots: Vec<Rc<RefCell<Box<dyn Element>>>>,
     names: HashMap<String, usize>,
     decls: Vec<Decl>,
     /// Output port -> downstream input ports (the push direction).
@@ -649,10 +573,10 @@ pub struct Router<S: Slot> {
     /// Which worker shard this engine is (0 for a serial router); a hot
     /// swap rebuilds the replacement engine in the same shard.
     shard: usize,
+    _slot: PhantomData<S>,
 }
 
-/// A router whose elements dispatch dynamically (`Box<dyn Element>`) —
-/// the unoptimized baseline.
+/// The router, with its element store spelled out.
 pub type DynRouter = Router<Box<dyn Element>>;
 
 impl<S: Slot> Router<S> {
@@ -694,7 +618,7 @@ impl<S: Slot> Router<S> {
         shard: usize,
         donor: Option<&Router<S>>,
     ) -> Result<(Router<S>, TransferPlan)> {
-        let report = check(graph, library);
+        let report = validate(graph, library);
         if !report.is_ok() {
             // Join every error diagnostic: a rejected config (especially on
             // the hot-swap path) should surface all of its problems at
@@ -722,7 +646,7 @@ impl<S: Slot> Router<S> {
             let (slot, config) = match reused {
                 Some((slot, config)) => (Rc::clone(slot), Rc::clone(config)),
                 None => (
-                    Rc::new(RefCell::new(S::create(class, config, &mut ctx)?)),
+                    Rc::new(RefCell::new(create_element(class, config, &mut ctx)?)),
                     Rc::from(config),
                 ),
             };
@@ -761,6 +685,7 @@ impl<S: Slot> Router<S> {
             batch_out: BatchEmitter::new(),
             telem: RouterTelemetry::new(n),
             shard,
+            _slot: PhantomData,
         };
         router.wire_red_elements();
         Ok((router, plan))
@@ -905,7 +830,7 @@ impl<S: Slot> Router<S> {
     /// preserved, not in-flight work).
     ///
     /// The swap is all-or-nothing: `new_graph` is validated by
-    /// [`click_core::check::check`] and its new elements are constructed,
+    /// [`click_core::check::validate`] and its new elements are constructed,
     /// with reused ones shared, *before* any state moves, so on error the
     /// old configuration keeps running untouched.
     ///

@@ -399,7 +399,7 @@ fn serial_crash_restore_resumes_exact_ledger() {
     assert_eq!(ckpt.ledger.tx, tx);
     assert_eq!(config_hash(&ckpt.config), ckpt.config_hash);
 
-    let (mut r2, stats) = engine::restore(&ckpt, false, ParallelOpts::new(1)).unwrap();
+    let (mut r2, stats) = engine::restore(&ckpt, ParallelOpts::new(1)).unwrap();
     assert_eq!(stats.unmatched, 0, "every checkpointed element must match");
     assert_eq!(
         r2.total_drops(),
@@ -459,7 +459,7 @@ fn serial_restore_carries_queued_packets_home() {
     drop(r);
 
     let ckpt = daemon.recover().unwrap();
-    let (mut r2, stats) = engine::restore(&ckpt, false, ParallelOpts::new(1)).unwrap();
+    let (mut r2, stats) = engine::restore(&ckpt, ParallelOpts::new(1)).unwrap();
     assert_eq!(stats.packets_restored, 4);
     // Four more frames push the held ones out of the line.
     let eth0 = r2.device("eth0").unwrap();
@@ -498,7 +498,7 @@ fn parallel_crash_restore_resumes_exact_ledger() {
 
     let ckpt = daemon.recover().expect("checkpoint survives the crash");
     assert_eq!(ckpt.ledger.drops, drops_at_cut);
-    let (mut r2, stats) = engine::restore(&ckpt, false, ParallelOpts::new(2)).unwrap();
+    let (mut r2, stats) = engine::restore(&ckpt, ParallelOpts::new(2)).unwrap();
     assert_eq!(stats.unmatched, 0);
     assert_eq!(
         r2.total_drops(),

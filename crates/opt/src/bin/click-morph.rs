@@ -203,8 +203,7 @@ fn main() {
     );
 
     let mut trace = DemoTrace::new();
-    // The loop installs devirtualized artifacts: compiled engine.
-    let router = engine::open(&artifact, true, ParallelOpts::new(shards)).unwrap_or_else(|e| {
+    let router = engine::open(&artifact, ParallelOpts::new(shards)).unwrap_or_else(|e| {
         eprintln!("click-morph: {e}");
         std::process::exit(1);
     });

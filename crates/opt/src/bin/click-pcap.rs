@@ -6,7 +6,7 @@
 //! ```text
 //! click-pcap --gen N --in TRACE.pcap [--ifaces M]
 //! click-pcap --in TRACE.pcap [--out FWD.pcap] [--ifaces M] [--shards K]
-//!            [--batched BURST] [--compiled] [--flap CLAUSES] [--check]
+//!            [--batched BURST] [--flap CLAUSES] [--check]
 //!            [--json FILE] [--source LABEL] [CONFIG.click]
 //! ```
 //!
@@ -90,11 +90,11 @@ use std::time::Instant;
 
 const USAGE: &str = "click-pcap --gen N --in TRACE.pcap [--ifaces M]\n\
     \x20      click-pcap --in TRACE.pcap [--out FWD.pcap] [--ifaces M] \
-    [--shards K] [--batched BURST] [--compiled] [--flap CLAUSES] \
+    [--shards K] [--batched BURST] [--flap CLAUSES] \
     [--check] [--json FILE] [--source LABEL] [CONFIG.click]\n\
     \x20      click-pcap --in TRACE.pcap --ckpt-dir DIR [--ckpt-every N] \
     [--retain K] [--crash-at N] [--restore [--resume-at N]] \
-    [--shards K] [--compiled] [--check] [--json FILE] [CONFIG.click]";
+    [--shards K] [--check] [--json FILE] [CONFIG.click]";
 
 fn fail(msg: impl std::fmt::Display) -> ! {
     eprintln!("click-pcap: {msg}");
@@ -250,10 +250,8 @@ struct DrillOutcome {
 /// world must never stop the router from coming back up — then runs the
 /// windowed feed/settle/drain/cut loop on it. Exits the process (without
 /// draining or cutting) at `--crash-at`.
-#[allow(clippy::too_many_arguments)]
 fn drill(
     graph: &RouterGraph,
-    compiled: bool,
     opts: ParallelOpts,
     boot: Option<&Checkpoint>,
     daemon: &mut CheckpointDaemon,
@@ -261,7 +259,7 @@ fn drill(
     output: Option<&str>,
     d: &DrillOpts,
 ) -> Result<DrillOutcome> {
-    let restored = boot.and_then(|ckpt| match engine::restore(ckpt, compiled, opts.clone()) {
+    let restored = boot.and_then(|ckpt| match engine::restore(ckpt, opts.clone()) {
         Ok((engine, stats)) => {
             note_restored(daemon, ckpt, &stats);
             Some(engine)
@@ -275,7 +273,7 @@ fn drill(
     let warm = boot.filter(|_| restored.is_some());
     let mut engine = match restored {
         Some(engine) => engine,
-        None => engine::open(graph, compiled, opts)?,
+        None => engine::open(graph, opts)?,
     };
     engine.set_telemetry(d.profile);
     let (dev_name, dev) = ingress(&*engine)?;
@@ -399,15 +397,14 @@ fn note_restored(
 }
 
 /// The drill entry point: loads the trace, recovers (or not), runs the
-/// windowed loop on the selected engine, prints the cross-incarnation
-/// ledger, and gates it under `--check`. Never returns.
+/// windowed loop, prints the cross-incarnation ledger, and gates it under
+/// `--check`. Never returns.
 #[allow(clippy::too_many_arguments)]
 fn drill_main(
     graph: &RouterGraph,
     label: &str,
     input: &str,
     output: Option<&str>,
-    fast: bool,
     opts: ParallelOpts,
     check: bool,
     json: Option<&str>,
@@ -445,17 +442,8 @@ fn drill_main(
     };
 
     let shards = opts.shards;
-    let outcome = drill(
-        graph,
-        fast,
-        opts,
-        boot.as_ref(),
-        &mut daemon,
-        &frames,
-        output,
-        &d,
-    )
-    .unwrap_or_else(|e| fail(e));
+    let outcome = drill(graph, opts, boot.as_ref(), &mut daemon, &frames, output, &d)
+        .unwrap_or_else(|e| fail(e));
     let dev_name = &outcome.dev_name;
 
     let g = daemon.gauges();
@@ -463,10 +451,9 @@ fn drill_main(
         outcome.accounted == outcome.tx + outcome.drops && outcome.loss <= outcome.loss_bound;
     eprintln!(
         "click-pcap: drill: {} frame(s) this incarnation on `{dev_name}` \
-         ({} shard(s), {} engine, {:.1} ns/pkt){}",
+         ({} shard(s), {:.1} ns/pkt){}",
         outcome.fed,
         shards,
-        if fast { "compiled" } else { "dyn" },
         if outcome.fed == 0 {
             0.0
         } else {
@@ -529,7 +516,7 @@ fn main() {
             "crash-at",
             "resume-at",
         ],
-        &["compiled", "check", "restore"],
+        &["check", "restore"],
     );
     let mut gen: Option<usize> = None;
     let mut input: Option<String> = None;
@@ -537,7 +524,6 @@ fn main() {
     let mut ifaces = 4usize;
     let mut shards = 1usize;
     let mut batched = 0usize;
-    let mut compiled = false;
     let mut flap: Option<String> = None;
     let mut check = false;
     let mut json: Option<String> = None;
@@ -557,7 +543,6 @@ fn main() {
             "ifaces" => ifaces = num().max(2),
             "shards" => shards = num().max(1),
             "batched" => batched = num(),
-            "compiled" => compiled = true,
             "flap" => flap = value.clone(),
             "check" => check = true,
             "json" => json = value.clone(),
@@ -599,7 +584,6 @@ fn main() {
             (graph, format!("ip-router-{ifaces}"))
         }
     };
-    let fast = compiled || graph.has_requirement("devirtualize");
     let opts = match batched {
         0 => ParallelOpts::new(shards),
         burst => ParallelOpts::new(shards).batched(burst),
@@ -614,7 +598,6 @@ fn main() {
             &label,
             &input,
             output.as_deref(),
-            fast,
             opts,
             check,
             json.as_deref(),
@@ -633,7 +616,7 @@ fn main() {
 
     let sup = replay_device(&input, output.as_deref(), flap.as_deref()).unwrap_or_else(|e| fail(e));
 
-    let replay = engine::open(&graph, fast, opts)
+    let replay = engine::open(&graph, opts)
         .and_then(|engine| run(engine, sup, json.is_some()))
         .unwrap_or_else(|e| fail(e));
     let dev_name = &replay.dev_name;
@@ -644,12 +627,8 @@ fn main() {
         replay.elapsed_ns as f64 / replay.injected as f64
     };
     eprintln!(
-        "click-pcap: {} frame(s) replayed on `{dev_name}` ({} shard(s), {} engine): \
-         {:.1} ns/pkt",
-        replay.injected,
-        shards,
-        if fast { "compiled" } else { "dyn" },
-        ns_per_pkt
+        "click-pcap: {} frame(s) replayed on `{dev_name}` ({} shard(s)): {:.1} ns/pkt",
+        replay.injected, shards, ns_per_pkt
     );
     eprintln!(
         "click-pcap: ledger: injected {} == tx(backend) {} + tx(simulated) {} + drops {} -> {}",

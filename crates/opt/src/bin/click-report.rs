@@ -292,17 +292,11 @@ fn main() {
     };
     let swap_graph: Option<RouterGraph> = swap_path.as_deref().map(load);
 
-    // Engine selection must cover both sides of a swap: a devirtualized
-    // graph on either end runs the whole drill on the compiled engine.
-    let devirt = graph.has_requirement("devirtualize")
-        || swap_graph
-            .as_ref()
-            .is_some_and(|g| g.has_requirement("devirtualize"));
     let mut opts = ParallelOpts::new(shards);
     if batched > 0 {
         opts = opts.batched(batched);
     }
-    let mut engine = engine::open(&graph, devirt, opts).unwrap_or_else(|e| die(e.to_string()));
+    let mut engine = engine::open(&graph, opts).unwrap_or_else(|e| die(e.to_string()));
     engine.set_telemetry(true);
 
     // The trace: the IP router's own workload, or a generic one on every

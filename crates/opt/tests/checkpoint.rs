@@ -69,7 +69,7 @@ fn morph_interval_checkpoint_restores_the_optimized_config() {
     let dir = scratch("morph-interval");
     let source = demo_graph(DEMO_BRANCHES).unwrap();
     let artifact = optimize_pipeline(&source).unwrap();
-    let router = engine::open(&artifact, true, ParallelOpts::new(1)).unwrap();
+    let router = engine::open(&artifact, ParallelOpts::new(1)).unwrap();
     let mut daemon = MorphDaemon::new(router, source, artifact.clone(), ReoptPolicy::default());
 
     let store = CheckpointStore::open(&dir, 4).unwrap();
@@ -102,7 +102,7 @@ fn morph_interval_checkpoint_restores_the_optimized_config() {
         "checkpoint must carry the optimized artifact"
     );
     assert_eq!(config_hash(&ckpt.config), ckpt.config_hash);
-    let (r2, stats) = engine::restore(&ckpt, true, ParallelOpts::new(1)).expect("warm restart");
+    let (r2, stats) = engine::restore(&ckpt, ParallelOpts::new(1)).expect("warm restart");
     assert_eq!(stats.unmatched, 0, "artifact elements all match");
     assert_eq!(r2.total_drops(), ckpt.ledger.drops);
 }
@@ -116,7 +116,7 @@ fn kept_swap_cuts_a_checkpoint_carrying_the_new_artifact() {
     let dir = scratch("morph-swap");
     let source = demo_graph(DEMO_BRANCHES).unwrap();
     let artifact = optimize_pipeline(&source).unwrap();
-    let router = engine::open(&artifact, true, ParallelOpts::new(1)).unwrap();
+    let router = engine::open(&artifact, ParallelOpts::new(1)).unwrap();
     let policy = ReoptPolicy {
         min_improvement: 0.2,
         ..ReoptPolicy::default()
@@ -158,7 +158,7 @@ fn kept_swap_cuts_a_checkpoint_carrying_the_new_artifact() {
         "checkpoint config must hash to the installed (hoisted) artifact"
     );
     let parsed = read_config(&ckpt.config).expect("checkpointed config parses");
-    let (r2, stats) = engine::restore(&ckpt, true, ParallelOpts::new(1)).unwrap();
+    let (r2, stats) = engine::restore(&ckpt, ParallelOpts::new(1)).unwrap();
     assert_eq!(stats.unmatched, 0);
     drop(parsed);
     drop(r2);

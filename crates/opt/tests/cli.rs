@@ -123,6 +123,11 @@ fn tools_refuse_unknown_flags_and_missing_values() {
             env!("CARGO_BIN_EXE_click-pcap"),
             &["--in", "x", "--ckpt-dir"][..],
         ),
+        // A retired switch: there is one element store to run on.
+        (
+            env!("CARGO_BIN_EXE_click-pcap"),
+            &["--in", "x", "--compiled"][..],
+        ),
         (env!("CARGO_BIN_EXE_click-morph"), &["--bogus"][..]),
     ] {
         let (stdout, stderr, ok) = run_tool(exe, args, "a :: Idle;");

@@ -10,13 +10,12 @@ use click_core::lang::read_config;
 use click_core::registry::Library;
 use click_elements::element::Element;
 use click_elements::engine::Engine;
-use click_elements::fast::FastElement;
 use click_elements::headers::build_udp_packet;
 use click_elements::ip_router::{test_packet_flow, IpRouterSpec};
 use click_elements::packet::Packet;
 use click_elements::parallel::{ParallelOpts, ParallelRouter, SwapOpts};
 use click_elements::persist::ElementRecord;
-use click_elements::router::{DynRouter, Router, Slot};
+use click_elements::router::{DynRouter, Router};
 use click_elements::steer::flow_key;
 use click_elements::swap::SwapReport;
 use click_elements::telemetry::ElementProfile;
@@ -383,7 +382,7 @@ fn serial_swap_rejects_invalid_config_on_both_engines() {
     let old = read_config(SERIAL_GRAPH).unwrap();
     let bad = read_config(BAD_GRAPH).unwrap();
 
-    // Dynamic engine.
+    // Per-packet engine.
     let mut dy: DynRouter = Router::from_graph(&old, &Library::standard()).unwrap();
     let err = dy.hot_swap(&bad, &Library::standard()).unwrap_err();
     assert!(
@@ -404,17 +403,22 @@ fn serial_swap_rejects_invalid_config_on_both_engines() {
     assert_eq!(dy.devices.tx_len(out0), 10);
     assert_eq!(dy.stat("c", "count"), Some(10));
 
-    // Compiled engine.
-    let mut fast: Router<FastElement> = Router::from_graph(&old, &Library::standard()).unwrap();
-    let err = fast.hot_swap(&bad, &Library::standard()).unwrap_err();
+    // Batched engine.
+    let mut batched: DynRouter = Router::from_graph(&old, &Library::standard()).unwrap();
+    batched.set_batching(true);
+    let err = batched.hot_swap(&bad, &Library::standard()).unwrap_err();
     assert!(err.to_string().contains("push/pull conflict"), "{err}");
-    let in0 = fast.devices.id("in0").unwrap();
-    let out0 = fast.devices.id("out0").unwrap();
+    assert!(
+        batched.batching(),
+        "a refused swap leaves the engine as it was"
+    );
+    let in0 = batched.devices.id("in0").unwrap();
+    let out0 = batched.devices.id("out0").unwrap();
     for i in 0..10u8 {
-        fast.devices.inject(in0, udp(6100, i));
+        batched.devices.inject(in0, udp(6100, i));
     }
-    fast.run_until_idle(100_000);
-    assert_eq!(fast.devices.tx_len(out0), 10);
+    batched.run_until_idle(100_000);
+    assert_eq!(batched.devices.tx_len(out0), 10);
 }
 
 #[test]
@@ -617,13 +621,14 @@ struct Outcome {
 /// Eight waves of 32 flows through [`figure1_with_fault`], with five
 /// frames parked in `q0` after the fourth; with `swap`, the router is
 /// hot-swapped to its own graph right there.
-fn figure1_run<S: Slot>(swap: bool) -> (Outcome, Option<SwapReport>) {
+fn figure1_run(batched: bool, swap: bool) -> (Outcome, Option<SwapReport>) {
     let spec = IpRouterSpec::standard(4);
     let graph = figure1_with_fault(&spec);
     let lib = Library::standard();
-    let mut r: Router<S> = Router::from_graph(&graph, &lib).unwrap();
+    let mut r: Router = Router::from_graph(&graph, &lib).unwrap();
     r.set_telemetry(true);
-    let wave = |r: &mut Router<S>, seq: u8| {
+    r.set_batching(batched);
+    let wave = |r: &mut Router, seq: u8| {
         for flow in 0..32u16 {
             let src = usize::from(flow % 4);
             let dev = r.devices.id(&format!("eth{src}")).unwrap();
@@ -674,9 +679,9 @@ fn figure1_run<S: Slot>(swap: bool) -> (Outcome, Option<SwapReport>) {
 
 #[test]
 fn identity_swap_of_figure1_reuses_all_but_the_devices_on_both_engines() {
-    fn check<S: Slot>() {
-        let (plain, _) = figure1_run::<S>(false);
-        let (swapped, rep) = figure1_run::<S>(true);
+    for batched in [false, true] {
+        let (plain, _) = figure1_run(batched, false);
+        let (swapped, rep) = figure1_run(batched, true);
         let rep = rep.unwrap();
         // Four PollDevices and four ToDevices are rebuilt; nothing else.
         assert_eq!((rep.matched, rep.fresh, rep.retired), (8, 0, 0), "{rep:?}");
@@ -685,8 +690,6 @@ fn identity_swap_of_figure1_reuses_all_but_the_devices_on_both_engines() {
         assert!(fi.counters.iter().any(|(n, v)| n == "drops" && *v > 0));
         assert_eq!(swapped, plain, "a swap to the same graph changes nothing");
     }
-    check::<Box<dyn Element>>();
-    check::<FastElement>();
 }
 
 #[test]
@@ -696,39 +699,35 @@ fn a_failing_constructor_leaves_the_old_router_as_it_was() {
     const WITH_BAD: &str =
         "FromDevice(in0) -> c :: Counter -> q :: Queue(4096) -> ToDevice(out0); \
                             Idle -> bad :: IPFragmenter(10) -> Discard;";
-    fn check<S: Slot>() {
-        let lib = Library::standard();
-        let old = read_config(SERIAL_GRAPH).unwrap();
-        let bad = read_config(WITH_BAD).unwrap();
-        assert!(click_core::check::check(&bad, &lib).is_ok());
-        let mut twin: Router<S> = Router::from_graph(&old, &lib).unwrap();
-        let mut r: Router<S> = Router::from_graph(&old, &lib).unwrap();
-        let feed = |r: &mut Router<S>, seqs: std::ops::Range<u8>| {
-            let in0 = r.devices.id("in0").unwrap();
-            for seq in seqs {
-                r.devices.inject(in0, udp(6200, seq));
-            }
-            let q = r.find("q").unwrap();
-            r.push_to(q, 0, udp(6201, 0));
-            r.run_until_idle(100_000);
-            let out0 = r.devices.id("out0").unwrap();
-            let tx = r.devices.take_tx(out0);
-            let bytes: Vec<Vec<u8>> = tx.iter().map(|p| p.data().to_vec()).collect();
-            tx.into_iter().for_each(Packet::recycle);
-            (bytes, r.stat("c", "count"), r.stat("q", "highwater"))
-        };
-        assert_eq!(feed(&mut r, 0..10), feed(&mut twin, 0..10));
-        let err = r.hot_swap(&bad, &lib).unwrap_err();
-        assert!(err.to_string().contains("IPFragmenter"), "{err}");
-        let swap = Engine::gauges(&r).swap.unwrap();
-        assert_eq!((swap.rejected_configs, swap.swaps), (1, 0));
-        assert_eq!(feed(&mut r, 10..30), feed(&mut twin, 10..30));
-        assert_eq!(r.stat("c", "count"), Some(30));
-        let rep = r.hot_swap(&old, &lib).unwrap();
-        assert_eq!((rep.reused, rep.matched), (2, 2), "{rep:?}");
-    }
-    check::<Box<dyn Element>>();
-    check::<FastElement>();
+    let lib = Library::standard();
+    let old = read_config(SERIAL_GRAPH).unwrap();
+    let bad = read_config(WITH_BAD).unwrap();
+    assert!(click_core::check::check(&bad, &lib).is_ok());
+    let mut twin: Router = Router::from_graph(&old, &lib).unwrap();
+    let mut r: Router = Router::from_graph(&old, &lib).unwrap();
+    let feed = |r: &mut Router, seqs: std::ops::Range<u8>| {
+        let in0 = r.devices.id("in0").unwrap();
+        for seq in seqs {
+            r.devices.inject(in0, udp(6200, seq));
+        }
+        let q = r.find("q").unwrap();
+        r.push_to(q, 0, udp(6201, 0));
+        r.run_until_idle(100_000);
+        let out0 = r.devices.id("out0").unwrap();
+        let tx = r.devices.take_tx(out0);
+        let bytes: Vec<Vec<u8>> = tx.iter().map(|p| p.data().to_vec()).collect();
+        tx.into_iter().for_each(Packet::recycle);
+        (bytes, r.stat("c", "count"), r.stat("q", "highwater"))
+    };
+    assert_eq!(feed(&mut r, 0..10), feed(&mut twin, 0..10));
+    let err = r.hot_swap(&bad, &lib).unwrap_err();
+    assert!(err.to_string().contains("IPFragmenter"), "{err}");
+    let swap = Engine::gauges(&r).swap.unwrap();
+    assert_eq!((swap.rejected_configs, swap.swaps), (1, 0));
+    assert_eq!(feed(&mut r, 10..30), feed(&mut twin, 10..30));
+    assert_eq!(r.stat("c", "count"), Some(30));
+    let rep = r.hot_swap(&old, &lib).unwrap();
+    assert_eq!((rep.reused, rep.matched), (2, 2), "{rep:?}");
 }
 
 #[test]

@@ -63,12 +63,12 @@ fn drive(
     })
 }
 
-/// A daemon over the demo artifact on the compiled engine (serial for
-/// `shards <= 1`), under `policy`.
+/// A daemon over the demo artifact (serial for `shards <= 1`), under
+/// `policy`.
 fn demo_daemon(shards: usize, policy: ReoptPolicy) -> MorphDaemon {
     let source = demo_graph(DEMO_BRANCHES).unwrap();
     let artifact = optimize_pipeline(&source).unwrap();
-    let router = engine::open(&artifact, true, ParallelOpts::new(shards)).unwrap();
+    let router = engine::open(&artifact, ParallelOpts::new(shards)).unwrap();
     MorphDaemon::new(router, source, artifact, policy)
 }
 

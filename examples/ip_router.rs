@@ -1,6 +1,5 @@
 //! The paper's Figure-1 IP router, unoptimized and fully optimized,
-//! forwarding real packets through both execution engines — then priced
-//! by the cost model.
+//! forwarding the same packets — then priced by the cost model.
 //!
 //! ```sh
 //! cargo run --release --example ip_router
@@ -9,8 +8,7 @@
 use click::core::lang::read_config;
 use click::core::registry::Library;
 use click::elements::ip_router::{test_packet, IpRouterSpec};
-use click::elements::router::DynRouter;
-use click::elements::{CompiledRouter, Router};
+use click::elements::Router;
 use click::sim::cost::path::router_cpu_cost;
 use click::sim::{evaluation_traffic, Platform};
 use std::collections::HashSet;
@@ -40,32 +38,33 @@ fn main() -> click::core::Result<()> {
         n
     );
 
-    // Forward the same packets through both engines; outputs must agree.
-    let mut dyn_router: DynRouter = Router::from_graph(&base, &lib)?;
-    let mut fast_router: CompiledRouter = Router::from_graph(&optimized, &lib)?;
+    // Forward the same packets through both configurations; outputs must
+    // agree.
+    let mut base_router: Router = Router::from_graph(&base, &lib)?;
+    let mut opt_router: Router = Router::from_graph(&optimized, &lib)?;
     let mut sent = (0usize, 0usize);
     for src in 0..4usize {
         let dst = src + 4;
         let p = test_packet(&spec, src, dst);
-        let dev_d = dyn_router.devices.id(&format!("eth{src}")).expect("device");
-        let dev_f = fast_router
+        let dev_d = base_router
             .devices
             .id(&format!("eth{src}"))
             .expect("device");
-        dyn_router.devices.inject(dev_d, p.clone());
-        fast_router.devices.inject(dev_f, p);
+        let dev_o = opt_router.devices.id(&format!("eth{src}")).expect("device");
+        base_router.devices.inject(dev_d, p.clone());
+        opt_router.devices.inject(dev_o, p);
     }
-    dyn_router.run_until_idle(10_000);
-    fast_router.run_until_idle(10_000);
+    base_router.run_until_idle(10_000);
+    opt_router.run_until_idle(10_000);
     for dst in 4..8usize {
-        let dev_d = dyn_router.devices.id(&format!("eth{dst}")).expect("device");
-        let dev_f = fast_router
+        let dev_d = base_router
             .devices
             .id(&format!("eth{dst}"))
             .expect("device");
-        let a = dyn_router.devices.take_tx(dev_d);
-        let b = fast_router.devices.take_tx(dev_f);
-        assert_eq!(a.len(), b.len(), "engines disagree on eth{dst}");
+        let dev_o = opt_router.devices.id(&format!("eth{dst}")).expect("device");
+        let a = base_router.devices.take_tx(dev_d);
+        let b = opt_router.devices.take_tx(dev_o);
+        assert_eq!(a.len(), b.len(), "configurations disagree on eth{dst}");
         for (x, y) in a.iter().zip(&b) {
             assert_eq!(x.data(), y.data(), "payload mismatch on eth{dst}");
         }
@@ -73,7 +72,7 @@ fn main() -> click::core::Result<()> {
         sent.1 += b.len();
     }
     println!(
-        "both engines forwarded {} packets with identical bytes",
+        "both configurations forwarded {} packets with identical bytes",
         sent.0
     );
 

@@ -1,7 +1,6 @@
 //! The transfer core's allocation budget, held in tier-1: once warm, the
-//! Figure-1 router forwards without touching the heap in all four engine
-//! corners (`Box<dyn Element>` / `FastElement` x scalar / batched), so a
-//! `clone()` or `collect()` that creeps onto the per-hop path fails
+//! Figure-1 router forwards without touching the heap, scalar and batched,
+//! so a `clone()` or `collect()` that creeps onto the per-hop path fails
 //! `cargo test`, not a benchmark three PRs later. A packet is a pooled
 //! block plus its buffer, so a pool miss is two allocations (block +
 //! buffer); only the warm-up pass sees one. Armed telemetry is held to
@@ -16,11 +15,9 @@
 use click::core::lang::read_config;
 use click::core::registry::Library;
 use click::elements::element::{DeviceId, Element};
-use click::elements::fast::FastElement;
 use click::elements::iodev::{MemBackend, MemQueues};
 use click::elements::ip_router::{test_packet, IpRouterSpec};
 use click::elements::packet::Packet;
-use click::elements::router::Slot;
 use click::elements::{PacketBatch, ParallelOpts, ParallelRouter, Router};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -96,10 +93,10 @@ fn frames(spec: &IpRouterSpec) -> Vec<Frame> {
         .collect()
 }
 
-fn figure1<S: Slot>(batched: bool) -> (Router<S>, Vec<DeviceId>, Vec<Frame>) {
+fn figure1(batched: bool) -> (Router, Vec<DeviceId>, Vec<Frame>) {
     let spec = IpRouterSpec::standard(IFACES);
     let graph = read_config(&spec.config()).unwrap();
-    let mut router: Router<S> = Router::from_graph(&graph, &Library::standard()).unwrap();
+    let mut router: Router = Router::from_graph(&graph, &Library::standard()).unwrap();
     if batched {
         router.set_batching(true);
         router.set_batch_burst(BURST);
@@ -112,7 +109,7 @@ fn figure1<S: Slot>(batched: bool) -> (Router<S>, Vec<DeviceId>, Vec<Frame>) {
 
 /// One pass of every frame through `inject -> run_until_idle ->
 /// recycle_tx`; returns how many came out.
-fn inject_pass<S: Slot>(r: &mut Router<S>, devs: &[DeviceId], frames: &[Frame]) -> usize {
+fn inject_pass(r: &mut Router, devs: &[DeviceId], frames: &[Frame]) -> usize {
     let mut forwarded = 0;
     for round in frames.chunks(ROUND) {
         for (src, bytes) in round {
@@ -124,8 +121,8 @@ fn inject_pass<S: Slot>(r: &mut Router<S>, devs: &[DeviceId], frames: &[Frame]) 
     forwarded
 }
 
-fn steady_state_is_allocation_free<S: Slot>(batched: bool, telemetry: bool) {
-    let (mut router, devs, frames) = figure1::<S>(batched);
+fn steady_state_is_allocation_free(batched: bool, telemetry: bool) {
+    let (mut router, devs, frames) = figure1(batched);
     router.set_telemetry(telemetry);
     assert_eq!(inject_pass(&mut router, &devs, &frames), FRAMES, "warm-up");
     let mut forwarded = 0;
@@ -137,32 +134,22 @@ fn steady_state_is_allocation_free<S: Slot>(batched: bool, telemetry: bool) {
 
 #[test]
 fn dyn_scalar_forwards_without_allocating() {
-    steady_state_is_allocation_free::<Box<dyn Element>>(false, false);
+    steady_state_is_allocation_free(false, false);
 }
 
 #[test]
 fn dyn_batched_forwards_without_allocating() {
-    steady_state_is_allocation_free::<Box<dyn Element>>(true, false);
-}
-
-#[test]
-fn compiled_scalar_forwards_without_allocating() {
-    steady_state_is_allocation_free::<FastElement>(false, false);
-}
-
-#[test]
-fn compiled_batched_forwards_without_allocating() {
-    steady_state_is_allocation_free::<FastElement>(true, false);
+    steady_state_is_allocation_free(true, false);
 }
 
 #[test]
 fn armed_telemetry_forwards_without_allocating() {
-    steady_state_is_allocation_free::<Box<dyn Element>>(false, true);
-    steady_state_is_allocation_free::<FastElement>(true, true);
+    steady_state_is_allocation_free(false, true);
+    steady_state_is_allocation_free(true, true);
 }
 
 /// One pass wire to wire: `push_rx -> run_with_devices -> take_tx`.
-fn wire_pass<S: Slot>(r: &mut Router<S>, queues: &[MemQueues], frames: &[Frame]) -> usize {
+fn wire_pass(r: &mut Router, queues: &[MemQueues], frames: &[Frame]) -> usize {
     for round in frames.chunks(ROUND) {
         for (src, bytes) in round {
             queues[*src].push_rx(bytes);
@@ -174,7 +161,7 @@ fn wire_pass<S: Slot>(r: &mut Router<S>, queues: &[MemQueues], frames: &[Frame])
 
 #[test]
 fn device_rounds_allocate_only_what_the_backend_api_forces() {
-    let (mut router, devs, frames) = figure1::<FastElement>(true);
+    let (mut router, devs, frames) = figure1(true);
     let queues: Vec<MemQueues> = devs
         .iter()
         .map(|&d| {
@@ -226,7 +213,7 @@ fn sharded_calling_thread_forwards_within_its_budget() {
     let spec = IpRouterSpec::standard(IFACES);
     let graph = read_config(&spec.config()).unwrap();
     let opts = ParallelOpts::new(1).batched(BURST);
-    let mut router = ParallelRouter::from_graph::<FastElement>(&graph, opts).unwrap();
+    let mut router = ParallelRouter::from_graph::<Box<dyn Element>>(&graph, opts).unwrap();
     let devs: Vec<DeviceId> = (0..IFACES)
         .map(|i| router.device_id(&format!("eth{i}")).unwrap())
         .collect();

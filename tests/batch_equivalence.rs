@@ -1,7 +1,7 @@
 //! Property tests for the batched (vector-transfer) engine: on the
 //! Figure-1 IP router it must be output- and stats-equivalent to the
-//! scalar per-packet engine at every batch size, on both element stores —
-//! and the packet pool must serve (nearly) every steady-state allocation.
+//! scalar per-packet engine at every batch size — and the packet pool must
+//! serve (nearly) every steady-state allocation.
 //!
 //! Randomness comes from a fixed-seed LCG so the suite is deterministic
 //! and dependency-free.
@@ -12,7 +12,6 @@ use click::core::RouterGraph;
 use click::elements::headers::ipv4;
 use click::elements::ip_router::{test_packet, IpRouterSpec};
 use click::elements::packet::{pool_stats, reset_pool_stats, Packet};
-use click::elements::router::Slot;
 use click::elements::Router;
 
 const N: usize = 4;
@@ -73,13 +72,13 @@ fn branchy_workload(spec: &IpRouterSpec, r: &mut Lcg, count: usize) -> Vec<(usiz
 
 /// Runs a workload through one engine, returning per-device output frames
 /// and the stats the ISSUE names as the equivalence surface.
-fn run<S: Slot>(
+fn run(
     graph: &RouterGraph,
     workload: &[(usize, Packet)],
     batch: Option<usize>,
 ) -> (Vec<Vec<Vec<u8>>>, [u64; 3]) {
     let lib = Library::standard();
-    let mut router: Router<S> = Router::from_graph(graph, &lib).expect("router builds");
+    let mut router: Router = Router::from_graph(graph, &lib).expect("router builds");
     if let Some(b) = batch {
         router.set_batching(true);
         router.set_batch_burst(b);
@@ -121,26 +120,18 @@ fn batched_engine_matches_scalar_exactly_on_pure_forwarding() {
     let graph = click::core::lang::read_config(&spec.config()).unwrap();
     let mut r = Lcg::new(0xBA7C4);
     let workload = pure_workload(&spec, &mut r, 96);
-    type Dyn = Box<dyn click::elements::Element>;
-    let (reference, ref_stats) = run::<Dyn>(&graph, &workload, None);
+    let (reference, ref_stats) = run(&graph, &workload, None);
     assert!(
         reference.iter().map(Vec::len).sum::<usize>() == 96,
         "reference forwards all"
     );
     for batch in [1usize, 8, 64] {
-        let (out, stats) = run::<Dyn>(&graph, &workload, Some(batch));
+        let (out, stats) = run(&graph, &workload, Some(batch));
         assert_eq!(
             out, reference,
-            "dyn batched({batch}) reorders or alters packets"
+            "batched({batch}) reorders or alters packets"
         );
-        assert_eq!(stats, ref_stats, "dyn batched({batch}) stats");
-        let (out, stats) =
-            run::<click::elements::fast::FastElement>(&graph, &workload, Some(batch));
-        assert_eq!(
-            out, reference,
-            "compiled batched({batch}) reorders or alters packets"
-        );
-        assert_eq!(stats, ref_stats, "compiled batched({batch}) stats");
+        assert_eq!(stats, ref_stats, "batched({batch}) stats");
     }
 }
 
@@ -151,34 +142,15 @@ fn batched_engine_matches_scalar_on_branchy_mixes() {
     // drop/discard counters rather than global arrival order.
     let spec = IpRouterSpec::standard(N);
     let graph = click::core::lang::read_config(&spec.config()).unwrap();
-    type Dyn = Box<dyn click::elements::Element>;
     for seed in [1u64, 0xFEED, 0xD00D] {
         let mut r = Lcg::new(seed);
         let workload = branchy_workload(&spec, &mut r, 128);
-        let (reference, ref_stats) = run::<Dyn>(&graph, &workload, None);
+        let (reference, ref_stats) = run(&graph, &workload, None);
         let reference = sorted(reference);
         for batch in [1usize, 8, 64] {
-            let (out, stats) = run::<Dyn>(&graph, &workload, Some(batch));
-            assert_eq!(
-                sorted(out),
-                reference,
-                "dyn batched({batch}), seed {seed:#x}"
-            );
-            assert_eq!(
-                stats, ref_stats,
-                "dyn batched({batch}) stats, seed {seed:#x}"
-            );
-            let (out, stats) =
-                run::<click::elements::fast::FastElement>(&graph, &workload, Some(batch));
-            assert_eq!(
-                sorted(out),
-                reference,
-                "compiled batched({batch}), seed {seed:#x}"
-            );
-            assert_eq!(
-                stats, ref_stats,
-                "compiled batched({batch}) stats, seed {seed:#x}"
-            );
+            let (out, stats) = run(&graph, &workload, Some(batch));
+            assert_eq!(sorted(out), reference, "batched({batch}), seed {seed:#x}");
+            assert_eq!(stats, ref_stats, "batched({batch}) stats, seed {seed:#x}");
         }
     }
 }
@@ -191,7 +163,7 @@ fn pool_serves_steady_state_allocations() {
     let graph = click::core::lang::read_config(&spec.config()).unwrap();
     let lib = Library::standard();
     for batch in [None, Some(64usize)] {
-        let mut router: click::elements::CompiledRouter = Router::from_graph(&graph, &lib).unwrap();
+        let mut router: Router = Router::from_graph(&graph, &lib).unwrap();
         if let Some(b) = batch {
             router.set_batching(true);
             router.set_batch_burst(b);
@@ -200,7 +172,7 @@ fn pool_serves_steady_state_allocations() {
         let devs: Vec<_> = (0..N)
             .map(|i| router.devices.id(&format!("eth{i}")).unwrap())
             .collect();
-        let iteration = |router: &mut click::elements::CompiledRouter, r: &mut Lcg| {
+        let iteration = |router: &mut Router, r: &mut Lcg| {
             for _ in 0..32 {
                 let src = r.below(N);
                 let p = test_packet(&spec, src, (src + 2) % N);

@@ -7,7 +7,8 @@
 //!
 //! * **Differential**: replaying a pcap trace through `FromDevice` is
 //!   bit-identical to injecting the same frames in memory — on both
-//!   engines (dyn and compiled) and both runtimes (serial and 4-shard);
+//!   engines (per-packet and batched) and both runtimes (serial and
+//!   4-shard);
 //!   re-captured output pcaps are byte-for-byte equal (deterministic
 //!   counter timestamps).
 //! * **UDP loopback**: frames sent from a plain `std::net::UdpSocket`
@@ -22,7 +23,6 @@ use click::core::lang::read_config;
 use click::core::registry::Library;
 use click::core::RouterGraph;
 use click::elements::batch::PacketBatch;
-use click::elements::element::Element;
 use click::elements::engine::{self, Engine};
 use click::elements::headers::build_udp_packet;
 use click::elements::iodev::{write_pcap, PcapBackend, SupervisedDevice};
@@ -59,14 +59,20 @@ fn trace_frames(n: usize) -> Vec<Vec<u8>> {
         .collect()
 }
 
-/// The serial runtime on the dyn or compiled engine.
-fn serial(graph: &RouterGraph, compiled: bool) -> Box<dyn Engine> {
-    engine::open(graph, compiled, ParallelOpts::new(1)).unwrap()
+/// `shards` shards on the per-packet or the batched engine.
+fn open_engine(graph: &RouterGraph, shards: usize, batched: bool) -> Box<dyn Engine> {
+    let opts = ParallelOpts::new(shards);
+    engine::open(graph, if batched { opts.batched(8) } else { opts }).unwrap()
 }
 
-/// The 4-shard runtime on the dyn or compiled engine.
-fn sharded(graph: &RouterGraph, compiled: bool) -> Box<dyn Engine> {
-    engine::open(graph, compiled, ParallelOpts::new(4).batched(8)).unwrap()
+/// The serial runtime.
+fn serial(graph: &RouterGraph, batched: bool) -> Box<dyn Engine> {
+    open_engine(graph, 1, batched)
+}
+
+/// The 4-shard runtime.
+fn sharded(graph: &RouterGraph, batched: bool) -> Box<dyn Engine> {
+    open_engine(graph, 4, batched)
 }
 
 /// The frames forwarded to `out0`, in arrival order (inter-flow order is
@@ -111,7 +117,7 @@ fn pcap_replay_matches_memory_injection_both_engines() {
     write_pcap(&trace, &frames).unwrap();
     let graph = read_config(PIPELINE).unwrap();
 
-    // Serial, dyn engine: replay must be *identical in order*, and both
+    // Serial, per-packet: replay must be *identical in order*, and both
     // must equal the injected trace exactly (this pipeline reorders
     // nothing).
     let mem = forward_mem(serial(&graph, false), &frames);
@@ -119,11 +125,11 @@ fn pcap_replay_matches_memory_injection_both_engines() {
     assert_eq!(mem, frames);
     assert_eq!(pcap, mem);
 
-    // Serial, compiled engine.
-    let mem_fast = forward_mem(serial(&graph, true), &frames);
-    let pcap_fast = forward_pcap(serial(&graph, true), &trace);
-    assert_eq!(mem_fast, mem);
-    assert_eq!(pcap_fast, mem);
+    // Serial, batched.
+    let mem_batched = forward_mem(serial(&graph, true), &frames);
+    let pcap_batched = forward_pcap(serial(&graph, true), &trace);
+    assert_eq!(mem_batched, mem);
+    assert_eq!(pcap_batched, mem);
 
     // Re-captured pcaps are bit-identical: deterministic counter
     // timestamps make the bytes a function of the frames alone.
@@ -149,15 +155,15 @@ fn pcap_replay_matches_memory_injection_sharded() {
 
     // 4-shard: global order is scheduling-dependent, so compare the
     // canonicalized captures — still bit-identical as files.
-    let mem = sorted(forward_mem(sharded(&graph, false), &frames));
-    let pcap = sorted(forward_pcap(sharded(&graph, false), &trace));
+    let mem = sorted(forward_mem(sharded(&graph, true), &frames));
+    let pcap = sorted(forward_pcap(sharded(&graph, true), &trace));
     assert_eq!(mem, sorted(frames.clone()));
     assert_eq!(pcap, mem);
 
-    let mem_fast = sorted(forward_mem(sharded(&graph, true), &frames));
-    let pcap_fast = sorted(forward_pcap(sharded(&graph, true), &trace));
-    assert_eq!(mem_fast, mem);
-    assert_eq!(pcap_fast, mem);
+    let mem_scalar = sorted(forward_mem(sharded(&graph, false), &frames));
+    let pcap_scalar = sorted(forward_pcap(sharded(&graph, false), &trace));
+    assert_eq!(mem_scalar, mem);
+    assert_eq!(pcap_scalar, mem);
 
     let out_a = dir.join("out-mem.pcap");
     let out_b = dir.join("out-pcap.pcap");
@@ -228,7 +234,7 @@ fn udp_loopback_end_to_end() {
          -> Queue(256) -> ToDevice(udp:127.0.0.1:{rx_port}>127.0.0.1:{sink_port});"
     ))
     .unwrap();
-    let mut r: Router<Box<dyn Element>> = Router::from_graph(&graph, &Library::standard()).unwrap();
+    let mut r: Router = Router::from_graph(&graph, &Library::standard()).unwrap();
     assert_eq!(r.devices.open_backends().unwrap(), 1);
 
     for i in 0..20u8 {
@@ -276,7 +282,7 @@ fn tap_router_answers_kernel_arp_and_ping() {
          q -> ToDevice(tap:clktest0);",
     )
     .unwrap();
-    let mut r: Router<Box<dyn Element>> = Router::from_graph(&graph, &Library::standard()).unwrap();
+    let mut r: Router = Router::from_graph(&graph, &Library::standard()).unwrap();
     assert_eq!(r.devices.open_backends().unwrap(), 1);
     sys::configure_iface("clktest0", [10, 207, 0, 1], 24).unwrap();
 

@@ -37,7 +37,7 @@ fn chaos_graph() -> RouterGraph {
 }
 
 fn router_4shard(graph: &RouterGraph) -> Box<dyn Engine> {
-    engine::open(graph, false, ParallelOpts::new(4).batched(8)).expect("4-shard router builds")
+    engine::open(graph, ParallelOpts::new(4).batched(8)).expect("4-shard router builds")
 }
 
 /// Attaches `backend` (default supervision) under device `name`.

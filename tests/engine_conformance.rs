@@ -1,6 +1,6 @@
 //! `Engine` conformance: one script, driven through `dyn Engine`, must
-//! read the same on every engine — dyn or compiled dispatch, serial or
-//! 2-shard runtime. After every step the ledger
+//! read the same on every engine — per-packet or batched transfers, serial
+//! or 2-shard runtime. After every step the ledger
 //! `offered == tx + total_drops()` must close exactly and the statistics
 //! read through `dyn Engine` must be equal across engines, and so must
 //! the bytes forwarded (sorted: inter-flow order is scheduling-dependent
@@ -128,24 +128,24 @@ impl Books {
     }
 }
 
-/// Every engine corner as `(compiled, shards)`; the first is the
+/// Every engine corner as `(batched, shards)`; the first is the
 /// reference.
 const ENGINES: [(bool, usize); 4] = [(false, 1), (true, 1), (false, 2), (true, 2)];
 
-fn opts(shards: usize) -> ParallelOpts {
-    match shards {
-        1 => ParallelOpts::new(1),
-        n => ParallelOpts::new(n).batched(8),
+fn opts(batched: bool, shards: usize) -> ParallelOpts {
+    match batched {
+        false => ParallelOpts::new(shards),
+        true => ParallelOpts::new(shards).batched(8),
     }
 }
 
 fn script(
     graph: &RouterGraph,
     swapped: &RouterGraph,
-    compiled: bool,
+    batched: bool,
     shards: usize,
 ) -> (Vec<Vec<u8>>, Vec<Stats>) {
-    let mut e = engine::open(graph, compiled, opts(shards)).expect("engine opens");
+    let mut e = engine::open(graph, opts(batched, shards)).expect("engine opens");
     assert_eq!(e.device_names(), ["in0", "out0"]);
     let mut b = Books {
         offered: 0,
@@ -217,7 +217,7 @@ fn script(
     };
     drop(e);
     let ckpt = Checkpoint::decode(&ckpt.encode()).expect("wire round trip");
-    let (mut e, stats) = engine::restore(&ckpt, compiled, opts(shards)).expect("warm restart");
+    let (mut e, stats) = engine::restore(&ckpt, opts(batched, shards)).expect("warm restart");
     assert_eq!(stats.unmatched, 0);
     assert_eq!(stats.packets_restored, 64, "the pending window comes back");
     assert_eq!(e.total_drops(), ckpt.ledger.drops);
@@ -288,10 +288,10 @@ fn one_script_reads_the_same_on_all_four_engines() {
         ],
         "the counter counts every forwarded frame, across swaps and restore"
     );
-    for (compiled, shards) in ENGINES.into_iter().skip(1) {
-        let (frames, other) = script(&graph, &swapped, compiled, shards);
-        assert_eq!(frames, reference, "compiled={compiled} shards={shards}");
-        assert_eq!(other, stats, "compiled={compiled} shards={shards}");
+    for (batched, shards) in ENGINES.into_iter().skip(1) {
+        let (frames, other) = script(&graph, &swapped, batched, shards);
+        assert_eq!(frames, reference, "batched={batched} shards={shards}");
+        assert_eq!(other, stats, "batched={batched} shards={shards}");
     }
 }
 
@@ -302,8 +302,8 @@ fn a_missing_route_is_a_counted_drop_on_every_engine() {
          -> Queue -> ToDevice(out0);",
     )
     .unwrap();
-    for (compiled, shards) in ENGINES {
-        let mut e = engine::open(&graph, compiled, opts(shards)).expect("engine opens");
+    for (batched, shards) in ENGINES {
+        let mut e = engine::open(&graph, opts(batched, shards)).expect("engine opens");
         let in0 = e.device("in0").expect("in0");
         for dst in [0x0A00_0001, 0xC0A8_0001] {
             let p = build_udp_packet([1; 6], [2; 6], 0x0A00_0002, dst, 2000, 9, 18, 64);
@@ -316,7 +316,7 @@ fn a_missing_route_is_a_counted_drop_on_every_engine() {
         assert_eq!(
             (sent, e.total_drops()),
             (1, 1),
-            "compiled={compiled} shards={shards}: offered == tx + total_drops()"
+            "batched={batched} shards={shards}: offered == tx + total_drops()"
         );
     }
 }

@@ -1,12 +1,10 @@
 //! The central correctness property of the whole reproduction: every
 //! optimizer preserves router semantics. Each Figure-9 variant of the IP
-//! router must forward an identical packet set to byte-identical outputs,
-//! on whichever engine (dynamic or devirtualized) it targets.
+//! router must forward an identical packet set to byte-identical outputs.
 
 use click::core::registry::Library;
 use click::elements::ip_router::{test_packet, IpRouterSpec};
 use click::elements::packet::Packet;
-use click::elements::router::Slot;
 use click::elements::Router;
 use click_bench::ip_router_variants;
 
@@ -14,10 +12,10 @@ const N: usize = 4;
 
 /// The workload: cross-interface UDP, an ARP request for the router, and
 /// a TTL-expiring packet. Returns (per-output-device frames, discards).
-fn run_workload<S: Slot>(graph: &click::core::RouterGraph) -> (Vec<Vec<Vec<u8>>>, u64) {
+fn run_workload(graph: &click::core::RouterGraph) -> (Vec<Vec<Vec<u8>>>, u64) {
     let spec = IpRouterSpec::standard(N);
     let lib = Library::standard();
-    let mut router: Router<S> = Router::from_graph(graph, &lib).expect("router builds");
+    let mut router: Router = Router::from_graph(graph, &lib).expect("router builds");
     let mut inject = |dev: usize, p: Packet| {
         let id = router.devices.id(&format!("eth{dev}")).expect("device");
         router.devices.inject(id, p);
@@ -63,7 +61,7 @@ fn run_workload<S: Slot>(graph: &click::core::RouterGraph) -> (Vec<Vec<Vec<u8>>>
 fn every_variant_forwards_identically() {
     let variants = ip_router_variants(N).expect("variants build");
     let base = variants.iter().find(|v| v.name == "Base").unwrap();
-    let (reference, _) = run_workload::<Box<dyn click::elements::Element>>(&base.graph);
+    let (reference, _) = run_workload(&base.graph);
     // Sanity on the reference itself: 8 forwarded + 1 ICMP error.
     let forwarded: usize = reference.iter().map(Vec::len).sum();
     assert_eq!(forwarded, 9, "reference forwarded {forwarded}");
@@ -72,11 +70,7 @@ fn every_variant_forwards_identically() {
         if v.name == "Simple" || v.name == "Base" {
             continue; // Simple is a different topology
         }
-        let (outputs, _) = if v.graph.has_requirement("devirtualize") {
-            run_workload::<click::elements::fast::FastElement>(&v.graph)
-        } else {
-            run_workload::<Box<dyn click::elements::Element>>(&v.graph)
-        };
+        let (outputs, _) = run_workload(&v.graph);
         assert_eq!(outputs, reference, "variant {} diverges from Base", v.name);
     }
 }
@@ -84,21 +78,11 @@ fn every_variant_forwards_identically() {
 #[test]
 fn devirtualized_variants_also_run_on_dyn_engine() {
     // The generated `Class__DVn` names resolve to their base behavior in
-    // the dynamic factory too, so a devirtualized config is still portable.
+    // the element factory, so a devirtualized config is still portable.
     let variants = ip_router_variants(N).expect("variants build");
     let base = variants.iter().find(|v| v.name == "Base").unwrap();
     let all = variants.iter().find(|v| v.name == "All").unwrap();
-    let (reference, _) = run_workload::<Box<dyn click::elements::Element>>(&base.graph);
-    let (outputs, _) = run_workload::<Box<dyn click::elements::Element>>(&all.graph);
+    let (reference, _) = run_workload(&base.graph);
+    let (outputs, _) = run_workload(&all.graph);
     assert_eq!(outputs, reference);
-}
-
-#[test]
-fn dyn_and_compiled_engines_agree_on_base() {
-    let variants = ip_router_variants(N).expect("variants build");
-    let base = variants.iter().find(|v| v.name == "Base").unwrap();
-    let (a, da) = run_workload::<Box<dyn click::elements::Element>>(&base.graph);
-    let (b, db) = run_workload::<click::elements::fast::FastElement>(&base.graph);
-    assert_eq!(a, b);
-    assert_eq!(da, db);
 }

@@ -2,7 +2,8 @@
 //! observationally identical to the serial engine. The same input trace
 //! through `Router` and `ParallelRouter` (at 1, 2, and 4 shards) must
 //! produce identical per-class statistics and identical per-flow packet
-//! order, on both the dynamic and the compiled engine.
+//! order, for the unoptimized (Base) and the fully optimized (All)
+//! configuration.
 //!
 //! Cross-shard (total) output order is *not* compared — shards complete
 //! independently and the runtime only promises per-flow FIFO, the same
@@ -12,9 +13,8 @@ use click::core::RouterGraph;
 use click::elements::ip_router::{test_packet_flow, IpRouterSpec};
 use click::elements::packet::Packet;
 use click::elements::parallel::{ParallelOpts, ParallelRouter};
-use click::elements::router::Slot;
 use click::elements::steer::flow_key;
-use click::elements::Router;
+use click::elements::{Element, Router};
 use click_bench::ip_router_variants;
 
 const N: usize = 4;
@@ -72,10 +72,10 @@ fn flows_of(outputs: Vec<(usize, Vec<Packet>)>) -> Vec<((usize, u16), Vec<u8>)> 
     flows
 }
 
-fn run_serial<S: Slot>(graph: &RouterGraph, batched: bool) -> Observation {
+fn run_serial(graph: &RouterGraph, batched: bool) -> Observation {
     let spec = IpRouterSpec::standard(N);
     let lib = click::core::registry::Library::standard();
-    let mut router: Router<S> = Router::from_graph(graph, &lib).expect("router builds");
+    let mut router: Router = Router::from_graph(graph, &lib).expect("router builds");
     if batched {
         router.set_batching(true);
         router.set_batch_burst(8);
@@ -102,17 +102,14 @@ fn run_serial<S: Slot>(graph: &RouterGraph, batched: bool) -> Observation {
     }
 }
 
-fn run_parallel<S: Slot + 'static>(
-    graph: &RouterGraph,
-    shards: usize,
-    batched: bool,
-) -> Observation {
+fn run_parallel(graph: &RouterGraph, shards: usize, batched: bool) -> Observation {
     let spec = IpRouterSpec::standard(N);
     let mut opts = ParallelOpts::new(shards);
     if batched {
         opts = opts.batched(8);
     }
-    let mut router = ParallelRouter::from_graph::<S>(graph, opts).expect("parallel router builds");
+    let mut router = ParallelRouter::from_graph::<Box<dyn Element>>(graph, opts)
+        .expect("parallel router builds");
     for (src, p) in trace(&spec) {
         let id = router.device_id(&format!("eth{src}")).expect("device");
         router.inject(id, p);
@@ -135,8 +132,8 @@ fn run_parallel<S: Slot + 'static>(
     }
 }
 
-fn check_engine<S: Slot + 'static>(graph: &RouterGraph, batched: bool) {
-    let reference = run_serial::<S>(graph, batched);
+fn check_engine(graph: &RouterGraph, batched: bool) {
+    let reference = run_serial(graph, batched);
     // Sanity: every packet of every flow was forwarded, in order.
     assert_eq!(reference.flows.len(), usize::from(FLOWS));
     for ((_, sport), seqs) in &reference.flows {
@@ -147,7 +144,7 @@ fn check_engine<S: Slot + 'static>(graph: &RouterGraph, batched: bool) {
         );
     }
     for shards in [1usize, 2, 4] {
-        let got = run_parallel::<S>(graph, shards, batched);
+        let got = run_parallel(graph, shards, batched);
         assert_eq!(
             got, reference,
             "{shards}-shard runtime diverges from serial (batched={batched})"
@@ -155,32 +152,23 @@ fn check_engine<S: Slot + 'static>(graph: &RouterGraph, batched: bool) {
     }
 }
 
+/// [`check_engine`] on the Base and the All configuration.
+fn check_base_and_all(batched: bool) {
+    let variants = ip_router_variants(N).expect("variants build");
+    for name in ["Base", "All"] {
+        let graph = &variants.iter().find(|v| v.name == name).unwrap().graph;
+        check_engine(graph, batched);
+    }
+}
+
 #[test]
 fn dyn_engine_parallel_matches_serial() {
-    let variants = ip_router_variants(N).expect("variants build");
-    let base = &variants.iter().find(|v| v.name == "Base").unwrap().graph;
-    check_engine::<Box<dyn click::elements::Element>>(base, false);
+    check_base_and_all(false);
 }
 
 #[test]
 fn dyn_engine_parallel_matches_serial_batched() {
-    let variants = ip_router_variants(N).expect("variants build");
-    let base = &variants.iter().find(|v| v.name == "Base").unwrap().graph;
-    check_engine::<Box<dyn click::elements::Element>>(base, true);
-}
-
-#[test]
-fn compiled_engine_parallel_matches_serial() {
-    let variants = ip_router_variants(N).expect("variants build");
-    let all = &variants.iter().find(|v| v.name == "All").unwrap().graph;
-    check_engine::<click::elements::fast::FastElement>(all, false);
-}
-
-#[test]
-fn compiled_engine_parallel_matches_serial_batched() {
-    let variants = ip_router_variants(N).expect("variants build");
-    let all = &variants.iter().find(|v| v.name == "All").unwrap().graph;
-    check_engine::<click::elements::fast::FastElement>(all, true);
+    check_base_and_all(true);
 }
 
 #[test]
@@ -191,7 +179,7 @@ fn parallel_and_serial_agree_across_optimization_levels() {
     let variants = ip_router_variants(N).expect("variants build");
     let base = &variants.iter().find(|v| v.name == "Base").unwrap().graph;
     let all = &variants.iter().find(|v| v.name == "All").unwrap().graph;
-    let reference = run_serial::<Box<dyn click::elements::Element>>(base, false);
-    let got = run_parallel::<click::elements::fast::FastElement>(all, 4, true);
+    let reference = run_serial(base, false);
+    let got = run_parallel(all, 4, true);
     assert_eq!(got, reference);
 }

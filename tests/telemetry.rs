@@ -25,7 +25,6 @@ use click::elements::engine::{self, Engine};
 use click::elements::ip_router::{test_packet_flow, IpRouterSpec};
 use click::elements::packet::Packet;
 use click::elements::parallel::{ParallelOpts, ParallelRouter};
-use click::elements::router::Slot;
 use click::elements::steer::flow_key;
 use click::elements::telemetry::{
     CheckpointGauges, DeviceGauges, ElementProfile, FaultGauges, GaugeSet, ReoptGauges,
@@ -99,9 +98,9 @@ fn flows_of(outputs: Vec<(usize, Vec<Packet>)>) -> Vec<((usize, u16), Vec<u8>)> 
 
 /// Runs the trace on the serial engine, telemetry armed or not; returns
 /// the forwarding outcome and the telemetry profiles.
-fn run_serial<S: Slot>(graph: &RouterGraph, armed: bool) -> (Outcome, Vec<ElementProfile>) {
+fn run_serial(graph: &RouterGraph, armed: bool) -> (Outcome, Vec<ElementProfile>) {
     let spec = IpRouterSpec::standard(N);
-    let mut router: Router<S> =
+    let mut router: Router =
         Router::from_graph(graph, &Library::standard()).expect("router builds");
     router.set_telemetry(armed);
     for (src, p) in trace(&spec) {
@@ -166,7 +165,7 @@ fn assert_all_zero(profiles: &[ElementProfile]) {
 /// switch changes what the router reports, never what it does.
 #[test]
 fn forwarding_outcome_is_switch_independent() {
-    let (outcome, off) = run_serial::<Box<dyn Element>>(&base_graph(), false);
+    let (outcome, off) = run_serial(&base_graph(), false);
     for (stat, v) in &outcome.class_stats {
         assert_eq!(*v, 0, "{stat} must be zero on the clean trace");
     }
@@ -180,7 +179,7 @@ fn forwarding_outcome_is_switch_independent() {
     }
     assert_all_zero(&off);
 
-    let (armed, on) = run_serial::<Box<dyn Element>>(&base_graph(), true);
+    let (armed, on) = run_serial(&base_graph(), true);
     assert_eq!(armed, outcome, "arming telemetry changed forwarding");
     assert!(
         on.iter().any(|p| p.packets > 0),
@@ -214,7 +213,7 @@ fn profiles_read_zero_when_disabled() {
     };
     for shards in [1, 2] {
         let mut engine =
-            engine::open(&base_graph(), false, ParallelOpts::new(shards)).expect("engine builds");
+            engine::open(&base_graph(), ParallelOpts::new(shards)).expect("engine builds");
         let injected = feed(&mut *engine, &spec);
         assert_all_zero(&engine.profiles());
 
@@ -244,7 +243,7 @@ fn profiles_read_zero_when_disabled() {
 fn counters_match_observed_statistics() {
     let spec = IpRouterSpec::standard(N);
     let injected = injected_per_device(&spec);
-    let (outcome, profiles) = run_serial::<Box<dyn Element>>(&base_graph(), true);
+    let (outcome, profiles) = run_serial(&base_graph(), true);
 
     // Each interface's Classifier sees exactly the packets injected on
     // that interface, and the trace is pure IP: every packet leaves on
@@ -290,7 +289,7 @@ fn counters_match_observed_statistics() {
 fn four_shard_merge_matches_serial() {
     let graph = base_graph();
     let spec = IpRouterSpec::standard(N);
-    let (_, serial) = run_serial::<Box<dyn Element>>(&graph, true);
+    let (_, serial) = run_serial(&graph, true);
 
     let mut router = ParallelRouter::from_graph::<Box<dyn Element>>(&graph, ParallelOpts::new(4))
         .expect("parallel router builds");
@@ -404,8 +403,8 @@ fn click_profile_round_trip_preserves_classification() {
         }
     }
 
-    let (before, _) = run_serial::<Box<dyn Element>>(&base, false);
-    let (after, _) = run_serial::<Box<dyn Element>>(&profiled, false);
+    let (before, _) = run_serial(&base, false);
+    let (after, _) = run_serial(&profiled, false);
     assert_eq!(after, before, "reordering changed observable forwarding");
 }
 
