@@ -6,6 +6,12 @@
 //! (downstream initiates) transfer. Simpler elements implement only
 //! [`Element::simple_action`], the sugar the paper's footnote 1 mentions;
 //! the default `push`/`pull` adapt it to either discipline.
+//!
+//! *Tasks* (paper §3: "polling device drivers and a constantly-active
+//! kernel thread") only move packets between devices and the graph: each
+//! [`Element::run_task`] has one body, which moves up to a burst through
+//! the [`TaskContext`]'s batch calls. Whether the graph then sees one
+//! packet per hop or the whole burst is the engine's transfer mode.
 
 use crate::batch::{BatchEmitter, PacketBatch};
 use crate::packet::Packet;
@@ -71,67 +77,31 @@ pub trait PullContext {
     fn ninputs(&self) -> usize;
 }
 
-/// What a scheduled task can do: pull inputs, push outputs, and talk to
-/// devices.
+/// What a scheduled task can do: move bursts between devices and the
+/// graph.
 ///
-/// The batch methods have scalar-loop defaults, so custom task contexts
-/// (tests, harnesses) keep working; the router's context overrides them
-/// to run the batched engine when batch mode is on.
+/// A task asks for at most [`burst`](TaskContext::burst) packets per
+/// quantum and hands them on as one [`PacketBatch`]; whether a hop then
+/// carries the burst or one packet at a time is the context's choice, not
+/// the task's. The router's context runs the per-packet loop
+/// (`Element::push`/`pull`, one packet per hop) or the batched one
+/// (`push_batch`/`pull_batch`) as
+/// [`Router::set_batching`](crate::router::Router::set_batching) says.
 pub trait TaskContext {
-    /// Pulls a packet from the element's input `port`.
-    fn pull(&mut self, port: usize) -> Option<Packet>;
-    /// Pushes `p` out of the element's output `port`, running the
-    /// downstream push chain.
-    fn emit(&mut self, port: usize, p: Packet);
-    /// Pops a received packet from a device's RX queue.
-    fn rx_pop(&mut self, dev: DeviceId) -> Option<Packet>;
-    /// Appends a packet to a device's TX queue.
-    fn tx_push(&mut self, dev: DeviceId, p: Packet);
-
-    /// True if the scheduler wants tasks to move batches instead of
-    /// single packets.
-    fn batching(&self) -> bool {
-        false
-    }
-    /// Packets a task should move per quantum in batch mode.
-    fn burst(&self) -> usize {
-        crate::elements::device::BURST
-    }
+    /// Most packets a task should move per quantum.
+    fn burst(&self) -> usize;
     /// Drains up to `max` received packets from a device RX queue into
     /// `into`; returns how many were moved.
-    fn rx_pop_batch(&mut self, dev: DeviceId, max: usize, into: &mut PacketBatch) -> usize {
-        let mut n = 0;
-        while n < max {
-            let Some(p) = self.rx_pop(dev) else { break };
-            into.push(p);
-            n += 1;
-        }
-        n
-    }
-    /// Pushes a whole batch out of output `port`, running the downstream
-    /// push chain once per hop rather than once per packet.
-    fn emit_batch(&mut self, port: usize, batch: &mut PacketBatch) {
-        for p in batch.drain() {
-            self.emit(port, p);
-        }
-    }
+    fn rx_pop_batch(&mut self, dev: DeviceId, max: usize, into: &mut PacketBatch) -> usize;
+    /// Pushes every packet of `batch` out of output `port`, running the
+    /// downstream push chain; `batch` is left empty.
+    fn emit_batch(&mut self, port: usize, batch: &mut PacketBatch);
     /// Pulls up to `max` packets from input `port` into `into`; returns
     /// how many arrived.
-    fn pull_batch(&mut self, port: usize, max: usize, into: &mut PacketBatch) -> usize {
-        let mut n = 0;
-        while n < max {
-            let Some(p) = self.pull(port) else { break };
-            into.push(p);
-            n += 1;
-        }
-        n
-    }
-    /// Appends a whole batch to a device TX queue.
-    fn tx_push_batch(&mut self, dev: DeviceId, batch: &mut PacketBatch) {
-        for p in batch.drain() {
-            self.tx_push(dev, p);
-        }
-    }
+    fn pull_batch(&mut self, port: usize, max: usize, into: &mut PacketBatch) -> usize;
+    /// Appends every packet of `batch` to a device TX queue; `batch` is
+    /// left empty.
+    fn tx_push_batch(&mut self, dev: DeviceId, batch: &mut PacketBatch);
 }
 
 /// A packet-processing element.

@@ -558,12 +558,13 @@ impl Element for Null {
 }
 
 /// `InfiniteSource(limit [, length])`: a task that pushes up to `limit`
-/// synthetic packets (per-`run_task` burst of 8).
+/// synthetic packets, a burst per `run_task`.
 #[derive(Debug)]
 pub struct InfiniteSource {
     limit: u64,
     emitted: u64,
     length: usize,
+    scratch: PacketBatch,
 }
 
 impl InfiniteSource {
@@ -585,6 +586,7 @@ impl InfiniteSource {
             limit,
             emitted: 0,
             length,
+            scratch: PacketBatch::new(),
         })
     }
 }
@@ -597,12 +599,14 @@ impl Element for InfiniteSource {
         true
     }
     fn run_task(&mut self, ctx: &mut dyn TaskContext) -> usize {
-        let mut moved = 0;
-        while moved < 8 && self.emitted < self.limit {
-            self.emitted += 1;
-            moved += 1;
-            ctx.emit(0, Packet::new(self.length));
+        let moved = (self.limit - self.emitted).min(ctx.burst() as u64) as usize;
+        if moved == 0 {
+            return 0;
         }
+        self.scratch
+            .extend((0..moved).map(|_| Packet::new(self.length)));
+        self.emitted += moved as u64;
+        ctx.emit_batch(0, &mut self.scratch);
         moved
     }
     fn stat(&self, name: &str) -> Option<u64> {
@@ -720,16 +724,24 @@ mod tests {
     fn infinite_source_respects_limit() {
         struct Sink(Vec<Packet>);
         impl TaskContext for Sink {
-            fn pull(&mut self, _p: usize) -> Option<Packet> {
-                None
+            fn burst(&self) -> usize {
+                8
             }
-            fn emit(&mut self, _port: usize, p: Packet) {
-                self.0.push(p);
+            fn rx_pop_batch(
+                &mut self,
+                _d: crate::element::DeviceId,
+                _max: usize,
+                _into: &mut PacketBatch,
+            ) -> usize {
+                0
             }
-            fn rx_pop(&mut self, _d: crate::element::DeviceId) -> Option<Packet> {
-                None
+            fn emit_batch(&mut self, _port: usize, batch: &mut PacketBatch) {
+                self.0.extend(batch.drain());
             }
-            fn tx_push(&mut self, _d: crate::element::DeviceId, _p: Packet) {}
+            fn pull_batch(&mut self, _port: usize, _max: usize, _into: &mut PacketBatch) -> usize {
+                0
+            }
+            fn tx_push_batch(&mut self, _d: crate::element::DeviceId, _batch: &mut PacketBatch) {}
         }
         let mut src = InfiniteSource::from_config("10, 60", &mut ctx()).unwrap();
         assert!(src.is_task());

@@ -24,7 +24,9 @@ use crate::element::{args, config_err, CreateCtx, DeviceId, Element, TaskContext
 use crate::headers::ether;
 use click_core::error::Result;
 
-/// Packets moved per task invocation, matching Click's device burst.
+/// Packets a task moves per invocation on the per-packet engine, matching
+/// Click's device burst (the batched engine's is
+/// [`Router::set_batch_burst`](crate::router::Router::set_batch_burst)).
 pub const BURST: usize = 8;
 
 /// Device id as a packet annotation, saturating instead of silently
@@ -81,36 +83,18 @@ impl Element for FromDevice {
         true
     }
     fn run_task(&mut self, ctx: &mut dyn TaskContext) -> usize {
-        if ctx.batching() {
-            // Batch mode: drain the device ring in one coalesced batch and
-            // hand it to the batched push chain as a single hop.
-            let moved = ctx.rx_pop_batch(self.dev, ctx.burst(), &mut self.scratch);
-            if moved == 0 {
-                return 0;
-            }
-            for p in self.scratch.iter_mut() {
-                p.anno.device = Some(dev_anno(self.dev));
-                if p.len() >= ether::HLEN {
-                    p.anno.link_broadcast = ether::dst(p.data()) == ether::BROADCAST;
-                }
-            }
-            self.count += moved as u64;
-            ctx.emit_batch(0, &mut self.scratch);
-            return moved;
+        let moved = ctx.rx_pop_batch(self.dev, ctx.burst(), &mut self.scratch);
+        if moved == 0 {
+            return 0;
         }
-        let mut moved = 0;
-        while moved < BURST {
-            let Some(mut p) = ctx.rx_pop(self.dev) else {
-                break;
-            };
+        for p in self.scratch.iter_mut() {
             p.anno.device = Some(dev_anno(self.dev));
             if p.len() >= ether::HLEN {
                 p.anno.link_broadcast = ether::dst(p.data()) == ether::BROADCAST;
             }
-            self.count += 1;
-            moved += 1;
-            ctx.emit(0, p);
         }
+        self.count += moved as u64;
+        ctx.emit_batch(0, &mut self.scratch);
         moved
     }
     fn stat(&self, name: &str) -> Option<u64> {
@@ -155,24 +139,12 @@ impl Element for ToDevice {
         true
     }
     fn run_task(&mut self, ctx: &mut dyn TaskContext) -> usize {
-        if ctx.batching() {
-            // Batch mode: drain the upstream queue through one batched
-            // pull, then append to the TX ring in one pass.
-            let moved = ctx.pull_batch(0, ctx.burst(), &mut self.scratch);
-            if moved == 0 {
-                return 0;
-            }
-            self.count += moved as u64;
-            ctx.tx_push_batch(self.dev, &mut self.scratch);
-            return moved;
+        let moved = ctx.pull_batch(0, ctx.burst(), &mut self.scratch);
+        if moved == 0 {
+            return 0;
         }
-        let mut moved = 0;
-        while moved < BURST {
-            let Some(p) = ctx.pull(0) else { break };
-            self.count += 1;
-            moved += 1;
-            ctx.tx_push(self.dev, p);
-        }
+        self.count += moved as u64;
+        ctx.tx_push_batch(self.dev, &mut self.scratch);
         moved
     }
     fn stat(&self, name: &str) -> Option<u64> {
@@ -204,22 +176,12 @@ impl Element for RouterLink {
         true
     }
     fn run_task(&mut self, ctx: &mut dyn TaskContext) -> usize {
-        if ctx.batching() {
-            let moved = ctx.pull_batch(0, ctx.burst(), &mut self.scratch);
-            if moved == 0 {
-                return 0;
-            }
-            self.count += moved as u64;
-            ctx.emit_batch(0, &mut self.scratch);
-            return moved;
+        let moved = ctx.pull_batch(0, ctx.burst(), &mut self.scratch);
+        if moved == 0 {
+            return 0;
         }
-        let mut moved = 0;
-        while moved < BURST {
-            let Some(p) = ctx.pull(0) else { break };
-            self.count += 1;
-            moved += 1;
-            ctx.emit(0, p);
-        }
+        self.count += moved as u64;
+        ctx.emit_batch(0, &mut self.scratch);
         moved
     }
     fn stat(&self, name: &str) -> Option<u64> {
@@ -241,17 +203,24 @@ mod tests {
     }
 
     impl TaskContext for FakeIo {
-        fn pull(&mut self, _port: usize) -> Option<Packet> {
-            self.pullable.pop_front()
+        fn burst(&self) -> usize {
+            BURST
         }
-        fn emit(&mut self, port: usize, p: Packet) {
-            self.emitted.push((port, p));
+        fn rx_pop_batch(&mut self, _dev: DeviceId, max: usize, into: &mut PacketBatch) -> usize {
+            let n = max.min(self.rx.len());
+            into.extend(self.rx.drain(..n));
+            n
         }
-        fn rx_pop(&mut self, _dev: DeviceId) -> Option<Packet> {
-            self.rx.pop_front()
+        fn emit_batch(&mut self, port: usize, batch: &mut PacketBatch) {
+            self.emitted.extend(batch.drain().map(|p| (port, p)));
         }
-        fn tx_push(&mut self, _dev: DeviceId, p: Packet) {
-            self.tx.push(p);
+        fn pull_batch(&mut self, _port: usize, max: usize, into: &mut PacketBatch) -> usize {
+            let n = max.min(self.pullable.len());
+            into.extend(self.pullable.drain(..n));
+            n
+        }
+        fn tx_push_batch(&mut self, _dev: DeviceId, batch: &mut PacketBatch) {
+            self.tx.extend(batch.drain());
         }
     }
 

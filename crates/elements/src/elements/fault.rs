@@ -9,7 +9,9 @@
 //! FromDevice(in0) -> FaultInject(DROP 0.01, CORRUPT 0.001, SEED 7) -> ...
 //! ```
 //!
-//! Keyword clauses (all optional, any order, comma-separated):
+//! Keyword clauses (all optional, any order, separated by commas and/or
+//! whitespace; the device-level [`crate::iodev::FaultInjectBackend`]
+//! reads the same syntax with its own keys):
 //!
 //! * `DROP p` — drop a packet with probability `p` (buffer recycled).
 //! * `CORRUPT p` — flip one LCG-chosen byte with probability `p`.
@@ -35,7 +37,7 @@
 //!   arming the faults (lets a chaos test kill a shard mid-stream at a
 //!   deterministic point).
 
-use crate::element::{args, config_err, int_arg, CreateCtx, Element, Emitter};
+use crate::element::{config_err, int_arg, CreateCtx, Element, Emitter};
 use crate::packet::Packet;
 use crate::swap::ElementState;
 use click_core::error::Result;
@@ -44,7 +46,32 @@ use std::collections::VecDeque;
 
 /// Probability scale: thresholds live in a 32-bit fixed-point space so a
 /// fault fires when a fresh 32-bit LCG draw falls below the threshold.
-const PROB_ONE: u64 = 1 << 32;
+/// Shared with the device-level shim, [`crate::iodev::FaultInjectBackend`].
+pub(crate) const PROB_ONE: u64 = 1 << 32;
+
+/// The fault clause tokenizer both shims share: clauses are `KEY value`,
+/// separated by commas, whitespace or both (`DROP 0.1, DUP 0.2`,
+/// `DROP 0.1 DUP 0.2` and `DROP 0.1,DUP 0.2` are one language). A key
+/// with no value left comes back with `None`.
+pub(crate) fn clauses(text: &str) -> impl Iterator<Item = (&str, Option<&str>)> {
+    let mut words = text
+        .split(|c: char| c == ',' || c.is_whitespace())
+        .filter(|w| !w.is_empty());
+    std::iter::from_fn(move || {
+        let key = words.next()?;
+        Some((key, words.next()))
+    })
+}
+
+/// Parses a probability in `[0, 1]` into its fixed-point threshold; the
+/// error names what was wrong, for the caller to wrap.
+pub(crate) fn prob(s: &str) -> std::result::Result<u64, String> {
+    let p: f64 = s.parse().map_err(|_| format!("bad probability `{s}`"))?;
+    if !(0.0..=1.0).contains(&p) {
+        return Err(format!("probability `{s}` not in [0, 1]"));
+    }
+    Ok((p * PROB_ONE as f64) as u64)
+}
 
 /// The chaos-injection element. See the module docs for the clause
 /// language.
@@ -68,19 +95,8 @@ pub struct FaultInject {
     duplicated: u64,
 }
 
-/// Parses a probability clause value into the fixed-point threshold.
-fn prob_arg(what: &str, s: &str) -> Result<u64> {
-    let p: f64 = s
-        .trim()
-        .parse()
-        .map_err(|_| config_err("FaultInject", format!("bad {what} probability {s:?}")))?;
-    if !(0.0..=1.0).contains(&p) {
-        return Err(config_err(
-            "FaultInject",
-            format!("{what} probability {p} outside [0, 1]"),
-        ));
-    }
-    Ok((p * PROB_ONE as f64) as u64)
+fn prob_arg(key: &str, value: &str) -> Result<u64> {
+    prob(value).map_err(|e| config_err("FaultInject", format!("{key}: {e}")))
 }
 
 impl FaultInject {
@@ -102,14 +118,9 @@ impl FaultInject {
             corrupted: 0,
             duplicated: 0,
         };
-        for clause in args(config) {
-            let clause = clause.trim();
-            if clause.is_empty() {
-                continue;
-            }
-            let (key, value) = clause
-                .split_once(char::is_whitespace)
-                .ok_or_else(|| config_err("FaultInject", format!("bare clause {clause:?}")))?;
+        for (key, value) in clauses(config) {
+            let value =
+                value.ok_or_else(|| config_err("FaultInject", format!("bare clause {key:?}")))?;
             match key.to_ascii_uppercase().as_str() {
                 "DROP" => e.drop_t = prob_arg("DROP", value)?,
                 "CORRUPT" => e.corrupt_t = prob_arg("CORRUPT", value)?,
@@ -332,6 +343,25 @@ mod tests {
     fn panic_clause_panics() {
         let mut e = FaultInject::from_config("PANIC 1", &mut CreateCtx::new()).unwrap();
         push_n(&mut e, 1);
+    }
+
+    #[test]
+    fn both_shims_read_commas_and_spaces_alike() {
+        use crate::iodev::{FaultInjectBackend, MemBackend};
+        let element = |text| {
+            let e = FaultInject::from_config(text, &mut CreateCtx::new()).unwrap();
+            format!("{e:?}")
+        };
+        for text in ["DROP 0.1 DUP 0.2", "DROP 0.1,DUP 0.2"] {
+            assert_eq!(element(text), element("DROP 0.1, DUP 0.2"), "{text:?}");
+        }
+        let backend = |text| {
+            let fb = FaultInjectBackend::parse(text, Box::new(MemBackend::echo())).unwrap();
+            format!("{fb:?}")
+        };
+        for text in ["DROP 0.1,EAGAIN 0.2", "DROP 0.1, EAGAIN 0.2"] {
+            assert_eq!(backend(text), backend("DROP 0.1 EAGAIN 0.2"), "{text:?}");
+        }
     }
 
     #[test]

@@ -229,8 +229,12 @@ impl IPGWOptions {
         Ok(IPGWOptions::default())
     }
 
-    /// Returns false if the options area is malformed.
+    /// Returns false if the options area is malformed, or if the frame is
+    /// too short to carry the IHL byte at all.
     pub fn options_ok(data: &[u8]) -> bool {
+        if data.is_empty() {
+            return false;
+        }
         let hlen = ipv4::header_len(data);
         if hlen <= ipv4::HLEN {
             return true; // no options

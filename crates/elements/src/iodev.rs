@@ -26,6 +26,7 @@
 //! Click configuration selects real I/O with no new syntax; scheme-less
 //! device names keep the simulated in-memory behavior.
 
+use crate::elements::fault;
 use crate::packet::{Packet, TxFrame};
 use crate::telemetry::DeviceGauges;
 use click_core::error::{Error, Result};
@@ -1753,15 +1754,12 @@ impl DeviceBackend for RawSocketBackend {
 // FaultInjectBackend: deterministic chaos without real NICs
 // ---------------------------------------------------------------------------
 
-/// Fixed-point probability denominator (matches the `FaultInject`
-/// element).
-const PROB_ONE: u64 = 1 << 32;
-
 /// A deterministic fault shim wrapped around any inner backend: the
 /// device-level sibling of the `FaultInject` element, so chaos tests and
 /// CI exercise every supervision transition without real hardware.
 ///
-/// Clause language (the `fault:CLAUSES@INNER` scheme):
+/// Clause language (the `fault:CLAUSES@INNER` scheme), tokenized as the
+/// element's: `KEY value` clauses separated by commas and/or whitespace.
 ///
 /// | clause | effect |
 /// |---|---|
@@ -1793,10 +1791,10 @@ pub struct FaultInjectBackend {
 }
 
 impl FaultInjectBackend {
-    /// A transparent shim (no faults) over `inner`; configure with the
-    /// builder methods.
-    pub fn new(inner: Box<dyn DeviceBackend>) -> FaultInjectBackend {
-        FaultInjectBackend {
+    /// Parses the clause language; an empty string is a transparent shim
+    /// (no faults) over `inner`.
+    pub fn parse(clauses: &str, inner: Box<dyn DeviceBackend>) -> Result<FaultInjectBackend> {
+        let mut fb = FaultInjectBackend {
             inner,
             drop_p: 0,
             trunc_p: 0,
@@ -1811,32 +1809,15 @@ impl FaultInjectBackend {
             down: false,
             wedged: false,
             lcg: Lcg::with_increment(1, 1),
-        }
-    }
-
-    /// Parses the clause language.
-    pub fn parse(clauses: &str, inner: Box<dyn DeviceBackend>) -> Result<FaultInjectBackend> {
-        let mut fb = FaultInjectBackend::new(inner);
-        let mut rest = clauses.trim();
-        while !rest.is_empty() {
-            let (key, after) = match rest.split_once(char::is_whitespace) {
-                Some((k, a)) => (k, a.trim_start()),
-                None => (rest, ""),
-            };
-            let (val, after) = match after.split_once(char::is_whitespace) {
-                Some((v, a)) => (v, a.trim_start()),
-                None => (after, ""),
-            };
-            // Tolerate the element clause language's comma separators
-            // (`DOWN-AFTER 500, DOWN-FOR 2`).
-            let val = val.trim_end_matches(',');
-            if val.is_empty() {
+        };
+        for (key, val) in fault::clauses(clauses) {
+            let Some(val) = val else {
                 return Err(Error::runtime(format!(
                     "fault clause `{key}` is missing its value"
                 )));
-            }
-            let key_up = key.to_ascii_uppercase();
-            match key_up.as_str() {
+            };
+            let prob = |v: &str| fault::prob(v).map_err(Error::runtime);
+            match key.to_ascii_uppercase().as_str() {
                 "DROP" => fb.drop_p = prob(val)?,
                 "TRUNCATE" => fb.trunc_p = prob(val)?,
                 "EAGAIN" => fb.eagain_p = prob(val)?,
@@ -1852,50 +1833,8 @@ impl FaultInjectBackend {
                     )))
                 }
             }
-            rest = after;
         }
         Ok(fb)
-    }
-
-    /// Builder: go `Down` after `n` operations.
-    pub fn down_after(mut self, n: u64) -> Self {
-        self.down_after = Some(n);
-        self
-    }
-    /// Builder: refuse the first `n` re-open attempts.
-    pub fn down_for(mut self, n: u32) -> Self {
-        self.down_for = n;
-        self
-    }
-    /// Builder: `WouldBlock` probability.
-    pub fn eagain(mut self, p: f64) -> Self {
-        self.eagain_p = (p.clamp(0.0, 1.0) * PROB_ONE as f64) as u64;
-        self
-    }
-    /// Builder: EAGAIN storm length.
-    pub fn storm(mut self, n: u32) -> Self {
-        self.storm = n.max(1);
-        self
-    }
-    /// Builder: silent-drop probability.
-    pub fn drop_prob(mut self, p: f64) -> Self {
-        self.drop_p = (p.clamp(0.0, 1.0) * PROB_ONE as f64) as u64;
-        self
-    }
-    /// Builder: truncation probability.
-    pub fn truncate_prob(mut self, p: f64) -> Self {
-        self.trunc_p = (p.clamp(0.0, 1.0) * PROB_ONE as f64) as u64;
-        self
-    }
-    /// Builder: wedge TX after `n` operations.
-    pub fn wedge_after(mut self, n: u64) -> Self {
-        self.wedge_after = Some(n);
-        self
-    }
-    /// Builder: LCG seed.
-    pub fn seed(mut self, s: u64) -> Self {
-        self.lcg = Lcg::with_increment(s, 1);
-        self
     }
 
     fn roll(&mut self, p: u64) -> bool {
@@ -1927,16 +1866,6 @@ impl FaultInjectBackend {
         }
         None
     }
-}
-
-fn prob(s: &str) -> Result<u64> {
-    let v: f64 = s
-        .parse()
-        .map_err(|_| Error::runtime(format!("bad probability `{s}`")))?;
-    if !(0.0..=1.0).contains(&v) {
-        return Err(Error::runtime(format!("probability `{s}` not in [0, 1]")));
-    }
-    Ok((v * PROB_ONE as f64) as u64)
 }
 
 fn int(s: &str) -> Result<u64> {
@@ -2230,7 +2159,7 @@ mod tests {
             inner,
         )
         .unwrap();
-        assert_eq!(fb.drop_p, (0.25 * PROB_ONE as f64) as u64);
+        assert_eq!(fb.drop_p, (0.25 * fault::PROB_ONE as f64) as u64);
         assert_eq!(fb.storm, 4);
         assert_eq!(fb.down_after, Some(100));
         assert_eq!(fb.down_for, 2);
@@ -2244,9 +2173,7 @@ mod tests {
     #[test]
     fn fault_down_after_and_recovery() {
         let (inner, q) = MemBackend::with_handles();
-        let mut fb = FaultInjectBackend::new(Box::new(inner))
-            .down_after(3)
-            .down_for(2);
+        let mut fb = FaultInjectBackend::parse("DOWN-AFTER 3 DOWN-FOR 2", Box::new(inner)).unwrap();
         q.push_rx(&frame(0, 60));
         q.push_rx(&frame(1, 60));
         let p = fb.recv().unwrap().unwrap(); // op 1
@@ -2269,9 +2196,7 @@ mod tests {
     fn fault_eagain_storm_blocks_consecutively() {
         let (inner, q) = MemBackend::with_handles();
         q.push_rx(&frame(1, 60));
-        let mut fb = FaultInjectBackend::new(Box::new(inner))
-            .eagain(1.0)
-            .storm(3);
+        let mut fb = FaultInjectBackend::parse("EAGAIN 1 STORM 3", Box::new(inner)).unwrap();
         // Every op rolls EAGAIN; each roll starts a storm of 3.
         for _ in 0..3 {
             assert_eq!(fb.recv().unwrap_err(), IoFault::WouldBlock);
@@ -2283,9 +2208,7 @@ mod tests {
     #[test]
     fn supervised_flap_down_recover_cycle() {
         let (inner, q) = MemBackend::with_handles();
-        let fb = FaultInjectBackend::new(Box::new(inner))
-            .down_after(3)
-            .down_for(1);
+        let fb = FaultInjectBackend::parse("DOWN-AFTER 3 DOWN-FOR 1", Box::new(inner)).unwrap();
         let (retry, health) = fast_policies();
         let mut sup = SupervisedDevice::with_policies(Box::new(fb), retry, health);
         for i in 0..2 {
@@ -2319,9 +2242,7 @@ mod tests {
     #[test]
     fn supervised_send_blocks_then_loses_on_deadline() {
         let (inner, q) = MemBackend::with_handles();
-        let fb = FaultInjectBackend::new(Box::new(inner))
-            .eagain(1.0)
-            .storm(1000);
+        let fb = FaultInjectBackend::parse("EAGAIN 1 STORM 1000", Box::new(inner)).unwrap();
         let (retry, health) = fast_policies();
         let mut sup = SupervisedDevice::with_policies(Box::new(fb), retry, health);
         // TX can never succeed: the first sends come back Pending with
@@ -2349,9 +2270,7 @@ mod tests {
     fn supervised_abandons_after_reopen_budget() {
         let (inner, _q) = MemBackend::with_handles();
         // Refuse more reopens than the budget allows.
-        let fb = FaultInjectBackend::new(Box::new(inner))
-            .down_after(1)
-            .down_for(100);
+        let fb = FaultInjectBackend::parse("DOWN-AFTER 1 DOWN-FOR 100", Box::new(inner)).unwrap();
         let (retry, health) = fast_policies();
         let mut sup = SupervisedDevice::with_policies(Box::new(fb), retry, health);
         assert!(sup.recv().is_none()); // op 1: down

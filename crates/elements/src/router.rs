@@ -101,19 +101,24 @@ impl DeviceBank {
         }
     }
 
-    /// Pops a received packet (used by `FromDevice`).
+    /// Pops one received packet.
     pub fn rx_pop(&mut self, dev: DeviceId) -> Option<Packet> {
         self.rx.get_mut(dev.0)?.pop_front()
     }
 
-    /// Drains up to `max` received packets into `into` in one pass (used
-    /// by `FromDevice` in batch mode); returns how many were moved.
+    /// Pops up to `max` received packets into `into`, oldest first (used
+    /// by `FromDevice`); returns how many were moved. One pop at a time
+    /// keeps an idle poll and a one-packet burst as cheap as `rx_pop`.
     pub fn rx_pop_batch(&mut self, dev: DeviceId, max: usize, into: &mut PacketBatch) -> usize {
         let Some(q) = self.rx.get_mut(dev.0) else {
             return 0;
         };
-        let n = max.min(q.len());
-        into.extend(q.drain(..n));
+        let mut n = 0;
+        while n < max {
+            let Some(p) = q.pop_front() else { break };
+            into.push(p);
+            n += 1;
+        }
         n
     }
 
@@ -134,8 +139,8 @@ impl DeviceBank {
         }
     }
 
-    /// Appends a whole batch to a device's TX queue (used by `ToDevice`
-    /// in batch mode). The batch is drained but keeps its storage.
+    /// Appends a whole batch to a device's TX queue (used by `ToDevice`).
+    /// The batch is drained but keeps its storage.
     pub fn tx_push_batch(&mut self, dev: DeviceId, batch: &mut PacketBatch) {
         match self.tx.get_mut(dev.0) {
             Some(q) => q.extend(batch.drain()),
@@ -1015,9 +1020,10 @@ impl<S: Slot> Router<S> {
 
     /// Switches the execution engine between per-packet transfers (the
     /// paper's model) and batched transfers (VPP-style vector processing).
-    /// Task elements observe the flag through
-    /// [`TaskContext::batching`] and move [`PacketBatch`]es instead of
-    /// single packets when it is on.
+    /// Task elements never see the flag: they move a burst through the
+    /// router's [`TaskContext`], which sends it on one packet per hop
+    /// (`device::BURST` packets per quantum) or as one [`PacketBatch`]
+    /// per hop ([`batch_burst`](Router::batch_burst) packets per quantum).
     pub fn set_batching(&mut self, on: bool) {
         self.batching = on;
     }
@@ -1027,21 +1033,15 @@ impl<S: Slot> Router<S> {
         self.batching
     }
 
-    /// Sets how many packets device tasks move per scheduling quantum in
-    /// batch mode (defaults to the device `BURST`).
+    /// Sets how many packets tasks move per scheduling quantum in batch
+    /// mode (defaults to the device `BURST`).
     pub fn set_batch_burst(&mut self, burst: usize) {
         self.batch_burst = burst.max(1);
     }
 
-    /// Packets device tasks move per scheduling quantum in batch mode.
+    /// Packets tasks move per scheduling quantum in batch mode.
     pub fn batch_burst(&self) -> usize {
         self.batch_burst
-    }
-
-    /// Hands out empty batch storage from the engine's free list so task
-    /// elements can refill their scratch batch without allocating.
-    pub fn take_batch_storage(&mut self) -> PacketBatch {
-        self.batch_out.take_storage()
     }
 
     // ---- push path -----------------------------------------------------
@@ -1391,37 +1391,46 @@ struct RouterTaskCtx<'a, S: Slot> {
     elem: usize,
 }
 
+/// The one place a task's burst meets the transfer mode: per-packet,
+/// each packet takes its own trip through `push`/`pull`; batched, the
+/// burst moves as one batch per hop.
 impl<S: Slot> TaskContext for RouterTaskCtx<'_, S> {
-    fn pull(&mut self, port: usize) -> Option<Packet> {
-        self.router.pull_input_of(self.elem, port)
-    }
-    fn emit(&mut self, port: usize, p: Packet) {
-        self.router.push_from(self.elem, port, p)
-    }
-    fn rx_pop(&mut self, dev: DeviceId) -> Option<Packet> {
-        self.router.devices.rx_pop(dev)
-    }
-    fn tx_push(&mut self, dev: DeviceId, p: Packet) {
-        self.router.devices.tx_push(dev, p)
-    }
-    fn batching(&self) -> bool {
-        self.router.batching
-    }
     fn burst(&self) -> usize {
-        self.router.batch_burst
+        if self.router.batching {
+            self.router.batch_burst
+        } else {
+            crate::elements::device::BURST
+        }
     }
     fn rx_pop_batch(&mut self, dev: DeviceId, max: usize, into: &mut PacketBatch) -> usize {
         self.router.devices.rx_pop_batch(dev, max, into)
     }
     fn emit_batch(&mut self, port: usize, batch: &mut PacketBatch) {
-        let owned = std::mem::take(batch);
-        self.router.push_batch_from(self.elem, port, owned);
-        // Hand the task fresh storage from the engine free list so its
-        // scratch batch keeps a warmed-up capacity.
-        *batch = self.router.take_batch_storage();
+        if self.router.batching {
+            let owned = std::mem::take(batch);
+            self.router.push_batch_from(self.elem, port, owned);
+            // Hand the task fresh storage from the engine free list so its
+            // scratch batch keeps a warmed-up capacity.
+            *batch = self.router.batch_out.take_storage();
+        } else {
+            for p in batch.drain() {
+                self.router.push_from(self.elem, port, p);
+            }
+        }
     }
     fn pull_batch(&mut self, port: usize, max: usize, into: &mut PacketBatch) -> usize {
-        self.router.pull_batch_input_of(self.elem, port, max, into)
+        if self.router.batching {
+            return self.router.pull_batch_input_of(self.elem, port, max, into);
+        }
+        let mut n = 0;
+        while n < max {
+            let Some(p) = self.router.pull_input_of(self.elem, port) else {
+                break;
+            };
+            into.push(p);
+            n += 1;
+        }
+        n
     }
     fn tx_push_batch(&mut self, dev: DeviceId, batch: &mut PacketBatch) {
         self.router.devices.tx_push_batch(dev, batch)
@@ -1492,6 +1501,28 @@ mod tests {
         r.run_until_idle(100);
         assert_eq!(r.devices.tx_len(out0), 5);
         assert_eq!(r.stat("q", "drops"), Some(0));
+    }
+
+    #[test]
+    fn a_source_burst_is_one_batch_hop_in_batch_mode() {
+        // The task only moves a burst; the router sends it on as one batch
+        // per hop when batching, one packet per hop when not.
+        const N: u64 = 100;
+        for (batching, burst, calls) in [
+            (true, 16, N.div_ceil(16)),
+            (true, 64, N.div_ceil(64)),
+            (false, 64, N),
+        ] {
+            let mut r = dyn_router(&format!("InfiniteSource({N}) -> c :: Counter -> Discard;"));
+            r.set_batching(batching);
+            r.set_batch_burst(burst);
+            r.set_telemetry(true);
+            r.run_until_idle(1000);
+            let c = r.find("c").unwrap();
+            let profile = &r.telemetry_profiles()[c];
+            assert_eq!(profile.packets, N);
+            assert_eq!(profile.calls, calls, "batching {batching}, burst {burst}");
+        }
     }
 
     #[test]

@@ -30,9 +30,10 @@
 //! ```
 //!
 //! `--flap CLAUSES` wraps the trace in a
-//! [`click_elements::iodev::FaultInjectBackend`] (same clause language as
-//! the `FaultInject` element: `DOWN-AFTER n`, `EAGAIN p`, `STORM n`,
-//! `DROP p`, `TRUNCATE p`, `WEDGE-AFTER n`, `SEED n`), so a mid-trace
+//! [`click_elements::iodev::FaultInjectBackend`] (the `FaultInject`
+//! element's clause syntax, comma- and/or space-separated, with device
+//! keys: `DOWN-AFTER n`, `DOWN-FOR n`, `EAGAIN p`, `STORM n`, `DROP p`,
+//! `TRUNCATE p`, `WEDGE-AFTER n`, `SEED n`), so a mid-trace
 //! device flap — kill, storm, re-open — runs against the supervision
 //! layer with the ledger still required to balance. `--check` makes an
 //! unbalanced ledger a hard failure (exit 1), which is how CI asserts

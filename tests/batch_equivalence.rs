@@ -200,3 +200,66 @@ fn pool_serves_steady_state_allocations() {
         );
     }
 }
+
+/// Per-device output frames and every counter of a task-only graph:
+/// `InfiniteSource` pushes, `RouterLink` pulls one queue into another, and
+/// `ToDevice` drains to the wire, so each task kind's burst crosses the
+/// engine in the given mode.
+fn run_tasks(batch: Option<usize>) -> (Vec<Vec<Vec<u8>>>, Vec<Option<u64>>) {
+    let graph = click::core::lang::read_config(
+        "s0 :: InfiniteSource(203, 60) -> c0 :: Counter -> q0 :: Queue(1024) \
+           -> l0 :: RouterLink -> t :: Tee(2); \
+         t [0] -> qa :: Queue(1024) -> ta :: ToDevice(out0); \
+         t [1] -> Strip(14) -> c1 :: Counter -> qb :: Queue(1024) -> tb :: ToDevice(out1); \
+         s1 :: InfiniteSource(37, 90) -> q1 :: Queue(1024) -> l1 :: RouterLink \
+           -> c2 :: Counter -> qc :: Queue(1024) -> tc :: ToDevice(out2);",
+    )
+    .unwrap();
+    let mut router: Router = Router::from_graph(&graph, &Library::standard()).unwrap();
+    if let Some(b) = batch {
+        router.set_batching(true);
+        router.set_batch_burst(b);
+    }
+    router.run_until_idle(100_000);
+    let outputs = ["out0", "out1", "out2"]
+        .map(|d| {
+            let id = router.devices.id(d).unwrap();
+            let frames = router.devices.take_tx(id);
+            frames.iter().map(|p| p.data().to_vec()).collect()
+        })
+        .to_vec();
+    let stats = [
+        ("s0", "count"),
+        ("s1", "count"),
+        ("c0", "count"),
+        ("c1", "count"),
+        ("c2", "count"),
+        ("l0", "count"),
+        ("l1", "count"),
+        ("ta", "count"),
+        ("tb", "count"),
+        ("tc", "count"),
+        ("q0", "drops"),
+        ("qc", "drops"),
+    ]
+    .iter()
+    .map(|&(e, s)| router.stat(e, s))
+    .chain([Some(router.total_drops())])
+    .collect();
+    (outputs, stats)
+}
+
+#[test]
+fn source_and_link_tasks_match_across_modes() {
+    let (reference, ref_stats) = run_tasks(None);
+    assert_eq!(
+        reference.iter().map(Vec::len).collect::<Vec<_>>(),
+        [203, 203, 37]
+    );
+    assert_eq!(reference[1][0].len(), 46, "out1 carries the stripped copy");
+    for batch in [1usize, 8, 64] {
+        let (out, stats) = run_tasks(Some(batch));
+        assert_eq!(out, reference, "batched({batch}) outputs");
+        assert_eq!(stats, ref_stats, "batched({batch}) stats");
+    }
+}

@@ -148,9 +148,7 @@ fn tx_device_killed_mid_run_keeps_exact_ledger() {
     // outlives the 300 µs drain deadline, so some pending TX *must*
     // become counted loss before the device comes back.
     let (out_be, out_q) = MemBackend::with_handles();
-    let fault = FaultInjectBackend::new(Box::new(out_be))
-        .down_after(120)
-        .down_for(3);
+    let fault = FaultInjectBackend::parse("DOWN-AFTER 120, DOWN-FOR 3", Box::new(out_be)).unwrap();
     let (retry, health) = fast_policies(300, 16);
     attach_supervised(
         &mut *r,
@@ -202,10 +200,8 @@ fn eagain_storm_is_absorbed_without_loss() {
     // A bursty TX device: 25% of ops start a 4-op EAGAIN storm. With a
     // generous drain deadline every frame must still get through.
     let (out_be, out_q) = MemBackend::with_handles();
-    let fault = FaultInjectBackend::new(Box::new(out_be))
-        .eagain(0.25)
-        .storm(4)
-        .seed(9);
+    let fault =
+        FaultInjectBackend::parse("EAGAIN 0.25, STORM 4, SEED 9", Box::new(out_be)).unwrap();
     let (retry, health) = fast_policies(1_000_000, 8);
     attach_supervised(
         &mut *r,
@@ -236,9 +232,7 @@ fn rx_device_killed_mid_run_replugs_within_budget() {
     // supervision layer must re-plug it within the budget and finish the
     // trace with zero loss (the kill consumes no frame).
     let (in_be, in_q) = MemBackend::with_handles();
-    let fault = FaultInjectBackend::new(Box::new(in_be))
-        .down_after(150)
-        .down_for(2);
+    let fault = FaultInjectBackend::parse("DOWN-AFTER 150, DOWN-FOR 2", Box::new(in_be)).unwrap();
     let (retry, health) = fast_policies(1_000_000, 16);
     attach_supervised(
         &mut *r,
@@ -277,9 +271,8 @@ fn abandoned_tx_device_turns_backlog_into_counted_loss() {
 
     // Dead for good: every re-open is refused, and the budget is tiny.
     let (out_be, out_q) = MemBackend::with_handles();
-    let fault = FaultInjectBackend::new(Box::new(out_be))
-        .down_after(60)
-        .down_for(1_000_000);
+    let fault =
+        FaultInjectBackend::parse("DOWN-AFTER 60, DOWN-FOR 1000000", Box::new(out_be)).unwrap();
     let (retry, health) = fast_policies(300, 3);
     attach_supervised(
         &mut *r,

@@ -372,3 +372,98 @@ fn unguarded_fragmenters_account_for_every_hostile_frame() {
         .recv_timeout(std::time::Duration::from_secs(60))
         .expect("hostile frames must neither hang nor panic a fragmenter");
 }
+
+/// Frames nothing upstream has checked: too short for an Ethernet or an IP
+/// header (the short ones claim IHL 15 wherever a header would start), and
+/// IP headers whose IHL and total length lie.
+fn unchecked_frames() -> Vec<(String, Packet)> {
+    let mut frames: Vec<(String, Packet)> = [0usize, 1, 13, 14]
+        .map(|len| {
+            (
+                format!("{len}-byte frame"),
+                Packet::from_data(&vec![0x4F; len]),
+            )
+        })
+        .into();
+    for ihl in [0u8, 1, 4, 15] {
+        for total_len in [0u16, 19, 0xFFFF] {
+            let what = format!("IHL {ihl}, total length {total_len}");
+            frames.push((what, hostile_ip(ihl, 60, total_len, false)));
+        }
+    }
+    frames
+}
+
+/// Pushes every unchecked frame straight into every input of every element
+/// of `graph`, per packet or as a one-packet batch, and lets the router
+/// settle after each; returns `class: frame` for every push that panicked.
+fn panicking_pushes(graph: &click::core::RouterGraph, batched: bool) -> Vec<String> {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let build = || -> DynRouter {
+        let mut r = Router::from_graph(graph, &Library::standard()).unwrap();
+        r.set_batching(batched);
+        r
+    };
+    let mut r = build();
+    let mut panics = Vec::new();
+    for (id, decl) in graph.elements() {
+        let elem = r.find(decl.name()).unwrap();
+        for port in 0..graph.ninputs(id).max(1) {
+            for (what, frame) in unchecked_frames() {
+                let pushed = catch_unwind(AssertUnwindSafe(|| {
+                    if batched {
+                        r.push_batch_to(elem, port, [frame].into_iter().collect());
+                    } else {
+                        r.push_to(elem, port, frame);
+                    }
+                    r.run_until_idle(1000);
+                }));
+                if pushed.is_err() {
+                    panics.push(format!("{}: {what}", decl.class()));
+                    r = build();
+                }
+            }
+        }
+    }
+    panics
+}
+
+#[test]
+fn unguarded_elements_never_panic_on_unchecked_frames() {
+    // Figure 1 and its XF|FC|DV output, with every element reachable by a
+    // frame no guard has seen.
+    let variants = click_bench::ip_router_variants(2).unwrap();
+    let mut panics = Vec::new();
+    for v in variants
+        .iter()
+        .filter(|v| v.name == "Base" || v.name == "All")
+    {
+        for batched in [false, true] {
+            let found = panicking_pushes(&v.graph, batched);
+            panics.extend(
+                found
+                    .into_iter()
+                    .map(|p| format!("{} batched={batched} {p}", v.name)),
+            );
+        }
+    }
+    assert!(panics.is_empty(), "{panics:#?}");
+}
+
+/// A configuration without guards feeds a bare Ethernet header into
+/// `IPGWOptions`: the empty IP packet it leaves is malformed, out port 1.
+#[test]
+fn ip_gw_options_counts_an_empty_packet_as_bad() {
+    let graph = read_config(
+        "FromDevice(eth0) -> Strip(14) -> o :: IPGWOptions; \
+         o [0] -> Queue -> ToDevice(out0); o [1] -> Queue -> ToDevice(err0);",
+    )
+    .unwrap();
+    let mut r: DynRouter = Router::from_graph(&graph, &Library::standard()).unwrap();
+    let [eth0, out0, err0] = ["eth0", "out0", "err0"].map(|d| r.devices.id(d).unwrap());
+    r.devices.inject(eth0, Packet::new(ether::HLEN));
+    r.run_until_idle(100);
+    assert_eq!(r.devices.tx_len(out0), 0);
+    assert_eq!(r.devices.tx_len(err0), 1);
+    assert_eq!(r.stat("o", "bad"), Some(1));
+}
