@@ -3,6 +3,7 @@
 //! Usage: `click-align < router.click`
 
 fn main() {
+    click_opt::tool::no_args("click-align < router.click");
     click_opt::tool::run_tool("click-align", |graph| {
         let report = click_opt::align::align(graph)?;
         Ok(format!(

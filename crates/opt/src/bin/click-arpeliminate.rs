@@ -5,6 +5,7 @@
 //! Usage: `click-combine ... | click-arpeliminate | click-uncombine A`
 
 fn main() {
+    click_opt::tool::no_args("click-arpeliminate < combined.click");
     click_opt::tool::run_tool("click-arpeliminate", |graph| {
         let report = click_opt::combine::eliminate_arp(graph)?;
         Ok(format!(

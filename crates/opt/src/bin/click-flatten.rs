@@ -5,6 +5,7 @@
 //! Parsing already elaborates compounds, so this tool is read → write.
 
 fn main() {
+    click_opt::tool::no_args("click-flatten < router.click");
     click_opt::tool::run_tool("click-flatten", |graph| {
         Ok(format!(
             "{} element(s) after flattening",

@@ -3,6 +3,7 @@
 //! Usage: `click-undead < router.click`
 
 fn main() {
+    click_opt::tool::no_args("click-undead < router.click");
     click_opt::tool::run_tool("click-undead", |graph| {
         let lib = click_core::registry::Library::standard();
         let report = click_opt::undead::undead(graph, &lib)?;

@@ -7,19 +7,24 @@
 //!    `IPFilter`) in a configuration;
 //! 2. combines adjacent `Classifier`s to improve optimization
 //!    possibilities;
-//! 3. extracts their decision trees through a *harness* configuration —
-//!    reusing the very classifier-compilation code the router runs, so
-//!    "classifier syntax changes need be implemented exactly once" — and
-//!    round-trips the trees through their human-readable dump;
-//! 4. generates one specialized class per distinct optimized tree
-//!    (identical trees share a class), attaching the generated source to
-//!    the configuration archive;
+//! 3. validates them in a *harness* configuration and picks each one's
+//!    shape before building anything: a rule list of at least
+//!    [`DIAGRAM_THRESHOLD`] rules is lowered straight to an ordered-field
+//!    decision diagram and leaves a one-line summary in the harness
+//!    output; every other classifier (including a merged pair's `@tree`)
+//!    gets its decision tree — built by the very classifier-compilation
+//!    code the router runs, so "classifier syntax changes need be
+//!    implemented exactly once" — round-tripped through its
+//!    human-readable dump and optimized;
+//! 4. generates one specialized class per distinct matcher (identical
+//!    matchers share a class), attaching the generated source to the
+//!    configuration archive;
 //! 5. rewrites each classifier declaration to its generated
 //!    `FastClassifier@@name` class.
 
 use click_classifier::{
-    build_diagram, build_tree, optimize, parse_rules, rules_noutputs, DecisionTree, FastMatcher,
-    Step,
+    build_diagram, build_tree, optimize, parse_rules, rules_noutputs, DecisionDiagram,
+    DecisionTree, FastMatcher, Step,
 };
 use click_core::error::Result;
 use click_core::graph::{Connection, ElementId, PortRef, RouterGraph};
@@ -30,25 +35,41 @@ use std::fmt::Write as _;
 /// Classes the tool specializes.
 pub const CLASSIFIER_CLASSES: [&str; 3] = ["Classifier", "IPClassifier", "IPFilter"];
 
-/// Rule count at which specialization switches from the per-rule
-/// decision tree to the ordered-field decision diagram: below this the
-/// tree's straight-line shapes win; above it the diagram's bounded
-/// depth and shared subtrees do (generated 10k-rule ACLs compile in
-/// seconds instead of exploding a node per check per rule).
+/// Rule count at which a rule-list classifier specializes to the
+/// ordered-field decision diagram instead of a decision tree: below this
+/// the tree's straight-line shapes win; at or above it the diagram's
+/// bounded depth and shared subtrees do (generated 10k-rule ACLs compile
+/// in seconds instead of exploding a node per check per rule). A
+/// classifier at or over the threshold never builds a tree at all.
 pub const DIAGRAM_THRESHOLD: usize = 32;
 
-/// Chooses the specialization for one classifier: large rule sets lower
-/// to a decision diagram, everything else (including merged-tree
-/// markers, which no longer have a rule list) to the best tree shape.
-fn matcher_for(class: &str, config: &str, tree: &DecisionTree) -> FastMatcher {
-    if let Ok(rules) = parse_rules(class, config) {
-        if rules.len() >= DIAGRAM_THRESHOLD {
-            let d = build_diagram(&rules, rules_noutputs(&rules));
-            debug_assert!(d.validate().is_ok());
-            return FastMatcher::Diagram(d);
-        }
+/// What one classifier specializes from, decided before anything is built.
+enum Source {
+    /// A rule list of at least [`DIAGRAM_THRESHOLD`] rules, lowered.
+    Diagram {
+        rules: usize,
+        diagram: DecisionDiagram,
+    },
+    /// Any other rule list, or a merged `@tree` marker: its unoptimized tree.
+    Tree(DecisionTree),
+}
+
+/// Parses a classifier's rules once and builds only the shape it ships.
+fn source_for(class: &str, config: &str) -> Result<Source> {
+    if let Some(tree) = parse_merged_config(config) {
+        return Ok(Source::Tree(tree?));
     }
-    FastMatcher::compile(tree)
+    let rules = parse_rules(class, config)?;
+    let n = rules_noutputs(&rules);
+    if rules.len() < DIAGRAM_THRESHOLD {
+        return Ok(Source::Tree(build_tree(&rules, n)));
+    }
+    let diagram = build_diagram(&rules, n);
+    debug_assert!(diagram.validate().is_ok());
+    Ok(Source::Diagram {
+        rules: rules.len(),
+        diagram,
+    })
 }
 
 /// What the tool did, for reporting.
@@ -156,8 +177,9 @@ fn build_harness(graph: &RouterGraph, targets: &[ElementId]) -> Result<RouterGra
 }
 
 /// Generates the pseudo-Rust source attached to the archive — the
-/// analogue of the C++ `click-fastclassifier` emits (Figure 3b).
-fn generate_source(class_name: &str, matcher: &FastMatcher, tree: &DecisionTree) -> String {
+/// analogue of the C++ `click-fastclassifier` emits (Figure 3b). `tree`
+/// is the optimized tree a tree-shaped matcher was compiled from.
+fn generate_source(class_name: &str, matcher: &FastMatcher, tree: Option<&DecisionTree>) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "// Generated by click-fastclassifier; do not edit.");
     let _ = writeln!(s, "// Specialization shape: {}", matcher.shape());
@@ -206,12 +228,23 @@ fn generate_source(class_name: &str, matcher: &FastMatcher, tree: &DecisionTree)
             }
         }
     }
-    let _ = writeln!(s, "        unreachable!(\"serialized form: {matcher}\")");
+    if let FastMatcher::Diagram(_) = matcher {
+        // A diagram's serialized form is as large as the rule set, and it
+        // is the element's configuration already.
+        let _ = writeln!(
+            s,
+            "        unreachable!(\"serialized form: the element's configuration\")"
+        );
+    } else {
+        let _ = writeln!(s, "        unreachable!(\"serialized form: {matcher}\")");
+    }
     let _ = writeln!(s, "    }}");
     let _ = writeln!(s, "}}");
-    let _ = writeln!(s, "// decision tree ({} nodes):", tree.exprs.len());
-    for line in tree.to_string().lines() {
-        let _ = writeln!(s, "//   {line}");
+    if let Some(tree) = tree {
+        let _ = writeln!(s, "// decision tree ({} nodes):", tree.exprs.len());
+        for line in tree.to_string().lines() {
+            let _ = writeln!(s, "//   {line}");
+        }
     }
     s
 }
@@ -251,9 +284,11 @@ pub fn fastclassifier(graph: &mut RouterGraph) -> Result<FastClassifierReport> {
         return Ok(report);
     }
 
-    // Step 3: harness extraction. The harness is validated like a real
-    // configuration, then each tree is dumped to the human-readable form
-    // and re-parsed — the same pipeline as the paper's tool.
+    // Step 3: the harness is validated like a real configuration. Then
+    // each classifier's rules are parsed once: a diagram-bound one is
+    // lowered and summarized in a line; a tree-bound one's tree is dumped
+    // to the human-readable form, re-parsed — the same pipeline as the
+    // paper's tool — and optimized.
     let harness = build_harness(graph, &targets)?;
     let check = click_core::check::check(&harness, &click_core::registry::Library::standard());
     if !check.is_ok() {
@@ -263,14 +298,30 @@ pub fn fastclassifier(graph: &mut RouterGraph) -> Result<FastClassifierReport> {
         )));
     }
     let mut dumps = String::new();
-    let mut trees: HashMap<String, DecisionTree> = HashMap::new();
+    let mut matchers = Vec::with_capacity(targets.len());
     for &id in &targets {
         let decl = graph.element(id);
-        let tree = classifier_tree(decl.class(), decl.config())?;
-        let dump = tree.to_string();
-        let _ = writeln!(dumps, "# {}\n{}", decl.name(), dump);
-        let parsed: DecisionTree = dump.parse()?;
-        trees.insert(decl.name().to_owned(), parsed);
+        let (matcher, tree) = match source_for(decl.class(), decl.config())? {
+            Source::Diagram { rules, diagram } => {
+                let _ = writeln!(
+                    dumps,
+                    "# {}\ndiagram rules {rules} outputs {} fields {} nodes {} depth {}\n",
+                    decl.name(),
+                    diagram.noutputs,
+                    diagram.fields.len(),
+                    diagram.nodes.len(),
+                    diagram.depth()
+                );
+                (FastMatcher::Diagram(diagram), None)
+            }
+            Source::Tree(tree) => {
+                let dump = tree.to_string();
+                let _ = writeln!(dumps, "# {}\n{}", decl.name(), dump);
+                let tree = optimize(&dump.parse()?);
+                (FastMatcher::compile(&tree), Some(tree))
+            }
+        };
+        matchers.push((id, matcher, tree));
     }
     graph
         .archive_mut()
@@ -279,10 +330,8 @@ pub fn fastclassifier(graph: &mut RouterGraph) -> Result<FastClassifierReport> {
     // Step 4 & 5: generate one class per distinct specialized matcher
     // and rewrite declarations.
     let mut class_by_matcher: HashMap<String, String> = HashMap::new();
-    for &id in &targets {
+    for (id, matcher, tree) in matchers {
         let name = graph.element(id).name().to_owned();
-        let tree = optimize(&trees[&name]);
-        let matcher = matcher_for(graph.element(id).class(), graph.element(id).config(), &tree);
         let key = matcher.to_string();
         let class = match class_by_matcher.get(&key) {
             Some(c) => c.clone(),
@@ -290,7 +339,7 @@ pub fn fastclassifier(graph: &mut RouterGraph) -> Result<FastClassifierReport> {
                 let class = format!("FastClassifier@@{}", name.replace('/', "_"));
                 graph.archive_mut().insert(
                     format!("{}.rs", class.replace("@@", "_")),
-                    generate_source(&class, &matcher, &tree),
+                    generate_source(&class, &matcher, tree.as_ref()),
                 );
                 class_by_matcher.insert(key.clone(), class.clone());
                 class
@@ -559,6 +608,58 @@ mod tests {
                 tree.classify(&pkt),
                 "ethertype {ethertype:#x}"
             );
+        }
+    }
+
+    #[test]
+    fn diagram_bound_classifiers_build_no_tree() {
+        // A 40-pattern Classifier and a seeded 48-rule IPFilter: both at
+        // or over DIAGRAM_THRESHOLD.
+        let mut patterns = String::new();
+        for i in 0..40 {
+            let _ = write!(patterns, "12/{:04x}, ", 0x0800 + i);
+        }
+        patterns.push('-');
+        let mut r = click_core::Lcg::new(35);
+        let mut rules: Vec<String> = (0..47)
+            .map(|_| {
+                format!(
+                    "deny src net 10.{}.0.0/16 && udp dst port {}",
+                    r.below(64),
+                    1 + r.below(1024)
+                )
+            })
+            .collect();
+        rules.push("allow all".to_owned());
+        let mut src = format!(
+            "Idle -> c :: Classifier({patterns}); c [0] -> f :: IPFilter({}) -> Discard; ",
+            rules.join(", ")
+        );
+        for p in 1..41 {
+            let _ = write!(src, "c [{p}] -> Discard; ");
+        }
+        let mut g = read_config(&src).unwrap();
+        let report = fastclassifier(&mut g).unwrap();
+        let shapes: Vec<&str> = report.specialized.iter().map(|s| s.2).collect();
+        assert_eq!(shapes, ["diagram", "diagram"]);
+
+        let harness = g.archive().get("fastclassifier_harness_output").unwrap();
+        assert!(
+            harness
+                .lines()
+                .all(|l| !l.starts_with("tree ") && !l.starts_with("expr ")),
+            "tree lines in the harness output:\n{harness}"
+        );
+        for entry in g.archive().iter() {
+            if entry.name.starts_with("FastClassifier_") {
+                assert!(!entry.data.contains("decision tree"), "{}", entry.name);
+            }
+        }
+        let out = click_core::lang::write_config(&g);
+        for name in ["c", "f"] {
+            let diagram = g.element(g.find(name).unwrap()).config();
+            assert!(diagram.starts_with("fast diag "), "{name}: {diagram}");
+            assert_eq!(out.matches(diagram).count(), 1, "{name}'s diagram");
         }
     }
 

@@ -107,6 +107,20 @@ pub fn filter_args(usage: &str, args: &[String], value_flags: &[&str], switches:
         .unwrap_or_else(|complaint| refuse(usage, &complaint))
 }
 
+/// The argument check of a filter that takes no arguments: any flag or
+/// positional argument is [`refuse`]d, so `tool router.click` cannot
+/// silently transform an empty standard input.
+pub fn no_args(usage: &str) {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let (_, positional) = filter_args(usage, &args, &[], &[]);
+    if let Some(arg) = positional.first() {
+        refuse(
+            usage,
+            &format!("unexpected argument {arg:?}: the configuration is read on stdin"),
+        );
+    }
+}
+
 /// Answers a refused command line: `complaint` and `usage` on stderr,
 /// exit status 2.
 pub fn refuse(usage: &str, complaint: &str) -> ! {

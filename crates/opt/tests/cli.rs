@@ -137,6 +137,32 @@ fn tools_refuse_unknown_flags_and_missing_values() {
     }
 }
 
+/// The filters that take no arguments refuse any: a configuration named
+/// on the command line used to be ignored while an empty stdin was
+/// transformed, and `--help` waited on the terminal.
+#[test]
+fn argumentless_filters_refuse_any_argument() {
+    for exe in [
+        env!("CARGO_BIN_EXE_click-align"),
+        env!("CARGO_BIN_EXE_click-arpeliminate"),
+        env!("CARGO_BIN_EXE_click-fastclassifier"),
+        env!("CARGO_BIN_EXE_click-flatten"),
+        env!("CARGO_BIN_EXE_click-undead"),
+    ] {
+        for arg in ["x.click", "--help"] {
+            let out = Command::new(exe)
+                .arg(arg)
+                .stdin(Stdio::null())
+                .output()
+                .unwrap_or_else(|e| panic!("spawn {exe}: {e}"));
+            let stderr = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{exe} {arg}: {stderr}");
+            assert!(out.stdout.is_empty(), "{exe} {arg} wrote its output");
+            assert!(stderr.contains("usage: click-"), "{exe} {arg}: {stderr}");
+        }
+    }
+}
+
 #[test]
 fn undead_folds_switches_via_cli() {
     let input = "InfiniteSource(5) -> s :: StaticSwitch(0); \

@@ -194,3 +194,159 @@ fn chain_output_is_byte_identical_across_runs() {
         assert!(check(&read_config(&first).unwrap(), &lib()).is_ok());
     }
 }
+
+/// The source rules of one classifier element, as its own tree walk.
+fn source_tree(class: &str, config: &str) -> click::classifier::TreeClassifier {
+    use click::classifier::{build_tree, parse_rules, rules_noutputs, TreeClassifier};
+    let rules = parse_rules(class, config).unwrap();
+    TreeClassifier::new(&build_tree(&rules, rules_noutputs(&rules)))
+}
+
+/// Sets the words `cond` compares so that it holds where it can: every
+/// conjunct, the first disjunct, nothing under a negation.
+fn satisfy(cond: &click::classifier::Cond, pkt: &mut [u8]) {
+    use click::classifier::Cond;
+    match cond {
+        Cond::Check(c) => {
+            let at = c.offset as usize;
+            let word = u32::from_be_bytes(pkt[at..at + 4].try_into().unwrap());
+            pkt[at..at + 4].copy_from_slice(&((word & !c.mask) | c.value).to_be_bytes());
+        }
+        Cond::And(cs) => cs.iter().for_each(|c| satisfy(c, pkt)),
+        Cond::Or(cs) => {
+            if let Some(c) = cs.first() {
+                satisfy(c, pkt);
+            }
+        }
+        Cond::Not(_) | Cond::True | Cond::False => {}
+    }
+}
+
+/// Seeded random packets over the bytes the rules below test, then one
+/// packet per rule built to match it.
+fn probe_packets(class: &str, config: &str, seed: u64) -> Vec<Vec<u8>> {
+    let mut r = click::core::Lcg::new(seed);
+    let mut random = || {
+        let mut p: Vec<u8> = (0..64)
+            .map(|_| [0x00, 0x06, 0x08, 0x0a, 0x11, 0x45][r.below(6)])
+            .collect();
+        if r.below(4) != 0 {
+            p[0] = 0x45;
+        }
+        // Destination ports 0x0700-0x07ff, the range the rules test.
+        p[22] = 0x07;
+        p[23] = r.below(256) as u8;
+        p
+    };
+    let mut packets: Vec<Vec<u8>> = (0..2000).map(|_| random()).collect();
+    for rule in click::classifier::parse_rules(class, config).unwrap() {
+        let mut p = random();
+        satisfy(&rule.cond, &mut p);
+        packets.push(p);
+    }
+    packets
+}
+
+/// The matcher the chain left in element `name`'s configuration.
+fn chain_matcher(out: &str, name: &str) -> click::classifier::FastMatcher {
+    let g = read_config(out).unwrap();
+    let id = g.find(name).unwrap_or_else(|| panic!("{name} gone"));
+    g.element(id).config().parse().unwrap()
+}
+
+#[test]
+fn large_classifiers_keep_their_semantics_through_the_chain() {
+    let mut r = click::core::Lcg::new(0xFD0);
+    // A 200-rule IPFilter, a 40-rule IPClassifier and a 40-pattern
+    // Classifier: all at or over the diagram threshold.
+    let mut filter: Vec<String> = (1..200)
+        .map(|_| match r.below(3) {
+            0 => format!(
+                "deny src net 10.{}.0.0/16 && tcp dst port {}",
+                r.below(12),
+                0x0700 + r.below(256)
+            ),
+            1 => format!("allow udp src port {}", 0x0700 + r.below(256)),
+            _ => format!("deny icmp type {}", r.below(16)),
+        })
+        .collect();
+    filter.push("allow all".to_owned());
+    let mut ipclass: Vec<String> = (0..40)
+        .map(|_| match r.below(3) {
+            0 => format!("tcp dst port {}", 0x0700 + r.below(256)),
+            1 => format!("src net 10.{}.0.0/16", r.below(12)),
+            _ => format!("udp && src host 10.{}.6.8", r.below(12)),
+        })
+        .collect();
+    ipclass.push("-".to_owned());
+    let hex = |r: &mut click::core::Lcg| format!("{:02x}", [0x00, 0x06, 0x08, 0x11][r.below(4)]);
+    let mut patterns: Vec<String> = (0..40)
+        .map(|_| {
+            let first = format!(
+                "{}/{}{}",
+                [12, 14, 20][r.below(3)],
+                hex(&mut r),
+                hex(&mut r)
+            );
+            match r.below(2) {
+                0 => first,
+                _ => format!("{first} 23/{}", hex(&mut r)),
+            }
+        })
+        .collect();
+    patterns.push("-".to_owned());
+
+    for (class, config) in [
+        ("IPFilter", filter.join(", ")),
+        ("IPClassifier", ipclass.join(", ")),
+        ("Classifier", patterns.join(", ")),
+    ] {
+        let nout = click::classifier::rules_noutputs(
+            &click::classifier::parse_rules(class, &config).unwrap(),
+        );
+        let mut src = format!("Idle -> c :: {class}({config}); ");
+        for p in 0..nout {
+            src += &format!("c [{p}] -> Discard; ");
+        }
+        let matcher = chain_matcher(&compile_to_text(&src), "c");
+        assert_eq!(matcher.shape(), "diagram", "{class}");
+        let reference = source_tree(class, &config);
+        let mut seen = HashSet::new();
+        for (i, p) in probe_packets(class, &config, 0xFD1).iter().enumerate() {
+            let expected = reference.classify(p);
+            assert_eq!(
+                matcher.classify(p),
+                expected,
+                "{class}: packet {i} {p:02x?}"
+            );
+            seen.insert(expected);
+        }
+        assert!(seen.len() * 2 > nout, "{class}: only {seen:?} reached");
+    }
+
+    // A merged pair has no rule list: a 40-pattern Classifier whose
+    // first output feeds a second one still specializes to a tree shape.
+    let inner = "23/06, 23/11, -";
+    let mut src = format!(
+        "Idle -> a :: Classifier({}); a [0] -> b :: Classifier({inner}); ",
+        patterns.join(", ")
+    );
+    for p in 1..41 {
+        src += &format!("a [{p}] -> Discard; ");
+    }
+    src += "b [0] -> Discard; b [1] -> Discard; b [2] -> Discard;";
+    let matcher = chain_matcher(&compile_to_text(&src), "a");
+    assert_ne!(matcher.shape(), "diagram");
+    let (outer, inner) = (
+        source_tree("Classifier", &patterns.join(", ")),
+        source_tree("Classifier", inner),
+    );
+    for p in probe_packets("Classifier", &patterns.join(", "), 0xFD2) {
+        // a's output 0 now leads into b's outputs, appended after a's 40.
+        let expected = match outer.classify(&p) {
+            Some(0) => inner.classify(&p).map(|o| 40 + o),
+            other => other.map(|o| o - 1),
+        };
+        assert_eq!(matcher.classify(&p), expected, "{p:02x?}");
+    }
+}
