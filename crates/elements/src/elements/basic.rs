@@ -30,8 +30,9 @@ impl Element for Discard {
     fn class_name(&self) -> &str {
         "Discard"
     }
-    fn simple_action(&mut self, _p: Packet) -> Option<Packet> {
+    fn simple_action(&mut self, p: Packet) -> Option<Packet> {
         self.count += 1;
+        p.recycle();
         None
     }
     fn push_batch(&mut self, _port: usize, mut batch: PacketBatch, out: &mut BatchEmitter) {
@@ -529,7 +530,8 @@ impl Element for Idle {
     fn class_name(&self) -> &str {
         "Idle"
     }
-    fn simple_action(&mut self, _p: Packet) -> Option<Packet> {
+    fn simple_action(&mut self, p: Packet) -> Option<Packet> {
+        p.recycle();
         None
     }
     fn pull(&mut self, _port: usize, _ctx: &mut dyn PullContext) -> Option<Packet> {

@@ -54,7 +54,10 @@ impl Element for ClassifierElement {
     fn push(&mut self, _port: usize, p: Packet, out: &mut Emitter) {
         match self.runtime.classify(p.data()) {
             Some(port) => out.emit(port, p),
-            None => self.drops += 1,
+            None => {
+                self.drops += 1;
+                p.recycle();
+            }
         }
     }
     fn push_batch(&mut self, _port: usize, mut batch: PacketBatch, out: &mut BatchEmitter) {
@@ -120,7 +123,10 @@ impl Element for FastClassifierElement {
     fn push(&mut self, _port: usize, p: Packet, out: &mut Emitter) {
         match self.matcher.classify(p.data()) {
             Some(port) => out.emit(port, p),
-            None => self.drops += 1,
+            None => {
+                self.drops += 1;
+                p.recycle();
+            }
         }
     }
     fn push_batch(&mut self, _port: usize, mut batch: PacketBatch, out: &mut BatchEmitter) {

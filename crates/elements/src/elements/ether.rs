@@ -1,6 +1,7 @@
 //! Ethernet-layer elements: `EtherEncap`, `ARPQuerier`, `ARPResponder`,
 //! `HostEtherFilter`.
 
+use crate::batch::{BatchEmitter, PacketBatch};
 use crate::element::{args, config_err, CreateCtx, Element, Emitter};
 use crate::headers::{arp, ether, ipv4, parse_mac};
 use crate::packet::Packet;
@@ -70,6 +71,10 @@ impl Element for EtherEncap {
 ///
 /// Extra `ip eth` config pairs pre-seed the table — the closed-testbed
 /// equivalent of a warmed ARP cache.
+///
+/// Every packet on input 0 leaves as exactly one packet on output 0 (its
+/// framed self or its query), so the batch body resolves a batch in place
+/// and hands it on whole.
 #[derive(Debug)]
 pub struct ArpQuerier {
     ip: u32,
@@ -116,10 +121,9 @@ impl ArpQuerier {
         })
     }
 
-    fn encap(&self, mut p: Packet, dst: [u8; 6]) -> Packet {
+    fn encap(&self, p: &mut Packet, dst: [u8; 6]) {
         p.push(ether::HLEN);
         ether::write(p.data_mut(), dst, self.eth, ether::TYPE_IP);
-        p
     }
 
     fn make_query(&self, target_ip: u32) -> Packet {
@@ -136,57 +140,96 @@ impl ArpQuerier {
         );
         q
     }
+
+    /// Readies the input-0 packet in `slot` for output 0: frames it in
+    /// place if its next hop is known, or else [`hold`](Self::hold)s it.
+    /// `last` is the neighbour last found in the table during this call
+    /// to the element: a run of packets to one next hop probes the table
+    /// once. Only input 1 changes the table, so it cannot go stale.
+    fn resolve(&mut self, slot: &mut Packet, last: &mut Option<(u32, [u8; 6])>) {
+        // Next hop: destination annotation, falling back to the IP
+        // header's destination.
+        let dst_ip = slot.anno.dst_ip.unwrap_or_else(|| {
+            if slot.len() >= ipv4::HLEN {
+                ipv4::dst(slot.data())
+            } else {
+                0
+            }
+        });
+        let mac = match *last {
+            Some((ip, mac)) if ip == dst_ip => mac,
+            _ => match self.table.get(&dst_ip) {
+                Some(&mac) => {
+                    *last = Some((dst_ip, mac));
+                    mac
+                }
+                None => return self.hold(slot, dst_ip),
+            },
+        };
+        self.encap(slot, mac);
+    }
+
+    /// Swaps the ARP query for `dst_ip` into `slot` and holds the packet
+    /// it replaces, recycling the waiter that one displaces. Out of line,
+    /// so the warm-cache path stays small.
+    #[cold]
+    #[inline(never)]
+    fn hold(&mut self, slot: &mut Packet, dst_ip: u32) {
+        self.queries += 1;
+        let held = std::mem::replace(slot, self.make_query(dst_ip));
+        if let Some((_, displaced)) = self.pending.replace((dst_ip, held)) {
+            self.drops += 1;
+            displaced.recycle();
+        }
+    }
+
+    /// Learns from an input-1 ARP reply (Ethernet header still present),
+    /// which is consumed, and returns the held packet if it was waiting
+    /// for this neighbour, framed.
+    #[cold]
+    #[inline(never)]
+    fn reply(&mut self, p: Packet) -> Option<Packet> {
+        let learned = p
+            .data()
+            .get(ether::HLEN..ether::HLEN + arp::LEN)
+            .filter(|a| arp::opcode(a) == arp::OP_REPLY)
+            .map(|a| (arp::sender_ip(a), arp::sender_eth(a)));
+        p.recycle();
+        let (sip, seth) = learned?;
+        self.table.insert(sip, seth);
+        let (_, mut held) = self.pending.take_if(|(wip, _)| *wip == sip)?;
+        self.encap(&mut held, seth);
+        Some(held)
+    }
 }
 
 impl Element for ArpQuerier {
     fn class_name(&self) -> &str {
         "ARPQuerier"
     }
-    fn push(&mut self, port: usize, p: Packet, out: &mut Emitter) {
-        match port {
-            0 => {
-                // Next hop: destination annotation, falling back to the IP
-                // header's destination.
-                let dst_ip = p.anno.dst_ip.unwrap_or_else(|| {
-                    if p.len() >= ipv4::HLEN {
-                        ipv4::dst(p.data())
-                    } else {
-                        0
-                    }
-                });
-                if let Some(&mac) = self.table.get(&dst_ip) {
-                    let framed = self.encap(p, mac);
-                    out.emit(0, framed);
-                } else {
-                    self.queries += 1;
-                    out.emit(0, self.make_query(dst_ip));
-                    if self.pending.replace((dst_ip, p)).is_some() {
-                        self.drops += 1; // displaced an older waiter
-                    }
-                }
-            }
-            _ => {
-                // An ARP reply, Ethernet header still present.
-                let data = p.data();
-                if data.len() >= ether::HLEN + arp::LEN {
-                    let a = &data[ether::HLEN..];
-                    if arp::opcode(a) == arp::OP_REPLY {
-                        let sip = arp::sender_ip(a);
-                        let seth = arp::sender_eth(a);
-                        self.table.insert(sip, seth);
-                        if let Some((wip, held)) = self.pending.take() {
-                            if wip == sip {
-                                let framed = self.encap(held, seth);
-                                out.emit(0, framed);
-                            } else {
-                                self.pending = Some((wip, held));
-                            }
-                        }
-                    }
-                }
-                // The reply itself is consumed.
-            }
+    fn push(&mut self, port: usize, mut p: Packet, out: &mut Emitter) {
+        if port == 0 {
+            self.resolve(&mut p, &mut None);
+            out.emit(0, p);
+        } else if let Some(released) = self.reply(p) {
+            out.emit(0, released);
         }
+    }
+    fn push_batch(&mut self, port: usize, mut batch: PacketBatch, out: &mut BatchEmitter) {
+        if port != 0 {
+            for p in batch.drain() {
+                if let Some(released) = self.reply(p) {
+                    out.emit(0, released);
+                }
+            }
+            out.recycle_storage(batch);
+            return;
+        }
+        let mut last = None;
+        for p in batch.iter_mut() {
+            self.resolve(p, &mut last);
+        }
+        out.emit_batch(0, batch);
     }
     fn stat(&self, name: &str) -> Option<u64> {
         match name {
@@ -233,18 +276,14 @@ impl ArpResponder {
             replies: 0,
         })
     }
-}
 
-impl Element for ArpResponder {
-    fn class_name(&self) -> &str {
-        "ARPResponder"
-    }
-    fn simple_action(&mut self, p: Packet) -> Option<Packet> {
-        let data = p.data();
-        if data.len() < ether::HLEN + arp::LEN {
+    /// The reply to `frame` if it is an ARP request for one of our
+    /// addresses.
+    fn reply_to(&mut self, frame: &[u8]) -> Option<Packet> {
+        if frame.len() < ether::HLEN + arp::LEN {
             return None;
         }
-        let a = &data[ether::HLEN..];
+        let a = &frame[ether::HLEN..];
         if arp::opcode(a) != arp::OP_REQUEST {
             return None;
         }
@@ -265,6 +304,18 @@ impl Element for ArpResponder {
             requester_ip,
         );
         Some(r)
+    }
+}
+
+impl Element for ArpResponder {
+    fn class_name(&self) -> &str {
+        "ARPResponder"
+    }
+    fn simple_action(&mut self, p: Packet) -> Option<Packet> {
+        // The request is consumed, answered or not.
+        let reply = self.reply_to(p.data());
+        p.recycle();
+        reply
     }
     fn stat(&self, name: &str) -> Option<u64> {
         (name == "replies").then_some(self.replies)
@@ -310,6 +361,7 @@ impl Element for HostEtherFilter {
 mod tests {
     use super::*;
     use crate::headers::build_udp_packet;
+    use crate::packet::pool_stats;
 
     fn ctx() -> CreateCtx {
         CreateCtx::new()
@@ -370,19 +422,7 @@ mod tests {
         assert_eq!(arp::target_ip(&d[14..]), 0x0A000002);
         assert_eq!(q.stat("queries"), Some(1));
 
-        // Craft the reply.
-        let mut reply = Packet::new(ether::HLEN + arp::LEN);
-        let rd = reply.data_mut();
-        ether::write(rd, [0, 0, 0, 0, 0, 1], [9; 6], ether::TYPE_ARP);
-        arp::write(
-            &mut rd[14..],
-            arp::OP_REPLY,
-            [9; 6],
-            0x0A000002,
-            [0, 0, 0, 0, 0, 1],
-            0x0A000001,
-        );
-        let outs = push_on(&mut q, 1, reply);
+        let outs = push_on(&mut q, 1, arp_reply(0x0A000002, [9; 6]));
         assert_eq!(outs.len(), 1, "held packet released");
         let d = outs[0].1.data();
         assert_eq!(ether::ethertype(d), ether::TYPE_IP);
@@ -394,8 +434,146 @@ mod tests {
     fn arp_querier_displacement_counts_drop() {
         let mut q = ArpQuerier::from_config("10.0.0.1, 00:00:00:00:00:01", &mut ctx()).unwrap();
         push_on(&mut q, 0, ip_only_packet(0x0A000002));
+        let recycled = pool_stats().recycled;
         push_on(&mut q, 0, ip_only_packet(0x0A000003));
         assert_eq!(q.stat("drops"), Some(1));
+        assert_eq!(
+            pool_stats().recycled,
+            recycled + 1,
+            "displaced waiter recycled"
+        );
+    }
+
+    /// An ARP reply from `ip` at `mac`, addressed to the querier.
+    fn arp_reply(ip: u32, mac: [u8; 6]) -> Packet {
+        let mut reply = Packet::new(ether::HLEN + arp::LEN);
+        let rd = reply.data_mut();
+        ether::write(rd, [0, 0, 0, 0, 0, 1], mac, ether::TYPE_ARP);
+        arp::write(
+            &mut rd[14..],
+            arp::OP_REPLY,
+            mac,
+            ip,
+            [0, 0, 0, 0, 0, 1],
+            0x0A000001,
+        );
+        reply
+    }
+
+    /// Hits on the seeded 10.0.0.2, misses to 10.0.0.7 (twice) and
+    /// 10.0.0.9, and a hit found through the header for lack of a
+    /// destination annotation; distinct source ports tell them apart.
+    fn mixed_inputs() -> Vec<Packet> {
+        let dsts = [0x0A000002, 0x0A000007, 0x0A000002, 0x0A000009, 0x0A000007];
+        let mut ps: Vec<Packet> = dsts
+            .iter()
+            .enumerate()
+            .map(|(k, &dst)| {
+                let mut p = build_udp_packet([1; 6], [2; 6], 0x0A000001, dst, k as u16, 2, 18, 64);
+                p.pull(ether::HLEN);
+                p.anno.dst_ip = Some(dst);
+                p
+            })
+            .collect();
+        let mut bare = ip_only_packet(0x0A000002);
+        bare.anno.dst_ip = None;
+        ps.push(bare);
+        ps
+    }
+
+    fn seeded_querier() -> ArpQuerier {
+        ArpQuerier::from_config(
+            "10.0.0.1, 00:00:00:00:00:01, 10.0.0.2 00:00:00:00:00:22",
+            &mut ctx(),
+        )
+        .unwrap()
+    }
+
+    fn stats(q: &ArpQuerier) -> [Option<u64>; 3] {
+        ["queries", "drops", "table_size"].map(|n| q.stat(n))
+    }
+
+    #[test]
+    fn arp_querier_batch_resolves_in_place_like_scalar() {
+        let mut scalar = seeded_querier();
+        let mut expect = Vec::new();
+        for p in mixed_inputs() {
+            for (port, out) in push_on(&mut scalar, 0, p) {
+                expect.push((port, out.data().to_vec()));
+            }
+        }
+
+        let mut batched = seeded_querier();
+        let mut out = BatchEmitter::new();
+        batched.push_batch(0, mixed_inputs().into_iter().collect(), &mut out);
+        let (port, group) = out.pop_group().expect("one port-0 group");
+        assert!(out.pop_group().is_none(), "exactly one group");
+        let got: Vec<(usize, Vec<u8>)> = group.iter().map(|p| (port, p.data().to_vec())).collect();
+        assert_eq!(got, expect);
+        assert_eq!(got.len(), 6, "one packet out per packet in");
+        let types: Vec<u16> = got.iter().map(|(_, d)| ether::ethertype(d)).collect();
+        let (ip, arp_) = (ether::TYPE_IP, ether::TYPE_ARP);
+        assert_eq!(types, [ip, arp_, ip, arp_, arp_, ip]);
+        assert_eq!(stats(&batched), stats(&scalar));
+        assert_eq!(stats(&batched), [Some(3), Some(2), Some(1)]);
+
+        // The last miss (10.0.0.7, source port 4) is the one held; its
+        // neighbour's reply releases it with the learned MAC, both modes.
+        let expect = push_on(&mut scalar, 1, arp_reply(0x0A000007, [7; 6]));
+        assert_eq!(expect.len(), 1);
+        let mut replies = PacketBatch::new();
+        replies.push(arp_reply(0x0A000007, [7; 6]));
+        batched.push_batch(1, replies, &mut out);
+        let (port, group) = out.pop_group().expect("released packet");
+        assert_eq!(port, 0);
+        let released: Vec<&Packet> = group.iter().collect();
+        assert_eq!(released.len(), 1);
+        assert_eq!(released[0].data(), expect[0].1.data());
+        let d = released[0].data();
+        assert_eq!(ether::dst(d), [7; 6]);
+        assert_eq!(ether::ethertype(d), ether::TYPE_IP);
+        assert_eq!(&d[ether::HLEN + ipv4::HLEN..][..2], &4u16.to_be_bytes());
+        assert_eq!(stats(&batched), stats(&scalar));
+        assert_eq!(batched.stat("table_size"), Some(2));
+    }
+
+    #[test]
+    fn arp_querier_reply_overwrites_known_neighbour() {
+        let mut q = seeded_querier();
+        let mut out = BatchEmitter::new();
+        let batch_dst = |q: &mut ArpQuerier, out: &mut BatchEmitter| {
+            q.push_batch(0, [ip_only_packet(0x0A000002)].into_iter().collect(), out);
+            let (_, group) = out.pop_group().expect("framed");
+            let p = group.iter().next().expect("one packet");
+            ether::dst(p.data())
+        };
+        assert_eq!(batch_dst(&mut q, &mut out), [0, 0, 0, 0, 0, 0x22]);
+        assert!(push_on(&mut q, 1, arp_reply(0x0A000002, [5; 6])).is_empty());
+        assert_eq!(q.stat("table_size"), Some(1));
+        let outs = push_on(&mut q, 0, ip_only_packet(0x0A000002));
+        assert_eq!(ether::dst(outs[0].1.data()), [5; 6]);
+        assert_eq!(batch_dst(&mut q, &mut out), [5; 6], "no stale hop");
+        assert_eq!(q.stat("queries"), Some(0));
+    }
+
+    #[test]
+    fn arp_querier_batch_frames_each_neighbour_with_its_own_mac() {
+        let mut q = ArpQuerier::from_config(
+            "10.0.0.1, 00:00:00:00:00:01, 10.0.0.2 00:00:00:00:00:22, 10.0.0.3 00:00:00:00:00:33",
+            &mut ctx(),
+        )
+        .unwrap();
+        let hops = [2, 2, 3, 2, 3, 3];
+        let batch = hops
+            .iter()
+            .map(|&h| ip_only_packet(0x0A000000 | h))
+            .collect();
+        let mut out = BatchEmitter::new();
+        q.push_batch(0, batch, &mut out);
+        let (_, group) = out.pop_group().expect("framed");
+        let macs: Vec<u8> = group.iter().map(|p| ether::dst(p.data())[5]).collect();
+        assert_eq!(macs, [0x22, 0x22, 0x33, 0x22, 0x33, 0x33]);
+        assert_eq!(q.stat("queries"), Some(0));
     }
 
     #[test]

@@ -203,6 +203,7 @@ impl Element for DropBroadcasts {
     fn simple_action(&mut self, p: Packet) -> Option<Packet> {
         if p.anno.link_broadcast {
             self.drops += 1;
+            p.recycle();
             None
         } else {
             Some(p)
@@ -502,14 +503,10 @@ impl ICMPError {
             generated: 0,
         })
     }
-}
 
-impl Element for ICMPError {
-    fn class_name(&self) -> &str {
-        "ICMPError"
-    }
-    fn simple_action(&mut self, p: Packet) -> Option<Packet> {
-        let data = p.data();
+    /// The ICMP error quoting `data`, an IP packet; `None` if it is
+    /// shorter than an IP header.
+    fn error_for(&mut self, data: &[u8]) -> Option<Packet> {
         if data.len() < ipv4::HLEN {
             return None;
         }
@@ -535,6 +532,18 @@ impl Element for ICMPError {
         icmp[8..8 + quoted].copy_from_slice(&data[..quoted]);
         self.generated += 1;
         Some(e)
+    }
+}
+
+impl Element for ICMPError {
+    fn class_name(&self) -> &str {
+        "ICMPError"
+    }
+    fn simple_action(&mut self, p: Packet) -> Option<Packet> {
+        // The original is consumed, whether or not it can be quoted.
+        let e = self.error_for(p.data());
+        p.recycle();
+        e
     }
     fn stat(&self, name: &str) -> Option<u64> {
         (name == "count").then_some(self.generated)

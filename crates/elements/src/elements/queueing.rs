@@ -68,6 +68,7 @@ impl Element for Queue {
     fn push(&mut self, _port: usize, p: Packet, _out: &mut Emitter) {
         if self.q.len() >= self.capacity {
             self.drops += 1;
+            p.recycle();
         } else {
             self.q.push_back(p);
             self.highwater = self.highwater.max(self.q.len());
@@ -220,12 +221,14 @@ impl Element for Red {
         }
         if avg >= self.max_thresh {
             self.drops += 1;
+            p.recycle();
             return None;
         }
         let span = (self.max_thresh - self.min_thresh) as u64;
         let prob_e4 = self.max_p_e4 * (avg - self.min_thresh) as u64 / span;
         if self.next_rand_e4() < prob_e4 {
             self.drops += 1;
+            p.recycle();
             None
         } else {
             Some(p)

@@ -145,8 +145,10 @@ fn generate_source(graph: &RouterGraph, classes: &[(String, Vec<String>)]) -> St
 
 /// Runs `click-devirtualize`: renames each (non-excluded) element's class
 /// to a specialized `Class__DVn` shared by its equivalence class, and
-/// marks the configuration with the `devirtualize` requirement (which the
-/// runtime honors by using the statically dispatched engine).
+/// marks the configuration with the `devirtualize` requirement. The
+/// runtime builds each `Class__DVn` as its base class behind the same
+/// `Box<dyn Element>` as any other element; the requirement only records
+/// that the pass ran.
 ///
 /// "Click-devirtualize should be the last optimizer applied in any chain,
 /// since it cements the order of elements in the configuration graph."

@@ -15,6 +15,7 @@
 use click::core::lang::read_config;
 use click::core::registry::Library;
 use click::elements::element::{DeviceId, Element};
+use click::elements::headers::ipv4;
 use click::elements::iodev::{MemBackend, MemQueues};
 use click::elements::ip_router::{test_packet, IpRouterSpec};
 use click::elements::packet::Packet;
@@ -146,6 +147,48 @@ fn dyn_batched_forwards_without_allocating() {
 fn armed_telemetry_forwards_without_allocating() {
     steady_state_is_allocation_free(false, true);
     steady_state_is_allocation_free(true, true);
+}
+
+/// `frames` with a branchy mix: every fourth frame is not IP (the
+/// classifier sends it to `Discard`) and every fourth arrives with TTL 1
+/// (`DecIPTTL` sends it to `ICMPError`, whose error is routed back out).
+fn branchy_frames(spec: &IpRouterSpec) -> Vec<Frame> {
+    let mut frames = frames(spec);
+    for (k, (_, bytes)) in frames.iter_mut().enumerate() {
+        match k % 4 {
+            0 => bytes[12..14].copy_from_slice(&0x86DDu16.to_be_bytes()),
+            1 => {
+                bytes[14 + 8] = 1;
+                ipv4::set_checksum(&mut bytes[14..]);
+            }
+            _ => {}
+        }
+    }
+    frames
+}
+
+fn drop_and_error_paths_are_allocation_free(batched: bool) {
+    let (mut router, devs, _) = figure1(batched);
+    let frames = branchy_frames(&IpRouterSpec::standard(IFACES));
+    let out = inject_pass(&mut router, &devs, &frames);
+    assert_eq!(
+        out,
+        FRAMES / 4 * 3,
+        "warm-up: all but the non-IP quarter leave"
+    );
+    let mut forwarded = 0;
+    let allocs = allocations_in(|| forwarded = inject_pass(&mut router, &devs, &frames));
+    assert_eq!(forwarded, out);
+    assert_eq!(allocs, 0, "{allocs} heap allocations in {FRAMES} frames");
+}
+
+/// Consumed packets (`Discard`'s, and the originals `ICMPError` turns
+/// into errors) go back to the packet pool, so the drop and error paths
+/// are held to the forwarding path's zero.
+#[test]
+fn drop_and_error_paths_recycle_without_allocating() {
+    drop_and_error_paths_are_allocation_free(false);
+    drop_and_error_paths_are_allocation_free(true);
 }
 
 /// One pass wire to wire: `push_rx -> run_with_devices -> take_tx`.
