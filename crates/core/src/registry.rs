@@ -222,7 +222,7 @@ fn standard_specs() -> Vec<ElementClassSpec> {
         source(sink(spec("Idle", "-/-", "a/a", "x/y"))),
         spec("Null", "1/1", "a/a", "x/x"),
         spec("Counter", "1/1", "a/a", "x/x"),
-        spec("FaultInject", "1/1", "a/a", "x/x"),
+        spec("FaultInject", "1/1", "h/h", "x/x"),
         spec("Align", "1/1", "a/a", "x/x"),
         spec("RouterLink", "1/1", "l/h", "x/y"),
         spec("Unqueue", "1/1", "l/h", "x/y"),

@@ -67,8 +67,8 @@ impl PacketBatch {
         self.pkts.iter()
     }
 
-    /// Iterates mutably over the packets (for in-place header edits —
-    /// the hand-batched `Strip`/`Paint`/`DecIPTTL` path).
+    /// Iterates mutably over the packets (for in-place edits that keep
+    /// the batch whole, as `ARPQuerier` frames its packets).
     pub fn iter_mut(&mut self) -> std::slice::IterMut<'_, Packet> {
         self.pkts.iter_mut()
     }
@@ -191,10 +191,8 @@ impl BatchEmitter {
     }
 
     /// Runs a scalar `push`-style closure against a reusable [`Emitter`]
-    /// and folds its emissions into the port map. This is the default
-    /// `push_batch` adapter: elements without a hand-batched override run
-    /// their scalar `push` per packet without allocating an emitter per
-    /// call.
+    /// and folds its emissions into the port map: the scalar adapter, for
+    /// work that may emit several packets per input packet.
     pub fn with_scalar<F: FnOnce(&mut Emitter)>(&mut self, f: F) {
         let mut scratch = std::mem::take(&mut self.scratch);
         f(&mut scratch);
@@ -202,6 +200,20 @@ impl BatchEmitter {
             self.emit(port, p);
         }
         self.scratch = scratch;
+    }
+
+    /// Drains `batch` through a scalar `push` one packet at a time, via
+    /// [`with_scalar`](Self::with_scalar): the `push_batch` of an element
+    /// that overrides `push` (`Tee`, `IPFragmenter`, ...).
+    pub fn push_each(
+        &mut self,
+        mut batch: PacketBatch,
+        mut push: impl FnMut(Packet, &mut Emitter),
+    ) {
+        for p in batch.drain() {
+            self.with_scalar(|e| push(p, e));
+        }
+        self.recycle_storage(batch);
     }
 }
 

@@ -3,9 +3,12 @@
 //! Elements are "fine-grained packet processing modules" (paper §3). Each
 //! element receives packets on numbered input ports and emits them on
 //! numbered output ports, via *push* (upstream initiates) or *pull*
-//! (downstream initiates) transfer. Simpler elements implement only
-//! [`Element::simple_action`], the sugar the paper's footnote 1 mentions;
-//! the default `push`/`pull` adapt it to either discipline.
+//! (downstream initiates) transfer. An element that turns each input
+//! packet into at most one output packet implements only
+//! [`Element::action`], the paper's footnote-1 `simple_action` widened to
+//! name the output port; `push`, `push_batch` and `pull` default to
+//! drivers over it, so its per-packet work is written once and runs the
+//! same in every transfer mode.
 //!
 //! *Tasks* (paper §3: "polling device drivers and a constantly-active
 //! kernel thread") only move packets between devices and the graph: each
@@ -65,13 +68,13 @@ impl Emitter {
 }
 
 /// What a pulling element can do: pull its own inputs, and push error
-/// packets out of push-side outputs (needed by agnostic elements like
-/// `CheckIPHeader` running in a pull context).
+/// packets out of push-side outputs (what an agnostic element like
+/// `CheckIPHeader` does with a bad packet when it is pulled).
 pub trait PullContext {
     /// Pulls a packet from the element's input `port`.
     fn pull(&mut self, port: usize) -> Option<Packet>;
-    /// Pushes `p` out of the element's output `port` (used for
-    /// always-push error outputs).
+    /// Pushes `p` out of the element's output `port` (an always-push
+    /// error output).
     fn push_out(&mut self, port: usize, p: Packet);
     /// Number of connected input ports.
     fn ninputs(&self) -> usize;
@@ -106,46 +109,67 @@ pub trait TaskContext {
 
 /// A packet-processing element.
 ///
-/// Implement [`simple_action`](Element::simple_action) for 1-in/1-out
-/// filters; override [`push`](Element::push) / [`pull`](Element::pull) for
-/// multi-port or stateful behavior; override
+/// Implement [`action`](Element::action) for single-input elements that
+/// emit at most one packet per input packet; the default
+/// [`push`](Element::push), [`push_batch`](Element::push_batch) and
+/// [`pull`](Element::pull) drive it. Override `push` (and `push_batch`)
+/// for elements that emit several packets per input, or whose inputs
+/// differ; override `pull` for schedulers and storage; override
 /// [`run_task`](Element::run_task) (and return `true` from
 /// [`is_task`](Element::is_task)) for actively scheduled elements like
-/// `ToDevice`.
+/// `ToDevice`. A default body is compiled for each implementing type, so
+/// the driver's call to `action` is direct even behind `Box<dyn Element>`.
 pub trait Element {
     /// The element's class name (for diagnostics and stats lookup).
     fn class_name(&self) -> &str;
 
+    /// The per-packet body: `Some((port, p))` emits `p` on output `port`,
+    /// `None` means the element consumed the packet (and recycled it).
+    /// The default forwards every packet on output 0.
+    fn action(&mut self, p: Packet) -> Option<(usize, Packet)> {
+        Some((0, p))
+    }
+
     /// Push-path processing: handle `p` arriving on input `port`, emitting
-    /// results through `out`. The default applies
-    /// [`simple_action`](Element::simple_action) and emits on output 0.
+    /// results through `out`. The default emits what
+    /// [`action`](Element::action) returns.
     fn push(&mut self, port: usize, p: Packet, out: &mut Emitter) {
         let _ = port;
-        if let Some(q) = self.simple_action(p) {
-            out.emit(0, q);
+        if let Some((oport, p)) = self.action(p) {
+            out.emit(oport, p);
         }
     }
 
     /// Pull-path processing: produce a packet for output `port` on demand.
-    /// The default pulls input 0 and applies
-    /// [`simple_action`](Element::simple_action); if the action consumes
-    /// the packet, `None` is returned (the pull fails for this attempt).
+    /// The default pulls input 0 and applies [`action`](Element::action)
+    /// until a packet leaves on output 0 or the input runs dry: a packet
+    /// sent to another output goes out through
+    /// [`PullContext::push_out`], and a consumed one does not end the
+    /// pull.
     fn pull(&mut self, port: usize, ctx: &mut dyn PullContext) -> Option<Packet> {
         let _ = port;
-        let p = ctx.pull(0)?;
-        self.simple_action(p)
+        while let Some(p) = ctx.pull(0) {
+            match self.action(p) {
+                Some((0, p)) => return Some(p),
+                Some((oport, p)) => ctx.push_out(oport, p),
+                None => {}
+            }
+        }
+        None
     }
 
     /// Batched push-path processing: handle a whole [`PacketBatch`]
     /// arriving on input `port`, emitting results through the
-    /// branch-sorted `out`. The default loops over
-    /// [`push`](Element::push), so every element is batch-capable; hot
-    /// elements override this to amortize per-packet work (one bounds
-    /// check, one discriminant match, one borrow per *batch* instead of
-    /// per packet).
+    /// branch-sorted `out`. The default drains the batch through
+    /// [`action`](Element::action), so output groups keep their
+    /// first-emission order. An element that overrides `push` overrides
+    /// this too, usually with [`BatchEmitter::push_each`].
     fn push_batch(&mut self, port: usize, mut batch: PacketBatch, out: &mut BatchEmitter) {
+        let _ = port;
         for p in batch.drain() {
-            out.with_scalar(|e| self.push(port, p, e));
+            if let Some((oport, p)) = self.action(p) {
+                out.emit(oport, p);
+            }
         }
         out.recycle_storage(batch);
     }
@@ -168,12 +192,6 @@ pub trait Element {
             n += 1;
         }
         n
-    }
-
-    /// Uniform processing for simple filters: return `Some` to forward on
-    /// port 0, `None` to consume/drop.
-    fn simple_action(&mut self, p: Packet) -> Option<Packet> {
-        Some(p)
     }
 
     /// True if the element needs active scheduling.
@@ -331,9 +349,9 @@ mod tests {
         fn class_name(&self) -> &str {
             "AddOne"
         }
-        fn simple_action(&mut self, mut p: Packet) -> Option<Packet> {
+        fn action(&mut self, mut p: Packet) -> Option<(usize, Packet)> {
             p.data_mut()[0] += 1;
-            Some(p)
+            Some((0, p))
         }
     }
 
@@ -349,7 +367,7 @@ mod tests {
     }
 
     #[test]
-    fn default_push_uses_simple_action() {
+    fn default_push_uses_action() {
         let mut e = AddOne;
         let mut out = Emitter::new();
         e.push(0, Packet::from_data(&[41]), &mut out);

@@ -30,16 +30,10 @@ impl Element for Discard {
     fn class_name(&self) -> &str {
         "Discard"
     }
-    fn simple_action(&mut self, p: Packet) -> Option<Packet> {
+    fn action(&mut self, p: Packet) -> Option<(usize, Packet)> {
         self.count += 1;
         p.recycle();
         None
-    }
-    fn push_batch(&mut self, _port: usize, mut batch: PacketBatch, out: &mut BatchEmitter) {
-        // Terminal drop site: return every buffer to the packet pool.
-        self.count += batch.len() as u64;
-        batch.recycle_packets();
-        out.recycle_storage(batch);
     }
     fn stat(&self, name: &str) -> Option<u64> {
         (name == "count").then_some(self.count)
@@ -74,15 +68,10 @@ impl Element for Counter {
     fn class_name(&self) -> &str {
         "Counter"
     }
-    fn simple_action(&mut self, p: Packet) -> Option<Packet> {
+    fn action(&mut self, p: Packet) -> Option<(usize, Packet)> {
         self.count += 1;
         self.byte_count += p.len() as u64;
-        Some(p)
-    }
-    fn push_batch(&mut self, _port: usize, batch: PacketBatch, out: &mut BatchEmitter) {
-        self.count += batch.len() as u64;
-        self.byte_count += batch.iter().map(|p| p.len() as u64).sum::<u64>();
-        out.emit_batch(0, batch);
+        Some((0, p))
     }
     fn stat(&self, name: &str) -> Option<u64> {
         match name {
@@ -137,6 +126,9 @@ impl Element for Tee {
         }
         out.emit(0, p);
     }
+    fn push_batch(&mut self, port: usize, batch: PacketBatch, out: &mut BatchEmitter) {
+        out.push_each(batch, |p, e| self.push(port, p, e));
+    }
 }
 
 /// `Paint(color)`: sets the paint annotation.
@@ -166,21 +158,15 @@ impl Element for Paint {
     fn class_name(&self) -> &str {
         "Paint"
     }
-    fn simple_action(&mut self, mut p: Packet) -> Option<Packet> {
+    fn action(&mut self, mut p: Packet) -> Option<(usize, Packet)> {
         p.anno.paint = self.color;
-        Some(p)
-    }
-    fn push_batch(&mut self, _port: usize, mut batch: PacketBatch, out: &mut BatchEmitter) {
-        for p in batch.iter_mut() {
-            p.anno.paint = self.color;
-        }
-        out.emit_batch(0, batch);
+        Some((0, p))
     }
 }
 
 /// `PaintTee(color)`: forwards every packet on output 0; packets whose
 /// paint matches also send a copy to output 1 (the ICMP-redirect trigger
-/// in the IP router).
+/// in the IP router). Pulled, it pushes the copy out of output 1.
 #[derive(Debug)]
 pub struct PaintTee {
     color: u8,
@@ -199,6 +185,14 @@ impl PaintTee {
             matched: 0,
         })
     }
+
+    /// The copy for output 1, if `p`'s paint matches.
+    fn copy(&mut self, p: &Packet) -> Option<Packet> {
+        (p.anno.paint == self.color).then(|| {
+            self.matched += 1;
+            p.clone()
+        })
+    }
 }
 
 impl Element for PaintTee {
@@ -206,11 +200,20 @@ impl Element for PaintTee {
         "PaintTee"
     }
     fn push(&mut self, _port: usize, p: Packet, out: &mut Emitter) {
-        if p.anno.paint == self.color {
-            self.matched += 1;
-            out.emit(1, p.clone());
+        if let Some(c) = self.copy(&p) {
+            out.emit(1, c);
         }
         out.emit(0, p);
+    }
+    fn push_batch(&mut self, port: usize, batch: PacketBatch, out: &mut BatchEmitter) {
+        out.push_each(batch, |p, e| self.push(port, p, e));
+    }
+    fn pull(&mut self, _port: usize, ctx: &mut dyn PullContext) -> Option<Packet> {
+        let p = ctx.pull(0)?;
+        if let Some(c) = self.copy(&p) {
+            ctx.push_out(1, c);
+        }
+        Some(p)
     }
     fn stat(&self, name: &str) -> Option<u64> {
         (name == "matched").then_some(self.matched)
@@ -244,9 +247,8 @@ impl Element for CheckPaint {
     fn class_name(&self) -> &str {
         "CheckPaint"
     }
-    fn push(&mut self, _port: usize, p: Packet, out: &mut Emitter) {
-        let port = usize::from(p.anno.paint == self.color);
-        out.emit(port, p);
+    fn action(&mut self, p: Packet) -> Option<(usize, Packet)> {
+        Some((usize::from(p.anno.paint == self.color), p))
     }
 }
 
@@ -277,15 +279,9 @@ impl Element for Strip {
     fn class_name(&self) -> &str {
         "Strip"
     }
-    fn simple_action(&mut self, mut p: Packet) -> Option<Packet> {
+    fn action(&mut self, mut p: Packet) -> Option<(usize, Packet)> {
         p.pull(self.n);
-        Some(p)
-    }
-    fn push_batch(&mut self, _port: usize, mut batch: PacketBatch, out: &mut BatchEmitter) {
-        for p in batch.iter_mut() {
-            p.pull(self.n);
-        }
-        out.emit_batch(0, batch);
+        Some((0, p))
     }
 }
 
@@ -312,9 +308,9 @@ impl Element for Unstrip {
     fn class_name(&self) -> &str {
         "Unstrip"
     }
-    fn simple_action(&mut self, mut p: Packet) -> Option<Packet> {
+    fn action(&mut self, mut p: Packet) -> Option<(usize, Packet)> {
         p.push(self.n);
-        Some(p)
+        Some((0, p))
     }
 }
 
@@ -354,14 +350,14 @@ impl Element for Align {
     fn class_name(&self) -> &str {
         "Align"
     }
-    fn simple_action(&mut self, mut p: Packet) -> Option<Packet> {
+    fn action(&mut self, mut p: Packet) -> Option<(usize, Packet)> {
         if p.alignment_offset() != self.offset % self.modulus.max(1)
             || p.headroom() % self.modulus != self.offset
         {
             self.realigned += 1;
         }
         p.align_to(self.modulus, self.offset);
-        Some(p)
+        Some((0, p))
     }
     fn stat(&self, name: &str) -> Option<u64> {
         (name == "realigned").then_some(self.realigned)
@@ -413,9 +409,13 @@ impl Element for Switch {
     fn class_name(&self) -> &str {
         "Switch"
     }
-    fn push(&mut self, _port: usize, p: Packet, out: &mut Emitter) {
-        if let Some(k) = self.target() {
-            out.emit(k, p);
+    fn action(&mut self, p: Packet) -> Option<(usize, Packet)> {
+        match self.target() {
+            Some(k) => Some((k, p)),
+            None => {
+                p.recycle();
+                None
+            }
         }
     }
 }
@@ -530,7 +530,7 @@ impl Element for Idle {
     fn class_name(&self) -> &str {
         "Idle"
     }
-    fn simple_action(&mut self, p: Packet) -> Option<Packet> {
+    fn action(&mut self, p: Packet) -> Option<(usize, Packet)> {
         p.recycle();
         None
     }

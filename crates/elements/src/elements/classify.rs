@@ -2,12 +2,24 @@
 //! `IPClassifier` / `IPFilter` and the specialized `FastClassifier@@*`
 //! classes that `click-fastclassifier` substitutes for them.
 
-use crate::batch::{BatchEmitter, PacketBatch};
-use crate::element::{config_err, CreateCtx, Element, Emitter};
+use crate::element::{config_err, CreateCtx, Element};
 use crate::packet::Packet;
 use click_classifier::{build_tree, parse_rules, rules_noutputs, FastMatcher, TreeClassifier};
 use click_core::error::Result;
 use click_core::registry::{FASTCLASSIFIER_PREFIX, FASTIPFILTER_PREFIX};
+
+/// Sends `p` out of the output a classifier chose, or counts it in
+/// `drops` and recycles it when no rule matched.
+fn classified(port: Option<usize>, p: Packet, drops: &mut u64) -> Option<(usize, Packet)> {
+    match port {
+        Some(port) => Some((port, p)),
+        None => {
+            *drops += 1;
+            p.recycle();
+            None
+        }
+    }
+}
 
 /// The generic classifier element: compiles its configuration into a
 /// decision tree at configuration time and walks heap-allocated nodes per
@@ -51,28 +63,9 @@ impl Element for ClassifierElement {
     fn class_name(&self) -> &str {
         self.class
     }
-    fn push(&mut self, _port: usize, p: Packet, out: &mut Emitter) {
-        match self.runtime.classify(p.data()) {
-            Some(port) => out.emit(port, p),
-            None => {
-                self.drops += 1;
-                p.recycle();
-            }
-        }
-    }
-    fn push_batch(&mut self, _port: usize, mut batch: PacketBatch, out: &mut BatchEmitter) {
-        // One tree walk per packet but a single dispatch for the batch;
-        // outputs branch-sort so downstream hops stay coalesced.
-        for p in batch.drain() {
-            match self.runtime.classify(p.data()) {
-                Some(port) => out.emit(port, p),
-                None => {
-                    self.drops += 1;
-                    p.recycle();
-                }
-            }
-        }
-        out.recycle_storage(batch);
+    fn action(&mut self, p: Packet) -> Option<(usize, Packet)> {
+        let port = self.runtime.classify(p.data());
+        classified(port, p, &mut self.drops)
     }
     fn stat(&self, name: &str) -> Option<u64> {
         (name == "drops").then_some(self.drops)
@@ -120,26 +113,9 @@ impl Element for FastClassifierElement {
     fn class_name(&self) -> &str {
         &self.class
     }
-    fn push(&mut self, _port: usize, p: Packet, out: &mut Emitter) {
-        match self.matcher.classify(p.data()) {
-            Some(port) => out.emit(port, p),
-            None => {
-                self.drops += 1;
-                p.recycle();
-            }
-        }
-    }
-    fn push_batch(&mut self, _port: usize, mut batch: PacketBatch, out: &mut BatchEmitter) {
-        for p in batch.drain() {
-            match self.matcher.classify(p.data()) {
-                Some(port) => out.emit(port, p),
-                None => {
-                    self.drops += 1;
-                    p.recycle();
-                }
-            }
-        }
-        out.recycle_storage(batch);
+    fn action(&mut self, p: Packet) -> Option<(usize, Packet)> {
+        let port = self.matcher.classify(p.data());
+        classified(port, p, &mut self.drops)
     }
     fn stat(&self, name: &str) -> Option<u64> {
         (name == "drops").then_some(self.drops)
@@ -149,6 +125,7 @@ impl Element for FastClassifierElement {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::element::Emitter;
     use click_classifier::optimize;
 
     fn ctx() -> CreateCtx {

@@ -47,34 +47,15 @@ impl Element for IPInputCombo {
     fn class_name(&self) -> &str {
         "IPInputCombo"
     }
-    fn push(&mut self, _port: usize, mut p: Packet, out: &mut Emitter) {
+    fn action(&mut self, mut p: Packet) -> Option<(usize, Packet)> {
         p.anno.paint = self.color;
         p.pull(ether::HLEN);
         if !CheckIPHeader::header_ok(p.data()) {
             self.bad += 1;
-            out.emit(1, p);
-            return;
+            return Some((1, p));
         }
-        let d = p.data();
-        p.anno.dst_ip = Some(ipv4::dst(d));
-        out.emit(0, p);
-    }
-    fn push_batch(&mut self, _port: usize, mut batch: PacketBatch, out: &mut BatchEmitter) {
-        // The whole fused input path in one batch pass: paint, strip,
-        // validate, annotate.
-        for mut p in batch.drain() {
-            p.anno.paint = self.color;
-            p.pull(ether::HLEN);
-            if !CheckIPHeader::header_ok(p.data()) {
-                self.bad += 1;
-                out.emit(1, p);
-                continue;
-            }
-            let dst = ipv4::dst(p.data());
-            p.anno.dst_ip = Some(dst);
-            out.emit(0, p);
-        }
-        out.recycle_storage(batch);
+        p.anno.dst_ip = Some(ipv4::dst(p.data()));
+        Some((0, p))
     }
     fn stat(&self, name: &str) -> Option<u64> {
         (name == "bad").then_some(self.bad)
@@ -259,14 +240,14 @@ mod tests {
         let mut strip = Strip::from_config("14", &mut c).unwrap();
         let mut chk = CheckIPHeader::from_config("", &mut c).unwrap();
         let mut get = GetIPAddress::from_config("16", &mut c).unwrap();
-        let p = paint.simple_action(p).unwrap();
-        let p = strip.simple_action(p).unwrap();
+        let p = paint.action(p).unwrap().1;
+        let p = strip.action(p).unwrap().1;
         let mut out = Emitter::new();
         chk.push(0, p, &mut out);
         let mut results = Vec::new();
         for (port, q) in out.drain() {
             if port == 0 {
-                let q = get.simple_action(q).unwrap();
+                let q = get.action(q).unwrap().1;
                 results.push((0, q));
             } else {
                 results.push((1, q));
@@ -313,7 +294,7 @@ mod tests {
         let mut ttl = DecIPTTL::from_config("", &mut c).unwrap();
         let mut frag = IPFragmenter::from_config(&mtu.to_string(), &mut c).unwrap();
         let mut results = Vec::new();
-        let Some(p) = db.simple_action(p) else {
+        let Some((_, p)) = db.action(p) else {
             return results;
         };
         let mut out = Emitter::new();
@@ -338,7 +319,7 @@ mod tests {
             }
         }
         let Some(p) = forward else { return results };
-        let p = fix.simple_action(p).unwrap();
+        let p = fix.action(p).unwrap().1;
         let mut out = Emitter::new();
         ttl.push(0, p, &mut out);
         let mut forward = None;

@@ -54,10 +54,10 @@ impl Element for EtherEncap {
     fn class_name(&self) -> &str {
         "EtherEncap"
     }
-    fn simple_action(&mut self, mut p: Packet) -> Option<Packet> {
+    fn action(&mut self, mut p: Packet) -> Option<(usize, Packet)> {
         p.push(ether::HLEN);
         ether::write(p.data_mut(), self.dst, self.src, self.ethertype);
-        Some(p)
+        Some((0, p))
     }
 }
 
@@ -311,11 +311,11 @@ impl Element for ArpResponder {
     fn class_name(&self) -> &str {
         "ARPResponder"
     }
-    fn simple_action(&mut self, p: Packet) -> Option<Packet> {
+    fn action(&mut self, p: Packet) -> Option<(usize, Packet)> {
         // The request is consumed, answered or not.
         let reply = self.reply_to(p.data());
         p.recycle();
-        reply
+        reply.map(|r| (0, r))
     }
     fn stat(&self, name: &str) -> Option<u64> {
         (name == "replies").then_some(self.replies)
@@ -349,11 +349,11 @@ impl Element for HostEtherFilter {
     fn class_name(&self) -> &str {
         "HostEtherFilter"
     }
-    fn push(&mut self, _port: usize, p: Packet, out: &mut Emitter) {
+    fn action(&mut self, p: Packet) -> Option<(usize, Packet)> {
         let data = p.data();
         let ours = data.len() >= ether::HLEN
             && (ether::dst(data) == self.mac || ether::dst(data) == ether::BROADCAST);
-        out.emit(usize::from(!ours), p);
+        Some((usize::from(!ours), p))
     }
 }
 
@@ -386,7 +386,7 @@ mod tests {
             EtherEncap::from_config("0x0800, 00:00:00:00:00:01, 00:00:00:00:00:02", &mut ctx())
                 .unwrap();
         let p = ip_only_packet(0x0A000002);
-        let framed = e.simple_action(p).unwrap();
+        let framed = e.action(p).unwrap().1;
         let d = framed.data();
         assert_eq!(ether::ethertype(d), 0x0800);
         assert_eq!(ether::src(d), [0, 0, 0, 0, 0, 1]);
@@ -590,7 +590,7 @@ mod tests {
             [0; 6],
             0x0A000001,
         );
-        let reply = r.simple_action(req).expect("should reply");
+        let reply = r.action(req).expect("should reply").1;
         let d = reply.data();
         assert_eq!(ether::dst(d), [7; 6]);
         let a = &d[14..];
@@ -614,7 +614,7 @@ mod tests {
             [0; 6],
             0x0A000009,
         );
-        assert!(r.simple_action(req).is_none());
+        assert!(r.action(req).is_none());
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! `FaultInject`: deterministic chaos injection for robustness testing.
 //!
 //! Production packet processors are exercised with fault injection long
-//! before a real fault finds them. `FaultInject` sits on a push path and
+//! before a real fault finds them. `FaultInject` sits on a push path (it
+//! is push-only: one pull could not return a duplicate or a delayed
+//! packet, so `click-check` refuses it on a pull path) and
 //! misbehaves on purpose — dropping, corrupting, duplicating, delaying,
 //! or `panic!`ing — under a seeded LCG so every run is reproducible:
 //!
@@ -37,6 +39,7 @@
 //!   arming the faults (lets a chaos test kill a shard mid-stream at a
 //!   deterministic point).
 
+use crate::batch::{BatchEmitter, PacketBatch};
 use crate::element::{config_err, int_arg, CreateCtx, Element, Emitter};
 use crate::packet::Packet;
 use crate::swap::ElementState;
@@ -207,6 +210,10 @@ impl Element for FaultInject {
             out.emit(0, p.clone());
         }
         self.forward(p, out);
+    }
+
+    fn push_batch(&mut self, port: usize, batch: PacketBatch, out: &mut BatchEmitter) {
+        out.push_each(batch, |p, e| self.push(port, p, e));
     }
 
     fn stat(&self, name: &str) -> Option<u64> {

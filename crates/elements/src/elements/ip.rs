@@ -54,24 +54,13 @@ impl Element for CheckIPHeader {
     fn class_name(&self) -> &str {
         "CheckIPHeader"
     }
-    fn push(&mut self, _port: usize, p: Packet, out: &mut Emitter) {
+    fn action(&mut self, p: Packet) -> Option<(usize, Packet)> {
         if Self::header_ok(p.data()) {
-            out.emit(0, p);
+            Some((0, p))
         } else {
             self.bad += 1;
-            out.emit(1, p);
+            Some((1, p))
         }
-    }
-    fn push_batch(&mut self, _port: usize, mut batch: PacketBatch, out: &mut BatchEmitter) {
-        for p in batch.drain() {
-            if Self::header_ok(p.data()) {
-                out.emit(0, p);
-            } else {
-                self.bad += 1;
-                out.emit(1, p);
-            }
-        }
-        out.recycle_storage(batch);
     }
     fn stat(&self, name: &str) -> Option<u64> {
         (name == "bad").then_some(self.bad)
@@ -123,28 +112,12 @@ impl Element for GetIPAddress {
     fn class_name(&self) -> &str {
         "GetIPAddress"
     }
-    fn simple_action(&mut self, mut p: Packet) -> Option<Packet> {
-        let d = p.data();
-        if d.len() >= self.offset + 4 {
-            p.anno.dst_ip = Some(u32::from_be_bytes([
-                d[self.offset],
-                d[self.offset + 1],
-                d[self.offset + 2],
-                d[self.offset + 3],
-            ]));
+    fn action(&mut self, mut p: Packet) -> Option<(usize, Packet)> {
+        let field = p.data().get(self.offset..self.offset + 4);
+        if let Some(&[a, b, c, d]) = field {
+            p.anno.dst_ip = Some(u32::from_be_bytes([a, b, c, d]));
         }
-        Some(p)
-    }
-    fn push_batch(&mut self, _port: usize, mut batch: PacketBatch, out: &mut BatchEmitter) {
-        for p in batch.iter_mut() {
-            let off = self.offset;
-            let d = p.data();
-            if d.len() >= off + 4 {
-                let dst = u32::from_be_bytes([d[off], d[off + 1], d[off + 2], d[off + 3]]);
-                p.anno.dst_ip = Some(dst);
-            }
-        }
-        out.emit_batch(0, batch);
+        Some((0, p))
     }
 }
 
@@ -174,9 +147,9 @@ impl Element for SetIPAddress {
     fn class_name(&self) -> &str {
         "SetIPAddress"
     }
-    fn simple_action(&mut self, mut p: Packet) -> Option<Packet> {
+    fn action(&mut self, mut p: Packet) -> Option<(usize, Packet)> {
         p.anno.dst_ip = Some(self.ip);
-        Some(p)
+        Some((0, p))
     }
 }
 
@@ -200,13 +173,13 @@ impl Element for DropBroadcasts {
     fn class_name(&self) -> &str {
         "DropBroadcasts"
     }
-    fn simple_action(&mut self, p: Packet) -> Option<Packet> {
+    fn action(&mut self, p: Packet) -> Option<(usize, Packet)> {
         if p.anno.link_broadcast {
             self.drops += 1;
             p.recycle();
             None
         } else {
-            Some(p)
+            Some((0, p))
         }
     }
     fn stat(&self, name: &str) -> Option<u64> {
@@ -268,12 +241,12 @@ impl Element for IPGWOptions {
     fn class_name(&self) -> &str {
         "IPGWOptions"
     }
-    fn push(&mut self, _port: usize, p: Packet, out: &mut Emitter) {
+    fn action(&mut self, p: Packet) -> Option<(usize, Packet)> {
         if Self::options_ok(p.data()) {
-            out.emit(0, p);
+            Some((0, p))
         } else {
             self.bad += 1;
-            out.emit(1, p);
+            Some((1, p))
         }
     }
     fn stat(&self, name: &str) -> Option<u64> {
@@ -309,12 +282,12 @@ impl Element for FixIPSrc {
     fn class_name(&self) -> &str {
         "FixIPSrc"
     }
-    fn simple_action(&mut self, mut p: Packet) -> Option<Packet> {
+    fn action(&mut self, mut p: Packet) -> Option<(usize, Packet)> {
         if p.anno.fix_ip_src && p.len() >= ipv4::HLEN {
             ipv4::set_src(p.data_mut(), self.ip);
             p.anno.fix_ip_src = false;
         }
-        Some(p)
+        Some((0, p))
     }
 }
 
@@ -339,26 +312,14 @@ impl Element for DecIPTTL {
     fn class_name(&self) -> &str {
         "DecIPTTL"
     }
-    fn push(&mut self, _port: usize, mut p: Packet, out: &mut Emitter) {
+    fn action(&mut self, mut p: Packet) -> Option<(usize, Packet)> {
         if p.len() < ipv4::HLEN || ipv4::ttl(p.data()) <= 1 {
             self.expired += 1;
-            out.emit(1, p);
+            Some((1, p))
         } else {
             ipv4::dec_ttl(p.data_mut());
-            out.emit(0, p);
+            Some((0, p))
         }
-    }
-    fn push_batch(&mut self, _port: usize, mut batch: PacketBatch, out: &mut BatchEmitter) {
-        for mut p in batch.drain() {
-            if p.len() < ipv4::HLEN || ipv4::ttl(p.data()) <= 1 {
-                self.expired += 1;
-                out.emit(1, p);
-            } else {
-                ipv4::dec_ttl(p.data_mut());
-                out.emit(0, p);
-            }
-        }
-        out.recycle_storage(batch);
     }
     fn stat(&self, name: &str) -> Option<u64> {
         (name == "expired").then_some(self.expired)
@@ -467,6 +428,9 @@ impl Element for IPFragmenter {
             }
         }
     }
+    fn push_batch(&mut self, port: usize, batch: PacketBatch, out: &mut BatchEmitter) {
+        out.push_each(batch, |p, e| self.push(port, p, e));
+    }
     fn stat(&self, name: &str) -> Option<u64> {
         match name {
             "fragments" => Some(self.fragments),
@@ -539,11 +503,11 @@ impl Element for ICMPError {
     fn class_name(&self) -> &str {
         "ICMPError"
     }
-    fn simple_action(&mut self, p: Packet) -> Option<Packet> {
+    fn action(&mut self, p: Packet) -> Option<(usize, Packet)> {
         // The original is consumed, whether or not it can be quoted.
         let e = self.error_for(p.data());
         p.recycle();
-        e
+        e.map(|e| (0, e))
     }
     fn stat(&self, name: &str) -> Option<u64> {
         (name == "count").then_some(self.generated)
@@ -620,11 +584,10 @@ impl Element for ICMPPingResponder {
     fn class_name(&self) -> &str {
         "ICMPPingResponder"
     }
-    fn push(&mut self, _port: usize, mut p: Packet, out: &mut Emitter) {
+    fn action(&mut self, mut p: Packet) -> Option<(usize, Packet)> {
         if !self.is_echo_request(p.data()) {
             self.ignored += 1;
-            out.emit(1, p);
-            return;
+            return Some((1, p));
         }
         let f = p.data_mut();
         let (req_dst, req_src) = (crate::headers::ether::dst(f), crate::headers::ether::src(f));
@@ -645,7 +608,7 @@ impl Element for ICMPPingResponder {
         let c = Self::icmp_checksum(icmp);
         icmp[2..4].copy_from_slice(&c.to_be_bytes());
         self.replies += 1;
-        out.emit(0, p);
+        Some((0, p))
     }
     fn stat(&self, name: &str) -> Option<u64> {
         match name {
@@ -763,10 +726,15 @@ impl StaticIPLookup {
     pub fn route_count(&self) -> usize {
         self.table().len()
     }
+}
 
-    /// Routes `p` by its destination annotation (or header), or counts
-    /// it as a drop and hands it back to the pool.
-    fn forward(&mut self, mut p: Packet) -> Option<(usize, Packet)> {
+impl Element for StaticIPLookup {
+    fn class_name(&self) -> &str {
+        self.class
+    }
+    fn action(&mut self, mut p: Packet) -> Option<(usize, Packet)> {
+        // Route by the destination annotation (or header); no route is a
+        // counted drop, and the packet goes back to the pool.
         let dst = p.anno.dst_ip.unwrap_or_else(|| {
             if p.len() >= ipv4::HLEN {
                 ipv4::dst(p.data())
@@ -785,27 +753,6 @@ impl StaticIPLookup {
                 None
             }
         }
-    }
-}
-
-impl Element for StaticIPLookup {
-    fn class_name(&self) -> &str {
-        self.class
-    }
-    fn push(&mut self, _port: usize, p: Packet, out: &mut Emitter) {
-        if let Some((port, p)) = self.forward(p) {
-            out.emit(port, p);
-        }
-    }
-    fn push_batch(&mut self, _port: usize, mut batch: PacketBatch, out: &mut BatchEmitter) {
-        // One trie lookup per packet, branch-sorted per next hop: flows
-        // toward the same interface stay a single batch downstream.
-        for p in batch.drain() {
-            if let Some((port, p)) = self.forward(p) {
-                out.emit(port, p);
-            }
-        }
-        out.recycle_storage(batch);
     }
     fn stat(&self, name: &str) -> Option<u64> {
         (name == "drops").then_some(self.drops)
@@ -873,7 +820,7 @@ mod tests {
     #[test]
     fn getipaddress_sets_annotation() {
         let mut g = GetIPAddress::from_config("16", &mut ctx()).unwrap();
-        let p = g.simple_action(ip_packet(0x0A020304, 64)).unwrap();
+        let p = g.action(ip_packet(0x0A020304, 64)).unwrap().1;
         assert_eq!(p.anno.dst_ip, Some(0x0A020304));
     }
 
@@ -882,8 +829,8 @@ mod tests {
         let mut d = DropBroadcasts::from_config("", &mut ctx()).unwrap();
         let mut p = ip_packet(1, 64);
         p.anno.link_broadcast = true;
-        assert!(d.simple_action(p).is_none());
-        assert!(d.simple_action(ip_packet(1, 64)).is_some());
+        assert!(d.action(p).is_none());
+        assert!(d.action(ip_packet(1, 64)).is_some());
         assert_eq!(d.stat("drops"), Some(1));
     }
 
@@ -904,12 +851,12 @@ mod tests {
         let mut f = FixIPSrc::from_config("10.0.0.254", &mut ctx()).unwrap();
         let mut p = ip_packet(1, 64);
         p.anno.fix_ip_src = true;
-        let q = f.simple_action(p).unwrap();
+        let q = f.action(p).unwrap().1;
         assert_eq!(ipv4::src(q.data()), 0x0A0000FE);
         assert!(ipv4::checksum_ok(q.data()));
         assert!(!q.anno.fix_ip_src);
         // Without the flag: untouched.
-        let q2 = f.simple_action(ip_packet(1, 64)).unwrap();
+        let q2 = f.action(ip_packet(1, 64)).unwrap().1;
         assert_eq!(ipv4::src(q2.data()), 0x0A000001);
     }
 
@@ -992,7 +939,7 @@ mod tests {
     fn icmperror_builds_addressed_error() {
         let mut e = ICMPError::from_config("10.0.0.254, 11, 0", &mut ctx()).unwrap();
         let bad = ip_packet(0x0A020304, 1);
-        let err = e.simple_action(bad.clone()).unwrap();
+        let err = e.action(bad.clone()).unwrap().1;
         let d = err.data();
         assert_eq!(ipv4::protocol(d), ipv4::PROTO_ICMP);
         assert_eq!(ipv4::dst(d), 0x0A000001); // original source

@@ -112,6 +112,13 @@ mod common;
 mod tests {
     use super::common::sample_config;
     use super::*;
+    use crate::batch::BatchEmitter;
+    use crate::element::{Emitter, PullContext};
+    use crate::headers::{arp, build_udp_packet, ether, ipv4};
+    use crate::packet::{Anno, Packet};
+    use click_core::spec::PortKind;
+    use click_core::Lcg;
+    use std::collections::{BTreeMap, VecDeque};
 
     #[test]
     fn factory_covers_every_standard_runtime_class() {
@@ -135,6 +142,237 @@ mod tests {
                 ctx.devices.is_empty() || crate::swap::ALWAYS_REBUILT.contains(&spec.name.as_str()),
                 "{:?} registers a device: list it in swap::ALWAYS_REBUILT",
                 spec.name
+            );
+        }
+    }
+
+    /// What an element sent out of each output port, as bytes and
+    /// annotations, in order.
+    type PortLog = BTreeMap<usize, Vec<(Vec<u8>, Anno)>>;
+
+    fn log(into: &mut PortLog, port: usize, p: Packet) {
+        into.entry(port)
+            .or_default()
+            .push((p.data().to_vec(), p.anno.clone()));
+        p.recycle();
+    }
+
+    /// Packets per port, for a failure message that fits on a screen.
+    fn shape(log: &PortLog) -> String {
+        format!(
+            "{:?}",
+            log.iter()
+                .map(|(port, v)| (port, v.len()))
+                .collect::<Vec<_>>()
+        )
+    }
+
+    /// Every statistic name an element of this library answers.
+    const STATS: &str = "count byte_count drops bad expired matched realigned replies ignored \
+                         fragments must_frag queries table_size seen corrupted duplicated \
+                         delayed length highwater capacity broadcasts redirects";
+
+    fn stats(e: &dyn Element) -> Vec<Option<u64>> {
+        STATS.split_whitespace().map(|name| e.stat(name)).collect()
+    }
+
+    /// A seeded mix of Ethernet frames and bare IP packets: good UDP, TTL
+    /// 1, bad checksum, runt, non-IP, link broadcast, ARP request and
+    /// reply, and oversize datagrams with and without DF, with random
+    /// paint, destination and fix-source annotations.
+    fn mixed_traffic(seed: u64, n: usize) -> Vec<Packet> {
+        let mut r = Lcg::new(seed);
+        let (us, peer) = ([0, 0, 0, 0, 0, 1], [0, 0, 0, 0, 0, 2]);
+        (0..n)
+            .map(|_| {
+                let dst = if r.below(4) == 0 {
+                    0xC0A8_0001
+                } else {
+                    0x0A00_0002
+                };
+                let udp = |r: &mut Lcg, len, ttl| {
+                    let sport = r.below(64) as u16;
+                    build_udp_packet(peer, us, 0x0A00_0009, dst, sport, 9, len, ttl)
+                };
+                let (mut p, ip) = match r.below(9) {
+                    0 => (udp(&mut r, 18, 1), true),
+                    1 => {
+                        let mut p = udp(&mut r, 18, 64);
+                        p.data_mut()[ether::HLEN + 10] ^= 0xFF;
+                        (p, true)
+                    }
+                    2 => (Packet::new(r.below(34)), false),
+                    3 => {
+                        let mut p = udp(&mut r, 18, 64);
+                        p.data_mut()[12..14].copy_from_slice(&0x86DDu16.to_be_bytes());
+                        (p, false)
+                    }
+                    4 => {
+                        let mut p = udp(&mut r, 18, 64);
+                        p.data_mut()[..6].copy_from_slice(&ether::BROADCAST);
+                        p.anno.link_broadcast = true;
+                        (p, true)
+                    }
+                    k @ (5 | 6) => {
+                        let (op, to) = if k == 5 {
+                            (arp::OP_REQUEST, ether::BROADCAST)
+                        } else {
+                            (arp::OP_REPLY, us)
+                        };
+                        let mut p = Packet::new(ether::HLEN + arp::LEN);
+                        let d = p.data_mut();
+                        ether::write(d, to, peer, ether::TYPE_ARP);
+                        arp::write(
+                            &mut d[ether::HLEN..],
+                            op,
+                            peer,
+                            0x0A00_0002,
+                            us,
+                            0x0A00_0001,
+                        );
+                        (p, false)
+                    }
+                    7 | 8 => {
+                        let mut p = udp(&mut r, 1600, 64);
+                        if r.below(2) == 0 {
+                            let ip = &mut p.data_mut()[ether::HLEN..];
+                            ip[6] |= 0x40; // DF
+                            ipv4::set_checksum(ip);
+                        }
+                        (p, true)
+                    }
+                    _ => (udp(&mut r, 18, 64), true),
+                };
+                if ip && r.below(2) == 0 {
+                    p.pull(ether::HLEN);
+                }
+                p.anno.paint = r.below(2) as u8;
+                p.anno.fix_ip_src = r.below(3) == 0;
+                if r.below(2) == 0 {
+                    p.anno.dst_ip = Some(dst);
+                }
+                p
+            })
+            .collect()
+    }
+
+    /// The standard classes with a push or agnostic input 0, sorted,
+    /// with that input's kind.
+    fn pushable_classes() -> Vec<(String, PortKind)> {
+        let lib = click_core::registry::Library::standard();
+        let mut classes: Vec<_> = (lib.iter())
+            .filter(|s| !s.information && s.port_count.inputs.max != Some(0))
+            .map(|s| (s.name.clone(), s.processing.input_kind(0)))
+            .filter(|(_, kind)| *kind != PortKind::Pull)
+            .collect();
+        classes.sort_by(|a, b| a.0.cmp(&b.0));
+        classes
+    }
+
+    fn build(class: &str) -> Box<dyn Element> {
+        create_element(class, sample_config(class), &mut CreateCtx::new()).unwrap()
+    }
+
+    #[test]
+    fn every_class_batches_as_it_pushes() {
+        let sizes = [1, 3, 8, 64, 5];
+        for (class, _) in pushable_classes() {
+            let (mut scalar, mut batched) = (build(&class), build(&class));
+            let mut want = PortLog::new();
+            let mut out = Emitter::new();
+            for p in mixed_traffic(41, 400) {
+                scalar.push(0, p, &mut out);
+                for (port, q) in out.drain() {
+                    log(&mut want, port, q);
+                }
+            }
+            let mut got = PortLog::new();
+            let mut out = BatchEmitter::new();
+            let mut traffic = mixed_traffic(41, 400).into_iter().peekable();
+            for &n in sizes.iter().cycle() {
+                if traffic.peek().is_none() {
+                    break;
+                }
+                batched.push_batch(0, traffic.by_ref().take(n).collect(), &mut out);
+                let mut groups = Vec::new();
+                while let Some(group) = out.pop_group() {
+                    groups.push(group);
+                }
+                for (port, mut b) in groups.into_iter().rev() {
+                    for q in b.drain() {
+                        log(&mut got, port, q);
+                    }
+                }
+            }
+            assert!(
+                got == want,
+                "{class}: batched {} != scalar {}",
+                shape(&got),
+                shape(&want)
+            );
+            assert_eq!(
+                stats(&*batched),
+                stats(&*scalar),
+                "{class}: batched stats differ"
+            );
+        }
+    }
+
+    /// A pull context over a fixed input that logs what the element
+    /// pushes out of its push-side outputs.
+    struct Feed {
+        input: VecDeque<Packet>,
+        pushed: PortLog,
+    }
+
+    impl PullContext for Feed {
+        fn pull(&mut self, port: usize) -> Option<Packet> {
+            assert_eq!(port, 0);
+            self.input.pop_front()
+        }
+        fn push_out(&mut self, port: usize, p: Packet) {
+            log(&mut self.pushed, port, p);
+        }
+        fn ninputs(&self) -> usize {
+            1
+        }
+    }
+
+    #[test]
+    fn every_agnostic_class_pulls_as_it_pushes() {
+        let agnostic = pushable_classes()
+            .into_iter()
+            .filter(|(_, kind)| *kind == PortKind::Agnostic);
+        for (class, _) in agnostic {
+            let (mut pushed, mut pulled) = (build(&class), build(&class));
+            let mut want = PortLog::new();
+            let mut out = Emitter::new();
+            for p in mixed_traffic(43, 400) {
+                pushed.push(0, p, &mut out);
+                for (port, q) in out.drain() {
+                    log(&mut want, port, q);
+                }
+            }
+            let mut feed = Feed {
+                input: mixed_traffic(43, 400).into(),
+                pushed: PortLog::new(),
+            };
+            let mut got = PortLog::new();
+            while let Some(p) = pulled.pull(0, &mut feed) {
+                log(&mut got, 0, p);
+            }
+            feed.input.drain(..).for_each(Packet::recycle);
+            got.append(&mut feed.pushed);
+            assert!(
+                got == want,
+                "{class}: pulled {} != pushed {}",
+                shape(&got),
+                shape(&want)
+            );
+            assert_eq!(
+                stats(&*pulled),
+                stats(&*pushed),
+                "{class}: pulled stats differ"
             );
         }
     }

@@ -210,14 +210,14 @@ impl Element for Red {
     fn class_name(&self) -> &str {
         "RED"
     }
-    fn simple_action(&mut self, p: Packet) -> Option<Packet> {
+    fn action(&mut self, p: Packet) -> Option<(usize, Packet)> {
         let depth = self.depth.as_ref().map(|d| d.get()).unwrap_or(0);
         // EWMA with weight 1/4: avg += (depth - avg) / 4.
         let depth_e8 = (depth as u64) << 8;
         self.avg_e8 = self.avg_e8 - (self.avg_e8 >> 2) + (depth_e8 >> 2);
         let avg = (self.avg_e8 >> 8) as usize;
         if avg < self.min_thresh {
-            return Some(p);
+            return Some((0, p));
         }
         if avg >= self.max_thresh {
             self.drops += 1;
@@ -231,7 +231,7 @@ impl Element for Red {
             p.recycle();
             None
         } else {
-            Some(p)
+            Some((0, p))
         }
     }
     fn stat(&self, name: &str) -> Option<u64> {
@@ -317,7 +317,7 @@ mod tests {
         let depth = Rc::new(Cell::new(0));
         red.attach_downstream_queue(Rc::clone(&depth));
         for _ in 0..100 {
-            assert!(red.simple_action(Packet::new(1)).is_some());
+            assert!(red.action(Packet::new(1)).is_some());
         }
         assert_eq!(red.stat("drops"), Some(0));
     }
@@ -329,11 +329,11 @@ mod tests {
         red.attach_downstream_queue(Rc::clone(&depth));
         // Warm the EWMA past max_thresh.
         for _ in 0..20 {
-            red.simple_action(Packet::new(1));
+            red.action(Packet::new(1));
         }
         let before = red.stat("drops").unwrap();
         for _ in 0..10 {
-            assert!(red.simple_action(Packet::new(1)).is_none());
+            assert!(red.action(Packet::new(1)).is_none());
         }
         assert_eq!(red.stat("drops").unwrap(), before + 10);
     }
@@ -345,7 +345,7 @@ mod tests {
         red.attach_downstream_queue(Rc::clone(&depth));
         let mut dropped = 0;
         for _ in 0..2000 {
-            if red.simple_action(Packet::new(1)).is_none() {
+            if red.action(Packet::new(1)).is_none() {
                 dropped += 1;
             }
         }
