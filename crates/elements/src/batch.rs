@@ -57,8 +57,10 @@ impl PacketBatch {
         self.pkts.is_empty()
     }
 
-    /// Removes all packets, in order. Keeps the storage for reuse.
-    pub fn drain(&mut self) -> impl Iterator<Item = Packet> + '_ {
+    /// Removes all packets, in order. Keeps the storage for reuse. The
+    /// packets not yet taken stay readable through `as_slice`, so an
+    /// element can look ahead at the rest of the batch.
+    pub fn drain(&mut self) -> std::vec::Drain<'_, Packet> {
         self.pkts.drain(..)
     }
 

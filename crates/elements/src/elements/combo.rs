@@ -131,6 +131,7 @@ impl Element for IPOutputCombo {
         // DropBroadcasts
         if p.anno.link_broadcast {
             self.broadcasts += 1;
+            p.recycle();
             return;
         }
         // PaintTee: copy to the redirect path.

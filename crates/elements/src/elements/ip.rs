@@ -8,7 +8,7 @@ use crate::batch::{BatchEmitter, PacketBatch};
 use crate::element::{args, config_err, int_arg, CreateCtx, Element, Emitter};
 use crate::headers::ipv4;
 use crate::packet::Packet;
-use crate::routing::MultibitTrie;
+use crate::routing::{MultibitTrie, LANES};
 use crate::swap::ElementState;
 use click_core::config::{arg_slices, parse_ipv4, parse_route, Route, RouteError};
 use click_core::error::Result;
@@ -695,6 +695,37 @@ impl StaticIPLookup {
             .map(|&(gw, port)| (gw.unwrap_or(dst), port))
     }
 
+    /// [`StaticIPLookup::route`] for every address of `dsts`, into
+    /// `out[i]` for `dsts[i]`, with one walk of the table over the batch
+    /// ([`MultibitTrie::lookup_batch`]).
+    fn route_batch(&self, dsts: &[u32], out: &mut [Option<(u32, usize)>]) {
+        let mut hits = [None; LANES];
+        for (dsts, out) in dsts.chunks(LANES).zip(out.chunks_mut(LANES)) {
+            let hits = &mut hits[..dsts.len()];
+            self.table().lookup_batch(dsts, hits);
+            for ((o, hit), &dst) in out.iter_mut().zip(hits).zip(dsts) {
+                *o = hit.map(|&(gw, port)| (gw.unwrap_or(dst), port));
+            }
+        }
+    }
+
+    /// Sends `p` along its route `hit` (`(next hop, output port)`, as
+    /// [`StaticIPLookup::route`] answers), or, with no route, counts the
+    /// drop and returns the packet to the pool.
+    fn forward(&mut self, mut p: Packet, hit: Option<(u32, usize)>) -> Option<(usize, Packet)> {
+        match hit {
+            Some((next_hop, port)) => {
+                p.anno.dst_ip = Some(next_hop);
+                Some((port, p))
+            }
+            None => {
+                self.drops += 1;
+                p.recycle();
+                None
+            }
+        }
+    }
+
     /// Like [`StaticIPLookup::route`], also reporting the number of
     /// interior stride nodes the lookup visited (for the cost model).
     pub fn route_steps(&self, dst: u32) -> (Option<(u32, usize)>, usize) {
@@ -728,31 +759,58 @@ impl StaticIPLookup {
     }
 }
 
+/// The address a packet is routed by: its destination annotation, else
+/// its header's destination (0 for a runt).
+fn destination(p: &Packet) -> u32 {
+    p.anno.dst_ip.unwrap_or_else(|| {
+        if p.len() >= ipv4::HLEN {
+            ipv4::dst(p.data())
+        } else {
+            0
+        }
+    })
+}
+
 impl Element for StaticIPLookup {
     fn class_name(&self) -> &str {
         self.class
     }
-    fn action(&mut self, mut p: Packet) -> Option<(usize, Packet)> {
-        // Route by the destination annotation (or header); no route is a
-        // counted drop, and the packet goes back to the pool.
-        let dst = p.anno.dst_ip.unwrap_or_else(|| {
-            if p.len() >= ipv4::HLEN {
-                ipv4::dst(p.data())
-            } else {
-                0
+    fn action(&mut self, p: Packet) -> Option<(usize, Packet)> {
+        let hit = self.route(destination(&p));
+        self.forward(p, hit)
+    }
+    fn push_batch(&mut self, _port: usize, mut batch: PacketBatch, out: &mut BatchEmitter) {
+        // A lone packet (a latency-bound trickle) has no misses to
+        // overlap: it takes `action`'s scalar walk and skips zeroing the
+        // lane arrays below.
+        if batch.len() == 1 {
+            if let Some((port, p)) = batch.drain().next().and_then(|p| self.action(p)) {
+                out.emit(port, p);
             }
-        });
-        match self.route(dst) {
-            Some((next_hop, port)) => {
-                p.anno.dst_ip = Some(next_hop);
-                Some((port, p))
+            out.recycle_storage(batch);
+            return;
+        }
+        // Up to LANES destinations are gathered and resolved in one walk
+        // of the table; then each packet, in order, takes the step
+        // `action` takes.
+        let mut dsts = [0u32; LANES];
+        let mut hits = [None; LANES];
+        let mut pkts = batch.drain();
+        while pkts.len() > 0 {
+            let lanes = &pkts.as_slice()[..pkts.len().min(LANES)];
+            let n = lanes.len();
+            for (d, p) in dsts.iter_mut().zip(lanes) {
+                *d = destination(p);
             }
-            None => {
-                self.drops += 1;
-                p.recycle();
-                None
+            self.route_batch(&dsts[..n], &mut hits[..n]);
+            for (p, &hit) in pkts.by_ref().take(n).zip(&hits[..n]) {
+                if let Some((port, p)) = self.forward(p, hit) {
+                    out.emit(port, p);
+                }
             }
         }
+        drop(pkts);
+        out.recycle_storage(batch);
     }
     fn stat(&self, name: &str) -> Option<u64> {
         (name == "drops").then_some(self.drops)

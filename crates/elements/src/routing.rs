@@ -129,6 +129,13 @@ const NONE: u32 = u32::MAX;
 /// most three popcount-compressed strides (6 + 6 + 4 = 16).
 const LEVELS: [(u32, u32); 3] = [(10, 6), (4, 6), (0, 4)];
 
+/// Addresses [`MultibitTrie::lookup_batch`] walks together. Enough lanes
+/// that their misses fill what the core can keep in flight; few enough
+/// that zeroing the per-lane stack arrays costs a batch of one next to
+/// nothing (at 64 lanes it cost such a batch about a fifth more than
+/// the scalar lookup).
+pub(crate) const LANES: usize = 32;
+
 fn mask_addr(addr: u32, plen: u8) -> u32 {
     if plen == 0 {
         0
@@ -173,6 +180,14 @@ struct PackedNode {
 /// 4-bit strides. Per-node leaf/child arrays live contiguously in one
 /// shared pool, so a lookup is a root load plus at most three
 /// bitmap-popcount hops regardless of table size.
+///
+/// Those hops depend on each other: root slot, node, pool, node, pool,
+/// value. On a table too big for the cache, most of them miss, and
+/// [`MultibitTrie::lookup`] waits for each in turn.
+/// [`MultibitTrie::lookup_batch`] answers a batch of addresses with the
+/// same per-level step, but level by level across the batch (all root
+/// slots, then each stride for the lanes still descending, then the
+/// values), so the misses of different addresses are in flight together.
 ///
 /// A whole table is built at once by [`MultibitTrie::from_prefixes`]:
 /// one sort of the long prefixes, then each chunk's subtree built once.
@@ -393,28 +408,87 @@ impl<T> MultibitTrie<T> {
         let mut node = slot.child;
         let mut steps = 0usize;
         if node != NONE {
-            let low = addr & 0xFFFF;
-            for (shift, width) in LEVELS {
+            for level in 0..LEVELS.len() {
                 steps += 1;
-                let n = self.nodes[node as usize];
-                let i = (low >> shift) & ((1 << width) - 1);
-                let bit = 1u64 << i;
-                if n.leaf_bm & bit != 0 {
-                    let pos = (n.leaf_bm & (bit - 1)).count_ones() as usize;
-                    best = self.pool[n.base_leaves as usize + pos];
-                }
-                if n.child_bm & bit != 0 {
-                    let pos = (n.child_bm & (bit - 1)).count_ones() as usize;
-                    node = self.pool[n.base_children as usize + pos];
-                } else {
+                node = self.step(level, node, addr, &mut best);
+                if node == NONE {
                     break;
                 }
             }
         }
-        if best == NONE {
-            (None, steps)
+        (self.value(best), steps)
+    }
+
+    /// Longest-prefix-match lookup of every address in `addrs`, into
+    /// `out[i]` for `addrs[i]`: the answers of [`MultibitTrie::lookup`],
+    /// found level by level. Each block of `LANES` (32) addresses first
+    /// reads all its root slots, then runs each stride level across the
+    /// lanes still descending, then loads the values, so the cache
+    /// misses of different addresses overlap instead of forming one
+    /// dependent chain per lookup.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is shorter than `addrs`.
+    pub fn lookup_batch<'a>(&'a self, addrs: &[u32], out: &mut [Option<&'a T>]) {
+        let out = &mut out[..addrs.len()];
+        for (addrs, out) in addrs.chunks(LANES).zip(out.chunks_mut(LANES)) {
+            let (mut best, mut node) = ([NONE; LANES], [NONE; LANES]);
+            // Indices of the lanes still descending, compacted per level.
+            let (mut live, mut nlive) = ([0u8; LANES], 0);
+            for (k, &addr) in addrs.iter().enumerate() {
+                let slot = self.root[(addr >> 16) as usize];
+                best[k] = slot.leaf;
+                node[k] = slot.child;
+                live[nlive] = k as u8;
+                nlive += usize::from(slot.child != NONE);
+            }
+            for level in 0..LEVELS.len() {
+                let mut next = 0;
+                for j in 0..nlive {
+                    let k = usize::from(live[j]);
+                    node[k] = self.step(level, node[k], addrs[k], &mut best[k]);
+                    if node[k] != NONE {
+                        live[next] = k as u8;
+                        next += 1;
+                    }
+                }
+                nlive = next;
+            }
+            for (o, &b) in out.iter_mut().zip(&best) {
+                *o = self.value(b);
+            }
+        }
+    }
+
+    /// One stride step of a lookup: at `level`, ranks `addr`'s slot of
+    /// `node`, records the slot's leaf (if any) in `best`, and returns
+    /// the child to descend to, or `NONE` where the walk ends.
+    #[inline(always)]
+    fn step(&self, level: usize, node: u32, addr: u32, best: &mut u32) -> u32 {
+        let (shift, width) = LEVELS[level];
+        let n = self.nodes[node as usize];
+        let i = ((addr & 0xFFFF) >> shift) & ((1 << width) - 1);
+        let bit = 1u64 << i;
+        if n.leaf_bm & bit != 0 {
+            let pos = (n.leaf_bm & (bit - 1)).count_ones() as usize;
+            *best = self.pool[n.base_leaves as usize + pos];
+        }
+        if n.child_bm & bit != 0 {
+            let pos = (n.child_bm & (bit - 1)).count_ones() as usize;
+            self.pool[n.base_children as usize + pos]
         } else {
-            (self.values[best as usize].as_ref(), steps)
+            NONE
+        }
+    }
+
+    /// The value a walk ended on, if it found one.
+    #[inline(always)]
+    fn value(&self, best: u32) -> Option<&T> {
+        if best == NONE {
+            None
+        } else {
+            self.values[best as usize].as_ref()
         }
     }
 
@@ -898,6 +972,141 @@ mod tests {
         );
     }
 
+    /// Batch lengths `lookup_batch` is checked at: empty, one, both sides
+    /// of one block of lanes, and several blocks.
+    const BATCH_LENS: [usize; 6] = [0, 1, 63, 64, 65, 200];
+
+    /// Cuts `probes` into batches of every length in [`BATCH_LENS`] and
+    /// checks each `lookup_batch` answer against `IpTrie::lookup`, the
+    /// reference, and against the scalar walk. `out` is one longer than
+    /// the batch, and its last slot must be left alone.
+    fn assert_batches_match(reference: &IpTrie<usize>, t: &MultibitTrie<usize>, probes: &[u32]) {
+        let untouched = usize::MAX;
+        let check = |batch: &[u32]| {
+            let mut out = vec![Some(&untouched); batch.len() + 1];
+            t.lookup_batch(batch, &mut out);
+            assert_eq!(
+                out[batch.len()],
+                Some(&untouched),
+                "batch of {}",
+                batch.len()
+            );
+            for (&q, &got) in batch.iter().zip(&out) {
+                assert_eq!(got, reference.lookup(q), "batch of {}, {q:#x}", batch.len());
+                assert_eq!(
+                    got,
+                    t.lookup(q),
+                    "batch of {} vs scalar, {q:#x}",
+                    batch.len()
+                );
+            }
+        };
+        for len in BATCH_LENS {
+            if len == 0 {
+                check(&[]);
+            } else {
+                probes.chunks(len).for_each(check);
+            }
+        }
+    }
+
+    /// Random addresses, plus for each of `prefixes` its first and last
+    /// address, their outside neighbours, and a random host inside it.
+    fn probes_for(next: &mut impl FnMut() -> u32, prefixes: &[(u32, u8, usize)]) -> Vec<u32> {
+        let mut probes: Vec<u32> = (0..300).map(|_| next()).collect();
+        for &(a, l, _) in prefixes {
+            let top = a | !mask_addr(u32::MAX, l);
+            probes.extend([a, a.wrapping_sub(1), top, top.wrapping_add(1)]);
+            probes.push(a | (next() & !mask_addr(u32::MAX, l)));
+        }
+        probes
+    }
+
+    /// `lookup_batch` answers as the reference `IpTrie` does, at every
+    /// batch length: on an empty table; on seeded tables of /0, /8 and
+    /// /16 prefixes with /17–/32 prefixes nested inside them, so a batch
+    /// mixes lanes that stop at the root and at each of the three
+    /// stride levels; and after insert/remove storms in a few chunks,
+    /// which rebuild chunk subtrees and compact the pool.
+    #[test]
+    fn lookup_batch_matches_reference() {
+        for seed in [7u64, 0xBA7C, 0x5EED] {
+            let mut lcg = click_core::Lcg::new(seed);
+            let mut next = move || lcg.word();
+            let empty = MultibitTrie::new();
+            assert_batches_match(&IpTrie::new(), &empty, &probes_for(&mut next, &[]));
+
+            // Layered: a default, /8s, /16s inside them, longer inside those.
+            let mut model: Vec<(u32, u8, usize)> = vec![(0, 0, 0)];
+            let eights: Vec<u32> = (0..6).map(|_| next() & 0xFF00_0000).collect();
+            let sixteens: Vec<u32> = (0..12)
+                .map(|_| eights[next() as usize % 6] | (next() & 0x00FF_0000))
+                .collect();
+            for &a in &eights {
+                model.push((a, 8, model.len()));
+            }
+            for &a in &sixteens {
+                model.push((a, 16, model.len()));
+            }
+            for _ in 0..600 {
+                let plen = 17 + (next() % 16) as u8;
+                let a = sixteens[next() as usize % sixteens.len()] | (next() & 0xFFFF);
+                model.push((mask_addr(a, plen), plen, model.len()));
+            }
+            let mut reference = IpTrie::new();
+            for &(a, l, v) in &model {
+                reference.insert(a, l, v);
+            }
+            let mut t = MultibitTrie::from_prefixes(model.iter().copied());
+            let deepest = probes_for(&mut next, &model)
+                .into_iter()
+                .map(|q| t.lookup_steps(q).1)
+                .max();
+            assert_eq!(
+                deepest,
+                Some(LEVELS.len()),
+                "seed {seed}: no lane reaches the last level"
+            );
+            assert_batches_match(&reference, &t, &probes_for(&mut next, &model));
+
+            // Storms: long-prefix churn in three chunks, short-prefix churn
+            // across them, until the pool has been compacted.
+            let chunks = [sixteens[0], sixteens[1], sixteens[2]];
+            let mut compactions = 0;
+            for step in 0..3000 {
+                let garbage = t.pool_garbage;
+                let plen = match next() % 8 {
+                    0 => 8 + (next() % 9) as u8,
+                    _ => 17 + (next() % 16) as u8,
+                };
+                let a = mask_addr(chunks[next() as usize % 3] | (next() & 0xFFFF), plen);
+                if next() % 3 == 0 {
+                    assert_eq!(
+                        t.remove(a, plen),
+                        reference.remove(a, plen),
+                        "{a:#x}/{plen}"
+                    );
+                } else {
+                    assert_eq!(
+                        t.insert(a, plen, 10_000 + step),
+                        reference.insert(a, plen, 10_000 + step)
+                    );
+                }
+                compactions += usize::from(garbage > 0 && t.pool_garbage == 0);
+                if step % 500 == 499 {
+                    // Hosts all over the churned chunks, beside the model's.
+                    let mut probed = model.clone();
+                    probed.extend(chunks.iter().cycle().take(300).map(|&c| (c, 16, 0)));
+                    assert_batches_match(&reference, &t, &probes_for(&mut next, &probed));
+                }
+            }
+            assert!(
+                compactions > 0,
+                "seed {seed}: the storms never compacted the pool"
+            );
+        }
+    }
+
     /// `n` distinct synthetic-BGP prefixes: a default route, then a
     /// seeded mix skewed toward /24s the way public tables are (55% /24,
     /// 20% /20-/23, 15% /16-/19, 5% /8-/15, 5% /25-/32).
@@ -977,8 +1186,14 @@ mod tests {
             }
         }
         assert_eq!(multi.len(), n, "prefixes are distinct");
+        let stream = destination_stream(0xD1CE + n as u64, &prefixes, 1024, 4096);
+        let mut batched = vec![None; stream.len()];
+        multi.lookup_batch(&stream, &mut batched);
+        for (&a, &hit) in stream.iter().zip(&batched) {
+            assert_eq!(hit, multi.lookup(a), "batch vs scalar at {a:#x}");
+        }
         let mut deepest = 0;
-        for a in destination_stream(0xD1CE + n as u64, &prefixes, 1024, 4096) {
+        for a in stream {
             let (hit, steps) = multi.lookup_steps(a);
             assert!(steps <= LEVEL_BOUND, "{a:#x}: {steps} levels");
             assert!(hit.is_some(), "{a:#x} misses the default route");

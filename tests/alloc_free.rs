@@ -12,10 +12,13 @@
 //! per thread, so the tests stay exact when the harness runs them in
 //! parallel.
 
+mod common;
+
 use click::core::lang::read_config;
 use click::core::registry::Library;
+use click::core::RouterGraph;
 use click::elements::element::{DeviceId, Element};
-use click::elements::headers::ipv4;
+use click::elements::headers::{build_udp_packet, ipv4};
 use click::elements::iodev::{MemBackend, MemQueues};
 use click::elements::ip_router::{test_packet, IpRouterSpec};
 use click::elements::packet::Packet;
@@ -96,8 +99,14 @@ fn frames(spec: &IpRouterSpec) -> Vec<Frame> {
 
 fn figure1(batched: bool) -> (Router, Vec<DeviceId>, Vec<Frame>) {
     let spec = IpRouterSpec::standard(IFACES);
-    let graph = read_config(&spec.config()).unwrap();
-    let mut router: Router = Router::from_graph(&graph, &Library::standard()).unwrap();
+    let (router, devs) = figure1_router(&read_config(&spec.config()).unwrap(), batched);
+    (router, devs, frames(&spec))
+}
+
+/// A router over `graph` (the Figure-1 router or a rewrite of it) and
+/// its interface devices.
+fn figure1_router(graph: &RouterGraph, batched: bool) -> (Router, Vec<DeviceId>) {
+    let mut router: Router = Router::from_graph(graph, &Library::standard()).unwrap();
     if batched {
         router.set_batching(true);
         router.set_batch_burst(BURST);
@@ -105,7 +114,7 @@ fn figure1(batched: bool) -> (Router, Vec<DeviceId>, Vec<Frame>) {
     let devs = (0..IFACES)
         .map(|i| router.devices.id(&format!("eth{i}")).unwrap())
         .collect();
-    (router, devs, frames(&spec))
+    (router, devs)
 }
 
 /// One pass of every frame through `inject -> run_until_idle ->
@@ -189,6 +198,88 @@ fn drop_and_error_paths_are_allocation_free(batched: bool) {
 fn drop_and_error_paths_recycle_without_allocating() {
     drop_and_error_paths_are_allocation_free(false);
     drop_and_error_paths_are_allocation_free(true);
+}
+
+/// The XF router (the Figure-1 router with `click-xform`'s IP combos)
+/// with every fourth frame a link-level broadcast, which `IPOutputCombo`
+/// drops: scalar and batched, the dropped blocks go back to the pool.
+#[test]
+fn combo_broadcast_drops_recycle_without_allocating() {
+    let spec = IpRouterSpec::standard(IFACES);
+    let mut graph = read_config(&spec.config()).unwrap();
+    let patterns = click::opt::xform::ip_combo_patterns().unwrap();
+    assert!(click::opt::xform::apply_patterns(&mut graph, &patterns).unwrap() > 0);
+    let mut frames = frames(&spec);
+    for (_, bytes) in frames.iter_mut().step_by(4) {
+        bytes[..6].fill(0xFF);
+    }
+    for batched in [false, true] {
+        let (mut router, devs) = figure1_router(&graph, batched);
+        let out = inject_pass(&mut router, &devs, &frames);
+        assert_eq!(out, FRAMES / 4 * 3, "warm-up: the broadcasts are dropped");
+        assert_eq!(
+            router.class_stat("IPOutputCombo", "broadcasts"),
+            FRAMES as u64 / 4
+        );
+        let mut forwarded = 0;
+        let allocs = allocations_in(|| forwarded = inject_pass(&mut router, &devs, &frames));
+        assert_eq!(forwarded, out);
+        assert_eq!(
+            allocs, 0,
+            "batched {batched}: {allocs} heap allocations in {FRAMES} frames"
+        );
+    }
+}
+
+/// The batched route lookup over a big table: one `StaticIPLookup` with
+/// 20 000 deeply nested routes, every batch split across the lookup's
+/// lanes and holding destinations with no route (dropped and recycled).
+#[test]
+fn big_table_batched_lookup_is_allocation_free() {
+    let (routes, prefixes) = common::deep_routes(0x7AB1E, 20_000);
+    let mut config = format!("FromDevice(eth0) -> Strip(14) -> rt :: StaticIPLookup({routes});");
+    for port in 0..common::PORTS {
+        config += &format!(" rt [{port}] -> Unstrip(14) -> Queue(1024) -> ToDevice(out{port});");
+    }
+    let mut router: Router =
+        Router::from_graph(&read_config(&config).unwrap(), &Library::standard()).unwrap();
+    router.set_batching(true);
+    router.set_batch_burst(BURST);
+    let eth0 = router.devices.id("eth0").unwrap();
+    let outs: Vec<DeviceId> = (0..common::PORTS)
+        .map(|k| router.devices.id(&format!("out{k}")).unwrap())
+        .collect();
+    let frames: Vec<Vec<u8>> = common::destinations(0xDE57, &prefixes, FRAMES)
+        .into_iter()
+        .map(|dst| {
+            let p = build_udp_packet([2; 6], [4; 6], 0x0A00_0002, dst, 1234, 5678, 18, 64);
+            let bytes = p.data().to_vec();
+            p.recycle();
+            bytes
+        })
+        .collect();
+    let pass = |r: &mut Router| {
+        let mut forwarded = 0;
+        for round in frames.chunks(ROUND) {
+            for bytes in round {
+                r.devices.inject(eth0, Packet::from_data(bytes));
+            }
+            r.run_until_idle(10_000);
+            forwarded += outs.iter().map(|&d| r.devices.recycle_tx(d)).sum::<usize>();
+        }
+        forwarded
+    };
+    let out = pass(&mut router);
+    assert_eq!(
+        out as u64 + router.stat("rt", "drops").unwrap(),
+        FRAMES as u64,
+        "warm-up"
+    );
+    assert!(out < FRAMES, "warm-up: some destinations have no route");
+    let mut forwarded = 0;
+    let allocs = allocations_in(|| forwarded = pass(&mut router));
+    assert_eq!(forwarded, out);
+    assert_eq!(allocs, 0, "{allocs} heap allocations in {FRAMES} frames");
 }
 
 /// One pass wire to wire: `push_rx -> run_with_devices -> take_tx`.

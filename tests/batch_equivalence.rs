@@ -6,13 +6,17 @@
 //! Randomness comes from a fixed-seed LCG so the suite is deterministic
 //! and dependency-free.
 
+mod common;
+
 use click::core::registry::Library;
 use click::core::Lcg;
 use click::core::RouterGraph;
-use click::elements::headers::ipv4;
+use click::elements::element::{CreateCtx, Element, Emitter};
+use click::elements::elements::ip::StaticIPLookup;
+use click::elements::headers::{build_udp_packet, ether, ipv4};
 use click::elements::ip_router::{test_packet, IpRouterSpec};
 use click::elements::packet::{pool_stats, reset_pool_stats, Packet};
-use click::elements::Router;
+use click::elements::{BatchEmitter, PacketBatch, Router};
 
 const N: usize = 4;
 
@@ -261,5 +265,78 @@ fn source_and_link_tasks_match_across_modes() {
         let (out, stats) = run_tasks(Some(batch));
         assert_eq!(out, reference, "batched({batch}) outputs");
         assert_eq!(stats, ref_stats, "batched({batch}) stats");
+    }
+}
+
+/// What a route lookup sent out of each port, in order: every packet's
+/// next-hop annotation and bytes.
+type PortLog = Vec<Vec<(Option<u32>, Vec<u8>)>>;
+
+fn log_packet(log: &mut PortLog, port: usize, p: Packet) {
+    log[port].push((p.anno.dst_ip, p.data().to_vec()));
+    p.recycle();
+}
+
+/// IP packets to `dsts` (data at the IP header); every other one also
+/// carries its destination as an annotation, as `GetIPAddress` leaves it.
+fn lookup_traffic(dsts: &[u32]) -> Vec<Packet> {
+    dsts.iter()
+        .enumerate()
+        .map(|(i, &dst)| {
+            let mut p = build_udp_packet([2; 6], [4; 6], 0x0A00_0002, dst, 1234, i as u16, 18, 64);
+            p.pull(ether::HLEN);
+            if i % 2 == 0 {
+                p.anno.dst_ip = Some(dst);
+            }
+            p
+        })
+        .collect()
+}
+
+/// `StaticIPLookup`'s batch body against its scalar one over a big table
+/// of deeply nested routes: batches longer than the lookup's lanes, with
+/// destinations that end at every trie level and some that have no
+/// route in each batch. Each port's packet sequence, their next-hop
+/// annotations and the `drops` stat are the scalar element's.
+#[test]
+fn big_table_lookup_batches_as_it_pushes() {
+    let (routes, prefixes) = common::deep_routes(0x7AB1E, 20_000);
+    let dsts = common::destinations(0xDE57, &prefixes, 3000);
+    let mut scalar = StaticIPLookup::from_config(&routes, &mut CreateCtx::new()).unwrap();
+    let depths: Vec<usize> = dsts.iter().map(|&d| scalar.route_steps(d).1).collect();
+    for depth in 0..=3 {
+        assert!(
+            depths.contains(&depth),
+            "no destination ends at trie level {depth}"
+        );
+    }
+    let mut want: PortLog = vec![Vec::new(); common::PORTS];
+    let mut out = Emitter::new();
+    for p in lookup_traffic(&dsts) {
+        scalar.push(0, p, &mut out);
+        for (port, q) in out.drain() {
+            log_packet(&mut want, port, q);
+        }
+    }
+    let drops = scalar.stat("drops").unwrap();
+    assert!(drops >= dsts.len() as u64 / 7, "{drops} drops");
+    for len in [65usize, 200, 333] {
+        let mut batched = StaticIPLookup::from_config(&routes, &mut CreateCtx::new()).unwrap();
+        let mut got: PortLog = vec![Vec::new(); common::PORTS];
+        let mut out = BatchEmitter::new();
+        let mut traffic = lookup_traffic(&dsts).into_iter().peekable();
+        while traffic.peek().is_some() {
+            let batch: PacketBatch = traffic.by_ref().take(len).collect();
+            batched.push_batch(0, batch, &mut out);
+            // One group per port and call, so per-port order is the
+            // order within each group.
+            while let Some((port, mut group)) = out.pop_group() {
+                for q in group.drain() {
+                    log_packet(&mut got, port, q);
+                }
+            }
+        }
+        assert!(got == want, "batches of {len}: per-port output differs");
+        assert_eq!(batched.stat("drops"), Some(drops), "batches of {len}");
     }
 }
