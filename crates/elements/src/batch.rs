@@ -75,11 +75,15 @@ impl PacketBatch {
         self.pkts.iter_mut()
     }
 
-    /// Drops all packets, recycling their buffers into the packet pool.
+    /// Drops all packets, keeping the storage for reuse.
+    pub fn clear(&mut self) {
+        self.pkts.clear();
+    }
+
+    /// Drops all packets. Kept for the frozen benchmark, which calls it;
+    /// goes with ROADMAP 1(a).
     pub fn recycle_packets(&mut self) {
-        for p in self.pkts.drain(..) {
-            p.recycle();
-        }
+        self.clear();
     }
 
     /// Removes and returns packets without consuming the batch storage.
@@ -186,7 +190,7 @@ impl BatchEmitter {
     pub fn recycle_storage(&mut self, mut batch: PacketBatch) {
         debug_assert!(
             batch.is_empty(),
-            "recycling a non-empty batch loses packets"
+            "recycling a non-empty batch drops its packets uncounted"
         );
         batch.pkts.clear();
         self.free.push(batch);
@@ -272,7 +276,7 @@ mod tests {
         let mut out = BatchEmitter::new();
         out.emit(1, pkt(9));
         let (_, mut b) = out.pop_group().unwrap();
-        b.recycle_packets();
+        b.clear();
         out.recycle_storage(b);
         assert_eq!(out.free.len(), 1);
         out.emit(0, pkt(1));

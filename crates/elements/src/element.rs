@@ -124,7 +124,7 @@ pub trait Element {
     fn class_name(&self) -> &str;
 
     /// The per-packet body: `Some((port, p))` emits `p` on output `port`,
-    /// `None` means the element consumed the packet (and recycled it).
+    /// `None` means the element consumed the packet (and dropped it).
     /// The default forwards every packet on output 0.
     fn action(&mut self, p: Packet) -> Option<(usize, Packet)> {
         Some((0, p))
@@ -235,14 +235,12 @@ pub trait Element {
 
     /// Absorbs state taken from this element's predecessor in the old
     /// configuration (matched by name and class, see
-    /// [`crate::swap::TransferPlan`]). The default discards the state,
-    /// recycling any buffered packets.
+    /// [`crate::swap::TransferPlan`]). The default discards the state
+    /// and drops any buffered packets.
     ///
     /// Counters are added (`+=`): [`crate::router::Router::checkpoint_snapshot`]
     /// hands an element its own state back with `counters` emptied.
-    fn restore_state(&mut self, state: ElementState) {
-        state.recycle_packets();
-    }
+    fn restore_state(&mut self, _state: ElementState) {}
 }
 
 /// Maps device names (`eth0`) to dense [`DeviceId`]s at element-creation

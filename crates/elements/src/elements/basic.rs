@@ -30,9 +30,8 @@ impl Element for Discard {
     fn class_name(&self) -> &str {
         "Discard"
     }
-    fn action(&mut self, p: Packet) -> Option<(usize, Packet)> {
+    fn action(&mut self, _: Packet) -> Option<(usize, Packet)> {
         self.count += 1;
-        p.recycle();
         None
     }
     fn stat(&self, name: &str) -> Option<u64> {
@@ -43,7 +42,6 @@ impl Element for Discard {
     }
     fn restore_state(&mut self, state: ElementState) {
         self.count += state.get("count");
-        state.recycle_packets();
     }
 }
 
@@ -90,7 +88,6 @@ impl Element for Counter {
     fn restore_state(&mut self, state: ElementState) {
         self.count += state.get("count");
         self.byte_count += state.get("byte_count");
-        state.recycle_packets();
     }
 }
 
@@ -410,13 +407,7 @@ impl Element for Switch {
         "Switch"
     }
     fn action(&mut self, p: Packet) -> Option<(usize, Packet)> {
-        match self.target() {
-            Some(k) => Some((k, p)),
-            None => {
-                p.recycle();
-                None
-            }
-        }
+        self.target().map(|k| (k, p))
     }
 }
 
@@ -530,8 +521,7 @@ impl Element for Idle {
     fn class_name(&self) -> &str {
         "Idle"
     }
-    fn action(&mut self, p: Packet) -> Option<(usize, Packet)> {
-        p.recycle();
+    fn action(&mut self, _: Packet) -> Option<(usize, Packet)> {
         None
     }
     fn pull(&mut self, _port: usize, _ctx: &mut dyn PullContext) -> Option<Packet> {

@@ -9,13 +9,12 @@ use click_core::error::Result;
 use click_core::registry::{FASTCLASSIFIER_PREFIX, FASTIPFILTER_PREFIX};
 
 /// Sends `p` out of the output a classifier chose, or counts it in
-/// `drops` and recycles it when no rule matched.
+/// `drops` and drops it when no rule matched.
 fn classified(port: Option<usize>, p: Packet, drops: &mut u64) -> Option<(usize, Packet)> {
     match port {
         Some(port) => Some((port, p)),
         None => {
             *drops += 1;
-            p.recycle();
             None
         }
     }

@@ -131,7 +131,6 @@ impl Element for IPOutputCombo {
         // DropBroadcasts
         if p.anno.link_broadcast {
             self.broadcasts += 1;
-            p.recycle();
             return;
         }
         // PaintTee: copy to the redirect path.
@@ -170,7 +169,6 @@ impl Element for IPOutputCombo {
         for mut p in batch.drain() {
             if p.anno.link_broadcast {
                 self.broadcasts += 1;
-                p.recycle();
                 continue;
             }
             if p.anno.paint == self.color {

@@ -197,7 +197,6 @@ impl Element for FaultInject {
         }
         if self.drop_t > 0 && self.roll() < self.drop_t {
             self.dropped += 1;
-            p.recycle();
             return;
         }
         if self.corrupt_t > 0 && self.roll() < self.corrupt_t && !p.data().is_empty() {

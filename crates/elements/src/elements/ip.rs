@@ -176,7 +176,6 @@ impl Element for DropBroadcasts {
     fn action(&mut self, p: Packet) -> Option<(usize, Packet)> {
         if p.anno.link_broadcast {
             self.drops += 1;
-            p.recycle();
             None
         } else {
             Some((0, p))
@@ -378,7 +377,6 @@ pub(crate) fn fragment(p: Packet, mtu: usize, out: &mut Emitter) -> Option<u64> 
     let hlen = ipv4::header_len(data);
     let total = (ipv4::total_len(data) as usize).min(data.len());
     if hlen < ipv4::HLEN || hlen >= total || mtu < hlen + 8 {
-        p.recycle();
         return None;
     }
     let payload = &data[hlen..total];
@@ -407,7 +405,6 @@ pub(crate) fn fragment(p: Packet, mtu: usize, out: &mut Emitter) -> Option<u64> 
         out.emit(0, frag);
         pos += this_len;
     }
-    p.recycle();
     Some(fragments)
 }
 
@@ -505,9 +502,7 @@ impl Element for ICMPError {
     }
     fn action(&mut self, p: Packet) -> Option<(usize, Packet)> {
         // The original is consumed, whether or not it can be quoted.
-        let e = self.error_for(p.data());
-        p.recycle();
-        e.map(|e| (0, e))
+        self.error_for(p.data()).map(|e| (0, e))
     }
     fn stat(&self, name: &str) -> Option<u64> {
         (name == "count").then_some(self.generated)
@@ -720,7 +715,6 @@ impl StaticIPLookup {
             }
             None => {
                 self.drops += 1;
-                p.recycle();
                 None
             }
         }
@@ -820,7 +814,6 @@ impl Element for StaticIPLookup {
     }
     fn restore_state(&mut self, state: ElementState) {
         self.drops += state.get("drops");
-        state.recycle_packets();
     }
 }
 

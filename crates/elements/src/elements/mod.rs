@@ -154,7 +154,6 @@ mod tests {
         into.entry(port)
             .or_default()
             .push((p.data().to_vec(), p.anno.clone()));
-        p.recycle();
     }
 
     /// Packets per port, for a failure message that fits on a screen.
@@ -361,7 +360,6 @@ mod tests {
             while let Some(p) = pulled.pull(0, &mut feed) {
                 log(&mut got, 0, p);
             }
-            feed.input.drain(..).for_each(Packet::recycle);
             got.append(&mut feed.pushed);
             assert!(
                 got == want,

@@ -68,7 +68,6 @@ impl Element for Queue {
     fn push(&mut self, _port: usize, p: Packet, _out: &mut Emitter) {
         if self.q.len() >= self.capacity {
             self.drops += 1;
-            p.recycle();
         } else {
             self.q.push_back(p);
             self.highwater = self.highwater.max(self.q.len());
@@ -86,7 +85,6 @@ impl Element for Queue {
         for p in batch.drain() {
             if self.q.len() >= self.capacity {
                 self.drops += 1;
-                p.recycle();
             } else {
                 self.q.push_back(p);
             }
@@ -136,7 +134,6 @@ impl Element for Queue {
         for p in state.packets {
             if self.q.len() >= self.capacity {
                 self.drops += 1;
-                p.recycle();
             } else {
                 self.q.push_back(p);
             }
@@ -221,14 +218,12 @@ impl Element for Red {
         }
         if avg >= self.max_thresh {
             self.drops += 1;
-            p.recycle();
             return None;
         }
         let span = (self.max_thresh - self.min_thresh) as u64;
         let prob_e4 = self.max_p_e4 * (avg - self.min_thresh) as u64 / span;
         if self.next_rand_e4() < prob_e4 {
             self.drops += 1;
-            p.recycle();
             None
         } else {
             Some((0, p))

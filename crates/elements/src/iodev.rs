@@ -176,7 +176,6 @@ fn send_each(
             q.push_front(p);
             return (n, Some(fault));
         }
-        p.recycle();
         n += 1;
     }
     (n, None)
@@ -648,12 +647,10 @@ impl SupervisedDevice {
         self.tx_blocked_since = None;
     }
 
-    /// Declares the packet at the front of `q` lost and recycles it.
+    /// Declares the packet at the front of `q` lost and drops it.
     fn drop_front(&mut self, q: &mut VecDeque<Packet>) {
         self.gauges.drain_lost += 1;
-        if let Some(p) = q.pop_front() {
-            p.recycle();
-        }
+        q.pop_front();
     }
 
     /// The front packet of `q` on a device that is down: lost (true) if
@@ -1239,7 +1236,6 @@ impl DeviceBackend for PcapBackend {
         let mut p = Packet::new(incl_len);
         let got = read_full(file, p.data_mut());
         if got != Ok(incl_len) {
-            p.recycle();
             let got = got?;
             self.exhausted = true;
             return Err(IoFault::Truncated {
@@ -1886,13 +1882,11 @@ impl DeviceBackend for FaultInjectBackend {
                 Some(p) => {
                     if self.roll(self.drop_p) {
                         // Lost on the wire before we ever saw it.
-                        p.recycle();
                         continue;
                     }
                     if self.roll(self.trunc_p) {
                         let expected = p.len();
                         let got = expected / 2;
-                        p.recycle();
                         return Err(IoFault::Truncated { expected, got });
                     }
                     return Ok(Some(p));
@@ -2028,7 +2022,6 @@ mod tests {
         q.push_rx(&frame(1, 60));
         let p = be.recv().unwrap().unwrap();
         assert_eq!(p.data()[0], 1);
-        p.recycle();
         assert_eq!(be.recv().unwrap_err(), IoFault::WouldBlock);
         be.send(&frame(2, 40)).unwrap();
         assert_eq!(q.take_tx(), vec![frame(2, 40)]);
@@ -2044,7 +2037,6 @@ mod tests {
         be.send(&frame(7, 20)).unwrap();
         let p = be.recv().unwrap().unwrap();
         assert_eq!(p.data()[0], 7);
-        p.recycle();
     }
 
     fn tmp_path(tag: &str) -> PathBuf {
@@ -2062,7 +2054,6 @@ mod tests {
         for f in &frames {
             let p = be.recv().unwrap().unwrap();
             assert_eq!(p.data(), &f[..]);
-            p.recycle();
         }
         assert_eq!(be.recv().unwrap(), None);
         assert!(be.exhausted());
@@ -2098,11 +2089,9 @@ mod tests {
         let mut be = PcapBackend::open(path.to_str().unwrap(), None).unwrap();
         let p = be.recv().unwrap().unwrap();
         assert_eq!(p.data()[0], 0);
-        p.recycle();
         be.reopen().unwrap();
         let p = be.recv().unwrap().unwrap();
         assert_eq!(p.data()[0], 1, "reopen resumes, not restarts");
-        p.recycle();
         std::fs::remove_file(&path).ok();
     }
 
@@ -2131,7 +2120,6 @@ mod tests {
                 Ok(Some(p)) => {
                     assert_eq!(p.len(), 33);
                     assert_eq!(p.data()[0], 4);
-                    p.recycle();
                     break;
                 }
                 Ok(None) => panic!("udp backend never exhausts"),
@@ -2176,10 +2164,8 @@ mod tests {
         let mut fb = FaultInjectBackend::parse("DOWN-AFTER 3 DOWN-FOR 2", Box::new(inner)).unwrap();
         q.push_rx(&frame(0, 60));
         q.push_rx(&frame(1, 60));
-        let p = fb.recv().unwrap().unwrap(); // op 1
-        p.recycle();
-        let p = fb.recv().unwrap().unwrap(); // op 2
-        p.recycle();
+        fb.recv().unwrap().unwrap(); // op 1
+        fb.recv().unwrap().unwrap(); // op 2
         assert!(matches!(fb.recv(), Err(IoFault::Down(_)))); // op 3: dies
         assert!(matches!(fb.recv(), Err(IoFault::Down(_))));
         // First two reopens refused, third succeeds.
@@ -2189,7 +2175,6 @@ mod tests {
         q.push_rx(&frame(2, 60));
         let p = fb.recv().unwrap().unwrap();
         assert_eq!(p.data()[0], 2);
-        p.recycle();
     }
 
     #[test]
@@ -2261,7 +2246,7 @@ mod tests {
         std::thread::sleep(Duration::from_micros(health.drain_deadline_us + 200));
         assert!(sup.should_drop_pending());
         sup.count_drain_lost(1);
-        p.recycle();
+        drop(p);
         assert_eq!(sup.gauges().drain_lost, 1);
         let _ = q;
     }

@@ -32,10 +32,11 @@
 //! ```
 
 #![deny(missing_docs)]
-// `deny`, not `forbid`: the in-memory engine is entirely safe code, but
-// the real-I/O device backends (`iodev::sys`) need raw Linux syscalls —
-// the workspace deliberately has no libc dependency — and carry a scoped
-// `#[allow(unsafe_code)]` with the safety argument at each call site.
+// `deny`, not `forbid`: two places carry a scoped `#[allow(unsafe_code)]`
+// with the safety argument at the call site. The real-I/O device backends
+// (`iodev::sys`) need raw Linux syscalls — the workspace deliberately has
+// no libc dependency — and `Packet`'s `Drop` (`packet.rs`) takes its block
+// out of a `ManuallyDrop` to hand it back to the pool.
 #![deny(unsafe_code)]
 
 pub mod batch;

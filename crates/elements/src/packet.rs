@@ -8,6 +8,7 @@
 
 use std::cell::RefCell;
 use std::fmt;
+use std::mem::ManuallyDrop;
 
 /// Default headroom reserved in front of packet data.
 ///
@@ -39,7 +40,7 @@ pub struct PoolStats {
     pub hits: u64,
     /// Allocations that fell through to the heap.
     pub misses: u64,
-    /// Buffers returned to the pool by [`Packet::recycle`].
+    /// Blocks returned to the pool by a dropped [`Packet`].
     pub recycled: u64,
     /// Buffers refused by the pool (full, or out of size bounds).
     pub dropped: u64,
@@ -60,8 +61,14 @@ impl PoolStats {
 
 #[derive(Default)]
 struct Pool {
-    /// Retired blocks, most recently retired (cache-warm) last.
-    blocks: Vec<Packet>,
+    /// Retired blocks, most recently retired (cache-warm) last. Bare
+    /// boxes, not `Packet`s: a block the pool clears or refuses is freed,
+    /// never dropped as a packet while the pool is borrowed.
+    #[allow(
+        clippy::vec_box,
+        reason = "the boxes are the `Packet` handles themselves"
+    )]
+    blocks: Vec<Box<PacketBlock>>,
     stats: PoolStats,
 }
 
@@ -79,12 +86,12 @@ impl Pool {
     fn alloc(&mut self, len: usize) -> Packet {
         let Some(mut p) = self.blocks.pop() else {
             self.stats.misses += 1;
-            return Packet(Box::new(PacketBlock {
+            return Packet(ManuallyDrop::new(Box::new(PacketBlock {
                 buf: vec![0u8; len],
                 head: 0,
                 tail: 0,
                 anno: Anno::default(),
-            }));
+            })));
         };
         // The capacity check dominates the zero-fill, so the hit path is
         // a `resize` known to be in capacity: a plain memset.
@@ -97,17 +104,27 @@ impl Pool {
             p.buf = vec![0u8; len];
         }
         p.anno = Anno::default();
-        p
+        Packet(ManuallyDrop::new(p))
     }
 
-    fn recycle(&mut self, p: Packet) {
-        if self.blocks.len() < POOL_CAPACITY && (1..=POOL_MAX_BUF).contains(&p.buf.capacity()) {
+    fn retire(&mut self, block: Box<PacketBlock>) {
+        if self.blocks.len() < POOL_CAPACITY && (1..=POOL_MAX_BUF).contains(&block.buf.capacity()) {
             self.stats.recycled += 1;
-            self.blocks.push(p);
+            self.blocks.push(block);
         } else {
             self.stats.dropped += 1;
         }
     }
+}
+
+/// Returns a dropped packet's block to this thread's pool. Out of line,
+/// so a drop site is one call, and `extern "C"`, so it cannot unwind (a
+/// panic in it aborts): loops that drop packets need no landing pad and
+/// stay small enough to inline. `try_with`: a packet dropped while its
+/// thread tears down just frees its block.
+#[inline(never)]
+extern "C" fn retire(block: Box<PacketBlock>) {
+    let _ = POOL.try_with(|pool| pool.borrow_mut().retire(block));
 }
 
 /// Snapshot of this thread's packet-pool counters.
@@ -149,7 +166,9 @@ pub struct Anno {
 /// A network packet: an owning, pointer-sized handle to one pooled
 /// [`PacketBlock`] — as Click hands its neighbour a `Packet *`, an element
 /// here is handed eight bytes however large the block is. Dereferences
-/// to the block for its annotations (`p.anno.paint`).
+/// to the block for its annotations (`p.anno.paint`). Dropping a packet
+/// returns its block to the thread's pool, so a later allocation reuses
+/// it without touching the heap; its annotations die with it.
 ///
 /// # Examples
 ///
@@ -164,7 +183,7 @@ pub struct Anno {
 /// assert_eq!(p.len(), 20);
 /// ```
 #[derive(PartialEq, Eq)]
-pub struct Packet(Box<PacketBlock>);
+pub struct Packet(ManuallyDrop<Box<PacketBlock>>);
 
 /// What a [`Packet`] points to: a byte buffer with headroom/tailroom,
 /// the bounds of the data in it, and annotations.
@@ -183,6 +202,19 @@ const _: () = {
     assert!(std::mem::size_of::<Packet>() == std::mem::size_of::<usize>());
     assert!(std::mem::size_of::<Option<Packet>>() == std::mem::size_of::<usize>());
 };
+
+impl Drop for Packet {
+    // Inlined, so a drop site hands `retire` the block pointer in a
+    // register instead of keeping the packet in a stack slot for `&mut self`.
+    #[inline]
+    #[allow(unsafe_code)]
+    fn drop(&mut self) {
+        // SAFETY: `self.0` is taken exactly once, here, and `self` is
+        // never used again after `drop`.
+        let block = unsafe { ManuallyDrop::take(&mut self.0) };
+        retire(block);
+    }
+}
 
 impl std::ops::Deref for Packet {
     type Target = PacketBlock;
@@ -215,14 +247,10 @@ impl Packet {
         p
     }
 
-    /// Retires this packet, returning its block to the thread-local pool
-    /// so a later allocation can reuse it without touching the heap.
-    /// Annotations die with the packet; the next allocation of the block
-    /// starts zeroed with a fresh [`Anno`].
+    /// Drops the packet, which returns its block to the pool. Kept for
+    /// the frozen benchmark, which calls it; goes with ROADMAP 1(a).
     #[inline]
-    pub fn recycle(self) {
-        POOL.with(|p| p.borrow_mut().recycle(self));
-    }
+    pub fn recycle(self) {}
 
     /// Creates a packet holding a copy of `data`.
     pub fn from_data(data: &[u8]) -> Packet {
@@ -236,9 +264,7 @@ impl Packet {
     /// headroom again (copied only if an element moved `head`).
     pub(crate) fn into_wire(mut self) -> Packet {
         if self.0.head != DEFAULT_HEADROOM {
-            let fresh = Packet::from_data(self.data());
-            self.recycle();
-            return fresh;
+            return Packet::from_data(self.data());
         }
         self.anno = Anno::default();
         self
@@ -246,7 +272,7 @@ impl Packet {
 
     /// Hands the packet's own block over as a transmitted frame.
     pub(crate) fn into_frame(self) -> TxFrame {
-        TxFrame(Some(self))
+        TxFrame(self)
     }
 
     /// The packet contents.
@@ -258,7 +284,8 @@ impl Packet {
     /// Mutable packet contents.
     #[inline]
     pub fn data_mut(&mut self) -> &mut [u8] {
-        &mut self.0.buf[self.0.head..self.0.tail]
+        let b = &mut **self;
+        &mut b.buf[b.head..b.tail]
     }
 
     /// Packet length in bytes.
@@ -296,7 +323,6 @@ impl Packet {
         let mut fresh = POOL.with(|p| p.borrow_mut().alloc(buf_len));
         fresh.buf[head..head + len].copy_from_slice(self.data());
         std::mem::swap(&mut self.0.buf, &mut fresh.buf);
-        fresh.recycle();
         self.0.head = head;
         self.0.tail = head + len;
     }
@@ -320,13 +346,13 @@ impl Packet {
 
     /// Appends `n` zero bytes to the end, reallocating if necessary.
     pub fn put(&mut self, n: usize) {
-        if n > self.tailroom() {
-            self.0.buf.resize(self.0.tail + n + DEFAULT_TAILROOM, 0);
+        let tailroom = self.tailroom();
+        let b = &mut **self;
+        if n > tailroom {
+            b.buf.resize(b.tail + n + DEFAULT_TAILROOM, 0);
         }
-        for b in &mut self.0.buf[self.0.tail..self.0.tail + n] {
-            *b = 0;
-        }
-        self.0.tail += n;
+        b.buf[b.tail..b.tail + n].fill(0);
+        b.tail += n;
     }
 
     /// The alignment of the data pointer: `data() as usize % 4`, modeled
@@ -393,25 +419,15 @@ impl fmt::Debug for Packet {
 
 /// A frame a device transmitted, handed to whoever reads the far side:
 /// the packet that carried it, seen as its bytes only. Dereferences to
-/// the bytes; dropping it returns the block to this thread's packet pool,
-/// so a reader that only looks allocates nothing and one that keeps the
-/// frame converts it `into` a `Vec<u8>`.
-pub struct TxFrame(Option<Packet>); // `None` only once `drop` has run
+/// the bytes; dropping it drops the packet, so a reader that only looks
+/// allocates nothing and one that keeps the frame converts it `into` a
+/// `Vec<u8>`.
+pub struct TxFrame(Packet);
 
 impl std::ops::Deref for TxFrame {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        self.0.as_ref().map_or(&[], |p| p.data())
-    }
-}
-
-impl Drop for TxFrame {
-    fn drop(&mut self) {
-        // `try_with`: a frame dropped while its thread tears down just
-        // frees its block.
-        if let Some(p) = self.0.take() {
-            let _ = POOL.try_with(|pool| pool.borrow_mut().recycle(p));
-        }
+        self.0.data()
     }
 }
 
@@ -543,7 +559,7 @@ mod tests {
         reset_pool_stats();
         let p = Packet::new(64);
         assert_eq!(pool_stats().hits, 0);
-        p.recycle();
+        drop(p);
         assert_eq!(pool_stats().recycled, 1);
         // The next same-size allocation must reuse the retired buffer.
         let q = Packet::new(64);
@@ -554,7 +570,7 @@ mod tests {
             "pooled packet must be zeroed"
         );
         // A larger request than any pooled buffer misses.
-        q.recycle();
+        drop(q);
         let _big = Packet::new(POOL_MAX_BUF * 2);
         let s = pool_stats();
         assert_eq!(s.hits, 1);
@@ -574,7 +590,6 @@ mod tests {
             timestamp: 42,
         };
         p.0.buf.fill(0xEE);
-        p.recycle();
     }
 
     /// `p` sits where it was asked to, carries `anno`, and holds nothing
@@ -655,10 +670,10 @@ mod tests {
     fn large_allocation_over_a_full_pool_of_small_blocks_misses_once() {
         drain_pool();
         let small: Vec<Packet> = (0..POOL_CAPACITY).map(|_| Packet::new(60)).collect();
-        small.into_iter().for_each(Packet::recycle);
+        drop(small);
         reset_pool_stats();
         for _ in 0..100 {
-            Packet::new(1500).recycle();
+            drop(Packet::new(1500));
         }
         // The top block got a 1500-byte buffer once and went back on top.
         let s = pool_stats();
@@ -669,13 +684,13 @@ mod tests {
     #[test]
     fn a_packet_retires_into_the_pool_of_the_thread_that_recycles_it() {
         // As in the sharded runtime: allocated by the injecting thread,
-        // dropped (recycled) by a worker.
+        // dropped by a worker.
         reset_pool_stats();
         let mut p = Packet::new(60);
         p.anno.paint = 7;
         p.data_mut().fill(0xEE);
         let theirs = std::thread::spawn(move || {
-            p.recycle();
+            drop(p);
             let q = Packet::new(60);
             assert_clean(&q, DEFAULT_HEADROOM, 60, &Anno::default());
             assert!(q.data().iter().all(|&b| b == 0));
@@ -724,7 +739,7 @@ mod tests {
     fn oversized_buffers_are_not_pooled() {
         drain_pool();
         reset_pool_stats();
-        Packet::new(POOL_MAX_BUF + 1).recycle();
+        drop(Packet::new(POOL_MAX_BUF + 1));
         assert_eq!(pool_stats().recycled, 0);
         assert_eq!(pool_stats().dropped, 1);
     }

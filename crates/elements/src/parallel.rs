@@ -1072,7 +1072,6 @@ impl ParallelRouter {
         let t0 = self.telemetry.then(Instant::now);
         let Some(shard) = self.steer.live_shard_for(p.data(), dev) else {
             self.faults.no_live_shard_drops += 1;
-            p.recycle();
             return;
         };
         self.ingress.packets += 1;
@@ -1559,9 +1558,9 @@ impl ParallelRouter {
     /// Orderly, bounded teardown: signal stop, keep draining TX so no
     /// worker deadlocks against a full outbound ring, join every thread
     /// that exits within the wedge timeout (wedged threads are
-    /// abandoned, never blocked on), then reclaim and recycle every
-    /// packet still sitting in the rings of joined workers so pool
-    /// accounting balances even after an abortive teardown.
+    /// abandoned, never blocked on), then reclaim and drop every packet
+    /// still sitting in the rings of joined workers, so their blocks
+    /// return to this thread's pool even after an abortive teardown.
     fn shutdown_inner(&mut self) {
         self.stop.store(true, Ordering::Release);
         let deadline = Instant::now() + self.wedge_timeout;
@@ -1592,13 +1591,8 @@ impl ParallelRouter {
             }
             w.from_worker.pop_batch(usize::MAX, &mut leftovers);
         }
-        // Buffered-but-never-handed bursts also recycle.
-        for groups in &mut self.pending {
-            leftovers.append(groups);
-        }
-        for (_, mut batch) in leftovers.drain(..) {
-            batch.recycle_packets();
-        }
+        // Buffered-but-never-handed bursts are dropped too.
+        self.pending.iter_mut().for_each(Vec::clear);
         self.collect();
     }
 }
@@ -1876,7 +1870,7 @@ impl Shard {
     }
 
     /// Moves `outbox` onto the outbound ring (once the runtime is
-    /// stopping, what does not fit is recycled), then publishes the
+    /// stopping, what does not fit is dropped), then publishes the
     /// completions owed. Returns `false` while TX is still held back.
     fn publish(&mut self) -> bool {
         if !self.outbox.is_empty() {
@@ -1885,9 +1879,7 @@ impl Shard {
                 if !self.stopping() {
                     return false;
                 }
-                for (_, mut batch) in self.outbox.drain(..) {
-                    batch.recycle_packets();
-                }
+                self.outbox.clear();
             }
         }
         let (batches, pkts) = std::mem::take(&mut self.owed);
@@ -1977,13 +1969,7 @@ mod tests {
     fn take_out(w: &Worker) -> Vec<usize> {
         let mut out = Vec::new();
         w.from_worker.pop_batch(usize::MAX, &mut out);
-        (out.into_iter())
-            .map(|(_, mut b)| {
-                let n = b.len();
-                b.recycle_packets();
-                n
-            })
-            .collect()
+        out.into_iter().map(|(_, b)| b.len()).collect()
     }
 
     fn completed(w: &Worker) -> u64 {

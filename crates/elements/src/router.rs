@@ -94,10 +94,7 @@ impl DeviceBank {
     pub fn inject(&mut self, dev: DeviceId, p: Packet) {
         match self.rx.get_mut(dev.0) {
             Some(q) => q.push_back(p),
-            None => {
-                self.bad_id_drops += 1;
-                p.recycle();
-            }
+            None => self.bad_id_drops += 1,
         }
     }
 
@@ -132,10 +129,7 @@ impl DeviceBank {
     pub fn tx_push(&mut self, dev: DeviceId, p: Packet) {
         match self.tx.get_mut(dev.0) {
             Some(q) => q.push(p),
-            None => {
-                self.bad_id_drops += 1;
-                p.recycle();
-            }
+            None => self.bad_id_drops += 1,
         }
     }
 
@@ -145,10 +139,8 @@ impl DeviceBank {
         match self.tx.get_mut(dev.0) {
             Some(q) => q.extend(batch.drain()),
             None => {
-                for p in batch.drain() {
-                    self.bad_id_drops += 1;
-                    p.recycle();
-                }
+                self.bad_id_drops += batch.len() as u64;
+                batch.clear();
             }
         }
     }
@@ -157,9 +149,8 @@ impl DeviceBank {
     ///
     /// The caller owns the packets; a caller that only counts or
     /// inspects them should prefer [`DeviceBank::drain_tx_into`] (keeps
-    /// batch storage warm) or [`DeviceBank::recycle_tx`] (returns the
-    /// buffers to the packet pool), so long-running benchmarks do not
-    /// leak pool capacity one drained packet at a time.
+    /// batch storage warm) or [`DeviceBank::recycle_tx`] (drops them in
+    /// place), so the TX queue keeps its storage for the next burst.
     pub fn take_tx(&mut self, dev: DeviceId) -> Vec<Packet> {
         self.tx
             .get_mut(dev.0)
@@ -193,20 +184,17 @@ impl DeviceBank {
         n
     }
 
-    /// Drops every packet transmitted on a device, recycling their
-    /// buffers into the thread-local packet pool; returns how many were
-    /// recycled. This is the steady-state path for harnesses that drain
-    /// TX queues without looking at the bytes — unlike dropping the
-    /// result of [`DeviceBank::take_tx`], the buffer capacity survives
-    /// for the next allocation.
+    /// Drops every packet transmitted on a device; returns how many.
+    /// This is the steady-state path for harnesses that drain TX queues
+    /// without looking at the bytes — unlike dropping the result of
+    /// [`DeviceBank::take_tx`], the queue keeps its storage for the next
+    /// burst.
     pub fn recycle_tx(&mut self, dev: DeviceId) -> usize {
         let Some(q) = self.tx.get_mut(dev.0) else {
             return 0;
         };
         let n = q.len();
-        for p in q.drain(..) {
-            p.recycle();
-        }
+        q.clear();
         n
     }
 
@@ -246,12 +234,6 @@ impl DeviceBank {
                 }
                 None => {
                     orphaned += (rx.len() + tx.len()) as u64;
-                    for p in rx {
-                        p.recycle();
-                    }
-                    for p in tx {
-                        p.recycle();
-                    }
                     if let Some(b) = backend {
                         self.lost_retired += b.lost();
                     }
@@ -395,7 +377,7 @@ impl DeviceBank {
                 // Nothing to send.
             } else if sup.should_drop_pending() {
                 let n = tx.len() as u64;
-                tx.drain(..).for_each(Packet::recycle);
+                tx.clear();
                 sup.count_drain_lost(n);
                 stats.lost += n;
             } else {
@@ -873,7 +855,6 @@ impl<S: Slot> Router<S> {
             retired_drops += self.slots[oi].borrow().stat("drops").unwrap_or(0);
             if let Some(state) = self.slots[oi].borrow_mut().take_state() {
                 dropped += state.packets.len() as u64;
-                state.recycle_packets();
             }
         }
 
@@ -1073,14 +1054,12 @@ impl<S: Slot> Router<S> {
         while let Some((e, port, p)) = stack.pop() {
             if budget == 0 {
                 self.drops_reentrant += 1;
-                p.recycle();
                 continue;
             }
             budget -= 1;
             {
                 let Ok(mut el) = self.slots[e].try_borrow_mut() else {
                     self.drops_reentrant += 1;
-                    p.recycle();
                     continue;
                 };
                 let bytes = self.telem.packet_bytes(&p);
@@ -1110,7 +1089,6 @@ impl<S: Slot> Router<S> {
         self.telem.record_out(e, oport, 1);
         let Some((&(le, lp), rest)) = self.outputs.peers(e, oport).split_last() else {
             self.drops_unconnected += 1;
-            pkt.recycle();
             return;
         };
         // Fan-out: pooled clones in connection order, the original to the
@@ -1350,11 +1328,11 @@ impl<S: Slot> Router<S> {
     }
 }
 
-/// An engine-side drop of a whole batch: packets back to the pool,
-/// storage back to the emitter's free list; returns the packet count.
+/// An engine-side drop of a whole batch, storage back to the emitter's
+/// free list; returns the packet count.
 fn discard_batch(mut batch: PacketBatch, out: &mut BatchEmitter) -> u64 {
     let n = batch.len() as u64;
-    batch.recycle_packets();
+    batch.clear();
     out.recycle_storage(batch);
     n
 }
@@ -1627,7 +1605,6 @@ mod tests {
                 let tx = r.devices.take_tx(DeviceId(dev));
                 assert_eq!(tx.len(), 1);
                 assert_eq!(tx[0].data(), &frame[..], "every branch sees the bytes");
-                tx.into_iter().for_each(Packet::recycle);
             }
         }
         assert_eq!(r.unconnected_drops(), 10_001);
@@ -1719,7 +1696,7 @@ mod tests {
         assert_eq!(r.devices.drain_tx_into(out0, &mut batch), 4);
         assert_eq!(batch.len(), 4);
         assert_eq!(r.devices.tx_len(out0), 0);
-        batch.recycle_packets();
+        drop(batch);
         // recycle_tx sends buffers straight back to the pool.
         for _ in 0..3 {
             r.devices.inject(in0, Packet::new(60));
@@ -1730,9 +1707,8 @@ mod tests {
         assert_eq!(pool_stats().recycled, before + 3);
         // The next allocations are pool hits, not heap misses.
         reset_pool_stats();
-        let p = Packet::new(60);
+        let _p = Packet::new(60);
         assert_eq!(pool_stats().hits, 1);
-        p.recycle();
     }
 
     #[test]
@@ -1751,7 +1727,7 @@ mod tests {
         let bogus = DeviceId(99);
         r.devices.inject(bogus, Packet::new(60));
         r.devices.tx_push(bogus, Packet::new(60));
-        assert_eq!(r.devices.rx_pop(bogus).map(|p| p.recycle()), None);
+        assert!(r.devices.rx_pop(bogus).is_none());
         assert_eq!(r.devices.rx_len(bogus), 0);
         assert_eq!(r.devices.tx_len(bogus), 0);
         assert_eq!(r.devices.take_tx(bogus).len(), 0);

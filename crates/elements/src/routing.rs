@@ -772,7 +772,7 @@ mod tests {
 
     fn lcg(seed: u64) -> impl FnMut() -> u32 {
         let mut lcg = click_core::Lcg::new(seed);
-        move || lcg.next() as u32
+        move || lcg.word()
     }
 
     /// Brute-force longest-prefix scan: the ground truth.

@@ -91,14 +91,6 @@ impl ElementState {
     pub fn get(&self, name: &str) -> u64 {
         self.find(name).unwrap_or(0)
     }
-
-    /// Recycles every buffered packet back into the thread-local pool
-    /// (the fate of state nobody adopts).
-    pub fn recycle_packets(self) {
-        for p in self.packets {
-            p.recycle();
-        }
-    }
 }
 
 /// The pairing of old-graph elements to new-graph elements computed

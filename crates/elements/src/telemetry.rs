@@ -837,8 +837,6 @@ mod tests {
         t.exit(0, 1, 64);
         t.record_out(0, 0, 1);
         assert_eq!(filled(&t, 1), armed);
-        p.recycle();
-        b.recycle_packets();
     }
 
     /// A frame with no `exit` (its element call unwound) or an `exit`

@@ -235,14 +235,12 @@ fn element_state_survives_the_wire_for_every_registered_class() {
             seed = seed.counter(name, 11 + 7 * i as u64);
         }
         seed.packets.push(Packet::from_data(&[0xAB, 0xCD]));
-        template.recycle_packets();
         element.restore_state(seed);
 
         let state = element
             .take_state()
             .unwrap_or_else(|| panic!("{:?} lost its state on the second take", spec.name));
         let record = ElementRecord::from_state("e0", &state.class, &state);
-        state.recycle_packets();
 
         let mut ckpt = sample_checkpoint();
         ckpt.elements = vec![record.clone()];
@@ -271,7 +269,6 @@ fn counter_totals_round_trip_exactly() {
     );
     let state = a.take_state().unwrap();
     let record = ElementRecord::from_state("c", "Counter", &state);
-    state.recycle_packets();
 
     let mut ckpt = sample_checkpoint();
     ckpt.elements = vec![record];
@@ -282,7 +279,6 @@ fn counter_totals_round_trip_exactly() {
     let after = b.take_state().unwrap();
     assert_eq!(after.get("count"), 41);
     assert_eq!(after.get("byte_count"), 4100);
-    after.recycle_packets();
 }
 
 #[test]
@@ -295,7 +291,6 @@ fn queue_contents_round_trip_in_fifo_order() {
 
     let state = a.take_state().unwrap();
     let record = ElementRecord::from_state("q", "Queue", &state);
-    state.recycle_packets();
     let mut ckpt = sample_checkpoint();
     ckpt.elements = vec![record];
     let decoded = Checkpoint::decode(&ckpt.encode()).unwrap();
@@ -307,7 +302,6 @@ fn queue_contents_round_trip_in_fifo_order() {
     let expected: Vec<Vec<u8>> = (0u8..5).map(|i| vec![i, 100 + i]).collect();
     assert_eq!(contents, expected, "FIFO order must survive the restart");
     assert_eq!(after.get("drops"), 3);
-    after.recycle_packets();
 }
 
 #[test]
@@ -325,7 +319,6 @@ fn fault_inject_rng_cursor_continues_across_restart() {
     );
     let state = a.take_state().unwrap();
     let record = ElementRecord::from_state("f", "FaultInject", &state);
-    state.recycle_packets();
     let mut ckpt = sample_checkpoint();
     ckpt.elements = vec![record];
     let decoded = Checkpoint::decode(&ckpt.encode()).unwrap();
@@ -340,18 +333,16 @@ fn fault_inject_rng_cursor_continues_across_restart() {
         0xDEAD_BEEF_0BAD_F00D,
         "the RNG cursor must continue, not restart from the seed"
     );
-    after.recycle_packets();
 }
 
 // ---------------------------------------------------------------------
 // Engine-level crash/restore drills
 // ---------------------------------------------------------------------
 
-/// Drains (and recycles) every device's TX queue; returns the count.
+/// Drains (and drops) every device's TX queue; returns the count.
 fn drain_tx(e: &mut dyn Engine) -> u64 {
     let mut tx = click_elements::PacketBatch::new();
     let n = e.drain_all_tx_into(&mut tx);
-    tx.recycle_packets();
     n as u64
 }
 

@@ -169,14 +169,7 @@ fn ingress(engine: &dyn Engine) -> Result<(String, DeviceId)> {
 fn drain_tx_frames(engine: &mut dyn Engine) -> Vec<Vec<u8>> {
     let mut batch = PacketBatch::new();
     engine.drain_all_tx_into(&mut batch);
-    batch
-        .drain()
-        .map(|p| {
-            let frame = p.data().to_vec();
-            p.recycle();
-            frame
-        })
-        .collect()
+    batch.drain().map(|p| p.data().to_vec()).collect()
 }
 
 /// Replays `sup` into the configuration's first device until the trace

@@ -216,7 +216,6 @@ fn run(
     }
     let mut left = PacketBatch::new();
     tx += engine.drain_all_tx_into(&mut left) as u64;
-    left.recycle_packets();
     Ok(tx)
 }
 

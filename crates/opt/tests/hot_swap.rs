@@ -658,9 +658,7 @@ fn figure1_run(batched: bool, swap: bool) -> (Outcome, Option<SwapReport>) {
         .map(|i| {
             let dev = r.devices.id(&format!("eth{i}")).unwrap();
             let tx = r.devices.take_tx(dev);
-            let bytes = tx.iter().map(|p| p.data().to_vec()).collect();
-            tx.into_iter().for_each(Packet::recycle);
-            bytes
+            tx.iter().map(|p| p.data().to_vec()).collect()
         })
         .collect();
     let telemetry = r
@@ -716,7 +714,6 @@ fn a_failing_constructor_leaves_the_old_router_as_it_was() {
         let out0 = r.devices.id("out0").unwrap();
         let tx = r.devices.take_tx(out0);
         let bytes: Vec<Vec<u8>> = tx.iter().map(|p| p.data().to_vec()).collect();
-        tx.into_iter().for_each(Packet::recycle);
         (bytes, r.stat("c", "count"), r.stat("q", "highwater"))
     };
     assert_eq!(feed(&mut r, 0..10), feed(&mut twin, 0..10));

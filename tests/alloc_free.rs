@@ -21,7 +21,7 @@ use click::elements::element::{DeviceId, Element};
 use click::elements::headers::{build_udp_packet, ipv4};
 use click::elements::iodev::{MemBackend, MemQueues};
 use click::elements::ip_router::{test_packet, IpRouterSpec};
-use click::elements::packet::Packet;
+use click::elements::packet::{drain_pool, pool_stats, reset_pool_stats, Packet};
 use click::elements::{PacketBatch, ParallelOpts, ParallelRouter, Router};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -90,9 +90,7 @@ fn frames(spec: &IpRouterSpec) -> Vec<Frame> {
             let dst = (src + 1 + k / IFACES % (IFACES - 1)) % IFACES;
             let mut p = test_packet(spec, src, dst);
             p.data_mut()[50] = k as u8;
-            let bytes = p.data().to_vec();
-            p.recycle();
-            (src, bytes)
+            (src, p.data().to_vec())
         })
         .collect()
 }
@@ -252,10 +250,9 @@ fn big_table_batched_lookup_is_allocation_free() {
     let frames: Vec<Vec<u8>> = common::destinations(0xDE57, &prefixes, FRAMES)
         .into_iter()
         .map(|dst| {
-            let p = build_udp_packet([2; 6], [4; 6], 0x0A00_0002, dst, 1234, 5678, 18, 64);
-            let bytes = p.data().to_vec();
-            p.recycle();
-            bytes
+            build_udp_packet([2; 6], [4; 6], 0x0A00_0002, dst, 1234, 5678, 18, 64)
+                .data()
+                .to_vec()
         })
         .collect();
     let pass = |r: &mut Router| {
@@ -280,6 +277,60 @@ fn big_table_batched_lookup_is_allocation_free() {
     let allocs = allocations_in(|| forwarded = pass(&mut router));
     assert_eq!(forwarded, out);
     assert_eq!(allocs, 0, "{allocs} heap allocations in {FRAMES} frames");
+}
+
+/// Every block a router takes from this thread's pool comes back once
+/// the router is dropped: the packets it discards, the copies it makes
+/// (`Tee`), the packets it creates (ARP queries), the one it holds (the
+/// `ARPQuerier` waiter) and the ones left queued for TX. Pool counters
+/// are per thread, so the books are exact.
+fn dropped_router_returns_every_block(batched: bool) {
+    const N: u32 = 10;
+    let frames: Vec<Vec<u8>> = (0..N)
+        .map(|i| {
+            let p = build_udp_packet([2; 6], [4; 6], 0x0A00_0002, 0x0A00_0102 + i, 7, 9, 18, 64);
+            p.data()[14..].to_vec()
+        })
+        .collect();
+    drain_pool();
+    reset_pool_stats();
+    let config = "FromDevice(eth0) -> t :: Tee(2) -> Queue(64) -> ToDevice(out0); \
+                  t [1] -> Discard; \
+                  FromDevice(eth1) -> GetIPAddress(16) \
+                  -> a :: ARPQuerier(10.0.0.1, 00:00:00:00:00:01) -> Queue(64) -> ToDevice(out1); \
+                  Idle -> [1] a;";
+    let mut router: Router =
+        Router::from_graph(&read_config(config).unwrap(), &Library::standard()).unwrap();
+    if batched {
+        router.set_batching(true);
+        router.set_batch_burst(BURST);
+    }
+    for name in ["eth0", "eth1"] {
+        let dev = router.devices.id(name).unwrap();
+        for bytes in &frames {
+            router.devices.inject(dev, Packet::from_data(bytes));
+        }
+    }
+    router.run_until_idle(10_000);
+    let out0 = router.devices.id("out0").unwrap();
+    let out1 = router.devices.id("out1").unwrap();
+    assert_eq!(router.devices.tx_len(out0), N as usize, "one Tee copy each");
+    assert_eq!(router.devices.tx_len(out1), N as usize, "one query each");
+    assert_eq!(router.stat("a", "drops"), Some(u64::from(N) - 1));
+    drop(router);
+    let s = pool_stats();
+    assert_eq!(s.hits + s.misses, 4 * u64::from(N), "blocks born: {s:?}");
+    assert_eq!(
+        s.hits + s.misses,
+        s.recycled + s.dropped,
+        "batched {batched}: every block born must come back: {s:?}"
+    );
+}
+
+#[test]
+fn dropped_router_returns_every_block_to_the_pool() {
+    dropped_router_returns_every_block(false);
+    dropped_router_returns_every_block(true);
 }
 
 /// One pass wire to wire: `push_rx -> run_with_devices -> take_tx`.
@@ -320,8 +371,8 @@ fn device_rounds_allocate_only_what_the_backend_api_forces() {
 }
 
 /// One pass through the one-shard runtime as the spine's `Sharded` path
-/// drives it: `inject -> run_until_idle -> drain_tx_into +
-/// recycle_packets`; returns how many came out.
+/// drives it: `inject -> run_until_idle -> drain_tx_into + clear`;
+/// returns how many came out.
 fn sharded_pass(
     r: &mut ParallelRouter,
     devs: &[DeviceId],
@@ -336,7 +387,7 @@ fn sharded_pass(
         r.run_until_idle();
         for &d in devs {
             forwarded += r.drain_tx_into(d, scratch);
-            scratch.recycle_packets();
+            scratch.clear();
         }
     }
     forwarded

@@ -184,9 +184,7 @@ fn pool_serves_steady_state_allocations() {
             }
             router.run_until_idle(10_000);
             for &d in &devs {
-                for p in router.devices.take_tx(d) {
-                    p.recycle();
-                }
+                router.devices.recycle_tx(d);
             }
         };
         for _ in 0..32 {
@@ -274,7 +272,6 @@ type PortLog = Vec<Vec<(Option<u32>, Vec<u8>)>>;
 
 fn log_packet(log: &mut PortLog, port: usize, p: Packet) {
     log[port].push((p.anno.dst_ip, p.data().to_vec()));
-    p.recycle();
 }
 
 /// IP packets to `dsts` (data at the IP header); every other one also

@@ -211,9 +211,7 @@ fn echoed_frames_carry_bytes_only() {
             assert_eq!((p.anno.paint, p.anno.dst_ip), (0, None));
             let fresh = Packet::from_data(sent);
             assert_eq!(p.alignment_offset(), fresh.alignment_offset());
-            fresh.recycle();
         }
-        tx.recycle_packets();
     }
 }
 

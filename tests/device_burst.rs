@@ -188,7 +188,7 @@ impl Twin {
         sup.tick();
         if !tx.is_empty() && sup.should_drop_pending() {
             stats.lost = tx.len() as u64;
-            tx.drain(..).for_each(Packet::recycle);
+            tx.clear();
             sup.count_drain_lost(stats.lost);
         }
         while let Some(p) = tx.pop_front() {
@@ -289,9 +289,6 @@ fn differential(case: &Case, deadline_us: u64, burst: usize) {
             .map(|f| f.to_vec())
             .collect::<Vec<_>>()
     );
-    for t in [&mut scalar, &mut bursty] {
-        t.rx.drain(..).for_each(Packet::recycle);
-    }
 }
 
 fn all_bursts(case: Case) {
@@ -363,7 +360,6 @@ fn close_mid_stream_keeps_unread_frames() {
     );
     let bytes: Vec<Vec<u8>> = got.iter().map(|p| p.data().to_vec()).collect();
     assert_eq!(bytes, (0..10).map(frame).collect::<Vec<_>>());
-    got.drain(..).for_each(Packet::recycle);
 }
 
 /// `mem:` echo keeps a burst in order.
@@ -375,5 +371,4 @@ fn echo_preserves_burst_order() {
     assert_eq!(echo.recv_burst(32, &mut q), (32, None));
     let bytes: Vec<Vec<u8>> = q.iter().map(|p| p.data().to_vec()).collect();
     assert_eq!(bytes, (0..32).map(frame).collect::<Vec<_>>());
-    q.drain(..).for_each(Packet::recycle);
 }

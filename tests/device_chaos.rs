@@ -74,9 +74,7 @@ fn frame(i: usize) -> Vec<u8> {
     let mut p = build_udp_packet([1; 6], [2; 6], 0x0A00_0002, 0x0A00_0102, sport, 9, 18, 64);
     let len = p.len();
     p.data_mut()[len - 1] = i as u8;
-    let bytes = p.data().to_vec();
-    p.recycle();
-    bytes
+    p.data().to_vec()
 }
 
 /// Test-speed supervision: microsecond backoffs, a drain deadline short

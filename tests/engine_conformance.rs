@@ -57,9 +57,7 @@ fn frame(i: usize) -> Vec<u8> {
     );
     let n = p.len();
     p.data_mut()[n - 2..].copy_from_slice(&(i as u16).to_be_bytes());
-    let bytes = p.data().to_vec();
-    p.recycle();
-    bytes
+    p.data().to_vec()
 }
 
 fn forwarded(range: std::ops::Range<usize>) -> usize {
@@ -103,10 +101,7 @@ impl Books {
     fn drain(&mut self, e: &mut dyn Engine) {
         let mut tx = PacketBatch::new();
         e.drain_all_tx_into(&mut tx);
-        for p in tx.drain() {
-            self.frames.push(p.data().to_vec());
-            p.recycle();
-        }
+        self.frames.extend(tx.iter().map(|p| p.data().to_vec()));
     }
 
     fn check(&mut self, e: &dyn Engine, step: &'static str) {
@@ -312,7 +307,6 @@ fn a_missing_route_is_a_counted_drop_on_every_engine() {
         e.settle();
         let mut tx = PacketBatch::new();
         let sent = e.drain_all_tx_into(&mut tx);
-        tx.recycle_packets();
         assert_eq!(
             (sent, e.total_drops()),
             (1, 1),

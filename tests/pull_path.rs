@@ -30,10 +30,11 @@ fn ip_packet(ttl: u8) -> Packet {
 /// Sent bytes per device, in order.
 fn sent(r: &mut DynRouter, dev: &str) -> Vec<Vec<u8>> {
     let dev = r.devices.id(dev).unwrap();
-    let frames = r.devices.take_tx(dev);
-    let bytes = frames.iter().map(|p| p.data().to_vec()).collect();
-    frames.into_iter().for_each(Packet::recycle);
-    bytes
+    r.devices
+        .take_tx(dev)
+        .iter()
+        .map(|p| p.data().to_vec())
+        .collect()
 }
 
 #[test]
