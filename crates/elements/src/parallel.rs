@@ -66,14 +66,22 @@
 //!
 //! A worker shard is a serial engine — a `Box<dyn Engine>` its own
 //! thread builds — driven by the same [`Engine`] calls the serial path
-//! uses: `inject`, `settle`, `drain_tx_into`. The control plane reaches
-//! it only through *jobs*: a closure that runs on the worker against the
-//! shard's engine and sends its typed result on a reply channel of its
-//! own. A read job runs wherever the engine is readable (between bursts,
-//! while stalled on a full outbound ring, in a zombie); a write job
-//! (`hot_swap`, `checkpoint_*`, `set_telemetry`) runs only at the
-//! quiesced top of the loop and is refused with a "shard busy" error
-//! anywhere else.
+//! uses: `inject`, `settle`, `drain_tx_into`, once per popped burst as
+//! the serial engine makes them once per round. Everything one poll pops
+//! from the inbound ring is injected in ring order, settled once and
+//! drained once per device, so a burst of items comes back as at most one
+//! TX batch per device. Batch storage circulates: the TX is drained into
+//! the burst's own inbound batches, and the ones it does not fill go back
+//! to the control thread as empty items behind the TX, so neither thread
+//! allocates a batch once warm.
+//!
+//! The control plane reaches a shard only through *jobs*: a closure that
+//! runs on the worker against the shard's engine and sends its typed
+//! result on a reply channel of its own. A read job runs wherever the
+//! engine is readable (between bursts, while stalled on a full outbound
+//! ring, in a zombie); a write job (`hot_swap`, `checkpoint_*`,
+//! `set_telemetry`) runs only at the quiesced top of the loop and is
+//! refused with a "shard busy" error anywhere else.
 //!
 //! The control plane is typed-error clean: jobs honor [`CTRL_TIMEOUT`]
 //! and return [`Error::Runtime`] instead of panicking when a worker is
@@ -107,7 +115,6 @@ use crate::telemetry::{
 use click_core::error::{Error, Result};
 use click_core::graph::RouterGraph;
 use click_core::registry::Library;
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{mpsc, Arc, Mutex, RwLock};
@@ -132,6 +139,10 @@ const ZOMBIE_NAP: Duration = Duration::from_millis(1);
 
 /// Frames a device round receives per backend.
 const DEVICE_BURST: usize = 64;
+
+/// Most empty batches a worker keeps when its outbound ring has no room
+/// to hand them back.
+const MAX_FREE: usize = 64;
 
 /// Worker dequeue burst floor (items per ring poll). The adaptive
 /// controller grows from here under load.
@@ -1112,7 +1123,9 @@ impl ParallelRouter {
     }
 
     /// Drains every worker's outbound ring into the merged TX banks;
-    /// returns how many packets arrived.
+    /// returns how many packets arrived. Every batch popped, TX or the
+    /// empty spare storage a worker hands back, refills the injection
+    /// storage.
     pub fn collect(&mut self) -> usize {
         let mut moved = 0;
         for w in &mut self.workers {
@@ -1718,15 +1731,20 @@ struct Shard {
     gauges: ShardGauges,
     /// Dequeue burst: occupancy-adapted per poll.
     deq: AdaptiveBurst,
-    /// Items popped from the inbound ring and not yet forwarded.
-    inbox: VecDeque<ShardItem>,
-    /// TX bursts drained from the engine, waiting for ring space.
+    /// The burst popped from the inbound ring, empty between steps (kept
+    /// for its capacity).
+    inbox: Vec<ShardItem>,
+    /// The last burst's TX, at most one batch per device, waiting for
+    /// ring space.
     outbox: Vec<ShardItem>,
-    /// `(batches, packets)` completed but not yet published: they are
-    /// published once `outbox` is on the ring, so the supervisor never
-    /// finds the shard idle with output it cannot collect yet.
+    /// `(batches, packets)` of the last burst, completed but not yet
+    /// published: they are published once `outbox` is on the ring, so
+    /// the supervisor never finds the shard idle with output it cannot
+    /// collect yet.
     owed: (u64, u64),
-    /// Empty batch storage for TX bursts.
+    /// Empty batch storage: one batch kept to drain a device into, the
+    /// burst's inbound batches, which its TX is drained into first, and
+    /// what the outbound ring had no room to take back.
     free: Vec<PacketBatch>,
     /// Devices of the engine's graph (a write job may change them).
     n_dev: usize,
@@ -1752,10 +1770,10 @@ impl Shard {
                 ..ShardGauges::default()
             },
             deq: AdaptiveBurst::new(DEQUEUE_BURST, DEQUEUE_BURST, capacity),
-            inbox: VecDeque::new(),
+            inbox: Vec::new(),
             outbox: Vec::new(),
             owed: (0, 0),
-            free: Vec::new(),
+            free: vec![PacketBatch::with_capacity(cfg.burst)],
             burst: cfg.burst,
         }
     }
@@ -1796,25 +1814,22 @@ impl Shard {
             self.links.bell.ring();
             return Step::Idle;
         }
-        // With the inbox empty this is the quiesced top of the loop.
-        self.serve(self.inbox.is_empty());
+        // Every popped burst is forwarded whole, so with its TX on the
+        // ring this is the quiesced top of the loop.
+        self.serve(true);
+        let input = &self.links.input;
+        self.gauges.ring_high_water = self.gauges.ring_high_water.max(input.len());
+        input.pop_batch(self.deq.get(), &mut self.inbox);
+        self.deq.observe(input.len(), input.capacity());
         if self.inbox.is_empty() {
-            let input = &self.links.input;
-            self.gauges.ring_high_water = self.gauges.ring_high_water.max(input.len());
-            let burst = self.deq.get();
-            self.inbox
-                .extend(std::iter::from_fn(|| input.try_pop()).take(burst));
-            self.deq.observe(input.len(), input.capacity());
-            if self.inbox.is_empty() {
-                return if self.stopping() && input.is_empty() {
-                    self.exit()
-                } else {
-                    Step::Idle
-                };
-            }
-            self.gauges.batches += self.inbox.len() as u64;
-            self.gauges.packets += self.inbox.iter().map(|(_, b)| b.len() as u64).sum::<u64>();
+            return if self.stopping() && input.is_empty() {
+                self.exit()
+            } else {
+                Step::Idle
+            };
         }
+        self.gauges.batches += self.inbox.len() as u64;
+        self.gauges.packets += self.inbox.iter().map(|(_, b)| b.len() as u64).sum::<u64>();
         // Fault isolation: a panic anywhere in the element graph is
         // confined to this shard. The engine lives outside the catch so
         // its statistics remain readable afterwards.
@@ -1834,44 +1849,39 @@ impl Shard {
         Step::Busy
     }
 
-    /// Forwards the inbox item by item through the engine — inject,
-    /// settle, drain every device's TX — and publishes each item's
-    /// output, until the inbox is empty or the outbound ring is full.
+    /// Forwards the popped inbox as one burst: injects every item's
+    /// packets in ring order (so per-flow FIFO holds), settles the engine
+    /// once, drains each device once into TX storage taken from the
+    /// burst's own inbound batches first, and publishes.
     fn forward(&mut self) {
-        while let Some((dev, mut batch)) = self.inbox.pop_front() {
-            let Ok(engine) = self.engine.as_deref_mut() else {
-                return;
-            };
-            let pkts = batch.len() as u64;
+        let Ok(engine) = self.engine.as_deref_mut() else {
+            return;
+        };
+        for (dev, mut batch) in self.inbox.drain(..) {
+            self.owed.0 += 1;
+            self.owed.1 += batch.len() as u64;
             for p in batch.drain() {
                 engine.inject(dev, p);
             }
-            if self.free.len() < 64 {
-                self.free.push(batch);
-            }
-            engine.settle();
-            for d in (0..self.n_dev).map(DeviceId) {
-                // Sized to a burst: this storage ends up in the injecting
-                // thread's free list, which refills it.
-                let fresh = || PacketBatch::with_capacity(self.burst);
-                let mut out = self.free.pop().unwrap_or_else(fresh);
-                if engine.drain_tx_into(d, &mut out) > 0 {
-                    self.outbox.push((d, out));
-                } else {
-                    self.free.push(out);
-                }
-            }
-            self.owed.0 += 1;
-            self.owed.1 += pkts;
-            if !self.publish() {
-                return;
+            self.free.push(batch);
+        }
+        engine.settle();
+        for d in (0..self.n_dev).map(DeviceId) {
+            let fresh = || PacketBatch::with_capacity(self.burst);
+            let mut out = self.free.pop().unwrap_or_else(fresh);
+            if engine.drain_tx_into(d, &mut out) > 0 {
+                self.outbox.push((d, out));
+            } else {
+                self.free.push(out);
             }
         }
+        self.publish();
     }
 
     /// Moves `outbox` onto the outbound ring (once the runtime is
-    /// stopping, what does not fit is dropped), then publishes the
-    /// completions owed. Returns `false` while TX is still held back.
+    /// stopping, what does not fit is dropped), hands spare storage back
+    /// behind it, then publishes the completions owed. Returns `false`
+    /// while TX is still held back.
     fn publish(&mut self) -> bool {
         if !self.outbox.is_empty() {
             self.links.output.push_batch(&mut self.outbox);
@@ -1882,6 +1892,9 @@ impl Shard {
                 self.outbox.clear();
             }
         }
+        if self.free.len() > 1 {
+            self.give_back();
+        }
         let (batches, pkts) = std::mem::take(&mut self.owed);
         if batches > 0 {
             let shared = &self.links.shared;
@@ -1891,6 +1904,24 @@ impl Shard {
             shared.completed_pkts.fetch_add(pkts, Ordering::Release);
         }
         true
+    }
+
+    /// Hands the free list back to the control thread as empty items,
+    /// all but the one batch the next burst drains a device into before
+    /// it knows whether that device has TX; the rest go in whatever room
+    /// the outbound ring has left (`collect` refills its injection
+    /// storage from them), and what does not fit stays here, up to a
+    /// bound. Called with `outbox` empty, so it never takes a slot TX
+    /// needs, and before the completions are published, so the
+    /// supervisor's last sweep after it finds the shard idle collects
+    /// the storage too.
+    fn give_back(&mut self) {
+        let spare = self.free.len() - 1;
+        self.outbox
+            .extend(self.free.drain(..spare).map(|b| (DeviceId(0), b)));
+        self.links.output.push_batch(&mut self.outbox);
+        let kept = self.outbox.drain(..).map(|(_, b)| b).take(MAX_FREE);
+        self.free.extend(kept);
     }
 
     /// Runs every queued job. A read job gets the engine wherever it is
@@ -2028,6 +2059,45 @@ mod tests {
         assert_eq!(take_out(&w), [4]);
         let report = written.try_recv().unwrap().unwrap().unwrap();
         assert_eq!(report.reused, 2, "{report:?}");
+    }
+
+    #[test]
+    fn a_stepped_shard_forwards_a_popped_burst_with_one_settle() {
+        let (w, mut shard) = stepped_shard(8);
+        let engine = shard.engine.as_ref().unwrap();
+        let (in0, out0) = (
+            engine.device("in0").unwrap(),
+            engine.device("out0").unwrap(),
+        );
+        let mut storage: Vec<PacketBatch> = (0..3).map(|_| PacketBatch::new()).collect();
+        for round in 1..=100u64 {
+            // Three bursts of 2, 3 and 4 frames, numbered in hand order.
+            let mut seq = 0;
+            for (n, mut batch) in [2, 3, 4].into_iter().zip(storage.drain(..)) {
+                for _ in 0..n {
+                    batch.push(udp(5000, seq));
+                    seq += 1;
+                }
+                assert!(w.to_worker.try_push((in0, batch)).is_ok());
+            }
+            assert_eq!(shard.step(), Step::Busy);
+            assert_eq!(completed(&w), 3 * round);
+            let mut out = Vec::new();
+            w.from_worker.pop_batch(usize::MAX, &mut out);
+            let (tx, spare): (Vec<_>, Vec<_>) = out.into_iter().partition(|(_, b)| !b.is_empty());
+            let [(dev, mut batch)] = <[ShardItem; 1]>::try_from(tx).unwrap();
+            assert_eq!(dev, out0, "one TX batch holds the whole burst");
+            let seqs: Vec<u8> = batch.iter().map(|p| p.data()[p.len() - 1]).collect();
+            assert_eq!(seqs, (0..9).collect::<Vec<u8>>());
+            batch.clear();
+            // Two more batches come back empty, and the worker keeps the
+            // one it drains devices into: four batches circulate, and
+            // none is allocated.
+            assert_eq!(spare.len(), 2);
+            assert_eq!(shard.free.len(), 1);
+            storage.push(batch);
+            storage.extend(spare.into_iter().map(|(_, b)| b));
+        }
     }
 
     #[test]

@@ -84,10 +84,18 @@ type Frame = (usize, Vec<u8>);
 
 /// Valid cross-interface UDP frames, every input and output in use.
 fn frames(spec: &IpRouterSpec) -> Vec<Frame> {
+    routed_frames(spec, |k| {
+        let src = k % IFACES;
+        (src, (src + 1 + k / IFACES % (IFACES - 1)) % IFACES)
+    })
+}
+
+/// Valid UDP frames, frame `k` entering and leaving on the interfaces
+/// `route(k)` names.
+fn routed_frames(spec: &IpRouterSpec, route: impl Fn(usize) -> (usize, usize)) -> Vec<Frame> {
     (0..FRAMES)
         .map(|k| {
-            let src = k % IFACES;
-            let dst = (src + 1 + k / IFACES % (IFACES - 1)) % IFACES;
+            let (src, dst) = route(k);
             let mut p = test_packet(spec, src, dst);
             p.data_mut()[50] = k as u8;
             (src, p.data().to_vec())
@@ -393,35 +401,42 @@ fn sharded_pass(
     forwarded
 }
 
+/// Two arms: the round-robin traffic of every other test, and skewed
+/// ingress, where every frame enters on `eth0` and leaves on `eth1..eth3`
+/// in turn, so a round hands the worker bursts for one device and gets
+/// TX back for three.
 #[test]
 fn sharded_calling_thread_forwards_within_its_budget() {
     let spec = IpRouterSpec::standard(IFACES);
     let graph = read_config(&spec.config()).unwrap();
-    let opts = ParallelOpts::new(1).batched(BURST);
-    let mut router = ParallelRouter::from_graph::<Box<dyn Element>>(&graph, opts).unwrap();
-    let devs: Vec<DeviceId> = (0..IFACES)
-        .map(|i| router.device_id(&format!("eth{i}")).unwrap())
-        .collect();
-    let frames = frames(&spec);
-    let mut scratch = PacketBatch::with_capacity(ROUND);
-    let mut pass = |r: &mut ParallelRouter| sharded_pass(r, &devs, &mut scratch, &frames);
-    assert_eq!(pass(&mut router), FRAMES, "warm-up");
-    let mut forwarded = 0;
-    let allocs = allocations_in(|| forwarded = pass(&mut router));
-    assert_eq!(forwarded, FRAMES);
-    assert_eq!(router.total_drops(), 0);
-    // No frame and no round costs an allocation: the batch `inject` fills
-    // comes from the storage `collect` got back from the worker (sized to
-    // a burst there), and `collect` pops the ring into a vector it keeps.
-    // What is left follows the two threads' timing, not the traffic — a
-    // high-water mark met for the first time (a longer ring backlog in
-    // one `collect`, a burst the ingress widened under backpressure)
-    // grows its vector once — so the budget is one per round, not zero.
-    // The worker's own allocations (the batches it publishes: one burst
-    // in fans out to three devices) are its thread's and not counted.
-    let rounds = (FRAMES / ROUND) as u64;
-    assert!(
-        allocs <= rounds,
-        "{allocs} heap allocations in {FRAMES} frames on the calling thread"
-    );
+    let skewed = routed_frames(&spec, |k| (0, 1 + k % (IFACES - 1)));
+    for (arm, frames) in [("round-robin", frames(&spec)), ("skewed", skewed)] {
+        let opts = ParallelOpts::new(1).batched(BURST);
+        let mut router = ParallelRouter::from_graph::<Box<dyn Element>>(&graph, opts).unwrap();
+        let devs: Vec<DeviceId> = (0..IFACES)
+            .map(|i| router.device_id(&format!("eth{i}")).unwrap())
+            .collect();
+        let mut scratch = PacketBatch::with_capacity(ROUND);
+        let mut pass = |r: &mut ParallelRouter| sharded_pass(r, &devs, &mut scratch, &frames);
+        assert_eq!(pass(&mut router), FRAMES, "{arm}: warm-up");
+        let mut forwarded = 0;
+        let allocs = allocations_in(|| forwarded = pass(&mut router));
+        assert_eq!(forwarded, FRAMES, "{arm}");
+        assert_eq!(router.total_drops(), 0, "{arm}");
+        // No frame and no round costs an allocation: the batch `inject`
+        // fills comes from the storage `collect` got back from the
+        // worker, which returns every batch it is handed — drained full
+        // of TX, or empty behind the TX — and `collect` pops the ring
+        // into a vector it keeps. What is left follows the two threads'
+        // timing, not the traffic — a high-water mark met for the first
+        // time (a longer ring backlog in one `collect`, a burst the
+        // ingress widened under backpressure) grows its vector once — so
+        // the budget is one per round, not zero. The worker's own
+        // allocations are its thread's and not counted here.
+        let rounds = (FRAMES / ROUND) as u64;
+        assert!(
+            allocs <= rounds,
+            "{arm}: {allocs} heap allocations in {FRAMES} frames on the calling thread"
+        );
+    }
 }

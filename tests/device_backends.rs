@@ -7,8 +7,8 @@
 //!
 //! * **Differential**: replaying a pcap trace through `FromDevice` is
 //!   bit-identical to injecting the same frames in memory — on both
-//!   engines (per-packet and batched) and both runtimes (serial and
-//!   4-shard);
+//!   engines (per-packet and batched) and both runtimes (serial, one
+//!   worker shard, and 4-shard);
 //!   re-captured output pcaps are byte-for-byte equal (deterministic
 //!   counter timestamps).
 //! * **UDP loopback**: frames sent from a plain `std::net::UdpSocket`
@@ -27,8 +27,9 @@ use click::elements::engine::{self, Engine};
 use click::elements::headers::build_udp_packet;
 use click::elements::iodev::{write_pcap, PcapBackend, SupervisedDevice};
 use click::elements::packet::Packet;
-use click::elements::parallel::ParallelOpts;
+use click::elements::parallel::{ParallelOpts, ParallelRouter};
 use click::elements::router::Router;
+use click::elements::Element;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
@@ -68,6 +69,14 @@ fn open_engine(graph: &RouterGraph, shards: usize, batched: bool) -> Box<dyn Eng
 /// The serial runtime.
 fn serial(graph: &RouterGraph, batched: bool) -> Box<dyn Engine> {
     open_engine(graph, 1, batched)
+}
+
+/// The sharded runtime with one worker shard (`engine::open` runs one
+/// shard serially).
+fn one_worker(graph: &RouterGraph, batched: bool) -> Box<dyn Engine> {
+    let opts = ParallelOpts::new(1);
+    let opts = if batched { opts.batched(8) } else { opts };
+    Box::new(ParallelRouter::from_graph::<Box<dyn Element>>(graph, opts).unwrap())
 }
 
 /// The 4-shard runtime.
@@ -173,6 +182,25 @@ fn pcap_replay_matches_memory_injection_sharded() {
         std::fs::read(&out_a).unwrap(),
         std::fs::read(&out_b).unwrap()
     );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One worker shard keeps the serial order of the whole capture, not
+/// just each flow's: every frame enters on one device, and the worker
+/// forwards each burst it pops in ring order.
+#[test]
+fn pcap_replay_on_one_worker_matches_serial_order() {
+    let dir = scratch("diff1");
+    let trace = dir.join("trace.pcap");
+    let frames = trace_frames(300);
+    write_pcap(&trace, &frames).unwrap();
+    let graph = read_config(PIPELINE).unwrap();
+    for batched in [false, true] {
+        let pcap = forward_pcap(one_worker(&graph, batched), &trace);
+        assert_eq!(pcap, frames, "batched={batched}");
+        let mem = forward_mem(one_worker(&graph, batched), &frames);
+        assert_eq!(mem, frames, "batched={batched}");
+    }
     let _ = std::fs::remove_dir_all(&dir);
 }
 
