@@ -22,6 +22,7 @@ fn main() {
     let tree = build_tree(&rules, 1);
     let opt = optimize(&tree);
     let generic = TreeClassifier::new(&tree);
+    #[allow(clippy::disallowed_methods)] // §4 specializes the optimized tree
     let fast = FastMatcher::compile(&opt);
     let pkt = dns5_packet();
 

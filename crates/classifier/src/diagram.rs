@@ -14,8 +14,8 @@
 //!   so equivalent subtrees are built once and shared — diagram size
 //!   tracks *distinct decision paths*, not rules.
 //!
-//! The result lowers through `click-fastclassifier` as a
-//! [`crate::fast::FastMatcher::Diagram`] shape.
+//! `click-fastclassifier` lowers every classifier to one of these; its
+//! text form (`diag ...`) is the generated element's configuration.
 
 use crate::build::{Action, Check, Cond, Rule};
 use crate::tree::load_word;
@@ -54,19 +54,16 @@ impl fmt::Display for Target {
     }
 }
 
-impl std::str::FromStr for Target {
-    type Err = Error;
-    fn from_str(s: &str) -> Result<Target> {
-        let bad = || Error::spec(format!("bad diagram target {s:?}"));
-        if s == "drop" {
-            Ok(Target::Drop)
-        } else if let Some(o) = s.strip_prefix("out") {
-            Ok(Target::Output(o.parse().map_err(|_| bad())?))
-        } else if let Some(n) = s.strip_prefix('n') {
-            Ok(Target::Node(n.parse().map_err(|_| bad())?))
-        } else {
-            Err(bad())
-        }
+fn parse_target(s: &str) -> Result<Target> {
+    let bad = || Error::spec(format!("bad diagram target {s:?}"));
+    if s == "drop" {
+        Ok(Target::Drop)
+    } else if let Some(o) = s.strip_prefix("out") {
+        Ok(Target::Output(o.parse().map_err(|_| bad())?))
+    } else if let Some(n) = s.strip_prefix('n') {
+        Ok(Target::Node(n.parse().map_err(|_| bad())?))
+    } else {
+        Err(bad())
     }
 }
 
@@ -100,20 +97,27 @@ impl DecisionDiagram {
     /// Classifies a packet. Returns the output port or `None` for drop.
     #[inline]
     pub fn classify(&self, data: &[u8]) -> Option<usize> {
-        self.classify_steps(data).0
+        self.walk(data, || {})
     }
 
     /// Classifies a packet, also reporting the number of interior nodes
     /// visited (for the cost model). Bounded by the field count.
     pub fn classify_steps(&self, data: &[u8]) -> (Option<usize>, usize) {
-        let mut t = self.start;
         let mut steps = 0usize;
+        let out = self.walk(data, || steps += 1);
+        (out, steps)
+    }
+
+    /// The one diagram walk; `step` runs at every interior node visited.
+    #[inline]
+    fn walk(&self, data: &[u8], mut step: impl FnMut()) -> Option<usize> {
+        let mut t = self.start;
         loop {
             match t {
-                Target::Output(o) => return (Some(o), steps),
-                Target::Drop => return (None, steps),
+                Target::Output(o) => return Some(o),
+                Target::Drop => return None,
                 Target::Node(i) => {
-                    steps += 1;
+                    step();
                     let n = &self.nodes[i];
                     let f = self.fields[n.field];
                     let w = load_word(data, f.offset as usize) & f.mask;
@@ -351,8 +355,15 @@ impl Builder {
         if let Some(&t) = self.memo.get(&rules) {
             return t;
         }
-        let fidx =
-            next_tested(&rules, &self.index).expect("unresolved residual rules must test a field");
+        let Some(fidx) = next_tested(&rules, &self.index) else {
+            // No field left to test: every condition is a constant
+            // expression (such as `!true`), which `eval` decides without
+            // reading the packet.
+            return rules
+                .iter()
+                .find(|(c, _)| c.eval(&[]))
+                .map_or(Target::Drop, |(_, a)| action_target(*a));
+        };
         let field = self.fields[fidx];
         let values = values_on(&rules, field);
         let default = self.lower(
@@ -480,7 +491,7 @@ impl std::str::FromStr for DecisionDiagram {
             .next()
             .and_then(|w| w.parse().ok())
             .ok_or_else(|| bad("bad noutputs"))?;
-        let start: Target = words.next().ok_or_else(|| bad("missing start"))?.parse()?;
+        let start = parse_target(words.next().ok_or_else(|| bad("missing start"))?)?;
         let mut fields = Vec::new();
         let mut nodes = Vec::new();
         while let Some(kind) = words.next() {
@@ -499,17 +510,15 @@ impl std::str::FromStr for DecisionDiagram {
                         .next()
                         .and_then(|w| w.parse().ok())
                         .ok_or_else(|| bad("bad node field"))?;
-                    let default: Target = parts
-                        .next()
-                        .ok_or_else(|| bad("missing default"))?
-                        .parse()?;
+                    let default =
+                        parse_target(parts.next().ok_or_else(|| bad("missing default"))?)?;
                     let mut edges = Vec::new();
                     if let Some(list) = parts.next() {
                         for e in list.split(',') {
                             let (v, t) = e.split_once('=').ok_or_else(|| bad("bad edge"))?;
                             edges.push((
                                 u32::from_str_radix(v, 16).map_err(|_| bad("bad edge value"))?,
-                                t.parse()?,
+                                parse_target(t)?,
                             ));
                         }
                     }
@@ -788,6 +797,24 @@ mod tests {
         assert!("diag 1 n0 f 0:ff n 0:n0"
             .parse::<DecisionDiagram>()
             .is_err());
+    }
+
+    #[test]
+    fn field_free_conditions_lower_to_their_value() {
+        // `!true`, then an empty conjunction (true): no field to test.
+        let rules = vec![
+            Rule {
+                cond: Cond::Not(Box::new(Cond::True)),
+                action: Action::Emit(0),
+            },
+            Rule {
+                cond: Cond::And(vec![Cond::True, Cond::And(Vec::new())]),
+                action: Action::Emit(1),
+            },
+        ];
+        let d = build_diagram(&rules, 2);
+        assert_eq!(d.start, Target::Output(1));
+        assert_eq!(build_diagram(&rules[..1], 2).start, Target::Drop);
     }
 
     #[test]

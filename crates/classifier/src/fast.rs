@@ -1,18 +1,15 @@
-//! Specialized matchers — the Rust analogue of generated classifier code.
+//! Shape-specialized matchers over an optimized decision tree.
 //!
 //! The paper's `click-fastclassifier` emits C++ per decision tree (Figure
-//! 3b) and Click dlopens the result. Rust has no runtime code generation,
-//! so the same optimization is expressed two ways: common tree shapes
-//! compile to dedicated struct variants whose `classify` is straight-line
-//! monomorphized code (this module), and everything else falls back to the
-//! contiguous [`ClassifierProgram`]. Either way the generic tree-walk and
-//! its memory traffic are gone.
+//! 3b). Here common tree shapes compile to dedicated struct variants
+//! whose `classify` is straight-line code, and everything else falls
+//! back to the contiguous [`ClassifierProgram`]. `click-fastclassifier`
+//! itself emits a [`crate::diagram::DecisionDiagram`]; this form stays
+//! for the paper's §4 firewall reproduction, which specializes an
+//! optimized tree.
 
-use crate::diagram::DecisionDiagram;
 use crate::program::ClassifierProgram;
 use crate::tree::{DecisionTree, Step};
-use click_core::error::{Error, Result};
-use std::fmt;
 
 /// The outcome of a leaf: an output port or a drop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -37,15 +34,6 @@ impl Outcome {
         match self {
             Outcome::Output(o) => Some(o),
             Outcome::Drop => None,
-        }
-    }
-}
-
-impl fmt::Display for Outcome {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Outcome::Output(o) => write!(f, "out{o}"),
-            Outcome::Drop => f.write_str("drop"),
         }
     }
 }
@@ -75,8 +63,6 @@ pub enum FastMatcher {
     Constant {
         /// That outcome.
         outcome: Outcome,
-        /// Declared output count (for port bookkeeping).
-        noutputs: usize,
     },
     /// One word compare — the shape of the paper's Figure 3b.
     SingleCheck {
@@ -90,8 +76,6 @@ pub enum FastMatcher {
         yes: Outcome,
         /// Outcome on mismatch.
         no: Outcome,
-        /// Declared output count.
-        noutputs: usize,
     },
     /// A chain of up to two conjunctive compares with a single failure
     /// outcome (e.g. `12/0806 20/0001`).
@@ -104,14 +88,9 @@ pub enum FastMatcher {
         yes: Outcome,
         /// Outcome when either fails.
         no: Outcome,
-        /// Declared output count.
-        noutputs: usize,
     },
     /// General case: a contiguous compiled program.
     Program(ClassifierProgram),
-    /// Large rule sets: an ordered-field decision diagram whose match
-    /// depth is bounded by the field count (see [`crate::diagram`]).
-    Diagram(DecisionDiagram),
 }
 
 impl FastMatcher {
@@ -119,10 +98,7 @@ impl FastMatcher {
     pub fn compile(tree: &DecisionTree) -> FastMatcher {
         // Constant?
         if let Some(outcome) = Outcome::from_step(tree.start) {
-            return FastMatcher::Constant {
-                outcome,
-                noutputs: tree.noutputs,
-            };
+            return FastMatcher::Constant { outcome };
         }
         let Step::Node(first) = tree.start else {
             unreachable!()
@@ -136,7 +112,6 @@ impl FastMatcher {
                 value: e0.value,
                 yes,
                 no,
-                noutputs: tree.noutputs,
             };
         }
         // Double check with shared failure outcome?
@@ -150,11 +125,11 @@ impl FastMatcher {
                         second: (e1.offset, e1.mask, e1.value),
                         yes,
                         no: no0,
-                        noutputs: tree.noutputs,
                     };
                 }
             }
         }
+        #[allow(clippy::disallowed_methods)]
         FastMatcher::Program(ClassifierProgram::compile(tree))
     }
 
@@ -169,7 +144,6 @@ impl FastMatcher {
                 value,
                 yes,
                 no,
-                ..
             } => {
                 let w = crate::tree::load_word(data, *offset as usize);
                 if w & mask == *value {
@@ -183,7 +157,6 @@ impl FastMatcher {
                 second,
                 yes,
                 no,
-                ..
             } => {
                 let w0 = crate::tree::load_word(data, first.0 as usize);
                 if w0 & first.1 != first.2 {
@@ -197,151 +170,12 @@ impl FastMatcher {
                 }
             }
             FastMatcher::Program(p) => p.classify(data),
-            FastMatcher::Diagram(d) => d.classify(data),
-        }
-    }
-
-    /// Number of output ports.
-    pub fn noutputs(&self) -> usize {
-        match self {
-            FastMatcher::Constant { noutputs, .. }
-            | FastMatcher::SingleCheck { noutputs, .. }
-            | FastMatcher::DoubleCheck { noutputs, .. } => *noutputs,
-            FastMatcher::Program(p) => p.noutputs(),
-            FastMatcher::Diagram(d) => d.noutputs,
-        }
-    }
-
-    /// A short name for the chosen specialization, used in generated-code
-    /// comments and reports.
-    pub fn shape(&self) -> &'static str {
-        match self {
-            FastMatcher::Constant { .. } => "constant",
-            FastMatcher::SingleCheck { .. } => "single-check",
-            FastMatcher::DoubleCheck { .. } => "double-check",
-            FastMatcher::Program(_) => "program",
-            FastMatcher::Diagram(_) => "diagram",
-        }
-    }
-}
-
-impl fmt::Display for FastMatcher {
-    /// Serialized as `fast <shape> ...`; the `program` shape defers to
-    /// [`ClassifierProgram`]'s serialization.
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            FastMatcher::Constant { outcome, noutputs } => {
-                write!(f, "fast constant {noutputs} {outcome}")
-            }
-            FastMatcher::SingleCheck {
-                offset,
-                mask,
-                value,
-                yes,
-                no,
-                noutputs,
-            } => write!(
-                f,
-                "fast single {noutputs} {offset}:{mask:x}:{value:x}:{yes}:{no}"
-            ),
-            FastMatcher::DoubleCheck {
-                first,
-                second,
-                yes,
-                no,
-                noutputs,
-            } => write!(
-                f,
-                "fast double {noutputs} {}:{:x}:{:x} {}:{:x}:{:x} {yes} {no}",
-                first.0, first.1, first.2, second.0, second.1, second.2
-            ),
-            FastMatcher::Program(p) => write!(f, "fast {p}"),
-            FastMatcher::Diagram(d) => write!(f, "fast {d}"),
-        }
-    }
-}
-
-fn parse_outcome(s: &str) -> Result<Outcome> {
-    let bad = || Error::spec(format!("bad outcome {s:?}"));
-    if s == "drop" {
-        Ok(Outcome::Drop)
-    } else if let Some(o) = s.strip_prefix("out") {
-        Ok(Outcome::Output(o.parse().map_err(|_| bad())?))
-    } else {
-        Err(bad())
-    }
-}
-
-fn parse_check(s: &str) -> Result<(u32, u32, u32)> {
-    let bad = || Error::spec(format!("bad check {s:?}"));
-    let parts: Vec<&str> = s.split(':').collect();
-    if parts.len() != 3 {
-        return Err(bad());
-    }
-    Ok((
-        parts[0].parse().map_err(|_| bad())?,
-        u32::from_str_radix(parts[1], 16).map_err(|_| bad())?,
-        u32::from_str_radix(parts[2], 16).map_err(|_| bad())?,
-    ))
-}
-
-impl std::str::FromStr for FastMatcher {
-    type Err = Error;
-
-    fn from_str(s: &str) -> Result<FastMatcher> {
-        let bad = |m: &str| Error::spec(format!("bad fast matcher: {m}"));
-        let rest = s
-            .strip_prefix("fast ")
-            .ok_or_else(|| bad("missing `fast` prefix"))?;
-        let words: Vec<&str> = rest.split_whitespace().collect();
-        match words.first().copied() {
-            Some("constant") => {
-                if words.len() != 3 {
-                    return Err(bad("constant wants 2 fields"));
-                }
-                Ok(FastMatcher::Constant {
-                    noutputs: words[1].parse().map_err(|_| bad("bad noutputs"))?,
-                    outcome: parse_outcome(words[2])?,
-                })
-            }
-            Some("single") => {
-                if words.len() != 3 {
-                    return Err(bad("single wants 2 fields"));
-                }
-                let noutputs = words[1].parse().map_err(|_| bad("bad noutputs"))?;
-                let parts: Vec<&str> = words[2].split(':').collect();
-                if parts.len() != 5 {
-                    return Err(bad("single check wants 5 parts"));
-                }
-                Ok(FastMatcher::SingleCheck {
-                    offset: parts[0].parse().map_err(|_| bad("bad offset"))?,
-                    mask: u32::from_str_radix(parts[1], 16).map_err(|_| bad("bad mask"))?,
-                    value: u32::from_str_radix(parts[2], 16).map_err(|_| bad("bad value"))?,
-                    yes: parse_outcome(parts[3])?,
-                    no: parse_outcome(parts[4])?,
-                    noutputs,
-                })
-            }
-            Some("double") => {
-                if words.len() != 6 {
-                    return Err(bad("double wants 5 fields"));
-                }
-                Ok(FastMatcher::DoubleCheck {
-                    noutputs: words[1].parse().map_err(|_| bad("bad noutputs"))?,
-                    first: parse_check(words[2])?,
-                    second: parse_check(words[3])?,
-                    yes: parse_outcome(words[4])?,
-                    no: parse_outcome(words[5])?,
-                })
-            }
-            Some("prog") => Ok(FastMatcher::Program(rest.parse()?)),
-            Some("diag") => Ok(FastMatcher::Diagram(rest.parse()?)),
-            _ => Err(bad("unknown shape")),
         }
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::build::build_tree;
@@ -358,7 +192,7 @@ mod tests {
     #[test]
     fn fig3_specializes_to_single_check() {
         let m = FastMatcher::compile(&tree_of("12/0800, -"));
-        assert_eq!(m.shape(), "single-check");
+        assert!(matches!(m, FastMatcher::SingleCheck { .. }));
         let mut pkt = [0u8; 64];
         pkt[12] = 0x08;
         assert_eq!(m.classify(&pkt), Some(0));
@@ -369,7 +203,7 @@ mod tests {
     #[test]
     fn two_term_pattern_specializes_to_double_check() {
         let m = FastMatcher::compile(&tree_of("12/0806 20/0001"));
-        assert_eq!(m.shape(), "double-check");
+        assert!(matches!(m, FastMatcher::DoubleCheck { .. }));
         let mut pkt = [0u8; 64];
         pkt[12] = 0x08;
         pkt[13] = 0x06;
@@ -382,7 +216,7 @@ mod tests {
     #[test]
     fn catchall_specializes_to_constant() {
         let m = FastMatcher::compile(&tree_of("-"));
-        assert_eq!(m.shape(), "constant");
+        assert!(matches!(m, FastMatcher::Constant { .. }));
         assert_eq!(m.classify(&[]), Some(0));
     }
 
@@ -392,7 +226,7 @@ mod tests {
             .unwrap();
         let tree = optimize(&build_tree(&rules, 1));
         let m = FastMatcher::compile(&tree);
-        assert_eq!(m.shape(), "program");
+        assert!(matches!(m, FastMatcher::Program(_)));
         let mut ip = vec![0u8; 40];
         ip[0] = 0x45;
         ip[9] = 17;
@@ -418,23 +252,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn serialization_round_trips_all_shapes() {
-        for config in ["12/0800, -", "12/0806 20/0001", "-", "0/01, 4/02, 8/03, -"] {
-            let m = FastMatcher::compile(&tree_of(config));
-            let text = m.to_string();
-            let back: FastMatcher = text.parse().unwrap();
-            assert_eq!(m, back, "config {config:?}");
-        }
-    }
-
-    #[test]
-    fn serialization_rejects_garbage() {
-        assert!("".parse::<FastMatcher>().is_err());
-        assert!("fast".parse::<FastMatcher>().is_err());
-        assert!("fast wiggle 1".parse::<FastMatcher>().is_err());
-        assert!("fast single 2 nope".parse::<FastMatcher>().is_err());
     }
 }

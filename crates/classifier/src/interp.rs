@@ -4,8 +4,8 @@
 //! 3a): classification chases pointers through individually heap-allocated
 //! decision nodes laid out wherever the allocator put them. That layout is
 //! the point — it reproduces the data-cache behavior `click-fastclassifier`
-//! eliminates. Use [`crate::program::ClassifierProgram`] or
-//! [`crate::fast::FastMatcher`] for the optimized forms.
+//! eliminates. [`crate::diagram::DecisionDiagram`] is the specialized
+//! form.
 
 use crate::tree::{DecisionTree, Step};
 use std::rc::Rc;

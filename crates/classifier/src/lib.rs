@@ -3,26 +3,29 @@
 //! The packet-classification engine for the Click reproduction: the
 //! `Classifier` byte-pattern language, the `IPClassifier`/`IPFilter`
 //! textual language, decision-tree construction and optimization, and the
-//! three runtime representations whose contrast the paper's
-//! `click-fastclassifier` tool exploits:
+//! two runtimes whose contrast the paper's `click-fastclassifier` tool
+//! exploits:
 //!
 //! 1. [`interp::TreeClassifier`] — pointer-chasing tree walk (the
 //!    unoptimized `Classifier::push` of Figure 3a);
-//! 2. [`program::ClassifierProgram`] — one contiguous, constants-inlined
-//!    instruction array;
-//! 3. [`fast::FastMatcher`] — shape-specialized straight-line matchers
-//!    (the generated-code analogue of Figure 3b).
+//! 2. [`diagram::DecisionDiagram`] — an ordered-field decision diagram,
+//!    one multiway test per packet field, what every specialized
+//!    `FastClassifier@@*` element runs (the generated-code analogue of
+//!    Figure 3b).
+//!
+//! [`fast::FastMatcher`] and [`program::ClassifierProgram`] specialize an
+//! optimized tree instead; the paper's §4 firewall reproduction keeps
+//! them.
 //!
 //! ```
 //! use click_classifier::build::build_tree;
-//! use click_classifier::fast::FastMatcher;
+//! use click_classifier::diagram::build_diagram;
 //! use click_classifier::interp::TreeClassifier;
 //! use click_classifier::pattern::parse_classifier_config;
 //!
 //! let rules = parse_classifier_config("12/0800, -")?;
-//! let tree = build_tree(&rules, 2);
-//! let slow = TreeClassifier::new(&tree);
-//! let fast = FastMatcher::compile(&tree);
+//! let slow = TreeClassifier::new(&build_tree(&rules, 2));
+//! let fast = build_diagram(&rules, 2);
 //! let mut pkt = [0u8; 64];
 //! pkt[12] = 0x08;
 //! assert_eq!(slow.classify(&pkt), fast.classify(&pkt));

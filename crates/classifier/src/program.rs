@@ -6,13 +6,11 @@
 //! "so there is no tree to access" (paper §4): traversal touches a single
 //! small allocation that stays resident in cache.
 //!
-//! Programs serialize to a compact text form that rides in the
-//! configuration archive, standing in for the generated C++ the paper's
-//! tool attaches.
+//! `click-fastclassifier` emits decision diagrams, not programs: this
+//! form stays as the paper's §4 firewall reproduction's tree runtime
+//! (through [`crate::fast::FastMatcher`]).
 
 use crate::tree::{DecisionTree, Expr, Step};
-use click_core::error::{Error, Result};
-use std::fmt;
 
 /// Branch target encoding: non-negative values are instruction indices;
 /// negative values encode outcomes.
@@ -59,7 +57,6 @@ pub struct ClassifierProgram {
     instrs: Vec<Instr>,
     start: Target,
     safe_length: usize,
-    noutputs: usize,
 }
 
 impl ClassifierProgram {
@@ -110,7 +107,6 @@ impl ClassifierProgram {
             instrs,
             start: encode(remap(tree.start)),
             safe_length: tree.safe_length(),
-            noutputs: tree.noutputs,
         }
     }
 
@@ -143,7 +139,7 @@ impl ClassifierProgram {
         }
     }
 
-    /// Classification for packets shorter than [`Self::safe_length`];
+    /// Classification for packets shorter than `safe_length`;
     /// out-of-range loads read zero padding, matching tree semantics.
     fn classify_checked(&self, data: &[u8]) -> Option<usize> {
         let mut t = self.start;
@@ -161,152 +157,13 @@ impl ClassifierProgram {
             _ => None,
         }
     }
-
-    /// The packet length below which the checked path is used.
-    pub fn safe_length(&self) -> usize {
-        self.safe_length
-    }
-
-    /// Number of output ports.
-    pub fn noutputs(&self) -> usize {
-        self.noutputs
-    }
-
-    /// Number of instructions.
-    pub fn len(&self) -> usize {
-        self.instrs.len()
-    }
-
-    /// True if the program is a single unconditional outcome.
-    pub fn is_empty(&self) -> bool {
-        self.instrs.is_empty()
-    }
-
-    /// The instructions, for inspection and code generation.
-    pub fn instrs(&self) -> &[Instr] {
-        &self.instrs
-    }
-
-    /// The entry step.
-    pub fn start(&self) -> Step {
-        decode(self.start)
-    }
-
-    /// Converts back to the index-based decision tree form.
-    pub fn to_tree(&self) -> DecisionTree {
-        DecisionTree {
-            exprs: self
-                .instrs
-                .iter()
-                .map(|i| Expr {
-                    offset: i.offset,
-                    mask: i.mask,
-                    value: i.value,
-                    yes: decode(i.yes),
-                    no: decode(i.no),
-                })
-                .collect(),
-            start: decode(self.start),
-            noutputs: self.noutputs,
-        }
-    }
-}
-
-impl fmt::Display for ClassifierProgram {
-    /// Compact single-line serialization, suitable for embedding in an
-    /// element configuration string:
-    ///
-    /// ```text
-    /// prog 2 [0] 12:ffff0000:08000000:out0:out1
-    /// ```
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "prog {} {}", self.noutputs, target_str(self.start))?;
-        for i in &self.instrs {
-            write!(
-                f,
-                " {}:{:x}:{:x}:{}:{}",
-                i.offset,
-                i.mask,
-                i.value,
-                target_str(i.yes),
-                target_str(i.no)
-            )?;
-        }
-        Ok(())
-    }
-}
-
-fn target_str(t: Target) -> String {
-    match decode(t) {
-        Step::Node(i) => format!("n{i}"),
-        Step::Output(o) => format!("out{o}"),
-        Step::Drop => "drop".to_owned(),
-    }
-}
-
-fn parse_target(s: &str) -> Result<Target> {
-    let bad = || Error::spec(format!("bad program target {s:?}"));
-    if s == "drop" {
-        Ok(DROP)
-    } else if let Some(o) = s.strip_prefix("out") {
-        Ok(encode(Step::Output(o.parse().map_err(|_| bad())?)))
-    } else if let Some(n) = s.strip_prefix('n') {
-        Ok(encode(Step::Node(n.parse().map_err(|_| bad())?)))
-    } else {
-        Err(bad())
-    }
-}
-
-impl std::str::FromStr for ClassifierProgram {
-    type Err = Error;
-
-    fn from_str(s: &str) -> Result<ClassifierProgram> {
-        let bad = |m: &str| Error::spec(format!("bad classifier program: {m}"));
-        let mut words = s.split_whitespace();
-        if words.next() != Some("prog") {
-            return Err(bad("missing `prog` header"));
-        }
-        let noutputs: usize = words
-            .next()
-            .ok_or_else(|| bad("missing output count"))?
-            .parse()
-            .map_err(|_| bad("bad output count"))?;
-        let start = parse_target(words.next().ok_or_else(|| bad("missing start"))?)?;
-        let mut instrs = Vec::new();
-        for w in words {
-            let parts: Vec<&str> = w.split(':').collect();
-            if parts.len() != 5 {
-                return Err(bad(&format!("malformed instruction {w:?}")));
-            }
-            instrs.push(Instr {
-                offset: parts[0].parse().map_err(|_| bad("bad offset"))?,
-                mask: u32::from_str_radix(parts[1], 16).map_err(|_| bad("bad mask"))?,
-                value: u32::from_str_radix(parts[2], 16).map_err(|_| bad("bad value"))?,
-                yes: parse_target(parts[3])?,
-                no: parse_target(parts[4])?,
-            });
-        }
-        let safe_length = instrs
-            .iter()
-            .map(|i| i.offset as usize + 4)
-            .max()
-            .unwrap_or(0);
-        let prog = ClassifierProgram {
-            instrs,
-            start,
-            safe_length,
-            noutputs,
-        };
-        prog.to_tree().validate()?;
-        Ok(prog)
-    }
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_methods)]
 mod tests {
     use super::*;
     use crate::build::build_tree;
-    use crate::iplang::parse_ipfilter_config;
     use crate::pattern::parse_classifier_config;
 
     fn fig3_program() -> ClassifierProgram {
@@ -336,45 +193,11 @@ mod tests {
     #[test]
     fn short_packets_use_checked_path() {
         let prog = fig3_program();
-        assert_eq!(prog.safe_length(), 16);
+        assert_eq!(prog.safe_length, 16);
         assert_eq!(prog.classify(&[0u8; 10]), Some(1));
         let mut p = vec![0u8; 14];
         p[12] = 0x08;
         assert_eq!(prog.classify(&p), Some(0));
-    }
-
-    #[test]
-    fn serialization_round_trips() {
-        let prog = fig3_program();
-        let text = prog.to_string();
-        let back: ClassifierProgram = text.parse().unwrap();
-        assert_eq!(prog.instrs(), back.instrs());
-        assert_eq!(prog.start(), back.start());
-        assert_eq!(prog.noutputs(), back.noutputs());
-    }
-
-    #[test]
-    fn serialization_rejects_garbage() {
-        assert!("".parse::<ClassifierProgram>().is_err());
-        assert!("prog x [0]".parse::<ClassifierProgram>().is_err());
-        assert!("prog 1 n9".parse::<ClassifierProgram>().is_err());
-        assert!("prog 1 out0 12:zz:0:out0:drop"
-            .parse::<ClassifierProgram>()
-            .is_err());
-    }
-
-    #[test]
-    fn to_tree_round_trips_behavior() {
-        let rules = parse_ipfilter_config("allow tcp dst port 80, deny all").unwrap();
-        let tree = build_tree(&rules, 1);
-        let prog = ClassifierProgram::compile(&tree);
-        let back = prog.to_tree();
-        let mut ip = vec![0u8; 40];
-        ip[0] = 0x45;
-        ip[9] = 6;
-        ip[23] = 80;
-        assert_eq!(back.classify(&ip), tree.classify(&ip));
-        assert_eq!(back.classify(&ip), Some(0));
     }
 
     #[test]
@@ -383,7 +206,7 @@ mod tests {
         // whenever the yes branch is an internal node.
         let rules = parse_classifier_config("0/01 4/02 8/03, -").unwrap();
         let prog = ClassifierProgram::compile(&build_tree(&rules, 2));
-        for (i, ins) in prog.instrs().iter().enumerate() {
+        for (i, ins) in prog.instrs.iter().enumerate() {
             if ins.yes >= 0 {
                 assert_eq!(ins.yes as usize, i + 1, "yes chain should be adjacent");
             }
@@ -393,7 +216,7 @@ mod tests {
     #[test]
     fn trivial_program() {
         let prog = ClassifierProgram::compile(&DecisionTree::all_match(0));
-        assert!(prog.is_empty());
+        assert!(prog.instrs.is_empty());
         assert_eq!(prog.classify(&[]), Some(0));
         let drop = ClassifierProgram::compile(&DecisionTree::drop_all());
         assert_eq!(drop.classify(&[1, 2, 3]), None);

@@ -6,13 +6,11 @@
 //! value, and branches. Leaves either emit the packet on an output port or
 //! drop it.
 //!
-//! This module holds the analyzable, index-based form of the tree, plus a
-//! human-readable serialization. `click-fastclassifier` extracts trees from
-//! a running harness in this serialized form, exactly as the paper's tool
-//! parses Click's human-readable tree dump.
+//! This module holds the analyzable, index-based form of the tree: what
+//! the generic classifier elements walk, what [`crate::optimize`]
+//! rewrites, and what the cost model counts comparisons on.
 
 use click_core::error::{Error, Result};
-use std::fmt;
 
 /// Where a branch goes: another node, an output port, or the drop action.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -23,33 +21,6 @@ pub enum Step {
     Output(usize),
     /// Drop the packet (no pattern matched).
     Drop,
-}
-
-impl fmt::Display for Step {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Step::Node(i) => write!(f, "[{i}]"),
-            Step::Output(o) => write!(f, "out({o})"),
-            Step::Drop => f.write_str("drop"),
-        }
-    }
-}
-
-impl std::str::FromStr for Step {
-    type Err = Error;
-
-    fn from_str(s: &str) -> Result<Step> {
-        let bad = || Error::spec(format!("bad step {s:?}"));
-        if s == "drop" {
-            Ok(Step::Drop)
-        } else if let Some(inner) = s.strip_prefix("out(").and_then(|x| x.strip_suffix(')')) {
-            Ok(Step::Output(inner.parse().map_err(|_| bad())?))
-        } else if let Some(inner) = s.strip_prefix('[').and_then(|x| x.strip_suffix(']')) {
-            Ok(Step::Node(inner.parse().map_err(|_| bad())?))
-        } else {
-            Err(bad())
-        }
-    }
 }
 
 /// One decision node: `if (word(packet, offset) & mask) == value`.
@@ -235,72 +206,6 @@ pub fn load_word(data: &[u8], offset: usize) -> u32 {
     }
 }
 
-impl fmt::Display for DecisionTree {
-    /// Serializes in the human-readable form `click-fastclassifier` parses:
-    ///
-    /// ```text
-    /// tree outputs 2 start [0]
-    /// expr 0  offset 12  mask ffff0000  value 08000000  yes out(0)  no out(1)
-    /// ```
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "tree outputs {} start {}", self.noutputs, self.start)?;
-        for (i, e) in self.exprs.iter().enumerate() {
-            writeln!(
-                f,
-                "expr {i}  offset {}  mask {:08x}  value {:08x}  yes {}  no {}",
-                e.offset, e.mask, e.value, e.yes, e.no
-            )?;
-        }
-        Ok(())
-    }
-}
-
-impl std::str::FromStr for DecisionTree {
-    type Err = Error;
-
-    fn from_str(s: &str) -> Result<DecisionTree> {
-        let bad = |m: &str| Error::spec(format!("bad tree serialization: {m}"));
-        let mut lines = s.lines().filter(|l| !l.trim().is_empty());
-        let header = lines.next().ok_or_else(|| bad("empty input"))?;
-        let parts: Vec<&str> = header.split_whitespace().collect();
-        if parts.len() != 5 || parts[0] != "tree" || parts[1] != "outputs" || parts[3] != "start" {
-            return Err(bad(&format!("malformed header {header:?}")));
-        }
-        let noutputs: usize = parts[2].parse().map_err(|_| bad("bad output count"))?;
-        let start: Step = parts[4].parse()?;
-        let mut exprs = Vec::new();
-        for line in lines {
-            let p: Vec<&str> = line.split_whitespace().collect();
-            if p.len() != 12 || p[0] != "expr" {
-                return Err(bad(&format!("malformed expr line {line:?}")));
-            }
-            let idx: usize = p[1].parse().map_err(|_| bad("bad expr index"))?;
-            if idx != exprs.len() {
-                return Err(bad(&format!("expr index {idx} out of order")));
-            }
-            let offset: u32 = p[3].parse().map_err(|_| bad("bad offset"))?;
-            let mask = u32::from_str_radix(p[5], 16).map_err(|_| bad("bad mask"))?;
-            let value = u32::from_str_radix(p[7], 16).map_err(|_| bad("bad value"))?;
-            let yes: Step = p[9].parse()?;
-            let no: Step = p[11].parse()?;
-            exprs.push(Expr {
-                offset,
-                mask,
-                value,
-                yes,
-                no,
-            });
-        }
-        let tree = DecisionTree {
-            exprs,
-            start,
-            noutputs,
-        };
-        tree.validate()?;
-        Ok(tree)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,21 +258,6 @@ mod tests {
     fn safe_length() {
         assert_eq!(fig3_tree().safe_length(), 16);
         assert_eq!(DecisionTree::all_match(0).safe_length(), 0);
-    }
-
-    #[test]
-    fn serialization_round_trips() {
-        let t = fig3_tree();
-        let text = t.to_string();
-        let back: DecisionTree = text.parse().unwrap();
-        assert_eq!(t, back);
-    }
-
-    #[test]
-    fn serialization_rejects_garbage() {
-        assert!("".parse::<DecisionTree>().is_err());
-        assert!("tree outputs x start [0]".parse::<DecisionTree>().is_err());
-        assert!("tree outputs 1 start [5]".parse::<DecisionTree>().is_err());
     }
 
     #[test]
@@ -435,14 +325,5 @@ mod tests {
     fn load_word_is_big_endian() {
         assert_eq!(load_word(&[0x12, 0x34, 0x56, 0x78], 0), 0x1234_5678);
         assert_eq!(load_word(&[0, 0, 0, 0, 0xAB], 4), 0xAB00_0000);
-    }
-
-    #[test]
-    fn step_parse_round_trip() {
-        for s in [Step::Node(3), Step::Output(0), Step::Drop] {
-            assert_eq!(s.to_string().parse::<Step>().unwrap(), s);
-        }
-        assert!("out".parse::<Step>().is_err());
-        assert!("[x]".parse::<Step>().is_err());
     }
 }

@@ -4,7 +4,7 @@
 
 use crate::element::{config_err, CreateCtx, Element};
 use crate::packet::Packet;
-use click_classifier::{build_tree, parse_rules, rules_noutputs, FastMatcher, TreeClassifier};
+use click_classifier::{build_tree, parse_rules, rules_noutputs, DecisionDiagram, TreeClassifier};
 use click_core::error::Result;
 use click_core::registry::{FASTCLASSIFIER_PREFIX, FASTIPFILTER_PREFIX};
 
@@ -71,18 +71,32 @@ impl Element for ClassifierElement {
     }
 }
 
+/// Parses a `FastClassifier@@*` configuration: `fast ` and a serialized
+/// [`DecisionDiagram`].
+///
+/// # Errors
+///
+/// Fails on any other text, a tree shape of older tools included.
+pub fn fast_diagram(config: &str) -> Result<DecisionDiagram> {
+    config
+        .trim()
+        .strip_prefix("fast ")
+        .ok_or_else(|| click_core::Error::spec(format!("not a `fast diag` config: {config:?}")))?
+        .parse()
+}
+
 /// A specialized classifier produced by `click-fastclassifier`. Its class
 /// name starts with `FastClassifier@@` (or `FastIPFilter@@`) and its
-/// configuration string carries the serialized [`FastMatcher`].
+/// configuration string carries the serialized [`DecisionDiagram`].
 #[derive(Debug)]
 pub struct FastClassifierElement {
     class: String,
-    matcher: FastMatcher,
+    diagram: DecisionDiagram,
     drops: u64,
 }
 
 impl FastClassifierElement {
-    /// Creates from a generated class name and its serialized matcher.
+    /// Creates from a generated class name and its serialized diagram.
     pub fn from_config(
         class: &str,
         config: &str,
@@ -94,17 +108,11 @@ impl FastClassifierElement {
                 "not a generated fast classifier class name",
             ));
         }
-        let matcher: FastMatcher = config.trim().parse()?;
         Ok(FastClassifierElement {
             class: class.to_owned(),
-            matcher,
+            diagram: fast_diagram(config)?,
             drops: 0,
         })
-    }
-
-    /// The specialization shape chosen for this element.
-    pub fn shape(&self) -> &'static str {
-        self.matcher.shape()
     }
 }
 
@@ -113,7 +121,7 @@ impl Element for FastClassifierElement {
         &self.class
     }
     fn action(&mut self, p: Packet) -> Option<(usize, Packet)> {
-        let port = self.matcher.classify(p.data());
+        let port = self.diagram.classify(p.data());
         classified(port, p, &mut self.drops)
     }
     fn stat(&self, name: &str) -> Option<u64> {
@@ -125,7 +133,7 @@ impl Element for FastClassifierElement {
 mod tests {
     use super::*;
     use crate::element::Emitter;
-    use click_classifier::optimize;
+    use click_classifier::build_diagram;
 
     fn ctx() -> CreateCtx {
         CreateCtx::new()
@@ -179,11 +187,10 @@ mod tests {
         let config = "12/0806 20/0001, 12/0806 20/0002, 12/0800, -";
         let mut generic = ClassifierElement::classifier(config, &mut ctx()).unwrap();
         let rules = parse_rules("Classifier", config).unwrap();
-        let tree = optimize(&build_tree(&rules, 4));
-        let matcher = FastMatcher::compile(&tree);
+        let diagram = build_diagram(&rules, 4);
         let mut fast = FastClassifierElement::from_config(
             "FastClassifier@@c",
-            &matcher.to_string(),
+            &format!("fast {diagram}"),
             &mut ctx(),
         )
         .unwrap();
@@ -203,15 +210,35 @@ mod tests {
 
     #[test]
     fn fast_classifier_rejects_bad_names_and_configs() {
+        assert!(
+            FastClassifierElement::from_config("Classifier", "fast diag 1 out0", &mut ctx())
+                .is_err()
+        );
         assert!(FastClassifierElement::from_config(
-            "Classifier",
-            "fast constant 1 out0",
+            "FastClassifier@@x",
+            "fast diag 1 out0",
             &mut ctx()
         )
-        .is_err());
-        assert!(
-            FastClassifierElement::from_config("FastClassifier@@x", "garbage", &mut ctx()).is_err()
-        );
+        .is_ok());
+        // Garbage, the tree shapes older tools emitted, and a diagram
+        // whose node has an edge to a node it lacks: each is a
+        // configure-time error, not a panic.
+        for config in [
+            "garbage",
+            "diag 1 out0",
+            "fast constant 1 out0",
+            "fast single 2 12:ffff0000:8000000:out0:out1",
+            "fast double 1 12:ffff0000:8060000 20:ffff:1 out0 drop",
+            "fast prog 2 n0 12:ffff0000:8000000:out0:out1",
+            "fast diag 2 n0 f 12:ffff0000 n 0:out1:8000000=n1",
+            "fast diag 2 n1 f 12:ffff0000 n 0:out1:8000000=out0",
+        ] {
+            assert!(
+                FastClassifierElement::from_config("FastClassifier@@x", config, &mut ctx())
+                    .is_err(),
+                "{config:?}"
+            );
+        }
     }
 
     #[test]

@@ -391,7 +391,7 @@ mod tests {
     #[test]
     fn factory_builds_fast_classifiers() {
         let mut ctx = CreateCtx::new();
-        let e = create_element("FastClassifier@@c", "fast constant 1 out0", &mut ctx).unwrap();
+        let e = create_element("FastClassifier@@c", "fast diag 1 out0", &mut ctx).unwrap();
         assert!(e.class_name().starts_with("FastClassifier@@"));
     }
 }

@@ -5,26 +5,21 @@
 //!
 //! 1. finds the classification elements (`Classifier`, `IPClassifier`,
 //!    `IPFilter`) in a configuration;
-//! 2. combines adjacent `Classifier`s to improve optimization
-//!    possibilities;
-//! 3. validates them in a *harness* configuration and picks each one's
-//!    shape before building anything: a rule list of at least
-//!    [`DIAGRAM_THRESHOLD`] rules is lowered straight to an ordered-field
-//!    decision diagram and leaves a one-line summary in the harness
-//!    output; every other classifier (including a merged pair's `@tree`)
-//!    gets its decision tree — built by the very classifier-compilation
-//!    code the router runs, so "classifier syntax changes need be
-//!    implemented exactly once" — round-tripped through its
-//!    human-readable dump and optimized;
-//! 4. generates one specialized class per distinct matcher (identical
-//!    matchers share a class), attaching the generated source to the
+//! 2. combines adjacent `Classifier`s into one rule list to improve
+//!    optimization possibilities;
+//! 3. validates them in a *harness* configuration, parses each one's
+//!    rules with the very classifier-compilation code the router runs (so
+//!    "classifier syntax changes need be implemented exactly once"),
+//!    lowers them to an ordered-field decision diagram, and leaves a
+//!    one-line summary per classifier in the harness output;
+//! 4. generates one specialized class per distinct diagram (identical
+//!    diagrams share a class), attaching the generated source to the
 //!    configuration archive;
 //! 5. rewrites each classifier declaration to its generated
-//!    `FastClassifier@@name` class.
+//!    `FastClassifier@@name` class, configured with the diagram's text.
 
 use click_classifier::{
-    build_diagram, build_tree, optimize, parse_rules, rules_noutputs, DecisionDiagram,
-    DecisionTree, FastMatcher, Step,
+    build_diagram, parse_rules, rules_noutputs, Action, Cond, DecisionDiagram, Rule,
 };
 use click_core::error::Result;
 use click_core::graph::{Connection, ElementId, PortRef, RouterGraph};
@@ -35,48 +30,11 @@ use std::fmt::Write as _;
 /// Classes the tool specializes.
 pub const CLASSIFIER_CLASSES: [&str; 3] = ["Classifier", "IPClassifier", "IPFilter"];
 
-/// Rule count at which a rule-list classifier specializes to the
-/// ordered-field decision diagram instead of a decision tree: below this
-/// the tree's straight-line shapes win; at or above it the diagram's
-/// bounded depth and shared subtrees do (generated 10k-rule ACLs compile
-/// in seconds instead of exploding a node per check per rule). A
-/// classifier at or over the threshold never builds a tree at all.
-pub const DIAGRAM_THRESHOLD: usize = 32;
-
-/// What one classifier specializes from, decided before anything is built.
-enum Source {
-    /// A rule list of at least [`DIAGRAM_THRESHOLD`] rules, lowered.
-    Diagram {
-        rules: usize,
-        diagram: DecisionDiagram,
-    },
-    /// Any other rule list, or a merged `@tree` marker: its unoptimized tree.
-    Tree(DecisionTree),
-}
-
-/// Parses a classifier's rules once and builds only the shape it ships.
-fn source_for(class: &str, config: &str) -> Result<Source> {
-    if let Some(tree) = parse_merged_config(config) {
-        return Ok(Source::Tree(tree?));
-    }
-    let rules = parse_rules(class, config)?;
-    let n = rules_noutputs(&rules);
-    if rules.len() < DIAGRAM_THRESHOLD {
-        return Ok(Source::Tree(build_tree(&rules, n)));
-    }
-    let diagram = build_diagram(&rules, n);
-    debug_assert!(diagram.validate().is_ok());
-    Ok(Source::Diagram {
-        rules: rules.len(),
-        diagram,
-    })
-}
-
 /// What the tool did, for reporting.
 #[derive(Debug, Default)]
 pub struct FastClassifierReport {
-    /// `(element name, generated class, specialization shape)`.
-    pub specialized: Vec<(String, String, &'static str)>,
+    /// `(element name, generated class)`.
+    pub specialized: Vec<(String, String)>,
     /// Pairs of adjacent `Classifier`s that were merged (survivor, absorbed).
     pub combined: Vec<(String, String)>,
 }
@@ -84,78 +42,6 @@ pub struct FastClassifierReport {
 /// Returns true if the class is one the tool handles.
 pub fn is_classifier_class(class: &str) -> bool {
     CLASSIFIER_CLASSES.contains(&class)
-}
-
-/// Merges tree `b` into output `port` of tree `a`: packets `a` would emit
-/// on `port` are instead classified by `b`. Output numbering: `a`'s other
-/// outputs keep their order (renumbered densely), then `b`'s outputs.
-pub fn merge_trees(a: &DecisionTree, port: usize, b: &DecisionTree) -> DecisionTree {
-    // a's outputs: 0..port keep, port+1.. shift down by one; b's outputs
-    // append after a's remaining outputs.
-    let remap_a = |s: Step, b_start: Step| -> Step {
-        match s {
-            Step::Output(o) if o == port => b_start,
-            Step::Output(o) if o > port => Step::Output(o - 1),
-            other => other,
-        }
-    };
-    let a_remaining = a.noutputs.saturating_sub(1);
-    let mut exprs = Vec::with_capacity(a.exprs.len() + b.exprs.len());
-    // b's nodes first (indices 0..b.len), outputs shifted.
-    for e in &b.exprs {
-        let remap_b = |s: Step| match s {
-            Step::Output(o) => Step::Output(a_remaining + o),
-            Step::Node(i) => Step::Node(i),
-            Step::Drop => Step::Drop,
-        };
-        exprs.push(click_classifier::Expr {
-            offset: e.offset,
-            mask: e.mask,
-            value: e.value,
-            yes: remap_b(e.yes),
-            no: remap_b(e.no),
-        });
-    }
-    let b_start = match b.start {
-        Step::Output(o) => Step::Output(a_remaining + o),
-        Step::Node(i) => Step::Node(i),
-        Step::Drop => Step::Drop,
-    };
-    // a's nodes after, indices shifted by b.len().
-    let shift = b.exprs.len();
-    for e in &a.exprs {
-        let remap = |s: Step| -> Step {
-            match s {
-                Step::Node(i) => Step::Node(i + shift),
-                other => remap_a(other, b_start),
-            }
-        };
-        exprs.push(click_classifier::Expr {
-            offset: e.offset,
-            mask: e.mask,
-            value: e.value,
-            yes: remap(e.yes),
-            no: remap(e.no),
-        });
-    }
-    let start = match a.start {
-        Step::Node(i) => Step::Node(i + shift),
-        other => remap_a(other, b_start),
-    };
-    let merged = DecisionTree {
-        exprs,
-        start,
-        noutputs: a_remaining + b.noutputs,
-    };
-    debug_assert!(merged.validate().is_ok(), "merged tree invalid");
-    merged
-}
-
-/// Compiles a classifier element's configuration into its decision tree.
-fn tree_for(class: &str, config: &str) -> Result<DecisionTree> {
-    let rules = parse_rules(class, config)?;
-    let n = rules_noutputs(&rules);
-    Ok(build_tree(&rules, n))
 }
 
 /// Builds the harness configuration: just the classifiers, fed by `Idle`
@@ -177,12 +63,11 @@ fn build_harness(graph: &RouterGraph, targets: &[ElementId]) -> Result<RouterGra
 }
 
 /// Generates the pseudo-Rust source attached to the archive — the
-/// analogue of the C++ `click-fastclassifier` emits (Figure 3b). `tree`
-/// is the optimized tree a tree-shaped matcher was compiled from.
-fn generate_source(class_name: &str, matcher: &FastMatcher, tree: Option<&DecisionTree>) -> String {
+/// analogue of the C++ `click-fastclassifier` emits (Figure 3b).
+fn generate_source(class_name: &str, d: &DecisionDiagram) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "// Generated by click-fastclassifier; do not edit.");
-    let _ = writeln!(s, "// Specialization shape: {}", matcher.shape());
+    let _ = writeln!(s, "// Specialization shape: diagram");
     let _ = writeln!(s, "pub struct {};", class_name.replace("@@", "_"));
     let _ = writeln!(s, "impl {} {{", class_name.replace("@@", "_"));
     let _ = writeln!(s, "    #[inline]");
@@ -190,62 +75,28 @@ fn generate_source(class_name: &str, matcher: &FastMatcher, tree: Option<&Decisi
         s,
         "    pub fn length_unchecked_push(data: &[u8]) -> Option<usize> {{"
     );
-    match matcher {
-        FastMatcher::Constant { .. }
-        | FastMatcher::SingleCheck { .. }
-        | FastMatcher::DoubleCheck { .. } => {
-            for line in matcher.to_string().split(' ') {
-                let _ = writeln!(s, "        // {line}");
-            }
-            let _ = writeln!(
-                s,
-                "        // straight-line compare(s) with inlined constants"
-            );
-        }
-        FastMatcher::Program(p) => {
-            for (i, ins) in p.instrs().iter().enumerate() {
-                let _ = writeln!(
-                    s,
-                    "        // step_{i}: if (load_be32(data, {}) & {:#010x}) == {:#010x} {{ goto {:?} }} else {{ goto {:?} }}",
-                    ins.offset, ins.mask, ins.value, ins.yes, ins.no
-                );
-            }
-        }
-        FastMatcher::Diagram(d) => {
-            let _ = writeln!(
-                s,
-                "        // ordered-field decision diagram: {} fields, {} nodes, depth {}",
-                d.fields.len(),
-                d.nodes.len(),
-                d.depth()
-            );
-            for (i, fd) in d.fields.iter().enumerate() {
-                let _ = writeln!(
-                    s,
-                    "        // field_{i}: load_be32(data, {}) & {:#010x}",
-                    fd.offset, fd.mask
-                );
-            }
-        }
-    }
-    if let FastMatcher::Diagram(_) = matcher {
-        // A diagram's serialized form is as large as the rule set, and it
-        // is the element's configuration already.
+    let _ = writeln!(
+        s,
+        "        // ordered-field decision diagram: {} fields, {} nodes, depth {}",
+        d.fields.len(),
+        d.nodes.len(),
+        d.depth()
+    );
+    for (i, fd) in d.fields.iter().enumerate() {
         let _ = writeln!(
             s,
-            "        unreachable!(\"serialized form: the element's configuration\")"
+            "        // field_{i}: load_be32(data, {}) & {:#010x}",
+            fd.offset, fd.mask
         );
-    } else {
-        let _ = writeln!(s, "        unreachable!(\"serialized form: {matcher}\")");
     }
+    // A diagram's serialized form is as large as the rule set, and it is
+    // the element's configuration already.
+    let _ = writeln!(
+        s,
+        "        unreachable!(\"serialized form: the element's configuration\")"
+    );
     let _ = writeln!(s, "    }}");
     let _ = writeln!(s, "}}");
-    if let Some(tree) = tree {
-        let _ = writeln!(s, "// decision tree ({} nodes):", tree.exprs.len());
-        for line in tree.to_string().lines() {
-            let _ = writeln!(s, "//   {line}");
-        }
-    }
     s
 }
 
@@ -271,8 +122,9 @@ fn generate_source(class_name: &str, matcher: &FastMatcher, tree: Option<&Decisi
 pub fn fastclassifier(graph: &mut RouterGraph) -> Result<FastClassifierReport> {
     let mut report = FastClassifierReport::default();
 
-    // Step 1: combine adjacent Classifiers.
-    combine_adjacent(graph, &mut report)?;
+    // Step 1: combine adjacent Classifiers. A merged pair's rule list
+    // stays here until specialization.
+    let mut merged = combine_adjacent(graph, &mut report)?;
 
     // Step 2: collect the classifier elements.
     let targets: Vec<ElementId> = graph
@@ -285,10 +137,8 @@ pub fn fastclassifier(graph: &mut RouterGraph) -> Result<FastClassifierReport> {
     }
 
     // Step 3: the harness is validated like a real configuration. Then
-    // each classifier's rules are parsed once: a diagram-bound one is
-    // lowered and summarized in a line; a tree-bound one's tree is dumped
-    // to the human-readable form, re-parsed — the same pipeline as the
-    // paper's tool — and optimized.
+    // each classifier's rules are parsed once, lowered, and summarized in
+    // a line.
     let harness = build_harness(graph, &targets)?;
     let check = click_core::check::check(&harness, &click_core::registry::Library::standard());
     if !check.is_ok() {
@@ -298,58 +148,51 @@ pub fn fastclassifier(graph: &mut RouterGraph) -> Result<FastClassifierReport> {
         )));
     }
     let mut dumps = String::new();
-    let mut matchers = Vec::with_capacity(targets.len());
+    let mut diagrams = Vec::with_capacity(targets.len());
     for &id in &targets {
         let decl = graph.element(id);
-        let (matcher, tree) = match source_for(decl.class(), decl.config())? {
-            Source::Diagram { rules, diagram } => {
-                let _ = writeln!(
-                    dumps,
-                    "# {}\ndiagram rules {rules} outputs {} fields {} nodes {} depth {}\n",
-                    decl.name(),
-                    diagram.noutputs,
-                    diagram.fields.len(),
-                    diagram.nodes.len(),
-                    diagram.depth()
-                );
-                (FastMatcher::Diagram(diagram), None)
-            }
-            Source::Tree(tree) => {
-                let dump = tree.to_string();
-                let _ = writeln!(dumps, "# {}\n{}", decl.name(), dump);
-                let tree = optimize(&dump.parse()?);
-                (FastMatcher::compile(&tree), Some(tree))
-            }
+        let rules = match merged.remove(&id) {
+            Some(rules) => rules,
+            None => parse_rules(decl.class(), decl.config())?,
         };
-        matchers.push((id, matcher, tree));
+        let diagram = build_diagram(&rules, rules_noutputs(&rules));
+        let _ = writeln!(
+            dumps,
+            "# {}\ndiagram rules {} outputs {} fields {} nodes {} depth {}\n",
+            decl.name(),
+            rules.len(),
+            diagram.noutputs,
+            diagram.fields.len(),
+            diagram.nodes.len(),
+            diagram.depth()
+        );
+        diagrams.push((id, diagram));
     }
     graph
         .archive_mut()
         .insert("fastclassifier_harness_output", dumps);
 
-    // Step 4 & 5: generate one class per distinct specialized matcher
-    // and rewrite declarations.
-    let mut class_by_matcher: HashMap<String, String> = HashMap::new();
-    for (id, matcher, tree) in matchers {
+    // Step 4 & 5: generate one class per distinct diagram and rewrite
+    // declarations.
+    let mut class_by_config: HashMap<String, String> = HashMap::new();
+    for (id, diagram) in diagrams {
         let name = graph.element(id).name().to_owned();
-        let key = matcher.to_string();
-        let class = match class_by_matcher.get(&key) {
+        let config = format!("fast {diagram}");
+        let class = match class_by_config.get(&config) {
             Some(c) => c.clone(),
             None => {
                 let class = format!("FastClassifier@@{}", name.replace('/', "_"));
                 graph.archive_mut().insert(
                     format!("{}.rs", class.replace("@@", "_")),
-                    generate_source(&class, &matcher, tree.as_ref()),
+                    generate_source(&class, &diagram),
                 );
-                class_by_matcher.insert(key.clone(), class.clone());
+                class_by_config.insert(config.clone(), class.clone());
                 class
             }
         };
-        report
-            .specialized
-            .push((name, class.clone(), matcher.shape()));
+        report.specialized.push((name, class.clone()));
         graph.set_class(id, class);
-        graph.set_config(id, key);
+        graph.set_config(id, config);
     }
     graph.add_requirement("fastclassifier");
     Ok(report)
@@ -376,21 +219,64 @@ fn mergeable_output(graph: &RouterGraph, id: ElementId) -> Option<(usize, Elemen
     })
 }
 
+/// Composes `inner` into output `port` of `outer`: packets `outer` would
+/// emit on `port` are instead classified by `inner`. Each outer rule that
+/// emits on `port` becomes one rule per inner rule, conjoined, then a drop
+/// for packets no inner rule matches. Output numbering: `outer`'s other
+/// outputs keep their order (renumbered densely), then `inner`'s outputs.
+fn compose(outer: Vec<Rule>, port: usize, inner: &[Rule]) -> Vec<Rule> {
+    let shift = rules_noutputs(&outer).saturating_sub(1);
+    let mut rules = Vec::with_capacity(outer.len() + inner.len());
+    for r in outer {
+        match r.action {
+            Action::Emit(o) if o == port => {
+                rules.extend(inner.iter().map(|i| Rule {
+                    cond: Cond::And(vec![r.cond.clone(), i.cond.clone()]),
+                    action: match i.action {
+                        Action::Emit(o) => Action::Emit(shift + o),
+                        Action::Drop => Action::Drop,
+                    },
+                }));
+                rules.push(Rule {
+                    cond: r.cond,
+                    action: Action::Drop,
+                });
+            }
+            Action::Emit(o) => rules.push(Rule {
+                cond: r.cond,
+                action: Action::Emit(o - usize::from(o > port)),
+            }),
+            Action::Drop => rules.push(r),
+        }
+    }
+    rules
+}
+
 /// Combines `Classifier` pairs where one output feeds the whole input of
-/// another `Classifier`.
-fn combine_adjacent(graph: &mut RouterGraph, report: &mut FastClassifierReport) -> Result<()> {
+/// another `Classifier`. Returns each survivor's composed rule list; its
+/// declaration keeps its own configuration until specialization rewrites
+/// it (the harness check reads no classifier configuration).
+fn combine_adjacent(
+    graph: &mut RouterGraph,
+    report: &mut FastClassifierReport,
+) -> Result<HashMap<ElementId, Vec<Rule>>> {
+    let mut merged: HashMap<ElementId, Vec<Rule>> = HashMap::new();
     let ids: Vec<ElementId> = graph.element_ids().collect();
     for a in ids {
         // A merge changes no element's connections but `a`'s own, so the
         // elements before `a` stay unmergeable and the scan resumes at `a`.
         // (An element merged into an earlier one is gone by now.)
         while let Some((port, b)) = mergeable_output(graph, a) {
-            let a_decl = graph.element(a);
-            let b_decl = graph.element(b);
-            let tree_a = tree_for("Classifier", a_decl.config())?;
-            let tree_b = tree_for("Classifier", b_decl.config())?;
-            let names = (a_decl.name().to_owned(), b_decl.name().to_owned());
-            let merged = merge_trees(&tree_a, port, &tree_b);
+            let mut rules_of = |id: ElementId| match merged.remove(&id) {
+                Some(rules) => Ok(rules),
+                None => parse_rules("Classifier", graph.element(id).config()),
+            };
+            let outer = rules_of(a)?;
+            let inner = rules_of(b)?;
+            let names = (
+                graph.element(a).name().to_owned(),
+                graph.element(b).name().to_owned(),
+            );
 
             // Rewire: a's outputs (except `port`, whose edge into b
             // disappears) renumber densely; b's outputs append.
@@ -412,45 +298,29 @@ fn combine_adjacent(graph: &mut RouterGraph, report: &mut FastClassifierReport) 
             for c in &b_edges {
                 let _ = graph.connect(PortRef::new(a, a_outs - 1 + c.from.port), c.to);
             }
-            // The merged tree has no pattern list; it rides in the
-            // element's configuration as a `@tree` marker until
-            // specialization (see `merged_config_marker`).
-            graph.set_config(a, merged_config_marker(&merged));
+            merged.insert(a, compose(outer, port, &inner));
             report.combined.push(names);
         }
     }
-    Ok(())
-}
-
-/// Adjacent-classifier merges produce a tree, not a pattern list; encode
-/// it as a `Classifier` config the rule parser recognizes.
-///
-/// We lean on `Classifier`'s own pattern language: any decision tree over
-/// word compares cannot in general be re-expressed as a flat pattern
-/// list, so the merged tree is carried in the archive-bound serialized
-/// form, flagged with a `@tree` prefix. [`tree_for`] understands it.
-fn merged_config_marker(tree: &DecisionTree) -> String {
-    format!("@tree {}", tree.to_string().replace('\n', " ; "))
-}
-
-fn parse_merged_config(config: &str) -> Option<Result<DecisionTree>> {
-    let rest = config.strip_prefix("@tree ")?;
-    Some(rest.replace(" ; ", "\n").parse())
-}
-
-/// Compiles a classifier config into its tree, also understanding the
-/// merged-tree markers adjacent-classifier combination leaves behind.
-pub fn classifier_tree(class: &str, config: &str) -> Result<DecisionTree> {
-    if let Some(t) = parse_merged_config(config) {
-        return t;
-    }
-    tree_for(class, config)
+    Ok(merged)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use click_classifier::{build_tree, TreeClassifier};
     use click_core::lang::read_config;
+    use click_elements::elements::classify::fast_diagram;
+
+    /// The diagram element `name` was specialized to.
+    fn diagram_of(g: &RouterGraph, name: &str) -> DecisionDiagram {
+        fast_diagram(g.element(g.find(name).unwrap()).config()).unwrap()
+    }
+
+    fn source_tree(config: &str) -> TreeClassifier {
+        let rules = parse_rules("Classifier", config).unwrap();
+        TreeClassifier::new(&build_tree(&rules, rules_noutputs(&rules)))
+    }
 
     #[test]
     fn specializes_all_three_classifier_classes() {
@@ -469,8 +339,8 @@ mod tests {
                 "{name} not specialized: {}",
                 g.element(id).class()
             );
-            // Config must be a parseable matcher.
-            assert!(g.element(id).config().parse::<FastMatcher>().is_ok());
+            // Config must be a parseable diagram.
+            assert!(fast_diagram(g.element(id).config()).is_ok());
         }
         assert!(g.has_requirement("fastclassifier"));
         assert!(g.archive().get("fastclassifier_harness_output").is_some());
@@ -510,26 +380,83 @@ mod tests {
         assert!(!g.has_requirement("fastclassifier"));
     }
 
+    /// One random `Classifier` pattern list: 1-40 patterns of one or two
+    /// byte terms on header bytes (ethertype, ARP opcode, IP protocol)
+    /// over a small value pool, so that probes match often.
+    fn random_patterns(r: &mut click_core::Lcg, catch_all: bool) -> String {
+        let pool = ["00", "06", "08", "11"];
+        let n = 1 + r.below(40);
+        let mut patterns: Vec<String> = (0..n)
+            .map(|_| {
+                (0..1 + r.below(2))
+                    .map(|_| format!("{}/{}", [12, 13, 21, 23][r.below(4)], pool[r.below(4)]))
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            })
+            .collect();
+        if catch_all {
+            patterns.push("-".to_owned());
+        }
+        patterns.join(", ")
+    }
+
     #[test]
-    fn merge_trees_preserves_semantics() {
-        // a: ethertype IP → 0, else → 1. b: byte 23 == 6 → 0, else 1.
-        let a = tree_for("Classifier", "12/0800, -").unwrap();
-        let b = tree_for("Classifier", "23/06, -").unwrap();
-        let merged = merge_trees(&a, 0, &b);
-        assert!(merged.validate().is_ok());
-        assert_eq!(merged.noutputs, 3); // a's out1 → 0; b's outs → 1, 2
-        let mut pkt = vec![0u8; 64];
-        // Not IP → a's old output 1 → new output 0.
-        pkt[12] = 0x86;
-        assert_eq!(merged.classify(&pkt), Some(0));
-        // IP and TCP → b output 0 → new output 1.
-        pkt[12] = 0x08;
-        pkt[13] = 0x00;
-        pkt[23] = 6;
-        assert_eq!(merged.classify(&pkt), Some(1));
-        // IP not TCP → b output 1 → new output 2.
-        pkt[23] = 17;
-        assert_eq!(merged.classify(&pkt), Some(2));
+    fn composed_pairs_preserve_semantics() {
+        let mut r = click_core::Lcg::new(0xC0F05E);
+        let (mut through_inner, mut dropped_by_inner) = (0, 0);
+        for case in 0..48 {
+            let catch_all = r.below(2) == 0;
+            let outer = random_patterns(&mut r, catch_all);
+            // Without a catch-all, what no inner pattern matches meets the
+            // composed `outer -> drop` rule.
+            let inner = random_patterns(&mut r, case % 2 == 0);
+            let (a, b) = (source_tree(&outer), source_tree(&inner));
+            let nouter = parse_rules("Classifier", &outer).unwrap().len();
+            let ninner = parse_rules("Classifier", &inner).unwrap().len();
+            let port = r.below(nouter);
+            let mut src = format!("Idle -> a :: Classifier({outer}); ");
+            for p in 0..nouter {
+                if p == port {
+                    src += &format!("a [{p}] -> b :: Classifier({inner}); ");
+                } else {
+                    src += &format!("a [{p}] -> Discard; ");
+                }
+            }
+            for p in 0..ninner {
+                src += &format!("b [{p}] -> Discard; ");
+            }
+            let mut g = read_config(&src).unwrap();
+            let report = fastclassifier(&mut g).unwrap();
+            assert_eq!(report.combined.len(), 1, "case {case}");
+            let d = diagram_of(&g, "a");
+            for _ in 0..400 {
+                let p: Vec<u8> = (0..32)
+                    .map(|_| [0x00, 0x06, 0x08, 0x11][r.below(4)])
+                    .collect();
+                let expected = match a.classify(&p) {
+                    Some(o) if o == port => {
+                        through_inner += 1;
+                        let out = b.classify(&p).map(|o| nouter - 1 + o);
+                        dropped_by_inner += usize::from(out.is_none());
+                        out
+                    }
+                    other => other.map(|o| o - usize::from(o > port)),
+                };
+                assert_eq!(
+                    d.classify(&p),
+                    expected,
+                    "case {case}: {outer} [{port}] {inner}"
+                );
+            }
+        }
+        assert!(
+            through_inner > 1000,
+            "{through_inner} probes reached an inner list"
+        );
+        assert!(
+            dropped_by_inner > 100,
+            "{dropped_by_inner} probes met `outer -> drop`"
+        );
     }
 
     #[test]
@@ -576,9 +503,8 @@ mod tests {
 
     #[test]
     fn large_rule_sets_lower_to_a_diagram() {
-        // 40 ethertype patterns + catch-all: over DIAGRAM_THRESHOLD, so
-        // the specialization is an ordered-field diagram with depth
-        // bounded by the field count (1), not a 40-deep check chain.
+        // 40 ethertype patterns + catch-all: an ordered-field diagram with
+        // depth bounded by the field count (1), not a 40-deep check chain.
         let mut patterns = String::new();
         for i in 0..40 {
             let _ = write!(patterns, "12/{:04x}, ", 0x0800 + i);
@@ -591,20 +517,15 @@ mod tests {
         let mut g = read_config(&src).unwrap();
         let report = fastclassifier(&mut g).unwrap();
         assert_eq!(report.specialized.len(), 1);
-        assert_eq!(report.specialized[0].2, "diagram");
-        let c = g.find("c").unwrap();
-        let matcher: FastMatcher = g.element(c).config().parse().unwrap();
-        let FastMatcher::Diagram(d) = &matcher else {
-            panic!("expected diagram, got {}", matcher.shape());
-        };
+        let d = diagram_of(&g, "c");
         assert!(d.depth() <= d.fields.len());
         // Semantics agree with the generic tree.
-        let tree = classifier_tree("Classifier", &patterns).unwrap();
+        let tree = source_tree(&patterns);
         let mut pkt = vec![0u8; 64];
         for ethertype in [0x0800u16, 0x0815, 0x0900, 0x86DD] {
             pkt[12..14].copy_from_slice(&ethertype.to_be_bytes());
             assert_eq!(
-                matcher.classify(&pkt),
+                d.classify(&pkt),
                 tree.classify(&pkt),
                 "ethertype {ethertype:#x}"
             );
@@ -613,8 +534,7 @@ mod tests {
 
     #[test]
     fn diagram_bound_classifiers_build_no_tree() {
-        // A 40-pattern Classifier and a seeded 48-rule IPFilter: both at
-        // or over DIAGRAM_THRESHOLD.
+        // A 40-pattern Classifier and a seeded 48-rule IPFilter.
         let mut patterns = String::new();
         for i in 0..40 {
             let _ = write!(patterns, "12/{:04x}, ", 0x0800 + i);
@@ -640,8 +560,7 @@ mod tests {
         }
         let mut g = read_config(&src).unwrap();
         let report = fastclassifier(&mut g).unwrap();
-        let shapes: Vec<&str> = report.specialized.iter().map(|s| s.2).collect();
-        assert_eq!(shapes, ["diagram", "diagram"]);
+        assert_eq!(report.specialized.len(), 2);
 
         let harness = g.archive().get("fastclassifier_harness_output").unwrap();
         assert!(
@@ -661,13 +580,5 @@ mod tests {
             assert!(diagram.starts_with("fast diag "), "{name}: {diagram}");
             assert_eq!(out.matches(diagram).count(), 1, "{name}'s diagram");
         }
-    }
-
-    #[test]
-    fn merged_config_marker_round_trips() {
-        let t = tree_for("Classifier", "12/0800, -").unwrap();
-        let marker = merged_config_marker(&t);
-        let back = classifier_tree("Classifier", &marker).unwrap();
-        assert_eq!(t, back);
     }
 }

@@ -79,7 +79,7 @@ mod tests {
     fn resolves_generated_classes() {
         let g = read_config(
             "Idle -> Counter__DV2 -> Discard; \
-             Idle -> fc :: FastClassifier@@c(fast constant 1 out0); fc [0] -> Discard;",
+             Idle -> fc :: FastClassifier@@c(fast diag 1 out0); fc [0] -> Discard;",
         )
         .unwrap();
         let m = mkmindriver(&g);

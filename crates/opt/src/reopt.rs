@@ -615,10 +615,10 @@ fn drop_rate(drops: u64, injected: u64) -> f64 {
 // ---- the demo workload ---------------------------------------------------
 
 /// Classifier branches (excluding the catch-all) in the demo
-/// configuration. Deliberately below the fastclassifier
-/// decision-diagram threshold (32), so the compiled matcher keeps the
-/// paper's order-sensitive first-match chain and branch ordering has a
-/// measurable cost.
+/// configuration. The generic `Classifier` walks them as an
+/// order-sensitive first-match chain; the diagram fastclassifier
+/// installs tests the port field once whatever the order, so a hoist
+/// changes what the loop models, not what the artifact runs.
 pub const DEMO_BRANCHES: usize = 24;
 
 /// Distinct UDP flows (source ports 2000..) in the demo trace, for RSS

@@ -11,11 +11,14 @@
 
 use crate::cost::btb::{code_id, Btb, DIRECT_CALL_CYCLES};
 use crate::cost::params::{CostParams, Platform};
-use click_classifier::{FastMatcher, Step};
+use click_classifier::{
+    build_tree, parse_rules, rules_noutputs, DecisionDiagram, DecisionTree, Step,
+};
 use click_core::error::{Error, Result};
 use click_core::graph::{ElementId, RouterGraph};
 use click_core::registry::{devirt_base, FASTCLASSIFIER_PREFIX, FASTIPFILTER_PREFIX};
 use click_elements::element::CreateCtx;
+use click_elements::elements::classify::fast_diagram;
 use click_elements::elements::ip::StaticIPLookup;
 use click_elements::headers::ipv4;
 use std::collections::HashMap;
@@ -60,9 +63,9 @@ pub struct PathModel<'g> {
     graph: &'g RouterGraph,
     params: CostParams,
     /// Decision trees for generic classifiers, by element.
-    trees: HashMap<ElementId, click_classifier::DecisionTree>,
-    /// Matchers for specialized classifiers.
-    matchers: HashMap<ElementId, FastMatcher>,
+    trees: HashMap<ElementId, DecisionTree>,
+    /// Decision diagrams for specialized classifiers.
+    diagrams: HashMap<ElementId, DecisionDiagram>,
     /// Routing tables.
     tables: HashMap<ElementId, StaticIPLookup>,
     /// The branch predictor, persistent across packets.
@@ -88,20 +91,18 @@ impl<'g> PathModel<'g> {
     /// Fails if a classifier or routing configuration is malformed.
     pub fn new(graph: &'g RouterGraph, params: CostParams) -> Result<PathModel<'g>> {
         let mut trees = HashMap::new();
-        let mut matchers = HashMap::new();
+        let mut diagrams = HashMap::new();
         let mut tables = HashMap::new();
         for (id, decl) in graph.elements() {
             let class = decl.class();
             if class.starts_with(FASTCLASSIFIER_PREFIX) || class.starts_with(FASTIPFILTER_PREFIX) {
-                matchers.insert(id, decl.config().parse::<FastMatcher>()?);
+                diagrams.insert(id, fast_diagram(decl.config())?);
                 continue;
             }
             match base_of(class) {
                 "Classifier" | "IPClassifier" | "IPFilter" => {
-                    trees.insert(
-                        id,
-                        click_opt::fastclassifier::classifier_tree(base_of(class), decl.config())?,
-                    );
+                    let rules = parse_rules(base_of(class), decl.config())?;
+                    trees.insert(id, build_tree(&rules, rules_noutputs(&rules)));
                 }
                 "StaticIPLookup" | "LookupIPRoute" => {
                     let mut ctx = CreateCtx::new();
@@ -114,7 +115,7 @@ impl<'g> PathModel<'g> {
             graph,
             params,
             trees,
-            matchers,
+            diagrams,
             tables,
             btb: Btb::new(),
         })
@@ -158,34 +159,20 @@ impl<'g> PathModel<'g> {
                 out,
             ));
         }
-        if let Some(m) = self.matchers.get(&id) {
-            // Decision diagrams charge by diagram depth (bounded by the
-            // field count); straight-line shapes by comparison count.
-            let (cycles, out) = if let FastMatcher::Diagram(d) = m {
-                let (out, steps) = d.classify_steps(data);
-                (
-                    self.params.diagram_entry + steps as f64 * self.params.diagram_node,
-                    out,
-                )
-            } else {
-                let visits = match m {
-                    FastMatcher::Constant { .. } | FastMatcher::Diagram(_) => 0usize,
-                    FastMatcher::SingleCheck { .. } => 1,
-                    FastMatcher::DoubleCheck { .. } => 2,
-                    FastMatcher::Program(p) => count_program(p, data),
-                };
-                (
-                    self.params.fast_entry + visits as f64 * self.params.fast_node,
-                    m.classify(data),
-                )
-            };
+        if let Some(d) = self.diagrams.get(&id) {
+            // A diagram charges by the nodes the packet visits (bounded
+            // by the field count).
+            let (out, steps) = d.classify_steps(data);
             let out = out.ok_or_else(|| {
                 Error::graph(format!(
                     "cost model: packet dropped by fast classifier {}",
                     self.graph.element(id).name()
                 ))
             })?;
-            return Ok((cycles, out));
+            return Ok((
+                self.params.diagram_entry + steps as f64 * self.params.diagram_node,
+                out,
+            ));
         }
         Err(Error::graph("not a classifier".to_string()))
     }
@@ -238,7 +225,7 @@ impl<'g> PathModel<'g> {
             cost.elements += 1;
             let decl = self.graph.element(cur);
             let base = base_of(decl.class()).to_owned();
-            let is_fast_classifier = self.matchers.contains_key(&cur);
+            let is_fast_classifier = self.diagrams.contains_key(&cur);
             // Element work. LPM elements are charged below by the stride
             // depth their lookup actually walks, not the flat table rate.
             if !matches!(base.as_str(), "StaticIPLookup" | "LookupIPRoute") {
@@ -361,7 +348,7 @@ impl<'g> PathModel<'g> {
 }
 
 /// Counts decision-tree node visits and returns the classification.
-fn count_tree(tree: &click_classifier::DecisionTree, data: &[u8]) -> (usize, Option<usize>) {
+fn count_tree(tree: &DecisionTree, data: &[u8]) -> (usize, Option<usize>) {
     let mut visits = 0usize;
     let mut step = tree.start;
     loop {
@@ -376,11 +363,6 @@ fn count_tree(tree: &click_classifier::DecisionTree, data: &[u8]) -> (usize, Opt
             }
         }
     }
-}
-
-/// Counts compiled-program instruction visits.
-fn count_program(p: &click_classifier::ClassifierProgram, data: &[u8]) -> usize {
-    count_tree(&p.to_tree(), data).0
 }
 
 /// The Figure-8 cost breakdown for one router configuration under a

@@ -47,8 +47,8 @@ fn main() -> click::core::Result<()> {
 
     let mut optimized = base.clone();
     let report = click::opt::fastclassifier::fastclassifier(&mut optimized)?;
-    let (name, class, shape) = &report.specialized[0];
-    println!("click-fastclassifier: {name} -> {class} (shape: {shape})");
+    let (name, class) = &report.specialized[0];
+    println!("click-fastclassifier: {name} -> {class}");
 
     let workload: Vec<(&str, Vec<u8>)> = vec![
         ("dns5 (allowed, next-to-last rule)", dns5_packet()),

@@ -39,9 +39,8 @@ fn main() -> click::core::Result<()> {
     // 3. Optimize: specialize the classifier, devirtualize transfers.
     let fc = click::opt::fastclassifier::fastclassifier(&mut graph)?;
     println!(
-        "click-fastclassifier: specialized {} classifier(s) (shape: {})",
-        fc.specialized.len(),
-        fc.specialized[0].2
+        "click-fastclassifier: specialized {} classifier(s)",
+        fc.specialized.len()
     );
     let dv = click::opt::devirtualize::devirtualize(&mut graph, &lib, &HashSet::new())?;
     println!(

@@ -1,15 +1,20 @@
-//! Property tests: the three classifier runtimes (pointer-chasing tree,
-//! compiled program, specialized matcher) and the reference condition
-//! evaluator agree on every packet, for randomly generated rule sets —
-//! and tree optimization never changes classification.
+//! Property tests: the classifier runtimes (pointer-chasing tree,
+//! compiled program, specialized matcher, decision diagram) and the
+//! reference condition evaluator agree on every packet, for randomly
+//! generated rule sets — and tree optimization never changes
+//! classification.
 //!
 //! Randomness comes from a fixed-seed LCG so the suite is deterministic
 //! and dependency-free; change the seed to explore a different corner of
 //! the space.
 
+// `FastMatcher` and `ClassifierProgram` stay only as the spine's and
+// §4's tree runtimes; this suite keeps them equal to the rest.
+#![allow(clippy::disallowed_methods)]
+
 use click::classifier::{
-    build_tree, optimize, parse_rules, Action, Check, ClassifierProgram, Cond, FastMatcher, Rule,
-    TreeClassifier,
+    build_diagram, build_tree, optimize, parse_rules, Action, Check, ClassifierProgram, Cond,
+    DecisionDiagram, FastMatcher, Rule, TreeClassifier,
 };
 use click::core::Lcg;
 
@@ -85,6 +90,7 @@ fn all_runtimes_agree() {
         let interp = TreeClassifier::new(&tree);
         let prog = ClassifierProgram::compile(&tree);
         let fast = FastMatcher::compile(&opt);
+        let diagram = build_diagram(&rules, noutputs);
         for _ in 0..1 + r.below(7) {
             let data = gen_packet(&mut r);
             let expected = reference(&rules, &data);
@@ -113,6 +119,11 @@ fn all_runtimes_agree() {
                 expected,
                 "fast matcher vs reference, case {case}"
             );
+            assert_eq!(
+                diagram.classify(&data),
+                expected,
+                "diagram vs reference, case {case}"
+            );
         }
     }
 }
@@ -129,27 +140,24 @@ fn optimization_never_grows_depth() {
     }
 }
 
+/// The diagram text is what every specialized classifier is configured
+/// with: it must round-trip and classify like the reference.
 #[test]
-fn program_serialization_round_trips() {
+fn diagram_serialization_round_trips() {
     let mut r = Lcg::new(0x5E11A11);
-    for _ in 0..128 {
+    for case in 0..128 {
         let rules = gen_rules(&mut r);
-        let tree = build_tree(&rules, rules.len());
-        let prog = ClassifierProgram::compile(&tree);
-        let text = prog.to_string();
-        let back: ClassifierProgram = text.parse().unwrap();
-        assert_eq!(prog.instrs(), back.instrs());
-    }
-}
-
-#[test]
-fn tree_serialization_round_trips() {
-    let mut r = Lcg::new(0x7EE5);
-    for _ in 0..128 {
-        let rules = gen_rules(&mut r);
-        let tree = build_tree(&rules, rules.len());
-        let back: click::classifier::DecisionTree = tree.to_string().parse().unwrap();
-        assert_eq!(tree, back);
+        let d = build_diagram(&rules, rules.len());
+        let back: DecisionDiagram = d.to_string().parse().unwrap();
+        assert_eq!(d, back, "case {case}");
+        for _ in 0..4 {
+            let data = gen_packet(&mut r);
+            assert_eq!(
+                back.classify(&data),
+                reference(&rules, &data),
+                "case {case}"
+            );
+        }
     }
 }
 

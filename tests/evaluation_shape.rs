@@ -164,6 +164,7 @@ fn figure12_platform_ratios() {
 }
 
 #[test]
+#[allow(clippy::disallowed_methods)] // §4 specializes the optimized tree
 fn section4_firewall_factor() {
     use click::classifier::firewall::{dns5_packet, firewall_config};
     use click::classifier::{build_tree, optimize, parse_rules, FastMatcher};

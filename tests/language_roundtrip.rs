@@ -117,7 +117,7 @@ fn generated_names_round_trip() {
     let a = g.add_anon_element("Idle", "");
     let b = g.add_element("router/q1", "Queue__DV3", "64").unwrap();
     let c = g
-        .add_element("c", "FastClassifier@@c", "fast constant 1 out0")
+        .add_element("c", "FastClassifier@@c", "fast diag 1 out0")
         .unwrap();
     let d = g
         .add_element("link@A.eth0@B.eth1", "RouterLink", "A.eth0 -> B.eth1")

@@ -247,18 +247,18 @@ fn probe_packets(class: &str, config: &str, seed: u64) -> Vec<Vec<u8>> {
     packets
 }
 
-/// The matcher the chain left in element `name`'s configuration.
-fn chain_matcher(out: &str, name: &str) -> click::classifier::FastMatcher {
+/// The diagram the chain left in element `name`'s configuration.
+fn chain_diagram(out: &str, name: &str) -> click::classifier::DecisionDiagram {
     let g = read_config(out).unwrap();
     let id = g.find(name).unwrap_or_else(|| panic!("{name} gone"));
-    g.element(id).config().parse().unwrap()
+    click::elements::elements::classify::fast_diagram(g.element(id).config()).unwrap()
 }
 
 #[test]
 fn large_classifiers_keep_their_semantics_through_the_chain() {
     let mut r = click::core::Lcg::new(0xFD0);
     // A 200-rule IPFilter, a 40-rule IPClassifier and a 40-pattern
-    // Classifier: all at or over the diagram threshold.
+    // Classifier.
     let mut filter: Vec<String> = (1..200)
         .map(|_| match r.below(3) {
             0 => format!(
@@ -308,8 +308,7 @@ fn large_classifiers_keep_their_semantics_through_the_chain() {
         for p in 0..nout {
             src += &format!("c [{p}] -> Discard; ");
         }
-        let matcher = chain_matcher(&compile_to_text(&src), "c");
-        assert_eq!(matcher.shape(), "diagram", "{class}");
+        let matcher = chain_diagram(&compile_to_text(&src), "c");
         let reference = source_tree(class, &config);
         let mut seen = HashSet::new();
         for (i, p) in probe_packets(class, &config, 0xFD1).iter().enumerate() {
@@ -324,8 +323,8 @@ fn large_classifiers_keep_their_semantics_through_the_chain() {
         assert!(seen.len() * 2 > nout, "{class}: only {seen:?} reached");
     }
 
-    // A merged pair has no rule list: a 40-pattern Classifier whose
-    // first output feeds a second one still specializes to a tree shape.
+    // A merged pair: a 40-pattern Classifier whose first output feeds a
+    // second one specializes to one diagram over the composed rules.
     let inner = "23/06, 23/11, -";
     let mut src = format!(
         "Idle -> a :: Classifier({}); a [0] -> b :: Classifier({inner}); ",
@@ -335,8 +334,7 @@ fn large_classifiers_keep_their_semantics_through_the_chain() {
         src += &format!("a [{p}] -> Discard; ");
     }
     src += "b [0] -> Discard; b [1] -> Discard; b [2] -> Discard;";
-    let matcher = chain_matcher(&compile_to_text(&src), "a");
-    assert_ne!(matcher.shape(), "diagram");
+    let matcher = chain_diagram(&compile_to_text(&src), "a");
     let (outer, inner) = (
         source_tree("Classifier", &patterns.join(", ")),
         source_tree("Classifier", inner),
